@@ -7,7 +7,7 @@ module Pager = Bdbms_storage.Pager
 module Disk = Bdbms_storage.Disk
 module Btree = Bdbms_index.Btree
 module Key_codec = Bdbms_index.Key_codec
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Sbc_tree = Bdbms_sbc.Sbc_tree
 module String_btree = Bdbms_sbc.String_btree
 module Workload = Bdbms_bio.Workload
@@ -105,14 +105,14 @@ let index_rows () =
     (fun n ->
       let scan_db = mk false n and idx_db = mk true n in
       let cost db =
-        Bdbms.Db.reset_io_stats db;
+        let before = Bdbms.Db.io_stats db in
         let rng = Prng.create 113 in
         for _ = 1 to 100 do
           ignore
             (Bdbms.Db.exec_exn db
                (Printf.sprintf "SELECT v FROM G WHERE GID = 'g%05d'" (Prng.int rng n)))
         done;
-        let s = Bdbms.Db.io_stats db in
+        let s = Stats.diff ~after:(Bdbms.Db.io_stats db) ~before in
         (s.Stats.reads + s.Stats.writes + s.Stats.hits) / 100
       in
       [ [ fmt_i n; fmt_i (cost scan_db); fmt_i (cost idx_db) ] ])

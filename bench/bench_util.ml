@@ -1,7 +1,7 @@
 (* Shared helpers for the benchmark harness: table rendering, timing, and
    I/O accounting. *)
 
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
 

@@ -12,7 +12,7 @@
 
 module Disk = Bdbms_storage.Disk
 module Page = Bdbms_storage.Page
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 open Bench_util
 
 let page_size = 1024

@@ -21,7 +21,7 @@
    Pass --quick for the reduced sizes used by `make bench-quick`. *)
 
 open Bench_util
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 let quick = Array.exists (String.equal "--quick") Sys.argv
 

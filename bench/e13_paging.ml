@@ -11,7 +11,7 @@
    Pass --quick for the reduced sizes used by `make bench-quick`. *)
 
 open Bench_util
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
 module Prng = Bdbms_util.Prng

@@ -17,7 +17,7 @@
    Pass --quick for the reduced sizes used by `make bench-quick`. *)
 
 open Bench_util
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Engine = Bdbms_server.Engine
 module Session = Bdbms_server.Session
 
@@ -54,7 +54,7 @@ let measure clients =
     | Ok _ -> ()
     | Error err -> failwith ("E15: " ^ Engine.error_message err)
   done;
-  let before = Engine.stats e in
+  let before = Bdbms.Db.io_stats (Engine.db e) in
   let commit_us = Array.make clients 0.0 in
   let commits = Array.make clients 0 in
   let worker c () =
@@ -79,7 +79,7 @@ let measure clients =
   let threads = List.init clients (fun c -> Thread.create (worker c) ()) in
   List.iter Thread.join threads;
   let elapsed = Unix.gettimeofday () -. start in
-  let after = Engine.stats e in
+  let after = Bdbms.Db.io_stats (Engine.db e) in
   let total_commits = Array.fold_left ( + ) 0 commits in
   let flushes = after.Stats.wal_flushes - before.Stats.wal_flushes in
   let conflicts =

@@ -107,8 +107,8 @@ let run () =
   Printf.printf
     "BENCH_optimizer {\"rows\": %d, \"from_us\": %.0f, \"stats_us\": %.0f, \
      \"speedup\": %.2f, \"stats_analyzed\": %d, \"plans_reordered\": %d}\n"
-    n from_us stats_us speedup s.Bdbms_storage.Stats.stats_analyzed
-    s.Bdbms_storage.Stats.plans_reordered;
+    n from_us stats_us speedup s.Bdbms_obs.Stats.stats_analyzed
+    s.Bdbms_obs.Stats.plans_reordered;
   Bdbms.Db.close db;
 
   (* ------------------------------------------------------------ guard *)

@@ -421,69 +421,10 @@ let main user script strict_acl auto_prov stats pool_pages slow_ms exec_mode
   | Some path -> run_script db ~user path
   | None -> repl db ~user);
   if stats then begin
-    let s = Db.io_stats db in
-    Printf.printf
-      "-- i/o: %d physical reads, %d writes, %d page allocations, %d buffer hits\n"
-      s.Bdbms_storage.Stats.reads s.Bdbms_storage.Stats.writes
-      s.Bdbms_storage.Stats.allocs s.Bdbms_storage.Stats.hits;
-    let disk = (Db.context db).Bdbms_asql.Context.disk in
-    Printf.printf
-      "-- pager: %d frames, %d page-ins, %d evictions, %d write-backs, %d \
-       forced WAL flushes, peak %d pinned\n"
-      (Bdbms_storage.Disk.pool_pages disk)
-      s.Bdbms_storage.Stats.page_ins s.Bdbms_storage.Stats.evictions
-      s.Bdbms_storage.Stats.writebacks s.Bdbms_storage.Stats.wal_forced_flushes
-      s.Bdbms_storage.Stats.peak_pinned;
-    if Db.durable db then
-      Printf.printf
-        "-- wal: %d appends, %d group flushes, %d checkpoints, %d recovered records\n"
-        s.Bdbms_storage.Stats.wal_appends s.Bdbms_storage.Stats.wal_flushes
-        s.Bdbms_storage.Stats.checkpoints
-        s.Bdbms_storage.Stats.recovered_records;
-    if Db.durable db then
-      Printf.printf
-        "-- catalog: %d records bootstrapped, %d pages CRC-verified, %d CRC failures, %d root swaps\n"
-        s.Bdbms_storage.Stats.catalog_replayed
-        s.Bdbms_storage.Stats.pages_crc_verified
-        s.Bdbms_storage.Stats.crc_failures s.Bdbms_storage.Stats.root_swaps;
-    Printf.printf
-      "-- query: %d hash builds, %d hash probes, %d pushdown-pruned, %d index probes\n"
-      s.Bdbms_storage.Stats.hash_builds s.Bdbms_storage.Stats.hash_probes
-      s.Bdbms_storage.Stats.pushdown_pruned s.Bdbms_storage.Stats.index_probes;
-    Printf.printf "-- query: %d tuples decoded, %d annotation envelopes\n"
-      s.Bdbms_storage.Stats.tuples_decoded s.Bdbms_storage.Stats.ann_envelopes;
-    Printf.printf
-      "-- query: %d column batches decoded, %d batch fallbacks to the tuple \
-       engine\n"
-      s.Bdbms_storage.Stats.batches_decoded
-      s.Bdbms_storage.Stats.batch_fallbacks;
-    if
-      s.Bdbms_storage.Stats.sessions_opened > 0
-      || s.Bdbms_storage.Stats.frames_rx > 0
-      || s.Bdbms_storage.Stats.frames_tx > 0
-    then
-      Printf.printf
-        "-- server: %d sessions opened, %d commit conflicts, %d group \
-         commits, %d frames rx, %d frames tx\n"
-        s.Bdbms_storage.Stats.sessions_opened
-        s.Bdbms_storage.Stats.commit_conflicts
-        s.Bdbms_storage.Stats.group_commits s.Bdbms_storage.Stats.frames_rx
-        s.Bdbms_storage.Stats.frames_tx;
-    (* the resilience counters live in the metrics registry, which
-       survives rollback (the per-disk stats array does not) *)
-    let module Metrics = Bdbms_obs.Metrics in
-    let module Obs = Bdbms_obs.Obs in
-    let o = Db.obs db in
-    Printf.printf
-      "-- resilience: %d I/O retries, %d gave up, %d statements timed out, \
-       %d degraded entries%s\n"
-      (Metrics.counter_value o.Obs.io_retries_c)
-      (Metrics.counter_value o.Obs.io_gave_up_c)
-      (Metrics.counter_value o.Obs.stmts_timed_out_c)
-      (Metrics.counter_value o.Obs.degraded_entries_c)
-      (if Metrics.gauge_value o.Obs.degraded_gauge > 0. then
-         " (currently degraded)"
-       else "")
+    (* what the last open (or rollback re-bootstrap) replayed, then every
+       counter of the handle *)
+    if Db.durable db then report_recovery db;
+    Format.printf "-- counters: %a@." Bdbms_obs.Stats.pp (Db.io_stats db)
   end;
   Db.close db;
   0
@@ -506,7 +447,9 @@ let prov_arg =
   Arg.(value & flag & info [ "auto-provenance" ] ~doc:"Record provenance on every DML.")
 
 let stats_arg =
-  Arg.(value & flag & info [ "stats" ] ~doc:"Print page-level I/O statistics on exit.")
+  Arg.(
+    value & flag
+    & info [ "stats" ] ~doc:"Print the last open's recovery and every counter on exit.")
 
 let pool_arg =
   Arg.(

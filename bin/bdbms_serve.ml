@@ -13,8 +13,7 @@ module Engine = Bdbms_server.Engine
 module Server = Bdbms_server.Server
 module Http = Bdbms_server.Http
 module Qlog = Bdbms_obs.Qlog
-module Obs = Bdbms_obs.Obs
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 let parse_host_port s =
   match String.rindex_opt s ':' with
@@ -105,7 +104,7 @@ let main db_path unix_sock tcp pool_pages snapshot_pool strict_acl
     | Some port ->
         let h =
           Http.serve ~host:"127.0.0.1" ~port
-            ~metrics:(fun () -> Engine.metrics engine)
+            ~metrics:(fun () -> Bdbms.Db.metrics (Engine.db engine))
             ~health:(fun () -> Bdbms.Db.degraded (Engine.db engine))
             ()
         in
@@ -134,15 +133,8 @@ let main db_path unix_sock tcp pool_pages snapshot_pool strict_acl
       Qlog.set_sink qlog None;
       close_out_noerr oc
   | None -> ());
-  if stats then begin
-    let s = Engine.stats engine in
-    Format.printf "%a@." Stats.pp s;
-    Printf.printf
-      "-- server: %d sessions opened, %d commit conflicts, %d group \
-       commits, %d frames rx, %d frames tx\n"
-      s.Stats.sessions_opened s.Stats.commit_conflicts s.Stats.group_commits
-      s.Stats.frames_rx s.Stats.frames_tx
-  end;
+  if stats then
+    Format.printf "%a@." Stats.pp (Bdbms.Db.io_stats (Engine.db engine));
   Engine.close engine;
   0
 
@@ -215,7 +207,7 @@ let stats_arg =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print I/O and server statistics on shutdown.")
+        ~doc:"Print every counter on shutdown.")
 
 let metrics_port_arg =
   Arg.(

@@ -12,7 +12,7 @@ module Prng = Bdbms_util.Prng
 module Workload = Bdbms_bio.Workload
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 let show db sql = Printf.printf "asql> %s\n%s\n\n" sql (Db.render_exn db sql)
 

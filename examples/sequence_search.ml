@@ -13,7 +13,7 @@ module Sbc_tree = Bdbms_sbc.Sbc_tree
 module String_btree = Bdbms_sbc.String_btree
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 let mk_pool () =
   let d = Disk.create ~page_size:1024 ~pool_pages:4096 () in

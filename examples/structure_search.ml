@@ -14,7 +14,7 @@ module Quadtree = Bdbms_spgist.Quadtree
 module Rtree = Bdbms_index.Rtree
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 let extent = 100.0
 

@@ -18,7 +18,7 @@
    adapts cursors to [meter_pull] — keeping the dependency order
    Analyze < Context < Plan < Executor acyclic. *)
 
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Timer = Bdbms_util.Timer
 
 type node = {

@@ -1,5 +1,5 @@
 (** EXPLAIN ANALYZE recorder: per-operator actuals (rows, loop counts,
-    wall time, {!Bdbms_storage.Stats} counter deltas) collected while a
+    wall time, {!Bdbms_obs.Stats} counter deltas) collected while a
     query really executes, rendered side by side with the planner's
     estimates.
 
@@ -23,13 +23,13 @@ type node = {
   mutable batches : int;  (** column batches produced (vectorized path) *)
   mutable time_ns : int;  (** inclusive wall time *)
   scratch : int array;
-  acc : int array;  (** accumulated {!Bdbms_storage.Stats} deltas *)
+  acc : int array;  (** accumulated {!Bdbms_obs.Stats} deltas *)
   mutable children : node list;
 }
 
 type t
 
-val create : Bdbms_storage.Stats.t -> t
+val create : Bdbms_obs.Stats.t -> t
 (** A recorder reading deltas off the given live counters. *)
 
 val node :

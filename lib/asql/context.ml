@@ -1,6 +1,6 @@
 module Disk = Bdbms_storage.Disk
 module Meta_page = Bdbms_storage.Meta_page
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Pager = Bdbms_storage.Pager
 module Clock = Bdbms_util.Clock
 module Catalog = Bdbms_relation.Catalog

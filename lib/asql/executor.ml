@@ -7,7 +7,7 @@ module Expr = Bdbms_relation.Expr
 module Ops = Bdbms_relation.Ops
 module Cursor = Bdbms_relation.Cursor
 module Disk = Bdbms_storage.Disk
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Rle = Bdbms_util.Rle
 module Xml = Bdbms_util.Xml_lite
 module Ann = Bdbms_annotation.Ann
@@ -27,7 +27,6 @@ module Approval = Bdbms_auth.Approval
 module Clock = Bdbms_util.Clock
 module Timer = Bdbms_util.Timer
 module Obs = Bdbms_obs.Obs
-module Metrics = Bdbms_obs.Metrics
 module Tstats = Bdbms_stats.Table_stats
 module Stats_reg = Bdbms_stats.Registry
 
@@ -1919,7 +1918,6 @@ let analyze_table (ctx : Context.t) name =
   in
   Stats_reg.set ctx.Context.tstats ts;
   Stats.record_stats_analyzed (Disk.stats ctx.Context.disk);
-  Metrics.inc ctx.Context.obs.Obs.stats_analyzed_c;
   List.length rows
 
 (* Adaptive feedback, second half: tables whose statistics drifted get
@@ -1968,10 +1966,7 @@ let note_estimate_drift (ctx : Context.t) root =
         let actual = Float.max 1.0 (float_of_int n.Analyze.actual_rows) in
         let ratio = Float.max (est /. actual) (actual /. est) in
         if ratio > drift_ratio && Stats_reg.mark_stale ctx.Context.tstats table
-        then begin
-          Stats.record_stats_stale (Disk.stats ctx.Context.disk);
-          Metrics.inc ctx.Context.obs.Obs.stats_stale_c
-        end
+        then Stats.record_stats_stale (Disk.stats ctx.Context.disk)
     | _ -> ());
     List.iter walk n.Analyze.children
   in

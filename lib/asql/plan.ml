@@ -3,9 +3,7 @@ module Expr = Bdbms_relation.Expr
 module Value = Bdbms_relation.Value
 module Table = Bdbms_relation.Table
 module Disk = Bdbms_storage.Disk
-module SStats = Bdbms_storage.Stats
-module Obs = Bdbms_obs.Obs
-module Metrics = Bdbms_obs.Metrics
+module SStats = Bdbms_obs.Stats
 module Tstats = Bdbms_stats.Table_stats
 module Registry = Bdbms_stats.Registry
 
@@ -376,10 +374,7 @@ let build ctx frame ~where =
     end
   in
   let permuted = order <> identity in
-  if permuted then begin
-    SStats.record_plan_reordered (Disk.stats ctx.Context.disk);
-    Metrics.inc ctx.Context.obs.Obs.plans_reordered_c
-  end;
+  if permuted then SStats.record_plan_reordered (Disk.stats ctx.Context.disk);
   (* --------------------------------------- steps along the join order *)
   (* accumulated-schema offset of each source: sum of the arities of the
      sources placed before it in join order *)

@@ -21,8 +21,7 @@ module Tuple = Bdbms_relation.Tuple
 module Value = Bdbms_relation.Value
 module Table = Bdbms_relation.Table
 module Catalog = Bdbms_relation.Catalog
-module SStats = Bdbms_storage.Stats
-module Disk = Bdbms_storage.Disk
+module SStats = Bdbms_obs.Stats
 module Obs = Bdbms_obs.Obs
 module Metrics = Bdbms_obs.Metrics
 module Trace = Bdbms_obs.Trace
@@ -104,51 +103,33 @@ let traces_schema =
 
 (* ---------------------------------------------------------------- rows *)
 
-(* Counters and gauges from the metrics registry, then the storage
-   layer's raw I/O counter array (kind "io") — the latter is what makes
-   a [sys.metrics] snapshot comparable against [Db.io_stats]. *)
+(* Every counter and gauge slot of the handle's counter group, under its
+   short name — the same list [Stats.pp] and [Db.metrics] render.  Inside
+   a transaction this is still the handle's group, not the snapshot
+   overlay's private one. *)
 let metrics_rows (ctx : Context.t) =
-  let registry =
-    List.filter_map
-      (fun v ->
-        match v with
-        | Metrics.Counter_view { name; value } ->
-            Some [| Value.VString name; Value.VString "counter"; Value.VInt value |]
-        | Metrics.Gauge_view { name; value } ->
-            Some
-              [|
-                Value.VString name;
-                Value.VString "gauge";
-                Value.VInt (int_of_float value);
-              |]
-        | Metrics.Histogram_view _ -> None)
-      (Metrics.views ctx.Context.obs.Obs.metrics)
-  in
-  let io =
-    List.map
-      (fun (name, value) ->
-        [| Value.VString name; Value.VString "io"; Value.VInt value |])
-      (SStats.to_alist (SStats.snapshot (Disk.stats ctx.Context.disk)))
-  in
-  registry @ io
+  List.map
+    (fun ((slot : SStats.slot), value) ->
+      [|
+        Value.VString slot.SStats.name;
+        Value.VString (SStats.kind_name slot.SStats.kind);
+        Value.VInt value;
+      |])
+    (SStats.to_list (SStats.snapshot ctx.Context.obs.Obs.stats))
 
 let histograms_rows (ctx : Context.t) =
-  List.filter_map
-    (fun v ->
-      match v with
-      | Metrics.Histogram_view { name; count; sum; min; max; p50; p95; p99 } ->
-          Some
-            [|
-              Value.VString name;
-              Value.VInt count;
-              Value.VInt sum;
-              Value.VInt min;
-              Value.VInt max;
-              Value.VInt p50;
-              Value.VInt p95;
-              Value.VInt p99;
-            |]
-      | _ -> None)
+  List.map
+    (fun { Metrics.name; count; sum; min; max; p50; p95; p99 } ->
+      [|
+        Value.VString name;
+        Value.VInt count;
+        Value.VInt sum;
+        Value.VInt min;
+        Value.VInt max;
+        Value.VInt p50;
+        Value.VInt p95;
+        Value.VInt p99;
+      |])
     (Metrics.views ctx.Context.obs.Obs.metrics)
 
 let sessions_rows (ctx : Context.t) ~user =

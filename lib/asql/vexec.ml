@@ -26,7 +26,7 @@ module Expr = Bdbms_relation.Expr
 module Ops = Bdbms_relation.Ops
 module Cursor = Bdbms_relation.Cursor
 module Batch = Bdbms_relation.Batch
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Bitmap = Bdbms_util.Bitmap
 
 type src = { schema : Schema.t; next : unit -> Batch.t option }

@@ -49,7 +49,7 @@ val filter : ?on_drop:(int -> unit) -> src -> Bdbms_relation.Expr.t -> src
     skipped. *)
 
 val hash_join :
-  ?stats:Bdbms_storage.Stats.t ->
+  ?stats:Bdbms_obs.Stats.t ->
   ?batch_rows:int ->
   build_left:bool ->
   left_keys:int list ->

@@ -1,6 +1,6 @@
 module Context = Bdbms_asql.Context
 module Executor = Bdbms_asql.Executor
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Disk = Bdbms_storage.Disk
 module Obs = Bdbms_obs.Obs
 module Trace = Bdbms_obs.Trace
@@ -120,8 +120,8 @@ let transient_reopen = function
    succeeds ([try_heal]). *)
 let enter_degraded t reason =
   if t.degraded = None then begin
-    Metrics.inc t.obs.Obs.degraded_entries_c;
-    Metrics.set t.obs.Obs.degraded_gauge 1.
+    Stats.record_degraded_entry t.obs.Obs.stats;
+    Stats.set_degraded t.obs.Obs.stats true
   end;
   t.degraded <- Some reason;
   let rec reopen attempt =
@@ -143,7 +143,7 @@ let try_heal t =
       if Disk.probe_io t.ctx.Context.disk then begin
         t.degraded <- None;
         t.ctx.Context.read_only <- None;
-        Metrics.set t.obs.Obs.degraded_gauge 0.
+        Stats.set_degraded t.obs.Obs.stats false
       end
 
 let degraded t = t.degraded
@@ -227,7 +227,7 @@ let protected t f =
   match f () with
   | r -> r
   | exception Cancel.Cancelled reason ->
-      Metrics.inc t.obs.Obs.stmts_timed_out_c;
+      Stats.record_stmt_timed_out t.obs.Obs.stats;
       safe_rollback t;
       Error ("statement aborted: " ^ reason)
   | exception Executor.Read_only reason ->
@@ -344,13 +344,12 @@ let is_closed t = t.closed
 let recovery_info t = Disk.recovery_info t.ctx.Context.disk
 let catalog_records t = t.catalog_records
 
-let io_stats t = Stats.snapshot (Disk.stats t.ctx.Context.disk)
-let reset_io_stats t = Stats.reset (Disk.stats t.ctx.Context.disk)
+let io_stats t = Stats.snapshot t.obs.Obs.stats
 
 (* ---------------------------------------------------------- observability *)
 
 let obs t = t.obs
-let metrics t = Metrics.render t.obs.Obs.metrics
+let metrics t = Metrics.render ~counters:(io_stats t) t.obs.Obs.metrics
 let qlog t = t.obs.Obs.qlog
 
 let set_tracing t v = Trace.set_enabled t.obs.Obs.trace v

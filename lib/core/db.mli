@@ -177,23 +177,26 @@ val catalog_records : t -> int
 (** How many durable-catalog records the open bootstrapped (0 for a
     fresh or in-memory database). *)
 
-val io_stats : t -> Bdbms_storage.Stats.snapshot
-(** Cumulative page-level I/O of the database's simulated disk. *)
-
-val reset_io_stats : t -> unit
+val io_stats : t -> Bdbms_obs.Stats.snapshot
+(** Every counter and gauge of the handle.  Counters are monotonic for
+    the life of the handle (a rollback's re-bootstrap keeps counting), so
+    measure an operation with {!Bdbms_obs.Stats.diff} of two readings. *)
 
 (** {1 Observability}
 
     Every handle owns one {!Bdbms_obs.Obs.t} shared with the storage
     layer and the executor; it survives the context recreation a rollback
-    performs, so histograms and traces accumulate across transactions. *)
+    performs, so counters, histograms and traces accumulate across
+    transactions. *)
 
 val obs : t -> Bdbms_obs.Obs.t
-(** The handle's trace ring and metrics registry, for programmatic use. *)
+(** The handle's trace ring, counter group and metrics registry, for
+    programmatic use. *)
 
 val metrics : t -> string
-(** Prometheus-style text exposition of every registered counter, gauge,
-    and latency histogram (statement execution, WAL group flush, eviction
+(** Prometheus-style text exposition of every {!io_stats} slot
+    ([bdbms_<name>_total], or [bdbms_<name>] for a gauge) and every
+    latency histogram (statement execution, WAL group flush, eviction
     write-back, catalog root swap, checkpoint, recovery). *)
 
 val qlog : t -> Bdbms_obs.Qlog.t

@@ -6,7 +6,7 @@
     (lexicographic by default — pair with {!Key_codec} for typed keys);
     values are integers (row numbers or record references).  Duplicate keys
     are allowed.  Every node is one page read/written through the buffer
-    pool, so {!Bdbms_storage.Stats} reflects true page-level I/O. *)
+    pool, so {!Bdbms_obs.Stats} reflects true page-level I/O. *)
 
 type t
 

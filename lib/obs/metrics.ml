@@ -1,19 +1,15 @@
-(* The metrics registry: named counters, gauges, and log-scale latency
-   histograms with Prometheus-style text exposition.
+(* The metrics registry: named log-scale latency histograms, and the
+   Prometheus-style text exposition of those plus the {!Stats} counters.
 
-   Instruments are cheap enough to stay always-on: a counter increment is
-   one int store, a histogram observation is a bucket-index computation
-   (a handful of shifts) plus two int stores.  There is no locking — the
-   engine is single-threaded — and no allocation on the hot path.
+   Histograms are cheap enough to stay always-on: an observation is a
+   bucket-index computation (a handful of shifts) plus two int stores.
+   There is no locking and no allocation on the hot path.
 
    Histograms are log-linear (HDR-style): values below [linear_cutoff]
    get exact buckets; above it each power-of-two octave is split into
    [sub_per_octave] sub-buckets, bounding the relative quantile error to
    1/sub_per_octave (~6%).  Quantiles are computed on demand by walking
    the bucket array, so [observe] never sorts or samples. *)
-
-type counter = { c_name : string; c_help : string; mutable c_value : int }
-type gauge = { g_name : string; g_help : string; mutable g_value : float }
 
 let linear_cutoff = 32 (* exact buckets for 0..31 *)
 let sub_per_octave = 16
@@ -33,35 +29,13 @@ type histogram = {
   mutable h_max : int;
 }
 
-type instrument =
-  | Counter of counter
-  | Gauge of gauge
-  | Histogram of histogram
+type t = { mutable hists : histogram list (* registration order, newest first *) }
 
-type t = {
-  tbl : (string, instrument) Hashtbl.t;
-  mutable order : string list; (* registration order, newest first *)
-}
-
-let create () = { tbl = Hashtbl.create 16; order = [] }
-
-let register t name instr =
-  if Hashtbl.mem t.tbl name then
-    invalid_arg (Printf.sprintf "Metrics: %s already registered" name);
-  Hashtbl.replace t.tbl name instr;
-  t.order <- name :: t.order
-
-let counter t ?(help = "") name =
-  let c = { c_name = name; c_help = help; c_value = 0 } in
-  register t name (Counter c);
-  c
-
-let gauge t ?(help = "") name =
-  let g = { g_name = name; g_help = help; g_value = 0.0 } in
-  register t name (Gauge g);
-  g
+let create () = { hists = [] }
 
 let histogram t ?(help = "") name =
+  if List.exists (fun h -> h.h_name = name) t.hists then
+    invalid_arg (Printf.sprintf "Metrics: %s already registered" name);
   let h =
     {
       h_name = name;
@@ -73,14 +47,10 @@ let histogram t ?(help = "") name =
       h_max = 0;
     }
   in
-  register t name (Histogram h);
+  t.hists <- h :: t.hists;
   h
 
-let inc c = c.c_value <- c.c_value + 1
-let add c n = c.c_value <- c.c_value + n
-let counter_value c = c.c_value
-let set g v = g.g_value <- v
-let gauge_value g = g.g_value
+let histograms t = List.rev t.hists
 
 (* ------------------------------------------------------------- buckets *)
 
@@ -146,10 +116,10 @@ let reset_histogram h =
 
 (* ---------------------------------------------------------- exposition *)
 
-(* Prometheus-ish text format.  Histograms are exposed summary-style:
-   quantile series plus _count and _sum.  Times are recorded in
-   nanoseconds; any *_ns name is also given in seconds under the
-   conventional _seconds name, so dashboards get SI units. *)
+(* Prometheus-ish text format.  Each {!Stats} slot is one sample named
+   [bdbms_<name>_total] (a counter) or [bdbms_<name>] (a gauge).
+   Histograms are exposed summary-style: quantile series plus _count and
+   _sum, in the unit they were recorded in (nanoseconds for *_ns). *)
 
 let float_str f =
   if Float.is_integer f && Float.abs f < 1e15 then
@@ -182,43 +152,33 @@ let escape ~quote s =
 let escape_help = escape ~quote:false
 let escape_label_value = escape ~quote:true
 
-let render_instrument buf = function
-  | Counter c ->
-      if c.c_help <> "" then
-        Buffer.add_string buf
-          (Printf.sprintf "# HELP %s %s\n" c.c_name (escape_help c.c_help));
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" c.c_name);
-      Buffer.add_string buf (Printf.sprintf "%s %d\n" c.c_name c.c_value)
-  | Gauge g ->
-      if g.g_help <> "" then
-        Buffer.add_string buf
-          (Printf.sprintf "# HELP %s %s\n" g.g_name (escape_help g.g_help));
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" g.g_name);
-      Buffer.add_string buf
-        (Printf.sprintf "%s %s\n" g.g_name (float_str g.g_value))
-  | Histogram h ->
-      if h.h_help <> "" then
-        Buffer.add_string buf
-          (Printf.sprintf "# HELP %s %s\n" h.h_name (escape_help h.h_help));
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" h.h_name);
-      List.iter
-        (fun q ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s{quantile=\"%s\"} %d\n" h.h_name
-               (escape_label_value (float_str q))
-               (quantile h q)))
-        [ 0.5; 0.95; 0.99 ];
-      Buffer.add_string buf (Printf.sprintf "%s_count %d\n" h.h_name h.h_count);
-      Buffer.add_string buf (Printf.sprintf "%s_sum %d\n" h.h_name h.h_sum)
+let add_sample buf ~name ~help ~kind sample =
+  if help <> "" then Printf.bprintf buf "# HELP %s %s\n" name (escape_help help);
+  Printf.bprintf buf "# TYPE %s %s\n%s" name kind sample
 
-let render t =
-  let buf = Buffer.create 1024 in
+let render_counter buf ((slot : Stats.slot), v) =
+  let name =
+    match slot.Stats.kind with
+    | Stats.Counter -> "bdbms_" ^ slot.Stats.name ^ "_total"
+    | Stats.Gauge -> "bdbms_" ^ slot.Stats.name
+  in
+  add_sample buf ~name ~help:slot.Stats.help ~kind:(Stats.kind_name slot.Stats.kind)
+    (Printf.sprintf "%s %d\n" name v)
+
+let render_histogram buf h =
+  add_sample buf ~name:h.h_name ~help:h.h_help ~kind:"summary" "";
   List.iter
-    (fun name ->
-      match Hashtbl.find_opt t.tbl name with
-      | Some i -> render_instrument buf i
-      | None -> ())
-    (List.rev t.order);
+    (fun q ->
+      Printf.bprintf buf "%s{quantile=\"%s\"} %d\n" h.h_name
+        (escape_label_value (float_str q))
+        (quantile h q))
+    [ 0.5; 0.95; 0.99 ];
+  Printf.bprintf buf "%s_count %d\n%s_sum %d\n" h.h_name h.h_count h.h_name h.h_sum
+
+let render ~counters t =
+  let buf = Buffer.create 4096 in
+  List.iter (render_counter buf) (Stats.to_list counters);
+  List.iter (render_histogram buf) (histograms t);
   Buffer.contents buf
 
 (* One human line per histogram, for the CLI. *)
@@ -232,52 +192,33 @@ let summary_line h =
       (Format.asprintf "%a" Bdbms_util.Timer.pp_ns (quantile h 0.99))
       (Format.asprintf "%a" Bdbms_util.Timer.pp_ns h.h_max)
 
-let histograms t =
-  List.filter_map
-    (fun name ->
-      match Hashtbl.find_opt t.tbl name with
-      | Some (Histogram h) -> Some h
-      | _ -> None)
-    (List.rev t.order)
-
 (* ----------------------------------------------------- introspection *)
 
-(* Read-only snapshots of every instrument, in registration order — the
-   feed for the sys.metrics / sys.histograms virtual tables. *)
+(* Read-only snapshots of every histogram, in registration order — the
+   feed for the sys.histograms virtual table. *)
 
-type view =
-  | Counter_view of { name : string; value : int }
-  | Gauge_view of { name : string; value : float }
-  | Histogram_view of {
-      name : string;
-      count : int;
-      sum : int;
-      min : int;
-      max : int;
-      p50 : int;
-      p95 : int;
-      p99 : int;
-    }
+type view = {
+  name : string;
+  count : int;
+  sum : int;
+  min : int;
+  max : int;
+  p50 : int;
+  p95 : int;
+  p99 : int;
+}
 
 let views t =
-  List.filter_map
-    (fun name ->
-      match Hashtbl.find_opt t.tbl name with
-      | Some (Counter c) ->
-          Some (Counter_view { name = c.c_name; value = c.c_value })
-      | Some (Gauge g) -> Some (Gauge_view { name = g.g_name; value = g.g_value })
-      | Some (Histogram h) ->
-          Some
-            (Histogram_view
-               {
-                 name = h.h_name;
-                 count = h.h_count;
-                 sum = h.h_sum;
-                 min = (if h.h_count = 0 then 0 else h.h_min);
-                 max = h.h_max;
-                 p50 = quantile h 0.5;
-                 p95 = quantile h 0.95;
-                 p99 = quantile h 0.99;
-               })
-      | None -> None)
-    (List.rev t.order)
+  List.map
+    (fun h ->
+      {
+        name = h.h_name;
+        count = h.h_count;
+        sum = h.h_sum;
+        min = (if h.h_count = 0 then 0 else h.h_min);
+        max = h.h_max;
+        p50 = quantile h 0.5;
+        p95 = quantile h 0.95;
+        p99 = quantile h 0.99;
+      })
+    (histograms t)

@@ -1,10 +1,10 @@
-(** Metrics registry: named counters, gauges, and log-scale latency
-    histograms, with Prometheus-style text exposition.
+(** Metrics registry: named log-scale latency histograms, plus the
+    Prometheus-style text exposition of those and the {!Stats} counters.
 
-    All instruments are always-on: an observation is a few integer
-    operations with no allocation, so the engine registers its latency
-    histograms unconditionally and [Db.metrics] / the CLI's [\metrics]
-    read them on demand.
+    Histograms are always-on: an observation is a few integer operations
+    with no allocation, so the engine registers its latency histograms
+    unconditionally and [Db.metrics] / the CLI's [\metrics] read them on
+    demand.
 
     Histograms are log-linear (exact below 32, then 16 sub-buckets per
     power-of-two octave), bounding quantile error to ~6% without storing
@@ -14,24 +14,12 @@
 type t
 (** A registry.  Names must be unique within a registry. *)
 
-type counter
-type gauge
 type histogram
 
 val create : unit -> t
 
-val counter : t -> ?help:string -> string -> counter
-(** @raise Invalid_argument if the name is already registered. *)
-
-val gauge : t -> ?help:string -> string -> gauge
 val histogram : t -> ?help:string -> string -> histogram
-
-val inc : counter -> unit
-val add : counter -> int -> unit
-val counter_value : counter -> int
-
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
+(** @raise Invalid_argument if the name is already registered. *)
 
 val observe : histogram -> int -> unit
 (** Record one value (negative values clamp to 0). *)
@@ -46,36 +34,34 @@ val quantile : histogram -> float -> int
 
 val reset_histogram : histogram -> unit
 
-val render : t -> string
-(** Prometheus-style text: counters and gauges as single samples,
-    histograms as summaries ([name{quantile="0.5"}], [name_count],
-    [name_sum]), in registration order. *)
+val render : counters:Stats.snapshot -> t -> string
+(** Prometheus-style text: first every slot of [counters] as one sample
+    — [bdbms_<name>_total] for a counter, [bdbms_<name>] for a gauge —
+    then the histograms as summaries ([name{quantile="0.5"}],
+    [name_count], [name_sum]) in registration order. *)
 
 val summary_line : histogram -> string
 (** One aligned human-readable line: count, p50/p95/p99, max. *)
 
 val histograms : t -> histogram list
+(** In registration order. *)
 
 (** {1 Introspection} *)
 
-type view =
-  | Counter_view of { name : string; value : int }
-  | Gauge_view of { name : string; value : float }
-  | Histogram_view of {
-      name : string;
-      count : int;
-      sum : int;
-      min : int;  (** 0 when empty *)
-      max : int;
-      p50 : int;
-      p95 : int;
-      p99 : int;
-    }
+type view = {
+  name : string;
+  count : int;
+  sum : int;
+  min : int;  (** 0 when empty *)
+  max : int;
+  p50 : int;
+  p95 : int;
+  p99 : int;
+}
 
 val views : t -> view list
-(** Read-only snapshot of every registered instrument in registration
-    order — what the [sys.metrics] / [sys.histograms] virtual tables
-    scan. *)
+(** Read-only snapshot of every histogram in registration order — what
+    the [sys.histograms] virtual table scans. *)
 
 (** {1 Text-format escaping} *)
 

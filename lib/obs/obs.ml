@@ -1,5 +1,6 @@
-(* The engine's observability handle: one tracer plus one metrics
-   registry with the engine's standard latency histograms pre-registered.
+(* The engine's observability handle: one tracer, one counter group
+   (the handle's {!Stats} scope), and one metrics registry with the
+   engine's standard latency histograms pre-registered.
 
    A single [Obs.t] is created per database handle ([Db.create]) and
    threaded down through the context into the disk manager and WAL, so
@@ -16,6 +17,7 @@ module Timer = Bdbms_util.Timer
 type t = {
   trace : Trace.t;
   metrics : Metrics.t;
+  stats : Stats.t;
   qlog : Qlog.t;
   stmt_hist : Metrics.histogram;
   wal_flush_hist : Metrics.histogram;
@@ -26,15 +28,6 @@ type t = {
   req_hist : Metrics.histogram;
   conflict_retry_hist : Metrics.histogram;
   retry_backoff_hist : Metrics.histogram;
-  sessions_gauge : Metrics.gauge;
-  degraded_gauge : Metrics.gauge;
-  io_retries_c : Metrics.counter;
-  io_gave_up_c : Metrics.counter;
-  stmts_timed_out_c : Metrics.counter;
-  degraded_entries_c : Metrics.counter;
-  stats_analyzed_c : Metrics.counter;
-  stats_stale_c : Metrics.counter;
-  plans_reordered_c : Metrics.counter;
 }
 
 let create ?capacity () =
@@ -68,41 +61,10 @@ let create ?capacity () =
   let retry_backoff_hist =
     histogram "bdbms_io_retry_backoff_ns" "Sleep before an I/O retry (ns)"
   in
-  let sessions_gauge =
-    Metrics.gauge metrics ~help:"Sessions currently open"
-      "bdbms_sessions_in_flight"
-  in
-  let degraded_gauge =
-    Metrics.gauge metrics ~help:"1 while the engine is in read-only degraded mode"
-      "bdbms_degraded"
-  in
-  let counter name help = Metrics.counter metrics ~help name in
-  let io_retries_c =
-    counter "bdbms_io_retries_total" "Transient I/O errors absorbed by retry"
-  in
-  let io_gave_up_c =
-    counter "bdbms_io_gave_up_total"
-      "I/O operations that exhausted their retry budget"
-  in
-  let stmts_timed_out_c =
-    counter "bdbms_stmts_timed_out_total" "Statements aborted by their deadline"
-  in
-  let degraded_entries_c =
-    counter "bdbms_degraded_entries_total" "Times the engine entered degraded mode"
-  in
-  let stats_analyzed_c =
-    counter "bdbms_stats_analyzed_total" "Tables (re)analyzed for optimizer statistics"
-  in
-  let stats_stale_c =
-    counter "bdbms_stats_stale_total" "Table statistics declared stale"
-  in
-  let plans_reordered_c =
-    counter "bdbms_plans_reordered_total"
-      "Query plans whose join order differs from FROM order"
-  in
   {
     trace = Trace.create ?capacity ();
     metrics;
+    stats = Stats.create ();
     qlog = Qlog.create ();
     stmt_hist;
     wal_flush_hist;
@@ -113,15 +75,6 @@ let create ?capacity () =
     req_hist;
     conflict_retry_hist;
     retry_backoff_hist;
-    sessions_gauge;
-    degraded_gauge;
-    io_retries_c;
-    io_gave_up_c;
-    stmts_timed_out_c;
-    degraded_entries_c;
-    stats_analyzed_c;
-    stats_stale_c;
-    plans_reordered_c;
   }
 
 let span t name f = Trace.with_span t.trace name f

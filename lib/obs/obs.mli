@@ -1,6 +1,6 @@
-(** The engine's observability handle: a {!Trace.t} ring of spans plus a
-    {!Metrics.t} registry with the engine's standard latency histograms
-    pre-registered.
+(** The engine's observability handle: a {!Trace.t} ring of spans, the
+    handle's {!Stats.t} counter group, and a {!Metrics.t} registry with
+    the engine's standard latency histograms pre-registered.
 
     One handle is created per database ([Db.create]) and threaded through
     the context into the disk manager and WAL, so it survives rollbacks
@@ -10,6 +10,9 @@
 type t = {
   trace : Trace.t;
   metrics : Metrics.t;
+  stats : Stats.t;
+      (** the handle's counter scope: every counter and gauge, monotonic
+          across rollbacks *)
   qlog : Qlog.t;
       (** structured query log: slow-statement ring + sampling JSONL sink *)
   stmt_hist : Metrics.histogram;      (** statement execution *)
@@ -25,23 +28,6 @@ type t = {
       (** conflict aborts absorbed before a transaction committed *)
   retry_backoff_hist : Metrics.histogram;
       (** sleep durations before I/O retries *)
-  sessions_gauge : Metrics.gauge;  (** sessions currently open *)
-  degraded_gauge : Metrics.gauge;
-      (** 1 while the engine is in read-only degraded mode *)
-  io_retries_c : Metrics.counter;
-      (** transient I/O errors absorbed by retry *)
-  io_gave_up_c : Metrics.counter;
-      (** operations that exhausted their retry budget *)
-  stmts_timed_out_c : Metrics.counter;
-      (** statements aborted by their deadline *)
-  degraded_entries_c : Metrics.counter;
-      (** times the engine entered degraded mode *)
-  stats_analyzed_c : Metrics.counter;
-      (** tables (re)analyzed for optimizer statistics *)
-  stats_stale_c : Metrics.counter;
-      (** table statistics declared stale *)
-  plans_reordered_c : Metrics.counter;
-      (** plans whose join order differs from FROM order *)
 }
 
 val create : ?capacity:int -> unit -> t

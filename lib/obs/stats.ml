@@ -1,11 +1,15 @@
-(* I/O and durability counters.
+(* The counter registry: every counter and gauge the engine keeps.
 
-   Counters live in a plain int array; [snapshot]/[diff]/[reset]/[pp] all
-   go through the [to_array]/[of_array] codec below, which is the single
-   place the field list appears — adding a counter means adding a slot
-   index and one line in each codec function (the record construction in
-   [of_array] fails to compile if a field is forgotten), so [reset] and
-   [diff] cannot silently drift out of sync. *)
+   Live values sit in a plain int array, so a bump is one array store.
+   [slots] is the single list of names, kinds and help texts; every
+   output ([pp], [sys.metrics], the Prometheus text) walks it, and
+   [snapshot]/[diff]/[reset] go through the [to_array]/[of_array] codec
+   below — adding a counter means adding a slot, an index, and one line
+   in each codec function (the record construction in [of_array] fails
+   to compile if a field is forgotten), so nothing can drift. *)
+
+type kind = Counter | Gauge
+type slot = { name : string; kind : kind; help : string }
 
 type snapshot = {
   reads : int;
@@ -41,7 +45,63 @@ type snapshot = {
   stats_analyzed : int;
   stats_stale : int;
   plans_reordered : int;
+  io_retries : int;
+  io_gave_up : int;
+  stmts_timed_out : int;
+  degraded_entries : int;
+  sessions_in_flight : int;
+  degraded : int;
 }
+
+let kind_name = function Counter -> "counter" | Gauge -> "gauge"
+let counter name help = { name; kind = Counter; help }
+let gauge name help = { name; kind = Gauge; help }
+
+(* slot i of the live array is [slots.(i)] *)
+let slots =
+  [|
+    counter "reads" "Physical page reads";
+    counter "writes" "Physical page writes";
+    counter "allocs" "Pages allocated";
+    counter "hits" "Buffer-pool hits";
+    counter "wal_appends" "Redo records appended to the log";
+    counter "wal_flushes" "Group flushes of the log";
+    counter "checkpoints" "Completed checkpoints";
+    counter "recovered" "Committed log records replayed at open";
+    counter "hash_builds" "Hash-join build-side tuples hashed";
+    counter "hash_probes" "Hash-join probe-side tuples probed";
+    counter "pushdown_pruned" "Tuples dropped by pushed-down predicates";
+    counter "index_probes" "Index probes used as access paths";
+    counter "tuples_decoded" "Heap payloads decoded into tuples";
+    counter "ann_envelopes" "Rows materialized with annotation arrays";
+    counter "catalog_replayed" "Catalog records decoded at bootstrap";
+    counter "pages_crc_verified" "Stored pages CRC-checked on read";
+    counter "crc_failures" "Stored pages failing CRC verification";
+    counter "root_swaps" "Catalog root slot swaps committed";
+    counter "page_ins" "Pages faulted into the frame table";
+    counter "evictions" "Frames evicted to make room";
+    counter "writebacks" "Dirty frames written back at eviction (steals)";
+    counter "wal_forced_flushes" "WAL flushes forced by evictions";
+    gauge "peak_pinned" "High-water mark of simultaneously pinned frames";
+    counter "sessions_opened" "Sessions authenticated and admitted";
+    counter "commit_conflicts" "Transactions rejected by conflict detection";
+    counter "frames_rx" "Protocol frames received from clients";
+    counter "frames_tx" "Protocol frames sent to clients";
+    counter "group_commits" "Committer batches flushed with one fsync";
+    counter "batches_decoded" "Column batches decoded from heap pages";
+    counter "batch_fallbacks" "Batch-engine queries that fell back to tuple";
+    counter "stats_analyzed" "Tables (re)analyzed for optimizer statistics";
+    counter "stats_stale" "Table statistics declared stale";
+    counter "plans_reordered" "Query plans whose join order differs from FROM order";
+    counter "io_retries" "Transient I/O errors absorbed by retry";
+    counter "io_gave_up" "I/O operations that exhausted their retry budget";
+    counter "stmts_timed_out" "Statements aborted by their deadline";
+    counter "degraded_entries" "Times the engine entered degraded mode";
+    gauge "sessions_in_flight" "Sessions currently open";
+    gauge "degraded" "1 while the engine is in read-only degraded mode";
+  |]
+
+let n_counters = Array.length slots
 
 (* slot indices *)
 let i_reads = 0
@@ -77,19 +137,12 @@ let i_batch_fallbacks = 29
 let i_stats_analyzed = 30
 let i_stats_stale = 31
 let i_plans_reordered = 32
-let n_counters = 33
-
-let names =
-  [|
-    "reads"; "writes"; "allocs"; "hits"; "wal_appends"; "wal_flushes";
-    "checkpoints"; "recovered"; "hash_builds"; "hash_probes";
-    "pushdown_pruned"; "index_probes"; "tuples_decoded"; "ann_envelopes";
-    "catalog_replayed"; "pages_crc_verified"; "crc_failures"; "root_swaps";
-    "page_ins"; "evictions"; "writebacks"; "wal_forced_flushes";
-    "peak_pinned"; "sessions_opened"; "commit_conflicts"; "frames_rx";
-    "frames_tx"; "group_commits"; "batches_decoded"; "batch_fallbacks";
-    "stats_analyzed"; "stats_stale"; "plans_reordered";
-  |]
+let i_io_retries = 33
+let i_io_gave_up = 34
+let i_stmts_timed_out = 35
+let i_degraded_entries = 36
+let i_sessions_in_flight = 37
+let i_degraded = 38
 
 let to_array s =
   [|
@@ -100,7 +153,9 @@ let to_array s =
     s.page_ins; s.evictions; s.writebacks; s.wal_forced_flushes;
     s.peak_pinned; s.sessions_opened; s.commit_conflicts; s.frames_rx;
     s.frames_tx; s.group_commits; s.batches_decoded; s.batch_fallbacks;
-    s.stats_analyzed; s.stats_stale; s.plans_reordered;
+    s.stats_analyzed; s.stats_stale; s.plans_reordered; s.io_retries;
+    s.io_gave_up; s.stmts_timed_out; s.degraded_entries; s.sessions_in_flight;
+    s.degraded;
   |]
 
 let of_array a =
@@ -138,6 +193,12 @@ let of_array a =
     stats_analyzed = a.(i_stats_analyzed);
     stats_stale = a.(i_stats_stale);
     plans_reordered = a.(i_plans_reordered);
+    io_retries = a.(i_io_retries);
+    io_gave_up = a.(i_io_gave_up);
+    stmts_timed_out = a.(i_stmts_timed_out);
+    degraded_entries = a.(i_degraded_entries);
+    sessions_in_flight = a.(i_sessions_in_flight);
+    degraded = a.(i_degraded);
   }
 
 type t = int array
@@ -178,16 +239,23 @@ let record_batch_fallback t = bump t i_batch_fallbacks
 let record_stats_analyzed t = bump t i_stats_analyzed
 let record_stats_stale t = bump t i_stats_stale
 let record_plan_reordered t = bump t i_plans_reordered
+let record_io_retry t = bump t i_io_retries
+let record_io_gave_up t = bump t i_io_gave_up
+let record_stmt_timed_out t = bump t i_stmts_timed_out
+let record_degraded_entry t = bump t i_degraded_entries
 
 let record_pinned t n =
   if n > t.(i_peak_pinned) then t.(i_peak_pinned) <- n
+
+let set_sessions_in_flight (t : t) n = t.(i_sessions_in_flight) <- n
+let set_degraded (t : t) on = t.(i_degraded) <- Bool.to_int on
 
 let snapshot (t : t) = of_array t
 let reset (t : t) = Array.fill t 0 n_counters 0
 let diff ~after ~before = of_array (Array.map2 ( - ) (to_array after) (to_array before))
 
-let to_alist s =
-  Array.to_list (Array.mapi (fun i v -> (names.(i), v)) (to_array s))
+let to_list s = Array.to_list (Array.mapi (fun i v -> (slots.(i), v)) (to_array s))
+let to_alist s = List.map (fun (slot, v) -> (slot.name, v)) (to_list s)
 
 (* Raw-array access for hot-loop delta accumulation (EXPLAIN ANALYZE
    takes a reading around every operator pull; snapshot records would
@@ -205,9 +273,8 @@ let of_accum = of_array
 let total_io s = s.reads + s.writes
 
 let pp fmt s =
-  let a = to_array s in
-  Array.iteri
-    (fun i v ->
+  List.iteri
+    (fun i (slot, v) ->
       if i > 0 then Format.pp_print_char fmt ' ';
-      Format.fprintf fmt "%s=%d" names.(i) v)
-    a
+      Format.fprintf fmt "%s=%d" slot.name v)
+    (to_list s)

@@ -1,4 +1,4 @@
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 type t = {
   schema : Schema.t;

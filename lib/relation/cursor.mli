@@ -66,7 +66,7 @@ val join_key : Tuple.t -> int list -> string option
     identically. *)
 
 val hash_join :
-  ?stats:Bdbms_storage.Stats.t ->
+  ?stats:Bdbms_obs.Stats.t ->
   build_left:bool ->
   left_keys:int list ->
   right_keys:int list ->

@@ -1,7 +1,7 @@
 module Heap_file = Bdbms_storage.Heap_file
 module Pager = Bdbms_storage.Pager
 module Disk = Bdbms_storage.Disk
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 type slot = Live of Heap_file.rid | Dead
 

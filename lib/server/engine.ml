@@ -29,10 +29,9 @@ module Executor = Bdbms_asql.Executor
 module Parser = Bdbms_asql.Parser
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Backend = Bdbms_storage.Backend
 module Obs = Bdbms_obs.Obs
-module Metrics = Bdbms_obs.Metrics
 module Trace = Bdbms_obs.Trace
 module Qlog = Bdbms_obs.Qlog
 module Timer = Bdbms_util.Timer
@@ -68,7 +67,6 @@ type commit_entry = { ce_csn : int; ce_tables : string list }
 type t = {
   db : Db.t;
   vs : Version_store.t;
-  counters : Stats.t; (* server-side counters, surviving rollbacks *)
   mu : Mutex.t; (* the engine lock *)
   page_size : int;
   snapshot_pool : int;
@@ -100,46 +98,6 @@ and request = { rq_txn : txn; mutable rq_result : (int, error) result option }
 let db t = t.db
 let obs t = Db.obs t.db
 let version_store t = t.vs
-let counters t = t.counters
-(* server counters joined onto the Prometheus text the obs registry
-   renders, so `\metrics` over the wire shows them too *)
-let metrics t =
-  let s = Stats.snapshot t.counters in
-  let counter name help v =
-    Printf.sprintf "# HELP bdbms_%s %s\n# TYPE bdbms_%s counter\nbdbms_%s %d\n"
-      name help name name v
-  in
-  Db.metrics t.db
-  ^ counter "sessions_opened" "sessions accepted since start"
-      s.Stats.sessions_opened
-  ^ counter "commit_conflicts" "first-writer-wins commit aborts"
-      s.Stats.commit_conflicts
-  ^ counter "group_commits" "group-commit batches sealed" s.Stats.group_commits
-  ^ counter "frames_rx" "protocol frames received" s.Stats.frames_rx
-  ^ counter "frames_tx" "protocol frames sent" s.Stats.frames_tx
-  ^
-  (* batch-engine counters live in the canonical disk's stats *)
-  let d = Db.io_stats t.db in
-  counter "batches_decoded" "column batches decoded by the vectorized engine"
-    d.Stats.batches_decoded
-  ^ counter "batch_fallbacks"
-      "vectorized queries that fell back to the tuple engine"
-      d.Stats.batch_fallbacks
-
-(* The canonical disk's stats reset when a rollback recreates the
-   context, so the server counters live in their own group and are
-   merged into the reported snapshot. *)
-let stats t =
-  let d = Db.io_stats t.db in
-  let s = Stats.snapshot t.counters in
-  {
-    d with
-    Stats.sessions_opened = s.Stats.sessions_opened;
-    commit_conflicts = s.Stats.commit_conflicts;
-    frames_rx = s.Stats.frames_rx;
-    frames_tx = s.Stats.frames_tx;
-    group_commits = s.Stats.group_commits;
-  }
 
 let create ?page_size ?pool_pages ?(snapshot_pool_pages = 128)
     ?(strict_acl = false) ?fault ~path () =
@@ -150,7 +108,6 @@ let create ?page_size ?pool_pages ?(snapshot_pool_pages = 128)
   {
     db;
     vs;
-    counters = Stats.create ();
     mu = Mutex.create ();
     page_size = Disk.page_size (Db.context db).Context.disk;
     snapshot_pool = snapshot_pool_pages;
@@ -230,8 +187,7 @@ let io_degraded_locked t ~op ~detail =
        (Printf.sprintf "I/O failing (%s: %s); engine is read-only" op detail))
 
 let note_timeout t reason =
-  let o = Db.obs t.db in
-  Metrics.inc o.Obs.stmts_timed_out_c;
+  Stats.record_stmt_timed_out (obs t).Obs.stats;
   Error (Timeout ("statement aborted: " ^ reason))
 
 (* Install a wire-supplied trace id (0 = none) as the ambient id for the
@@ -318,6 +274,8 @@ let begin_txn t ?(user = superuser) () =
             ctx.Context.sys_providers ) ))
   in
   match
+    (* no [~obs]: the overlay counts into a private group, since its page
+       writes are memory, not the handle's I/O *)
     let disk =
       Disk.overlay ~page_size:t.page_size ~pool_pages:t.snapshot_pool
         ~base_count
@@ -513,7 +471,7 @@ let process_batch t reqs =
                    in
                    match conflict with
                    | Some tbl ->
-                       Stats.record_commit_conflict t.counters;
+                       Stats.record_commit_conflict (obs t).Obs.stats;
                        rq.rq_result <-
                          Some
                            (Error
@@ -540,7 +498,7 @@ let process_batch t reqs =
              if !replayed <> [] then begin
                match Db.commit t.db with
                | Ok () ->
-                   Stats.record_group_commit t.counters;
+                   Stats.record_group_commit (obs t).Obs.stats;
                    record_commit_locked t ~tables:!batch_tables;
                    List.iter
                      (fun rq ->

@@ -57,18 +57,9 @@ val db : t -> Bdbms.Db.t
     engine lock — use {!execute}. *)
 
 val obs : t -> Bdbms_obs.Obs.t
-
-val counters : t -> Bdbms_storage.Stats.t
-(** The engine-owned server counter group ([sessions_opened],
-    [commit_conflicts], [frames_rx/tx], [group_commits]).  Kept separate
-    from the canonical disk's counters, which reset when a rollback
-    recreates the context. *)
-
-val stats : t -> Bdbms_storage.Stats.snapshot
-(** The canonical disk's I/O snapshot with the server counter group
-    merged in. *)
-
-val metrics : t -> string
+(** The canonical handle's observability: session, frame, conflict and
+    group-commit counts go into its counter group beside the storage
+    counters. *)
 
 val version_store : t -> Version_store.t
 

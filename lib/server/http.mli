@@ -16,9 +16,9 @@ val serve :
   unit ->
   t
 (** Bind [host:port] (port [0] picks a free one) and serve.  [metrics]
-    is called per scrape (typically {!Engine.metrics}); [health]
-    returns [Some reason] while degraded, turning [/healthz] into a
-    503.  @raise Unix.Unix_error when the bind fails. *)
+    is called per scrape (typically [Db.metrics] of the engine's
+    handle); [health] returns [Some reason] while degraded, turning
+    [/healthz] into a 503.  @raise Unix.Unix_error when the bind fails. *)
 
 val bound_port : t -> int
 (** The actually bound TCP port (after a [port:0] bind). *)

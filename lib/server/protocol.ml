@@ -1,4 +1,4 @@
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 let max_frame = 16 * 1024 * 1024
 

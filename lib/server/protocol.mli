@@ -79,15 +79,15 @@ val decode_response : Bytes.t -> response decoded
 exception Protocol_error of string
 
 val send_request :
-  ?stats:Bdbms_storage.Stats.t -> Unix.file_descr -> request -> unit
+  ?stats:Bdbms_obs.Stats.t -> Unix.file_descr -> request -> unit
 
 val send_response :
-  ?stats:Bdbms_storage.Stats.t -> Unix.file_descr -> response -> unit
+  ?stats:Bdbms_obs.Stats.t -> Unix.file_descr -> response -> unit
 
 val recv_request :
-  ?stats:Bdbms_storage.Stats.t -> Unix.file_descr -> request option
+  ?stats:Bdbms_obs.Stats.t -> Unix.file_descr -> request option
 (** [None] on a clean EOF at a frame boundary.
     @raise Protocol_error on a malformed or truncated frame. *)
 
 val recv_response :
-  ?stats:Bdbms_storage.Stats.t -> Unix.file_descr -> response option
+  ?stats:Bdbms_obs.Stats.t -> Unix.file_descr -> response option

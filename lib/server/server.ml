@@ -13,7 +13,7 @@
 
 module Executor = Bdbms_asql.Executor
 module Pager = Bdbms_storage.Pager
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Obs = Bdbms_obs.Obs
 module P = Protocol
 
@@ -23,7 +23,7 @@ type conn = { c_fd : Unix.file_descr; mutable c_busy : bool }
 
 type t = {
   engine : Engine.t;
-  counters : Stats.t;
+  counters : Stats.t; (* the engine handle's group: frames rx/tx *)
   idle_timeout_s : float option;
       (* per-connection receive timeout ([SO_RCVTIMEO]): a peer that goes
          quiet mid-frame or between frames for this long is reaped (its
@@ -54,7 +54,7 @@ let create ?idle_timeout_s engine =
     :: List.remove_assoc "sys.sessions" ctx.Bdbms_asql.Context.sys_providers;
   {
     engine;
-    counters = Engine.counters engine;
+    counters = (Engine.obs engine).Obs.stats;
     idle_timeout_s;
     listeners = [];
     threads = [];
@@ -106,13 +106,12 @@ let handle_control t session name =
   let db = Engine.db t.engine in
   match String.lowercase_ascii (String.trim name) with
   | "ping" -> P.Message { text = "pong" }
-  | "metrics" -> P.Message { text = Engine.metrics t.engine }
+  | "metrics" -> P.Message { text = Db.metrics db }
   | "trace" ->
       P.Message
         { text = (if Db.tracing db then "trace: on" else "trace: off") }
   | "stats" ->
-      P.Message
-        { text = Format.asprintf "%a" Stats.pp (Engine.stats t.engine) }
+      P.Message { text = Format.asprintf "%a" Stats.pp (Db.io_stats db) }
   | "exec" ->
       P.Message
         { text = Context.exec_mode_name (Session.exec_mode session) }

@@ -1,6 +1,6 @@
 module Context = Bdbms_asql.Context
 module Principal = Bdbms_auth.Principal
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Obs = Bdbms_obs.Obs
 module Metrics = Bdbms_obs.Metrics
 module Value = Bdbms_relation.Value
@@ -48,8 +48,7 @@ let fresh_id () =
 
 let set_gauge engine delta =
   let n = Mutex.protect id_mu (fun () -> live := !live + delta; !live) in
-  let o = Engine.obs engine in
-  Metrics.set o.Obs.sessions_gauge (float_of_int n)
+  Stats.set_sessions_in_flight (Engine.obs engine).Obs.stats n
 
 let create engine ~user =
   (* authentication = existence in the shared principal store; the
@@ -62,7 +61,7 @@ let create engine ~user =
     && not (Principal.user_exists ctx.Context.principals user)
   then Error (Engine.Sql (Printf.sprintf "unknown user %S" user))
   else begin
-    Stats.record_session_opened (Engine.counters engine);
+    Stats.record_session_opened (Engine.obs engine).Obs.stats;
     set_gauge engine 1;
     let session =
       {

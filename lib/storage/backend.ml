@@ -37,6 +37,7 @@ module Crc32 = Bdbms_util.Crc32
 module Backoff = Bdbms_util.Backoff
 module Obs = Bdbms_obs.Obs
 module Metrics = Bdbms_obs.Metrics
+module Stats = Bdbms_obs.Stats
 
 type file_state = {
   path : string;
@@ -130,13 +131,13 @@ let with_io_retry fault ?obs ~op f =
         match obs with
         | None -> ()
         | Some o ->
-            Metrics.inc o.Obs.io_retries_c;
+            Stats.record_io_retry o.Obs.stats;
             Metrics.observe o.Obs.retry_backoff_hist
               (int_of_float (delay_ms *. 1e6)))
       ~before_wait:(fun () -> Fault.cancel_point fault)
       ~retryable:io_retryable f
   with e when io_retryable e ->
-    (match obs with None -> () | Some o -> Metrics.inc o.Obs.io_gave_up_c);
+    (match obs with None -> () | Some o -> Stats.record_io_gave_up o.Obs.stats);
     raise (Io_degraded { op; detail = describe_io e })
 
 let retrying f_state ~op f = with_io_retry f_state.fault ?obs:f_state.obs ~op f

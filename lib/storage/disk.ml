@@ -38,6 +38,7 @@
      recovery just replays again. *)
 
 module Obs = Bdbms_obs.Obs
+module Stats = Bdbms_obs.Stats
 
 type location =
   | In_slot (* latest image stolen to (or already in) its file slot *)
@@ -52,6 +53,9 @@ type durable = {
   stealable : (int, unit) Hashtbl.t; (* pages with a committed Page_write *)
   autockpt_bytes : int; (* checkpoint when the log outgrows this *)
   mutable uncommitted : int; (* records appended since the last commit *)
+  mutable released : bool;
+      (* descriptors closed: a second close could hit a number the
+         process has since reused for another file or socket *)
 }
 
 type overlay_base = {
@@ -61,7 +65,7 @@ type overlay_base = {
 
 type core = {
   page_size : int;
-  stats : Stats.t;
+  stats : Stats.t; (* the [obs] handle's group when given, else private *)
   fault : Fault.t;
   obs : Obs.t option;
   mutable mem : Page.t array; (* mem mode: the simulated stable store *)
@@ -220,12 +224,16 @@ let make_pager core ~policy ~guard ~capacity =
 
 (* ------------------------------------------------------------ creation *)
 
+(* Count into the handle's group, so a rollback's re-bootstrap keeps
+   counting where the old context stopped. *)
+let scope = function Some o -> o.Obs.stats | None -> Stats.create ()
+
 let make_mem ?(page_size = Page.default_size) ?pool_pages
     ?(policy = Pager.Lru) ?guard ?obs ?base () =
   let core =
     {
       page_size;
-      stats = Stats.create ();
+      stats = scope obs;
       fault = Fault.create ();
       obs;
       mem = Array.make 64 (Page.create ~size:page_size ());
@@ -281,7 +289,7 @@ let open_file ?(page_size = Page.default_size) ?fault
      pre-enabled tracer is passed in). *)
   let run () =
   let fault = match fault with Some f -> f | None -> Fault.create () in
-  let stats = Stats.create () in
+  let stats = scope obs in
   let backend, stored = Backend.file ~fault ?obs ~page_size ~path () in
   (* Verify every stored slot's CRC trailer, one page resident at a time.
      A bad page is not an error yet: a crash during a checkpoint store or
@@ -354,6 +362,7 @@ let open_file ?(page_size = Page.default_size) ?fault
                 stealable = Hashtbl.create 64;
                 autockpt_bytes = wal_autocheckpoint;
                 uncommitted = 0;
+                released = false;
               };
           recovery = Some outcome;
         }
@@ -457,19 +466,22 @@ let commit t =
         if Wal.size d.wal > d.autockpt_bytes then checkpoint t
       end
 
+let release d =
+  if not d.released then begin
+    d.released <- true;
+    Backend.close d.backend;
+    Wal.close d.wal
+  end
+
 let close t =
   match t.core.durable with
   | None -> ()
   | Some d ->
-      if not (Fault.crashed t.core.fault) then checkpoint t;
-      Backend.close d.backend;
-      Wal.close d.wal
+      if not (d.released || Fault.crashed t.core.fault) then checkpoint t;
+      release d
 
 (* Closes the file descriptors without flushing anything — simulates a
-   process death for tests and benchmarks. *)
+   process death for tests and benchmarks.  Idempotent: a rollback whose
+   re-open failed abandons the same disk again on retry. *)
 let abandon t =
-  match t.core.durable with
-  | None -> ()
-  | Some d ->
-      Backend.close d.backend;
-      Wal.close d.wal
+  match t.core.durable with None -> () | Some d -> release d

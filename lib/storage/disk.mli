@@ -3,7 +3,7 @@
 
     {!create} stands in for the physical disk of the authors' PostgreSQL
     testbed: fixed-size pages where every read, write, and allocation is
-    counted in a {!Stats.t}.  All index and heap-file claims in the
+    counted in a {!Bdbms_obs.Stats.t}.  All index and heap-file claims in the
     benchmarks are measured as page accesses against this store (see
     DESIGN.md §2 for why this substitution is faithful).  Residency is
     delegated to a {!Pager.t} ({!pager}); the in-memory mode defaults to
@@ -87,7 +87,11 @@ val open_file :
     replayed log record repairs it. *)
 
 val page_size : t -> int
-val stats : t -> Stats.t
+
+val stats : t -> Bdbms_obs.Stats.t
+(** The [obs] handle's counter group when one was given at creation,
+    else a private group. *)
+
 val page_count : t -> int
 
 val pager : t -> Pager.t

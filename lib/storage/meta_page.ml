@@ -33,6 +33,8 @@
    page and roll back with the transaction, and a bounded pool reads the
    chain one resident page at a time. *)
 
+module Stats = Bdbms_obs.Stats
+
 module Crc32 = Bdbms_util.Crc32
 
 let page_magic = "META"

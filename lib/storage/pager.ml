@@ -24,6 +24,8 @@
    If every frame is pinned, [Pool_exhausted] is raised — a typed error
    instead of an unbounded search. *)
 
+module Stats = Bdbms_obs.Stats
+
 module Crc32 = Bdbms_util.Crc32
 
 type policy = Lru | Clock

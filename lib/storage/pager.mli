@@ -25,7 +25,7 @@ type accounting = Count_hit | Count_read | Count_none
 
 type source = {
   src_page_size : int;
-  src_stats : Stats.t;
+  src_stats : Bdbms_obs.Stats.t;
   src_page_count : unit -> int;  (** allocated pages, for bounds checks *)
   src_load : Page.id -> Page.t;  (** fault a page in (physical read) *)
   src_write_back : Page.id -> Page.t -> evicting:bool -> unit;
@@ -87,7 +87,7 @@ val peek : t -> Page.id -> Page.t option
 
 val capacity : t -> int
 val page_size : t -> int
-val stats : t -> Stats.t
+val stats : t -> Bdbms_obs.Stats.t
 
 val resident : t -> int
 (** Frames currently in the table (≤ [capacity] always). *)

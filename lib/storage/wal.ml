@@ -18,6 +18,8 @@
    records only up to the last durable commit marker, so flushing a
    partial batch early (buffer full) is always safe. *)
 
+module Stats = Bdbms_obs.Stats
+
 module Crc32 = Bdbms_util.Crc32
 module Obs = Bdbms_obs.Obs
 

@@ -16,7 +16,7 @@ type t
 
 val open_reset :
   fault:Fault.t ->
-  stats:Stats.t ->
+  stats:Bdbms_obs.Stats.t ->
   ?obs:Bdbms_obs.Obs.t ->
   ?group_bytes:int ->
   string ->

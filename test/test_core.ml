@@ -88,11 +88,10 @@ let test_facade_settings_and_stats () =
   ignore (Db.exec_exn db "INSERT INTO T VALUES (1)");
   let after = Db.io_stats db in
   checkb "io grows" true
-    (after.Bdbms_storage.Stats.writes + after.Bdbms_storage.Stats.hits
-    > before.Bdbms_storage.Stats.writes + before.Bdbms_storage.Stats.hits);
-  Db.reset_io_stats db;
-  let reset = Db.io_stats db in
-  checki "reset reads" 0 reset.Bdbms_storage.Stats.reads;
+    (after.Bdbms_obs.Stats.writes + after.Bdbms_obs.Stats.hits
+    > before.Bdbms_obs.Stats.writes + before.Bdbms_obs.Stats.hits);
+  let d = Bdbms_obs.Stats.diff ~after:(Db.io_stats db) ~before:after in
+  checki "quiescent handle reads nothing" 0 d.Bdbms_obs.Stats.reads;
   (* strict ACL off by default: unknown users can read *)
   ignore (Db.exec_exn db ~user:"nobody" "SELECT * FROM T");
   Db.set_strict_acl db true;

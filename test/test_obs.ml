@@ -8,7 +8,7 @@
 module Trace = Bdbms_obs.Trace
 module Metrics = Bdbms_obs.Metrics
 module Obs = Bdbms_obs.Obs
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -182,33 +182,31 @@ let test_percentiles () =
 
 let test_registry_render () =
   let m = Metrics.create () in
-  let c = Metrics.counter m ~help:"a counter" "bdbms_test_total" in
-  Metrics.inc c;
-  Metrics.add c 4;
-  checki "counter value" 5 (Metrics.counter_value c);
-  let g = Metrics.gauge m "bdbms_test_gauge" in
-  Metrics.set g 2.5;
-  let h = Metrics.histogram m "bdbms_test_ns" in
+  let h = Metrics.histogram m ~help:"a histogram" "bdbms_test_ns" in
   Metrics.observe h 100;
-  (match Metrics.counter m "bdbms_test_total" with
+  (match Metrics.histogram m "bdbms_test_ns" with
   | _ -> Alcotest.fail "duplicate registration must raise"
   | exception Invalid_argument _ -> ());
-  let text = Metrics.render m in
+  let t = Stats.create () in
+  Stats.record_read t;
+  Stats.record_pinned t 3;
+  let text = Metrics.render ~counters:(Stats.snapshot t) m in
   List.iter
     (fun needle ->
       checkb (needle ^ " rendered") true (contains text needle))
     [
-      "# HELP bdbms_test_total a counter";
-      "# TYPE bdbms_test_total counter";
-      "bdbms_test_total 5";
-      "# TYPE bdbms_test_gauge gauge";
-      "bdbms_test_gauge 2.5";
+      "# HELP bdbms_reads_total Physical page reads";
+      "# TYPE bdbms_reads_total counter";
+      "bdbms_reads_total 1";
+      "# TYPE bdbms_peak_pinned gauge";
+      "bdbms_peak_pinned 3";
+      "# HELP bdbms_test_ns a histogram";
       "# TYPE bdbms_test_ns summary";
       "bdbms_test_ns{quantile=\"0.5\"}";
       "bdbms_test_ns_count 1";
       "bdbms_test_ns_sum 100";
     ];
-  (* registration order is preserved *)
+  (* counters in slot order, then histograms *)
   let pos needle =
     let rec find i =
       if i + String.length needle > String.length text then -1
@@ -217,9 +215,9 @@ let test_registry_render () =
     in
     find 0
   in
-  checkb "counter before gauge before histogram" true
-    (pos "bdbms_test_total 5" < pos "bdbms_test_gauge 2.5"
-    && pos "bdbms_test_gauge 2.5" < pos "bdbms_test_ns_count")
+  checkb "counters in slot order before histograms" true
+    (pos "bdbms_reads_total 1" < pos "bdbms_peak_pinned 3"
+    && pos "bdbms_peak_pinned 3" < pos "bdbms_test_ns_count")
 
 let test_obs_handle () =
   let o = Obs.create () in

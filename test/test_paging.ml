@@ -4,6 +4,7 @@
    pool, scanned and probed with residency asserted under the cap. *)
 
 open Bdbms_storage
+module Stats = Bdbms_obs.Stats
 module Db = Bdbms.Db
 module Context = Bdbms_asql.Context
 module Btree = Bdbms_index.Btree

@@ -16,7 +16,7 @@ module Ops = Bdbms_relation.Ops
 module Propagate = Bdbms_annotation.Propagate
 module Ann = Bdbms_annotation.Ann
 module Executor = Bdbms_asql.Executor
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

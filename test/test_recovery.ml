@@ -9,6 +9,7 @@
    uncommitted ones. *)
 
 open Bdbms_storage
+module Stats = Bdbms_obs.Stats
 module Prng = Bdbms_util.Prng
 module Crc32 = Bdbms_util.Crc32
 
@@ -83,6 +84,23 @@ let test_commit_survives_crash () =
   checks "committed survives" "committed" (read_val d2 a);
   Disk.close d2;
   cleanup path
+
+(* A rollback whose re-open fails abandons the same disk again on retry;
+   the second abandon must not close descriptor numbers the process has
+   reused since (here: a pipe taking the freed numbers). *)
+let test_abandon_twice () =
+  let path = tmp_path () in
+  let d = Disk.open_file ~page_size path in
+  Disk.abandon d;
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w;
+      cleanup path)
+    (fun () ->
+      Disk.abandon d;
+      checki "reused descriptor still open" 1 (Unix.write_substring w "x" 0 1))
 
 let test_uncommitted_discarded () =
   let path = tmp_path () in
@@ -861,6 +879,7 @@ let () =
         [
           Alcotest.test_case "persist across close" `Quick test_persist_across_close;
           Alcotest.test_case "commit survives crash" `Quick test_commit_survives_crash;
+          Alcotest.test_case "abandon twice" `Quick test_abandon_twice;
           Alcotest.test_case "uncommitted discarded" `Quick test_uncommitted_discarded;
           Alcotest.test_case "torn tail skipped" `Quick test_torn_tail_skipped;
           Alcotest.test_case "truncated tail prefixes" `Quick test_truncated_tail_prefix;

@@ -12,8 +12,7 @@ module Fault = Bdbms_storage.Fault
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
 module Context = Bdbms_asql.Context
-module Obs = Bdbms_obs.Obs
-module Metrics = Bdbms_obs.Metrics
+module Stats = Bdbms_obs.Stats
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -133,14 +132,13 @@ let test_transient_retry_absorbed () =
   let fault = Fault.create () in
   let db = Db.create ~path ~fault () in
   ignore (Db.exec_exn db "CREATE TABLE t (n INT)");
-  let o = Db.obs db in
-  let retries0 = Metrics.counter_value o.Obs.io_retries_c in
+  let retries0 = (Db.io_stats db).Stats.io_retries in
   (* two consecutive stable-storage failures: inside the retry budget *)
   Fault.arm_io fault ~count:2 Fault.Eio;
   ignore (Db.exec_exn db "INSERT INTO t VALUES (1)");
   checkb "retries counted" true
-    (Metrics.counter_value o.Obs.io_retries_c >= retries0 + 2);
-  checki "nothing gave up" 0 (Metrics.counter_value o.Obs.io_gave_up_c);
+    ((Db.io_stats db).Stats.io_retries >= retries0 + 2);
+  checki "nothing gave up" 0 ((Db.io_stats db).Stats.io_gave_up);
   checkb "not degraded" true (Db.degraded db = None);
   checkb "fault fully drained" false (Fault.io_pending fault);
   checks "write landed" "n\n1\n(1 rows)"
@@ -194,7 +192,6 @@ let test_degraded_mode_and_heal () =
   let db = Db.create ~path ~fault () in
   ignore (Db.exec_exn db "CREATE TABLE t (n INT)");
   ignore (Db.exec_exn db "INSERT INTO t VALUES (1)");
-  let o = Db.obs db in
   (* exactly the retry budget of failures: the write gives up, and the
      injector is drained by the time degraded entry re-bootstraps *)
   Fault.arm_io fault ~count:Backoff.default.Backoff.max_attempts Fault.Enospc;
@@ -212,11 +209,11 @@ let test_degraded_mode_and_heal () =
          has "degraded" || has "I/O failing" || has "read-only"));
   checkb "entered degraded mode" true (Db.degraded db <> None);
   checkb "gauge raised" true
-    (Metrics.gauge_value o.Obs.degraded_gauge = 1.);
+    ((Db.io_stats db).Stats.degraded = 1);
   checkb "gave-up counted" true
-    (Metrics.counter_value o.Obs.io_gave_up_c >= 1);
+    ((Db.io_stats db).Stats.io_gave_up >= 1);
   checki "one degraded entry" 1
-    (Metrics.counter_value o.Obs.degraded_entries_c);
+    ((Db.io_stats db).Stats.degraded_entries);
   (* each statement runs one health probe first; keep that probe failing
      (one armed fault per statement) so the engine stays degraded *)
   Fault.arm_io fault ~count:1 Fault.Enospc;
@@ -239,7 +236,7 @@ let test_degraded_mode_and_heal () =
   | Error e -> Alcotest.fail ("healed write failed: " ^ e));
   checkb "healed" true (Db.degraded db = None);
   checkb "gauge cleared" true
-    (Metrics.gauge_value o.Obs.degraded_gauge = 0.);
+    ((Db.io_stats db).Stats.degraded = 0);
   checks "only acknowledged writes survive" "n\n1\n4\n(2 rows)"
     (String.trim (Db.render_exn db "SELECT * FROM t ORDER BY n"));
   Db.close db;
@@ -282,8 +279,7 @@ let test_stmt_timeout_local () =
   for i = 1 to 50 do
     ignore (Db.exec_exn db (Printf.sprintf "INSERT INTO t VALUES (%d)" i))
   done;
-  let o = Db.obs db in
-  let timed_out0 = Metrics.counter_value o.Obs.stmts_timed_out_c in
+  let timed_out0 = (Db.io_stats db).Stats.stmts_timed_out in
   (match Db.set_stmt_timeout_ms db (Some (-1.)) with
   | () -> Alcotest.fail "negative timeout must be rejected"
   | exception Invalid_argument _ -> ());
@@ -295,7 +291,7 @@ let test_stmt_timeout_local () =
       checkb "aborted error" true
         (String.length e >= 17 && String.sub e 0 17 = "statement aborted");
       checkb "counted" true
-        (Metrics.counter_value o.Obs.stmts_timed_out_c > timed_out0));
+        ((Db.io_stats db).Stats.stmts_timed_out > timed_out0));
   (* the handle recovers: disarm and run the same statement *)
   Db.set_stmt_timeout_ms db None;
   ignore (Db.exec_exn db "SELECT * FROM t");

@@ -11,7 +11,7 @@
 
 open Bdbms
 module Prng = Bdbms_util.Prng
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
 module Fault = Bdbms_storage.Fault
@@ -220,7 +220,7 @@ let test_first_writer_wins () =
           checkb "conflict error" true
             (match err with Engine.Conflict _ -> true | _ -> false);
           checkb "conflict is retryable" true (Engine.retryable err));
-      checki "conflict counted" 1 (Engine.stats e).Stats.commit_conflicts;
+      checki "conflict counted" 1 (Db.io_stats (Engine.db e)).Stats.commit_conflicts;
       (* the loser retries on a fresh snapshot and succeeds *)
       let t3 = Engine.begin_txn e () in
       ignore (ok "retry insert" (Engine.txn_exec t3 "INSERT INTO t VALUES (2)"));
@@ -237,7 +237,7 @@ let test_disjoint_writers_no_conflict () =
       checkb "t1 commits" true (ok "t1 commit" (Engine.commit_txn t1) > 0);
       checkb "t2 commits too (disjoint tables)" true
         (ok "t2 commit" (Engine.commit_txn t2) > 0);
-      checki "no conflicts" 0 (Engine.stats e).Stats.commit_conflicts)
+      checki "no conflicts" 0 (Db.io_stats (Engine.db e)).Stats.commit_conflicts)
 
 let test_rollback_discards () =
   with_engine (fun e ->
@@ -396,7 +396,7 @@ let test_session_conflict_keeps_session () =
       (match Session.execute s2 "INSERT INTO t VALUES (2)" with
       | Ok _ -> ()
       | Error err -> Alcotest.fail (Engine.error_message err));
-      checki "sessions counted" 2 (Engine.stats e).Stats.sessions_opened;
+      checki "sessions counted" 2 (Db.io_stats (Engine.db e)).Stats.sessions_opened;
       Session.close s1;
       Session.close s2)
 
@@ -541,7 +541,7 @@ let test_concurrent_clients () =
     compare_table (Printf.sprintf "SELECT * FROM w%d" w)
   done;
   Client.close c;
-  let s = Engine.stats engine in
+  let s = Db.io_stats (Engine.db engine) in
   checkb "sessions counted" true (s.Stats.sessions_opened >= n_writers + n_readers);
   checkb "frames counted" true (s.Stats.frames_rx > 0 && s.Stats.frames_tx > 0);
   checkb "group commit ran" true (s.Stats.group_commits > 0);
@@ -882,6 +882,92 @@ let fuzz_crash_at_commit () =
     cleanup path
   done
 
+(* ------------------------------------------------- monotonic counters *)
+
+(* No slot of [after] may be below its value in [before]. *)
+let check_no_decrease what ~before ~after =
+  List.iter
+    (fun (name, v) ->
+      match List.assoc_opt name after with
+      | Some v' ->
+          if v' < v then
+            Alcotest.failf "%s: %s went down from %d to %d" what name v v'
+      | None -> Alcotest.failf "%s: %s missing from the later reading" what name)
+    before
+
+(* A failing statement rolls the durable handle back by re-bootstrapping
+   a fresh context; the handle's counters must carry on from where the
+   old context stopped. *)
+let test_counters_monotonic_local () =
+  let path = tmp_path () in
+  let db = Db.create ~path () in
+  Fun.protect
+    ~finally:(fun () ->
+      Db.close db;
+      cleanup path)
+    (fun () ->
+      List.iter
+        (fun sql -> ignore (Db.exec_exn db sql))
+        [ "CREATE TABLE t (n INT)"; "INSERT INTO t VALUES (1)"; "SELECT * FROM t" ];
+      let before = Stats.to_alist (Db.io_stats db) in
+      checkb "failing statement fails" true
+        (Result.is_error (Db.exec db "SELECT * FROM nosuch"));
+      ignore (Db.exec_exn db "INSERT INTO t VALUES (2)");
+      check_no_decrease "local rollback" ~before
+        ~after:(Stats.to_alist (Db.io_stats db)))
+
+let stats_reading c =
+  match Client.control c "stats" with
+  | P.Message { text } ->
+      String.split_on_char ' ' (String.trim text)
+      |> List.filter_map (fun kv ->
+             match String.split_on_char '=' kv with
+             | [ k; v ] -> Option.map (fun v -> (k, v)) (int_of_string_opt v)
+             | _ -> None)
+  | _ -> Alcotest.fail "stats control op failed"
+
+(* Over the wire: a failing autocommit statement and a first-writer-wins
+   commit abort, between two [stats] readings. *)
+let test_counters_monotonic_wire () =
+  with_server (fun ~engine:_ ~server:_ ~sock ->
+      let connect () =
+        let c = Client.connect_unix sock in
+        (match Client.hello c ~user:"admin" with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e);
+        c
+      in
+      let a = connect () and b = connect () in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close a;
+          Client.close b)
+        (fun () ->
+          let q c sql = ignore (Client.query c sql) in
+          List.iter (q a)
+            [ "CREATE TABLE t (n INT)"; "INSERT INTO t VALUES (1)"; "SELECT * FROM t" ];
+          let r0 = stats_reading a in
+          (match Client.query a "SELECT * FROM nosuch" with
+          | P.Error_resp _ -> ()
+          | _ -> Alcotest.fail "failing statement must fail");
+          let r1 = stats_reading a in
+          check_no_decrease "failing statement" ~before:r0 ~after:r1;
+          q a "BEGIN";
+          q b "BEGIN";
+          q a "INSERT INTO t VALUES (2)";
+          q b "INSERT INTO t VALUES (3)";
+          (match Client.query a "COMMIT" with
+          | P.Committed _ -> ()
+          | _ -> Alcotest.fail "first committer must win");
+          (match Client.query b "COMMIT" with
+          | P.Error_resp { code = P.E_conflict; _ } -> ()
+          | _ -> Alcotest.fail "second committer must conflict");
+          let r2 = stats_reading a in
+          check_no_decrease "commit conflict" ~before:r1 ~after:r2;
+          checki "conflict counted" 1
+            (List.assoc "commit_conflicts" r2 - List.assoc "commit_conflicts" r1);
+          checki "every slot read" (Array.length Stats.slots) (List.length r2)))
+
 (* ---------------------------------------------------------- registry *)
 
 let () =
@@ -943,6 +1029,13 @@ let () =
           Alcotest.test_case "deadline over the wire" `Quick
             test_wire_timeout_roundtrip;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "monotonic across rollback" `Quick
+            test_counters_monotonic_local;
+          Alcotest.test_case "monotonic over the wire" `Quick
+            test_counters_monotonic_wire;
         ] );
       ("fuzz", fuzz_cases);
     ]

@@ -320,14 +320,14 @@ let test_drift_feedback () =
   in
   e ("INSERT INTO d VALUES " ^ rows);
   e "ANALYZE d";
-  let stale_before = (snap ()).Bdbms_storage.Stats.stats_stale in
-  let analyzed_before = (snap ()).Bdbms_storage.Stats.stats_analyzed in
+  let stale_before = (snap ()).Bdbms_obs.Stats.stats_stale in
+  let analyzed_before = (snap ()).Bdbms_obs.Stats.stats_analyzed in
   e "EXPLAIN ANALYZE SELECT * FROM d WHERE k1 = 3 AND k2 = 3";
   let s = snap () in
   checkb "drift marked the table stale" true
-    (s.Bdbms_storage.Stats.stats_stale > stale_before);
+    (s.Bdbms_obs.Stats.stats_stale > stale_before);
   checkb "boundary re-analyze fired" true
-    (s.Bdbms_storage.Stats.stats_analyzed > analyzed_before);
+    (s.Bdbms_obs.Stats.stats_analyzed > analyzed_before);
   (match Registry.find reg "d" with
   | Some ts ->
       checkb "fresh again after re-analyze" false (Tstats.is_stale ts);

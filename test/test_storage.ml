@@ -1,6 +1,7 @@
 (* Tests for bdbms_storage: pages, disk, buffer pool, heap files. *)
 
 open Bdbms_storage
+module Stats = Bdbms_obs.Stats
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

@@ -12,7 +12,7 @@ module Context = Bdbms_asql.Context
 module Executor = Bdbms_asql.Executor
 module Qlog = Bdbms_obs.Qlog
 module Obs = Bdbms_obs.Obs
-module Stats = Bdbms_storage.Stats
+module Stats = Bdbms_obs.Stats
 module Engine = Bdbms_server.Engine
 module Session = Bdbms_server.Session
 module Http = Bdbms_server.Http
@@ -66,7 +66,7 @@ let test_differential () =
     [
       "SELECT name FROM sys.tables ORDER BY name";
       "SELECT name, rows, analyzed FROM sys.tables WHERE rows > 1 ORDER BY name";
-      "SELECT name, kind FROM sys.metrics WHERE kind = 'io' ORDER BY name";
+      "SELECT name, kind FROM sys.metrics WHERE kind = 'gauge' ORDER BY name";
       "SELECT count(*) FROM sys.metrics WHERE kind = 'counter'";
       "SELECT name FROM sys.histograms ORDER BY name";
       "SELECT m.name FROM sys.metrics m, sys.histograms h \
@@ -101,19 +101,70 @@ let test_sys_tables_content () =
   checkb "sys views are not self-listed" false (contains ~needle:"sys." out);
   Db.close db
 
-let test_sys_metrics_match_io_stats () =
-  let db = workload_db () in
-  let s = Db.io_stats db in
-  (* [writes] is quiescent during a read-only SELECT, so the view row
-     must equal the snapshot taken just before it *)
-  let out =
-    Db.render_exn db
-      "SELECT value FROM sys.metrics WHERE kind = 'io' AND name = 'writes'"
-  in
-  checkb "sys.metrics io row equals Db.io_stats"
-    true
-    (contains ~needle:(string_of_int s.Stats.writes) out);
-  Db.close db
+(* [Stats.pp], [sys.metrics] and [Db.metrics] render one slot list.  On a
+   quiescent durable handle every slot appears in all three, and counters
+   the sys.metrics SELECT cannot bump before its plan-time snapshot read
+   the same value everywhere. *)
+let test_all_outputs_agree () =
+  let path = Filename.temp_file "bdbms_sysview" ".db" in
+  Sys.remove path;
+  let db = Db.create ~path () in
+  Fun.protect
+    ~finally:(fun () ->
+      Db.close db;
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".wal" ])
+    (fun () ->
+      List.iter
+        (fun sql -> ignore (Db.exec_exn db sql))
+        [
+          "CREATE TABLE genes (gid INT, name TEXT)";
+          "INSERT INTO genes VALUES (1, 'thrA'), (2, 'thrB')";
+          "ANALYZE genes";
+        ];
+      let s = Db.io_stats db in
+      let pp = Format.asprintf "%a" Stats.pp s in
+      let prom = Db.metrics db in
+      let view =
+        Db.render_exn db "SELECT name, kind, value FROM sys.metrics"
+        |> String.split_on_char '\n'
+        |> List.filter_map (fun line ->
+               match String.split_on_char '|' line with
+               | [ n; k; v ] -> (
+                   match int_of_string_opt (String.trim v) with
+                   | Some v -> Some (String.trim n, (String.trim k, v))
+                   | None -> None)
+               | _ -> None)
+      in
+      checki "sys.metrics lists each slot once" (Array.length Stats.slots)
+        (List.length view);
+      List.iter
+        (fun ((slot : Stats.slot), v) ->
+          let name = slot.Stats.name in
+          let kind, prom_name =
+            match slot.Stats.kind with
+            | Stats.Counter -> ("counter", "bdbms_" ^ name ^ "_total")
+            | Stats.Gauge -> ("gauge", "bdbms_" ^ name)
+          in
+          checkb (name ^ " in Stats.pp") true
+            (contains ~needle:(Printf.sprintf "%s=%d" name v) pp);
+          checkb (name ^ " in Db.metrics") true
+            (contains ~needle:(Printf.sprintf "\n%s %d\n" prom_name v) prom);
+          checkb (name ^ " typed in Db.metrics") true
+            (contains ~needle:(Printf.sprintf "# TYPE %s %s\n" prom_name kind) prom);
+          match List.assoc_opt name view with
+          | None -> Alcotest.failf "%s missing from sys.metrics" name
+          | Some (k, v') ->
+              checks (name ^ " kind in sys.metrics") kind k;
+              if
+                List.mem name
+                  [ "writes"; "wal_appends"; "commit_conflicts"; "stats_analyzed" ]
+              then checki (name ^ " equal in sys.metrics") v v')
+        (Stats.to_list s);
+      checkb "some writes happened" true (s.Stats.writes > 0);
+      checkb "peak_pinned is a gauge" true
+        (contains ~needle:"# TYPE bdbms_peak_pinned gauge" prom))
 
 let test_sys_slow_queries_ring () =
   let db = workload_db () in
@@ -386,7 +437,7 @@ let test_http_under_load () =
   with_engine (fun e ->
       let h =
         Http.serve ~host:"127.0.0.1" ~port:0
-          ~metrics:(fun () -> Engine.metrics e)
+          ~metrics:(fun () -> Db.metrics (Engine.db e))
           ~health:(fun () -> Db.degraded (Engine.db e))
           ()
       in
@@ -443,8 +494,7 @@ let () =
         [
           Alcotest.test_case "sys.tables rows/analyzed" `Quick
             test_sys_tables_content;
-          Alcotest.test_case "sys.metrics matches io_stats" `Quick
-            test_sys_metrics_match_io_stats;
+          Alcotest.test_case "all outputs agree" `Quick test_all_outputs_agree;
           Alcotest.test_case "sys.slow_queries ring" `Quick
             test_sys_slow_queries_ring;
           Alcotest.test_case "sys.traces spans" `Quick test_sys_traces_view;
