@@ -17,7 +17,7 @@ fmt: ## format the tree (requires an ocamlformat config/install)
 bench: ## all paper experiments + E11 durability + E12 query engine
 	dune exec bench/main.exe
 
-bench-quick: ## E12 query + E13 paging + E14 observability + E15 server + E16 batch + E17 resilience + E18 optimizer + E19 introspection smoke runs (reduced sizes)
+bench-quick: ## E12 query + E13 paging + E14 observability + E15 server + E16 batch-vs-naive + E17 resilience + E18 optimizer + E19 introspection smoke runs (reduced sizes)
 	dune exec bench/main.exe -- E12 E13 E14 E15 E16 E17 E18 E19 --quick
 
 bench-e2e: ## E20 over the wire, all four workloads (20 s each; not part of check)

@@ -32,9 +32,9 @@
                                             server PostgreSQL gave the
                                             authors for free)
      E16 vectorized batch execution        (column batches + selection
-                                            vectors vs tuple-at-a-time;
-                                            guards batch >= tuple on the
-                                            scan workload)
+                                            vectors vs the naive oracle;
+                                            guards batch >= naive on the
+                                            aggregate workload)
      E17 fault-tolerance machinery         (statement-deadline checkpoints
                                             + I/O retry wrappers: armed
                                             overhead guarded at 5%)

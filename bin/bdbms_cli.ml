@@ -51,7 +51,9 @@ let report_recovery db =
     Printf.printf "-- catalog: bootstrapped %d metadata record(s) from page 0\n"
       (Db.catalog_records db)
 
-let exec_mode_help = "usage: \\exec [naive|tuple|batch]"
+let exec_mode_help =
+  Printf.sprintf "usage: \\exec [%s]"
+    (String.concat "|" (List.map fst Bdbms_asql.Context.exec_modes))
 let timeout_help = "usage: \\timeout [MS|off]"
 
 (* "\timeout" / "\timeout 500" / "\timeout off" — shared parse for the
@@ -485,15 +487,12 @@ let connect_arg =
 let exec_arg =
   Arg.(
     value
-    & opt
-        (some (enum [ ("naive", `Naive); ("tuple", `Tuple); ("batch", `Batch) ]))
-        None
+    & opt (some (enum Bdbms_asql.Context.exec_modes)) None
     & info [ "exec" ] ~docv:"MODE"
         ~doc:
-          "SELECT engine: $(b,naive) (materializing), $(b,tuple) (pipelined \
-           tuple-at-a-time), or $(b,batch) (vectorized, the default).  With \
-           $(b,--connect) this installs a session-scoped override on the \
-           server.")
+          "SELECT engine: $(b,naive) (materializing) or $(b,batch) \
+           (vectorized, the default).  With $(b,--connect) this installs a \
+           session-scoped override on the server.")
 
 let slow_arg =
   Arg.(

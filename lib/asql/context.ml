@@ -14,23 +14,16 @@ module Approval = Bdbms_auth.Approval
 module Obs = Bdbms_obs.Obs
 module Cancel = Bdbms_util.Cancel
 
-(* The three SELECT engines.  [`Naive] materializes every intermediate
-   (the semantic oracle), [`Tuple] is the pipelined volcano executor,
-   [`Batch] the vectorized path (falling back to [`Tuple] for
-   annotated/ASQL-extended queries and plan shapes it does not cover). *)
-type exec_mode = [ `Naive | `Tuple | `Batch ]
+(* The two SELECT engines.  [`Naive] materializes every intermediate
+   (the semantic oracle), [`Batch] is the vectorized pipeline (annotated
+   and ASQL-extended queries take its materialized annotated path). *)
+type exec_mode = [ `Naive | `Batch ]
 
-let exec_mode_of_string s =
-  match String.lowercase_ascii s with
-  | "naive" -> Some `Naive
-  | "tuple" -> Some `Tuple
-  | "batch" -> Some `Batch
-  | _ -> None
+let exec_modes : (string * exec_mode) list =
+  [ ("naive", `Naive); ("batch", `Batch) ]
 
-let exec_mode_name = function
-  | `Naive -> "naive"
-  | `Tuple -> "tuple"
-  | `Batch -> "batch"
+let exec_mode_of_string s = List.assoc_opt (String.lowercase_ascii s) exec_modes
+let exec_mode_name m = fst (List.find (fun (_, m') -> m' = m) exec_modes)
 
 type index_def = {
   idx_name : string;

@@ -3,17 +3,20 @@
     clock.  The A-SQL executor runs against this; the [Bdbms.Db] facade
     owns one. *)
 
-type exec_mode = [ `Naive | `Tuple | `Batch ]
-(** The three SELECT engines.  [`Naive] materializes every intermediate
-    result (the semantic oracle for equivalence tests), [`Tuple] is the
-    pipelined volcano executor, [`Batch] the vectorized path over column
-    batches with selection vectors.  [`Batch] transparently falls back
-    to [`Tuple] for annotated/ASQL-extended queries (ANNOTATION, AWHERE,
-    provenance propagation) and plan shapes it does not cover, counting
-    each fallback in [Stats.batch_fallbacks]. *)
+type exec_mode = [ `Naive | `Batch ]
+(** The two SELECT engines.  [`Naive] materializes every intermediate
+    result (the semantic oracle for equivalence tests), [`Batch] is the
+    vectorized pipeline over column batches with selection vectors.
+    Under [`Batch], annotated/ASQL-extended queries (ANNOTATION, AWHERE,
+    provenance propagation) take the materialized annotated path
+    instead, each counted in [Stats.batch_fallbacks]. *)
+
+val exec_modes : (string * exec_mode) list
+(** Every engine under its user-facing name, in the order help texts
+    list them. *)
 
 val exec_mode_of_string : string -> exec_mode option
-(** Case-insensitive ["naive"] / ["tuple"] / ["batch"]. *)
+(** Case-insensitive lookup in {!exec_modes}. *)
 
 val exec_mode_name : exec_mode -> string
 
@@ -47,8 +50,7 @@ type t = {
   mutable auto_provenance : bool;
       (** when on, DML records Local_insert / Local_update provenance *)
   mutable exec_mode : exec_mode;
-      (** which SELECT engine runs; the default is [`Batch] (vectorized,
-          with transparent tuple fallback for annotated queries) *)
+      (** which SELECT engine runs; the default is [`Batch] *)
   mutable batch_rows : int;
       (** rows per column batch on the [`Batch] path (default 1024;
           tests use 1 as the degenerate case) *)

@@ -57,21 +57,12 @@ let is_write_stmt = function
       false
   | _ -> true
 
-(* Cooperative cancellation checkpoints: sources check once per
-   [checkpoint_mask + 1] pulled tuples (or every batch).  A disarmed
-   token wraps nothing, so the idle hot path pays a single branch per
-   pipeline construction — E17 guards this at <5%. *)
+(* Cooperative cancellation checkpoints: batch sources check on every
+   batch, the materializing paths once per [checkpoint_mask + 1]
+   annotated rows or considered join pairs.  A disarmed token wraps
+   nothing, so the idle hot path pays a single branch per pipeline
+   construction — E17 guards this at <5%. *)
 let checkpoint_mask = 63
-
-let checked_cursor (ctx : Context.t) cur =
-  if not (Cancel.armed ctx.Context.cancel) then cur
-  else begin
-    let pulls = ref 0 in
-    Cursor.make (Cursor.schema cur) (fun () ->
-        incr pulls;
-        if !pulls land checkpoint_mask = 0 then Cancel.check ctx.Context.cancel;
-        Cursor.next cur)
-  end
 
 let checked_src (ctx : Context.t) (src : Vexec.src) =
   if not (Cancel.armed ctx.Context.cancel) then src
@@ -550,7 +541,7 @@ let needed_frame_cols (plan : Plan.t) (sel : Ast.select) =
           | Plan.Hash { left_cols; right_cols; _ } ->
               List.iter (fun i -> needed.(i) <- true) left_cols;
               List.iter (fun i -> needed.(i) <- true) right_cols
-          | Plan.Nested -> raise Exit (* tuple fallback; no pruning *))
+          | Plan.Nested -> () (* a block join reads no column *))
         plan.Plan.steps;
       Option.iter (fun e -> mark_expr (resolve_expr resolve e)) sel.Ast.where;
       List.iter mark_raw sel.Ast.group_by;
@@ -612,7 +603,7 @@ and equality_conjuncts expr =
   | _ -> []
 
 (* Does executing this SELECT require per-cell annotation envelopes?
-   Plain queries stream bare tuples through cursors; only the annotation
+   Plain queries stream column batches; only the annotation
    operators (and the system outdated warnings of Section 5, when any are
    pending) force the eager annotated representation. *)
 and select_needs_anns (ctx : Context.t) (sel : Ast.select) =
@@ -644,7 +635,7 @@ and exec_select ctx ~user (sel : Ast.select) : Propagate.t =
     sel.Ast.from;
   match ctx.Context.exec_mode with
   | `Naive -> exec_select_naive ctx ~user sel
-  | (`Tuple | `Batch) as mode ->
+  | `Batch ->
       let entries =
         List.map
           (fun (f : Ast.from_item) -> (f, find_rel ctx ~user f.Ast.table))
@@ -662,13 +653,11 @@ and exec_select ctx ~user (sel : Ast.select) : Propagate.t =
         Obs.span ctx.Context.obs "plan" (fun () -> Plan.build ctx frame ~where)
       in
       if select_needs_anns ctx sel then begin
-        (* annotation envelopes force the tuple-at-a-time representation *)
-        if mode = `Batch then
-          Stats.record_batch_fallback (Disk.stats ctx.Context.disk);
+        (* annotation envelopes force the materialized annotated path *)
+        Stats.record_batch_fallback (Disk.stats ctx.Context.disk);
         exec_select_annotated ctx plan sel
       end
-      else if mode = `Batch then exec_select_batch ctx plan sel
-      else exec_select_plain ctx plan sel
+      else exec_select_batch ctx plan sel
 
 (* The naive reference evaluator: materialize every scan with its
    annotations, cross-product the FROM list, then filter.  Kept verbatim
@@ -817,59 +806,46 @@ and exec_select_annotated ctx (plan : Plan.t) (sel : Ast.select) : Propagate.t =
   in
   analyze_finish an joined_n (fun () -> finish_select sel joined plan.Plan.prefixes)
 
-(* Pipelined execution over bare tuples (no annotation operators in the
-   query, no outdated marks): volcano cursors end to end, the [Propagate]
-   envelope is attached only to the final result. *)
-and exec_select_plain ctx (plan : Plan.t) (sel : Ast.select) : Propagate.t =
-  let cur, plan_n = tuple_pipeline ctx plan in
-  let cur =
-    if plan.Plan.permuted then Cursor.project cur (frame_names plan) else cur
-  in
-  plain_tail ctx plan sel (cur, plan_n)
-
-(* Vectorized execution over column batches: same plan, same tail, but
-   scans decode page-at-a-time into column vectors and WHERE/JOIN run
-   over selection vectors.  Plan shapes the batch operators do not cover
-   (block nested-loop joins) fall back to the tuple pipeline, counted in
-   [Stats.batch_fallbacks]. *)
+(* Vectorized execution over column batches (no annotation operators in
+   the query, no outdated marks): scans decode page-at-a-time into
+   column vectors, WHERE and JOIN run over selection vectors, and the
+   [Propagate] envelope is attached only to the final result. *)
 and exec_select_batch ctx (plan : Plan.t) (sel : Ast.select) : Propagate.t =
-  match batch_pipeline ?need:(needed_frame_cols plan sel) ctx plan with
-  | None ->
-      Stats.record_batch_fallback (Disk.stats ctx.Context.disk);
-      exec_select_plain ctx plan sel
-  | Some (bsrc, plan_n) ->
-      if plan.Plan.permuted then
-        (* the batch tail operators consume columns positionally, so a
-           reordered plan goes through the boxed cursor view with one
-           restoring projection instead *)
-        plain_tail ctx plan sel
-          (Cursor.project (Vexec.to_cursor bsrc) (frame_names plan), plan_n)
-      else
-        (* [to_cursor] is lazy, so the tail's tuple-level stages (group-by,
-           DISTINCT, LIMIT) pull batches on demand; the aggregate and
-           top-k stages bypass it and consume [bsrc] directly. *)
-        plain_tail ~batched:bsrc ctx plan sel (Vexec.to_cursor bsrc, plan_n)
+  let bsrc, plan_n = batch_pipeline ?need:(needed_frame_cols plan sel) ctx plan in
+  (* the tail consumes columns positionally: a reordered plan restores
+     FROM order first *)
+  let bsrc =
+    if plan.Plan.permuted then
+      Vexec.project bsrc
+        (List.map (Schema.index_of_exn bsrc.Vexec.schema) (frame_names plan))
+    else bsrc
+  in
+  plain_tail ctx plan sel (bsrc, plan_n)
 
-(* The volcano operator pipeline for one plan: scans, pushed-down
-   filters and joins, each metered under EXPLAIN ANALYZE.  Returns the
-   top cursor and its recorder node. *)
-and tuple_pipeline ctx (plan : Plan.t) =
+(* The operator pipeline for one plan: scans (or a [sys.*] view's
+   snapshot rows), pushed-down filters and joins, each metered under
+   EXPLAIN ANALYZE.  Returns the top batch source and its recorder
+   node. *)
+and batch_pipeline ?need ctx (plan : Plan.t) =
   let stats = Disk.stats ctx.Context.disk in
   let an = ctx.Context.analyze in
-  (* Wrap a cursor so every pull is timed and attributed to [n]. *)
-  let meter n cur =
-    match an with
-    | None -> cur
-    | Some a ->
-        Cursor.make (Cursor.schema cur)
-          (Analyze.meter_pull a n (fun () -> Cursor.next cur))
+  let batch_rows = ctx.Context.batch_rows in
+  let meter n src =
+    match an with None -> src | Some a -> Vexec.meter a n src
   in
-  let source_cursor (src : Plan.source) =
+  let source_batches (src : Plan.source) =
     let base =
       match (src.Plan.access, src.Plan.rel) with
-      | Plan.Seq_scan, Plan.Base table -> Cursor.scan table
+      | Plan.Seq_scan, Plan.Base table ->
+          (* this source's slice of the frame-wide pruning mask *)
+          let need =
+            Option.map
+              (fun m -> Array.sub m src.Plan.offset (Schema.arity src.Plan.schema))
+              need
+          in
+          Vexec.scan ~batch_rows ?need table
       | Plan.Seq_scan, Plan.Virtual { v_schema; v_rows; _ } ->
-          Cursor.of_list v_schema (Array.to_list v_rows)
+          Vexec.of_tuples ~stats ~batch_rows v_schema v_rows
       | Plan.Index_probe _, Plan.Virtual _ ->
           assert false (* no indexes exist over virtual relations *)
       | Plan.Index_probe { index; value }, Plan.Base table ->
@@ -879,186 +855,69 @@ and tuple_pipeline ctx (plan : Plan.t) =
             Bdbms_index.Btree.search idx.Context.tree (Context.index_key value)
             |> List.sort_uniq compare
           in
-          let remaining = ref rows in
-          let rec pull () =
-            match !remaining with
-            | [] -> None
-            | row :: rest -> (
-                remaining := rest;
-                match Table.get table row with
-                | Some tuple -> Some tuple
-                | None -> pull ())
-          in
-          Cursor.make (Table.schema table) pull
+          Vexec.of_rows ~batch_rows table rows
     in
-    let base = checked_cursor ctx base in
-    let cur = Cursor.rename base src.Plan.schema in
-    let pushed cur =
+    let bsrc = Vexec.with_schema (checked_src ctx base) src.Plan.schema in
+    let pushed bsrc =
       List.fold_left
-        (fun cur e ->
-          Cursor.select
-            ~on_drop:(fun () -> Stats.record_pushdown_prune stats)
-            cur e)
-        cur src.Plan.pushed
+        (fun bsrc e ->
+          Vexec.filter
+            ~on_drop:(fun dropped ->
+              for _ = 1 to dropped do
+                Stats.record_pushdown_prune stats
+              done)
+            bsrc e)
+        bsrc src.Plan.pushed
     in
     match an with
-    | None -> (pushed cur, None)
+    | None -> (pushed bsrc, None)
     | Some _ ->
         let scan_n, top_n = analyze_source_nodes src in
-        let cur = pushed (meter scan_n cur) in
-        let cur = if top_n == scan_n then cur else meter top_n cur in
-        (cur, Some top_n)
+        let bsrc = pushed (meter scan_n bsrc) in
+        let bsrc = if top_n == scan_n then bsrc else meter top_n bsrc in
+        (bsrc, Some top_n)
   in
-  let cur, plan_n =
+  let bsrc, plan_n =
     List.fold_left
       (fun (acc, acc_n) (step : Plan.step) ->
-        let right, right_n = source_cursor step.Plan.src in
+        let right, right_n = source_batches step.Plan.src in
         let joined =
           match step.Plan.kind with
-          | Plan.Hash { left_cols = _; left_acc_cols; right_cols; build_left }
-            ->
+          | Plan.Hash { left_cols = _; left_acc_cols; right_cols; build_left } ->
               let off = step.Plan.src.Plan.offset in
-              Cursor.hash_join ~stats ~build_left ~left_keys:left_acc_cols
+              Vexec.hash_join ~stats ~batch_rows ~build_left
+                ~left_keys:left_acc_cols
                 ~right_keys:(List.map (fun c -> c - off) right_cols)
                 acc right
           | Plan.Nested ->
               (* a block join's output can dwarf its inputs; checkpoint
                  the joined stream, not just the leaf scans *)
-              checked_cursor ctx (Cursor.block_join acc right)
+              checked_src ctx (Vexec.block_join ~batch_rows acc right)
         in
+        let post bsrc = List.fold_left Vexec.filter bsrc step.Plan.post in
         match (acc_n, right_n) with
         | Some acc_n, Some right_n ->
             let join_n, top_n =
               analyze_step_nodes plan.Plan.schema acc_n step right_n
             in
-            let cur =
-              List.fold_left Cursor.select (meter join_n joined) step.Plan.post
-            in
-            let cur = if top_n == join_n then cur else meter top_n cur in
-            (cur, Some top_n)
-        | _ -> (List.fold_left Cursor.select joined step.Plan.post, None))
-      (source_cursor plan.Plan.base)
+            let bsrc = post (meter join_n joined) in
+            let bsrc = if top_n == join_n then bsrc else meter top_n bsrc in
+            (bsrc, Some top_n)
+        | _ -> (post joined, None))
+      (source_batches plan.Plan.base)
       plan.Plan.steps
   in
-  (cur, plan_n)
+  (* hash joins can amplify: checkpoint the top of the pipeline too *)
+  (checked_src ctx bsrc, plan_n)
 
-(* The batch-at-a-time mirror of [tuple_pipeline]: same plan walk, same
-   recorder nodes (labels, estimates, tree shape), operators from
-   {!Vexec}.  Returns [None] when a step needs an operator the batch
-   path does not implement. *)
-and batch_pipeline ?need ctx (plan : Plan.t) =
-  let virtual_rel (src : Plan.source) =
-    match src.Plan.rel with Plan.Virtual _ -> true | Plan.Base _ -> false
-  in
-  if
-    List.exists
-      (fun (s : Plan.step) -> s.Plan.kind = Plan.Nested)
-      plan.Plan.steps
-    (* sys.* views have no page-backed column batches: tuple fallback,
-       counted in [Stats.batch_fallbacks] by the caller *)
-    || virtual_rel plan.Plan.base
-    || List.exists (fun (s : Plan.step) -> virtual_rel s.Plan.src) plan.Plan.steps
-  then None
-  else begin
-    let stats = Disk.stats ctx.Context.disk in
-    let an = ctx.Context.analyze in
-    let batch_rows = ctx.Context.batch_rows in
-    let meter n src =
-      match an with None -> src | Some a -> Vexec.meter a n src
-    in
-    let filter ?on_drop src e = Vexec.filter ?on_drop src e in
-    let source_batches (src : Plan.source) =
-      let table =
-        match src.Plan.rel with
-        | Plan.Base t -> t
-        | Plan.Virtual _ -> assert false (* excluded above *)
-      in
-      let base =
-        match src.Plan.access with
-        | Plan.Seq_scan ->
-            (* this source's slice of the frame-wide pruning mask *)
-            let need =
-              Option.map
-                (fun m ->
-                  Array.sub m src.Plan.offset (Schema.arity src.Plan.schema))
-                need
-            in
-            Vexec.scan ~batch_rows ?need table
-        | Plan.Index_probe { index; value } ->
-            let idx = fresh_index ctx index in
-            Stats.record_index_probe stats;
-            let rows =
-              Bdbms_index.Btree.search idx.Context.tree
-                (Context.index_key value)
-              |> List.sort_uniq compare
-            in
-            Vexec.of_rows ~batch_rows table rows
-      in
-      let bsrc = Vexec.with_schema (checked_src ctx base) src.Plan.schema in
-      let pushed bsrc =
-        List.fold_left
-          (fun bsrc e ->
-            filter
-              ~on_drop:(fun dropped ->
-                for _ = 1 to dropped do
-                  Stats.record_pushdown_prune stats
-                done)
-              bsrc e)
-          bsrc src.Plan.pushed
-      in
-      match an with
-      | None -> (pushed bsrc, None)
-      | Some _ ->
-          let scan_n, top_n = analyze_source_nodes src in
-          let bsrc = pushed (meter scan_n bsrc) in
-          let bsrc = if top_n == scan_n then bsrc else meter top_n bsrc in
-          (bsrc, Some top_n)
-    in
-    let bsrc, plan_n =
-      List.fold_left
-        (fun (acc, acc_n) (step : Plan.step) ->
-          let right, right_n = source_batches step.Plan.src in
-          let joined =
-            match step.Plan.kind with
-            | Plan.Hash { left_cols = _; left_acc_cols; right_cols; build_left }
-              ->
-                let off = step.Plan.src.Plan.offset in
-                Vexec.hash_join ~stats ~batch_rows ~build_left
-                  ~left_keys:left_acc_cols
-                  ~right_keys:(List.map (fun c -> c - off) right_cols)
-                  acc right
-            | Plan.Nested -> assert false (* excluded above *)
-          in
-          match (acc_n, right_n) with
-          | Some acc_n, Some right_n ->
-              let join_n, top_n =
-                analyze_step_nodes plan.Plan.schema acc_n step right_n
-              in
-              let bsrc =
-                List.fold_left
-                  (fun bsrc e -> filter bsrc e)
-                  (meter join_n joined) step.Plan.post
-              in
-              let bsrc = if top_n == join_n then bsrc else meter top_n bsrc in
-              (bsrc, Some top_n)
-          | _ ->
-              ( List.fold_left (fun bsrc e -> filter bsrc e) joined
-                  step.Plan.post,
-                None ))
-        (source_batches plan.Plan.base)
-        plan.Plan.steps
-    in
-    (* hash joins can amplify: checkpoint the top of the pipeline too *)
-    Some (checked_src ctx bsrc, plan_n)
-  end
-
-(* Everything from aggregation to LIMIT over the pipeline's top cursor —
-   shared by the tuple and batch engines.  With [batched], the ungrouped
-   aggregate and the pre-projection top-k consume the batch source
-   directly through the typed {!Vexec} operators instead of the boxed
-   cursor view. *)
-and plain_tail ?batched ctx (plan : Plan.t) (sel : Ast.select)
-    ((cur : Cursor.t), (plan_n : Analyze.node option)) : Propagate.t =
+(* Everything from aggregation to LIMIT over the pipeline's top batch
+   source.  The ungrouped aggregate and the pre-projection top-k consume
+   the batches through the typed {!Vexec} operators; the other stages
+   (group-by, DISTINCT, LIMIT) pull boxed rows from a lazy cursor view,
+   which decodes batches only on demand. *)
+and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
+    ((bsrc : Vexec.src), (plan_n : Analyze.node option)) : Propagate.t =
+  let cur = Vexec.to_cursor bsrc in
   let prefixes = plan.Plan.prefixes in
   let an = ctx.Context.analyze in
   (* Tail-stage recorder: each stage node stacks on the previous one, so
@@ -1152,10 +1011,8 @@ and plain_tail ?batched ctx (plan : Plan.t) (sel : Ast.select)
         stage_rs ~est:(Float.max 1.0 (!cur_est /. 10.0)) label (fun () ->
             if keys = [] then
               (* ungrouped aggregates: one streaming pass, constant
-                 memory; on the batch path, typed per-column loops *)
-              match batched with
-              | Some bsrc -> Vexec.aggregate bsrc aggs
-              | None -> Cursor.aggregate cur aggs
+                 memory, typed per-column loops *)
+              Vexec.aggregate bsrc aggs
             else Ops.group_by (Cursor.to_rowset cur) ~keys ~aggs)
       in
       let grouped =
@@ -1192,6 +1049,11 @@ and plain_tail ?batched ctx (plan : Plan.t) (sel : Ast.select)
       match sel.Ast.items with
       | [ Ast.Star ] -> stage project_label cur
       | items ->
+          let computed =
+            List.exists
+              (function Ast.Item { expr = Ast.Scalar _; _ } -> true | _ -> false)
+              items
+          in
           let extended, proj_names =
             List.fold_left
               (fun (acc, names) item ->
@@ -1234,15 +1096,13 @@ and plain_tail ?batched ctx (plan : Plan.t) (sel : Ast.select)
                         (fun () ->
                           { Ops.schema;
                             rows =
-                              (match batched with
-                              | Some bsrc when extended == cur ->
-                                  (* no computed columns: heap straight
-                                     over the batches *)
-                                  Vexec.top_k bsrc
-                                    ~cmp:(order_cmp schema specs) ~k
-                              | _ ->
-                                  Cursor.top_k extended
-                                    ~cmp:(order_cmp schema specs) ~k) })
+                              (if computed then
+                                 Cursor.top_k extended
+                                   ~cmp:(order_cmp schema specs) ~k
+                               else
+                                 (* heap straight over the batches *)
+                                 Vexec.top_k bsrc
+                                   ~cmp:(order_cmp schema specs) ~k) })
                     in
                     Cursor.of_list rs.Ops.schema rs.Ops.rows
                 | _ ->

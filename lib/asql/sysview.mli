@@ -2,7 +2,7 @@
     histograms, sessions, table statistics, the slow-query ring, and
     trace spans — surfaced as read-only virtual relations that the
     regular planner and every SELECT engine scan like tables (the batch
-    path falls back to tuples, counted in [batch_fallbacks]).
+    engine batches their snapshot rows, {!Vexec.of_tuples}).
 
     Views materialize a consistent snapshot at plan time and are not in
     the catalog: writes against them raise

@@ -1,12 +1,11 @@
-(* Batched (vectorized) operators for the plain query path.
+(* Batched (vectorized) operators: the plain query path.
 
-   Each operator here is the batch-at-a-time counterpart of a [Cursor]
-   operator and must be observationally identical to it: same rows, same
-   order, same three-valued predicate semantics, same error messages.
-   The executor runs the same [Plan] through either pipeline and the
+   Every plain SELECT runs through these operators, and the naive
+   oracle in the executor defines what they must compute: same rows,
+   same three-valued predicate semantics, same error messages.  The
    differential test suite asserts the outputs match, so any semantic
-   divergence is a bug — when in doubt an operator falls back to the
-   boxed evaluation the tuple path uses.
+   divergence is a bug — when in doubt an operator falls back to boxed
+   evaluation with [Expr]'s semantics.
 
    The speed comes from three places:
    - scans decode whole heap pages into column vectors under one pin
@@ -38,35 +37,90 @@ let efail fmt = Printf.ksprintf (fun s -> raise (Expr.Eval_error s)) fmt
 let scan ?batch_rows ?need table =
   { schema = Table.schema table; next = Table.batches ?batch_rows ?need table }
 
-(* Candidate rows fetched point-wise (index probes): decoded through
-   [Table.get] — these row sets are small, the cache may already hold
-   them — and re-batched for the rest of the pipeline. *)
-let of_rows ?(batch_rows = Batch.default_rows) table rows =
-  let schema = Table.schema table in
-  let layout = Table.layout table in
-  let remaining = ref rows in
+(* Re-batch a stream of boxed rows: [pull] yields the next row, or
+   [None] once exhausted (it is never called again after that).  Each
+   batch asks [pull] for at most [batch_rows] rows.  [total], an upper
+   bound on the rows [pull] yields, sizes the vectors of small streams
+   (index probes, [sys.*] views) to fit. *)
+let of_pull ?(batch_rows = Batch.default_rows) ?(total = max_int) schema layout
+    pull =
+  let exhausted = ref false and left = ref total in
   let next () =
-    if !remaining = [] then None
+    if !exhausted || !left <= 0 then None
     else begin
-      let b = Batch.builder ~cap:batch_rows schema layout in
+      let b = Batch.builder ~cap:(min batch_rows !left) schema layout in
       let rec fill () =
-        match !remaining with
-        | [] -> ()
-        | r :: rest ->
-            if Batch.full b then ()
-            else begin
-              remaining := rest;
-              (match Table.get table r with
-              | Some t -> Batch.append_tuple b t
-              | None -> ());
+        if not (Batch.full b) then
+          match pull () with
+          | None -> exhausted := true
+          | Some t ->
+              Batch.append_tuple b t;
               fill ()
-            end
       in
       fill ();
+      left := !left - Batch.length b;
       if Batch.length b = 0 then None else Some (Batch.finish b)
     end
   in
   { schema; next }
+
+(* The selected rows of a source, one [(batch, physical row)] per call,
+   pulling batches on demand. *)
+let rows_of src =
+  let cur = ref None and i = ref 0 in
+  let rec pull () =
+    match !cur with
+    | Some b when !i < Batch.selected b ->
+        incr i;
+        Some (b, Batch.sel_row b (!i - 1))
+    | _ -> (
+        match src.next () with
+        | None -> None
+        | Some _ as b ->
+            cur := b;
+            i := 0;
+            pull ())
+  in
+  pull
+
+(* Candidate rows fetched point-wise (index probes): decoded through
+   [Table.get] — these row sets are small, the cache may already hold
+   them — and re-batched for the rest of the pipeline. *)
+let of_rows ?batch_rows table rows =
+  let remaining = ref rows in
+  let rec pull () =
+    match !remaining with
+    | [] -> None
+    | r :: rest -> (
+        remaining := rest;
+        match Table.get table r with Some t -> Some t | None -> pull ())
+  in
+  of_pull ?batch_rows ~total:(List.length rows) (Table.schema table)
+    (Table.layout table) pull
+
+(* Rows that already exist as boxed tuples ([sys.*] snapshots) go into
+   all-boxed vectors: no re-encoding, and no assumption that a view's
+   cells fit its declared column types.  Each batch counts as decoded,
+   like a heap scan's. *)
+let of_tuples ~stats ?batch_rows schema rows =
+  let i = ref 0 in
+  let src =
+    of_pull ?batch_rows ~total:(Array.length rows) schema
+      (Batch.generic_layout schema) (fun () ->
+        if !i >= Array.length rows then None
+        else begin
+          incr i;
+          Some rows.(!i - 1)
+        end)
+  in
+  {
+    src with
+    next =
+      (fun () ->
+        let b = src.next () in
+        if Option.is_some b then Stats.record_batch_decoded stats;
+        b);
+  }
 
 let with_schema src schema =
   if Schema.arity schema <> Schema.arity src.schema then
@@ -78,6 +132,24 @@ let with_schema src schema =
         match src.next () with
         | None -> None
         | Some b -> Some (Batch.with_schema b schema));
+  }
+
+(* Column permutation without copying: each batch keeps its vectors,
+   dictionary and selection vector, only [cols] is reordered. *)
+let project src idxs =
+  let idxs = Array.of_list idxs in
+  let schema =
+    Schema.make (Array.to_list (Array.map (Schema.column_at src.schema) idxs))
+  in
+  {
+    schema;
+    next =
+      (fun () ->
+        match src.next () with
+        | None -> None
+        | Some b ->
+            Some
+              { b with Batch.schema; cols = Array.map (Array.get b.Batch.cols) idxs });
   }
 
 (* ------------------------------------------- expression compilation *)
@@ -366,15 +438,14 @@ let filter ?on_drop src expr =
 
 (* ----------------------------------------------------------- hash join *)
 
-(* Batch counterpart of [Cursor.hash_join]: drain the build side into a
-   hash table of boxed tuples, stream the probe side batch-by-batch.
-   Emission order matches the tuple path (probe order, matches in build
-   order), and candidates are re-checked with [Value.equal] because
+(* Drain the build side into a hash table of boxed tuples, stream the
+   probe side row by row.  Emission order is probe order, matches in
+   build order, and candidates are re-checked with [Value.equal] because
    [hash_key] collides across equality classes.  Output batches are
    all-boxed ([generic_layout]) — their values are materialized tuples
    already. *)
-let hash_join ?stats ?(batch_rows = Batch.default_rows) ~build_left ~left_keys
-    ~right_keys left right =
+let hash_join ?stats ?batch_rows ~build_left ~left_keys ~right_keys left right
+    =
   let out_schema = Schema.concat left.schema right.schema in
   let build_src, probe_src, build_keys, probe_keys =
     if build_left then (left, right, left_keys, right_keys)
@@ -400,73 +471,88 @@ let hash_join ?stats ?(batch_rows = Batch.default_rows) ~build_left ~left_keys
        in
        drain ())
   in
-  let out_layout = Batch.generic_layout out_schema in
   let emit pt bt =
     if build_left then Array.append bt pt else Array.append pt bt
   in
-  (* streaming state: leftover joined tuples from a full output batch,
-     the current probe batch and position within its selection vector *)
+  let probe = rows_of probe_src in
+  (* joined tuples of the current probe row not yet handed out *)
   let pending = ref [] in
-  let cur = ref None in
-  let exhausted = ref false in
-  let next () =
-    if !exhausted && !pending = [] && !cur = None then None
-    else begin
-      let b = Batch.builder ~cap:batch_rows out_schema out_layout in
-      let rec fill () =
-        if Batch.full b then ()
-        else
-          match !pending with
-          | t :: rest ->
-              pending := rest;
-              Batch.append_tuple b t;
-              fill ()
-          | [] -> (
-              match !cur with
-              | Some (pb, i) when i < Batch.selected pb ->
-                  cur := Some (pb, i + 1);
-                  let row = Batch.sel_row pb i in
-                  bump Stats.record_hash_probe;
-                  (match Batch.join_key pb row probe_keys with
-                  | None -> ()
-                  | Some k ->
-                      let matches =
-                        List.filter
-                          (fun btup ->
-                            List.for_all2
-                              (fun bi pi ->
-                                Value.equal (Tuple.get btup bi)
-                                  (Batch.value pb ~row ~col:pi))
-                              build_keys probe_keys)
-                          (Hashtbl.find_all (Lazy.force table) k)
-                      in
-                      (* find_all is newest-first; rev_map restores build
-                         order, exactly like the tuple path *)
-                      let pt = Batch.tuple_of pb row in
-                      pending := List.rev_map (emit pt) matches);
-                  fill ()
-              | Some _ ->
-                  cur := None;
-                  fill ()
-              | None ->
-                  if not !exhausted then (
-                    match probe_src.next () with
-                    | None -> exhausted := true
-                    | Some pb ->
-                        cur := Some (pb, 0);
-                        fill ()))
-      in
-      fill ();
-      if Batch.length b = 0 then None else Some (Batch.finish b)
-    end
+  let rec pull () =
+    match !pending with
+    | t :: rest ->
+        pending := rest;
+        Some t
+    | [] -> (
+        match probe () with
+        | None -> None
+        | Some (pb, row) ->
+            bump Stats.record_hash_probe;
+            (match Batch.join_key pb row probe_keys with
+            | None -> ()
+            | Some k ->
+                let matches =
+                  List.filter
+                    (fun btup ->
+                      List.for_all2
+                        (fun bi pi ->
+                          Value.equal (Tuple.get btup bi)
+                            (Batch.value pb ~row ~col:pi))
+                        build_keys probe_keys)
+                    (Hashtbl.find_all (Lazy.force table) k)
+                in
+                (* find_all is newest-first; rev_map restores build order *)
+                let pt = Batch.tuple_of pb row in
+                pending := List.rev_map (emit pt) matches);
+            pull ())
   in
-  { schema = out_schema; next }
+  of_pull ?batch_rows out_schema (Batch.generic_layout out_schema) pull
+
+(* ---------------------------------------------------------- block join *)
+
+(* Block nested-loop join, for plan steps with no equi-join edge: the
+   right side is drained once into boxed tuples, then every selected left
+   row, in order, pairs with every right row, in order.  There is no join
+   predicate — the step's conjuncts run as filters above it — so one
+   batch considers exactly the pairs it emits, and a runaway cross
+   product reaches a cancellation checkpoint every [batch_rows] pairs. *)
+let block_join ?batch_rows left right =
+  let schema = Schema.concat left.schema right.schema in
+  let inner =
+    lazy
+      (let pull = rows_of right in
+       let rec drain acc =
+         match pull () with
+         | None -> Array.of_list (List.rev acc)
+         | Some (b, row) -> drain (Batch.tuple_of b row :: acc)
+       in
+       drain [])
+  in
+  let outer = rows_of left in
+  (* the current left row and the index of its next right partner *)
+  let lt = ref [||] and ri = ref max_int in
+  let rec pull () =
+    let inner = Lazy.force inner in
+    if !ri < Array.length inner then begin
+      incr ri;
+      Some (Array.append !lt inner.(!ri - 1))
+    end
+    else if Array.length inner = 0 then None
+    else
+      match outer () with
+      | None -> None
+      | Some (b, row) ->
+          lt := Batch.tuple_of b row;
+          ri := 0;
+          pull ()
+  in
+  of_pull ?batch_rows schema (Batch.generic_layout schema) pull
 
 (* ----------------------------------------------------------- aggregate *)
 
-(* Streaming ungrouped aggregation: same accumulators, finalization, and
-   error behaviour as [Cursor.aggregate], with typed loops for the
-   numeric vectors (SUM/AVG/COUNT are the hot aggregates on scans). *)
+(* Streaming ungrouped aggregation: the single row [Ops.group_by] with no
+   keys produces (same finalization and error behaviour), with typed
+   loops for the numeric vectors (SUM/AVG/COUNT are the hot aggregates
+   on scans). *)
 let aggregate src aggs =
   let schema = src.schema in
   List.iter
@@ -551,8 +637,8 @@ let aggregate src aggs =
                   fsum := !fsum +. !fs
                 end
             | _ ->
-                (* boxed fallback: identical to the tuple path's step,
-                   including [Value.as_float]'s error on non-numerics *)
+                (* boxed fallback, including [Value.as_float]'s error on
+                   non-numerics *)
                 for i = 0 to nsel - 1 do
                   let row = Array.unsafe_get sel i in
                   let v = Batch.value b ~row ~col:idx in
@@ -670,22 +756,11 @@ let top_k src ~cmp ~k =
    next batch on demand — so LIMIT downstream stops decoding after the
    batch that satisfies it. *)
 let to_cursor src =
-  let cur = ref None in
-  let rec pull () =
-    match !cur with
-    | Some (b, i) when i < Batch.selected b ->
-        cur := Some (b, i + 1);
-        Some (Batch.tuple_of b (Batch.sel_row b i))
-    | _ -> (
-        match src.next () with
-        | None -> None
-        | Some b ->
-            cur := Some (b, 0);
-            pull ())
-  in
-  Cursor.make src.schema pull
-
-let to_rowset src = Cursor.to_rowset (to_cursor src)
+  let pull = rows_of src in
+  Cursor.make src.schema (fun () ->
+      match pull () with
+      | Some (b, row) -> Some (Batch.tuple_of b row)
+      | None -> None)
 
 let meter recorder node src =
   {

@@ -1,14 +1,12 @@
-(** Batched (vectorized) operators for the plain query path.
+(** Batched (vectorized) operators: the plain query path.
 
-    Each operator is the batch-at-a-time counterpart of a
-    {!Bdbms_relation.Cursor} operator and is observationally identical
-    to it — same rows, same order, same three-valued predicate
-    semantics, same error messages — so the executor can run the same
-    {!Plan} through either pipeline and the differential suite can
-    assert the outputs match.  The speed comes from page-at-a-time
-    decoding into column vectors, predicates compiled to per-column
-    loops over a selection vector, and aggregates running typed tight
-    loops that box only at finalization. *)
+    Every plain SELECT's plan runs through these operators.  They must
+    compute exactly what the executor's naive oracle computes — same
+    rows, same three-valued predicate semantics, same error messages —
+    and the differential suite asserts the outputs match.  The speed
+    comes from page-at-a-time decoding into column vectors, predicates
+    compiled to per-column loops over a selection vector, and aggregates
+    running typed tight loops that box only at finalization. *)
 
 type src = {
   schema : Bdbms_relation.Schema.t;
@@ -26,9 +24,24 @@ val of_rows : ?batch_rows:int -> Bdbms_relation.Table.t -> int list -> src
 (** Re-batch point-fetched rows (index-probe candidates); dead rows are
     skipped. *)
 
+val of_tuples :
+  stats:Bdbms_obs.Stats.t ->
+  ?batch_rows:int ->
+  Bdbms_relation.Schema.t ->
+  Bdbms_relation.Tuple.t array ->
+  src
+(** Batch already-materialized rows (a [sys.*] view's snapshot) into
+    all-boxed vectors, in array order; each batch counts in [stats]'
+    [batches_decoded], like a heap scan's. *)
+
 val with_schema : src -> Bdbms_relation.Schema.t -> src
 (** Reinterpret under a different schema of the same arity (alias
     qualification).  @raise Invalid_argument on arity mismatch. *)
+
+val project : src -> int list -> src
+(** Reorder (or drop) columns by position without copying: each batch
+    keeps its vectors, dictionary and selection vector.  Restores the
+    FROM-order layout of a cost-reordered join plan. *)
 
 val compile_pred :
   Bdbms_relation.Schema.t ->
@@ -57,18 +70,27 @@ val hash_join :
   src ->
   src ->
   src
-(** Equi-join on positional key lists, batch counterpart of
-    {!Bdbms_relation.Cursor.hash_join}: the build side drains into a
-    hash table of boxed tuples on first pull, the probe side streams
-    through batch-by-batch.  NULL keys never match; candidates re-check
-    {!Bdbms_relation.Value.equal}; output order and the [left ++ right]
-    column layout match the tuple path exactly. *)
+(** Equi-join on positional key lists (one index per side, pairwise):
+    the build side ([left] when [build_left]) drains into a hash table of
+    boxed tuples on first pull, the probe side streams through
+    batch-by-batch.  Key hashing uses {!Bdbms_relation.Value.hash_key},
+    so NULL keys never match and cross-type numeric equality works;
+    candidates re-check {!Bdbms_relation.Value.equal}.  Output rows are
+    [left ++ right] in probe order, matches in build order, regardless of
+    build side.  [stats] counts build/probe rows. *)
+
+val block_join : ?batch_rows:int -> src -> src -> src
+(** Block nested-loop join (cross product) for plan steps without an
+    equi-join edge: [right] is drained once into boxed tuples, then each
+    selected [left] row, in order, is paired with every right row, in
+    order, as [left ++ right].  No predicate: the caller filters above
+    it, so each output batch considers at most [batch_rows] pairs. *)
 
 val aggregate :
   src -> (Bdbms_relation.Ops.aggregate * string) list -> Bdbms_relation.Ops.rowset
 (** Streaming ungrouped aggregation over batches — the single row
-    {!Bdbms_relation.Cursor.aggregate} would produce, computed with
-    typed per-column loops.  @raise Bdbms_relation.Expr.Eval_error on an
+    {!Bdbms_relation.Ops.group_by} with no keys would produce, computed
+    with typed per-column loops.  @raise Bdbms_relation.Expr.Eval_error on an
     unknown aggregate column. *)
 
 val top_k :
@@ -82,8 +104,6 @@ val top_k :
 val to_cursor : src -> Bdbms_relation.Cursor.t
 (** Lazy tuple view: boxes only selected rows and pulls batches on
     demand, so a downstream LIMIT stops decoding early. *)
-
-val to_rowset : src -> Bdbms_relation.Ops.rowset
 
 val meter : Analyze.t -> Analyze.node -> src -> src
 (** Wrap [next] with {!Analyze.meter_batch_pull}: each produced batch

@@ -306,7 +306,7 @@ let exec_nocommit t ?(user = Context.superuser) ?session ?timeout_ms sql =
           Context.with_deadline t.ctx ?timeout_ms (fun () ->
               Executor.run t.ctx ~user sql)))
 
-let force_rollback t = rollback t
+let force_rollback t = safe_rollback t
 
 let set_on_first_dirty t hook =
   t.on_first_dirty <- hook;

@@ -87,7 +87,9 @@ val exec_nocommit :
 
 val force_rollback : t -> unit
 (** Abandon everything since the last commit and re-bootstrap the engine
-    from the committed state (no-op on an in-memory database). *)
+    from the committed state (no-op on an in-memory database).  When the
+    re-bootstrap's own I/O fails, enter read-only degraded mode, whose
+    entry retries it with backoff. *)
 
 val set_on_first_dirty :
   t ->
@@ -112,10 +114,9 @@ val set_auto_provenance : t -> bool -> unit
 
 val set_exec_mode : t -> Bdbms_asql.Context.exec_mode -> unit
 (** Select the SELECT engine: [`Naive] materializes every intermediate
-    (the differential-testing oracle), [`Tuple] is the pipelined volcano
-    executor, [`Batch] (the default) the vectorized engine over column
-    batches, which transparently falls back to the tuple path for
-    annotated queries and uncovered plan shapes (counted in
+    (the differential-testing oracle), [`Batch] (the default) is the
+    vectorized engine over column batches.  Under [`Batch], annotated
+    queries take the materialized annotated path (counted in
     {!io_stats}'s [batch_fallbacks]). *)
 
 val exec_mode : t -> Bdbms_asql.Context.exec_mode

@@ -74,12 +74,11 @@ val record_ann_envelope : t -> unit
 
 val record_batch_decoded : t -> unit
 (** A column batch decoded from heap pages (one pin scope covering up to
-    [batch_rows] tuples). *)
+    [batch_rows] tuples) or from a [sys.*] view's snapshot rows. *)
 
 val record_batch_fallback : t -> unit
-(** A query that requested the batch engine but fell back to the tuple
-    path (annotated/ASQL-extended semantics, or a plan shape the batch
-    pipeline does not cover). *)
+(** An annotated/ASQL-extended SELECT that the batch engine routed to
+    the materialized annotated path. *)
 
 val record_stats_analyzed : t -> unit
 val record_stats_stale : t -> unit

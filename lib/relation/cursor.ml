@@ -1,5 +1,3 @@
-module Stats = Bdbms_obs.Stats
-
 type t = {
   schema : Schema.t;
   mutable pull : unit -> Tuple.t option;
@@ -16,19 +14,6 @@ let close t =
 
 let make schema pull = { schema; pull; closed = false }
 
-let scan table =
-  let row = ref 0 in
-  let total = Table.row_count table in
-  let rec pull () =
-    if !row >= total then None
-    else begin
-      let r = !row in
-      incr row;
-      match Table.get table r with Some tuple -> Some tuple | None -> pull ()
-    end
-  in
-  make (Table.schema table) pull
-
 let of_list schema tuples =
   let remaining = ref tuples in
   make schema (fun () ->
@@ -37,20 +22,6 @@ let of_list schema tuples =
       | t :: rest ->
           remaining := rest;
           Some t)
-
-let select ?on_drop input pred =
-  let dropped () = match on_drop with Some f -> f () | None -> () in
-  let rec pull () =
-    match next input with
-    | None -> None
-    | Some tuple ->
-        if Expr.eval_pred input.schema tuple pred then Some tuple
-        else begin
-          dropped ();
-          pull ()
-        end
-  in
-  make input.schema pull
 
 let rename input schema =
   if Schema.arity schema <> Schema.arity input.schema then
@@ -80,37 +51,6 @@ let limit input n =
             decr remaining;
             Some tuple)
 
-let nested_loop_join outer ~rebuild ~on =
-  let inner_schema = (rebuild ()).schema in
-  let out_schema = Schema.concat outer.schema inner_schema in
-  let current_outer = ref None in
-  let current_inner = ref None in
-  let rec pull () =
-    match !current_outer with
-    | None -> (
-        match next outer with
-        | None -> None
-        | Some o ->
-            current_outer := Some o;
-            current_inner := Some (rebuild ());
-            pull ())
-    | Some o -> (
-        match !current_inner with
-        | None ->
-            current_outer := None;
-            pull ()
-        | Some inner -> (
-            match next inner with
-            | None ->
-                current_inner := None;
-                current_outer := None;
-                pull ()
-            | Some i ->
-                let joined = Array.append o i in
-                if Expr.eval_pred out_schema joined on then Some joined else pull ()))
-  in
-  make out_schema pull
-
 let to_list t =
   let rec go acc =
     match next t with None -> List.rev acc | Some tuple -> go (tuple :: acc)
@@ -118,14 +58,6 @@ let to_list t =
   go []
 
 let to_rowset t = { Ops.schema = t.schema; rows = to_list t }
-
-let count t =
-  let rec go n = match next t with None -> n | Some _ -> go (n + 1) in
-  go 0
-
-let fold t ~init ~f =
-  let rec go acc = match next t with None -> acc | Some x -> go (f acc x) in
-  go init
 
 let offset input n =
   let remaining = ref (max 0 n) in
@@ -165,92 +97,6 @@ let join_key tuple idxs =
       idxs
   in
   if ok then Some (Buffer.contents buf) else None
-
-let hash_join ?stats ~build_left ~left_keys ~right_keys left right =
-  let out_schema = Schema.concat left.schema right.schema in
-  let build_src, probe_src, build_keys, probe_keys =
-    if build_left then (left, right, left_keys, right_keys)
-    else (right, left, right_keys, left_keys)
-  in
-  let bump f = match stats with Some s -> f s | None -> () in
-  (* build lazily on first pull so an unconsumed cursor costs nothing *)
-  let table =
-    lazy
-      (let h = Hashtbl.create 256 in
-       let rec go () =
-         match next build_src with
-         | None -> h
-         | Some t ->
-             (match join_key t build_keys with
-             | Some k ->
-                 bump Stats.record_hash_build;
-                 Hashtbl.add h k t
-             | None -> ());
-             go ()
-       in
-       go ())
-  in
-  let pending = ref [] in
-  let emit probe_t build_t =
-    if build_left then Array.append build_t probe_t
-    else Array.append probe_t build_t
-  in
-  let rec pull () =
-    match !pending with
-    | out :: rest ->
-        pending := rest;
-        Some out
-    | [] -> (
-        match next probe_src with
-        | None -> None
-        | Some pt -> (
-            bump Stats.record_hash_probe;
-            match join_key pt probe_keys with
-            | None -> pull ()
-            | Some k ->
-                (* hash_key collides across equality classes, so re-check
-                   real equality on every candidate pair *)
-                let matches =
-                  List.filter
-                    (fun bt ->
-                      List.for_all2
-                        (fun bi pi ->
-                          Value.equal (Tuple.get bt bi) (Tuple.get pt pi))
-                        build_keys probe_keys)
-                    (Hashtbl.find_all (Lazy.force table) k)
-                in
-                (* find_all yields newest-first; rev_map restores build order *)
-                (match List.rev_map (emit pt) matches with
-                | [] -> pull ()
-                | out :: rest ->
-                    pending := rest;
-                    Some out)))
-  in
-  make out_schema pull
-
-let block_join ?on left right =
-  let out_schema = Schema.concat left.schema right.schema in
-  let right_rows = lazy (to_list right) in
-  let current = ref None in
-  let rec pull () =
-    match !current with
-    | Some (lt, rt :: rest) -> (
-        current := Some (lt, rest);
-        let joined = Array.append lt rt in
-        match on with
-        | Some pred when not (Expr.eval_pred out_schema joined pred) -> pull ()
-        | _ -> Some joined)
-    | Some (_, []) ->
-        current := None;
-        pull ()
-    | None -> (
-        match next left with
-        | None -> None
-        | Some lt ->
-            current := Some (lt, Lazy.force right_rows);
-            pull ())
-  in
-  make out_schema pull
 
 let top_k input ~cmp ~k =
   if k <= 0 then begin
@@ -346,83 +192,3 @@ let distinct input =
         end
   in
   make input.schema pull
-
-let aggregate input aggs =
-  let schema = input.schema in
-  List.iter
-    (fun (agg, _) ->
-      match Ops.agg_column agg with
-      | Some c when not (Schema.mem schema c) ->
-          raise (Expr.Eval_error ("aggregate over unknown column " ^ c))
-      | _ -> ())
-    aggs;
-  let out_schema =
-    Schema.make
-      (List.map
-         (fun (agg, out_name) ->
-           { Schema.name = out_name; ty = Ops.agg_type schema agg })
-         aggs)
-  in
-  let accs =
-    List.map
-      (fun (agg, _) ->
-        let idx =
-          match Ops.agg_column agg with
-          | None -> -1
-          | Some c -> Schema.index_of_exn schema c
-        in
-        let st =
-          match agg with
-          | Ops.Count_star | Ops.Count _ -> `Cnt (ref 0)
-          | Ops.Sum _ | Ops.Avg _ -> `Num (ref 0, ref 0, ref 0.0, ref true)
-          | Ops.Min _ -> `Best (ref None, -1)
-          | Ops.Max _ -> `Best (ref None, 1)
-        in
-        (agg, idx, st))
-      aggs
-  in
-  let step t =
-    List.iter
-      (fun (_, idx, st) ->
-        match st with
-        | `Cnt n when idx < 0 -> incr n (* count-star counts every row *)
-        | `Cnt n -> if not (Value.is_null (Tuple.get t idx)) then incr n
-        | `Num (n, isum, fsum, all_int) ->
-            let v = Tuple.get t idx in
-            if not (Value.is_null v) then begin
-              incr n;
-              (match v with
-              | Value.VInt k -> isum := !isum + k
-              | _ -> all_int := false);
-              fsum := !fsum +. Value.as_float v
-            end
-        | `Best (best, dir) ->
-            let v = Tuple.get t idx in
-            if not (Value.is_null v) then (
-              match !best with
-              | None -> best := Some v
-              | Some b -> if dir * Value.compare v b > 0 then best := Some v))
-      accs
-  in
-  let rec consume () =
-    match next input with
-    | None -> ()
-    | Some t ->
-        step t;
-        consume ()
-  in
-  consume ();
-  let finalize (agg, _, st) =
-    match (agg, st) with
-    | (Ops.Count_star | Ops.Count _), `Cnt n -> Value.VInt !n
-    | Ops.Sum _, `Num (n, isum, fsum, all_int) ->
-        if !n = 0 then Value.VNull
-        else if !all_int then Value.VInt !isum
-        else Value.VFloat !fsum
-    | Ops.Avg _, `Num (n, _, fsum, _) ->
-        if !n = 0 then Value.VNull else Value.VFloat (!fsum /. float_of_int !n)
-    | (Ops.Min _ | Ops.Max _), `Best (best, _) -> (
-        match !best with None -> Value.VNull | Some v -> v)
-    | _ -> assert false
-  in
-  { Ops.schema = out_schema; rows = [ Array.of_list (List.map finalize accs) ] }

@@ -158,8 +158,8 @@ let to_list t = List.rev (fold t ~init:[] ~f:(fun acc row tuple -> (row, tuple) 
    vectors.  Consecutive rows whose records landed on the same heap page
    decode under a single pin (one page fault / CRC check per run instead
    of per row); after in-place updates relocate records the run merely
-   shortens — row order is preserved regardless, so all three executors
-   see rows in the same order. *)
+   shortens — row order is preserved regardless, so both executors see
+   rows in the same order. *)
 let batches ?(batch_rows = Batch.default_rows) ?need t =
   let row = ref 0 in
   fun () ->

@@ -160,8 +160,8 @@ let handle_control t session name =
                 {
                   code = P.E_proto;
                   message =
-                    Printf.sprintf
-                      "unknown exec mode %S (naive|tuple|batch)" mode;
+                    Printf.sprintf "unknown exec mode %S (%s)" mode
+                      (String.concat "|" (List.map fst Context.exec_modes));
                 })
       | _ ->
           P.Error_resp

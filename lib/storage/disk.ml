@@ -118,6 +118,15 @@ let mem_ensure c n =
     c.mem <- arr
   end
 
+(* A released disk's descriptor numbers may already belong to another
+   file or socket.  A context still holding one (a rollback whose reopen
+   failed) must not touch them: its I/O fails with the retryable
+   degraded error instead, which sends the caller back through the
+   reopen. *)
+let live d =
+  if d.released then
+    raise (Backend.Io_degraded { op = "io"; detail = "disk was abandoned" })
+
 let load_slot c d id =
   let page, verdict = Backend.load d.backend id in
   (match verdict with
@@ -139,6 +148,7 @@ let src_load c id =
           b.ob_read id
       | _ -> Page.copy c.mem.(id))
   | Some d -> (
+      live d;
       match Hashtbl.find_opt d.loc id with
       | Some (In_wal off) ->
           (* Defensive: an [In_wal] image is flushed before its frame is
@@ -149,6 +159,7 @@ let src_load c id =
       | Some In_slot | None -> load_slot c d id)
 
 let push_record c d id page ~evicting =
+  live d;
   if evicting then Fault.hit c.fault Fault.Evict_writeback;
   let data = Page.get_bytes page ~pos:0 ~len:c.page_size in
   let off = Wal.append_located d.wal (Wal.Page_write { page_id = id; data }) in
@@ -199,6 +210,7 @@ let src_alloc c () =
       mem_ensure c (id + 1);
       c.mem.(id) <- Page.create ~size:c.page_size ()
   | Some d ->
+      live d;
       Wal.append d.wal (Wal.Alloc { page_id = id });
       Hashtbl.replace d.dirty id ();
       d.uncommitted <- d.uncommitted + 1);
@@ -277,7 +289,7 @@ let set_cancel t c =
 let probe_io t =
   match t.core.durable with
   | None -> true
-  | Some d -> Backend.probe d.backend
+  | Some d -> (not d.released) && Backend.probe d.backend
 
 let default_pool_pages = 256
 
@@ -404,6 +416,7 @@ let checkpoint t =
   | None -> ()
   | Some d ->
       let work () =
+      live d;
       Fault.check t.core.fault;
       Pager.flush_dirty t.pager;
       if d.uncommitted > 0 then begin
@@ -454,6 +467,7 @@ let commit t =
   match t.core.durable with
   | None -> ()
   | Some d ->
+      live d;
       Fault.check t.core.fault;
       Pager.flush_dirty t.pager;
       if d.uncommitted > 0 then begin

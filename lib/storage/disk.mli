@@ -159,7 +159,8 @@ val set_cancel : t -> Bdbms_util.Cancel.t option -> unit
 val probe_io : t -> bool
 (** Single-attempt I/O health check (one fsync, no retry): [true] iff
     the stable store is accepting writes.  Used to leave read-only
-    degraded mode.  Always [true] for mem/overlay disks. *)
+    degraded mode.  Always [true] for mem/overlay disks; [false] once
+    {!close}/{!abandon} released the descriptors. *)
 
 val wal_size : t -> int
 (** Bytes in the log file plus the unflushed buffer (0 when ephemeral). *)

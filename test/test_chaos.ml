@@ -72,40 +72,31 @@ let run_client ~sock ~seed ~cid oracle =
   (match Client.hello c ~user:"admin" with
   | Ok _ -> ()
   | Error e -> failf "seed %d client %d: hello refused: %s" seed cid e);
+  (* explicit transaction; the *commit* response decides the fate *)
+  let rec txn ~retry v =
+    let ok r = match r with P.Error_resp _ -> false | _ -> true in
+    if not (ok (Client.query c "BEGIN")) then unk oracle v
+    else if not (ok (Client.query c (Printf.sprintf "INSERT INTO chaos VALUES (%d)" v)))
+    then begin
+      unk oracle v;
+      ignore (Client.query c "ROLLBACK")
+    end
+    else
+      match Client.query c "COMMIT" with
+      | P.Error_resp { code; _ } when retry && P.code_retryable code ->
+          (* the transaction aborted whole; retry it once from BEGIN *)
+          unk oracle v;
+          txn ~retry:false (v + 500)
+      | P.Error_resp _ -> unk oracle v
+      | _ -> ack oracle v
+  in
   for op = 1 to ops_per_client do
     let v = value ~seed ~cid ~op in
     match Random.State.int rng 10 with
     | 0 | 1 | 2 ->
         (* read: any response is fine, the session just must not wedge *)
         ignore (Client.query c "SELECT COUNT(*) AS c FROM chaos")
-    | 3 | 4 -> (
-        (* explicit transaction; the *commit* response decides the fate *)
-        let ok r = match r with P.Error_resp _ -> false | _ -> true in
-        if not (ok (Client.query c "BEGIN")) then unk oracle v
-        else if not (ok (Client.query c (Printf.sprintf "INSERT INTO chaos VALUES (%d)" v)))
-        then begin
-          unk oracle v;
-          ignore (Client.query c "ROLLBACK")
-        end
-        else
-          match Client.query c "COMMIT" with
-          | P.Error_resp { code; _ } when P.code_retryable code -> (
-              (* the transaction aborted whole; retry it once from BEGIN *)
-              unk oracle v;
-              let v2 = v + 500 in
-              match
-                ( Client.query c "BEGIN",
-                  Client.query c
-                    (Printf.sprintf "INSERT INTO chaos VALUES (%d)" v2),
-                  Client.query c "COMMIT" )
-              with
-              | _, _, (P.Committed _ | P.Count _ | P.Message _) ->
-                  ack oracle v2
-              | _ ->
-                  unk oracle v2;
-                  ignore (Client.query c "ROLLBACK"))
-          | P.Error_resp _ -> unk oracle v
-          | _ -> ack oracle v)
+    | 3 | 4 -> txn ~retry:true v
     | _ -> (
         (* autocommit write through the client's retry loop *)
         let resp, _retries =

@@ -1,12 +1,11 @@
 (* Differential tests for the query engines: every query — fixed edge
    cases plus a deterministic randomized sweep — must return the same
-   rows under all three engines ([`Naive] the materialize-everything
-   oracle, [`Tuple] the volcano executor, [`Batch] the vectorized
-   path; see [Db.set_exec_mode]).  A second group asserts through the
-   Stats counters that the fast paths actually ran: hash joins build and
-   probe, pushdown prunes during the scan, index probes replace full
-   scans, batches are decoded on the vectorized path, and plain queries
-   never materialize annotation envelopes. *)
+   rows under both engines ([`Naive] the materialize-everything oracle,
+   [`Batch] the vectorized path; see [Db.set_exec_mode]).  A second
+   group asserts through the Stats counters that the fast paths actually
+   ran: hash joins build and probe, pushdown prunes during the scan,
+   index probes replace full scans, every plain plan shape decodes
+   batches, and plain queries never materialize annotation envelopes. *)
 
 open Bdbms
 module Value = Bdbms_relation.Value
@@ -93,31 +92,22 @@ let encode_row (r : Propagate.atuple) =
 
 let mode_name = Bdbms_asql.Context.exec_mode_name
 
-(* Run [sql] under every engine and check each against the naive
-   oracle. *)
+(* Run [sql] under both engines and check the batch engine against the
+   naive oracle. *)
 let run_all_modes db ~ordered sql =
   let run mode =
     Db.set_exec_mode db mode;
     rows_of db sql
   in
   let n = run `Naive in
-  let fast = List.map (fun m -> (m, run m)) [ `Tuple; `Batch ] in
-  Db.set_exec_mode db `Batch;
-  let en =
-    let e = List.map encode_row n.Propagate.rows in
+  let p = run `Batch in
+  let encode rs =
+    let e = List.map encode_row rs.Propagate.rows in
     if ordered then e else List.sort compare e
   in
-  List.iter
-    (fun (m, p) ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "schema (%s): %s" (mode_name m) sql)
-        (schema_names n) (schema_names p);
-      let ep = List.map encode_row p.Propagate.rows in
-      let ep = if ordered then ep else List.sort compare ep in
-      Alcotest.(check (list string))
-        (Printf.sprintf "rows (%s): %s" (mode_name m) sql)
-        en ep)
-    fast
+  Alcotest.(check (list string))
+    ("schema (batch): " ^ sql) (schema_names n) (schema_names p);
+  Alcotest.(check (list string)) ("rows (batch): " ^ sql) (encode n) (encode p)
 
 (* ---------------------------------------------------------- fixed cases *)
 
@@ -357,26 +347,61 @@ let test_stats_counters () =
   Db.set_exec_mode db `Batch;
   checki "oracle: no hash builds" 0 d.Stats.hash_builds;
   checki "oracle: no probes" 0 d.Stats.hash_probes;
-  (* the vectorized engine decodes column batches; the tuple engine
-     never does *)
+  (* the vectorized engine decodes column batches *)
   let d = diff_for db "SELECT id FROM T1 WHERE k > 2" in
   checkb "batches decoded" true (d.Stats.batches_decoded > 0);
   checki "no fallback on a plain query" 0 d.Stats.batch_fallbacks;
-  Db.set_exec_mode db `Tuple;
-  let d = diff_for db "SELECT id FROM T1 WHERE k > 2" in
-  checki "tuple mode decodes no batches" 0 d.Stats.batches_decoded;
-  Db.set_exec_mode db `Batch;
-  (* annotated queries transparently fall back to the tuple path *)
+  (* annotated queries take the materialized annotated path *)
   let d = diff_for db "SELECT * FROM T1 ANNOTATION(notes) WHERE k < 5" in
   checkb "annotated query counted as fallback" true
     (d.Stats.batch_fallbacks > 0);
   checki "fallback decodes no batches" 0 d.Stats.batches_decoded
 
+(* Every plain plan shape runs batched: block joins, sys.* views, and
+   cost-reordered plans count no fallback and decode column batches.
+   Only an annotated query still routes to the annotated path. *)
+let test_no_batch_fallbacks () =
+  let batched db what sql =
+    let d = diff_for db sql in
+    checki (what ^ ": no fallback") 0 d.Stats.batch_fallbacks;
+    checkb (what ^ ": batches decoded") true (d.Stats.batches_decoded > 0);
+    d
+  in
+  let db = mk_db () in
+  ignore
+    (batched db "edge-less cross join"
+       "SELECT a.k, b.k FROM T1 a, T2 b WHERE a.id < 5 AND b.id < 5");
+  ignore
+    (batched db "sys.metrics scan"
+       "SELECT name, value FROM sys.metrics WHERE kind = 'counter'");
+  ignore
+    (batched db "sys view joined to a base table"
+       "SELECT t.name, x.id FROM sys.tables t, T2 x WHERE x.id < 3");
+  let d = diff_for db "SELECT id FROM T1 ANNOTATION(notes) WHERE k = 2" in
+  checki "annotated query: one fallback" 1 d.Stats.batch_fallbacks;
+  let db = Fixtures.skewed_join_db () in
+  let d =
+    batched db "permuted 3-way COUNT(*)"
+      "SELECT COUNT(*) FROM a, b, c WHERE a.k = b.k AND b.id = c.b_id AND \
+       c.sel = 0"
+  in
+  checki "plan was reordered" 1 d.Stats.plans_reordered;
+  Db.close db
+
+(* The decoded-tuple cache serves every path that reads through
+   [Table.get]: index-probe candidates on the batch engine and the naive
+   oracle's scans.  (Batch scans decode pages into column vectors by
+   design, bypassing it.) *)
 let test_decode_cache () =
   let db = mk_db () in
-  (* pinned to the tuple engine: the batch path re-decodes pages into
-     column vectors by design, bypassing the decoded-tuple cache *)
-  Db.set_exec_mode db `Tuple;
+  (match Db.exec db "CREATE INDEX t1_k ON T1 (k)" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "index: %s" e);
+  ignore (rows_of db "SELECT * FROM T1 WHERE k = 3");
+  let d = diff_for db "SELECT * FROM T1 WHERE k = 3" in
+  checkb "repeated probe hits the index" true (d.Stats.index_probes > 0);
+  checki "repeated probe decodes nothing" 0 d.Stats.tuples_decoded;
+  Db.set_exec_mode db `Naive;
   ignore (rows_of db "SELECT * FROM T1");
   (* every T1 row now sits in the decoded-tuple cache (direct-mapped, 256
      slots, 60 rows): a rescan decodes nothing *)
@@ -481,7 +506,7 @@ let test_analyze_actuals () =
   checkb "annotated tree keeps the scan" true
     ((find_node root "SCAN T1").Analyze.actual_rows > 0)
 
-(* Sweep: on every fixed query without LIMIT/OFFSET, all three engines'
+(* Sweep: on every fixed query without LIMIT/OFFSET, both engines'
    recorded roots must account for exactly the rows they returned, and
    those row multisets must agree. *)
 let test_analyze_differential_sweep () =
@@ -498,7 +523,7 @@ let test_analyze_differential_sweep () =
             Db.set_exec_mode db m;
             let root, rs, _ = analyze db sql in
             (m, root, rs))
-          [ `Naive; `Tuple; `Batch ]
+          [ `Naive; `Batch ]
       in
       Db.set_exec_mode db `Batch;
       let _, _, rs_n = List.hd runs in
@@ -732,6 +757,7 @@ let () =
         [
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "decode cache" `Quick test_decode_cache;
+          Alcotest.test_case "no batch fallbacks" `Quick test_no_batch_fallbacks;
         ] );
       ( "explain-analyze",
         [

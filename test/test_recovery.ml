@@ -100,7 +100,16 @@ let test_abandon_twice () =
       cleanup path)
     (fun () ->
       Disk.abandon d;
-      checki "reused descriptor still open" 1 (Unix.write_substring w "x" 0 1))
+      checki "reused descriptor still open" 1 (Unix.write_substring w "x" 0 1);
+      (* nor does I/O through the abandoned disk reach the reused numbers *)
+      checkb "probe refuses" false (Disk.probe_io d);
+      (match Disk.alloc d with
+      | _ -> Alcotest.fail "alloc on an abandoned disk"
+      | exception Backend.Io_degraded _ -> ());
+      (match Disk.commit d with
+      | () -> Alcotest.fail "commit on an abandoned disk"
+      | exception Backend.Io_degraded _ -> ());
+      checki "reused descriptor untouched" 1 (Unix.write_substring w "y" 0 1))
 
 let test_uncommitted_discarded () =
   let path = tmp_path () in

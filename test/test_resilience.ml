@@ -247,6 +247,34 @@ let test_degraded_mode_and_heal () =
   Db.close db2;
   cleanup path
 
+(* The server's abort cycle ([force_rollback]) whose re-bootstrap hits
+   failing I/O must not leave the handle on the abandoned disk, whose
+   descriptor numbers the process may hand to a socket next: it drops
+   into degraded mode (retrying the reopen) and heals later. *)
+let test_failed_reopen_degrades () =
+  let path = tmp_path () in
+  let fault = Fault.create () in
+  let db = Db.create ~path ~fault () in
+  ignore (Db.exec_exn db "CREATE TABLE t (n INT)");
+  ignore (Db.exec_exn db "INSERT INTO t VALUES (1)");
+  (match Db.exec_nocommit db "INSERT INTO t VALUES (2)" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  (* one retry budget of failures: the first reopen gives up, the
+     degraded entry's retry finds the injector drained *)
+  Fault.arm_io fault ~count:Backoff.default.Backoff.max_attempts Fault.Eio;
+  Db.force_rollback db;
+  checkb "degraded, not dead" true (Db.degraded db <> None);
+  Fault.disarm fault;
+  (match Db.exec db "INSERT INTO t VALUES (3)" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("healed write failed: " ^ e));
+  checkb "healed" true (Db.degraded db = None);
+  checks "uncommitted row rolled back" "n\n1\n3\n(2 rows)"
+    (String.trim (Db.render_exn db "SELECT * FROM t ORDER BY n"));
+  Db.close db;
+  cleanup path
+
 (* the metrics exposition carries the new instruments *)
 let test_metrics_exposition () =
   let db = Db.create () in
@@ -343,6 +371,8 @@ let test_pin_leak_on_cancel () =
       "SELECT a.n, b.n FROM big a, big b WHERE a.k = b.k AND a.n < 40";
       (* aggregate *) "SELECT k, COUNT(*) AS c FROM big GROUP BY k";
       (* sort/top-k *) "SELECT * FROM big ORDER BY k DESC LIMIT 10";
+      (* nested-loop join *)
+      "SELECT a.n, b.n FROM big a, big b WHERE a.n < b.n AND b.n < 30";
     ]
   in
   List.iter
@@ -375,7 +405,7 @@ let test_pin_leak_on_cancel () =
           | Ok _ -> ()
           | Error e -> Alcotest.fail (sql ^ " after cancel: " ^ e))
         queries)
-    [ `Naive; `Tuple; `Batch ];
+    [ `Naive; `Batch ];
   Db.close db
 
 (* ---------------------------------------------------------- registry *)
@@ -408,6 +438,8 @@ let () =
             test_degraded_mode_and_heal;
           Alcotest.test_case "metrics exposition" `Quick
             test_metrics_exposition;
+          Alcotest.test_case "failed reopen degrades" `Quick
+            test_failed_reopen_degrades;
         ] );
       ( "deadline",
         [

@@ -680,6 +680,28 @@ let test_wire_timeout_roundtrip () =
       ignore (query_ok c "SELECT * FROM wt");
       Client.close c)
 
+(* The [exec] control op knows exactly the engines [Context.exec_modes]
+   lists: an unknown (or retired) name is a protocol error naming the
+   valid ones, and the session keeps serving. *)
+let test_wire_exec_modes () =
+  with_server (fun ~engine ~server:_ ~sock ->
+      exec engine "CREATE TABLE em (n INT)";
+      exec engine "INSERT INTO em VALUES (1)";
+      let c = Client.connect_unix sock in
+      hello_ok c ~user:"admin";
+      (match Client.control c "exec tuple" with
+      | P.Error_resp { code = P.E_proto; message } ->
+          checks "error lists the engines"
+            "unknown exec mode \"tuple\" (naive|batch)" message
+      | _ -> Alcotest.fail "expected an E_proto error for exec tuple");
+      checks "engine unchanged" "batch" (rendered_of (Client.control c "exec"));
+      (match Client.control c "exec naive" with
+      | P.Message _ -> ()
+      | _ -> Alcotest.fail "expected exec naive ack");
+      checks "session still serves" "n\n1\n(1 rows)"
+        (String.trim (rendered_of (query_ok c "SELECT * FROM em")));
+      Client.close c)
+
 (* Graceful drain: stop accepting, roll back what is still open, join
    every thread — and leave the engine (and its file lock) to the
    caller, who can keep using it. *)
@@ -1028,6 +1050,8 @@ let () =
             test_midframe_stall_reaped;
           Alcotest.test_case "deadline over the wire" `Quick
             test_wire_timeout_roundtrip;
+          Alcotest.test_case "exec modes over the wire" `Quick
+            test_wire_exec_modes;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
         ] );
       ( "counters",

@@ -3,9 +3,9 @@
    ACL), the structured query log with trace ids, the live-session
    provider over a server engine, and the Prometheus HTTP endpoint.
 
-   The differential group runs each sys.* query under all three SELECT
-   engines (naive is the oracle; batch transparently falls back for
-   virtual scans) and demands byte-identical renderings. *)
+   The differential group runs each sys.* query under both SELECT
+   engines (naive is the oracle; batch scans the views' snapshot rows as
+   column batches) and demands byte-identical renderings. *)
 
 open Bdbms
 module Context = Bdbms_asql.Context
@@ -61,7 +61,6 @@ let test_differential () =
   List.iter
     (fun sql ->
       let oracle = render_mode db `Naive sql in
-      checks ("tuple agrees: " ^ sql) oracle (render_mode db `Tuple sql);
       checks ("batch agrees: " ^ sql) oracle (render_mode db `Batch sql))
     [
       "SELECT name FROM sys.tables ORDER BY name";
@@ -75,15 +74,6 @@ let test_differential () =
       "SELECT t.name, m.value FROM sys.tables t, sys.metrics m \
        WHERE m.name = 'writes' ORDER BY t.name";
     ];
-  Db.close db
-
-let test_batch_fallback_counted () =
-  let db = workload_db () in
-  Db.set_exec_mode db `Batch;
-  let before = (Db.io_stats db).Stats.batch_fallbacks in
-  ignore (Db.render_exn db "SELECT name FROM sys.tables ORDER BY name");
-  let after = (Db.io_stats db).Stats.batch_fallbacks in
-  checkb "virtual scan fell back to the tuple engine" true (after > before);
   Db.close db
 
 (* ------------------------------------------------------------ content *)
@@ -485,10 +475,8 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "naive = tuple = batch on sys views" `Quick
+          Alcotest.test_case "naive = batch on sys views" `Quick
             test_differential;
-          Alcotest.test_case "batch fallback is counted" `Quick
-            test_batch_fallback_counted;
         ] );
       ( "content",
         [
