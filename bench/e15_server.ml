@@ -8,7 +8,9 @@
    sessions amortizes WAL fsyncs (flushes per committed transaction
    drops below 1) instead of serializing on the log — and reports the
    conflict rate of first-writer-wins when every session writes a
-   private table (expected: zero).
+   private table (expected: zero).  A read-only row guards the commit
+   path: autocommit SELECTs leave the catalog unchanged, so they must
+   swap no root, write no page and flush no log (exactly zero each).
 
    Sessions here drive the engine through the in-process Session API —
    the same code path the socket front end uses, minus the kernel
@@ -98,6 +100,46 @@ let measure clients =
       float_of_int flushes /. float_of_int total_commits;
   }
 
+let reads_per_session = if quick then 50 else 200
+
+(* Read-only row: [reads_per_session] autocommit SELECTs through one
+   Session.  An unchanged catalog is compared in place, not rewritten,
+   so each statement must write no page, flush no log and swap no root:
+   (root swaps, page writes, WAL flushes) per statement. *)
+let measure_reads () =
+  let path = tmp_path "reads" in
+  cleanup path;
+  let e = Engine.create ~pool_pages:512 ~path () in
+  List.iter
+    (fun sql ->
+      match Engine.execute e sql with
+      | Ok _ -> ()
+      | Error err -> failwith ("E15: " ^ Engine.error_message err))
+    [
+      "CREATE TABLE g (acc TEXT, len INT)";
+      "INSERT INTO g VALUES ('a1', 10), ('a2', 20), ('a3', 30)";
+    ];
+  let before = Bdbms.Db.io_stats (Engine.db e) in
+  (match Session.create e ~user:"admin" with
+  | Error err -> failwith ("E15: " ^ Engine.error_message err)
+  | Ok s ->
+      for k = 1 to reads_per_session do
+        match
+          Session.execute s
+            (Printf.sprintf "SELECT len FROM g WHERE acc = 'a%d'" (1 + (k mod 3)))
+        with
+        | Ok _ -> ()
+        | Error err -> failwith ("E15: " ^ Engine.error_message err)
+      done;
+      Session.close s);
+  let after = Bdbms.Db.io_stats (Engine.db e) in
+  Engine.close e;
+  cleanup path;
+  let per f = float_of_int (f after - f before) /. float_of_int reads_per_session in
+  ( per (fun s -> s.Stats.root_swaps),
+    per (fun s -> s.Stats.writes),
+    per (fun s -> s.Stats.wal_flushes) )
+
 let run () =
   print_endline "\n=== E15: multi-session throughput (group commit) ===";
   Printf.printf
@@ -132,6 +174,24 @@ let run () =
     "group commit amortization: %.2f flushes/commit at 1 client vs %.2f \
      at 8 clients\n"
     solo.m_flushes_per_commit packed.m_flushes_per_commit;
+  let swaps, writes, flushes = measure_reads () in
+  print_table ~title:"read-only autocommit statements (one session)"
+    ~headers:[ "selects"; "root swaps/stmt"; "page writes/stmt"; "wal flushes/stmt" ]
+    ~rows:
+      [
+        [
+          string_of_int reads_per_session;
+          fmt_f swaps;
+          fmt_f writes;
+          fmt_f flushes;
+        ];
+      ];
+  if swaps <> 0.0 || writes <> 0.0 || flushes <> 0.0 then
+    failwith
+      (Printf.sprintf
+         "E15: read-only statements wrote (%.2f root swaps, %.2f page \
+          writes, %.2f wal flushes per statement)"
+         swaps writes flushes);
   List.iter
     (fun m ->
       if m.m_commits <> m.m_clients * txns_per_client then

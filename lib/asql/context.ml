@@ -172,16 +172,19 @@ let index_infos t =
       :: acc)
     t.indexes []
 
+let encode_catalog t =
+  Durable_catalog.encode (components t) ~indexes:(index_infos t)
+    ~stats:(Bdbms_stats.Registry.encode_all t.tstats)
+
 (* Serialize the whole engine metadata into the page-0 catalog.  The
    chain pages go through pin-scoped mutation, so the catalog is
    redo-logged at write-back and becomes durable exactly with the commit
-   that follows. *)
+   that follows; an unchanged catalog is compared in place and writes
+   nothing. *)
 let persist_catalog t =
   if durable t then
     Obs.timed t.obs t.obs.Obs.root_swap_hist "catalog.root_swap" (fun () ->
-        Meta_page.write_root t.disk
-          (Durable_catalog.encode (components t) ~indexes:(index_infos t)
-             ~stats:(Bdbms_stats.Registry.encode_all t.tstats)))
+        Meta_page.write_root t.disk (encode_catalog t))
 
 let bootstrap t =
   Obs.span t.obs "catalog.bootstrap" @@ fun () ->

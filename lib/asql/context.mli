@@ -122,9 +122,15 @@ val bootstrap : t -> int
     @raise Bdbms_storage.Backend.Corrupt on a CRC failure,
     @raise Durable_catalog.Malformed on a framing failure. *)
 
+val encode_catalog : t -> Bytes.t
+(** The current metadata as a {!Durable_catalog} blob: what
+    {!persist_catalog} hands to the page-0 root. *)
+
 val persist_catalog : t -> unit
 (** Serialize the current metadata into the page-0 catalog (done
-    automatically by {!commit}, {!checkpoint} and {!close}). *)
+    automatically by {!commit}, {!checkpoint} and {!close}).  A blob
+    identical to the live root's writes nothing
+    ({!Bdbms_storage.Meta_page.write_root}). *)
 
 val commit : t -> unit
 (** Write back dirty pager frames (appending their redo records) and

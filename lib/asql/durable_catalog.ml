@@ -65,11 +65,7 @@ let tag_table_stats = 18
 
 let add_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
 
-let add_u32 b n =
-  add_u8 b n;
-  add_u8 b (n lsr 8);
-  add_u8 b (n lsr 16);
-  add_u8 b (n lsr 24)
+let add_u32 b n = Buffer.add_int32_le b (Int32.of_int n)
 
 let add_str b s =
   add_u32 b (String.length s);
@@ -102,11 +98,10 @@ let u8 r =
   v
 
 let u32 r =
-  let a = u8 r in
-  let b = u8 r in
-  let c = u8 r in
-  let d = u8 r in
-  a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
+  need r 4;
+  let v = Int32.to_int (String.get_int32_le r.buf r.pos) land 0xFFFFFFFF in
+  r.pos <- r.pos + 4;
+  v
 
 let str r =
   let len = u32 r in

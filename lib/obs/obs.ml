@@ -43,7 +43,8 @@ let create ?capacity () =
     histogram "bdbms_evict_writeback_ns" "Pager eviction write-back latency (ns)"
   in
   let root_swap_hist =
-    histogram "bdbms_root_swap_ns" "Catalog root swap latency (ns)"
+    histogram "bdbms_root_swap_ns"
+      "Catalog persist at commit: encode, compare, swap if changed (ns)"
   in
   let checkpoint_hist =
     histogram "bdbms_checkpoint_ns" "Checkpoint latency (ns)"

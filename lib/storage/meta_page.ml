@@ -166,8 +166,41 @@ let read_root disk =
         Some blob
   end
 
-let write_root disk blob =
-  check_page_size (Disk.page_size disk);
+(* [len] bytes of [a] from [ia] equal those of [b] from [ib]. *)
+let sub_equal a ia b ib len =
+  let rec words i =
+    if i + 8 > len then tail i
+    else
+      Bytes.get_int64_le a (ia + i) = Bytes.get_int64_le b (ib + i)
+      && words (i + 8)
+  and tail i =
+    i >= len || (Bytes.get a (ia + i) = Bytes.get b (ib + i) && tail (i + 1))
+  in
+  words 0
+
+(* Whether [slot]'s chain already holds exactly [blob]: O(1) on a length
+   mismatch, else compared in place one pinned chain page at a time,
+   stopping at the first differing page. *)
+let holds disk slot blob =
+  let len = Bytes.length blob in
+  let cap = chain_capacity disk in
+  let rec go id got =
+    got >= len
+    || id >= 0
+       &&
+       let chunk = min cap (len - got) in
+       match
+         Disk.with_page disk id (fun page ->
+             if sub_equal (Page.unsafe_bytes page) 4 blob got chunk then
+               Some (Page.get_u32 page 0 - 1)
+             else None)
+       with
+       | Some next -> go next (got + chunk)
+       | None -> false
+  in
+  slot.blob_len = len && go slot.first 0
+
+let swap_root disk blob =
   ensure_root disk;
   let fault = Disk.fault disk in
   Fault.hit fault Fault.Catalog_write;
@@ -227,6 +260,18 @@ let write_root disk blob =
           first = (if needed > 0 then pages.(0) else -1);
         });
   Stats.record_root_swap (Disk.stats disk)
+
+(* An unchanged catalog (a read-only statement's commit) dirties
+   nothing, so [Disk.commit] then writes no log record and no fsync. *)
+let write_root disk blob =
+  check_page_size (Disk.page_size disk);
+  let live =
+    if Disk.page_count disk = 0 then None
+    else Disk.with_page disk 0 current_slot
+  in
+  match live with
+  | Some (_, slot) when holds disk slot blob -> ()
+  | _ -> swap_root disk blob
 
 let generation disk =
   if Disk.page_count disk = 0 then 0

@@ -22,7 +22,11 @@ val write_root : Disk.t -> Bytes.t -> unit
 (** Write a new catalog blob and swap the root to it.  Reuses the chain
     pages owned by the stale slot before allocating new ones.  Hits the
     {!Fault.Catalog_write} point on entry and {!Fault.Root_swap} between
-    laying down the chain and committing the root slot. *)
+    laying down the chain and committing the root slot.
+
+    When the live root already holds exactly [blob] (same length, then
+    the same bytes, compared in place one chain page at a time) this
+    returns without dirtying a page or reaching either fault point. *)
 
 val generation : Disk.t -> int
 (** Generation of the current root slot (0 if none). *)

@@ -19,3 +19,13 @@ let skewed_join_db () =
     ^ values (fun i -> Printf.sprintf "(%d, %d)" i (if i < 3 then 0 else 1)));
   e "ANALYZE";
   db
+
+(* Estimate drift: 100 rows of [d (k1 INT, k2 INT)] with [k1 = k2], so
+   once [d] is analyzed the independence assumption underestimates
+   [drift_query]'s conjunction 10x, its EXPLAIN ANALYZE walk marks [d]
+   stale, and the statement boundary re-analyzes it. *)
+let correlated_rows =
+  String.concat ", "
+    (List.init 100 (fun i -> Printf.sprintf "(%d, %d)" (i mod 10) (i mod 10)))
+
+let drift_query = "EXPLAIN ANALYZE SELECT * FROM d WHERE k1 = 3 AND k2 = 3"

@@ -53,6 +53,74 @@ let test_crc32_vector () =
   checki "check value" 0xCBF43926 (Crc32.string "123456789");
   checki "bytes agrees" (Crc32.string "abc") (Crc32.bytes (Bytes.of_string "abc"))
 
+(* The textbook one-byte-at-a-time CRC-32 the sliced kernel must match. *)
+let crc32_reference s pos len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let test_crc32_reference () =
+  let rng = Random.State.make [| 0xC3C |] in
+  let random_string n =
+    String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  let agree what s pos len =
+    let want = crc32_reference s pos len in
+    checki (what ^ " string") want (Crc32.string ~pos ~len s);
+    checki (what ^ " bytes") want (Crc32.bytes ~pos ~len (Bytes.of_string s))
+  in
+  for n = 0 to 70 do
+    let s = random_string n in
+    let what = Printf.sprintf "length %d" n in
+    checki (what ^ " whole") (crc32_reference s 0 n) (Crc32.string s);
+    checki (what ^ " whole bytes") (crc32_reference s 0 n)
+      (Crc32.bytes (Bytes.of_string s));
+    for _ = 1 to 8 do
+      let pos = Random.State.int rng (n + 1) in
+      let len = Random.State.int rng (n - pos + 1) in
+      agree (Printf.sprintf "%s pos %d len %d" what pos len) s pos len
+    done
+  done;
+  let n = (1 lsl 20) + 13 in
+  let big = random_string n in
+  checki "1 MiB whole" (crc32_reference big 0 n) (Crc32.string big);
+  for _ = 1 to 6 do
+    let pos = Random.State.int rng 4096 in
+    let len = n - pos - Random.State.int rng 4096 in
+    agree (Printf.sprintf "1 MiB pos %d len %d" pos len) big pos len
+  done
+
+let test_crc32_bounds () =
+  let s = "abcdef" in
+  let b = Bytes.of_string s in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (pos, len) ->
+      let what = Printf.sprintf "pos %d len %s" pos
+          (match len with None -> "-" | Some l -> string_of_int l) in
+      rejects (what ^ " string") (fun () -> Crc32.string ~pos ?len s);
+      rejects (what ^ " bytes") (fun () -> Crc32.bytes ~pos ?len b))
+    [
+      (-1, None); (-1, Some 2); (7, None); (7, Some 0); (0, Some 7);
+      (3, Some 4); (2, Some (-1)); (0, Some max_int); (max_int, Some 1);
+    ];
+  checki "empty range at the end" 0 (Crc32.string ~pos:6 s);
+  checki "empty range mid-string" 0 (Crc32.bytes ~pos:3 ~len:0 b)
+
 let test_persist_across_close () =
   let path = tmp_path () in
   let d = Disk.open_file ~page_size path in
@@ -461,6 +529,134 @@ let test_db_facade_durable () =
 
 (* ----------------------- self-bootstrapping durable catalog (page 0) *)
 
+(* ---------------------------------------------------------- meta page *)
+
+(* A durable disk with page 0 reserved for the catalog root; chain pages
+   carry [page_size - 4] blob bytes, so [meta_blob 1000] spans 4. *)
+let with_meta_disk f =
+  let path = tmp_path () in
+  let d = Disk.open_file ~page_size path in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Disk.close d with _ -> ());
+      cleanup path)
+    (fun () ->
+      Meta_page.ensure_root d;
+      Disk.commit d;
+      f path d)
+
+let meta_blob ?(salt = 0) n =
+  Bytes.init n (fun i -> Char.chr (((i * 31) + salt) land 0xff))
+
+let read_root_exn d =
+  match Meta_page.read_root d with
+  | Some b -> b
+  | None -> Alcotest.fail "no catalog root"
+
+let check_root what d blob =
+  checks what (Bytes.to_string blob) (Bytes.to_string (read_root_exn d))
+
+(* Writing the blob the live root already holds dirties nothing: no
+   generation bump, no swap, no page write, no log record. *)
+let test_meta_same_blob_skips () =
+  with_meta_disk (fun _ d ->
+      let blob = meta_blob 1000 in
+      Meta_page.write_root d blob;
+      Disk.commit d;
+      let gen = Meta_page.generation d in
+      let before = Stats.snapshot (Disk.stats d) in
+      Meta_page.write_root d (Bytes.copy blob);
+      checkb "nothing dirty" false (Disk.has_uncommitted d);
+      Disk.commit d;
+      let s = Stats.diff ~after:(Stats.snapshot (Disk.stats d)) ~before in
+      checki "generation unchanged" gen (Meta_page.generation d);
+      checki "no root swap" 0 s.Stats.root_swaps;
+      checki "no page writes" 0 s.Stats.writes;
+      checki "no WAL appends" 0 s.Stats.wal_appends;
+      checki "no WAL flushes" 0 s.Stats.wal_flushes;
+      check_root "root still holds the blob" d blob)
+
+(* Any difference swaps: one flipped byte in the last chain page, and a
+   blob one byte longer or shorter. *)
+let test_meta_changed_blob_swaps () =
+  with_meta_disk (fun _ d ->
+      let blob = meta_blob 1000 in
+      Meta_page.write_root d blob;
+      Disk.commit d;
+      let flipped = Bytes.copy blob in
+      Bytes.set flipped 999 (Char.chr (Char.code (Bytes.get blob 999) lxor 1));
+      List.iter
+        (fun (what, next) ->
+          let gen = Meta_page.generation d in
+          let before = Stats.snapshot (Disk.stats d) in
+          Meta_page.write_root d next;
+          Disk.commit d;
+          let s = Stats.diff ~after:(Stats.snapshot (Disk.stats d)) ~before in
+          checki (what ^ ": generation bumped") (gen + 1) (Meta_page.generation d);
+          checki (what ^ ": one root swap") 1 s.Stats.root_swaps;
+          checkb (what ^ ": logged") true (s.Stats.wal_flushes > 0);
+          check_root (what ^ ": root holds it") d next)
+        [
+          ("one byte changed", flipped);
+          ("one byte longer", meta_blob 1001);
+          ("one byte shorter", meta_blob 1000);
+          ("same length, other bytes", meta_blob ~salt:7 1000);
+        ])
+
+(* Each slot owns its chain: once both have held the large blob,
+   alternating small and large blobs reuses the chains and allocates
+   nothing. *)
+let test_meta_shrink_regrow () =
+  with_meta_disk (fun _ d ->
+      let big = meta_blob 1000 and small = meta_blob ~salt:3 10 in
+      Meta_page.write_root d big;
+      Meta_page.write_root d (meta_blob ~salt:1 1000);
+      Disk.commit d;
+      let pages = Disk.page_count d in
+      for i = 1 to 6 do
+        let blob = if i mod 2 = 1 then small else meta_blob ~salt:(i + 1) 1000 in
+        Meta_page.write_root d blob;
+        Disk.commit d;
+        check_root (Printf.sprintf "round %d" i) d blob;
+        checki (Printf.sprintf "round %d: no new pages" i) pages (Disk.page_count d)
+      done)
+
+let test_meta_empty_blob () =
+  with_meta_disk (fun _ d ->
+      let empty = Bytes.empty in
+      Meta_page.write_root d empty;
+      Disk.commit d;
+      check_root "empty blob reads back" d empty;
+      let gen = Meta_page.generation d in
+      Meta_page.write_root d empty;
+      checki "empty rewrite skipped" gen (Meta_page.generation d);
+      checkb "nothing dirty" false (Disk.has_uncommitted d);
+      Meta_page.write_root d (meta_blob 300);
+      Disk.commit d;
+      checki "non-empty swaps" (gen + 1) (Meta_page.generation d);
+      Meta_page.write_root d empty;
+      Disk.commit d;
+      checki "back to empty swaps" (gen + 2) (Meta_page.generation d);
+      check_root "empty again" d empty)
+
+(* A skipped write followed by a crash: the committed root is what a
+   reopen finds. *)
+let test_meta_skip_then_crash () =
+  with_meta_disk (fun path d ->
+      let blob = meta_blob 700 in
+      Meta_page.write_root d blob;
+      Disk.commit d;
+      let gen = Meta_page.generation d in
+      Meta_page.write_root d (Bytes.copy blob);
+      Disk.commit d;
+      Disk.abandon d;
+      let d2 = Disk.open_file ~page_size path in
+      Fun.protect
+        ~finally:(fun () -> Disk.close d2)
+        (fun () ->
+          checki "generation survives" gen (Meta_page.generation d2);
+          check_root "blob survives" d2 blob))
+
 module Db = Bdbms.Db
 module Context = Bdbms_asql.Context
 module Catalog = Bdbms_relation.Catalog
@@ -865,6 +1061,84 @@ let test_stats_survive_recovery () =
   Db.close db2;
   cleanup path
 
+(* ------------------------------------------------------ commit path *)
+
+(* Autocommit reads leave the catalog as it is, so their commits write no
+   page, flush no log and swap no root; a write swaps exactly once; and a
+   read whose statement boundary re-analyzes stale statistics changes
+   the catalog, so it does swap. *)
+let test_read_only_commits_write_nothing () =
+  let path = tmp_path () in
+  let db = Db.create ~page_size ~path () in
+  Fun.protect
+    ~finally:(fun () ->
+      Db.close db;
+      cleanup path)
+    (fun () ->
+      let e sql = ignore (Db.exec_exn db sql) in
+      let delta before = Stats.diff ~after:(Db.io_stats db) ~before in
+      e "CREATE TABLE d (k1 INT, k2 INT)";
+      e ("INSERT INTO d VALUES " ^ Fixtures.correlated_rows);
+      e "ANALYZE d";
+      let s0 = Db.io_stats db in
+      for k = 0 to 19 do
+        e (Printf.sprintf "SELECT * FROM d WHERE k1 = %d" (k mod 10))
+      done;
+      e "SELECT COUNT(*) FROM d";
+      let s = delta s0 in
+      checki "reads: no root swaps" 0 s.Stats.root_swaps;
+      checki "reads: no page writes" 0 s.Stats.writes;
+      checki "reads: no WAL flushes" 0 s.Stats.wal_flushes;
+      checki "reads: no checkpoints" 0 s.Stats.checkpoints;
+      let s1 = Db.io_stats db in
+      e "INSERT INTO d VALUES (50, 50)";
+      checki "insert: one root swap" 1 (delta s1).Stats.root_swaps;
+      let s2 = Db.io_stats db in
+      e Fixtures.drift_query;
+      let s = delta s2 in
+      checkb "boundary re-analyze fired" true (s.Stats.stats_analyzed > 0);
+      checki "re-analyzing read: one root swap" 1 s.Stats.root_swaps;
+      checkb "re-analyzing read: logged" true (s.Stats.wal_flushes > 0))
+
+(* Bootstrapping a blob and re-encoding it gives the same bytes, so the
+   first read after a reopen finds the catalog unchanged. *)
+let test_catalog_encode_fixpoint () =
+  let path = tmp_path () in
+  let db = Db.create ~page_size ~path () in
+  List.iter (fun sql -> ignore (Db.exec_exn db sql)) (workload @ [ "ANALYZE" ]);
+  Db.close db;
+  let db = Db.create ~page_size ~path () in
+  Fun.protect
+    ~finally:(fun () ->
+      Db.close db;
+      cleanup path)
+    (fun () ->
+      let ctx = Db.context db in
+      let stored =
+        match Meta_page.read_root ctx.Context.disk with
+        | Some b -> b
+        | None -> Alcotest.fail "no catalog root after close"
+      in
+      checks "restore then encode is the identity" (Bytes.to_string stored)
+        (Bytes.to_string (Context.encode_catalog ctx));
+      let before = Db.io_stats db in
+      ignore (Db.exec_exn db "SELECT * FROM Gene");
+      checki "first read after reopen swaps nothing" 0
+        (Stats.diff ~after:(Db.io_stats db) ~before).Stats.root_swaps)
+
+(* MD5 of the encoding of [workload] plus ANALYZE on an in-memory
+   engine, pinned from the code before the codec's word helpers changed:
+   the catalog format must stay byte-identical. *)
+let golden_catalog_digest = "cdca43bd856d6f291a1c7f4306bf58aa"
+
+let test_catalog_golden_digest () =
+  let db = Db.create ~page_size () in
+  List.iter (fun sql -> ignore (Db.exec_exn db sql)) (workload @ [ "ANALYZE" ]);
+  let blob = Context.encode_catalog (Db.context db) in
+  Db.close db;
+  checks "catalog encoding digest" golden_catalog_digest
+    (Digest.to_hex (Digest.bytes blob))
+
 let test_page_size_mismatch () =
   let path = tmp_path () in
   let d = Disk.open_file ~page_size path in
@@ -880,9 +1154,22 @@ let () =
       ( "wal",
         [
           Alcotest.test_case "crc32 vector" `Quick test_crc32_vector;
+          Alcotest.test_case "crc32 vs bytewise reference" `Quick
+            test_crc32_reference;
+          Alcotest.test_case "crc32 out-of-range pos/len" `Quick
+            test_crc32_bounds;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "recovered counter" `Quick test_recovered_counter;
           Alcotest.test_case "auto-checkpoint" `Quick test_autocheckpoint;
+        ] );
+      ( "meta-page",
+        [
+          Alcotest.test_case "same blob skips" `Quick test_meta_same_blob_skips;
+          Alcotest.test_case "changed blob swaps" `Quick
+            test_meta_changed_blob_swaps;
+          Alcotest.test_case "shrink and regrow" `Quick test_meta_shrink_regrow;
+          Alcotest.test_case "empty blob" `Quick test_meta_empty_blob;
+          Alcotest.test_case "skip then crash" `Quick test_meta_skip_then_crash;
         ] );
       ( "recovery",
         [
@@ -902,6 +1189,15 @@ let () =
             (test_pool_wal_ordering Pager.Lru);
           Alcotest.test_case "Clock log-before-data" `Quick
             (test_pool_wal_ordering Pager.Clock);
+        ] );
+      ( "commit-path",
+        [
+          Alcotest.test_case "read-only commits write nothing" `Quick
+            test_read_only_commits_write_nothing;
+          Alcotest.test_case "encode-restore fixpoint" `Quick
+            test_catalog_encode_fixpoint;
+          Alcotest.test_case "golden catalog digest" `Quick
+            test_catalog_golden_digest;
         ] );
       ( "facade",
         [

@@ -990,6 +990,38 @@ let test_counters_monotonic_wire () =
             (List.assoc "commit_conflicts" r2 - List.assoc "commit_conflicts" r1);
           checki "every slot read" (Array.length Stats.slots) (List.length r2)))
 
+(* Over the wire: autocommit reads leave the catalog unchanged, so their
+   commits swap no root and flush no log. *)
+let test_reads_write_nothing_wire () =
+  with_server (fun ~engine:_ ~server:_ ~sock ->
+      let c = Client.connect_unix sock in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          (match Client.hello c ~user:"admin" with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail e);
+          let q sql =
+            match Client.query c sql with
+            | P.Error_resp { message; _ } -> Alcotest.failf "%s: %s" sql message
+            | _ -> ()
+          in
+          q "CREATE TABLE t (n INT)";
+          q "INSERT INTO t VALUES (1), (2), (3)";
+          let r0 = stats_reading c in
+          for k = 1 to 50 do
+            q (Printf.sprintf "SELECT * FROM t WHERE n = %d" (1 + (k mod 3)))
+          done;
+          let r1 = stats_reading c in
+          List.iter
+            (fun name ->
+              checki (name ^ " unchanged by 50 reads") (List.assoc name r0)
+                (List.assoc name r1))
+            [ "root_swaps"; "wal_flushes"; "writes" ];
+          q "INSERT INTO t VALUES (4)";
+          checki "a write swaps the root" 1
+            (List.assoc "root_swaps" (stats_reading c) - List.assoc "root_swaps" r1)))
+
 (* ---------------------------------------------------------- registry *)
 
 let () =
@@ -1060,6 +1092,8 @@ let () =
             test_counters_monotonic_local;
           Alcotest.test_case "monotonic over the wire" `Quick
             test_counters_monotonic_wire;
+          Alcotest.test_case "reads write nothing over the wire" `Quick
+            test_reads_write_nothing_wire;
         ] );
       ("fuzz", fuzz_cases);
     ]

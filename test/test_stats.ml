@@ -289,15 +289,11 @@ let test_drift_feedback () =
   | None -> Alcotest.fail "stats missing after churn");
   (* drift: rebuild as 100 rows with k1 = k2, freshly analyzed *)
   e "DELETE FROM d";
-  let rows =
-    String.concat ", "
-      (List.init 100 (fun i -> Printf.sprintf "(%d, %d)" (i mod 10) (i mod 10)))
-  in
-  e ("INSERT INTO d VALUES " ^ rows);
+  e ("INSERT INTO d VALUES " ^ Fixtures.correlated_rows);
   e "ANALYZE d";
   let stale_before = (snap ()).Bdbms_obs.Stats.stats_stale in
   let analyzed_before = (snap ()).Bdbms_obs.Stats.stats_analyzed in
-  e "EXPLAIN ANALYZE SELECT * FROM d WHERE k1 = 3 AND k2 = 3";
+  e Fixtures.drift_query;
   let s = snap () in
   checkb "drift marked the table stale" true
     (s.Bdbms_obs.Stats.stats_stale > stale_before);
