@@ -16,7 +16,8 @@ module Cancel = Bdbms_util.Cancel
 
 (* The two SELECT engines.  [`Naive] materializes every intermediate
    (the semantic oracle), [`Batch] is the vectorized pipeline (annotated
-   and ASQL-extended queries take its materialized annotated path). *)
+   and ASQL-extended queries run it too, with envelopes attached to the
+   result rows by row id). *)
 type exec_mode = [ `Naive | `Batch ]
 
 let exec_modes : (string * exec_mode) list =

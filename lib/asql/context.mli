@@ -8,8 +8,9 @@ type exec_mode = [ `Naive | `Batch ]
     result (the semantic oracle for equivalence tests), [`Batch] is the
     vectorized pipeline over column batches with selection vectors.
     Under [`Batch], annotated/ASQL-extended queries (ANNOTATION, AWHERE,
-    provenance propagation) take the materialized annotated path
-    instead, each counted in [Stats.batch_fallbacks]. *)
+    AHAVING, FILTER, PROMOTE, outdated marks) run the same pipeline and
+    get annotation envelopes attached to their result rows by row id;
+    each is counted in [Stats.batch_fallbacks]. *)
 
 val exec_modes : (string * exec_mode) list
 (** Every engine under its user-facing name, in the order help texts

@@ -6,6 +6,7 @@ module Catalog = Bdbms_relation.Catalog
 module Expr = Bdbms_relation.Expr
 module Ops = Bdbms_relation.Ops
 module Cursor = Bdbms_relation.Cursor
+module Batch = Bdbms_relation.Batch
 module Disk = Bdbms_storage.Disk
 module Stats = Bdbms_obs.Stats
 module Rle = Bdbms_util.Rle
@@ -58,8 +59,8 @@ let is_write_stmt = function
   | _ -> true
 
 (* Cooperative cancellation checkpoints: batch sources check on every
-   batch, the materializing paths once per [checkpoint_mask + 1]
-   annotated rows or considered join pairs.  A disarmed token wraps
+   batch, the naive oracle once per [checkpoint_mask + 1] annotated rows
+   or considered join pairs.  A disarmed token wraps
    nothing, so the idle hot path pays a single branch per pipeline
    construction — E17 guards this at <5%. *)
 let checkpoint_mask = 63
@@ -75,8 +76,8 @@ let checked_src (ctx : Context.t) (src : Vexec.src) =
           src.Vexec.next ());
     }
 
-(* Checkpoint hook for the materializing joins (naive oracle, annotated
-   path): called once per considered pair, far more often than either
+(* Checkpoint hook for the naive oracle's nested-loop join: called once
+   per considered pair, far more often than either
    input is scanned, so a runaway cross product still honours its
    deadline.  [None] while disarmed. *)
 let cancel_hook (ctx : Context.t) =
@@ -155,55 +156,52 @@ let outdated_ann (ctx : Context.t) ~table ~row ~col =
          [ Xml.text "outdated: this value needs re-verification" ])
     ~category:Ann.Quality ~author:"system" ~created_at:(Clock.now ctx.clock)
 
-(* Annotated scan with system outdated annotations attached (Section 5);
-   [only_rows] restricts to candidate row numbers from an index probe. *)
-let scan_table (ctx : Context.t) table ~ann_tables ?only_rows () =
-  let schema = Table.schema table in
-  let arity = Schema.arity schema in
-  let name = Table.name table in
-  let stats = Disk.stats ctx.Context.disk in
-  let source =
-    match only_rows with
-    | None -> Table.to_list table
-    | Some rows ->
-        List.sort_uniq compare rows
-        |> List.filter_map (fun row ->
-               Option.map (fun tuple -> (row, tuple)) (Table.get table row))
+(* The annotation envelope of one stored row: per column, the
+   annotations of the ANNOTATION(...) tables ([None]: no user
+   annotations; [*]: all of them), then the system outdated mark of
+   Section 5 when the cell awaits re-verification.  The one place these
+   semantics live: the naive oracle's scan and the batch engine's attach
+   step both build envelopes here. *)
+let envelope (ctx : Context.t) ~ann_tables ~table ~row ~arity =
+  let user_tables =
+    match ann_tables with
+    | Some [ "*" ] -> None
+    | names -> names
   in
-  let seen = ref 0 in
-  let rows =
-    List.map
-      (fun (row, tuple) ->
-        incr seen;
-        if !seen land checkpoint_mask = 0 then Cancel.check ctx.Context.cancel;
-        Stats.record_ann_envelope stats;
-        let anns =
-          Array.init arity (fun col ->
-              let user_anns =
-                match ann_tables with
-                | None -> []
-                | Some names ->
-                    let names = if names = [ "*" ] then None else Some names in
-                    Manager.for_cell ctx.ann ~table_name:name ?ann_tables:names ~row ~col ()
-              in
-              if Tracker.is_outdated ctx.tracker ~table:name ~row ~col then
-                user_anns @ [ outdated_ann ctx ~table:name ~row ~col ]
-              else user_anns)
-        in
-        { Propagate.tuple; anns })
-      source
-  in
-  { Propagate.schema; rows }
+  Array.init arity (fun col ->
+      let user_anns =
+        if ann_tables = None then []
+        else
+          Manager.for_cell ctx.Context.ann ~table_name:table
+            ?ann_tables:user_tables ~row ~col ()
+      in
+      if Tracker.is_outdated ctx.Context.tracker ~table ~row ~col then
+        user_anns @ [ outdated_ann ctx ~table ~row ~col ]
+      else user_anns)
 
-(* Annotated scan of any relation.  Virtual rows carry empty annotation
-   envelopes: system views have no annotation tables (and no outdated
-   marks), so both engines see identical, unadorned tuples. *)
-let scan_rel (ctx : Context.t) rel ~ann_tables () =
+(* The naive oracle's annotated scan of any relation: every live row with
+   its envelope.  Virtual rows carry empty envelopes: system views have
+   no annotation tables (and no outdated marks). *)
+let scan_rel (ctx : Context.t) rel ~ann_tables =
   match rel with
-  | Plan.Base table -> scan_table ctx table ~ann_tables ()
-  | Plan.Virtual { v_name; v_schema; v_rows } ->
-      if ann_tables <> None then
-        fail "%s is a system view: annotation tables are not supported" v_name;
+  | Plan.Base table ->
+      let schema = Table.schema table in
+      let arity = Schema.arity schema in
+      let name = Table.name table in
+      let stats = Disk.stats ctx.Context.disk in
+      let seen = ref 0 in
+      let rows =
+        List.map
+          (fun (row, tuple) ->
+            incr seen;
+            if !seen land checkpoint_mask = 0 then Cancel.check ctx.Context.cancel;
+            Stats.record_ann_envelope stats;
+            { Propagate.tuple;
+              anns = envelope ctx ~ann_tables ~table:name ~row ~arity })
+          (Table.to_list table)
+      in
+      { Propagate.schema; rows }
+  | Plan.Virtual { v_schema; v_rows; _ } ->
       let arity = Schema.arity v_schema in
       {
         Propagate.schema = v_schema;
@@ -212,6 +210,16 @@ let scan_rel (ctx : Context.t) rel ~ann_tables () =
             (fun tuple -> { Propagate.tuple; anns = Array.make arity [] })
             (Array.to_list v_rows);
       }
+
+(* Both engines refuse ANNOTATION(...) on a system view, before any scan. *)
+let check_ann_tables (entries : (Ast.from_item * Plan.rel) list) =
+  List.iter
+    (fun ((f : Ast.from_item), rel) ->
+      match rel with
+      | Plan.Virtual { v_name; _ } when f.Ast.ann_tables <> None ->
+          fail "%s is a system view: annotation tables are not supported" v_name
+      | _ -> ())
+    entries
 
 let prefix_schema prefix rowset =
   let renames =
@@ -313,8 +321,8 @@ let order_cmp schema specs =
    {!Analyze} recorder and the select paths build one node per plan
    operator — labels and estimate formulas mirror the {!Cost} EXPLAIN
    tree so the two render side by side — and meter each operator's
-   cursor pulls (plain path) or materialized evaluation (annotated and
-   naive paths) through it. *)
+   batch pulls (batch engine) or materialized evaluation (naive oracle,
+   and the annotated tail) through it. *)
 
 (* The access-path node(s) for one planned source: the scan itself, and
    a pushdown-WHERE node above it when the planner pushed conjuncts.
@@ -400,8 +408,8 @@ let frame_names (plan : Plan.t) =
     (fun (c : Schema.column) -> c.Schema.name)
     (Schema.columns plan.Plan.schema)
 
-(* Materialized-path metering: evaluate [f] under [n], charging its rows
-   and runtime to the node (no-op without a recorder). *)
+(* Naive-oracle metering: evaluate [f] under [n], charging its rows and
+   runtime to the node (no-op without a recorder). *)
 let analyze_block an n f =
   match an with
   | None -> f ()
@@ -426,63 +434,8 @@ let analyze_finish an input_n f =
       Analyze.set_root a n;
       r
 
-(* Hash join over annotated tuples; key columns are positions local to
-   each side.  Output tuples (and annotation arrays) are always
-   [left ++ right] regardless of which side builds. *)
-let hash_join_atuples ?on_pair stats ~build_left ~left_cols ~right_cols
-    (a : Propagate.t) (b : Propagate.t) : Propagate.t =
-  let hit = match on_pair with None -> ignore | Some f -> f in
-  let schema = Schema.concat a.Propagate.schema b.Propagate.schema in
-  let build_rows, probe_rows, build_cols, probe_cols =
-    if build_left then (a.Propagate.rows, b.Propagate.rows, left_cols, right_cols)
-    else (b.Propagate.rows, a.Propagate.rows, right_cols, left_cols)
-  in
-  let key (at : Propagate.atuple) cols = Cursor.join_key at.Propagate.tuple cols in
-  let h = Hashtbl.create 256 in
-  List.iter
-    (fun at ->
-      match key at build_cols with
-      | Some k ->
-          Stats.record_hash_build stats;
-          Hashtbl.add h k at
-      | None -> ())
-    build_rows;
-  let emit (pat : Propagate.atuple) (bat : Propagate.atuple) =
-    if build_left then
-      {
-        Propagate.tuple = Array.append bat.Propagate.tuple pat.Propagate.tuple;
-        anns = Array.append bat.Propagate.anns pat.Propagate.anns;
-      }
-    else
-      {
-        Propagate.tuple = Array.append pat.Propagate.tuple bat.Propagate.tuple;
-        anns = Array.append pat.Propagate.anns bat.Propagate.anns;
-      }
-  in
-  let rows =
-    List.concat_map
-      (fun pat ->
-        hit ();
-        Stats.record_hash_probe stats;
-        match key pat probe_cols with
-        | None -> []
-        | Some k ->
-            Hashtbl.find_all h k
-            |> List.filter (fun bat ->
-                   List.for_all2
-                     (fun bc pc ->
-                       Value.equal
-                         (Tuple.get bat.Propagate.tuple bc)
-                         (Tuple.get pat.Propagate.tuple pc))
-                     build_cols probe_cols)
-            (* find_all yields newest-first; rev_map restores build order *)
-            |> List.rev_map (emit pat))
-      probe_rows
-  in
-  { Propagate.schema; rows }
-
 (* Projection pruning for the batch engine: the set of joined-schema
-   columns a plain SELECT can reach at runtime.  Every runtime read is
+   columns a SELECT can reach at runtime.  Every runtime read is
    either a by-name [Schema.index_of] lookup of a resolved column name
    (filters, grouping, aggregate inputs, projection, ordering, scalar
    expressions) or a join-key position from the plan, so marking exactly
@@ -493,7 +446,9 @@ let hash_join_atuples ?on_pair stats ~build_left ~left_cols ~right_cols
    proven: SELECT *, a frame with duplicate column names (a by-name
    lookup could land on a different index than the plan's), or any name
    that does not resolve against the frame (aliases of computed columns,
-   HAVING over aggregate outputs). *)
+   HAVING over aggregate outputs).  An annotated query also reads each
+   slice's hidden row-id column (its envelopes are built from it) and its
+   PROMOTE columns; annotation conditions read no column value. *)
 let needed_frame_cols (plan : Plan.t) (sel : Ast.select) =
   let schema = plan.Plan.schema in
   let arity = Schema.arity schema in
@@ -530,7 +485,8 @@ let needed_frame_cols (plan : Plan.t) (sel : Ast.select) =
       in
       let mark_raw c = mark_name (resolve c) in
       let mark_source (src : Plan.source) =
-        List.iter mark_expr src.Plan.pushed
+        List.iter mark_expr src.Plan.pushed;
+        Option.iter (fun i -> needed.(i) <- true) src.Plan.row_id
       in
       mark_source plan.Plan.base;
       List.iter
@@ -564,6 +520,51 @@ let needed_frame_cols (plan : Plan.t) (sel : Ast.select) =
     with
     | exception _ -> None
     | needed -> if Array.for_all Fun.id needed then None else Some needed
+
+(* The aggregate half of a SELECT list, shared by both SELECT tails:
+   the GROUP BY keys and aggregates resolved against the input, every
+   plain item checked to be a grouping key, and each item's (grouped
+   column, output name) pair in item order. *)
+let aggregate_items resolve (sel : Ast.select) =
+  let keys = List.map resolve sel.Ast.group_by in
+  let aggs =
+    List.filter_map
+      (function
+        | Ast.Item { expr = Ast.Aggregate agg; alias; _ } ->
+            let agg =
+              match agg with
+              | Ops.Count_star -> Ops.Count_star
+              | Ops.Count c -> Ops.Count (resolve c)
+              | Ops.Sum c -> Ops.Sum (resolve c)
+              | Ops.Avg c -> Ops.Avg (resolve c)
+              | Ops.Min c -> Ops.Min (resolve c)
+              | Ops.Max c -> Ops.Max (resolve c)
+            in
+            Some (agg, Option.value alias ~default:(Ops.aggregate_name agg))
+        | _ -> None)
+      sel.Ast.items
+  in
+  let out_names =
+    List.map
+      (function
+        | Ast.Item { expr = Ast.Col_ref c; alias; _ } ->
+            let n = resolve c in
+            if not (List.mem n keys) then
+              fail "column %s must appear in GROUP BY" c;
+            (n, Option.value alias ~default:c)
+        | Ast.Item { expr = Ast.Aggregate agg; alias; _ } ->
+            let n = Option.value alias ~default:(Ops.aggregate_name agg) in
+            (n, n)
+        | Ast.Item { expr = Ast.Scalar _; _ } ->
+            fail "computed columns are not supported with GROUP BY"
+        | Ast.Star -> fail "SELECT * is not supported with GROUP BY")
+      sel.Ast.items
+  in
+  (keys, aggs, out_names)
+
+(* Rename projected columns to their output names. *)
+let output_renames out_names =
+  List.filter (fun (src, dst) -> src <> dst) out_names
 
 let rec exec_query (ctx : Context.t) ~user (q : Ast.query) : Propagate.t =
   match q with
@@ -602,10 +603,10 @@ and equality_conjuncts expr =
   | Expr.And (a, b) -> equality_conjuncts a @ equality_conjuncts b
   | _ -> []
 
-(* Does executing this SELECT require per-cell annotation envelopes?
-   Plain queries stream column batches; only the annotation
-   operators (and the system outdated warnings of Section 5, when any are
-   pending) force the eager annotated representation. *)
+(* Does this SELECT's answer carry per-cell annotation envelopes?  Only
+   the annotation operators (and the system outdated warnings of Section
+   5, when any are pending) need them; the batch engine then attaches
+   envelopes to its surviving rows and runs the annotation-aware tail. *)
 and select_needs_anns (ctx : Context.t) (sel : Ast.select) =
   sel.Ast.awhere <> None
   || sel.Ast.ahaving <> None
@@ -633,15 +634,20 @@ and exec_select ctx ~user (sel : Ast.select) : Propagate.t =
           f.Ast.table
       else check_acl ctx ~user Acl.Select ~table:f.Ast.table ())
     sel.Ast.from;
+  let entries =
+    List.map
+      (fun (f : Ast.from_item) -> (f, find_rel ctx ~user f.Ast.table))
+      sel.Ast.from
+  in
+  check_ann_tables entries;
   match ctx.Context.exec_mode with
-  | `Naive -> exec_select_naive ctx ~user sel
+  | `Naive -> exec_select_naive ctx entries sel
   | `Batch ->
-      let entries =
-        List.map
-          (fun (f : Ast.from_item) -> (f, find_rel ctx ~user f.Ast.table))
-          sel.Ast.from
-      in
-      let frame = Plan.frame entries in
+      (* annotation semantics pick nothing but whether envelopes are
+         attached: every SELECT runs the same pipeline *)
+      let row_ids = select_needs_anns ctx sel in
+      if row_ids then Stats.record_batch_fallback (Disk.stats ctx.Context.disk);
+      let frame = Plan.frame ~row_ids entries in
       let resolve = make_resolver frame.Plan.schema frame.Plan.prefixes in
       (* resolve the WHERE up front (same errors as the naive evaluator),
          then let the planner classify its conjuncts *)
@@ -652,24 +658,18 @@ and exec_select ctx ~user (sel : Ast.select) : Propagate.t =
       let plan =
         Obs.span ctx.Context.obs "plan" (fun () -> Plan.build ctx frame ~where)
       in
-      if select_needs_anns ctx sel then begin
-        (* annotation envelopes force the materialized annotated path *)
-        Stats.record_batch_fallback (Disk.stats ctx.Context.disk);
-        exec_select_annotated ctx plan sel
-      end
-      else exec_select_batch ctx plan sel
+      exec_select_batch ctx plan sel
 
 (* The naive reference evaluator: materialize every scan with its
    annotations, cross-product the FROM list, then filter.  Kept verbatim
    (minus index probing) as the semantic oracle the equivalence tests run
    the pipelined engine against. *)
-and exec_select_naive ctx ~user (sel : Ast.select) : Propagate.t =
+and exec_select_naive ctx entries (sel : Ast.select) : Propagate.t =
   let an = ctx.Context.analyze in
-  let multi = List.length sel.Ast.from > 1 in
+  let multi = List.length entries > 1 in
   let scans =
     List.map
-      (fun (f : Ast.from_item) ->
-        let rel = find_rel ctx ~user f.Ast.table in
+      (fun ((f : Ast.from_item), rel) ->
         let n =
           Analyze.node
             ~est_rows:(float_of_int (Plan.rel_live_count rel))
@@ -677,11 +677,11 @@ and exec_select_naive ctx ~user (sel : Ast.select) : Propagate.t =
         in
         let rs =
           analyze_block an n (fun () ->
-              let rs = scan_rel ctx rel ~ann_tables:f.Ast.ann_tables () in
+              let rs = scan_rel ctx rel ~ann_tables:f.Ast.ann_tables in
               if multi then prefix_schema (Plan.item_prefix f) rs else rs)
         in
         (rs, n))
-      sel.Ast.from
+      entries
   in
   let joined, joined_n =
     match scans with
@@ -717,102 +717,14 @@ and exec_select_naive ctx ~user (sel : Ast.select) : Propagate.t =
   in
   analyze_finish an (Some filtered_n) (fun () -> finish_select sel filtered prefixes)
 
-(* Pipelined execution over annotated tuples: per-source pushdown, hash
-   joins carrying annotation arrays, then the shared materialized tail. *)
-and exec_select_annotated ctx (plan : Plan.t) (sel : Ast.select) : Propagate.t =
-  Obs.span ctx.Context.obs "annotation.propagate" @@ fun () ->
-  let stats = Disk.stats ctx.Context.disk in
-  let an = ctx.Context.analyze in
-  let source_atuples (src : Plan.source) =
-    let nodes =
-      match an with None -> None | Some _ -> Some (analyze_source_nodes src)
-    in
-    let scan () =
-      let rs =
-        let ann_tables = src.Plan.item.Ast.ann_tables in
-        match (src.Plan.access, src.Plan.rel) with
-        | Plan.Seq_scan, rel -> scan_rel ctx rel ~ann_tables ()
-        | Plan.Index_probe { index; value }, Plan.Base table ->
-            let idx = fresh_index ctx index in
-            Stats.record_index_probe stats;
-            let rows =
-              Bdbms_index.Btree.search idx.Context.tree (Context.index_key value)
-            in
-            scan_table ctx table ~ann_tables ~only_rows:rows ()
-        | Plan.Index_probe _, Plan.Virtual _ ->
-            assert false (* no indexes exist over virtual relations *)
-      in
-      { rs with Propagate.schema = src.Plan.schema }
-    in
-    let pushed rs =
-      List.fold_left
-        (fun rs e ->
-          let before = Propagate.row_count rs in
-          let rs = Propagate.select rs e in
-          for _ = 1 to before - Propagate.row_count rs do
-            Stats.record_pushdown_prune stats
-          done;
-          rs)
-        rs src.Plan.pushed
-    in
-    match nodes with
-    | None -> (pushed (scan ()), None)
-    | Some (scan_n, top_n) ->
-        let rs = analyze_block an scan_n scan in
-        let rs =
-          if top_n == scan_n then pushed rs
-          else analyze_block an top_n (fun () -> pushed rs)
-        in
-        (rs, Some top_n)
-  in
-  let joined, joined_n =
-    List.fold_left
-      (fun (acc, acc_n) (step : Plan.step) ->
-        let right, right_n = source_atuples step.Plan.src in
-        let join () =
-          match step.Plan.kind with
-          | Plan.Hash { left_cols = _; left_acc_cols; right_cols; build_left }
-            ->
-              let off = step.Plan.src.Plan.offset in
-              hash_join_atuples ?on_pair:(cancel_hook ctx) stats ~build_left
-                ~left_cols:left_acc_cols
-                ~right_cols:(List.map (fun c -> c - off) right_cols)
-                acc right
-          | Plan.Nested ->
-              Propagate.join ?on_pair:(cancel_hook ctx) acc right
-                ~on:(Expr.Lit (Value.VBool true))
-        in
-        match (acc_n, right_n) with
-        | Some acc_n, Some right_n ->
-            let join_n, top_n =
-              analyze_step_nodes plan.Plan.schema acc_n step right_n
-            in
-            let rs = analyze_block an join_n join in
-            let rs =
-              if top_n == join_n then
-                List.fold_left Propagate.select rs step.Plan.post
-              else
-                analyze_block an top_n (fun () ->
-                    List.fold_left Propagate.select rs step.Plan.post)
-            in
-            (rs, Some top_n)
-        | _ -> (List.fold_left Propagate.select (join ()) step.Plan.post, None))
-      (source_atuples plan.Plan.base)
-      plan.Plan.steps
-  in
-  let joined =
-    if plan.Plan.permuted then Propagate.project joined (frame_names plan)
-    else joined
-  in
-  analyze_finish an joined_n (fun () -> finish_select sel joined plan.Plan.prefixes)
-
-(* Vectorized execution over column batches (no annotation operators in
-   the query, no outdated marks): scans decode page-at-a-time into
-   column vectors, WHERE and JOIN run over selection vectors, and the
-   [Propagate] envelope is attached only to the final result. *)
+(* Vectorized execution over column batches: scans decode page-at-a-time
+   into column vectors, WHERE and JOIN run over selection vectors.  A
+   plain query streams into the batch tail; an annotated one (its plan
+   carries row ids) gets envelopes attached to the surviving rows only,
+   then runs the annotation-aware tail. *)
 and exec_select_batch ctx (plan : Plan.t) (sel : Ast.select) : Propagate.t =
   let bsrc, plan_n = batch_pipeline ?need:(needed_frame_cols plan sel) ctx plan in
-  (* the tail consumes columns positionally: a reordered plan restores
+  (* the tails consume columns positionally: a reordered plan restores
      FROM order first *)
   let bsrc =
     if plan.Plan.permuted then
@@ -820,7 +732,60 @@ and exec_select_batch ctx (plan : Plan.t) (sel : Ast.select) : Propagate.t =
         (List.map (Schema.index_of_exn bsrc.Vexec.schema) (frame_names plan))
     else bsrc
   in
-  plain_tail ctx plan sel (bsrc, plan_n)
+  if plan.Plan.row_ids then
+    Obs.span ctx.Context.obs "annotation.propagate" @@ fun () ->
+    analyze_finish ctx.Context.analyze plan_n (fun () ->
+        finish_select sel (attach_envelopes ctx plan bsrc) plan.Plan.prefixes)
+  else plain_tail ctx plan sel (bsrc, plan_n)
+
+(* The top of an annotated pipeline: each surviving row gets one envelope,
+   built slice by slice from (table, row id, column), and the hidden
+   row-id columns are projected away — leaving the FROM-order frame the
+   naive oracle's join produces. *)
+and attach_envelopes ctx (plan : Plan.t) (bsrc : Vexec.src) : Propagate.t =
+  let stats = Disk.stats ctx.Context.disk in
+  let sources =
+    List.sort
+      (fun (a : Plan.source) (b : Plan.source) -> compare a.Plan.offset b.Plan.offset)
+      (plan.Plan.base :: List.map (fun (st : Plan.step) -> st.Plan.src) plan.Plan.steps)
+  in
+  (* per source in FROM order: its data columns and its envelope maker *)
+  let slices =
+    List.map
+      (fun (src : Plan.source) ->
+        let rid = Option.get src.Plan.row_id in
+        let arity = rid - src.Plan.offset in
+        let envelope =
+          match src.Plan.rel with
+          | Plan.Base table ->
+              let table = Table.name table
+              and ann_tables = src.Plan.item.Ast.ann_tables in
+              fun b row ->
+                envelope ctx ~ann_tables ~table ~arity
+                  ~row:(Value.as_int (Batch.value b ~row ~col:rid))
+          | Plan.Virtual _ ->
+              let empty = Array.make arity [] in
+              fun _ _ -> empty
+        in
+        (List.init arity (fun i -> src.Plan.offset + i), envelope))
+      sources
+  in
+  let data_cols = List.concat_map fst slices in
+  let schema =
+    Schema.make (List.map (Schema.column_at plan.Plan.schema) data_cols)
+  in
+  let data_cols = Array.of_list data_cols in
+  let pull = Vexec.rows_of bsrc in
+  let rec go acc =
+    match pull () with
+    | None -> List.rev acc
+    | Some (b, row) ->
+        Stats.record_ann_envelope stats;
+        let tuple = Array.map (fun col -> Batch.value b ~row ~col) data_cols in
+        let anns = Array.concat (List.map (fun (_, env) -> env b row) slices) in
+        go ({ Propagate.tuple; anns } :: acc)
+  in
+  { Propagate.schema; rows = go [] }
 
 (* The operator pipeline for one plan: scans (or a [sys.*] view's
    snapshot rows), pushed-down filters and joins, each metered under
@@ -834,18 +799,26 @@ and batch_pipeline ?need ctx (plan : Plan.t) =
     match an with None -> src | Some a -> Vexec.meter a n src
   in
   let source_batches (src : Plan.source) =
+    let row_id = Option.map (fun _ -> Plan.row_id_name) src.Plan.row_id in
     let base =
       match (src.Plan.access, src.Plan.rel) with
       | Plan.Seq_scan, Plan.Base table ->
-          (* this source's slice of the frame-wide pruning mask *)
+          (* this source's slice of the frame-wide pruning mask (the
+             row-id column is not decoded, so not masked) *)
           let need =
             Option.map
-              (fun m -> Array.sub m src.Plan.offset (Schema.arity src.Plan.schema))
+              (fun m ->
+                Array.sub m src.Plan.offset (Schema.arity (Table.schema table)))
               need
           in
-          Vexec.scan ~batch_rows ?need table
-      | Plan.Seq_scan, Plan.Virtual { v_schema; v_rows; _ } ->
-          Vexec.of_tuples ~stats ~batch_rows v_schema v_rows
+          Vexec.scan ~batch_rows ?need ?row_id table
+      | Plan.Seq_scan, Plan.Virtual { v_rows; _ } ->
+          (* [sys.*] rows have no row id: theirs is NULL *)
+          let v_rows =
+            if row_id = None then v_rows
+            else Array.map (fun t -> Array.append t [| Value.VNull |]) v_rows
+          in
+          Vexec.of_tuples ~stats ~batch_rows src.Plan.schema v_rows
       | Plan.Index_probe _, Plan.Virtual _ ->
           assert false (* no indexes exist over virtual relations *)
       | Plan.Index_probe { index; value }, Plan.Base table ->
@@ -855,7 +828,7 @@ and batch_pipeline ?need ctx (plan : Plan.t) =
             Bdbms_index.Btree.search idx.Context.tree (Context.index_key value)
             |> List.sort_uniq compare
           in
-          Vexec.of_rows ~batch_rows table rows
+          Vexec.of_rows ~batch_rows ?row_id table rows
     in
     let bsrc = Vexec.with_schema (checked_src ctx base) src.Plan.schema in
     let pushed bsrc =
@@ -975,34 +948,7 @@ and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
   let projected =
     if has_aggregates || sel.Ast.group_by <> [] then begin
       (* aggregate path *)
-      let keys = List.map resolve sel.Ast.group_by in
-      let aggs =
-        List.filter_map
-          (function
-            | Ast.Item { expr = Ast.Aggregate agg; alias; _ } ->
-                let agg =
-                  match agg with
-                  | Ops.Count_star -> Ops.Count_star
-                  | Ops.Count c -> Ops.Count (resolve c)
-                  | Ops.Sum c -> Ops.Sum (resolve c)
-                  | Ops.Avg c -> Ops.Avg (resolve c)
-                  | Ops.Min c -> Ops.Min (resolve c)
-                  | Ops.Max c -> Ops.Max (resolve c)
-                in
-                Some (agg, Option.value alias ~default:(Ops.aggregate_name agg))
-            | _ -> None)
-          sel.Ast.items
-      in
-      List.iter
-        (function
-          | Ast.Item { expr = Ast.Col_ref c; _ } ->
-              if not (List.mem (resolve c) keys) then
-                fail "column %s must appear in GROUP BY" c
-          | Ast.Item { expr = Ast.Scalar _; _ } ->
-              fail "computed columns are not supported with GROUP BY"
-          | Ast.Star -> fail "SELECT * is not supported with GROUP BY"
-          | Ast.Item { expr = Ast.Aggregate _; _ } -> ())
-        sel.Ast.items;
+      let keys, aggs, out_names = aggregate_items resolve sel in
       let grouped =
         let label =
           if keys = [] then "AGGREGATE"
@@ -1022,30 +968,19 @@ and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
             let r = make_resolver grouped.Ops.schema [] in
             Ops.select grouped (resolve_expr r e)
       in
-      let out_names =
-        List.map
-          (function
-            | Ast.Item { expr = Ast.Col_ref c; alias; _ } ->
-                (resolve c, Option.value alias ~default:c)
-            | Ast.Item { expr = Ast.Aggregate agg; alias; _ } ->
-                let n = Option.value alias ~default:(Ops.aggregate_name agg) in
-                (n, n)
-            | _ -> assert false)
-          sel.Ast.items
-      in
       let rs =
         stage_rs project_label (fun () ->
             let projected = Ops.project grouped (List.map fst out_names) in
-            let renames =
-              List.filter (fun (src, dst) -> src <> dst) out_names
-            in
             { projected with
-              Ops.schema = Schema.rename_columns projected.Ops.schema renames })
+              Ops.schema =
+                Schema.rename_columns projected.Ops.schema
+                  (output_renames out_names) })
       in
       Cursor.of_list rs.Ops.schema rs.Ops.rows
     end
     else begin
-      (* scalar path (PROMOTE never reaches here: it needs annotations) *)
+      (* scalar path (PROMOTE never reaches here: it needs annotations,
+         so it runs [finish_select]) *)
       match sel.Ast.items with
       | [ Ast.Star ] -> stage project_label cur
       | items ->
@@ -1113,10 +1048,10 @@ and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
                     Cursor.of_list rs.Ops.schema rs.Ops.rows)
           in
           let projected = Cursor.project extended (List.map fst proj_names) in
-          let renames = List.filter (fun (src, dst) -> src <> dst) proj_names in
           stage project_label
             (Cursor.rename projected
-               (Schema.rename_columns (Cursor.schema projected) renames))
+               (Schema.rename_columns (Cursor.schema projected)
+                  (output_renames proj_names)))
     end
   in
   let already_sorted = not (has_aggregates || sel.Ast.group_by <> []) in
@@ -1165,7 +1100,7 @@ and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
   out
 
 (* Everything from AWHERE to LIMIT over a materialized annotated rowset —
-   shared by the naive oracle and the annotated pipelined path. *)
+   shared by the naive oracle and the batch engine's annotated queries. *)
 and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
     Propagate.t =
   let resolve = make_resolver filtered.Propagate.schema prefixes in
@@ -1183,35 +1118,7 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
   let projected =
     if has_aggregates || sel.Ast.group_by <> [] then begin
       (* aggregate path *)
-      let keys = List.map resolve sel.Ast.group_by in
-      let aggs =
-        List.filter_map
-          (function
-            | Ast.Item { expr = Ast.Aggregate agg; alias; _ } ->
-                let agg =
-                  match agg with
-                  | Ops.Count_star -> Ops.Count_star
-                  | Ops.Count c -> Ops.Count (resolve c)
-                  | Ops.Sum c -> Ops.Sum (resolve c)
-                  | Ops.Avg c -> Ops.Avg (resolve c)
-                  | Ops.Min c -> Ops.Min (resolve c)
-                  | Ops.Max c -> Ops.Max (resolve c)
-                in
-                Some (agg, Option.value alias ~default:(Ops.aggregate_name agg))
-            | _ -> None)
-          sel.Ast.items
-      in
-      (* every plain item must be a grouping key *)
-      List.iter
-        (function
-          | Ast.Item { expr = Ast.Col_ref c; _ } ->
-              if not (List.mem (resolve c) keys) then
-                fail "column %s must appear in GROUP BY" c
-          | Ast.Item { expr = Ast.Scalar _; _ } ->
-              fail "computed columns are not supported with GROUP BY"
-          | Ast.Star -> fail "SELECT * is not supported with GROUP BY"
-          | Ast.Item { expr = Ast.Aggregate _; _ } -> ())
-        sel.Ast.items;
+      let keys, aggs, out_names = aggregate_items resolve sel in
       let grouped = Propagate.group_by filtered ~keys ~aggs in
       (* HAVING / AHAVING apply over the grouped schema *)
       let grouped =
@@ -1227,23 +1134,11 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
         | Some p -> Propagate.awhere grouped p
       in
       (* reorder to the item order *)
-      let out_names =
-        List.map
-          (function
-            | Ast.Item { expr = Ast.Col_ref c; alias; _ } ->
-                (resolve c, Option.value alias ~default:c)
-            | Ast.Item { expr = Ast.Aggregate agg; alias; _ } ->
-                let n = Option.value alias ~default:(Ops.aggregate_name agg) in
-                (n, n)
-            | _ -> assert false)
-          sel.Ast.items
-      in
       let projected = Propagate.project grouped (List.map fst out_names) in
-      let renames =
-        List.filter (fun (src, dst) -> src <> dst) out_names
-      in
       { projected with
-        Propagate.schema = Schema.rename_columns projected.Propagate.schema renames }
+        Propagate.schema =
+          Schema.rename_columns projected.Propagate.schema
+            (output_renames out_names) }
     end
     else begin
       (* scalar path *)
@@ -1303,10 +1198,10 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
                 Propagate.order_by extended (List.map (fun (c, d) -> (r c, d)) specs)
           in
           let projected = Propagate.project extended (List.map fst proj_names) in
-          let renames = List.filter (fun (src, dst) -> src <> dst) proj_names in
           { projected with
             Propagate.schema =
-              Schema.rename_columns projected.Propagate.schema renames }
+              Schema.rename_columns projected.Propagate.schema
+                (output_renames proj_names) }
     end
   in
   let already_sorted = not (has_aggregates || sel.Ast.group_by <> []) in

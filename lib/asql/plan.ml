@@ -77,7 +77,13 @@ type frame = {
   prefixes : string list;
   multi : bool;
   slices : (int * Schema.t) list;
+  row_ids : bool;
 }
+
+(* The hidden column an annotated frame appends to each slice: the
+   source row's number (NULL for [sys.*] rows).  ['#'] is no identifier
+   character, so no query can name, resolve or select it. *)
+let row_id_name = "#row"
 
 (* The qualifier a query uses for this item's columns: its alias, or the
    table name with any [sys.] namespace stripped — [sys.metrics m] and
@@ -92,12 +98,19 @@ let item_prefix (f : Ast.from_item) =
       | Some i -> String.sub t (i + 1) (String.length t - i - 1)
       | None -> t)
 
-let frame entries =
+let frame ?(row_ids = false) entries =
   let multi = List.length entries > 1 in
   let prefixed =
     List.map
       (fun ((f : Ast.from_item), rel) ->
         let schema = rel_schema rel in
+        let schema =
+          if row_ids then
+            Schema.make
+              (Schema.columns schema
+              @ [ { Schema.name = row_id_name; ty = Value.TInt } ])
+          else schema
+        in
         if multi then
           let prefix = item_prefix f in
           Schema.rename_columns schema
@@ -137,6 +150,7 @@ let frame entries =
     prefixes = List.map (fun (f, _) -> item_prefix f) entries;
     multi;
     slices;
+    row_ids;
   }
 
 (* ---------------------------------------------------------------- the plan *)
@@ -156,6 +170,7 @@ type source = {
   pushed : Expr.t list;
   est_rows : float;
   est_src : est_src;
+  row_id : int option;
 }
 
 type join_kind =
@@ -176,6 +191,7 @@ type t = {
   prefixes : string list;
   order : int list;
   permuted : bool;
+  row_ids : bool;
 }
 
 let rec split_conjuncts = function
@@ -286,8 +302,11 @@ let build ctx frame ~where =
               else (probe, live *. probe_sel)
         in
         let est_src = match ts with Some _ -> Stats | None -> Heuristic in
+        let row_id =
+          if frame.row_ids then Some (offset + Schema.arity slice - 1) else None
+        in
         { item = f; rel; prefix = item_prefix f; offset; schema = slice;
-          access; access_est; pushed; est_rows; est_src })
+          access; access_est; pushed; est_rows; est_src; row_id })
       frame.entries
   in
   if sources = [] then invalid_arg "Plan.build: empty FROM";
@@ -457,7 +476,7 @@ let build ctx frame ~where =
       (List.tl order)
   in
   { base; steps = List.rev rev_steps; schema = frame.schema;
-    prefixes = frame.prefixes; order; permuted }
+    prefixes = frame.prefixes; order; permuted; row_ids = frame.row_ids }
 
 let out_est plan =
   match List.rev plan.steps with

@@ -84,10 +84,19 @@ type frame = {
   multi : bool;
   slices : (int * Bdbms_relation.Schema.t) list;
       (** per entry: column offset and slice of the joined schema *)
+  row_ids : bool;  (** each slice ends in a hidden {!row_id_name} column *)
 }
 
-val frame : (Ast.from_item * rel) list -> frame
+val row_id_name : string
+(** ["#row"]: the hidden [INT] column an annotated query's frame appends
+    to each slice, holding the source row's number (NULL for [sys.*]
+    rows).  No identifier can spell it, so no query can name, resolve or
+    select it. *)
+
+val frame : ?row_ids:bool -> (Ast.from_item * rel) list -> frame
 (** Name-resolution frame for a FROM list (relations already looked up).
+    With [row_ids] (default [false]) every slice gets a trailing
+    {!row_id_name} column; the other column names are unchanged.
     @raise Invalid_argument on an empty list. *)
 
 val item_prefix : Ast.from_item -> string
@@ -116,6 +125,9 @@ type source = {
   est_rows : float;
   est_src : est_src;
       (** whether this source's estimates used real statistics *)
+  row_id : int option;
+      (** joined-schema position of the slice's hidden row-id column (its
+          last) when the frame has them *)
 }
 
 type join_kind =
@@ -153,6 +165,7 @@ type t = {
       (** the pipeline's accumulated column order differs from
           [schema]; the executor must project back to [schema]'s names
           before the SELECT tail *)
+  row_ids : bool;  (** planned over a frame with row-id columns *)
 }
 
 val build : Context.t -> frame -> where:Bdbms_relation.Expr.t option -> t

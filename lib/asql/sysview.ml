@@ -4,8 +4,8 @@
 
    Each view materializes a small snapshot at plan time — instrument
    registries, bounded rings, catalog walks — so a scan never observes a
-   half-updated structure and every engine path (naive oracle, batch
-   engine, annotated path) sees identical rows.  Views are not in
+   half-updated structure and both engines (naive oracle, batch
+   engine) see identical rows.  Views are not in
    the catalog: DML/DDL against them raises the executor's typed
    read-only error, ANALYZE never visits them, and ACL checks apply to
    their dotted names like any other table, so [GRANT SELECT ON

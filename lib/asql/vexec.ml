@@ -34,8 +34,17 @@ let efail fmt = Printf.ksprintf (fun s -> raise (Expr.Eval_error s)) fmt
 
 (* ------------------------------------------------------------- sources *)
 
-let scan ?batch_rows ?need table =
-  { schema = Table.schema table; next = Table.batches ?batch_rows ?need table }
+(* [schema] plus the hidden row-id column [name], when there is one. *)
+let with_row_id schema = function
+  | None -> schema
+  | Some name ->
+      Schema.make (Schema.columns schema @ [ { Schema.name; ty = Value.TInt } ])
+
+let scan ?batch_rows ?need ?row_id table =
+  {
+    schema = with_row_id (Table.schema table) row_id;
+    next = Table.batches ?batch_rows ?need ?row_id table;
+  }
 
 (* Re-batch a stream of boxed rows: [pull] yields the next row, or
    [None] once exhausted (it is never called again after that).  Each
@@ -86,17 +95,23 @@ let rows_of src =
 (* Candidate rows fetched point-wise (index probes): decoded through
    [Table.get] — these row sets are small, the cache may already hold
    them — and re-batched for the rest of the pipeline. *)
-let of_rows ?batch_rows table rows =
+let of_rows ?batch_rows ?row_id table rows =
   let remaining = ref rows in
   let rec pull () =
     match !remaining with
     | [] -> None
     | r :: rest -> (
         remaining := rest;
-        match Table.get table r with Some t -> Some t | None -> pull ())
+        match Table.get table r with
+        | Some t when row_id = None -> Some t
+        | Some t -> Some (Array.append t [| Value.VInt r |])
+        | None -> pull ())
   in
-  of_pull ?batch_rows ~total:(List.length rows) (Table.schema table)
-    (Table.layout table) pull
+  let schema = with_row_id (Table.schema table) row_id in
+  let layout =
+    if row_id = None then Table.layout table else Batch.layout_of_schema schema
+  in
+  of_pull ?batch_rows ~total:(List.length rows) schema layout pull
 
 (* Rows that already exist as boxed tuples ([sys.*] snapshots) go into
    all-boxed vectors: no re-encoding, and no assumption that a view's

@@ -15,14 +15,22 @@ type src = {
 (** A pull-based stream of column batches.  Like cursors, sources are
     single-use; [next] keeps returning [None] once exhausted. *)
 
-val scan : ?batch_rows:int -> ?need:bool array -> Bdbms_relation.Table.t -> src
+val scan :
+  ?batch_rows:int ->
+  ?need:bool array ->
+  ?row_id:string ->
+  Bdbms_relation.Table.t ->
+  src
 (** Batch scan of a table's live rows in row order
     ({!Bdbms_relation.Table.batches}); [need] prunes decode to the marked
-    columns — the caller must prove nothing reads the others. *)
+    columns — the caller must prove nothing reads the others.  [row_id]
+    appends a trailing [INT] column of that name holding each row's
+    number. *)
 
-val of_rows : ?batch_rows:int -> Bdbms_relation.Table.t -> int list -> src
+val of_rows :
+  ?batch_rows:int -> ?row_id:string -> Bdbms_relation.Table.t -> int list -> src
 (** Re-batch point-fetched rows (index-probe candidates); dead rows are
-    skipped. *)
+    skipped.  [row_id] as for {!scan}. *)
 
 val of_tuples :
   stats:Bdbms_obs.Stats.t ->
@@ -100,6 +108,10 @@ val top_k :
   Bdbms_relation.Tuple.t list
 (** Bounded-heap ORDER BY ... LIMIT over batches; ties preserve input
     order, matching {!Bdbms_relation.Cursor.top_k}. *)
+
+val rows_of : src -> unit -> (Bdbms_relation.Batch.t * int) option
+(** The selected rows of a source, one [(batch, physical row)] per call,
+    in order, pulling batches on demand; [None] once exhausted. *)
 
 val to_cursor : src -> Bdbms_relation.Cursor.t
 (** Lazy tuple view: boxes only selected rows and pulls batches on

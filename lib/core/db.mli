@@ -116,8 +116,8 @@ val set_exec_mode : t -> Bdbms_asql.Context.exec_mode -> unit
 (** Select the SELECT engine: [`Naive] materializes every intermediate
     (the differential-testing oracle), [`Batch] (the default) is the
     vectorized engine over column batches.  Under [`Batch], annotated
-    queries take the materialized annotated path (counted in
-    {!io_stats}'s [batch_fallbacks]). *)
+    queries run the same engine and get annotation envelopes attached to
+    their result rows (each counted in {!io_stats}'s [batch_fallbacks]). *)
 
 val exec_mode : t -> Bdbms_asql.Context.exec_mode
 

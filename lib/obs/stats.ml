@@ -89,7 +89,7 @@ let slots =
     counter "frames_tx" "Protocol frames sent to clients";
     counter "group_commits" "Committer batches flushed with one fsync";
     counter "batches_decoded" "Column batches decoded from heap pages or sys views";
-    counter "batch_fallbacks" "Annotated SELECTs routed to the annotated path";
+    counter "batch_fallbacks" "Annotated SELECTs on the batch engine (envelopes attached by row id)";
     counter "stats_analyzed" "Tables (re)analyzed for optimizer statistics";
     counter "stats_stale" "Table statistics declared stale";
     counter "plans_reordered" "Query plans whose join order differs from FROM order";

@@ -77,8 +77,10 @@ val record_batch_decoded : t -> unit
     [batch_rows] tuples) or from a [sys.*] view's snapshot rows. *)
 
 val record_batch_fallback : t -> unit
-(** An annotated/ASQL-extended SELECT that the batch engine routed to
-    the materialized annotated path. *)
+(** An annotated/ASQL-extended SELECT on the batch engine: its result
+    rows get annotation envelopes attached by row id.  (The name
+    predates the single pipeline, when such queries left the batch
+    engine.) *)
 
 val record_stats_analyzed : t -> unit
 val record_stats_stale : t -> unit

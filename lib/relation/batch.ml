@@ -341,6 +341,26 @@ let finish b =
     nsel = b.b_n;
   }
 
+(* One more column after the decoded ones, [values.(i)] being row [i]'s
+   value, never NULL: the hidden row-id column of an annotated scan.  The
+   vector is handed over, not copied. *)
+let add_int_column t ~name values =
+  if Array.length values < t.n then
+    invalid_arg "Batch.add_int_column: fewer values than rows";
+  let col =
+    {
+      data = DInt values;
+      nulls = Bitmap.create ~rows:(Array.length values) ~cols:1;
+      ty = Value.TInt;
+    }
+  in
+  {
+    t with
+    schema =
+      Schema.make (Schema.columns t.schema @ [ { Schema.name; ty = Value.TInt } ]);
+    cols = Array.append t.cols [| col |];
+  }
+
 (* {2 Row access} *)
 
 (* Rows handed out by a batch are < n <= the builder's cap = the null
@@ -384,8 +404,10 @@ let hash_key t ~row ~col =
     | DStr ids -> Some ("s" ^ t.dict.(ids.(row)))
     | DVal a -> Value.hash_key a.(row)
 
-(* Same self-delimiting multi-column key as [Cursor.join_key]; [None]
-   when any key column is NULL. *)
+(* Self-delimiting multi-column key: each column's [hash_key] prefixed
+   by its length, so no two key tuples share bytes; [None] when any key
+   column is NULL (SQL equality never matches NULL, so the row can
+   neither build nor probe). *)
 let join_key t row cols =
   let buf = Buffer.create 32 in
   let ok =

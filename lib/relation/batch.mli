@@ -110,6 +110,13 @@ val append_tuple : builder -> Tuple.t -> unit
 val finish : builder -> t
 (** The accumulated rows as a batch with an identity selection vector. *)
 
+val add_int_column : t -> name:string -> int array -> t
+(** The batch with one more, never-NULL [INT] column after its own:
+    [values.(i)] is physical row [i]'s value (the hidden row id of an
+    annotated scan).  The array is taken over, not copied.
+    @raise Invalid_argument if it is shorter than the batch or [name]
+    duplicates a column. *)
+
 (** {2 Row access} *)
 
 val is_null : t -> row:int -> col:int -> bool
@@ -125,8 +132,9 @@ val hash_key : t -> row:int -> col:int -> string option
     NULL. *)
 
 val join_key : t -> int -> int list -> string option
-(** Multi-column join key over the given columns — byte-identical to
-    [Cursor.join_key] on the boxed row; [None] when any key column is
+(** Multi-column hash-join key over the given columns: the
+    concatenation of each column's {!hash_key} prefixed by its length
+    and [':'] (so it is self-delimiting); [None] when any key column is
     NULL. *)
 
 (** {2 Selection vector} *)

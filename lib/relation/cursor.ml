@@ -79,25 +79,6 @@ let extend input ~name ~ty expr =
       | None -> None
       | Some t -> Some (Array.append t [| Expr.eval input.schema t expr |]))
 
-(* Self-delimiting key over a tuple prefix-projected by [idxs]; [None] when
-   any key column is NULL (SQL equality never matches NULL, so the row can
-   neither build nor probe). *)
-let join_key tuple idxs =
-  let buf = Buffer.create 32 in
-  let ok =
-    List.for_all
-      (fun i ->
-        match Value.hash_key (Tuple.get tuple i) with
-        | None -> false
-        | Some k ->
-            Buffer.add_string buf (string_of_int (String.length k));
-            Buffer.add_char buf ':';
-            Buffer.add_string buf k;
-            true)
-      idxs
-  in
-  if ok then Some (Buffer.contents buf) else None
-
 let top_k input ~cmp ~k =
   if k <= 0 then begin
     close input;

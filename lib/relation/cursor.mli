@@ -47,12 +47,6 @@ val limit : t -> int -> t
 val offset : t -> int -> t
 (** Discards the first [n] tuples. *)
 
-val join_key : Tuple.t -> int list -> string option
-(** Hash-join key for the given key columns of a tuple: a
-    self-delimiting concatenation of {!Value.hash_key}s, [None] when any
-    key column is NULL.  {!Batch.join_key} computes the same bytes
-    without boxing, and annotated-tuple joins use this one. *)
-
 val top_k : t -> cmp:(Tuple.t -> Tuple.t -> int) -> k:int -> Tuple.t list
 (** Drain the cursor keeping only the [k] least tuples under [cmp] in a
     bounded heap (ORDER BY ... LIMIT without a full sort).  Ties preserve

@@ -159,13 +159,15 @@ let to_list t = List.rev (fold t ~init:[] ~f:(fun acc row tuple -> (row, tuple) 
    decode under a single pin (one page fault / CRC check per run instead
    of per row); after in-place updates relocate records the run merely
    shortens — row order is preserved regardless, so both executors see
-   rows in the same order. *)
-let batches ?(batch_rows = Batch.default_rows) ?need t =
+   rows in the same order.  [row_id] names a trailing column holding each
+   row's number (annotated queries attach envelopes by it). *)
+let batches ?(batch_rows = Batch.default_rows) ?need ?row_id t =
   let row = ref 0 in
   fun () ->
     if !row >= t.nrows then None
     else begin
       let b = Batch.builder ~cap:batch_rows ?need t.schema t.layout in
+      let ids = if row_id = None then [||] else Array.make batch_rows 0 in
       while !row < t.nrows && not (Batch.full b) do
         match t.rows.(!row) with
         | Dead -> incr row
@@ -180,6 +182,7 @@ let batches ?(batch_rows = Batch.default_rows) ?need t =
                       (match read r.Heap_file.slot with
                       | Some (pos, len) ->
                           Stats.record_tuple_decode t.stats;
+                          if row_id <> None then ids.(Batch.length b) <- !row;
                           Batch.append_span b buf ~pos ~len
                       | None -> ());
                       incr row
@@ -189,7 +192,10 @@ let batches ?(batch_rows = Batch.default_rows) ?need t =
       if Batch.length b = 0 then None
       else begin
         Stats.record_batch_decoded t.stats;
-        Some (Batch.finish b)
+        let batch = Batch.finish b in
+        match row_id with
+        | None -> Some batch
+        | Some name -> Some (Batch.add_int_column batch ~name ids)
       end
     end
 

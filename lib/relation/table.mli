@@ -58,13 +58,17 @@ val iter : t -> (int -> Tuple.t -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> int -> Tuple.t -> 'a) -> 'a
 val to_list : t -> (int * Tuple.t) list
 
-val batches : ?batch_rows:int -> ?need:bool array -> t -> unit -> Batch.t option
+val batches :
+  ?batch_rows:int -> ?need:bool array -> ?row_id:string -> t -> unit ->
+  Batch.t option
 (** Pull-based batch scan: live rows in row order, decoded into column
     batches of up to [batch_rows] (default {!Batch.default_rows}) rows.
     Runs of rows on the same heap page decode under a single page pin.
     Row order matches {!iter}, so every executor sees the same order.
     [need] prunes decode to the marked columns ({!Batch.builder}) — the
-    caller guarantees nothing reads an unmarked column's vectors. *)
+    caller guarantees nothing reads an unmarked column's vectors.
+    [row_id] appends one more [INT] column of that name holding each
+    row's number (never NULL, never pruned). *)
 
 val storage_pages : t -> int
 

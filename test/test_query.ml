@@ -4,8 +4,9 @@
    [`Batch] the vectorized path; see [Db.set_exec_mode]).  A second
    group asserts through the Stats counters that the fast paths actually
    ran: hash joins build and probe, pushdown prunes during the scan,
-   index probes replace full scans, every plain plan shape decodes
-   batches, and plain queries never materialize annotation envelopes. *)
+   index probes replace full scans, every plan shape decodes batches,
+   plain queries never materialize annotation envelopes, and annotated
+   ones build exactly one per returned row. *)
 
 open Bdbms
 module Value = Bdbms_relation.Value
@@ -38,7 +39,9 @@ let t2_rows = 45
 
 (* Deterministic data: T1 has ids 0..59, T2 ids 0..44; [k] collides across
    both tables (0..9) so equi-joins fan out, [v]/[w] are small string
-   pools so equality and LIKE predicates select non-trivially. *)
+   pools so equality and LIKE predicates select non-trivially.  Both
+   tables carry an annotation table, T2 an index on [id], and a small
+   table [O] has outdated cells. *)
 let setup db =
   let st = Random.State.make [| 0xbd; 0xb4 |] in
   let stmt sql =
@@ -66,7 +69,28 @@ let setup db =
               (Random.State.int st 6))));
   stmt "CREATE ANNOTATION TABLE notes ON T1";
   stmt "ADD ANNOTATION TO T1.notes VALUE 'low' ON (SELECT * FROM T1 WHERE k < 5)";
-  stmt "ADD ANNOTATION TO T1.notes VALUE 'two' ON (SELECT id, v FROM T1 WHERE k = 2)"
+  stmt "ADD ANNOTATION TO T1.notes VALUE 'two' ON (SELECT id, v FROM T1 WHERE k = 2)";
+  stmt "CREATE ANNOTATION TABLE tags ON T2";
+  stmt "ADD ANNOTATION TO T2.tags VALUE 'small' ON (SELECT * FROM T2 WHERE id < 10)";
+  stmt "ADD ANNOTATION TO T2.tags VALUE 'w' ON (SELECT w FROM T2 WHERE k = 3)";
+  stmt "CREATE INDEX t2_id ON T2 (id)";
+  (* [O.derived] in rows 1 and 3 is marked outdated by the dependency
+     manager: its source changed and the procedure cannot recompute *)
+  (match
+     Bdbms_asql.Context.register_procedure (Db.context db)
+       (Bdbms_dependency.Procedure.non_executable ~name:"Lab" ())
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "register: %s" e);
+  stmt "CREATE TABLE O (id INT, src INT, derived TEXT)";
+  stmt
+    ("INSERT INTO O VALUES "
+    ^ String.concat ", "
+        (List.init 8 (fun i -> Printf.sprintf "(%d, %d, 'd%d')" i i i)));
+  stmt "CREATE DEPENDENCY od FROM O.src TO O.derived USING Lab";
+  stmt "LINK DEPENDENCY od FROM (1) TO 1";
+  stmt "LINK DEPENDENCY od FROM (3) TO 3";
+  stmt "UPDATE O SET src = 99 WHERE id = 1 OR id = 3"
 
 let mk_db () =
   let db = Db.create ~page_size:1024 ~pool_pages:256 () in
@@ -130,6 +154,9 @@ let fixed_ordered =
     "SELECT a.id, b.id, c.id FROM T1 a, T2 b, T1 c \
      WHERE a.k = b.k AND b.k = c.k AND a.id < 6 AND c.id < 6 \
      ORDER BY a.id, b.id, c.id";
+    "SELECT id, v FROM T1 ANNOTATION(notes) WHERE k < 5 ORDER BY id DESC \
+     LIMIT 4 OFFSET 1";
+    "SELECT * FROM O ORDER BY id";
   ]
 
 let fixed_unordered =
@@ -147,6 +174,30 @@ let fixed_unordered =
     "SELECT id FROM T1 ANNOTATION(notes) WHERE k = 2";
     "SELECT a.id, b.id FROM T1 a ANNOTATION(notes), T2 b \
      WHERE a.k = b.k AND a.k < 5";
+    (* annotated shapes: ANNOTATION on both join sides, hash-joined *)
+    "SELECT a.id, b.id FROM T1 a ANNOTATION(notes), T2 b ANNOTATION(tags) \
+     WHERE a.k = b.k AND a.k < 5";
+    "SELECT * FROM T1 a ANNOTATION(notes), T2 b ANNOTATION(*) \
+     WHERE a.k = b.k AND b.id < 10";
+    (* edge-less: a block join *)
+    "SELECT a.id, b.id FROM T1 a ANNOTATION(notes), T2 b ANNOTATION(tags) \
+     WHERE a.id < 5 AND b.id < 5";
+    "SELECT id, v FROM T1 ANNOTATION(notes) AWHERE ANN CONTAINS 'two'";
+    "SELECT k, COUNT(*) AS n FROM T1 ANNOTATION(notes) GROUP BY k \
+     AHAVING ANN CONTAINS 'two'";
+    "SELECT id, v FROM T1 ANNOTATION(notes) WHERE k < 6 FILTER ANN CONTAINS 'low'";
+    "SELECT id PROMOTE (v, k) FROM T1 ANNOTATION(notes) WHERE k < 4";
+    "SELECT DISTINCT k FROM T1 ANNOTATION(notes) WHERE k < 5";
+    (* index-probe lookups *)
+    "SELECT * FROM T2 ANNOTATION(tags) WHERE id = 7";
+    "SELECT a.id, b.w FROM T1 a ANNOTATION(notes), T2 b ANNOTATION(tags) \
+     WHERE a.k = b.k AND b.id = 3";
+    (* outdated marks, with no annotation operator in the query *)
+    "SELECT derived FROM O WHERE src > 2";
+    "SELECT a.id, o.derived FROM T1 a, O o WHERE a.id = o.id";
+    (* a sys.* view beside an annotated table: its rows have no row id *)
+    "SELECT t.name, x.id FROM sys.tables t, T1 x ANNOTATION(notes) \
+     WHERE x.id < 3 AND t.name = 'T2'";
   ]
 
 let test_fixed () =
@@ -351,15 +402,17 @@ let test_stats_counters () =
   let d = diff_for db "SELECT id FROM T1 WHERE k > 2" in
   checkb "batches decoded" true (d.Stats.batches_decoded > 0);
   checki "no fallback on a plain query" 0 d.Stats.batch_fallbacks;
-  (* annotated queries take the materialized annotated path *)
+  (* annotated queries still count in [batch_fallbacks], but run the
+     same batch pipeline *)
   let d = diff_for db "SELECT * FROM T1 ANNOTATION(notes) WHERE k < 5" in
   checkb "annotated query counted as fallback" true
     (d.Stats.batch_fallbacks > 0);
-  checki "fallback decodes no batches" 0 d.Stats.batches_decoded
+  checkb "annotated query decodes batches" true (d.Stats.batches_decoded > 0)
 
 (* Every plain plan shape runs batched: block joins, sys.* views, and
    cost-reordered plans count no fallback and decode column batches.
-   Only an annotated query still routes to the annotated path. *)
+   An annotated query runs batched too; [batch_fallbacks] counts it
+   once, as the annotated SELECTs that attach envelopes. *)
 let test_no_batch_fallbacks () =
   let batched db what sql =
     let d = diff_for db sql in
@@ -413,6 +466,85 @@ let test_decode_cache () =
   | Error e -> Alcotest.failf "update: %s" e);
   let d = diff_for db "SELECT * FROM T1" in
   checkb "only invalidated rows re-decode" true (d.Stats.tuples_decoded <= 2)
+
+(* ------------------------------------------------ annotated queries *)
+
+(* The fixture the annotated corpus relies on really annotates, the
+   lookup really probes, and ANNOTATION(...) on a system view fails
+   alike in both modes. *)
+let test_annotated_fixture () =
+  let db = mk_db () in
+  let annotated_cols sql =
+    List.concat_map
+      (fun (r : Propagate.atuple) ->
+        List.filter_map Fun.id
+          (Array.to_list
+             (Array.mapi (fun i c -> if c <> [] then Some i else None) r.Propagate.anns)))
+      (rows_of db sql).Propagate.rows
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list int)) "both join sides annotated" [ 0; 1 ]
+    (annotated_cols
+       "SELECT a.id, b.id FROM T1 a ANNOTATION(notes), T2 b ANNOTATION(tags) \
+        WHERE a.k = b.k AND a.k < 5 AND b.id < 10");
+  Alcotest.(check (list int)) "only O's derived cells are marked" [ 2 ]
+    (annotated_cols "SELECT * FROM O");
+  checki "two outdated cells" 2
+    (List.length
+       (List.filter
+          (fun (r : Propagate.atuple) -> r.Propagate.anns.(2) <> [])
+          (rows_of db "SELECT * FROM O").Propagate.rows));
+  let d = diff_for db "SELECT * FROM T2 ANNOTATION(tags) WHERE id = 7" in
+  checkb "annotated lookup probes the index" true (d.Stats.index_probes > 0);
+  let err mode =
+    Db.set_exec_mode db mode;
+    match Db.exec db "SELECT name FROM sys.metrics ANNOTATION(x)" with
+    | Ok _ -> Alcotest.failf "%s: ANNOTATION on sys.metrics succeeded" (mode_name mode)
+    | Error e -> e
+  in
+  let naive = err `Naive in
+  let batch = err `Batch in
+  Db.set_exec_mode db `Batch;
+  Alcotest.(check string) "same error in both modes" naive batch;
+  checkb "names the system view" true (contains batch "system view")
+
+(* A cost-reordered 3-way plan with an annotated source: the batch
+   engine restores FROM order before attaching envelopes. *)
+let test_annotated_reordered () =
+  let db = Fixtures.skewed_join_db () in
+  ignore (Db.exec_exn db "CREATE ANNOTATION TABLE an ON a");
+  ignore
+    (Db.exec_exn db "ADD ANNOTATION TO a.an VALUE 'k1' ON (SELECT pad FROM a WHERE k = 1)");
+  let sql =
+    "SELECT a.pad, b.id, c.b_id FROM a ANNOTATION(an), b, c \
+     WHERE a.k = b.k AND b.id = c.b_id AND c.sel = 0"
+  in
+  let d = diff_for db sql in
+  checki "plan was reordered" 1 d.Stats.plans_reordered;
+  run_all_modes db ~ordered:false sql;
+  Db.set_batch_rows db 1;
+  run_all_modes db ~ordered:false sql;
+  Db.close db
+
+(* An annotated query builds one envelope per row its pipeline returns,
+   not one per scanned row of every source. *)
+let test_envelopes_per_row () =
+  let db = mk_db () in
+  let check what sql =
+    let before = Db.io_stats db in
+    let rs = rows_of db sql in
+    let d = Stats.diff ~after:(Db.io_stats db) ~before in
+    checki (what ^ ": envelopes = rows returned") (Propagate.row_count rs)
+      d.Stats.ann_envelopes;
+    d
+  in
+  ignore (check "filtered scan" "SELECT * FROM T1 ANNOTATION(notes) WHERE k < 5");
+  let d =
+    check "hash join"
+      "SELECT a.id, b.id FROM T1 a ANNOTATION(notes), T2 b WHERE a.k = b.k"
+  in
+  checkb "hash join ran" true (d.Stats.hash_builds > 0);
+  ignore (check "plain SELECT over outdated cells" "SELECT * FROM O WHERE id < 3")
 
 (* ------------------------------------------------- EXPLAIN ANALYZE *)
 
@@ -498,7 +630,7 @@ let test_analyze_actuals () =
   let root, _, _ = analyze db usql in
   checki "union node on top" 2 (List.length (find_node root "UNION").Analyze.children);
   checki "union actuals = oracle" (oracle_count usql) root.Analyze.actual_rows;
-  (* the annotated path records the same shape *)
+  (* an annotated query records the same shape, under its RESULT node *)
   let asql = "SELECT id FROM T1 ANNOTATION(notes) WHERE k = 2" in
   let root, rs, _ = analyze db asql in
   checki "annotated root actuals" (Propagate.row_count rs)
@@ -610,7 +742,7 @@ let rand_batch st n =
 (* Round-trip and selection-vector algebra: boxing a batch back out
    yields the input tuples; [retain] behaves exactly like filtering the
    selected-row list and composes; unboxed hash/join keys agree with
-   their [Value]/[Cursor] definitions. *)
+   references built from [Value.hash_key]. *)
 let test_batch_properties () =
   let st = Random.State.make [| 0xba; 0x7c |] in
   for _ = 1 to 25 do
@@ -631,10 +763,20 @@ let test_batch_properties () =
           t)
       tuples;
     let cols = [ 1; 3 ] in
+    (* reference: each column's [Value.hash_key], length-prefixed *)
+    let ref_join_key t =
+      List.fold_left
+        (fun acc i ->
+          match (acc, Value.hash_key (Tuple.get t i)) with
+          | Some acc, Some k ->
+              Some (acc ^ string_of_int (String.length k) ^ ":" ^ k)
+          | _ -> None)
+        (Some "") cols
+    in
     List.iteri
       (fun i t ->
-        checkb "join_key matches Cursor.join_key" true
-          (Batch.join_key batch i cols = Cursor.join_key t cols))
+        checkb "join_key matches the Value.hash_key reference" true
+          (Batch.join_key batch i cols = ref_join_key t))
       tuples;
     (* retain ≡ filter over the selected list, and it composes *)
     let keep row = Batch.is_null batch ~row ~col:1 = false in
@@ -745,6 +887,9 @@ let () =
             test_fixed_batch1;
           Alcotest.test_case "randomized sweep" `Quick test_randomized;
           Alcotest.test_case "null-heavy batch edges" `Quick test_batch_edges;
+          Alcotest.test_case "annotated fixture" `Quick test_annotated_fixture;
+          Alcotest.test_case "annotated reordered 3-way" `Quick
+            test_annotated_reordered;
         ] );
       ( "batch-representation",
         [
@@ -758,6 +903,8 @@ let () =
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "decode cache" `Quick test_decode_cache;
           Alcotest.test_case "no batch fallbacks" `Quick test_no_batch_fallbacks;
+          Alcotest.test_case "one envelope per returned row" `Quick
+            test_envelopes_per_row;
         ] );
       ( "explain-analyze",
         [
