@@ -5,7 +5,26 @@ module Stats = Bdbms_obs.Stats
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
 
+(* Deterministic mode ([main.exe --deterministic]) prints every table
+   without its timing columns, so the output is a pure function of the
+   code: page counts, record and byte counts, ratios and answers.  A
+   column is a timing column when its header has an "ms", "us" or "s"
+   unit word ("A-SQL ms", "ms/update", "updates/s"). *)
+let deterministic = ref false
+
+let timing_header h =
+  String.split_on_char ' ' h
+  |> List.concat_map (String.split_on_char '/')
+  |> List.exists (fun w -> w = "ms" || w = "us" || w = "s")
+
 let print_table ~title ~headers ~rows =
+  let headers, rows =
+    if not !deterministic then (headers, rows)
+    else
+      let keep = List.map (fun h -> not (timing_header h)) headers in
+      let only row = List.filteri (fun i _ -> List.nth keep i) row in
+      (only headers, List.map only rows)
+  in
   let ncols = List.length headers in
   let widths = Array.make ncols 0 in
   let measure row = List.iteri (fun i s -> widths.(i) <- max widths.(i) (String.length s)) row in

@@ -10,7 +10,11 @@
    conflict rate of first-writer-wins when every session writes a
    private table (expected: zero).  A read-only row guards the commit
    path: autocommit SELECTs leave the catalog unchanged, so they must
-   swap no root, write no page and flush no log (exactly zero each).
+   swap no root, write no page and flush no log (exactly zero each).  A
+   write row guards the commit's cost against table size: a table's rows
+   live in its own pages and the catalog root keeps a fixed-size head per
+   table, so a 50-row INSERT commit at 20k rows must write no more than
+   2 pages more than one at 2k rows.
 
    Sessions here drive the engine through the in-process Session API —
    the same code path the socket front end uses, minus the kernel
@@ -140,6 +144,62 @@ let measure_reads () =
     per (fun s -> s.Stats.writes),
     per (fun s -> s.Stats.wal_flushes) )
 
+let ingest_points = [ 2_000; 20_000 ]
+let commits_per_point = 10
+
+(* Write row: grow one gene-shaped table by 50-row autocommit INSERTs
+   and, at each of [ingest_points] rows, time nothing but count what
+   [commits_per_point] more such commits write: pages written per commit
+   and root-swap bytes per commit (root swaps x the catalog blob's
+   length — each swap rewrites the whole blob into the other slot's
+   chain). *)
+let measure_ingest () =
+  let path = tmp_path "ingest" in
+  cleanup path;
+  let e = Engine.create ~pool_pages:512 ~path () in
+  let exec sql =
+    match Engine.execute e sql with
+    | Ok _ -> ()
+    | Error err -> failwith ("E15: " ^ Engine.error_message err)
+  in
+  exec "CREATE TABLE gene (gid TEXT, gname TEXT, seq TEXT, gc INT, len INT)";
+  let rows = ref 0 in
+  let insert_50 () =
+    exec
+      ("INSERT INTO gene VALUES "
+      ^ String.concat ", "
+          (List.init 50 (fun i ->
+               let n = !rows + i in
+               Printf.sprintf "('JW%05d', 'gen%c', 'ATG%sTAA', %d, %d)" n
+                 (Char.chr (Char.code 'A' + (n mod 26)))
+                 (String.make (30 + (n mod 40)) "ACGT".[n mod 4])
+                 (n mod 100) (36 + (n mod 40)))));
+    rows := !rows + 50
+  in
+  let points =
+    List.map
+      (fun target ->
+        while !rows < target do insert_50 () done;
+        let db = Engine.db e in
+        let before = Bdbms.Db.io_stats db in
+        for _ = 1 to commits_per_point do insert_50 () done;
+        let after = Bdbms.Db.io_stats db in
+        let per f =
+          float_of_int (f after - f before) /. float_of_int commits_per_point
+        in
+        let blob =
+          Bytes.length
+            (Bdbms_asql.Context.encode_catalog (Bdbms.Db.context db))
+        in
+        ( target,
+          per (fun s -> s.Stats.writes),
+          per (fun s -> s.Stats.root_swaps) *. float_of_int blob ))
+      ingest_points
+  in
+  Engine.close e;
+  cleanup path;
+  points
+
 let run () =
   print_endline "\n=== E15: multi-session throughput (group commit) ===";
   Printf.printf
@@ -192,6 +252,23 @@ let run () =
          "E15: read-only statements wrote (%.2f root swaps, %.2f page \
           writes, %.2f wal flushes per statement)"
          swaps writes flushes);
+  let points = measure_ingest () in
+  print_table
+    ~title:"50-row INSERT commits (autocommit) as the table grows"
+    ~headers:[ "rows"; "commits"; "pages written/commit"; "root-swap bytes/commit" ]
+    ~rows:
+      (List.map
+         (fun (n, writes, bytes) ->
+           [ string_of_int n; string_of_int commits_per_point; fmt_f writes; fmt_f1 bytes ])
+         points);
+  (match points with
+  | [ (_, small, _); (_, large, _) ] when large > small +. 2.0 ->
+      failwith
+        (Printf.sprintf
+           "E15: commit cost grows with the table (%.2f pages per commit at \
+            %d rows vs %.2f at %d)"
+           large (List.nth ingest_points 1) small (List.hd ingest_points))
+  | _ -> ());
   List.iter
     (fun m ->
       if m.m_commits <> m.m_clients * txns_per_client then

@@ -46,7 +46,11 @@
      dune exec bench/main.exe                 # all paper experiments
      dune exec bench/main.exe -- E3 E5        # a subset
      dune exec bench/main.exe -- --ablation   # design-choice ablations
-     dune exec bench/main.exe -- --bechamel   # Bechamel micro-timings *)
+     dune exec bench/main.exe -- --bechamel   # Bechamel micro-timings
+     dune exec bench/main.exe -- --deterministic E1 E2   # no timing columns
+
+   [--deterministic] is what the E1-E10 golden file ([bench/e1_e10.golden],
+   diffed by [dune runtest]) is generated with. *)
 
 let experiments =
   [
@@ -148,6 +152,7 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let want_bechamel = List.mem "--bechamel" args in
   let want_ablation = List.mem "--ablation" args in
+  Bench_util.deterministic := List.mem "--deterministic" args;
   let selected = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
   let to_run =
     if selected = [] then experiments

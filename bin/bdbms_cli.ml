@@ -410,6 +410,12 @@ let main user script strict_acl auto_prov stats pool_pages slow_ms exec_mode
          to the server instead)\n"
         path;
       exit 2
+    | Bdbms_asql.Durable_catalog.Unsupported_version { found; supported } ->
+      Printf.eprintf
+        "error: database file %S has catalog format %d; this build reads \
+         only format %d\n"
+        (Option.value db_path ~default:"") found supported;
+      exit 2
   in
   report_recovery_if_notable db;
   Db.set_strict_acl db strict_acl;

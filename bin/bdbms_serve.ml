@@ -38,6 +38,12 @@ let main db_path unix_sock tcp pool_pages snapshot_pool strict_acl
          (another bdbms_serve or bdbms shell holds it)\n"
         path;
       exit 2
+    | Bdbms_asql.Durable_catalog.Unsupported_version { found; supported } ->
+      Printf.eprintf
+        "error: database file %S has catalog format %d; this build reads \
+         only format %d\n"
+        db_path found supported;
+      exit 2
   in
   let idle_timeout_s =
     match idle_timeout with Some s when s > 0. -> Some s | _ -> None

@@ -114,14 +114,16 @@ val with_deadline : t -> ?timeout_ms:float -> (unit -> 'a) -> 'a
 
 val bootstrap : t -> int
 (** Rebuild the engine's logical state from the page-0 durable catalog:
-    table schemas reattach to their heap pages, annotation tables and
-    the registry return, dependency rules rebind their procedure chains
+    tables reattach from their fixed-size heads (reading no page),
+    annotation tables and the registry return, dependency rules rebind their procedure chains
     against the registry (so call this {e after} registering built-in
     procedures), grants, approval log, provenance tools and index
     definitions come back.  Returns the number of catalog records
     replayed (0 on a fresh or in-memory database).
     @raise Bdbms_storage.Backend.Corrupt on a CRC failure,
-    @raise Durable_catalog.Malformed on a framing failure. *)
+    @raise Durable_catalog.Malformed on a framing failure,
+    @raise Durable_catalog.Unsupported_version on a catalog of another
+    format. *)
 
 val encode_catalog : t -> Bytes.t
 (** The current metadata as a {!Durable_catalog} blob: what

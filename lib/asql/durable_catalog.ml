@@ -2,7 +2,6 @@ module Clock = Bdbms_util.Clock
 module Crc32 = Bdbms_util.Crc32
 module Xml_lite = Bdbms_util.Xml_lite
 module Pager = Bdbms_storage.Pager
-module Heap_file = Bdbms_storage.Heap_file
 module Catalog = Bdbms_relation.Catalog
 module Table = Bdbms_relation.Table
 module Schema = Bdbms_relation.Schema
@@ -22,6 +21,17 @@ module Acl = Bdbms_auth.Acl
 module Approval = Bdbms_auth.Approval
 
 exception Malformed of string
+exception Unsupported_version of { found : int; supported : int }
+
+let () =
+  Printexc.register_printer (function
+    | Unsupported_version { found; supported } ->
+        Some
+          (Printf.sprintf
+             "Durable_catalog.Unsupported_version: catalog format %d, this \
+              engine reads only format %d"
+             found supported)
+    | _ -> None)
 
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
@@ -39,11 +49,12 @@ type components = {
 }
 
 let magic = "BCAT"
-let version = 1
+let version = 2
 
-(* Record tags.  Append-only: retag nothing, add new tags at the end. *)
+(* Record tags.  Append-only: retag nothing, add new tags at the end.
+   Tag 2 (a table with its page list and whole slot directory, format 1)
+   is no longer written; format 2 writes tag 19, a fixed-size head. *)
 let tag_clock = 1
-let tag_table = 2
 let tag_ann_counter = 3
 let tag_ann_table = 4
 let tag_ann = 5
@@ -60,6 +71,7 @@ let tag_approval_entry = 15
 let tag_approval_next = 16
 let tag_index = 17
 let tag_table_stats = 18
+let tag_table_head = 19
 
 (* ------------------------------------------------------------ writing *)
 
@@ -222,26 +234,21 @@ let encode comps ~indexes ~stats =
     incr count
   in
   record tag_clock (fun b -> add_u32 b (Clock.now comps.dc_clock));
-  (* user tables: name, schema, heap pages, slot directory *)
+  (* user tables: name, schema, and the fixed-size head (row map root,
+     row and live counts, heap tail) — rows live in the table's pages *)
   List.iter
     (fun name ->
       let tbl = Catalog.find_exn comps.dc_catalog name in
-      record tag_table (fun b ->
+      let h = Table.head tbl in
+      record tag_table_head (fun b ->
           add_str b (Table.name tbl);
           add_list b
             (fun (c : Schema.column) ->
               add_str b c.name;
               add_str b (Value.type_name c.ty))
             (Schema.columns (Table.schema tbl));
-          add_list b (add_u32 b) (Table.heap_pages tbl);
-          add_list b
-            (function
-              | Table.Dead -> add_u8 b 0
-              | Table.Live (rid : Heap_file.rid) ->
-                  add_u8 b 1;
-                  add_u32 b rid.page;
-                  add_u32 b rid.slot)
-            (Table.slots tbl)))
+          List.iter (add_u32 b)
+            [ h.map_root; h.nrows; h.live; h.heap_last; h.heap_pages ]))
     (List.sort String.compare (Catalog.table_names comps.dc_catalog));
   record tag_ann_counter (fun b -> add_u32 b (Manager.id_counter comps.dc_ann));
   List.iter
@@ -399,18 +406,15 @@ let restore_table bp comps r =
         | Some ty -> { Schema.name = cname; ty }
         | None -> malformed "unknown column type %S" tyname)
   in
-  let heap_pages = list r u32 in
-  let slots =
-    list r (fun r ->
-        match u8 r with
-        | 0 -> Table.Dead
-        | 1 ->
-            let page = u32 r in
-            let slot = u32 r in
-            Table.Live { Heap_file.page; slot }
-        | n -> malformed "unknown slot kind %d" n)
+  let map_root = u32 r in
+  let nrows = u32 r in
+  let live = u32 r in
+  let heap_last = u32 r in
+  let heap_pages = u32 r in
+  let tbl =
+    Table.attach bp ~name (Schema.make columns)
+      { Table.map_root; nrows; live; heap_last; heap_pages }
   in
-  let tbl = Table.restore bp ~name (Schema.make columns) ~heap_pages ~slots in
   Catalog.restore_table comps.dc_catalog tbl
 
 let restore_ann_table comps r =
@@ -495,7 +499,8 @@ let restore bp comps blob =
   if String.sub buf 0 4 <> magic then malformed "bad catalog magic";
   r.pos <- 4;
   let v = u32 r in
-  if v <> version then malformed "unsupported catalog version %d" v;
+  if v <> version then
+    raise (Unsupported_version { found = v; supported = version });
   let count = u32 r in
   let indexes = ref [] in
   let stats = ref [] in
@@ -510,7 +515,7 @@ let restore bp comps blob =
       malformed "catalog record (tag %d) failed CRC verification" tag;
     let pr = { buf = payload; pos = 0 } in
     if tag = tag_clock then Clock.advance_to comps.dc_clock (u32 pr)
-    else if tag = tag_table then restore_table bp comps pr
+    else if tag = tag_table_head then restore_table bp comps pr
     else if tag = tag_ann_counter then Manager.restore_id_counter comps.dc_ann (u32 pr)
     else if tag = tag_ann_table then restore_ann_table comps pr
     else if tag = tag_ann then restore_ann comps pr

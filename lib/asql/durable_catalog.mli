@@ -1,5 +1,5 @@
 (** The durable catalog codec: every piece of engine metadata — table
-    schemas and heap roots, annotation-table definitions, the annotation
+    heads, annotation-table definitions, the annotation
     registry, dependency rules and instances, outdated marks, principals,
     ACL grants, the approval log, provenance tool registrations, index
     definitions and the logical clock — serialized as versioned,
@@ -12,11 +12,25 @@
     Blob layout: ["BCAT"] magic, u32 format version, u32 record count,
     then records.  Record: u8 tag, u32 payload length, payload, u32
     CRC-32 of the payload.  Unknown tags are skipped on restore (forward
-    compatibility); a bad record CRC raises {!Malformed}. *)
+    compatibility); a bad record CRC raises {!Malformed}.
+
+    Format 2: a user table is one fixed-size head record (tag 19: name,
+    schema, row-map root, row count, live count, heap tail page, heap
+    page count — {!Bdbms_relation.Table.head}).  Its rows are reached
+    through the row map in the table's own pages, so a table's record
+    does not grow with its rows.  Format 1 kept every table's page list
+    and whole slot directory in the blob (tag 2); it is refused with
+    {!Unsupported_version}. *)
 
 exception Malformed of string
 (** The blob (already page- and blob-CRC-verified by {!Meta_page})
     fails record-level verification or refers to impossible state. *)
+
+exception Unsupported_version of { found : int; supported : int }
+(** The blob is a well-formed catalog of another format version. *)
+
+val version : int
+(** The format this engine writes and reads: 2. *)
 
 type index_info = { ix_name : string; ix_table : string; ix_column : string }
 (** A secondary-index definition, decoupled from {!Context.index_def}
@@ -55,4 +69,5 @@ val restore :
     (e.g. the built-in bio tools) keeps its executable body and adopts
     the persisted version; a missing one becomes a non-executable
     placeholder, so its targets can still be marked outdated.
-    @raise Malformed on a framing or record-CRC failure. *)
+    @raise Malformed on a framing or record-CRC failure.
+    @raise Unsupported_version on a catalog of another format. *)

@@ -44,8 +44,12 @@ let register_bio ctx =
 let open_ctx ?page_size ?pool_pages ?policy ?path ?fault ?obs () =
   let ctx = Context.create ?page_size ?pool_pages ?policy ?path ?fault ?obs () in
   register_bio ctx;
-  let n = Context.bootstrap ctx in
-  (ctx, n)
+  match Context.bootstrap ctx with
+  | n -> (ctx, n)
+  | exception (Bdbms_asql.Durable_catalog.Unsupported_version _ as e) ->
+      (* release the file (and its lock) before refusing it *)
+      Disk.abandon ctx.Context.disk;
+      raise e
 
 let create ?page_size ?pool_pages ?policy ?path ?fault () =
   let obs = Obs.create () in

@@ -40,7 +40,9 @@ val create :
     manual re-registration.  [fault] injects crash points for recovery
     testing.
     @raise Bdbms_storage.Backend.Corrupt when a stored page or the
-    catalog fails CRC verification. *)
+    catalog fails CRC verification.
+    @raise Bdbms_asql.Durable_catalog.Unsupported_version when the file
+    holds a catalog of another format (the file is released first). *)
 
 val context : t -> Bdbms_asql.Context.t
 (** Direct access to the assembled managers, for programmatic use. *)

@@ -1,9 +1,37 @@
 module Heap_file = Bdbms_storage.Heap_file
 module Pager = Bdbms_storage.Pager
-module Disk = Bdbms_storage.Disk
+module Page = Bdbms_storage.Page
+module Page_array = Bdbms_storage.Page_array
 module Stats = Bdbms_obs.Stats
 
+(* The row map: row number -> rid, one 6-byte entry per row in a
+   {!Page_array}: u32 heap page + 1, u16 slot.  All-zero is a tombstone
+   (deleted row); row numbers are never reused. *)
 type slot = Live of Heap_file.rid | Dead
+
+let entry_size = 6
+
+(* -1 for a tombstone *)
+let entry_page page off = Page.get_u32 page off - 1
+let entry_slot page off = Page.get_u16 page (off + 4)
+
+let read_slot page off =
+  match entry_page page off with
+  | -1 -> Dead
+  | p -> Live { Heap_file.page = p; slot = entry_slot page off }
+
+let write_slot page off = function
+  | Dead ->
+      Page.set_u32 page off 0;
+      Page.set_u16 page (off + 4) 0
+  | Live (rid : Heap_file.rid) ->
+      Page.set_u32 page off (rid.page + 1);
+      Page.set_u16 page (off + 4) rid.slot
+
+(* Scans copy at most this many map entries per leaf pin: arrays this
+   small are allocated on the minor heap, so a scan adds no major-heap
+   garbage. *)
+let run_chunk = 128
 
 (* Direct-mapped cache of decoded tuples: [get] on a hot row skips the
    heap read and payload decode.  Must stay small (a query touching every
@@ -20,17 +48,16 @@ type t = {
   heap : Heap_file.t;
   stats : Stats.t;
   cache : cached array;
-  mutable rows : slot array;
-  mutable nrows : int;
-  mutable live : int;
+  rows : Page_array.t;
 }
 
+let make bp ~name schema ~heap ~rows =
+  { name; schema; layout = Batch.layout_of_schema schema; heap;
+    stats = Pager.stats bp; cache = Array.make cache_slots Empty; rows }
+
 let create bp ~name schema =
-  { name; schema; layout = Batch.layout_of_schema schema;
-    heap = Heap_file.create bp;
-    stats = Pager.stats bp;
-    cache = Array.make cache_slots Empty;
-    rows = Array.make 16 Dead; nrows = 0; live = 0 }
+  let heap = Heap_file.create bp in
+  make bp ~name schema ~heap ~rows:(Page_array.create bp ~entry_size)
 
 let cache_invalidate t row =
   let i = row land (cache_slots - 1) in
@@ -43,42 +70,42 @@ let schema t = t.schema
 let layout t = t.layout
 let pager t = Heap_file.pager t.heap
 
-let grow t =
-  if t.nrows >= Array.length t.rows then begin
-    let rows = Array.make (2 * Array.length t.rows) Dead in
-    Array.blit t.rows 0 rows 0 t.nrows;
-    t.rows <- rows
-  end
-
 let insert t tuple =
   match Tuple.check_cols t.layout.Batch.cols tuple with
   | Error _ as e -> e
   | Ok () ->
       let rid = Heap_file.insert t.heap (Tuple.encode tuple) in
-      grow t;
-      t.rows.(t.nrows) <- Live rid;
-      t.nrows <- t.nrows + 1;
-      t.live <- t.live + 1;
-      Ok (t.nrows - 1)
+      Ok (Page_array.push t.rows (fun page off -> write_slot page off (Live rid)))
+
+let row_count t = Page_array.length t.rows
+let live_count t = Heap_file.record_count t.heap
 
 let slot_of t row =
-  if row < 0 || row >= t.nrows then Dead else t.rows.(row)
+  if row < 0 || row >= row_count t then Dead
+  else Page_array.get t.rows row read_slot
+
+let set_slot t row slot =
+  Page_array.set t.rows row (fun page off -> write_slot page off slot)
+
+(* Live row [row]'s tuple, decoded from [rid] through the cache (a hit
+   skips the heap read too). *)
+let fetch t row rid =
+  let i = row land (cache_slots - 1) in
+  match t.cache.(i) with
+  | Cached (r, tuple) when r = row -> Some tuple
+  | _ -> (
+      match Heap_file.get t.heap rid with
+      | Some payload ->
+          Stats.record_tuple_decode t.stats;
+          let tuple = Tuple.decode_using ~arity:t.layout.Batch.arity payload in
+          t.cache.(i) <- Cached (row, tuple);
+          Some tuple
+      | None -> None)
 
 let get t row =
-  match slot_of t row with
-  | Dead -> None
-  | Live rid -> (
-      let i = row land (cache_slots - 1) in
-      match t.cache.(i) with
-      | Cached (r, tuple) when r = row -> Some tuple
-      | _ -> (
-          match Heap_file.get t.heap rid with
-          | Some payload ->
-              Stats.record_tuple_decode t.stats;
-              let tuple = Tuple.decode_using ~arity:t.layout.Batch.arity payload in
-              t.cache.(i) <- Cached (row, tuple);
-              Some tuple
-          | None -> None))
+  match t.cache.(row land (cache_slots - 1)) with
+  | Cached (r, tuple) when r = row -> Some tuple (* no map lookup *)
+  | _ -> ( match slot_of t row with Dead -> None | Live rid -> fetch t row rid)
 
 let update t row tuple =
   match Tuple.check_cols t.layout.Batch.cols tuple with
@@ -88,7 +115,7 @@ let update t row tuple =
       | Dead -> Error (Printf.sprintf "row %d is not live" row)
       | Live rid ->
           let rid' = Heap_file.update t.heap rid (Tuple.encode tuple) in
-          t.rows.(row) <- Live rid';
+          if not (Heap_file.rid_equal rid rid') then set_slot t row (Live rid');
           cache_invalidate t row;
           Ok ())
 
@@ -116,35 +143,48 @@ let delete t row =
   | Dead -> false
   | Live rid ->
       ignore (Heap_file.delete t.heap rid);
-      t.rows.(row) <- Dead;
+      set_slot t row Dead;
       cache_invalidate t row;
-      t.live <- t.live - 1;
       true
 
 let resurrect t row tuple =
   match Tuple.check_cols t.layout.Batch.cols tuple with
   | Error _ as e -> e
   | Ok () -> (
-      if row < 0 || row >= t.nrows then
+      if row < 0 || row >= row_count t then
         Error (Printf.sprintf "row %d was never allocated" row)
       else
-        match t.rows.(row) with
+        match slot_of t row with
         | Live _ -> Error (Printf.sprintf "row %d is live" row)
         | Dead ->
             let rid = Heap_file.insert t.heap (Tuple.encode tuple) in
-            t.rows.(row) <- Live rid;
+            set_slot t row (Live rid);
             cache_invalidate t row;
-            t.live <- t.live + 1;
             Ok ())
 
 let is_live t row = match slot_of t row with Live _ -> true | Dead -> false
 
-let row_count t = t.nrows
-let live_count t = t.live
-
+(* One map leaf pin per [run_chunk] rows, then one heap read per row;
+   [f] must not mutate [t]. *)
 let iter t f =
-  for row = 0 to t.nrows - 1 do
-    match get t row with Some tuple -> f row tuple | None -> ()
+  let row = ref 0 in
+  while !row < row_count t do
+    let first = !row in
+    let slots =
+      Page_array.run t.rows first (fun page off n ->
+          Array.init (min n run_chunk) (fun k ->
+              read_slot page (off + (k * entry_size))))
+    in
+    Array.iteri
+      (fun k slot ->
+        match slot with
+        | Dead -> ()
+        | Live rid -> (
+            match fetch t (first + k) rid with
+            | Some tuple -> f (first + k) tuple
+            | None -> ()))
+      slots;
+    row := first + Array.length slots
   done
 
 let fold t ~init ~f =
@@ -155,39 +195,59 @@ let fold t ~init ~f =
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc row tuple -> (row, tuple) :: acc))
 
 (* Batch scan: live rows in row order, decoded straight into column
-   vectors.  Consecutive rows whose records landed on the same heap page
-   decode under a single pin (one page fault / CRC check per run instead
-   of per row); after in-place updates relocate records the run merely
-   shortens — row order is preserved regardless, so both executors see
-   rows in the same order.  [row_id] names a trailing column holding each
-   row's number (annotated queries attach envelopes by it). *)
+   vectors.  Each pull first copies up to [run_chunk] of the row map's
+   entries from the current map leaf into [pages]/[slots] (one leaf
+   pin), then decodes
+   consecutive rows whose records landed on the same heap page under a
+   single pin (one page fault / CRC check per run instead of per row) —
+   never two pages pinned at once.  After in-place updates relocate
+   records the run merely shortens; row order is preserved regardless, so
+   both executors see rows in the same order.  The copy is dropped at the
+   end of every pull, so a mutation between pulls is seen.  [row_id]
+   names a trailing column holding each row's number (annotated queries
+   attach envelopes by it). *)
 let batches ?(batch_rows = Batch.default_rows) ?need ?row_id t =
+  let pages = Array.make run_chunk 0 and slots = Array.make run_chunk 0 in
   let row = ref 0 in
   fun () ->
-    if !row >= t.nrows then None
+    if !row >= row_count t then None
     else begin
       let b = Batch.builder ~cap:batch_rows ?need t.schema t.layout in
       let ids = if row_id = None then [||] else Array.make batch_rows 0 in
-      while !row < t.nrows && not (Batch.full b) do
-        match t.rows.(!row) with
-        | Dead -> incr row
-        | Live rid ->
-            let page = rid.Heap_file.page in
+      while !row < row_count t && not (Batch.full b) do
+        (* rows [first, first + n) of the map are copied out *)
+        let first = !row in
+        let n =
+          Page_array.run t.rows first (fun page off n ->
+              let n = min n run_chunk in
+              for k = 0 to n - 1 do
+                let o = off + (k * entry_size) in
+                pages.(k) <- entry_page page o;
+                slots.(k) <- entry_slot page o
+              done;
+              n)
+        in
+        while !row < first + n && not (Batch.full b) do
+          let page = pages.(!row - first) in
+          if page < 0 then incr row
+          else
             Heap_file.with_page_spans t.heap page (fun buf read ->
                 let in_run = ref true in
-                while !in_run && !row < t.nrows && not (Batch.full b) do
-                  match t.rows.(!row) with
-                  | Dead -> incr row
-                  | Live r when r.Heap_file.page = page ->
-                      (match read r.Heap_file.slot with
-                      | Some (pos, len) ->
-                          Stats.record_tuple_decode t.stats;
-                          if row_id <> None then ids.(Batch.length b) <- !row;
-                          Batch.append_span b buf ~pos ~len
-                      | None -> ());
-                      incr row
-                  | Live _ -> in_run := false
+                while !in_run && !row < first + n && not (Batch.full b) do
+                  let k = !row - first in
+                  if pages.(k) < 0 then incr row
+                  else if pages.(k) <> page then in_run := false
+                  else begin
+                    (match read slots.(k) with
+                    | Some (pos, len) ->
+                        Stats.record_tuple_decode t.stats;
+                        if row_id <> None then ids.(Batch.length b) <- !row;
+                        Batch.append_span b buf ~pos ~len
+                    | None -> ());
+                    incr row
+                  end
                 done)
+        done
       done;
       if Batch.length b = 0 then None
       else begin
@@ -200,29 +260,32 @@ let batches ?(batch_rows = Batch.default_rows) ?need ?row_id t =
     end
 
 let storage_pages t = Heap_file.page_count t.heap
-let heap_pages t = Heap_file.pages t.heap
-let slots t = Array.to_list (Array.sub t.rows 0 t.nrows)
 
-(* Reattach a table to its heap pages after a restart: the schema, the
-   page list, and the row-number -> rid slot array all come from the
-   durable catalog. *)
-let restore bp ~name schema ~heap_pages ~slots =
-  let heap = Heap_file.restore bp ~pages:heap_pages in
-  let arr = Array.of_list slots in
-  let nrows = Array.length arr in
-  let live =
-    Array.fold_left (fun n s -> match s with Live _ -> n + 1 | Dead -> n) 0 arr
-  in
-  let rows = Array.make (max 16 nrows) Dead in
-  Array.blit arr 0 rows 0 nrows;
+type head = {
+  map_root : Page.id;
+  nrows : int;
+  live : int;
+  heap_last : Page.id;
+  heap_pages : int;
+}
+
+let head t =
   {
-    name;
-    schema;
-    layout = Batch.layout_of_schema schema;
-    heap;
-    stats = Pager.stats bp;
-    cache = Array.make cache_slots Empty;
-    rows;
-    nrows;
-    live;
+    map_root = Page_array.root t.rows;
+    nrows = row_count t;
+    live = live_count t;
+    heap_last = Heap_file.last_page t.heap;
+    heap_pages = Heap_file.page_count t.heap;
   }
+
+(* Reattach a table after a restart from its catalog head: the heap and
+   the row map are rebuilt from a handful of integers, reading no page. *)
+let attach bp ~name schema h =
+  let heap =
+    Heap_file.attach bp ~last_page:h.heap_last ~page_count:h.heap_pages
+      ~live:h.live
+  in
+  let rows =
+    Page_array.attach bp ~entry_size ~root:h.map_root ~length:h.nrows
+  in
+  make bp ~name schema ~heap ~rows

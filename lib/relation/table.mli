@@ -9,11 +9,6 @@
 
 type t
 
-type slot = Live of Bdbms_storage.Heap_file.rid | Dead
-(** One entry of the row-number -> record mapping; tombstones are kept so
-    row numbers stay stable (and so the mapping can be serialized to the
-    durable catalog and restored by {!restore}). *)
-
 val create : Bdbms_storage.Pager.t -> name:string -> Schema.t -> t
 val name : t -> string
 val schema : t -> Schema.t
@@ -53,7 +48,8 @@ val row_count : t -> int
 val live_count : t -> int
 
 val iter : t -> (int -> Tuple.t -> unit) -> unit
-(** Live rows in row order. *)
+(** Live rows in row order.  The callback must not mutate the table
+    (collect first, then write). *)
 
 val fold : t -> init:'a -> f:('a -> int -> Tuple.t -> 'a) -> 'a
 val to_list : t -> (int * Tuple.t) list
@@ -71,20 +67,23 @@ val batches :
     row's number (never NULL, never pruned). *)
 
 val storage_pages : t -> int
+(** Heap pages (the row map's pages are not counted). *)
 
-val heap_pages : t -> Bdbms_storage.Page.id list
-(** The table's heap pages in allocation order (for the durable catalog). *)
+(** A table's fixed-size durable head: everything a restart needs to
+    reattach the table, independent of its row count.  Rows are reached
+    through the row map — a {!Bdbms_storage.Page_array} of one 6-byte
+    entry per row number (heap page + 1, slot; all zero for a
+    tombstone) — so no page list and no slot directory are kept. *)
+type head = {
+  map_root : Bdbms_storage.Page.id;  (** the row map's root page *)
+  nrows : int;  (** {!row_count} *)
+  live : int;  (** {!live_count} *)
+  heap_last : Bdbms_storage.Page.id;  (** the heap page inserts go to *)
+  heap_pages : int;  (** {!storage_pages} *)
+}
 
-val slots : t -> slot list
-(** The row-number -> rid mapping including tombstones (for the durable
-    catalog). *)
+val head : t -> head
 
-val restore :
-  Bdbms_storage.Pager.t ->
-  name:string ->
-  Schema.t ->
-  heap_pages:Bdbms_storage.Page.id list ->
-  slots:slot list ->
-  t
-(** Reattach a table to its heap pages after a restart, from a catalog
-    record written via {!heap_pages} and {!slots}. *)
+val attach : Bdbms_storage.Pager.t -> name:string -> Schema.t -> head -> t
+(** Reattach a table after a restart from its {!head}, reading no
+    page. *)

@@ -8,7 +8,9 @@ type rid = { page : Page.id; slot : int }
 
 type t = {
   bp : Pager.t;
-  mutable pages : Page.id array; (* in allocation order *)
+  mutable pages : Page.id array option;
+      (* in allocation order; [None] for a file reattached by {!attach},
+         whose owner reaches records by rid alone *)
   mutable npages : int;
   mutable last_page : Page.id;
   mutable live : int;
@@ -25,18 +27,20 @@ let init_page page =
   Page.set_u16 page 2 (Page.size page)
 
 let add_page t id =
-  if t.npages >= Array.length t.pages then begin
-    let pages = Array.make (2 * Array.length t.pages) 0 in
-    Array.blit t.pages 0 pages 0 t.npages;
-    t.pages <- pages
-  end;
-  t.pages.(t.npages) <- id;
+  (match t.pages with
+  | Some pages when t.npages >= Array.length pages ->
+      let grown = Array.make (2 * Array.length pages) 0 in
+      Array.blit pages 0 grown 0 t.npages;
+      grown.(t.npages) <- id;
+      t.pages <- Some grown
+  | Some pages -> pages.(t.npages) <- id
+  | None -> ());
   t.npages <- t.npages + 1
 
 let create bp =
   let id = Pager.alloc_page bp in
   Pager.with_page_mut bp id init_page;
-  let t = { bp; pages = Array.make 8 0; npages = 0; last_page = id; live = 0 } in
+  let t = { bp; pages = Some (Array.make 8 0); npages = 0; last_page = id; live = 0 } in
   add_page t id;
   t
 
@@ -69,7 +73,8 @@ let try_place page payload =
       let off, _ = slot_entry page s in
       if off = dead_offset then Some s else find_dead (s + 1)
   in
-  let needed_dir = match find_dead 0 with None -> slot_size | Some _ -> 0 in
+  let dead = find_dead 0 in
+  let needed_dir = match dead with None -> slot_size | Some _ -> 0 in
   if free_space page < len + needed_dir then None
   else begin
     let free_ptr = Page.get_u16 page 2 in
@@ -77,7 +82,7 @@ let try_place page payload =
     Page.set_bytes page ~pos:off payload;
     Page.set_u16 page 2 off;
     let slot =
-      match find_dead 0 with
+      match dead with
       | Some s -> s
       | None ->
           Page.set_u16 page 0 (nslots + 1);
@@ -188,6 +193,11 @@ let update t rid payload =
     insert t payload
   end
 
+let listed t =
+  match t.pages with
+  | Some pages -> Array.sub pages 0 t.npages
+  | None -> invalid_arg "Heap_file: page list of a file reattached by its head"
+
 let iter t f =
   Array.iter
     (fun page_id ->
@@ -204,7 +214,7 @@ let iter t f =
             !out)
       in
       List.iter (fun (rid, payload) -> f rid payload) records)
-    (Array.sub t.pages 0 t.npages)
+    (listed t)
 
 let fold t ~init ~f =
   let acc = ref init in
@@ -213,7 +223,8 @@ let fold t ~init ~f =
 
 let record_count t = t.live
 let page_count t = t.npages
-let pages t = Array.to_list (Array.sub t.pages 0 t.npages)
+let last_page t = t.last_page
+let pages t = Array.to_list (listed t)
 
 (* Reattach a heap file to pages it owned before a restart.  The live
    count is recounted from the slot directories rather than trusted from
@@ -224,7 +235,7 @@ let restore bp ~pages:ids =
   | _ ->
       let arr = Array.of_list ids in
       let n = Array.length arr in
-      let t = { bp; pages = arr; npages = n; last_page = arr.(n - 1); live = 0 } in
+      let t = { bp; pages = Some arr; npages = n; last_page = arr.(n - 1); live = 0 } in
       let live = ref 0 in
       Array.iter
         (fun id ->
@@ -237,6 +248,12 @@ let restore bp ~pages:ids =
         arr;
       t.live <- !live;
       t
+
+(* Reattach a file from its head: nothing is read.  Inserts continue on
+   [last_page]; the page list is not known, so {!iter} and {!pages} are
+   unavailable. *)
+let attach bp ~last_page ~page_count ~live =
+  { bp; pages = None; npages = page_count; last_page; live }
 
 let pp_rid fmt rid = Format.fprintf fmt "(%d,%d)" rid.page rid.slot
 let rid_equal a b = a.page = b.page && a.slot = b.slot

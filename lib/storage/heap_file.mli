@@ -51,7 +51,8 @@ val update : t -> rid -> string -> rid
     @raise Not_found if the rid is dead. *)
 
 val iter : t -> (rid -> string -> unit) -> unit
-(** All live records in page/slot order. *)
+(** All live records in page/slot order.
+    @raise Invalid_argument on a file reattached by {!attach}. *)
 
 val fold : t -> init:'a -> f:('a -> rid -> string -> 'a) -> 'a
 
@@ -61,15 +62,25 @@ val record_count : t -> int
 val page_count : t -> int
 (** Pages owned by this file. *)
 
+val last_page : t -> Page.id
+(** The page inserts go to (the newest page). *)
+
 val pages : t -> Page.id list
 (** The file's pages in allocation order — what the durable catalog
-    serializes so {!restore} can reattach the file after a restart. *)
+    serializes so {!restore} can reattach the file after a restart.
+    @raise Invalid_argument on a file reattached by {!attach}. *)
 
 val restore : Pager.t -> pages:Page.id list -> t
 (** Reattach a heap file to the pages it owned before a restart (from a
     catalog record written by {!pages}).  The live-record count is
     recounted from the slot directories.
     @raise Invalid_argument on an empty page list. *)
+
+val attach : Pager.t -> last_page:Page.id -> page_count:int -> live:int -> t
+(** Reattach a heap file from a fixed-size head ({!last_page},
+    {!page_count}, {!record_count}) without reading any page.  The owner
+    reaches records by rid (a table through its row map), so the file
+    keeps no page list: {!iter} and {!pages} raise on it. *)
 
 val pp_rid : Format.formatter -> rid -> unit
 val rid_equal : rid -> rid -> bool

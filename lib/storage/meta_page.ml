@@ -238,15 +238,22 @@ let swap_root disk blob =
     total := owned @ List.rev !fresh
   end;
   let pages = Array.of_list !total in
-  (* Rewrite the live prefix in place; links past it are already there. *)
+  (* Rewrite the live prefix in place; links past it are already there.
+     A page that already holds its link and bytes stays clean: the target
+     chain carries the blob from two swaps back, and a catalog change that
+     keeps record lengths (a table head's counts) leaves every later page
+     at the same offsets, so such a commit writes one chain page. *)
   for i = 0 to needed - 1 do
-    Disk.with_page_mut disk pages.(i) (fun page ->
-        let next =
-          if i + 1 < Array.length pages then pages.(i + 1) + 1 else 0
-        in
-        Page.set_u32 page 0 next;
-        let chunk = min cap (len - (i * cap)) in
-        Bytes.blit blob (i * cap) (Page.unsafe_bytes page) 4 chunk)
+    let next = if i + 1 < Array.length pages then pages.(i + 1) + 1 else 0 in
+    let chunk = min cap (len - (i * cap)) in
+    let current page =
+      Page.get_u32 page 0 = next
+      && sub_equal (Page.unsafe_bytes page) 4 blob (i * cap) chunk
+    in
+    if not (Disk.with_page disk pages.(i) current) then
+      Disk.with_page_mut disk pages.(i) (fun page ->
+          Page.set_u32 page 0 next;
+          Bytes.blit blob (i * cap) (Page.unsafe_bytes page) 4 chunk)
   done;
   (* The chain is in place; crashing here must leave the old root live. *)
   Fault.hit fault Fault.Root_swap;

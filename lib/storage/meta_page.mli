@@ -20,7 +20,8 @@ val read_root : Disk.t -> Bytes.t option
 
 val write_root : Disk.t -> Bytes.t -> unit
 (** Write a new catalog blob and swap the root to it.  Reuses the chain
-    pages owned by the stale slot before allocating new ones.  Hits the
+    pages owned by the stale slot before allocating new ones, and dirties
+    only those whose bytes differ from the new blob's.  Hits the
     {!Fault.Catalog_write} point on entry and {!Fault.Root_swap} between
     laying down the chain and committing the root slot.
 

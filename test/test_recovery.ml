@@ -749,6 +749,11 @@ let fingerprint db =
    principals/grants, a secondary index, content approval with a
    disapproval (running an inverse statement), and a delete.  Every
    statement is valid, so any [Error] is a harness bug. *)
+let bulk_genes =
+  "INSERT INTO Gene VALUES "
+  ^ String.concat ", "
+      (List.init 48 (fun i -> Printf.sprintf "('b%d', 'ACGTAC')" i))
+
 let workload =
   [
     "CREATE TABLE Gene (GID TEXT, GSequence DNA)";
@@ -775,6 +780,12 @@ let workload =
     "DISAPPROVE 2";
     "INSERT INTO Gene VALUES ('g3', 'AAACCC')";
     "DELETE FROM Gene WHERE GID = 'g2'";
+    (* past one row-map leaf at this page size (42 entries), so the map
+       grows a root; then tombstones and relocations in both leaves *)
+    bulk_genes;
+    "UPDATE Gene SET GSequence = '" ^ String.make 120 'G' ^ "' WHERE GID = 'g3'";
+    "DELETE FROM Gene WHERE GID = 'b7' OR GID = 'b44'";
+    "UPDATE Gene SET GSequence = '" ^ String.make 150 'T' ^ "' WHERE GID = 'b45'";
   ]
 
 (* Oracle: an in-memory engine that replayed the first [k] statements. *)
@@ -1100,6 +1111,45 @@ let test_read_only_commits_write_nothing () =
       checki "re-analyzing read: one root swap" 1 s.Stats.root_swaps;
       checkb "re-analyzing read: logged" true (s.Stats.wal_flushes > 0))
 
+(* An INSERT changes only its table's fixed-size head in the catalog, so
+   the rest of a long blob (here, annotation bodies) stays at the same
+   offsets and the root swap rewrites one chain page, not the chain. *)
+let test_insert_commit_writes_one_chain_page () =
+  let path = tmp_path () in
+  let db = Db.create ~page_size ~path () in
+  Fun.protect
+    ~finally:(fun () ->
+      Db.close db;
+      cleanup path)
+    (fun () ->
+      let e sql = ignore (Db.exec_exn db sql) in
+      e "CREATE TABLE g (k INT)";
+      e "INSERT INTO g VALUES (0)";
+      e "CREATE ANNOTATION TABLE notes ON g";
+      for i = 1 to 40 do
+        e
+          (Printf.sprintf
+             "ADD ANNOTATION TO g.notes VALUE 'curated note %d: %s' ON (SELECT * FROM g)"
+             i (String.make 40 'n'))
+      done;
+      let chain =
+        match Meta_page.read_root (Db.context db).Context.disk with
+        | Some blob -> (Bytes.length blob + page_size - 5) / (page_size - 4)
+        | None -> Alcotest.fail "no catalog root"
+      in
+      checkb (Printf.sprintf "a long chain (%d pages)" chain) true (chain >= 10);
+      (* the older slot's chain catches up with the annotations first *)
+      e "INSERT INTO g VALUES (1)";
+      e "INSERT INTO g VALUES (2)";
+      let before = Db.io_stats db in
+      e "INSERT INTO g VALUES (3)";
+      let s = Stats.diff ~after:(Db.io_stats db) ~before in
+      checki "one root swap" 1 s.Stats.root_swaps;
+      (* heap page, row-map leaf, one chain page, page 0 *)
+      checkb
+        (Printf.sprintf "%d page writes <= 4 of a %d-page chain" s.Stats.writes chain)
+        true (s.Stats.writes <= 4))
+
 (* Bootstrapping a blob and re-encoding it gives the same bytes, so the
    first read after a reopen finds the catalog unchanged. *)
 let test_catalog_encode_fixpoint () =
@@ -1127,9 +1177,9 @@ let test_catalog_encode_fixpoint () =
         (Stats.diff ~after:(Db.io_stats db) ~before).Stats.root_swaps)
 
 (* MD5 of the encoding of [workload] plus ANALYZE on an in-memory
-   engine, pinned from the code before the codec's word helpers changed:
-   the catalog format must stay byte-identical. *)
-let golden_catalog_digest = "cdca43bd856d6f291a1c7f4306bf58aa"
+   engine: the catalog format must stay byte-identical.  Pinned at format
+   2, whose tables are fixed-size heads (tag 19) over a paged row map. *)
+let golden_catalog_digest = "c60fb10ecfc3829faa11b1c4cff4edb1"
 
 let test_catalog_golden_digest () =
   let db = Db.create ~page_size () in
@@ -1138,6 +1188,97 @@ let test_catalog_golden_digest () =
   Db.close db;
   checks "catalog encoding digest" golden_catalog_digest
     (Digest.to_hex (Digest.bytes blob))
+
+(* Reattaching a table reads none of its pages: opening a database with
+   a 10,000-row table, and taking a snapshot of it, touch page 0 and the
+   catalog chain (plus at most the row map's root per table), not every
+   heap page and not a chain that grows with the rows. *)
+let test_bootstrap_reads_constant () =
+  let page_size = 4096 in
+  let path = tmp_path () in
+  let db = Db.create ~page_size ~path () in
+  ignore (Db.exec_exn db "CREATE TABLE Gene (GID TEXT, GSequence TEXT)");
+  for chunk = 0 to 19 do
+    ignore
+      (Db.exec_exn db
+         ("INSERT INTO Gene VALUES "
+         ^ String.concat ", "
+             (List.init 500 (fun i ->
+                  Printf.sprintf "('JW%05d', 'ACGTACGTACGTACGT')" ((chunk * 500) + i)))))
+  done;
+  ignore (Db.exec_exn db "DELETE FROM Gene WHERE GID LIKE 'JW%9'");
+  Db.close db;
+  let accesses s = s.Stats.reads + s.Stats.hits in
+  let ctx = Context.create ~page_size ~path () in
+  let chain =
+    match Meta_page.read_root ctx.Context.disk with
+    | Some blob -> (Bytes.length blob + page_size - 5) / (page_size - 4)
+    | None -> Alcotest.fail "no catalog root"
+  in
+  let heap_pages =
+    (* the blob read above warmed the pool; count a cold bootstrap *)
+    let before = Stats.snapshot (Disk.stats ctx.Context.disk) in
+    let n = Context.bootstrap ctx in
+    checkb "bootstrapped" true (n > 0);
+    let got =
+      accesses (Stats.diff ~after:(Stats.snapshot (Disk.stats ctx.Context.disk)) ~before)
+    in
+    checkb
+      (Printf.sprintf "open: %d page accesses <= page 0 + %d chain + 1 map root" got chain)
+      true (got <= 1 + chain + 1);
+    let g = Catalog.find_exn ctx.Context.catalog "Gene" in
+    checki "rows" 10_000 (Table.row_count g);
+    checki "live" 9_000 (Table.live_count g);
+    Table.storage_pages g
+  in
+  Context.close ctx;
+  checkb "chain does not hold the rows" true (chain = 1);
+  checkb "table spans many heap pages" true (heap_pages > 50);
+  let e = Bdbms_server.Engine.create ~page_size ~path () in
+  Fun.protect
+    ~finally:(fun () ->
+      Bdbms_server.Engine.close e;
+      cleanup path)
+    (fun () ->
+      let canonical = Db.io_stats (Bdbms_server.Engine.db e) in
+      let txn = Bdbms_server.Engine.begin_txn e () in
+      (* every page the snapshot's bootstrap faults in is a committed
+         read through the canonical store *)
+      let got =
+        accesses (Stats.diff ~after:(Db.io_stats (Bdbms_server.Engine.db e)) ~before:canonical)
+      in
+      checkb
+        (Printf.sprintf "BEGIN: %d page reads <= page 0 + %d chain + 1 map root" got chain)
+        true (got <= 1 + chain + 1);
+      Bdbms_server.Engine.rollback_txn txn)
+
+(* A catalog of format 1 (every slot directory in the blob) is refused
+   with the typed version error — not [Malformed], not a crash — and the
+   file is released, so a second open refuses the same way. *)
+let test_v1_catalog_refused () =
+  let path = tmp_path () in
+  let d = Disk.open_file ~page_size path in
+  Meta_page.ensure_root d;
+  let blob = Buffer.create 12 in
+  Buffer.add_string blob "BCAT";
+  Buffer.add_int32_le blob 1l;
+  Buffer.add_int32_le blob 0l;
+  Meta_page.write_root d (Buffer.to_bytes blob);
+  Disk.commit d;
+  Disk.close d;
+  let refused what =
+    match Db.create ~page_size ~path () with
+    | exception Bdbms_asql.Durable_catalog.Unsupported_version { found; supported } ->
+        checki (what ^ ": found") 1 found;
+        checki (what ^ ": supported") 2 supported
+    | exception e -> Alcotest.failf "%s: wrong error %s" what (Printexc.to_string e)
+    | db ->
+        Db.close db;
+        Alcotest.failf "%s: a format-1 catalog opened" what
+  in
+  refused "first open";
+  refused "second open";
+  cleanup path
 
 let test_page_size_mismatch () =
   let path = tmp_path () in
@@ -1198,6 +1339,8 @@ let () =
             test_catalog_encode_fixpoint;
           Alcotest.test_case "golden catalog digest" `Quick
             test_catalog_golden_digest;
+          Alcotest.test_case "insert commit writes one chain page" `Quick
+            test_insert_commit_writes_one_chain_page;
         ] );
       ( "facade",
         [
@@ -1216,5 +1359,9 @@ let () =
           Alcotest.test_case "script error atomicity" `Quick test_script_atomicity;
           Alcotest.test_case "script crash keeps prefix" `Quick
             test_script_crash_prefix;
+          Alcotest.test_case "open and BEGIN read O(1) pages" `Quick
+            test_bootstrap_reads_constant;
+          Alcotest.test_case "format-1 catalog refused" `Quick
+            test_v1_catalog_refused;
         ] );
     ]

@@ -197,6 +197,128 @@ let test_table_many_rows () =
   Table.iter t (fun _ _ -> incr seen);
   checki "iter sees all" 200 !seen
 
+(* The row map against a model: inserts, relocating updates, deletes
+   and resurrections over pages small enough that the map grows two
+   interior levels, through a 4-frame pool (so every read is a fault);
+   then a reattach from the head alone must see the same rows. *)
+let test_table_row_map_model () =
+  let bp = mk_env ~page_size:128 ~capacity:4 () in
+  let schema =
+    Schema.make
+      [ { Schema.name = "k"; ty = Value.TInt }; { Schema.name = "v"; ty = Value.TString } ]
+  in
+  let t = Table.create bp ~name:"M" schema in
+  let model = Hashtbl.create 64 in
+  let rng = Random.State.make [| 16 |] in
+  let tuple k len = Tuple.make [ v_int k; v_str (String.make len 'x') ] in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  for i = 0 to 1499 do
+    let row = ok (Table.insert t (tuple i 4)) in
+    checki "dense row numbers" i row;
+    Hashtbl.replace model row (tuple i 4);
+    if i mod 5 = 4 then begin
+      let r = Random.State.int rng (i + 1) in
+      match Random.State.int rng 3 with
+      | 0 when Hashtbl.mem model r ->
+          (* grows the record: relocates once the page is full *)
+          let tu = tuple (-r) (8 + Random.State.int rng 40) in
+          ok (Table.update t r tu);
+          Hashtbl.replace model r tu
+      | 1 ->
+          checkb "delete iff live" (Hashtbl.mem model r) (Table.delete t r);
+          Hashtbl.remove model r
+      | _ when not (Hashtbl.mem model r) ->
+          ok (Table.resurrect t r (tuple (r + 10_000) 2));
+          Hashtbl.replace model r (tuple (r + 10_000) 2)
+      | _ -> ()
+    end
+  done;
+  let expect = List.sort compare (Hashtbl.fold (fun r tu acc -> (r, Tuple.encode tu) :: acc) model []) in
+  let check what t =
+    checki (what ^ ": row count") 1500 (Table.row_count t);
+    checki (what ^ ": live count") (Hashtbl.length model) (Table.live_count t);
+    let got = List.map (fun (r, tu) -> (r, Tuple.encode tu)) (Table.to_list t) in
+    checkb (what ^ ": iter matches the model") true (got = expect);
+    List.iter
+      (fun rows ->
+        let next = Table.batches ~batch_rows:rows ~row_id:"#row" t in
+        let seen = ref [] in
+        let rec pull () =
+          match next () with
+          | None -> ()
+          | Some b ->
+              for i = 0 to Batch.rows b - 1 do
+                let tu = Batch.tuple_of b i in
+                let n = Array.length tu in
+                let row = match tu.(n - 1) with Value.VInt r -> r | _ -> -1 in
+                let tu = Array.sub tu 0 (n - 1) in
+                seen := (row, Tuple.encode tu) :: !seen
+              done;
+              pull ()
+        in
+        pull ();
+        checkb
+          (Printf.sprintf "%s: batches of %d match the model" what rows)
+          true (List.rev !seen = expect))
+      [ 1; 7; 1024 ];
+    checki (what ^ ": no pin leaked") 0 (Bdbms_storage.Pager.pinned bp)
+  in
+  check "live" t;
+  check "reattached" (Table.attach bp ~name:"M" schema (Table.head t))
+
+(* The catalog root holds a fixed-size head per table, so its length —
+   less the optimizer-statistics records (tag 18), whose histograms
+   legitimately follow the data — does not move as rows are inserted,
+   deleted, or relocated by updates. *)
+let root_len_without_stats db =
+  let blob = Bytes.to_string (Bdbms_asql.Context.encode_catalog (Bdbms.Db.context db)) in
+  let u32 pos = Int32.to_int (String.get_int32_le blob pos) land 0xFFFFFFFF in
+  let count = u32 8 in
+  let rec go pos k stats =
+    if k = count then stats
+    else
+      let len = u32 (pos + 1) in
+      let rec_len = 1 + 4 + len + 4 in
+      go (pos + rec_len) (k + 1) (if blob.[pos] = '\018' then stats + rec_len else stats)
+  in
+  String.length blob - go 12 0 0
+
+let test_root_length_invariant () =
+  let db = Bdbms.Db.create () in
+  let exec sql = ignore (Bdbms.Db.exec_exn db sql) in
+  exec "CREATE TABLE Gene (GID TEXT, GSequence TEXT)";
+  let insert lo hi =
+    exec
+      ("INSERT INTO Gene VALUES "
+      ^ String.concat ", "
+          (List.init (hi - lo) (fun i ->
+               Printf.sprintf "('JW%05d', 'ACGTACGTAC')" (lo + i))))
+  in
+  insert 0 10;
+  let at10 = root_len_without_stats db in
+  let rec fill n =
+    if n < 10_000 then begin
+      let hi = min 10_000 (n + 500) in
+      insert n hi;
+      fill hi
+    end
+  in
+  fill 10;
+  checki "rows" 10_000
+    (Table.row_count (Catalog.find_exn (Bdbms.Db.context db).Bdbms_asql.Context.catalog "Gene"));
+  checki "10 vs 10,000 rows" at10 (root_len_without_stats db);
+  exec "DELETE FROM Gene WHERE GID LIKE 'JW%3'";
+  checki "after deletes" at10 (root_len_without_stats db);
+  let pages_before =
+    Table.storage_pages (Catalog.find_exn (Bdbms.Db.context db).Bdbms_asql.Context.catalog "Gene")
+  in
+  exec ("UPDATE Gene SET GSequence = '" ^ String.make 200 'T' ^ "' WHERE GID LIKE 'JW%7'");
+  checkb "updates relocated records" true
+    (Table.storage_pages (Catalog.find_exn (Bdbms.Db.context db).Bdbms_asql.Context.catalog "Gene")
+    > pages_before);
+  checki "after relocating updates" at10 (root_len_without_stats db);
+  Bdbms.Db.close db
+
 (* ----------------------------------------------------------------- Expr *)
 
 let abc_schema =
@@ -475,6 +597,8 @@ let () =
           Alcotest.test_case "stable row numbers" `Quick test_table_stable_row_numbers;
           Alcotest.test_case "update cell" `Quick test_table_update_cell;
           Alcotest.test_case "many rows" `Quick test_table_many_rows;
+          Alcotest.test_case "row map vs model" `Quick test_table_row_map_model;
+          Alcotest.test_case "root length invariant" `Quick test_root_length_invariant;
         ] );
       ( "expr",
         [

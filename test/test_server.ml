@@ -53,6 +53,11 @@ let ok what = function
   | Ok v -> v
   | Error e -> Alcotest.fail (what ^ ": " ^ Engine.error_message e)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let exec e sql = ignore (ok sql (Engine.execute e sql))
 let render e sql = Executor.render (ok sql (Engine.execute e sql))
 let trender txn sql = Executor.render (ok sql (Engine.txn_exec txn sql))
@@ -188,6 +193,49 @@ let test_snapshot_isolation () =
       checkb "new snapshot sees the write" true
         (trender r2 "SELECT * FROM t" <> before);
       Engine.rollback_txn r2)
+
+(* A snapshot reads the row map as of its horizon: 1,000 rows inserted,
+   a record relocated by a growing update and a row deleted after BEGIN
+   leave its rows and row count unchanged, and its own (disjoint) write
+   still replays onto the canonical engine at commit. *)
+let test_snapshot_row_map_horizon () =
+  with_engine (fun e ->
+      exec e "CREATE TABLE g (k INT, v TEXT)";
+      exec e "CREATE TABLE w (n INT)";
+      exec e
+        ("INSERT INTO g VALUES "
+        ^ String.concat ", " (List.init 50 (fun i -> Printf.sprintf "(%d, 'v%d')" i i)));
+      let txn = Engine.begin_txn e () in
+      let rows = trender txn "SELECT * FROM g" in
+      let count = trender txn "SELECT COUNT(*) FROM g" in
+      for chunk = 0 to 19 do
+        exec e
+          ("INSERT INTO g VALUES "
+          ^ String.concat ", "
+              (List.init 50 (fun i ->
+                   let k = 50 + (chunk * 50) + i in
+                   Printf.sprintf "(%d, 'v%d')" k k)))
+      done;
+      exec e ("UPDATE g SET v = '" ^ String.make 300 'x' ^ "' WHERE k = 3");
+      exec e "DELETE FROM g WHERE k = 5";
+      checks "snapshot rows unchanged" rows (trender txn "SELECT * FROM g");
+      checks "snapshot row count unchanged" count
+        (trender txn "SELECT COUNT(*) FROM g");
+      ignore (ok "txn insert" (Engine.txn_exec txn "INSERT INTO w VALUES (7)"));
+      checkb "commit replays" true (ok "commit" (Engine.commit_txn txn) > 0);
+      checks "replayed write landed" "n\n7\n(1 rows)" (render e "SELECT * FROM w");
+      let after = Engine.begin_txn e () in
+      checks "new snapshot counts every commit" (render e "SELECT COUNT(*) FROM g")
+        (trender after "SELECT COUNT(*) FROM g");
+      checkb "1,049 live rows" true
+        (contains (trender after "SELECT COUNT(*) FROM g") "1049");
+      checkb "relocated row visible" true
+        (contains
+           (trender after "SELECT v FROM g WHERE k = 3")
+           (String.make 300 'x'));
+      checkb "deleted row gone" true
+        (contains (trender after "SELECT * FROM g WHERE k = 5") "(0 rows)");
+      Engine.rollback_txn after)
 
 let test_read_own_writes () =
   with_engine (fun e ->
@@ -1049,6 +1097,8 @@ let () =
         [
           Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
           Alcotest.test_case "read own writes" `Quick test_read_own_writes;
+          Alcotest.test_case "row map at the horizon" `Quick
+            test_snapshot_row_map_horizon;
           Alcotest.test_case "first writer wins" `Quick test_first_writer_wins;
           Alcotest.test_case "disjoint writers" `Quick
             test_disjoint_writers_no_conflict;
