@@ -14,7 +14,11 @@
    write row guards the commit's cost against table size: a table's rows
    live in its own pages and the catalog root keeps a fixed-size head per
    table, so a 50-row INSERT commit at 20k rows must write no more than
-   2 pages more than one at 2k rows.
+   2 pages more than one at 2k rows.  A metadata row does the same for
+   annotations and dependency links, which live in their own pages
+   behind fixed-size heads: a one-annotation commit at 2,000 annotations
+   and a LINK commit at 10k links must each write no more than 2 pages
+   more than at 100 annotations and 1k links.
 
    Sessions here drive the engine through the in-process Session API —
    the same code path the socket front end uses, minus the kernel
@@ -200,6 +204,91 @@ let measure_ingest () =
   cleanup path;
   points
 
+let ann_points = [ 100; 2_000 ]
+let link_points = [ 1_000; 10_000 ]
+
+(* Metadata row: count what [commits_per_point] one-annotation
+   autocommits write at each of [ann_points] annotations, then what as
+   many LINK autocommits write at each of [link_points] links — pages
+   written and root-swap bytes per commit, as in the write row.  The
+   links up to each point are made in bulk through the tracker and
+   committed by the first measured statement's commit, outside the
+   count. *)
+let measure_meta () =
+  let path = tmp_path "meta" in
+  cleanup path;
+  let e = Engine.create ~pool_pages:512 ~path () in
+  let exec sql =
+    match Engine.execute e sql with
+    | Ok _ -> ()
+    | Error err -> failwith ("E15: " ^ Engine.error_message err)
+  in
+  let nlinks = List.nth link_points 1 + (2 * commits_per_point) in
+  exec "CREATE TABLE gene (gid TEXT, seq DNA)";
+  exec "CREATE TABLE protein (pid TEXT, pseq PROTEIN)";
+  for chunk = 0 to (nlinks / 500) do
+    let values f = String.concat ", " (List.init 500 (fun i -> f ((chunk * 500) + i))) in
+    exec ("INSERT INTO gene VALUES " ^ values (Printf.sprintf "('g%d', 'ATGGCC')"));
+    exec ("INSERT INTO protein VALUES " ^ values (Printf.sprintf "('p%d', 'MA')"))
+  done;
+  exec "CREATE TABLE site (k INT)";
+  exec
+    ("INSERT INTO site VALUES " ^ String.concat ", " (List.init 100 (Printf.sprintf "(%d)")));
+  exec "CREATE ANNOTATION TABLE notes ON site";
+  exec "CREATE DEPENDENCY r1 FROM gene.seq TO protein.pseq USING P";
+  let db = Engine.db e in
+  let count make =
+    let before = Bdbms.Db.io_stats db in
+    for _ = 1 to commits_per_point do exec (make ()) done;
+    let after = Bdbms.Db.io_stats db in
+    let per f = float_of_int (f after - f before) /. float_of_int commits_per_point in
+    let blob = Bytes.length (Bdbms_asql.Context.encode_catalog (Bdbms.Db.context db)) in
+    (per (fun s -> s.Stats.writes), per (fun s -> s.Stats.root_swaps) *. float_of_int blob)
+  in
+  let anns = ref 0 in
+  let annotate () =
+    incr anns;
+    Printf.sprintf
+      "ADD ANNOTATION TO site.notes VALUE 'curated note %d' ON (SELECT * FROM site WHERE k = %d)"
+      !anns (!anns mod 100)
+  in
+  let ann_rows =
+    List.map
+      (fun target ->
+        while !anns < target do exec (annotate ()) done;
+        let w, b = count annotate in
+        ("annotations", target, w, b))
+      ann_points
+  in
+  let links = ref 0 in
+  let link () =
+    let i = !links in
+    incr links;
+    Printf.sprintf "LINK DEPENDENCY r1 FROM (%d) TO %d" i i
+  in
+  let tracker = (Bdbms.Db.context db).Bdbms_asql.Context.tracker in
+  let link_rows =
+    List.map
+      (fun target ->
+        while !links < target do
+          (match
+             Bdbms_dependency.Tracker.link_rows tracker ~rule_id:"r1" ~source_rows:[ !links ]
+               ~target_row:!links
+           with
+          | Ok () -> ()
+          | Error err -> failwith ("E15: " ^ err));
+          incr links
+        done;
+        (* commit the bulk links before counting *)
+        exec (link ());
+        let w, b = count link in
+        ("links", target, w, b))
+      link_points
+  in
+  Engine.close e;
+  cleanup path;
+  ann_rows @ link_rows
+
 let run () =
   print_endline "\n=== E15: multi-session throughput (group commit) ===";
   Printf.printf
@@ -269,6 +358,26 @@ let run () =
             %d rows vs %.2f at %d)"
            large (List.nth ingest_points 1) small (List.hd ingest_points))
   | _ -> ());
+  let meta = measure_meta () in
+  print_table
+    ~title:"one-annotation and LINK commits (autocommit) as they accumulate"
+    ~headers:[ "kind"; "count"; "commits"; "pages written/commit"; "root-swap bytes/commit" ]
+    ~rows:
+      (List.map
+         (fun (kind, n, writes, bytes) ->
+           [ kind; string_of_int n; string_of_int commits_per_point; fmt_f writes; fmt_f1 bytes ])
+         meta);
+  List.iter
+    (fun kind ->
+      match List.filter (fun (k, _, _, _) -> k = kind) meta with
+      | [ (_, n0, small, _); (_, n1, large, _) ] when large > small +. 2.0 ->
+          failwith
+            (Printf.sprintf
+               "E15: commit cost grows with the %s (%.2f pages per commit at %d vs \
+                %.2f at %d)"
+               kind large n1 small n0)
+      | _ -> ())
+    [ "annotations"; "links" ];
   List.iter
     (fun m ->
       if m.m_commits <> m.m_clients * txns_per_client then

@@ -13,9 +13,12 @@
    - qlog: the sampled JSONL query log records a counter bump per
      statement and formats a line only when the sample counter fires.
      We time an E12-style workload with the sink unset and with a 1%%
-     sampling sink installed, and fail if the sampled configuration
-     costs more than 5%% per statement — so query-log creep that taxes
-     every statement breaks `make check`.
+     sampling sink installed, as back-to-back pairs of loops (the order
+     alternating from pair to pair), and fail if the median paired ratio
+     says the sampled configuration costs more than 5%% per statement —
+     so query-log creep that taxes every statement breaks `make check`,
+     while load that slows one loop of a pair moves one ratio, not the
+     verdict.
 
    Pass --quick for the reduced sizes used by `make bench-quick`. *)
 
@@ -37,8 +40,9 @@ let row_count db sql =
   | Ok _ -> failwith (Printf.sprintf "E19: not a rowset: %s" sql)
   | Error e -> failwith (Printf.sprintf "E19: %s -- for: %s" e sql)
 
-(* best-of-3 wall time: the guard compares two short loops, so take the
-   least-disturbed run of each rather than averaging scheduler noise in *)
+(* best-of-3 wall time: the scan guard compares two short loops, so take
+   the least-disturbed run of each rather than averaging scheduler noise
+   in *)
 let best_us f =
   let best = ref infinity in
   for _ = 1 to 3 do
@@ -46,6 +50,15 @@ let best_us f =
     if us < !best then best := us
   done;
   !best
+
+(* E19b's loop pairs: many short pairs, so load that slows a few loops
+   moves a few ratios, not the median; odd, so the median is one pair's
+   ratio *)
+let qlog_pairs = 81
+
+let median l =
+  let a = Array.of_list (List.sort compare l) in
+  a.(Array.length a / 2)
 
 (* E14's fixture shape: enough statements to amortize per-rep jitter *)
 let mk_db n =
@@ -125,44 +138,59 @@ let run () =
 
   (* --------------------- E19b: statement cost with 1%% qlog sampling *)
   let n = if quick then 1000 else 5000 in
-  let reps = if quick then 20 else 50 in
+  let reps = if quick then 5 else 10 in
   let stmts = reps * List.length workload in
   let db = mk_db n in
   run_workload db 2 (* warm both ways *);
   let qlog = Bdbms.Db.qlog db in
-  let off_us = best_us (fun () -> run_workload db reps) in
   let logged = ref 0 in
   let bytes = ref 0 in
-  Qlog.set_sample_every qlog 100;
-  Qlog.set_sink qlog
-    (Some
-       (fun line ->
-         incr logged;
-         bytes := !bytes + String.length line));
-  let on_us = best_us (fun () -> run_workload db reps) in
-  Qlog.set_sink qlog None;
-  Qlog.set_sample_every qlog 1;
-  let stmt_off_us = off_us /. float_of_int stmts in
-  let stmt_on_us = on_us /. float_of_int stmts in
-  let overhead_pct =
-    Float.max 0.0 ((stmt_on_us -. stmt_off_us) /. stmt_off_us *. 100.0)
+  let timed sampled =
+    if sampled then begin
+      Qlog.set_sample_every qlog 100;
+      Qlog.set_sink qlog
+        (Some
+           (fun line ->
+             incr logged;
+             bytes := !bytes + String.length line))
+    end;
+    let (), us = time_us (fun () -> run_workload db reps) in
+    Qlog.set_sink qlog None;
+    Qlog.set_sample_every qlog 1;
+    us
   in
+  let pair i =
+    if i mod 2 = 0 then
+      let off = timed false in
+      (off, timed true)
+    else
+      let on = timed true in
+      (timed false, on)
+  in
+  let pairs = List.init qlog_pairs pair in
+  let stmt_off_us = median (List.map fst pairs) /. float_of_int stmts in
+  let stmt_on_us = median (List.map snd pairs) /. float_of_int stmts in
+  let overhead_pct =
+    Float.max 0.0
+      ((median (List.map (fun (off, on) -> on /. off) pairs) -. 1.0) *. 100.0)
+  in
+
   print_table
     ~title:
       (Printf.sprintf
          "E19b. E12-style workload (%d rows, %d statements): query log off \
           vs 1/100 sampling"
          n stmts)
-    ~headers:[ "configuration"; "us/statement" ]
+    ~headers:[ "configuration"; Printf.sprintf "us/statement (median of %d)" qlog_pairs ]
     ~rows:
       [
         [ "qlog off (production default)"; fmt_f stmt_off_us ];
         [ "qlog sampling 1/100"; fmt_f stmt_on_us ];
       ];
   Printf.printf
-    "\n%d lines (%d bytes) written per timed run; sampled overhead %.2f%% \
-     (budget 5%%)\n"
-    !logged !bytes overhead_pct;
+    "\n%d lines (%d bytes) written over %d sampled runs; median paired \
+     overhead %.2f%% (budget 5%%)\n"
+    !logged !bytes qlog_pairs overhead_pct;
 
   Printf.printf
     "BENCH_introspection {\"metric_rows\": %d, \"heap_scan_us\": %.2f, \

@@ -14,8 +14,8 @@ type t = {
   category : category;
   author : string;
   created_at : Clock.time;
-  mutable archived : bool;
-  mutable archived_at : Clock.time option;
+  archived : bool;
+  archived_at : Clock.time option;
 }
 
 let make ~id ~body ~category ~author ~created_at =
@@ -24,13 +24,7 @@ let make ~id ~body ~category ~author ~created_at =
 let body_text t = Xml_lite.text_content t.body
 let body_string t = Xml_lite.to_string t.body
 
-let archive t ~at =
-  t.archived <- true;
-  t.archived_at <- Some at
-
-let restore t =
-  t.archived <- false;
-  t.archived_at <- None
+let archive t ~at = { t with archived = true; archived_at = Some at }
 
 let category_name = function
   | Comment -> "comment"

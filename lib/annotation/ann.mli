@@ -4,8 +4,9 @@
     (semi-)structured annotations), a category (Section 3's "categorizing
     annotations" — e.g. provenance vs user comments), an author, and the
     timestamp assigned when it was first added (used by ARCHIVE/RESTORE
-    ... BETWEEN, Section 3.3).  Archival is a reversible flag: archived
-    annotations stop propagating with query answers but can be restored. *)
+    ... BETWEEN, Section 3.3).  Archival is a reversible flag, kept by the
+    manager's registry: archived annotations stop propagating with query
+    answers but can be restored. *)
 
 type category =
   | Comment      (** free-text user commentary *)
@@ -20,8 +21,8 @@ type t = {
   category : category;
   author : string;
   created_at : Bdbms_util.Clock.time;
-  mutable archived : bool;
-  mutable archived_at : Bdbms_util.Clock.time option;
+  archived : bool;
+  archived_at : Bdbms_util.Clock.time option;
 }
 
 val make :
@@ -38,8 +39,9 @@ val body_text : t -> string
 val body_string : t -> string
 (** Serialized XML of the body. *)
 
-val archive : t -> at:Bdbms_util.Clock.time -> unit
-val restore : t -> unit
+val archive : t -> at:Bdbms_util.Clock.time -> t
+(** The record as it reads once archived at [at].  An annotation is a
+    value: the registry stores the archived state. *)
 
 val category_name : category -> string
 val category_of_name : string -> category

@@ -16,12 +16,21 @@ type t = {
   ids : Idgen.t;
   (* user-table name (lowercase) -> its annotation tables *)
   tables : (string, (string, ann_table) Hashtbl.t) Hashtbl.t;
-  registry : (string, Ann.t) Hashtbl.t;
+  mutable registry : Ann_registry.t;
 }
 
+let id_prefix = "ann"
+
 let create bp clock =
-  { bp; clock; ids = Idgen.create ~prefix:"ann" (); tables = Hashtbl.create 16;
-    registry = Hashtbl.create 64 }
+  { bp; clock; ids = Idgen.create ~prefix:id_prefix (); tables = Hashtbl.create 16;
+    registry = Ann_registry.create bp }
+
+(* An id's registry number: "ann<n>" -> n. *)
+let number id =
+  let p = String.length id_prefix in
+  if String.length id > p && String.sub id 0 p = id_prefix then
+    int_of_string_opt (String.sub id p (String.length id - p))
+  else None
 
 let clock t = t.clock
 
@@ -109,11 +118,12 @@ let add t ~table ~ann_tables ~body ?category ~author ~region () =
               | Some c -> c
               | None -> (List.hd ats).default_category
             in
+            let n = Idgen.next_int t.ids in
             let ann =
-              Ann.make ~id:(Idgen.next t.ids) ~body ~category ~author
+              Ann.make ~id:(id_prefix ^ string_of_int n) ~body ~category ~author
                 ~created_at:(Clock.tick t.clock)
             in
-            Hashtbl.replace t.registry ann.Ann.id ann;
+            Ann_registry.add t.registry n ann;
             let body_str = Ann.body_string ann in
             List.iter
               (fun at -> Ann_store.add at.store ~ann_id:ann.Ann.id ~body:body_str rects)
@@ -124,12 +134,13 @@ let add_text t ~table ~ann_tables ~text ?category ~author ~region () =
   let body = Xml_lite.element "Annotation" [ Xml_lite.text text ] in
   add t ~table ~ann_tables ~body ?category ~author ~region ()
 
-let find t id = Hashtbl.find_opt t.registry id
+let find t id =
+  match number id with Some n -> Ann_registry.find t.registry n ~id | None -> None
 
 let resolve t ?(include_archived = false) ids =
   List.filter_map
     (fun id ->
-      match Hashtbl.find_opt t.registry id with
+      match find t id with
       | Some ann when include_archived || not ann.Ann.archived -> Some ann
       | _ -> None)
     ids
@@ -177,10 +188,10 @@ let set_archived t ~table ?ann_tables ?between ~region ~to_archived () =
       let changed = ref 0 in
       List.iter
         (fun id ->
-          match Hashtbl.find_opt t.registry id with
-          | Some ann when in_range ann && ann.Ann.archived <> to_archived ->
-              if to_archived then Ann.archive ann ~at:(Clock.tick t.clock)
-              else Ann.restore ann;
+          match (number id, find t id) with
+          | Some n, Some ann when in_range ann && ann.Ann.archived <> to_archived ->
+              Ann_registry.set_archived t.registry n
+                (if to_archived then Some (Clock.tick t.clock) else None);
               incr changed
           | _ -> ())
         ids;
@@ -197,7 +208,7 @@ let store_of t ~table_name ~name =
   | None -> None
   | Some h -> Option.map (fun at -> at.store) (Hashtbl.find_opt h (norm name))
 
-let registry_size t = Hashtbl.length t.registry
+let registry_size t = Ann_registry.count t.registry
 
 (* ---------------------------------------------- durable-catalog hooks *)
 
@@ -229,9 +240,8 @@ let dump_tables t =
   |> List.sort (fun a b ->
          compare (a.ati_table, a.ati_name) (b.ati_table, b.ati_name))
 
-let dump_registry t =
-  Hashtbl.fold (fun _ ann acc -> ann :: acc) t.registry []
-  |> List.sort (fun a b -> String.compare a.Ann.id b.Ann.id)
+let registry_head t = Ann_registry.head t.registry
+let attach_registry t h = t.registry <- Ann_registry.attach t.bp h
 
 let id_counter t = Idgen.counter t.ids
 
@@ -246,5 +256,4 @@ let restore_annotation_table t info =
       default_category = info.ati_category;
     }
 
-let restore_ann t ann = Hashtbl.replace t.registry ann.Ann.id ann
 let restore_id_counter t n = Idgen.restore t.ids n

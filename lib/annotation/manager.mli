@@ -1,6 +1,7 @@
 (** The annotation manager: bdbms's component owning annotation tables,
     the annotation registry, insertion at multiple granularities, and
-    archival/restore (Sections 2–3).
+    archival/restore (Sections 2–3).  The registry lives in pages
+    ({!Ann_registry}); {!find} and friends decode annotations from it.
 
     A user relation may have multiple annotation tables attached (e.g. one
     for provenance, one for comments — CREATE ANNOTATION TABLE, Figure 4);
@@ -118,7 +119,8 @@ val registry_size : t -> int
 
     What the self-bootstrapping catalog serializes at commit and feeds
     back at open: annotation-table definitions with their heap pages,
-    the annotation registry, and the id-generator high-water mark. *)
+    the registry's fixed-size head, and the id-generator high-water
+    mark. *)
 
 type ann_table_info = {
   ati_table : string;  (** owning user table (lowercase key) *)
@@ -132,11 +134,13 @@ type ann_table_info = {
 val dump_tables : t -> ann_table_info list
 (** All annotation tables, sorted — deterministic catalog encoding. *)
 
-val dump_registry : t -> Ann.t list
-(** All registered annotations, sorted by id. *)
+val registry_head : t -> Ann_registry.head option
+(** [None] until the first annotation. *)
 
 val id_counter : t -> int
 
 val restore_annotation_table : t -> ann_table_info -> unit
-val restore_ann : t -> Ann.t -> unit
 val restore_id_counter : t -> int -> unit
+
+val attach_registry : t -> Ann_registry.head -> unit
+(** Reattach the paged registry at bootstrap, reading no page. *)

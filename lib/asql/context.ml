@@ -30,8 +30,7 @@ type index_def = {
   idx_name : string;
   idx_table : string;
   idx_column : string;
-  mutable tree : Bdbms_index.Btree.t;
-  mutable built : bool;
+  mutable tree : Bdbms_index.Btree.t option;
   mutable dirty : bool;
 }
 
@@ -208,8 +207,7 @@ let bootstrap t =
               idx_name = ix.ix_name;
               idx_table = ix.ix_table;
               idx_column = ix.ix_column;
-              tree = Bdbms_index.Btree.create t.bp;
-              built = false;
+              tree = None;
               dirty = false;
             })
         infos;

@@ -25,13 +25,14 @@ val exec_mode_name : exec_mode -> string
     are maintained incrementally by the executor's DML paths; mutations
     that bypass the executor (approval inverse statements, dependency
     re-derivations) mark them dirty, and a dirty index is rebuilt from a
-    table scan on its next use. *)
+    table scan on its next use.  [tree] is [None] until the first build
+    (bootstrap restores only the definition), so no page is allocated
+    for an index that is never probed. *)
 type index_def = {
   idx_name : string;
   idx_table : string;
   idx_column : string;
-  mutable tree : Bdbms_index.Btree.t;
-  mutable built : bool;
+  mutable tree : Bdbms_index.Btree.t option;
   mutable dirty : bool;
 }
 

@@ -1,6 +1,5 @@
 module Clock = Bdbms_util.Clock
 module Crc32 = Bdbms_util.Crc32
-module Xml_lite = Bdbms_util.Xml_lite
 module Pager = Bdbms_storage.Pager
 module Catalog = Bdbms_relation.Catalog
 module Table = Bdbms_relation.Table
@@ -16,6 +15,9 @@ module Rule = Bdbms_dependency.Rule
 module Rule_set = Bdbms_dependency.Rule_set
 module Procedure = Bdbms_dependency.Procedure
 module Dep_graph = Bdbms_dependency.Dep_graph
+module Outdated = Bdbms_dependency.Outdated
+module Btree = Bdbms_index.Btree
+module Ann_registry = Bdbms_annotation.Ann_registry
 module Principal = Bdbms_auth.Principal
 module Acl = Bdbms_auth.Acl
 module Approval = Bdbms_auth.Approval
@@ -49,29 +51,32 @@ type components = {
 }
 
 let magic = "BCAT"
-let version = 2
+let version = 3
 
 (* Record tags.  Append-only: retag nothing, add new tags at the end.
    Tag 2 (a table with its page list and whole slot directory, format 1)
-   is no longer written; format 2 writes tag 19, a fixed-size head. *)
+   is no longer written; format 2 writes tag 19, a fixed-size head.
+   Tags 5, 12 and 13 (every annotation, dependency instance and outdated
+   mark, format 2) are no longer written; format 3 writes the fixed-size
+   heads of their paged forms, tags 20-22. *)
 let tag_clock = 1
 let tag_ann_counter = 3
 let tag_ann_table = 4
-let tag_ann = 5
 let tag_prov_tool = 6
 let tag_user = 7
 let tag_group = 8
 let tag_membership = 9
 let tag_grants = 10
 let tag_rule = 11
-let tag_instance = 12
-let tag_outdated = 13
 let tag_monitored = 14
 let tag_approval_entry = 15
 let tag_approval_next = 16
 let tag_index = 17
 let tag_table_stats = 18
 let tag_table_head = 19
+let tag_ann_registry = 20
+let tag_dep_instances = 21
+let tag_outdated_head = 22
 
 (* ------------------------------------------------------------ writing *)
 
@@ -206,16 +211,15 @@ let status_of_tag = function
   | 2 -> Approval.Disapproved
   | n -> malformed "unknown approval status %d" n
 
-let add_cell b (c : Dep_graph.cell) =
-  add_str b c.table;
-  add_u32 b c.row;
-  add_u32 b c.col
+let add_btree_head b (h : Btree.head) =
+  List.iter (add_u32 b) [ h.root; h.height; h.entries; h.node_pages ]
 
-let cell r =
-  let table = str r in
-  let row = u32 r in
-  let col = u32 r in
-  Dep_graph.cell ~table ~row ~col
+let btree_head r =
+  let root = u32 r in
+  let height = u32 r in
+  let entries = u32 r in
+  let node_pages = u32 r in
+  { Btree.root; height; entries; node_pages }
 
 (* -------------------------------------------------------------- encode *)
 
@@ -261,17 +265,11 @@ let encode comps ~indexes ~stats =
           add_str b (Ann.category_name info.ati_category);
           add_list b (add_u32 b) info.ati_heap_pages))
     (Manager.dump_tables comps.dc_ann);
-  List.iter
-    (fun (ann : Ann.t) ->
-      record tag_ann (fun b ->
-          add_str b ann.id;
-          add_str b (Ann.body_string ann);
-          add_str b (Ann.category_name ann.category);
-          add_str b ann.author;
-          add_u32 b ann.created_at;
-          add_bool b ann.archived;
-          add_opt b (add_u32 b) ann.archived_at))
-    (Manager.dump_registry comps.dc_ann);
+  Option.iter
+    (fun (h : Ann_registry.head) ->
+      record tag_ann_registry (fun b ->
+          List.iter (add_u32 b) [ h.heap_last; h.heap_pages; h.live; h.map_root; h.length ]))
+    (Manager.registry_head comps.dc_ann);
   List.iter
     (fun tool -> record tag_prov_tool (fun b -> add_str b tool))
     (Prov_store.tools comps.dc_prov);
@@ -324,38 +322,30 @@ let encode comps ~indexes ~stats =
                   add_str b d)
             rule.chain))
     (Rule_set.rules (Tracker.rule_set comps.dc_tracker));
-  let instances = ref [] in
-  Dep_graph.iter_instances (Tracker.graph comps.dc_tracker) (fun i ->
-      instances := i :: !instances);
-  let instances =
-    List.sort
-      (fun (a : Dep_graph.instance) (b : Dep_graph.instance) ->
-        compare
-          (a.rule_id, a.target.table, a.target.row, a.target.col)
-          (b.rule_id, b.target.table, b.target.row, b.target.col))
-      !instances
-  in
+  (* dependency instances: one fixed-size head per rule, over its paged
+     forward array and reverse B+-tree *)
   List.iter
-    (fun (i : Dep_graph.instance) ->
-      record tag_instance (fun b ->
-          add_str b i.rule_id;
-          add_list b (add_cell b) i.sources;
-          add_cell b i.target))
-    instances;
-  List.iter
-    (fun (table, _) ->
-      let cells = List.sort compare (Tracker.outdated_cells comps.dc_tracker ~table) in
-      if cells <> [] then
-        record tag_outdated (fun b ->
+    (fun (h : Dep_graph.head) ->
+      record tag_dep_instances (fun b ->
+          let col (table, c) =
             add_str b table;
-            add_list b
-              (fun (row, col) ->
-                add_u32 b row;
-                add_u32 b col)
-              cells))
-    (List.sort
-       (fun (a, _) (b, _) -> String.compare a b)
-       (Tracker.outdated_tables comps.dc_tracker));
+            add_u32 b c
+          in
+          add_str b h.rule_name;
+          add_list b col h.source_cols;
+          col h.target_col;
+          add_u32 b h.fwd_root;
+          add_u32 b h.fwd_length;
+          add_btree_head b h.rev;
+          add_u32 b h.instances))
+    (Dep_graph.heads (Tracker.graph comps.dc_tracker));
+  (* outdated bitmaps: one fixed-size head per table over its RLE pages *)
+  List.iter
+    (fun (table, (h : Outdated.head)) ->
+      record tag_outdated_head (fun b ->
+          add_str b table;
+          List.iter (add_u32 b) [ h.rows; h.cols; h.set; h.root; h.pages; h.bytes ]))
+    (Tracker.outdated_heads comps.dc_tracker);
   List.iter
     (fun (table, (config : Approval.config)) ->
       record tag_monitored (fun b ->
@@ -432,19 +422,41 @@ let restore_ann_table comps r =
   Manager.restore_annotation_table comps.dc_ann
     { Manager.ati_table; ati_name; ati_scheme; ati_indexed; ati_category; ati_heap_pages }
 
-let restore_ann comps r =
-  let id = str r in
-  let body = Xml_lite.parse (str r) in
-  let category = Ann.category_of_name (str r) in
-  let author = str r in
-  let created_at = u32 r in
-  let archived = bool r in
-  let archived_at = opt r u32 in
-  let ann = Ann.make ~id ~body ~category ~author ~created_at in
-  (match archived_at with
-  | Some at when archived -> Ann.archive ann ~at
-  | _ -> if archived then Ann.archive ann ~at:created_at);
-  Manager.restore_ann comps.dc_ann ann
+let restore_ann_registry comps r =
+  let heap_last = u32 r in
+  let heap_pages = u32 r in
+  let live = u32 r in
+  let map_root = u32 r in
+  let length = u32 r in
+  Manager.attach_registry comps.dc_ann
+    { Ann_registry.heap_last; heap_pages; live; map_root; length }
+
+let restore_dep_instances comps r =
+  let col r =
+    let table = str r in
+    let c = u32 r in
+    (table, c)
+  in
+  let rule_name = str r in
+  let source_cols = list r col in
+  let target_col = col r in
+  let fwd_root = u32 r in
+  let fwd_length = u32 r in
+  let rev = btree_head r in
+  let instances = u32 r in
+  Dep_graph.attach (Tracker.graph comps.dc_tracker)
+    { Dep_graph.rule_name; source_cols; target_col; fwd_root; fwd_length; rev; instances }
+
+let restore_outdated comps r =
+  let table = str r in
+  let rows = u32 r in
+  let cols = u32 r in
+  let set = u32 r in
+  let root = u32 r in
+  let pages = u32 r in
+  let bytes = u32 r in
+  Tracker.attach_outdated comps.dc_tracker ~table
+    { Outdated.rows; cols; set; root; pages; bytes }
 
 let restore_rule comps r =
   let id = str r in
@@ -518,7 +530,7 @@ let restore bp comps blob =
     else if tag = tag_table_head then restore_table bp comps pr
     else if tag = tag_ann_counter then Manager.restore_id_counter comps.dc_ann (u32 pr)
     else if tag = tag_ann_table then restore_ann_table comps pr
-    else if tag = tag_ann then restore_ann comps pr
+    else if tag = tag_ann_registry then restore_ann_registry comps pr
     else if tag = tag_prov_tool then Prov_store.register_tool comps.dc_prov (str pr)
     else if tag = tag_user then ignore (Principal.add_user comps.dc_principals (str pr))
     else if tag = tag_group then ignore (Principal.add_group comps.dc_principals (str pr))
@@ -540,22 +552,8 @@ let restore bp comps blob =
       Acl.restore_grants comps.dc_acl ~table entries
     end
     else if tag = tag_rule then restore_rule comps pr
-    else if tag = tag_instance then begin
-      let rule_id = str pr in
-      let sources = list pr cell in
-      let target = cell pr in
-      Dep_graph.add_instance (Tracker.graph comps.dc_tracker)
-        { Dep_graph.rule_id; sources; target }
-    end
-    else if tag = tag_outdated then begin
-      let table = str pr in
-      List.iter
-        (fun (row, col) -> Tracker.restore_mark comps.dc_tracker ~table ~row ~col)
-        (list pr (fun r ->
-             let row = u32 r in
-             let col = u32 r in
-             (row, col)))
-    end
+    else if tag = tag_dep_instances then restore_dep_instances comps pr
+    else if tag = tag_outdated_head then restore_outdated comps pr
     else if tag = tag_monitored then begin
       let table = str pr in
       let columns = opt pr (fun r -> list r str) in

@@ -238,55 +238,58 @@ let build_index (ctx : Context.t) (idx : Context.index_def) =
       Bdbms_index.Btree.insert tree
         ~key:(Context.index_key (Tuple.get tuple col))
         ~value:row);
-  idx.Context.tree <- tree;
-  idx.Context.built <- true;
-  idx.Context.dirty <- false
+  idx.Context.tree <- Some tree;
+  idx.Context.dirty <- false;
+  tree
 
+(* The index's tree, (re)built if it is unbuilt or dirty. *)
 let fresh_index ctx (idx : Context.index_def) =
-  if (not idx.Context.built) || idx.Context.dirty then build_index ctx idx;
-  idx
+  match idx.Context.tree with
+  | Some tree when not idx.Context.dirty -> tree
+  | _ -> build_index ctx idx
 
 (* incremental maintenance: only touch clean, built indexes *)
+let clean_tree (idx : Context.index_def) =
+  if idx.Context.dirty then None else idx.Context.tree
+
 let index_note_insert ctx ~table ~row tuple =
   List.iter
     (fun (idx : Context.index_def) ->
-      if idx.Context.built && not idx.Context.dirty then begin
-        let tbl = find_table ctx table in
-        let col = Schema.index_of_exn (Table.schema tbl) idx.Context.idx_column in
-        Bdbms_index.Btree.insert idx.Context.tree
-          ~key:(Context.index_key (Tuple.get tuple col))
-          ~value:row
-      end)
+      match clean_tree idx with
+      | None -> ()
+      | Some tree ->
+          let tbl = find_table ctx table in
+          let col = Schema.index_of_exn (Table.schema tbl) idx.Context.idx_column in
+          Bdbms_index.Btree.insert tree
+            ~key:(Context.index_key (Tuple.get tuple col))
+            ~value:row)
     (Context.indexes_on ctx ~table)
 
 let index_note_update ctx ~table ~row ~column ~old_value ~new_value =
   List.iter
     (fun (idx : Context.index_def) ->
-      if
-        String.lowercase_ascii idx.Context.idx_column = String.lowercase_ascii column
-        && idx.Context.built
-        && not idx.Context.dirty
-      then begin
-        ignore
-          (Bdbms_index.Btree.delete idx.Context.tree
-             ~key:(Context.index_key old_value) ~value:row);
-        Bdbms_index.Btree.insert idx.Context.tree
-          ~key:(Context.index_key new_value)
-          ~value:row
-      end)
+      match clean_tree idx with
+      | Some tree
+        when String.lowercase_ascii idx.Context.idx_column
+             = String.lowercase_ascii column ->
+          ignore
+            (Bdbms_index.Btree.delete tree ~key:(Context.index_key old_value) ~value:row);
+          Bdbms_index.Btree.insert tree ~key:(Context.index_key new_value) ~value:row
+      | _ -> ())
     (Context.indexes_on ctx ~table)
 
 let index_note_delete ctx ~table ~row tuple =
   List.iter
     (fun (idx : Context.index_def) ->
-      if idx.Context.built && not idx.Context.dirty then begin
-        let tbl = find_table ctx table in
-        let col = Schema.index_of_exn (Table.schema tbl) idx.Context.idx_column in
-        ignore
-          (Bdbms_index.Btree.delete idx.Context.tree
-             ~key:(Context.index_key (Tuple.get tuple col))
-             ~value:row)
-      end)
+      match clean_tree idx with
+      | None -> ()
+      | Some tree ->
+          let tbl = find_table ctx table in
+          let col = Schema.index_of_exn (Table.schema tbl) idx.Context.idx_column in
+          ignore
+            (Bdbms_index.Btree.delete tree
+               ~key:(Context.index_key (Tuple.get tuple col))
+               ~value:row))
     (Context.indexes_on ctx ~table)
 
 (* When the dependency tracker re-derived cells, those writes bypassed the
@@ -822,10 +825,10 @@ and batch_pipeline ?need ctx (plan : Plan.t) =
       | Plan.Index_probe _, Plan.Virtual _ ->
           assert false (* no indexes exist over virtual relations *)
       | Plan.Index_probe { index; value }, Plan.Base table ->
-          let idx = fresh_index ctx index in
+          let tree = fresh_index ctx index in
           Stats.record_index_probe stats;
           let rows =
-            Bdbms_index.Btree.search idx.Context.tree (Context.index_key value)
+            Bdbms_index.Btree.search tree (Context.index_key value)
             |> List.sort_uniq compare
           in
           Vexec.of_rows ~batch_rows ?row_id table rows
@@ -1304,9 +1307,8 @@ let matching_rows (ctx : Context.t) table where =
                        String.lowercase_ascii idx.Context.idx_column
                        = String.lowercase_ascii c
                      then begin
-                       let idx = fresh_index ctx idx in
                        Some
-                         (Bdbms_index.Btree.search idx.Context.tree
+                         (Bdbms_index.Btree.search (fresh_index ctx idx)
                             (Context.index_key v))
                      end
                      else None))
@@ -1857,12 +1859,11 @@ let execute_exn (ctx : Context.t) ~user (stmt : Ast.statement) : outcome =
           Context.idx_name = name;
           idx_table = table;
           idx_column = column;
-          tree = Bdbms_index.Btree.create ctx.bp;
-          built = false;
+          tree = None;
           dirty = false;
         }
       in
-      build_index ctx idx;
+      ignore (build_index ctx idx);
       Hashtbl.replace ctx.indexes key idx;
       Message (Printf.sprintf "index %s created on %s(%s)" name table column)
   | Ast.Drop_index name ->

@@ -4,12 +4,38 @@
     cell's value may be invalid and needs re-verification.  The bitmap
     grows with the table, and its RLE-compressed size is reported next to
     the raw size (the paper proposes Run-Length-Encoding to reduce the
-    bitmaps' storage overhead). *)
+    bitmaps' storage overhead).
+
+    That RLE form is also the stored one: it lives in pages of its own
+    (a {!Bdbms_storage.Page_array} of whole pages) and {!flush} rewrites
+    it after marks change.  A restart reattaches the bitmap from a
+    fixed-size {!head}; the decoded bitmap is loaded on first use, and
+    {!outdated_count} answers from the head alone. *)
 
 type t
 
 val create : Bdbms_relation.Table.t -> t
-(** A fresh all-valid bitmap sized to the table's current shape. *)
+(** A fresh all-valid bitmap sized to the table's current shape.  No
+    page is allocated until a mark is stored. *)
+
+(** The fixed-size durable head of a stored bitmap. *)
+type head = {
+  rows : int;
+  cols : int;
+  set : int;  (** {!outdated_count} *)
+  root : Bdbms_storage.Page.id;  (** of the pages holding the RLE bytes *)
+  pages : int;
+  bytes : int;  (** length of the RLE form *)
+}
+
+val head : t -> head option
+(** [None] while no mark was ever stored (the bitmap is all valid). *)
+
+val attach : Bdbms_storage.Pager.t -> name:string -> head -> t
+(** Reattach a stored bitmap, reading no page. *)
+
+val flush : t -> unit
+(** Rewrite the stored RLE form if a mark changed since the last flush. *)
 
 val table_name : t -> string
 

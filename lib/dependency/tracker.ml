@@ -24,7 +24,7 @@ let create catalog =
     catalog;
     rules = Rule_set.create ();
     procs = Procedure.Registry.create ();
-    graph = Dep_graph.create ();
+    graph = Dep_graph.create (Catalog.pager catalog);
     bitmaps = Hashtbl.create 8;
   }
 
@@ -71,9 +71,12 @@ let link t ~rule_id ~sources ~target =
         let target_cell =
           Dep_graph.cell ~table:rule.Rule.target.Rule.table ~row:trow ~col:tcol
         in
-        Dep_graph.add_instance t.graph
-          { Dep_graph.rule_id; sources = source_cells; target = target_cell };
-        Ok ()
+        match
+          Dep_graph.add_instance t.graph
+            { Dep_graph.rule_id; sources = source_cells; target = target_cell }
+        with
+        | () -> Ok ()
+        | exception Invalid_argument e -> Error e
       end
 
 let attr_col t (attr : Rule.attr) =
@@ -181,10 +184,16 @@ let rec cascade t (source : Dep_graph.cell) (report : report) visited =
       end)
     report instances
 
+(* Store every bitmap whose marks changed: each public entry point that
+   can mark or clear ends here, so the pages are current between calls. *)
+let flush_marks t = Hashtbl.iter (fun _ b -> Outdated.flush b) t.bitmaps
+
 let on_cell_update t ~table ~row ~col =
   let cell = Dep_graph.cell ~table ~row ~col in
   clear_cell t cell;
-  cascade t cell empty_report (ref [ cell ])
+  let report = cascade t cell empty_report (ref [ cell ]) in
+  flush_marks t;
+  report
 
 let on_procedure_change t proc_name =
   (* every instance of every rule whose chain uses the procedure *)
@@ -209,14 +218,12 @@ let on_procedure_change t proc_name =
           else report := { !report with marked = mark_subtree t target !report.marked })
         !instances)
     rules;
+  flush_marks t;
   !report
 
 let revalidate t ~table ~row ~col =
-  Outdated.clear (bitmap_for t table) ~row ~col
-
-(* Re-flag a cell outdated while bootstrapping from the durable catalog
-   (the table must already be restored into the relation catalog). *)
-let restore_mark t ~table ~row ~col = Outdated.mark (bitmap_for t table) ~row ~col
+  Outdated.clear (bitmap_for t table) ~row ~col;
+  flush_marks t
 
 let is_outdated t ~table ~row ~col =
   match Hashtbl.find_opt t.bitmaps (norm table) with
@@ -233,9 +240,16 @@ let outdated_cells t ~table =
   | None -> []
   | Some b -> Outdated.outdated_cells b
 
-let outdated_tables t =
-  Hashtbl.fold (fun name b acc -> (name, b) :: acc) t.bitmaps []
+let outdated_heads t =
+  Hashtbl.fold
+    (fun name b acc ->
+      match Outdated.head b with Some h -> (name, h) :: acc | None -> acc)
+    t.bitmaps []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let attach_outdated t ~table head =
+  Hashtbl.replace t.bitmaps (norm table)
+    (Outdated.attach (Catalog.pager t.catalog) ~name:table head)
 
 let bitmap_stats t ~table =
   match Hashtbl.find_opt t.bitmaps (norm table) with

@@ -35,7 +35,8 @@ val link :
   target:int * int ->
   (unit, string) result
 (** Instantiate a rule at the cell level: [sources] and [target] are
-    (row, col) pairs in the rule's tables, in the rule's source order. *)
+    (row, col) pairs in the rule's tables, in the rule's source order.
+    Every instance of a rule must use the same columns. *)
 
 val link_rows :
   t -> rule_id:string -> source_rows:int list -> target_row:int -> (unit, string) result
@@ -53,10 +54,6 @@ val on_procedure_change : t -> string -> report
 val revalidate : t -> table:string -> row:int -> col:int -> unit
 (** Clear a cell's outdated mark after out-of-band verification. *)
 
-val restore_mark : t -> table:string -> row:int -> col:int -> unit
-(** Re-flag a cell outdated while bootstrapping from the durable catalog
-    (the table must already exist in the relation catalog). *)
-
 val is_outdated : t -> table:string -> row:int -> col:int -> bool
 
 val has_outdated : t -> table:string -> bool
@@ -66,7 +63,13 @@ val has_outdated : t -> table:string -> bool
 
 val outdated_cells : t -> table:string -> (int * int) list
 
-val outdated_tables : t -> (string * Outdated.t) list
+val outdated_heads : t -> (string * Outdated.head) list
+(** The durable head of every stored bitmap, by lowercase table name.
+    Marks are stored by the entry point that changed them
+    ({!on_cell_update}, {!on_procedure_change}, {!revalidate}). *)
+
+val attach_outdated : t -> table:string -> Outdated.head -> unit
+(** Reattach a table's stored bitmap at bootstrap, reading no page. *)
 
 val bitmap_stats : t -> table:string -> (int * int) option
 (** (raw bytes, RLE-compressed bytes) of the table's bitmap. *)

@@ -100,6 +100,16 @@ let create ?(cmp = String.compare) bp =
   t.root <- alloc_node t (Leaf { entries = [||]; next = None });
   t
 
+type head = { root : Page.id; height : int; entries : int; node_pages : int }
+
+let head (t : t) =
+  { root = t.root; height = t.height; entries = t.entry_count; node_pages = t.node_pages }
+
+(* Nothing is read: the nodes stay where the head says they are. *)
+let attach ?(cmp = String.compare) bp h =
+  { bp; cmp; root = h.root; entry_count = h.entries; node_pages = h.node_pages;
+    height = h.height }
+
 let page_capacity t = Pager.page_size t.bp
 
 (* index of the child to follow for [key] when inserting (equal keys go
@@ -333,6 +343,6 @@ let range_probe t ~probe =
   scan (descend t.root);
   List.rev !out
 
-let entry_count t = t.entry_count
-let height t = t.height
-let node_pages t = t.node_pages
+let entry_count (t : t) = t.entry_count
+let height (t : t) = t.height
+let node_pages (t : t) = t.node_pages

@@ -14,6 +14,22 @@ val create :
   ?cmp:(string -> string -> int) -> Bdbms_storage.Pager.t -> t
 (** An empty tree rooted at a fresh page. *)
 
+(** A tree's fixed-size durable head: everything a restart needs to
+    reattach it, whatever its size. *)
+type head = {
+  root : Bdbms_storage.Page.id;
+  height : int;
+  entries : int;  (** {!entry_count} *)
+  node_pages : int;  (** {!node_pages} *)
+}
+
+val head : t -> head
+(** Changes when an insert splits the root or a write changes a count. *)
+
+val attach : ?cmp:(string -> string -> int) -> Bdbms_storage.Pager.t -> head -> t
+(** Reattach a tree from the {!head} it had, reading no page.  [cmp]
+    must be the comparator it was built with. *)
+
 val insert : t -> key:string -> value:int -> unit
 (** @raise Invalid_argument if the key exceeds a quarter of the page size. *)
 

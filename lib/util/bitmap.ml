@@ -109,15 +109,41 @@ let of_rle_runs ~rows ~cols runs =
   if !pos <> rows * cols then invalid_arg "Bitmap.of_rle_runs: length mismatch";
   t
 
-(* Variable-length integer: 7 bits per byte. *)
-let varint_bytes n = if n = 0 then 1 else
-  let rec go n acc = if n = 0 then acc else go (n lsr 7) (acc + 1) in
-  go n 0
-
-let compressed_size_bytes t =
+(* The RLE byte form of [to_rle_runs]: a marker byte holding the first
+   run's bit, then each run's length as a varint (7 bits per byte, low
+   first). *)
+let to_rle t =
+  let b = Buffer.create 16 in
+  let rec varint n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      varint (n lsr 7)
+    end
+  in
   let runs = to_rle_runs t in
-  (* leading marker byte for the first bit value, then varint run lengths *)
-  List.fold_left (fun acc (_, len) -> acc + varint_bytes len) 1 runs
+  Buffer.add_char b (match runs with (true, _) :: _ -> '\001' | _ -> '\000');
+  List.iter (fun (_, len) -> varint len) runs;
+  Buffer.contents b
+
+let of_rle ~rows ~cols s =
+  let n = String.length s in
+  if n = 0 then invalid_arg "Bitmap.of_rle: empty";
+  let rec varint pos shift acc =
+    if pos >= n then invalid_arg "Bitmap.of_rle: truncated run";
+    let c = Char.code s.[pos] in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c land 0x80 = 0 then (acc, pos + 1) else varint (pos + 1) (shift + 7) acc
+  in
+  let rec runs pos bit acc =
+    if pos >= n then List.rev acc
+    else
+      let len, pos = varint pos 0 0 in
+      runs pos (not bit) ((bit, len) :: acc)
+  in
+  of_rle_runs ~rows ~cols (runs 1 (s.[0] <> '\000') [])
+
+let compressed_size_bytes t = String.length (to_rle t)
 
 let equal a b = a.rows = b.rows && a.cols = b.cols && Bytes.equal a.bits b.bits
 

@@ -50,8 +50,16 @@ val raw_size_bytes : t -> int
 (** Uncompressed footprint: ceil(rows*cols / 8) bytes. *)
 
 val compressed_size_bytes : t -> int
-(** Footprint of the row-major RLE form: alternating run lengths starting
-    with a 0-run, each stored as a variable-length integer. *)
+(** Footprint of the row-major RLE form, [String.length (to_rle t)]. *)
+
+val to_rle : t -> string
+(** The row-major RLE form: a marker byte holding the first run's bit,
+    then every maximal run's length as a varint (7 bits per byte, low
+    bits first).  What the dependency tracker stores per table. *)
+
+val of_rle : rows:int -> cols:int -> string -> t
+(** Inverse of {!to_rle}.
+    @raise Invalid_argument if the runs do not cover [rows * cols]. *)
 
 val to_rle_runs : t -> (bool * int) list
 (** Row-major maximal runs of equal bits. *)

@@ -191,6 +191,117 @@ let test_outdated_bitmap () =
   checkb "compressed <= raw for sparse bitmap" true
     (Outdated.compressed_size_bytes b <= Outdated.raw_size_bytes b + 8)
 
+(* A stored bitmap reattaches from its fixed-size head: the marked count
+   is answered from the head with no page read, the cells from the RLE
+   pages. *)
+let test_outdated_reattach () =
+  let _, gene, _ = mk_env () in
+  for i = 0 to 299 do
+    ignore (Table.insert gene (Tuple.make [ v (Printf.sprintf "g%d" i); Value.VDna "ATG" ]))
+  done;
+  let b = Outdated.create gene in
+  checkb "no head before a mark" true (Outdated.head b = None);
+  (* scattered marks: an RLE form longer than one 1 KiB page *)
+  List.iter (fun i -> Outdated.mark b ~row:(2 * i) ~col:(i mod 2)) (List.init 700 Fun.id);
+  Outdated.clear b ~row:4 ~col:0;
+  checki "marks" 699 (Outdated.outdated_count b);
+  Outdated.flush b;
+  let bp = Table.pager gene in
+  let h = match Outdated.head b with Some h -> h | None -> Alcotest.fail "no head" in
+  checkb "the RLE form spans pages" true (h.Outdated.pages > 1);
+  let accesses () =
+    let s = Bdbms_obs.Stats.snapshot (Bdbms_storage.Pager.stats bp) in
+    s.Bdbms_obs.Stats.reads + s.Bdbms_obs.Stats.hits
+  in
+  let before = accesses () in
+  let b' = Outdated.attach bp ~name:"Gene" h in
+  checki "count from the head" (Outdated.outdated_count b) (Outdated.outdated_count b');
+  checki "attach and count read no page" before (accesses ());
+  checkb "same cells" true (Outdated.outdated_cells b = Outdated.outdated_cells b');
+  (* a mark after reattaching is stored again *)
+  Outdated.mark b' ~row:4 ~col:0;
+  Outdated.flush b';
+  let h' = match Outdated.head b' with Some h -> h | None -> Alcotest.fail "no head" in
+  let b'' = Outdated.attach bp ~name:"Gene" h' in
+  checkb "re-marked cell stored" true (Outdated.is_outdated b'' ~row:4 ~col:0);
+  checki "count" (Outdated.outdated_count b + 1) (Outdated.outdated_count b'')
+
+(* The paged instance graph against a list model: random links (some
+   re-linking a target) over a two-source and a one-source rule through
+   128-byte pages and a 4-frame pool, compared live and after reattaching
+   from the heads. *)
+let test_dep_graph_vs_model () =
+  let d = Bdbms_storage.Disk.create ~page_size:128 ~pool_pages:4 () in
+  let bp = Bdbms_storage.Disk.pager d in
+  let g = Dep_graph.create bp in
+  let cell table row col = Dep_graph.cell ~table ~row ~col in
+  let model = Hashtbl.create 64 in
+  let rng = Random.State.make [| 17 |] in
+  for _ = 1 to 600 do
+    let inst =
+      if Random.State.bool rng then
+        let t = Random.State.int rng 300 in
+        { Dep_graph.rule_id = "blast";
+          sources = [ cell "pair" (Random.State.int rng 40) 0; cell "pair" (Random.State.int rng 40) 1 ];
+          target = cell "pair" t 2 }
+      else
+        { Dep_graph.rule_id = "p";
+          sources = [ cell "gene" (Random.State.int rng 50) 1 ];
+          target = cell "protein" (Random.State.int rng 200) 2 }
+    in
+    Dep_graph.add_instance g inst;
+    Hashtbl.replace model (inst.Dep_graph.rule_id, inst.Dep_graph.target) inst
+  done;
+  let sorted l = List.sort compare l in
+  let check what g =
+    let all = Hashtbl.fold (fun _ i acc -> i :: acc) model [] in
+    checki (what ^ ": count") (List.length all) (Dep_graph.instance_count g);
+    let seen = ref [] in
+    Dep_graph.iter_instances g (fun i -> seen := i :: !seen);
+    checkb (what ^ ": iter") true (sorted !seen = sorted all);
+    let probe src =
+      let expect = List.filter (fun i -> List.mem src i.Dep_graph.sources) all in
+      checkb (what ^ ": instances_from") true
+        (sorted (List.sort_uniq compare (Dep_graph.instances_from g src)) = sorted expect)
+    in
+    for r = 0 to 49 do probe (cell "gene" r 1) done;
+    for r = 0 to 39 do probe (cell "pair" r 0); probe (cell "pair" r 1) done;
+    for r = 0 to 199 do
+      checkb (what ^ ": instance_for_target") true
+        (Dep_graph.instance_for_target g (cell "protein" r 2)
+        = Hashtbl.find_opt model ("p", cell "protein" r 2))
+    done;
+    checki (what ^ ": no pin leaked") 0 (Bdbms_storage.Pager.pinned bp)
+  in
+  check "live" g;
+  let g' = Dep_graph.create bp in
+  List.iter (Dep_graph.attach g') (Dep_graph.heads g);
+  check "reattached" g';
+  checkb "a shape mismatch is refused" true
+    (match
+       Dep_graph.add_instance g'
+         { Dep_graph.rule_id = "p"; sources = [ cell "gene" 0 0 ]; target = cell "protein" 0 2 }
+     with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+(* What the paged form costs: a one-source rule linking 2,000 rows in
+   order (the curation shape) stays within the ~55 bytes per instance of
+   the catalog record it replaced. *)
+let test_dep_graph_space () =
+  let d = Bdbms_storage.Disk.create ~page_size:4096 () in
+  let bp = Bdbms_storage.Disk.pager d in
+  let g = Dep_graph.create bp in
+  let before = Bdbms_storage.Disk.page_count d in
+  for i = 0 to 1_999 do
+    Dep_graph.add_instance g
+      { Dep_graph.rule_id = "r1";
+        sources = [ Dep_graph.cell ~table:"gene" ~row:i ~col:1 ];
+        target = Dep_graph.cell ~table:"protein" ~row:i ~col:2 }
+  done;
+  let bytes = (Bdbms_storage.Disk.page_count d - before) * 4096 in
+  checkb (Printf.sprintf "%d B per instance <= 55" (bytes / 2_000)) true (bytes / 2_000 <= 55)
+
 (* --------------------------------------------------------------- tracker *)
 
 let setup_tracker () =
@@ -352,7 +463,16 @@ let () =
           Alcotest.test_case "closures" `Quick test_rule_set_closures;
           Alcotest.test_case "conflict and cycle" `Quick test_rule_set_conflict_and_cycle;
         ] );
-      ("bitmap", [ Alcotest.test_case "outdated bitmap" `Quick test_outdated_bitmap ]);
+      ( "bitmap",
+        [
+          Alcotest.test_case "outdated bitmap" `Quick test_outdated_bitmap;
+          Alcotest.test_case "stored bitmap reattaches" `Quick test_outdated_reattach;
+        ] );
+      ( "instances",
+        [
+          Alcotest.test_case "paged graph vs model" `Quick test_dep_graph_vs_model;
+          Alcotest.test_case "bytes per instance" `Quick test_dep_graph_space;
+        ] );
       ( "tracker",
         [
           Alcotest.test_case "figure 9 cascade" `Quick test_tracker_figure9_cascade;

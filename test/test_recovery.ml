@@ -667,6 +667,8 @@ module Manager = Bdbms_annotation.Manager
 module Tracker = Bdbms_dependency.Tracker
 module Rule = Bdbms_dependency.Rule
 module Rule_set = Bdbms_dependency.Rule_set
+module Procedure = Bdbms_dependency.Procedure
+module Dep_graph = Bdbms_dependency.Dep_graph
 module Principal = Bdbms_auth.Principal
 module Acl = Bdbms_auth.Acl
 module Approval = Bdbms_auth.Approval
@@ -680,7 +682,7 @@ let contains ~needle hay =
 
 (* A full logical fingerprint of the engine: schemas, data and attached
    annotation envelopes (via rendered annotated SELECTs), outdated marks,
-   annotation tables, dependency rules, principals, grants, the approval
+   annotation tables, dependency rules and instances, principals, grants, the approval
    log, provenance tools, index definitions, and the logical clock.  The
    clock is deterministic (it only ticks on statements), so a bootstrapped
    engine must fingerprint identically to an in-memory oracle that
@@ -708,6 +710,11 @@ let fingerprint db =
   List.iter
     (fun (r : Rule.t) -> add "rule %s" (Rule.describe r))
     (Rule_set.rules (Tracker.rule_set ctx.Context.tracker));
+  Dep_graph.iter_instances (Tracker.graph ctx.Context.tracker) (fun i ->
+      add "instance %s: %s -> %s" i.Dep_graph.rule_id
+        (String.concat ","
+           (List.map (Format.asprintf "%a" Dep_graph.pp_cell) i.Dep_graph.sources))
+        (Format.asprintf "%a" Dep_graph.pp_cell i.Dep_graph.target));
   add "users %s" (String.concat "," (Principal.users ctx.Context.principals));
   add "groups %s" (String.concat "," (Principal.groups ctx.Context.principals));
   List.iter
@@ -745,14 +752,30 @@ let fingerprint db =
   Buffer.contents b
 
 (* The mixed workload the crash harness sweeps over: DDL, DML (driving
-   dependency recomputation), annotations, dependency rules and links,
-   principals/grants, a secondary index, content approval with a
-   disapproval (running an inverse statement), and a delete.  Every
-   statement is valid, so any [Error] is a harness bug. *)
+   dependency recomputation), annotations with an archival, dependency
+   rules and links, outdated marks through a non-executable rule (and a
+   re-validation), principals/grants, a secondary index, content
+   approval with a disapproval (running an inverse statement), and a
+   delete.  Every statement is valid, so any [Error] is a harness bug.
+   At this page size the annotation registry, the forward instance
+   array and the reverse B+-tree each outgrow one page. *)
 let bulk_genes =
   "INSERT INTO Gene VALUES "
   ^ String.concat ", "
       (List.init 48 (fun i -> Printf.sprintf "('b%d', 'ACGTAC')" i))
+
+let bulk_proteins =
+  "INSERT INTO Protein VALUES "
+  ^ String.concat ", " (List.init 70 (fun i -> Printf.sprintf "('q%d', 'MK')" i))
+
+(* the non-executable procedure behind rule r2, registered through the
+   API on every engine that runs [workload] *)
+let lab_check () =
+  Procedure.non_executable ~name:"LabCheck" ~description:"wet-lab confirmation" ()
+
+let with_lab db =
+  ignore (Context.register_procedure (Db.context db) (lab_check ()));
+  db
 
 let workload =
   [
@@ -786,7 +809,27 @@ let workload =
     "UPDATE Gene SET GSequence = '" ^ String.make 120 'G' ^ "' WHERE GID = 'g3'";
     "DELETE FROM Gene WHERE GID = 'b7' OR GID = 'b44'";
     "UPDATE Gene SET GSequence = '" ^ String.make 150 'T' ^ "' WHERE GID = 'b45'";
+    "STOP CONTENT APPROVAL ON Protein";
+    (* proteins q0.. are rows 2..71 *)
+    bulk_proteins;
+    "CREATE DEPENDENCY r2 FROM Protein.PSequence TO Protein.PName USING LabCheck";
   ]
+  (* gene b<i> (row 3 + i) derives protein row 2 + 4i: the forward array
+     outgrows a 64-entry leaf and the reverse tree splits *)
+  @ List.init 18 (fun i -> Printf.sprintf "LINK DEPENDENCY r1 FROM (%d) TO %d" (3 + i) (2 + (4 * i)))
+  @ List.init 3 (fun i -> Printf.sprintf "LINK DEPENDENCY r2 FROM (%d) TO %d" (2 + (4 * i)) (2 + (4 * i)))
+  (* 24 annotations: the registry's map outgrows a 23-entry leaf *)
+  @ List.init 24 (fun i ->
+        Printf.sprintf
+          "ADD ANNOTATION TO Gene.notes VALUE 'note %d' ON (SELECT GSequence FROM Gene WHERE GID = 'b%d')"
+          i (i mod 6))
+  @ [
+      "ARCHIVE ANNOTATION FROM Gene.notes ON (SELECT * FROM Gene WHERE GID = 'b3')";
+      (* re-derives proteins 2, 6, 10 through P; r2 cannot re-derive
+         their names, so it marks them outdated *)
+      "UPDATE Gene SET GSequence = 'ATGAAACCC' WHERE GID = 'b0' OR GID = 'b1' OR GID = 'b2'";
+      "VALIDATE Protein ROW 6 COLUMN PName";
+    ]
 
 (* Oracle: an in-memory engine that replayed the first [k] statements. *)
 let oracle_fps =
@@ -794,7 +837,7 @@ let oracle_fps =
     (Array.init
        (List.length workload + 1)
        (fun k ->
-         let db = Db.create () in
+         let db = with_lab (Db.create ()) in
          List.iteri (fun i sql -> if i < k then ignore (Db.exec_exn db sql)) workload;
          let fp = fingerprint db in
          Db.close db;
@@ -815,7 +858,7 @@ let describe_arming = function
    and eviction-time write-back on every statement. *)
 let run_bootstrap_workload ?pool_pages ~path ~arming () =
   let fault = Fault.create () in
-  let db = Db.create ~page_size ?pool_pages ~path ~fault () in
+  let db = with_lab (Db.create ~page_size ?pool_pages ~path ~fault ()) in
   (match arming with
   | Ops (n, tear_frac) -> Fault.arm fault ~tear_frac ~after_ops:n ()
   | Point (p, after) -> Fault.arm_point fault ~after p);
@@ -851,7 +894,7 @@ let check_bootstrap ~what path applied =
 
 let test_bootstrap_roundtrip () =
   let path = tmp_path () in
-  let db = Db.create ~page_size ~path () in
+  let db = with_lab (Db.create ~page_size ~path ()) in
   List.iter (fun sql -> ignore (Db.exec_exn db sql)) workload;
   Db.close db;
   check_bootstrap ~what:"clean close" path (List.length workload);
@@ -870,11 +913,44 @@ let test_bootstrap_roundtrip () =
   Db.close db2;
   cleanup path
 
+(* Backend operations the whole workload takes, open to close: the
+   smallest op count whose armed fault never fires (firing is monotone in
+   the count).  The sweeps spread crash points over all of it, so the
+   workload's last statements are crashed into too. *)
+let workload_ops ?pool_pages () =
+  let completes n =
+    let path = tmp_path () in
+    let crashed, _ = run_bootstrap_workload ?pool_pages ~path ~arming:(Ops (n, 0.0)) () in
+    cleanup path;
+    not crashed
+  in
+  let rec grow n = if completes n then n else grow (2 * n) in
+  let hi = grow 256 in
+  let rec bisect lo hi =
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if completes mid then bisect lo mid else bisect mid hi
+  in
+  bisect (hi / 2) hi
+
+(* Every op of the first [dense], then [spread] points evenly over the
+   rest of the workload, then its end (an arming that never fires). *)
+let sweep_points ?pool_pages ~dense ~spread () =
+  let total = workload_ops ?pool_pages () in
+  List.init (min dense total) (fun i -> i + 1)
+  @ List.init spread (fun i -> dense + ((total - dense) * (i + 1) / (spread + 1)))
+  @ [ total ]
+  |> List.filter (fun n -> n >= 1 && n <= total)
+  |> List.sort_uniq compare
+
 let test_bootstrap_crash_anywhere () =
   let deep = Sys.getenv_opt "BDBMS_FUZZ_DEEP" = Some "1" in
   let op_points =
-    if deep then List.init 240 (fun i -> i + 1)
-    else [ 1; 2; 3; 5; 7; 10; 14; 19; 25; 33; 43; 56; 73; 95; 120; 160; 210; 400 ]
+    if deep then sweep_points ~dense:240 ~spread:400 ()
+    else
+      [ 1; 2; 3; 5; 7; 10; 14; 19; 25; 33; 43; 56; 73; 95; 120; 160; 210; 400 ]
+      @ sweep_points ~dense:0 ~spread:12 ()
   in
   let armings =
     List.mapi (fun i n -> Ops (n, if i mod 2 = 0 then 0.0 else 0.6)) op_points
@@ -908,8 +984,10 @@ let test_bootstrap_crash_anywhere () =
 let test_paging_crash_anywhere () =
   let deep = Sys.getenv_opt "BDBMS_FUZZ_PAGING" = Some "1" in
   let op_points =
-    if deep then List.init 240 (fun i -> i + 1)
-    else [ 1; 3; 7; 14; 25; 43; 73; 120; 210; 400 ]
+    if deep then sweep_points ~pool_pages:4 ~dense:240 ~spread:400 ()
+    else
+      [ 1; 3; 7; 14; 25; 43; 73; 120; 210; 400 ]
+      @ sweep_points ~pool_pages:4 ~dense:0 ~spread:8 ()
   in
   let point_hits = if deep then List.init 16 (fun k -> k) else [ 0; 1; 3; 7; 15 ] in
   let armings =
@@ -1112,8 +1190,9 @@ let test_read_only_commits_write_nothing () =
       checkb "re-analyzing read: logged" true (s.Stats.wal_flushes > 0))
 
 (* An INSERT changes only its table's fixed-size head in the catalog, so
-   the rest of a long blob (here, annotation bodies) stays at the same
-   offsets and the root swap rewrites one chain page, not the chain. *)
+   the rest of a long blob (here, a content-approval log, which the root
+   still holds) stays at the same offsets and the root swap rewrites one
+   chain page, not the chain. *)
 let test_insert_commit_writes_one_chain_page () =
   let path = tmp_path () in
   let db = Db.create ~page_size ~path () in
@@ -1125,12 +1204,10 @@ let test_insert_commit_writes_one_chain_page () =
       let e sql = ignore (Db.exec_exn db sql) in
       e "CREATE TABLE g (k INT)";
       e "INSERT INTO g VALUES (0)";
-      e "CREATE ANNOTATION TABLE notes ON g";
-      for i = 1 to 40 do
-        e
-          (Printf.sprintf
-             "ADD ANNOTATION TO g.notes VALUE 'curated note %d: %s' ON (SELECT * FROM g)"
-             i (String.make 40 'n'))
+      e "CREATE TABLE h (k INT)";
+      e "START CONTENT APPROVAL ON h APPROVED BY admin";
+      for i = 1 to 100 do
+        e (Printf.sprintf "INSERT INTO h VALUES (%d)" i)
       done;
       let chain =
         match Meta_page.read_root (Db.context db).Context.disk with
@@ -1154,7 +1231,7 @@ let test_insert_commit_writes_one_chain_page () =
    first read after a reopen finds the catalog unchanged. *)
 let test_catalog_encode_fixpoint () =
   let path = tmp_path () in
-  let db = Db.create ~page_size ~path () in
+  let db = with_lab (Db.create ~page_size ~path ()) in
   List.iter (fun sql -> ignore (Db.exec_exn db sql)) (workload @ [ "ANALYZE" ]);
   Db.close db;
   let db = Db.create ~page_size ~path () in
@@ -1178,11 +1255,13 @@ let test_catalog_encode_fixpoint () =
 
 (* MD5 of the encoding of [workload] plus ANALYZE on an in-memory
    engine: the catalog format must stay byte-identical.  Pinned at format
-   2, whose tables are fixed-size heads (tag 19) over a paged row map. *)
-let golden_catalog_digest = "c60fb10ecfc3829faa11b1c4cff4edb1"
+   3: tables (tag 19), the annotation registry (tag 20), each rule's
+   dependency instances (tag 21) and each outdated bitmap (tag 22) are
+   fixed-size heads over their pages. *)
+let golden_catalog_digest = "6b64738f244f1420cd62978b3714a44a"
 
 let test_catalog_golden_digest () =
-  let db = Db.create ~page_size () in
+  let db = with_lab (Db.create ~page_size ()) in
   List.iter (fun sql -> ignore (Db.exec_exn db sql)) (workload @ [ "ANALYZE" ]);
   let blob = Context.encode_catalog (Db.context db) in
   Db.close db;
@@ -1252,16 +1331,41 @@ let test_bootstrap_reads_constant () =
         true (got <= 1 + chain + 1);
       Bdbms_server.Engine.rollback_txn txn)
 
-(* A catalog of format 1 (every slot directory in the blob) is refused
-   with the typed version error — not [Malformed], not a crash — and the
-   file is released, so a second open refuses the same way. *)
-let test_v1_catalog_refused () =
+(* Bootstrap restores an index's definition alone: its tree is built on
+   first use.  Reopening a database and reading it (no probe) must not
+   grow the file. *)
+let test_reopen_allocates_no_index_page () =
+  let path = tmp_path () in
+  let db = Db.create ~page_size ~path () in
+  ignore (Db.exec_exn db "CREATE TABLE T (k TEXT, v INT)");
+  ignore (Db.exec_exn db "INSERT INTO T VALUES ('a', 1), ('b', 2)");
+  ignore (Db.exec_exn db "CREATE INDEX tk ON T (k)");
+  ignore (Db.exec_exn db "CREATE INDEX tv ON T (v)");
+  Db.close db;
+  let pages () =
+    let db = Db.create ~page_size ~path () in
+    ignore (Db.exec_exn db "SELECT * FROM T");
+    let n = Disk.page_count (Db.context db).Context.disk in
+    Db.close db;
+    n
+  in
+  let first = pages () in
+  checki "second reopen" first (pages ());
+  checki "third reopen" first (pages ());
+  cleanup path
+
+(* A catalog of an older format is refused with the typed version error
+   — not [Malformed], not a crash — and the file is released, so a
+   second open refuses the same way.  Format 1 kept every slot directory
+   in the blob, format 2 every annotation, dependency instance and
+   outdated mark. *)
+let test_old_catalog_refused format () =
   let path = tmp_path () in
   let d = Disk.open_file ~page_size path in
   Meta_page.ensure_root d;
   let blob = Buffer.create 12 in
   Buffer.add_string blob "BCAT";
-  Buffer.add_int32_le blob 1l;
+  Buffer.add_int32_le blob (Int32.of_int format);
   Buffer.add_int32_le blob 0l;
   Meta_page.write_root d (Buffer.to_bytes blob);
   Disk.commit d;
@@ -1269,12 +1373,12 @@ let test_v1_catalog_refused () =
   let refused what =
     match Db.create ~page_size ~path () with
     | exception Bdbms_asql.Durable_catalog.Unsupported_version { found; supported } ->
-        checki (what ^ ": found") 1 found;
-        checki (what ^ ": supported") 2 supported
+        checki (what ^ ": found") format found;
+        checki (what ^ ": supported") 3 supported
     | exception e -> Alcotest.failf "%s: wrong error %s" what (Printexc.to_string e)
     | db ->
         Db.close db;
-        Alcotest.failf "%s: a format-1 catalog opened" what
+        Alcotest.failf "%s: a format-%d catalog opened" what format
   in
   refused "first open";
   refused "second open";
@@ -1361,7 +1465,11 @@ let () =
             test_script_crash_prefix;
           Alcotest.test_case "open and BEGIN read O(1) pages" `Quick
             test_bootstrap_reads_constant;
+          Alcotest.test_case "reopen allocates no index page" `Quick
+            test_reopen_allocates_no_index_page;
           Alcotest.test_case "format-1 catalog refused" `Quick
-            test_v1_catalog_refused;
+            (test_old_catalog_refused 1);
+          Alcotest.test_case "format-2 catalog refused" `Quick
+            (test_old_catalog_refused 2);
         ] );
     ]

@@ -319,6 +319,95 @@ let test_root_length_invariant () =
   checki "after relocating updates" at10 (root_len_without_stats db);
   Bdbms.Db.close db
 
+(* The same invariant for annotations, dependency instances and outdated
+   marks: each keeps a fixed-size head in the root (the registry's, one
+   per rule, one per marked table) over its own pages.  The annotation
+   store's heap page list (tag 4) still sits in the root, four bytes per
+   store page, so the annotation phase subtracts exactly that. *)
+let test_root_length_annotations_links_marks () =
+  let module Ctx = Bdbms_asql.Context in
+  let module Manager = Bdbms_annotation.Manager in
+  let module Ann_store = Bdbms_annotation.Ann_store in
+  let module Region = Bdbms_annotation.Region in
+  let module Tracker = Bdbms_dependency.Tracker in
+  let module Procedure = Bdbms_dependency.Procedure in
+  let db = Bdbms.Db.create () in
+  let ctx = Bdbms.Db.context db in
+  let exec sql = ignore (Bdbms.Db.exec_exn db sql) in
+  exec "CREATE TABLE Gene (GID TEXT, GSequence DNA)";
+  exec "CREATE TABLE Protein (PName TEXT, PSequence PROTEIN, PNote TEXT)";
+  let rows table n mk =
+    exec
+      (Printf.sprintf "INSERT INTO %s VALUES %s" table
+         (String.concat ", " (List.init n mk)))
+  in
+  rows "Gene" 100 (fun i -> Printf.sprintf "('g%d', 'ATGGCC')" i);
+  for chunk = 0 to 9 do
+    rows "Protein" 1_000 (fun i -> Printf.sprintf "('p%d', 'MA', 'n')" ((chunk * 1_000) + i))
+  done;
+  exec "CREATE ANNOTATION TABLE notes ON Gene";
+  let gene = Catalog.find_exn ctx.Ctx.catalog "Gene" in
+  let annotate lo hi =
+    for i = lo to hi - 1 do
+      match
+        Manager.add_text ctx.Ctx.ann ~table:gene ~ann_tables:[ "notes" ]
+          ~text:(Printf.sprintf "curated note %d: %s" i (String.make (i mod 40) 'x'))
+          ~author:"curator" ~region:(Region.of_row (i mod 100)) ()
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e
+    done
+  in
+  let store_pages () =
+    match Manager.store_of ctx.Ctx.ann ~table_name:"Gene" ~name:"notes" with
+    | Some st -> Ann_store.storage_pages st
+    | None -> Alcotest.fail "no notes store"
+  in
+  let ann_len () = root_len_without_stats db - (4 * store_pages ()) in
+  annotate 0 10;
+  let at10 = ann_len () in
+  annotate 10 5_000;
+  checki "registered" 5_000 (Manager.registry_size ctx.Ctx.ann);
+  checkb "the store grew" true (store_pages () > 10);
+  checki "10 vs 5,000 annotations" at10 (ann_len ());
+  exec "ARCHIVE ANNOTATION FROM Gene.notes ON (SELECT * FROM Gene WHERE GID = 'g7')";
+  checki "after archive" at10 (ann_len ());
+  exec "RESTORE ANNOTATION FROM Gene.notes ON (SELECT * FROM Gene WHERE GID = 'g7')";
+  checki "after restore" at10 (ann_len ());
+  (* links: gene row (i mod 100) derives protein row i *)
+  exec "CREATE DEPENDENCY r1 FROM Gene.GSequence TO Protein.PSequence USING P";
+  let link lo hi =
+    for i = lo to hi - 1 do
+      match
+        Tracker.link_rows ctx.Ctx.tracker ~rule_id:"r1" ~source_rows:[ i mod 100 ] ~target_row:i
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e
+    done
+  in
+  link 0 10;
+  let links10 = ann_len () in
+  link 10 10_000;
+  checki "10 vs 10,000 links" links10 (ann_len ());
+  (* marks: r2 cannot re-derive PNote, so a gene update marks it *)
+  ignore
+    (Ctx.register_procedure ctx
+       (Procedure.non_executable ~name:"Curate" ~description:"manual review" ()));
+  exec "CREATE DEPENDENCY r2 FROM Protein.PSequence TO Protein.PNote USING Curate";
+  for i = 0 to 9_999 do
+    ignore (Tracker.link_rows ctx.Ctx.tracker ~rule_id:"r2" ~source_rows:[ i ] ~target_row:i)
+  done;
+  exec "UPDATE Gene SET GSequence = 'ATGAAA' WHERE GID = 'g0'";
+  let marked () = List.length (Tracker.outdated_cells ctx.Ctx.tracker ~table:"Protein") in
+  checki "one gene, 100 proteins marked" 100 (marked ());
+  let marks100 = ann_len () in
+  exec "UPDATE Gene SET GSequence = 'ATGAAA' WHERE GID LIKE 'g%'";
+  checki "every protein marked" 10_000 (marked ());
+  checki "100 vs 10,000 marks" marks100 (ann_len ());
+  exec "VALIDATE Protein ROW 5 COLUMN PNote";
+  checki "after a re-validation" marks100 (ann_len ());
+  Bdbms.Db.close db
+
 (* ----------------------------------------------------------------- Expr *)
 
 let abc_schema =
@@ -599,6 +688,8 @@ let () =
           Alcotest.test_case "many rows" `Quick test_table_many_rows;
           Alcotest.test_case "row map vs model" `Quick test_table_row_map_model;
           Alcotest.test_case "root length invariant" `Quick test_root_length_invariant;
+          Alcotest.test_case "root length: annotations, links, marks" `Quick
+            test_root_length_annotations_links_marks;
         ] );
       ( "expr",
         [

@@ -237,6 +237,69 @@ let test_snapshot_row_map_horizon () =
         (contains (trender after "SELECT * FROM g WHERE k = 5") "(0 rows)");
       Engine.rollback_txn after)
 
+(* Annotations, dependency instances and outdated marks live in pages
+   mutated in place, like rows: a snapshot reads them as of its horizon
+   through its overlay.  A snapshot begun before concurrent ADD
+   ANNOTATION, ARCHIVE and LINK keeps the old registry and instances
+   (LINK is DDL, so its own write then conflicts), and a transaction that
+   does all three itself replays them onto the canonical engine. *)
+let test_snapshot_annotations_links_horizon () =
+  with_engine ~page_size:512 (fun e ->
+      exec e "CREATE TABLE g (k INT, s DNA)";
+      exec e "CREATE TABLE p (n TEXT, ps PROTEIN)";
+      exec e "INSERT INTO g VALUES (0, 'ATGGCC'), (1, 'ATGGCC'), (2, 'ATGGCC')";
+      exec e "INSERT INTO p VALUES ('p0', 'MA'), ('p1', 'MA'), ('p2', 'MA')";
+      exec e "CREATE ANNOTATION TABLE notes ON g";
+      exec e "ADD ANNOTATION TO g.notes VALUE 'first' ON (SELECT s FROM g WHERE k = 0)";
+      exec e "CREATE DEPENDENCY r1 FROM g.s TO p.ps USING P";
+      exec e "LINK DEPENDENCY r1 FROM (0) TO 0";
+      let annotated = "SELECT * FROM g ANNOTATION(notes)" in
+      let old = Engine.begin_txn e () in
+      let before = trender old annotated in
+      (* enough annotations that the registry grows new pages *)
+      for i = 1 to 60 do
+        exec e
+          (Printf.sprintf "ADD ANNOTATION TO g.notes VALUE 'note %d' ON (SELECT s FROM g WHERE k = %d)"
+             i (i mod 3))
+      done;
+      exec e "ARCHIVE ANNOTATION FROM g.notes ON (SELECT * FROM g WHERE k = 0)";
+      exec e "LINK DEPENDENCY r1 FROM (1) TO 1";
+      checkb "the canonical engine moved on" true (render e annotated <> before);
+      checks "snapshot annotations unchanged" before (trender old annotated);
+      (* the snapshot has no instance 1 -> 1: updating gene 1 leaves
+         protein 1 as it was *)
+      ignore (ok "old update" (Engine.txn_exec old "UPDATE g SET s = 'ATGTGG' WHERE k = 1"));
+      checks "no link at the horizon" "ps\nMA\n(1 rows)"
+        (trender old "SELECT ps FROM p WHERE n = 'p1'");
+      ignore (ok "old update 0" (Engine.txn_exec old "UPDATE g SET s = 'ATGTGG' WHERE k = 0"));
+      checks "the older link still derives" "ps\nMW\n(1 rows)"
+        (trender old "SELECT ps FROM p WHERE n = 'p0'");
+      (match Engine.commit_txn old with
+      | Error (Engine.Conflict _) -> ()
+      | Ok _ -> Alcotest.fail "a write concurrent with LINK must conflict"
+      | Error err -> Alcotest.fail (Engine.error_message err));
+      (* one transaction annotates, archives and links; commit replays *)
+      let txn = Engine.begin_txn e () in
+      ignore
+        (ok "txn add"
+           (Engine.txn_exec txn
+              "ADD ANNOTATION TO g.notes VALUE 'from the txn' ON (SELECT s FROM g WHERE k = 2)"));
+      ignore
+        (ok "txn archive"
+           (Engine.txn_exec txn "ARCHIVE ANNOTATION FROM g.notes ON (SELECT * FROM g WHERE k = 1)"));
+      ignore (ok "txn link" (Engine.txn_exec txn "LINK DEPENDENCY r1 FROM (2) TO 2"));
+      let in_txn = trender txn annotated in
+      checkb "commit replays" true (ok "commit" (Engine.commit_txn txn) > 0);
+      checks "replayed annotations match the snapshot's" in_txn (render e annotated);
+      checkb "the txn's note landed" true (contains (render e annotated) "from the txn");
+      checkb "archived notes are gone" false (contains (render e annotated) "note 1\n");
+      exec e "UPDATE g SET s = 'ATGTGG' WHERE k = 2";
+      checks "the replayed link derives" "ps\nMW\n(1 rows)"
+        (render e "SELECT ps FROM p WHERE n = 'p2'");
+      let fresh = Engine.begin_txn e () in
+      checks "a new snapshot sees every commit" (render e annotated) (trender fresh annotated);
+      Engine.rollback_txn fresh)
+
 let test_read_own_writes () =
   with_engine (fun e ->
       exec e "CREATE TABLE t (id INT)";
@@ -1099,6 +1162,8 @@ let () =
           Alcotest.test_case "read own writes" `Quick test_read_own_writes;
           Alcotest.test_case "row map at the horizon" `Quick
             test_snapshot_row_map_horizon;
+          Alcotest.test_case "annotations and links at the horizon" `Quick
+            test_snapshot_annotations_links_horizon;
           Alcotest.test_case "first writer wins" `Quick test_first_writer_wins;
           Alcotest.test_case "disjoint writers" `Quick
             test_disjoint_writers_no_conflict;

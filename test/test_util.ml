@@ -198,7 +198,8 @@ let bitmap_qcheck =
     Test.make ~name:"bitmap rle roundtrip" ~count:300 ops_gen (fun ops ->
         let b = Bitmap.create ~rows:10 ~cols:7 in
         List.iter (fun (row, col, v) -> Bitmap.set b ~row ~col v) ops;
-        Bitmap.equal b (Bitmap.of_rle_runs ~rows:10 ~cols:7 (Bitmap.to_rle_runs b)));
+        Bitmap.equal b (Bitmap.of_rle_runs ~rows:10 ~cols:7 (Bitmap.to_rle_runs b))
+        && Bitmap.equal b (Bitmap.of_rle ~rows:10 ~cols:7 (Bitmap.to_rle b)));
     Test.make ~name:"bitmap count matches iter_set" ~count:300 ops_gen (fun ops ->
         let b = Bitmap.create ~rows:10 ~cols:7 in
         List.iter (fun (row, col, v) -> Bitmap.set b ~row ~col v) ops;
