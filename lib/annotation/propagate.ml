@@ -118,7 +118,7 @@ let group_rows rows =
   let order = ref [] in
   List.iter
     (fun at ->
-      let key = Tuple.encode at.tuple in
+      let key = Tuple.group_key at.tuple in
       match Hashtbl.find_opt tbl key with
       | Some group -> Hashtbl.replace tbl key (at :: group)
       | None ->
@@ -145,7 +145,7 @@ let intersect a b =
   let b_groups = Hashtbl.create 16 in
   List.iter
     (fun at ->
-      let key = Tuple.encode at.tuple in
+      let key = Tuple.group_key at.tuple in
       let cur = try Hashtbl.find b_groups key with Not_found -> [] in
       Hashtbl.replace b_groups key (at :: cur))
     b.rows;
@@ -153,7 +153,7 @@ let intersect a b =
   let rows =
     List.filter_map
       (fun group ->
-        let key = Tuple.encode (List.hd group).tuple in
+        let key = Tuple.group_key (List.hd group).tuple in
         match Hashtbl.find_opt b_groups key with
         | Some b_side -> Some (merge_group (group @ List.rev b_side))
         | None -> None)
@@ -164,12 +164,12 @@ let intersect a b =
 let except a b =
   check_compatible "EXCEPT" a b;
   let b_keys = Hashtbl.create 16 in
-  List.iter (fun at -> Hashtbl.replace b_keys (Tuple.encode at.tuple) ()) b.rows;
+  List.iter (fun at -> Hashtbl.replace b_keys (Tuple.group_key at.tuple) ()) b.rows;
   let groups = group_rows a.rows in
   let rows =
     List.filter_map
       (fun group ->
-        let key = Tuple.encode (List.hd group).tuple in
+        let key = Tuple.group_key (List.hd group).tuple in
         if Hashtbl.mem b_keys key then None else Some (merge_group group))
       groups
   in
@@ -210,14 +210,15 @@ let group_by t ~keys ~aggs =
   List.iter
     (fun at ->
       let key =
-        Tuple.encode (Array.of_list (List.map (fun i -> Tuple.get at.tuple i) key_indices))
+        Tuple.group_key
+          (Array.of_list (List.map (fun i -> Tuple.get at.tuple i) key_indices))
       in
       let cur = try Hashtbl.find groups key with Not_found -> [] in
       Hashtbl.replace groups key (at :: cur))
     t.rows;
   let annotate_output_row out_tuple =
     let key =
-      Tuple.encode (Array.sub out_tuple 0 (List.length keys))
+      Tuple.group_key (Array.sub out_tuple 0 (List.length keys))
     in
     let members = try List.rev (Hashtbl.find groups key) with Not_found -> [] in
     let col_union i =

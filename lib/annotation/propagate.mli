@@ -13,7 +13,8 @@
       fail the condition;
     - operators that group or combine tuples (duplicate elimination,
       group by, union, intersect, difference) union the annotations of
-      the combined tuples onto the representative output tuple. *)
+      the combined tuples onto the representative output tuple; tuples
+      combine when their {!Bdbms_relation.Tuple.group_key}s are equal. *)
 
 type atuple = {
   tuple : Bdbms_relation.Tuple.t;

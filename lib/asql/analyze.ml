@@ -2,10 +2,10 @@
    really executes.
 
    The executor builds one [node] per plan operator (mirroring the
-   estimate tree {!Cost} prints) and wraps the operator's pull function —
-   or, on the materialized paths, its whole evaluation — so each node
-   accumulates actual rows, wall time, and the delta of every [Stats]
-   counter attributable to it.  Accounting is inclusive, like Postgres:
+   estimate tree {!Cost} prints) and wraps the operator's batch pull
+   function — or, on the materialized paths, its whole evaluation — so
+   each node accumulates actual rows, wall time, and the delta of every
+   [Stats] counter attributable to it.  Accounting is inclusive, like Postgres:
    a node's time and counters include its children's, because the child's
    work happens inside the parent's pull.
 
@@ -13,10 +13,10 @@
    per-node scratch arrays, so metering a pull costs two array blits and
    no allocation.
 
-   This module deliberately knows nothing about [Context] or [Cursor]:
-   [Context.t] carries a [t option] of this recorder, and the executor
-   adapts cursors to [meter_pull] — keeping the dependency order
-   Analyze < Context < Plan < Executor acyclic. *)
+   This module deliberately knows nothing about [Context] or column
+   batches: [Context.t] carries a [t option] of this recorder, and
+   [Vexec.meter] adapts batch sources to [meter_batch_pull] — keeping the
+   dependency order Analyze < Context < Plan < Executor acyclic. *)
 
 module Stats = Bdbms_obs.Stats
 module Timer = Bdbms_util.Timer
@@ -57,19 +57,6 @@ let node ?(est_rows = Float.nan) ?est_src ?table ?(children = []) label =
 let set_root t n = t.root <- Some n
 let root t = t.root
 let add_child parent child = parent.children <- parent.children @ [ child ]
-
-(* Wrap a pull function: each call is timed, its counter delta lands in
-   the node, and a produced tuple counts as an actual row. *)
-let meter_pull t n next =
-  n.loops <- n.loops + 1;
-  fun () ->
-    let start = Timer.now_ns () in
-    Stats.blit t.stats ~into:n.scratch;
-    let r = next () in
-    Stats.accum_diff t.stats ~before:n.scratch ~into:n.acc;
-    n.time_ns <- n.time_ns + (Timer.now_ns () - start);
-    (match r with Some _ -> n.actual_rows <- n.actual_rows + 1 | None -> ());
-    r
 
 (* Materialized-path metering: time one whole evaluation of the operator.
    The caller reports produced rows via [record_rows]. *)

@@ -44,16 +44,12 @@ val root : t -> node option
 val add_child : node -> node -> unit
 (** [add_child parent child] appends. *)
 
-val meter_pull : t -> node -> (unit -> 'a option) -> unit -> 'a option
-(** Wrap an operator's pull function: every call is timed and its counter
-    delta attributed to the node; each [Some] counts as an actual row.
-    Wrapping increments [loops] (a restart wraps again). *)
-
 val meter_batch_pull :
   t -> node -> rows:('b -> int) -> (unit -> 'b option) -> unit -> 'b option
-(** {!meter_pull} for batched operators: each produced batch counts
-    [rows b] actual rows and one batch.  Rendered as [batches=n] next to
-    the loop count. *)
+(** Wrap an operator's batch pull function: every call is timed and its
+    counter delta attributed to the node; each produced batch counts
+    [rows b] actual rows and one batch, rendered as [batches=n] next to
+    the loop count.  Wrapping increments [loops]. *)
 
 val timed_block : t -> node -> (unit -> 'a) -> 'a
 (** Materialized-path metering: time one whole evaluation (recorded even

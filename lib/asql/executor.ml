@@ -5,7 +5,6 @@ module Table = Bdbms_relation.Table
 module Catalog = Bdbms_relation.Catalog
 module Expr = Bdbms_relation.Expr
 module Ops = Bdbms_relation.Ops
-module Cursor = Bdbms_relation.Cursor
 module Batch = Bdbms_relation.Batch
 module Disk = Bdbms_storage.Disk
 module Stats = Bdbms_obs.Stats
@@ -887,219 +886,154 @@ and batch_pipeline ?need ctx (plan : Plan.t) =
   (checked_src ctx bsrc, plan_n)
 
 (* Everything from aggregation to LIMIT over the pipeline's top batch
-   source.  The ungrouped aggregate and the pre-projection top-k consume
-   the batches through the typed {!Vexec} operators; the other stages
-   (group-by, DISTINCT, LIMIT) pull boxed rows from a lazy cursor view,
-   which decodes batches only on demand. *)
+   source: one chain of batch operators, rows boxed once, at the output.
+   Under EXPLAIN ANALYZE each stage is a node stacked on the previous one
+   — so the tree mirrors execution order, which may sort before
+   projecting, unlike the estimate tree — metered by [Vexec.meter];
+   OFFSET/LIMIT runs inside the top node, so the root accounts for
+   exactly the rows returned. *)
 and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
     ((bsrc : Vexec.src), (plan_n : Analyze.node option)) : Propagate.t =
-  let cur = Vexec.to_cursor bsrc in
+  let batch_rows = ctx.Context.batch_rows in
   let prefixes = plan.Plan.prefixes in
-  let an = ctx.Context.analyze in
-  (* Tail-stage recorder: each stage node stacks on the previous one, so
-     the analyze tree mirrors the actual execution order (which may sort
-     before projecting, unlike the estimate tree). *)
-  let top_ref = ref plan_n in
-  let cur_est = ref (match an with
-    | None -> Float.nan
-    | Some _ -> (
-        match List.rev plan.Plan.steps with
-        | step :: _ -> step.Plan.est_rows
-        | [] -> plan.Plan.base.Plan.est_rows))
-  in
-  let push ?est label =
-    (match est with Some e -> cur_est := e | None -> ());
-    let n =
-      Analyze.node ~est_rows:!cur_est
-        ~children:(Option.to_list !top_ref)
-        label
-    in
-    top_ref := Some n;
-    n
-  in
-  (* streaming stage: meter the pulls *)
-  let stage ?est label cur =
-    match an with
-    | None -> cur
-    | Some a ->
-        let n = push ?est label in
-        Cursor.make (Cursor.schema cur)
-          (Analyze.meter_pull a n (fun () -> Cursor.next cur))
-  in
-  (* eager stage: time the materializing computation as one block *)
-  let stage_rs ?est label f =
-    match an with
-    | None -> f ()
-    | Some a ->
-        let n = push ?est label in
-        let rs = Analyze.timed_block a n f in
-        Analyze.record_rows n (List.length rs.Ops.rows);
-        rs
-  in
   let resolve = make_resolver plan.Plan.schema prefixes in
-  let limit_n = Option.map (max 0) sel.Ast.limit in
-  let offset_n = max 0 (Option.value sel.Ast.offset ~default:0) in
+  let limit = Option.map (max 0) sel.Ast.limit in
+  let offset = max 0 (Option.value sel.Ast.offset ~default:0) in
   let project_label =
     if sel.Ast.items = [ Ast.Star ] then "PROJECT *"
     else Printf.sprintf "PROJECT (%d items)" (List.length sel.Ast.items)
   in
-  let has_aggregates =
-    List.exists
-      (function Ast.Item { expr = Ast.Aggregate _; _ } -> true | _ -> false)
-      sel.Ast.items
+  (* project [names] (source column, output name) out of [s] *)
+  let project names (s : Vexec.src) =
+    let p =
+      Vexec.project s
+        (List.map (fun (n, _) -> Schema.index_of_exn s.Vexec.schema n) names)
+    in
+    Vexec.with_schema p
+      (Schema.rename_columns p.Vexec.schema (output_renames names))
   in
-  let projected =
-    if has_aggregates || sel.Ast.group_by <> [] then begin
-      (* aggregate path *)
+  (* ORDER BY over the stage input's columns: a bounded heap under a
+     LIMIT when [top_k] allows one, a stable sort otherwise *)
+  let order ~top_k ~prefixes specs =
+    let cmp (s : Vexec.src) =
+      let r = make_resolver s.Vexec.schema prefixes in
+      order_cmp s.Vexec.schema (List.map (fun (c, d) -> (r c, d)) specs)
+    in
+    match limit with
+    | Some n when top_k ->
+        let k = offset + n in
+        ( Printf.sprintf "TOP-K (k=%d)" k,
+          Float.min (float_of_int k),
+          fun s -> Vexec.top_k ~batch_rows s ~cmp:(cmp s) ~k )
+    | _ -> ("SORT", Fun.id, fun s -> Vexec.sort ~batch_rows s ~cmp:(cmp s))
+  in
+  let order_after_projection =
+    match sel.Ast.order_by with
+    | [] -> []
+    | specs -> [ order ~top_k:true ~prefixes:[] specs ]
+  in
+  (* 0.8 mirrors Cost.distinct_factor *)
+  let distinct =
+    if sel.Ast.distinct then [ ("DISTINCT", ( *. ) 0.8, Vexec.distinct) ] else []
+  in
+  (* (node label, estimate from the input's, operator) in execution order *)
+  let stages =
+    if
+      sel.Ast.group_by <> []
+      || List.exists
+           (function Ast.Item { expr = Ast.Aggregate _; _ } -> true | _ -> false)
+           sel.Ast.items
+    then begin
       let keys, aggs, out_names = aggregate_items resolve sel in
-      let grouped =
-        let label =
-          if keys = [] then "AGGREGATE"
-          else Printf.sprintf "GROUP BY %s" (String.concat "," sel.Ast.group_by)
-        in
-        stage_rs ~est:(Float.max 1.0 (!cur_est /. 10.0)) label (fun () ->
-            if keys = [] then
-              (* ungrouped aggregates: one streaming pass, constant
-                 memory, typed per-column loops *)
-              Vexec.aggregate bsrc aggs
-            else Ops.group_by (Cursor.to_rowset cur) ~keys ~aggs)
-      in
-      let grouped =
+      let having (s : Vexec.src) =
         match sel.Ast.having with
-        | None -> grouped
+        | None -> s
         | Some e ->
-            let r = make_resolver grouped.Ops.schema [] in
-            Ops.select grouped (resolve_expr r e)
+            Vexec.filter s (resolve_expr (make_resolver s.Vexec.schema []) e)
       in
-      let rs =
-        stage_rs project_label (fun () ->
-            let projected = Ops.project grouped (List.map fst out_names) in
-            { projected with
-              Ops.schema =
-                Schema.rename_columns projected.Ops.schema
-                  (output_renames out_names) })
-      in
-      Cursor.of_list rs.Ops.schema rs.Ops.rows
+      ( (if keys = [] then "AGGREGATE"
+         else Printf.sprintf "GROUP BY %s" (String.concat "," sel.Ast.group_by)),
+        (fun est -> Float.max 1.0 (est /. 10.0)),
+        fun s -> Vexec.group_by ~batch_rows s ~keys aggs )
+      :: (project_label, Fun.id, fun s -> project out_names (having s))
+      :: (distinct @ order_after_projection)
     end
-    else begin
-      (* scalar path (PROMOTE never reaches here: it needs annotations,
-         so it runs [finish_select]) *)
+    else
+      (* PROMOTE never reaches here: it needs annotations, so it runs
+         [finish_select] *)
       match sel.Ast.items with
-      | [ Ast.Star ] -> stage project_label cur
+      | [ Ast.Star ] ->
+          ((project_label, Fun.id, Fun.id) :: distinct) @ order_after_projection
       | items ->
-          let computed =
-            List.exists
-              (function Ast.Item { expr = Ast.Scalar _; _ } -> true | _ -> false)
-              items
-          in
-          let extended, proj_names =
+          let names, computed =
             List.fold_left
-              (fun (acc, names) item ->
+              (fun (names, computed) item ->
                 match item with
                 | Ast.Star ->
                     fail "SELECT * cannot be mixed with other select items"
                 | Ast.Item { expr = Ast.Col_ref c; alias; _ } ->
-                    (acc, names @ [ (resolve c, Option.value alias ~default:c) ])
+                    let name = (resolve c, Option.value alias ~default:c) in
+                    (names @ [ name ], computed)
                 | Ast.Item { expr = Ast.Scalar e; alias; _ } ->
                     let out =
                       match alias with
                       | Some a -> a
                       | None -> fail "computed columns need AS <name>"
                     in
-                    let e =
-                      resolve_expr (make_resolver (Cursor.schema acc) prefixes) e
-                    in
-                    (Cursor.extend acc ~name:out ~ty:Value.TString e,
-                     names @ [ (out, out) ])
+                    (names @ [ (out, out) ], computed @ [ (out, e) ])
                 | Ast.Item { expr = Ast.Aggregate _; _ } -> assert false)
-              (cur, []) items
+              ([], []) items
+          in
+          let extend s =
+            List.fold_left
+              (fun (s : Vexec.src) (out, e) ->
+                Vexec.extend s ~name:out ~ty:Value.TString
+                  (resolve_expr (make_resolver s.Vexec.schema prefixes) e))
+              s computed
           in
           (* ORDER BY may reference pre-projection columns (classic SQL),
-             so order before projecting; with a LIMIT and no DISTINCT a
-             bounded heap replaces the full sort *)
-          let extended =
-            match sel.Ast.order_by with
-            | [] -> extended
-            | specs -> (
-                let r = make_resolver (Cursor.schema extended) prefixes in
-                let specs = List.map (fun (c, d) -> (r c, d)) specs in
-                let schema = Cursor.schema extended in
-                match limit_n with
-                | Some n when not sel.Ast.distinct ->
-                    let k = offset_n + n in
-                    let rs =
-                      stage_rs
-                        ~est:(Float.min !cur_est (float_of_int k))
-                        (Printf.sprintf "TOP-K (k=%d)" k)
-                        (fun () ->
-                          { Ops.schema;
-                            rows =
-                              (if computed then
-                                 Cursor.top_k extended
-                                   ~cmp:(order_cmp schema specs) ~k
-                               else
-                                 (* heap straight over the batches *)
-                                 Vexec.top_k bsrc
-                                   ~cmp:(order_cmp schema specs) ~k) })
-                    in
-                    Cursor.of_list rs.Ops.schema rs.Ops.rows
-                | _ ->
-                    let rs =
-                      stage_rs "SORT" (fun () ->
-                          Ops.order_by (Cursor.to_rowset extended) specs)
-                    in
-                    Cursor.of_list rs.Ops.schema rs.Ops.rows)
-          in
-          let projected = Cursor.project extended (List.map fst proj_names) in
-          stage project_label
-            (Cursor.rename projected
-               (Schema.rename_columns (Cursor.schema projected)
-                  (output_renames proj_names)))
-    end
+             so order before projecting; DISTINCT, which runs after the
+             projection, rules out cutting to a LIMIT first *)
+          (match sel.Ast.order_by with
+          | [] -> [ (project_label, Fun.id, fun s -> project names (extend s)) ]
+          | specs ->
+              let label, est, op =
+                order ~top_k:(not sel.Ast.distinct) ~prefixes specs
+              in
+              [
+                (label, est, fun s -> op (extend s));
+                (project_label, Fun.id, project names);
+              ])
+          @ distinct
   in
-  let already_sorted = not (has_aggregates || sel.Ast.group_by <> []) in
-  let result =
-    if sel.Ast.distinct then
-      (* 0.8 mirrors Cost.distinct_factor *)
-      stage ~est:(!cur_est *. 0.8) "DISTINCT" (Cursor.distinct projected)
-    else projected
+  let an = ctx.Context.analyze in
+  let est =
+    ref
+      (match List.rev plan.Plan.steps with
+      | step :: _ -> step.Plan.est_rows
+      | [] -> plan.Plan.base.Plan.est_rows)
   in
-  let result =
-    match sel.Ast.order_by with
-    | [] -> result
-    | _ when already_sorted && sel.Ast.items <> [ Ast.Star ] -> result
-    | specs -> (
-        let r = make_resolver (Cursor.schema result) [] in
-        let specs = List.map (fun (c, d) -> (r c, d)) specs in
-        let schema = Cursor.schema result in
-        match limit_n with
-        | Some n ->
-            (* DISTINCT (if any) already ran, so top-k is safe here *)
-            let k = offset_n + n in
-            let rs =
-              stage_rs
-                ~est:(Float.min !cur_est (float_of_int k))
-                (Printf.sprintf "TOP-K (k=%d)" k)
-                (fun () ->
-                  { Ops.schema;
-                    rows = Cursor.top_k result ~cmp:(order_cmp schema specs) ~k })
-            in
-            Cursor.of_list rs.Ops.schema rs.Ops.rows
-        | None ->
-            let rs =
-              stage_rs "SORT" (fun () ->
-                  Ops.order_by (Cursor.to_rowset result) specs)
-            in
-            Cursor.of_list rs.Ops.schema rs.Ops.rows)
+  let top = ref plan_n in
+  let stage src (label, est_of, op) =
+    match an with
+    | None -> op src
+    | Some a ->
+        est := est_of !est;
+        let n =
+          Analyze.node ~est_rows:!est ~children:(Option.to_list !top) label
+        in
+        top := Some n;
+        Vexec.meter a n (op src)
   in
-  let result = if offset_n > 0 then Cursor.offset result offset_n else result in
-  let result =
-    match limit_n with None -> result | Some n -> Cursor.limit result n
+  let bounded s = Vexec.limit s ~offset ~limit in
+  let rec run src = function
+    | [] -> bounded src
+    | [ (label, est_of, op) ] ->
+        stage src (label, est_of, fun s -> bounded (op s))
+    | st :: rest -> run (stage src st) rest
   in
-  let out = Propagate.of_rowset (Cursor.to_rowset result) in
-  (match (an, !top_ref) with
-  | Some a, Some n -> Analyze.set_root a n
-  | _ -> ());
+  let out = Propagate.of_rowset (Vexec.to_rowset (run bsrc stages)) in
+  (match (an, !top) with Some a, Some n -> Analyze.set_root a n | _ -> ());
   out
 
 (* Everything from AWHERE to LIMIT over a materialized annotated rowset —

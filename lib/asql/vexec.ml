@@ -23,7 +23,6 @@ module Tuple = Bdbms_relation.Tuple
 module Table = Bdbms_relation.Table
 module Expr = Bdbms_relation.Expr
 module Ops = Bdbms_relation.Ops
-module Cursor = Bdbms_relation.Cursor
 module Batch = Bdbms_relation.Batch
 module Stats = Bdbms_obs.Stats
 module Bitmap = Bdbms_util.Bitmap
@@ -92,6 +91,16 @@ let rows_of src =
   in
   pull
 
+(* Every selected row of a source, boxed, in order. *)
+let to_rowset src =
+  let pull = rows_of src in
+  let rec go acc =
+    match pull () with
+    | None -> List.rev acc
+    | Some (b, row) -> go (Batch.tuple_of b row :: acc)
+  in
+  { Ops.schema = src.schema; rows = go [] }
+
 (* Candidate rows fetched point-wise (index probes): decoded through
    [Table.get] — these row sets are small, the cache may already hold
    them — and re-batched for the rest of the pipeline. *)
@@ -113,11 +122,11 @@ let of_rows ?batch_rows ?row_id table rows =
   in
   of_pull ?batch_rows ~total:(List.length rows) schema layout pull
 
-(* Rows that already exist as boxed tuples ([sys.*] snapshots) go into
-   all-boxed vectors: no re-encoding, and no assumption that a view's
-   cells fit its declared column types.  Each batch counts as decoded,
-   like a heap scan's. *)
-let of_tuples ~stats ?batch_rows schema rows =
+(* Rows that already exist as boxed tuples ([sys.*] snapshots, a sort's
+   or an aggregate's output) go into all-boxed vectors: no re-encoding,
+   and no assumption that the cells fit their declared column types.
+   With [stats], each batch counts as decoded, like a heap scan's. *)
+let of_tuples ?stats ?batch_rows schema rows =
   let i = ref 0 in
   let src =
     of_pull ?batch_rows ~total:(Array.length rows) schema
@@ -133,7 +142,9 @@ let of_tuples ~stats ?batch_rows schema rows =
     next =
       (fun () ->
         let b = src.next () in
-        if Option.is_some b then Stats.record_batch_decoded stats;
+        (match (stats, b) with
+        | Some stats, Some _ -> Stats.record_batch_decoded stats
+        | _ -> ());
         b);
   }
 
@@ -532,16 +543,7 @@ let hash_join ?stats ?batch_rows ~build_left ~left_keys ~right_keys left right
    product reaches a cancellation checkpoint every [batch_rows] pairs. *)
 let block_join ?batch_rows left right =
   let schema = Schema.concat left.schema right.schema in
-  let inner =
-    lazy
-      (let pull = rows_of right in
-       let rec drain acc =
-         match pull () with
-         | None -> Array.of_list (List.rev acc)
-         | Some (b, row) -> drain (Batch.tuple_of b row :: acc)
-       in
-       drain [])
-  in
+  let inner = lazy (Array.of_list (to_rowset right).Ops.rows) in
   let outer = rows_of left in
   (* the current left row and the index of its next right partner *)
   let lt = ref [||] and ri = ref max_int in
@@ -562,13 +564,191 @@ let block_join ?batch_rows left right =
   in
   of_pull ?batch_rows schema (Batch.generic_layout schema) pull
 
-(* ----------------------------------------------------------- aggregate *)
+(* ------------------------------------------------------- tail operators *)
 
-(* Streaming ungrouped aggregation: the single row [Ops.group_by] with no
-   keys produces (same finalization and error behaviour), with typed
-   loops for the numeric vectors (SUM/AVG/COUNT are the hot aggregates
-   on scans). *)
-let aggregate src aggs =
+(* A blocking operator's output: [build] runs at the first pull — so
+   EXPLAIN ANALYZE charges the input it drains to the operator's node —
+   and its result streams from there. *)
+let blocking schema build =
+  let out = lazy (build ()) in
+  { schema; next = (fun () -> (Lazy.force out).next ()) }
+
+(* Append a computed column: evaluated on the selected rows only, so an
+   expression never runs (or fails) on a row a filter dropped. *)
+let extend src ~name ~ty expr =
+  let ev = compile_eval src.schema expr in
+  let schema = Schema.make (Schema.columns src.schema @ [ { Schema.name; ty } ]) in
+  let next () =
+    match src.next () with
+    | None -> None
+    | Some b ->
+        let vals = Array.make (Batch.rows b) Value.VNull in
+        for i = 0 to Batch.selected b - 1 do
+          let row = Batch.sel_row b i in
+          vals.(row) <- ev b row
+        done;
+        Some (Batch.add_column b ~name ~ty (Batch.DVal vals))
+  in
+  { schema; next }
+
+(* Streaming duplicate elimination, first appearance wins: each batch's
+   selection keeps the rows whose [Batch.group_key] is new. *)
+let distinct src =
+  let seen = Hashtbl.create 64 in
+  let cols = Array.init (Schema.arity src.schema) Fun.id in
+  let next () =
+    match src.next () with
+    | None -> None
+    | Some b as r ->
+        ignore
+          (Batch.retain b (fun row ->
+               let k = Batch.group_key b row cols in
+               if Hashtbl.mem seen k then false
+               else begin
+                 Hashtbl.add seen k ();
+                 true
+               end));
+        r
+  in
+  { src with next }
+
+(* OFFSET/LIMIT: trims each batch's selection to the rows past [offset]
+   and within [limit], and pulls no batch once the limit is met — so a
+   scan below decodes nothing past the batch that satisfied it. *)
+let limit src ~offset ~limit =
+  let skip = ref (max 0 offset) in
+  let left = ref (match limit with Some n -> max 0 n | None -> max_int) in
+  let next () =
+    if !left <= 0 then None
+    else
+      match src.next () with
+      | None -> None
+      | Some b as r ->
+          let nsel = Batch.selected b in
+          if !skip > 0 || nsel > !left then begin
+            let lo = min !skip nsel in
+            let hi = lo + min (nsel - lo) !left in
+            let i = ref 0 in
+            ignore
+              (Batch.retain b (fun _ ->
+                   let k = !i in
+                   incr i;
+                   k >= lo && k < hi));
+            skip := !skip - lo
+          end;
+          left := !left - Batch.selected b;
+          r
+  in
+  if offset <= 0 && limit = None then src else { src with next }
+
+(* ORDER BY without LIMIT: drain, stable sort, re-batch. *)
+let sort ?batch_rows src ~cmp =
+  blocking src.schema (fun () ->
+      let rows = Array.of_list (to_rowset src).Ops.rows in
+      Array.stable_sort cmp rows;
+      of_tuples ?batch_rows src.schema rows)
+
+(* ORDER BY ... LIMIT: a bounded max-heap of (tuple, arrival seq) whose
+   root is the worst row kept so far.  The seq tiebreak makes the order
+   total and strict, so the answer equals [stable_sort cmp] cut to [k]
+   without sorting (or retaining) more than [k] rows. *)
+let top_k ?batch_rows src ~cmp ~k =
+  blocking src.schema (fun () ->
+      if k <= 0 then of_tuples ?batch_rows src.schema [||]
+      else begin
+        let heap = Array.make k ([||], 0) in
+        let size = ref 0 in
+        let ccmp (a, sa) (b, sb) =
+          let c = cmp a b in
+          if c <> 0 then c else Int.compare sa sb
+        in
+        let swap i j =
+          let t = heap.(i) in
+          heap.(i) <- heap.(j);
+          heap.(j) <- t
+        in
+        let rec up i =
+          if i > 0 then begin
+            let p = (i - 1) / 2 in
+            if ccmp heap.(i) heap.(p) > 0 then begin
+              swap i p;
+              up p
+            end
+          end
+        in
+        let rec down i =
+          let l = (2 * i) + 1 and r = (2 * i) + 2 in
+          let m = ref i in
+          if l < !size && ccmp heap.(l) heap.(!m) > 0 then m := l;
+          if r < !size && ccmp heap.(r) heap.(!m) > 0 then m := r;
+          if !m <> i then begin
+            swap i !m;
+            down !m
+          end
+        in
+        let seq = ref 0 in
+        let offer t =
+          let entry = (t, !seq) in
+          incr seq;
+          if !size < k then begin
+            heap.(!size) <- entry;
+            incr size;
+            up (!size - 1)
+          end
+          else if ccmp entry heap.(0) < 0 then begin
+            heap.(0) <- entry;
+            down 0
+          end
+        in
+        let rec consume () =
+          match src.next () with
+          | None -> ()
+          | Some b ->
+              for i = 0 to Batch.selected b - 1 do
+                offer (Batch.tuple_of b (Batch.sel_row b i))
+              done;
+              consume ()
+        in
+        consume ();
+        let kept = Array.sub heap 0 !size in
+        Array.sort ccmp kept;
+        of_tuples ?batch_rows src.schema (Array.map fst kept)
+      end)
+
+(* ------------------------------------------------------------ group by *)
+
+(* One aggregate's running state in one group. *)
+type acc = {
+  mutable n : int; (* rows counted / non-NULL inputs seen *)
+  mutable isum : int;
+  mutable fsum : float;
+  mutable all_int : bool;
+  mutable best : Value.t; (* MIN/MAX so far; NULL = none yet *)
+}
+
+let new_acc () = { n = 0; isum = 0; fsum = 0.0; all_int = true; best = Value.VNull }
+
+(* [Ops.group_by]'s finalization: SUM stays an INT while every input is
+   one, AVG and SUM otherwise fold as floats in input order. *)
+let finalize agg a =
+  match agg with
+  | Ops.Count_star | Ops.Count _ -> Value.VInt a.n
+  | Ops.Sum _ ->
+      if a.n = 0 then Value.VNull
+      else if a.all_int then Value.VInt a.isum
+      else Value.VFloat a.fsum
+  | Ops.Avg _ ->
+      if a.n = 0 then Value.VNull else Value.VFloat (a.fsum /. float_of_int a.n)
+  | Ops.Min _ | Ops.Max _ -> a.best
+
+(* Grouped and ungrouped aggregation over batches: the rows
+   [Ops.group_by] computes, in the same order (groups by first
+   appearance; with no keys, one row even over empty input).  Rows
+   group under [Batch.group_key] of their key columns; each aggregate
+   then runs one typed loop per batch over the numeric vectors,
+   accumulating per group in input order, and boxes only at
+   finalization. *)
+let group_by ?batch_rows src ~keys aggs =
   let schema = src.schema in
   List.iter
     (fun (agg, _) ->
@@ -577,205 +757,141 @@ let aggregate src aggs =
           raise (Expr.Eval_error ("aggregate over unknown column " ^ c))
       | _ -> ())
     aggs;
+  let key_cols = Array.of_list (List.map (Schema.index_of_exn schema) keys) in
   let out_schema =
     Schema.make
+      (List.map (fun i -> Schema.column_at schema i) (Array.to_list key_cols)
+      @ List.map
+          (fun (agg, out_name) ->
+            { Schema.name = out_name; ty = Ops.agg_type schema agg })
+          aggs)
+  in
+  (* each aggregate with its input column (-1 for COUNT( * )) *)
+  let aggs =
+    Array.of_list
       (List.map
-         (fun (agg, out_name) ->
-           { Schema.name = out_name; ty = Ops.agg_type schema agg })
+         (fun (agg, _) ->
+           match Ops.agg_column agg with
+           | None -> (agg, -1)
+           | Some c -> (agg, Schema.index_of_exn schema c))
          aggs)
   in
-  let accs =
-    List.map
-      (fun (agg, _) ->
-        let idx =
-          match Ops.agg_column agg with
-          | None -> -1
-          | Some c -> Schema.index_of_exn schema c
+  let nagg = Array.length aggs in
+  blocking out_schema (fun () ->
+      (* groups, newest first, with their key values and accumulators *)
+      let groups = ref [] and index = Hashtbl.create 64 in
+      let new_group key_vals =
+        let accs = Array.init nagg (fun _ -> new_acc ()) in
+        groups := (key_vals, accs) :: !groups;
+        accs
+      in
+      let global =
+        if Array.length key_cols = 0 then Some (new_group [||]) else None
+      in
+      let step b =
+        let nsel = Batch.selected b and sel = b.Batch.sel in
+        (* the accumulators of each selected row's group *)
+        let row_accs =
+          match global with
+          | Some accs -> Array.make nsel accs
+          | None ->
+              Array.init nsel (fun i ->
+                  let row = sel.(i) in
+                  let k = Batch.group_key b row key_cols in
+                  match Hashtbl.find_opt index k with
+                  | Some accs -> accs
+                  | None ->
+                      let accs =
+                        new_group
+                          (Array.map (fun col -> Batch.value b ~row ~col) key_cols)
+                      in
+                      Hashtbl.add index k accs;
+                      accs)
         in
-        let st =
-          match agg with
-          | Ops.Count_star | Ops.Count _ -> `Cnt (ref 0)
-          | Ops.Sum _ | Ops.Avg _ -> `Num (ref 0, ref 0, ref 0.0, ref true)
-          | Ops.Min _ -> `Best (ref None, -1)
-          | Ops.Max _ -> `Best (ref None, 1)
-        in
-        (agg, idx, st))
-      aggs
-  in
-  let step_batch b =
-    let nsel = Batch.selected b in
-    let sel = b.Batch.sel in
-    List.iter
-      (fun (_, idx, st) ->
-        match st with
-        | `Cnt n when idx < 0 -> n := !n + nsel
-        | `Cnt n ->
-            let nulls = b.Batch.cols.(idx).Batch.nulls in
-            let cnt = ref 0 in
-            for i = 0 to nsel - 1 do
-              if not_null nulls (Array.unsafe_get sel i) then incr cnt
-            done;
-            n := !n + !cnt
-        | `Num (n, isum, fsum, all_int) -> (
-            let c = b.Batch.cols.(idx) in
-            let nulls = c.Batch.nulls in
-            match c.Batch.data with
-            | Batch.DInt a ->
-                (* accumulate locally — the int and float partial sums
-                   stay in registers for the whole batch instead of
-                   re-boxing the closure-captured refs per row *)
-                let cnt = ref 0 and is = ref 0 and fs = ref 0.0 in
+        Array.iteri
+          (fun j (agg, idx) ->
+            let acc i = (Array.unsafe_get row_accs i).(j) in
+            match agg with
+            | Ops.Count_star ->
                 for i = 0 to nsel - 1 do
-                  let row = Array.unsafe_get sel i in
-                  if not_null nulls row then begin
-                    let v = Array.unsafe_get a row in
-                    incr cnt;
-                    is := !is + v;
-                    fs := !fs +. float_of_int v
+                  let a = acc i in
+                  a.n <- a.n + 1
+                done
+            | Ops.Count _ ->
+                let nulls = b.Batch.cols.(idx).Batch.nulls in
+                for i = 0 to nsel - 1 do
+                  if not_null nulls (Array.unsafe_get sel i) then begin
+                    let a = acc i in
+                    a.n <- a.n + 1
                   end
-                done;
-                n := !n + !cnt;
-                isum := !isum + !is;
-                fsum := !fsum +. !fs
-            | Batch.DFloat a ->
-                let cnt = ref 0 and fs = ref 0.0 in
+                done
+            | Ops.Sum _ | Ops.Avg _ -> (
+                let c = b.Batch.cols.(idx) in
+                let nulls = c.Batch.nulls in
+                match c.Batch.data with
+                | Batch.DInt v ->
+                    for i = 0 to nsel - 1 do
+                      let row = Array.unsafe_get sel i in
+                      if not_null nulls row then begin
+                        let a = acc i and x = Array.unsafe_get v row in
+                        a.n <- a.n + 1;
+                        a.isum <- a.isum + x;
+                        a.fsum <- a.fsum +. float_of_int x
+                      end
+                    done
+                | Batch.DFloat v ->
+                    for i = 0 to nsel - 1 do
+                      let row = Array.unsafe_get sel i in
+                      if not_null nulls row then begin
+                        let a = acc i in
+                        a.n <- a.n + 1;
+                        a.all_int <- false;
+                        a.fsum <- a.fsum +. Array.unsafe_get v row
+                      end
+                    done
+                | _ ->
+                    (* boxed, including [Value.as_float]'s error on
+                       non-numerics *)
+                    for i = 0 to nsel - 1 do
+                      let x = Batch.value b ~row:(Array.unsafe_get sel i) ~col:idx in
+                      if not (Value.is_null x) then begin
+                        let a = acc i in
+                        a.n <- a.n + 1;
+                        (match x with
+                        | Value.VInt k -> a.isum <- a.isum + k
+                        | _ -> a.all_int <- false);
+                        a.fsum <- a.fsum +. Value.as_float x
+                      end
+                    done)
+            | Ops.Min _ | Ops.Max _ ->
+                let dir = match agg with Ops.Min _ -> -1 | _ -> 1 in
                 for i = 0 to nsel - 1 do
-                  let row = Array.unsafe_get sel i in
-                  if not_null nulls row then begin
-                    incr cnt;
-                    fs := !fs +. Array.unsafe_get a row
-                  end
-                done;
-                if !cnt > 0 then begin
-                  n := !n + !cnt;
-                  all_int := false;
-                  fsum := !fsum +. !fs
-                end
-            | _ ->
-                (* boxed fallback, including [Value.as_float]'s error on
-                   non-numerics *)
-                for i = 0 to nsel - 1 do
-                  let row = Array.unsafe_get sel i in
-                  let v = Batch.value b ~row ~col:idx in
-                  if not (Value.is_null v) then begin
-                    incr n;
-                    (match v with
-                    | Value.VInt k -> isum := !isum + k
-                    | _ -> all_int := false);
-                    fsum := !fsum +. Value.as_float v
+                  let x = Batch.value b ~row:(Array.unsafe_get sel i) ~col:idx in
+                  if not (Value.is_null x) then begin
+                    let a = acc i in
+                    if Value.is_null a.best || dir * Value.compare x a.best > 0 then
+                      a.best <- x
                   end
                 done)
-        | `Best (best, dir) ->
-            for i = 0 to nsel - 1 do
-              let row = Array.unsafe_get sel i in
-              let v = Batch.value b ~row ~col:idx in
-              if not (Value.is_null v) then
-                match !best with
-                | None -> best := Some v
-                | Some bv -> if dir * Value.compare v bv > 0 then best := Some v
-            done)
-      accs
-  in
-  let rec drain () =
-    match src.next () with
-    | None -> ()
-    | Some b ->
-        step_batch b;
-        drain ()
-  in
-  drain ();
-  let finalize (agg, _, st) =
-    match (agg, st) with
-    | (Ops.Count_star | Ops.Count _), `Cnt n -> Value.VInt !n
-    | Ops.Sum _, `Num (n, isum, fsum, all_int) ->
-        if !n = 0 then Value.VNull
-        else if !all_int then Value.VInt !isum
-        else Value.VFloat !fsum
-    | Ops.Avg _, `Num (n, _, fsum, _) ->
-        if !n = 0 then Value.VNull else Value.VFloat (!fsum /. float_of_int !n)
-    | (Ops.Min _ | Ops.Max _), `Best (best, _) -> (
-        match !best with None -> Value.VNull | Some v -> v)
-    | _ -> assert false
-  in
-  { Ops.schema = out_schema; rows = [ Array.of_list (List.map finalize accs) ] }
+          aggs
+      in
+      let rec consume () =
+        match src.next () with
+        | None -> ()
+        | Some b ->
+            step b;
+            consume ()
+      in
+      consume ();
+      of_tuples ?batch_rows out_schema
+        (Array.of_list
+           (List.rev_map
+              (fun (key_vals, accs) ->
+                Array.append key_vals
+                  (Array.mapi (fun j a -> finalize (fst aggs.(j)) a) accs))
+              !groups)))
 
-(* --------------------------------------------------------------- top-k *)
-
-(* Bounded max-heap over batches; identical ordering to [Cursor.top_k]
-   ((tuple, arrival-seq) entries, so ties preserve input order). *)
-let top_k src ~cmp ~k =
-  if k <= 0 then []
-  else begin
-    let heap = Array.make k ([||], 0) in
-    let size = ref 0 in
-    let ccmp (a, sa) (b, sb) =
-      let c = cmp a b in
-      if c <> 0 then c else Int.compare sa sb
-    in
-    let swap i j =
-      let t = heap.(i) in
-      heap.(i) <- heap.(j);
-      heap.(j) <- t
-    in
-    let rec up i =
-      if i > 0 then begin
-        let p = (i - 1) / 2 in
-        if ccmp heap.(i) heap.(p) > 0 then begin
-          swap i p;
-          up p
-        end
-      end
-    in
-    let rec down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let m = ref i in
-      if l < !size && ccmp heap.(l) heap.(!m) > 0 then m := l;
-      if r < !size && ccmp heap.(r) heap.(!m) > 0 then m := r;
-      if !m <> i then begin
-        swap i !m;
-        down !m
-      end
-    in
-    let seq = ref 0 in
-    let offer t =
-      let entry = (t, !seq) in
-      incr seq;
-      if !size < k then begin
-        heap.(!size) <- entry;
-        incr size;
-        up (!size - 1)
-      end
-      else if ccmp entry heap.(0) < 0 then begin
-        heap.(0) <- entry;
-        down 0
-      end
-    in
-    let rec drain () =
-      match src.next () with
-      | None -> ()
-      | Some b ->
-          for i = 0 to Batch.selected b - 1 do
-            offer (Batch.tuple_of b (Batch.sel_row b i))
-          done;
-          drain ()
-    in
-    drain ();
-    let kept = Array.sub heap 0 !size in
-    Array.sort ccmp kept;
-    Array.to_list (Array.map fst kept)
-  end
-
-(* ------------------------------------------------------------ adapters *)
-
-(* Lazy cursor over a batch source: boxes only selected rows, pulls the
-   next batch on demand — so LIMIT downstream stops decoding after the
-   batch that satisfies it. *)
-let to_cursor src =
-  let pull = rows_of src in
-  Cursor.make src.schema (fun () ->
-      match pull () with
-      | Some (b, row) -> Some (Batch.tuple_of b row)
-      | None -> None)
+(* ------------------------------------------------------------ metering *)
 
 let meter recorder node src =
   {

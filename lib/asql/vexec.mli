@@ -12,7 +12,7 @@ type src = {
   schema : Bdbms_relation.Schema.t;
   next : unit -> Bdbms_relation.Batch.t option;
 }
-(** A pull-based stream of column batches.  Like cursors, sources are
+(** A pull-based stream of column batches.  Sources are
     single-use; [next] keeps returning [None] once exhausted. *)
 
 val scan :
@@ -33,14 +33,14 @@ val of_rows :
     skipped.  [row_id] as for {!scan}. *)
 
 val of_tuples :
-  stats:Bdbms_obs.Stats.t ->
+  ?stats:Bdbms_obs.Stats.t ->
   ?batch_rows:int ->
   Bdbms_relation.Schema.t ->
   Bdbms_relation.Tuple.t array ->
   src
-(** Batch already-materialized rows (a [sys.*] view's snapshot) into
-    all-boxed vectors, in array order; each batch counts in [stats]'
-    [batches_decoded], like a heap scan's. *)
+(** Batch already-materialized rows (a [sys.*] view's snapshot, a
+    sort's output) into all-boxed vectors, in array order; with [stats],
+    each batch counts in its [batches_decoded], like a heap scan's. *)
 
 val with_schema : src -> Bdbms_relation.Schema.t -> src
 (** Reinterpret under a different schema of the same arity (alias
@@ -94,28 +94,62 @@ val block_join : ?batch_rows:int -> src -> src -> src
     order, as [left ++ right].  No predicate: the caller filters above
     it, so each output batch considers at most [batch_rows] pairs. *)
 
-val aggregate :
-  src -> (Bdbms_relation.Ops.aggregate * string) list -> Bdbms_relation.Ops.rowset
-(** Streaming ungrouped aggregation over batches — the single row
-    {!Bdbms_relation.Ops.group_by} with no keys would produce, computed
-    with typed per-column loops.  @raise Bdbms_relation.Expr.Eval_error on an
-    unknown aggregate column. *)
-
-val top_k :
-  src ->
-  cmp:(Bdbms_relation.Tuple.t -> Bdbms_relation.Tuple.t -> int) ->
-  k:int ->
-  Bdbms_relation.Tuple.t list
-(** Bounded-heap ORDER BY ... LIMIT over batches; ties preserve input
-    order, matching {!Bdbms_relation.Cursor.top_k}. *)
-
 val rows_of : src -> unit -> (Bdbms_relation.Batch.t * int) option
 (** The selected rows of a source, one [(batch, physical row)] per call,
     in order, pulling batches on demand; [None] once exhausted. *)
 
-val to_cursor : src -> Bdbms_relation.Cursor.t
-(** Lazy tuple view: boxes only selected rows and pulls batches on
-    demand, so a downstream LIMIT stops decoding early. *)
+(** {2 The plain tail}
+
+    The operators between the scan/join pipeline and the output.  The
+    blocking ones ({!group_by}, {!sort}, {!top_k}) drain their input at
+    their first pull, so a metered node above them is charged for it. *)
+
+val to_rowset : src -> Bdbms_relation.Ops.rowset
+(** Drain a source, boxing its selected rows in order: the output. *)
+
+val group_by :
+  ?batch_rows:int ->
+  src ->
+  keys:string list ->
+  (Bdbms_relation.Ops.aggregate * string) list ->
+  src
+(** Grouped ([keys] non-empty) or ungrouped aggregation: the rows
+    {!Bdbms_relation.Ops.group_by} computes, in its order — key columns
+    then one column per [(aggregate, output name)], groups by first
+    appearance, one row over empty input when ungrouped.  Rows group
+    under {!Bdbms_relation.Batch.group_key}; numeric aggregates run
+    typed per-column loops.  @raise Bdbms_relation.Expr.Eval_error on an
+    unknown aggregate column. *)
+
+val extend :
+  src -> name:string -> ty:Bdbms_relation.Value.ty -> Bdbms_relation.Expr.t -> src
+(** Append a computed column (the pipelined
+    {!Bdbms_relation.Ops.extend}), evaluated on selected rows only. *)
+
+val distinct : src -> src
+(** Streaming duplicate elimination, first appearance wins, under
+    {!Bdbms_relation.Batch.group_key} over every column. *)
+
+val limit : src -> offset:int -> limit:int option -> src
+(** OFFSET/LIMIT: trims batch selections and stops pulling its input
+    once [limit] rows passed, so nothing below decodes further. *)
+
+val sort :
+  ?batch_rows:int ->
+  src ->
+  cmp:(Bdbms_relation.Tuple.t -> Bdbms_relation.Tuple.t -> int) ->
+  src
+(** ORDER BY without LIMIT: a stable sort of the drained rows. *)
+
+val top_k :
+  ?batch_rows:int ->
+  src ->
+  cmp:(Bdbms_relation.Tuple.t -> Bdbms_relation.Tuple.t -> int) ->
+  k:int ->
+  src
+(** ORDER BY ... LIMIT through a bounded heap: the [k] least rows
+    under [cmp], equal to a stable sort cut to [k] (ties keep input
+    order). *)
 
 val meter : Analyze.t -> Analyze.node -> src -> src
 (** Wrap [next] with {!Analyze.meter_batch_pull}: each produced batch

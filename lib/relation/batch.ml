@@ -341,24 +341,30 @@ let finish b =
     nsel = b.b_n;
   }
 
-(* One more column after the decoded ones, [values.(i)] being row [i]'s
-   value, never NULL: the hidden row-id column of an annotated scan.  The
-   vector is handed over, not copied. *)
-let add_int_column t ~name values =
-  if Array.length values < t.n then
-    invalid_arg "Batch.add_int_column: fewer values than rows";
-  let col =
-    {
-      data = DInt values;
-      nulls = Bitmap.create ~rows:(Array.length values) ~cols:1;
-      ty = Value.TInt;
-    }
+(* One more column after the batch's own, slot [i] of [data] being
+   physical row [i]'s value: the hidden row-id column of an annotated
+   scan, a computed column.  A [DVal] slot holding [VNull] is NULL; no
+   other slot is.  The vector is handed over, not copied. *)
+let add_column t ~name ~ty data =
+  let len =
+    match data with
+    | DInt a | DStr a -> Array.length a
+    | DFloat a -> Array.length a
+    | DBool bs -> Bytes.length bs
+    | DVal a -> Array.length a
   in
+  if len < t.n then invalid_arg "Batch.add_column: fewer values than rows";
+  let nulls = Bitmap.create ~rows:len ~cols:1 in
+  (match data with
+  | DVal a ->
+      Array.iteri
+        (fun row v -> if Value.is_null v then Bitmap.set nulls ~row ~col:0 true)
+        a
+  | _ -> ());
   {
     t with
-    schema =
-      Schema.make (Schema.columns t.schema @ [ { Schema.name; ty = Value.TInt } ]);
-    cols = Array.append t.cols [| col |];
+    schema = Schema.make (Schema.columns t.schema @ [ { Schema.name; ty } ]);
+    cols = Array.append t.cols [| { data; nulls; ty } |];
   }
 
 (* {2 Row access} *)
@@ -403,6 +409,23 @@ let hash_key t ~row ~col =
     | DBool bs -> Some (if Bytes.get bs row <> '\000' then "b1" else "b0")
     | DStr ids -> Some ("s" ^ t.dict.(ids.(row)))
     | DVal a -> Value.hash_key a.(row)
+
+(* [Value.group_key] of the cell, unboxed where the vector is typed. *)
+let group_key_at t ~row ~col =
+  let c = t.cols.(col) in
+  if Bitmap.unsafe_get_flat c.nulls row then "n"
+  else
+    match c.data with
+    | DInt a -> "i" ^ string_of_int a.(row)
+    | DFloat a -> Value.float_group_key a.(row)
+    | DBool bs -> if Bytes.get bs row <> '\000' then "b1" else "b0"
+    | DStr ids -> "s" ^ t.dict.(ids.(row))
+    | DVal a -> Value.group_key a.(row)
+
+let group_key t row cols =
+  let buf = Buffer.create 32 in
+  Array.iter (fun col -> Tuple.add_group_key buf (group_key_at t ~row ~col)) cols;
+  Buffer.contents buf
 
 (* Self-delimiting multi-column key: each column's [hash_key] prefixed
    by its length, so no two key tuples share bytes; [None] when any key

@@ -110,12 +110,14 @@ val append_tuple : builder -> Tuple.t -> unit
 val finish : builder -> t
 (** The accumulated rows as a batch with an identity selection vector. *)
 
-val add_int_column : t -> name:string -> int array -> t
-(** The batch with one more, never-NULL [INT] column after its own:
-    [values.(i)] is physical row [i]'s value (the hidden row id of an
-    annotated scan).  The array is taken over, not copied.
+val add_column : t -> name:string -> ty:Value.ty -> data -> t
+(** The batch with one more column after its own: slot [i] of the
+    vector is physical row [i]'s value ([DStr] ids index the batch's
+    dictionary).  A [DVal] slot holding [VNull] is NULL; no other slot
+    is.  The vector is taken over, not copied — the hidden row id of an
+    annotated scan, a computed column.
     @raise Invalid_argument if it is shorter than the batch or [name]
-    duplicates a column. *)
+    duplicates a column ({!Schema.make}'s error). *)
 
 (** {2 Row access} *)
 
@@ -136,6 +138,11 @@ val join_key : t -> int -> int list -> string option
     concatenation of each column's {!hash_key} prefixed by its length
     and [':'] (so it is self-delimiting); [None] when any key column is
     NULL. *)
+
+val group_key : t -> int -> int array -> string
+(** {!Tuple.group_key} of the row's values in the given columns,
+    computed without boxing typed cells: the key the batch GROUP BY and
+    DISTINCT group under.  NULL is a value here, unlike {!join_key}. *)
 
 (** {2 Selection vector} *)
 

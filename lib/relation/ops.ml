@@ -191,7 +191,7 @@ let group_by rs ~keys ~aggs =
     List.iter
       (fun t ->
         let key = Tuple.project rs.schema t keys in
-        let key_repr = Tuple.encode key in
+        let key_repr = Tuple.group_key key in
         match Hashtbl.find_opt groups key_repr with
         | Some (k, rows) -> Hashtbl.replace groups key_repr (k, t :: rows)
         | None ->

@@ -48,9 +48,10 @@ val agg_type : Schema.t -> aggregate -> Value.ty
 
 val group_by :
   rowset -> keys:string list -> aggs:(aggregate * string) list -> rowset
-(** Group on [keys]; each [(agg, out_name)] adds an output column.  With
-    empty [keys], a single global group (even over an empty input for
-    COUNT). *)
+(** Group on [keys] under {!Tuple.group_key} (NULL is a key value, [-0.0]
+    groups with [0.0]), in first-appearance order; each
+    [(agg, out_name)] adds an output column.  With empty [keys], a single
+    global group (even over an empty input for COUNT). *)
 
 val row_count : rowset -> int
 val pp : Format.formatter -> rowset -> unit

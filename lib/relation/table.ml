@@ -255,7 +255,8 @@ let batches ?(batch_rows = Batch.default_rows) ?need ?row_id t =
         let batch = Batch.finish b in
         match row_id with
         | None -> Some batch
-        | Some name -> Some (Batch.add_int_column batch ~name ids)
+        | Some name ->
+            Some (Batch.add_column batch ~name ~ty:Value.TInt (Batch.DInt ids))
       end
     end
 

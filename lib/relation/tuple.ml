@@ -95,6 +95,16 @@ let decode_using ~arity s =
   if !pos <> String.length s then invalid_arg "Tuple.decode: trailing bytes";
   t
 
+let add_group_key buf k =
+  Buffer.add_string buf (string_of_int (String.length k));
+  Buffer.add_char buf ':';
+  Buffer.add_string buf k
+
+let group_key t =
+  let buf = Buffer.create 32 in
+  Array.iter (fun v -> add_group_key buf (Value.group_key v)) t;
+  Buffer.contents buf
+
 let equal a b =
   Array.length a = Array.length b
   &&

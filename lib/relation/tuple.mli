@@ -27,6 +27,15 @@ val decode_using : arity:int -> string -> t
     table layout).  @raise Invalid_argument on corrupt input or arity
     mismatch. *)
 
+val group_key : t -> string
+(** Column-wise {!Value.group_key}, each prefixed by its length (so the
+    key is self-delimiting): the key GROUP BY and DISTINCT group rows
+    under. *)
+
+val add_group_key : Buffer.t -> string -> unit
+(** Append one column's {!Value.group_key} to a row key under
+    construction, as {!group_key} does. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val size_bytes : t -> int

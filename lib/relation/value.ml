@@ -236,3 +236,19 @@ let hash_key = function
       Some ("f" ^ Int64.to_string (Int64.bits_of_float f))
   | v -> (
       match seq_string v with Some s -> Some ("s" ^ s) | None -> None)
+
+(* Integral floats in int range key like the int they equal (-0.0 is
+   integral, so it keys as 0); every NaN is one key, since [compare]
+   makes them equal. *)
+let float_group_key f =
+  if Float.is_integer f && Float.abs f < 0x1p62 then
+    "i" ^ string_of_int (int_of_float f)
+  else if Float.is_nan f then "fnan"
+  else "f" ^ Int64.to_string (Int64.bits_of_float f)
+
+let group_key = function
+  | VNull -> "n"
+  | VBool b -> if b then "b1" else "b0"
+  | VInt n -> "i" ^ string_of_int n
+  | VFloat f -> float_group_key f
+  | v -> "s" ^ as_string v

@@ -71,3 +71,14 @@ val hash_key : t -> string option
     one encoding, string-likes their decoded content).  [None] for NULL —
     SQL equality never matches it.  Collisions are possible; callers must
     re-check {!equal} on candidates. *)
+
+val group_key : t -> string
+(** The key GROUP BY, DISTINCT and the set operators group under: equal
+    keys exactly when {!compare} says the values are equal, except that
+    an [INT] beyond 2{^53} keeps its own key rather than matching the
+    nearest [FLOAT].  NULL is a value with its own key, [-0.0] groups
+    with [0.0], an integral [FLOAT] with the same [INT], every NaN with
+    every other, and string-likes by decoded content. *)
+
+val float_group_key : float -> string
+(** [group_key (VFloat f)], without boxing [f]. *)

@@ -337,7 +337,7 @@ let test_batch_edges () =
       "SELECT id FROM N WHERE a IS NULL ORDER BY id";
       "SELECT id FROM N WHERE a IS NOT NULL AND a > 3 ORDER BY id";
       "SELECT id, s FROM N WHERE s = 'n1' OR a = 2 ORDER BY id";
-      (* LIMIT cut mid-batch: the lazy cursor view must stop decoding *)
+      (* LIMIT cut mid-batch: the tail must stop pulling batches *)
       "SELECT id FROM N ORDER BY id LIMIT 7";
       "SELECT id FROM N WHERE a IS NULL ORDER BY id DESC LIMIT 5 OFFSET 2";
       (* all-filtered: every batch flows through empty *)
@@ -362,6 +362,217 @@ let test_batch_edges () =
   (* degenerate batch size: every batch holds one row *)
   Db.set_batch_rows db 1;
   sweep ()
+
+(* ---------------------------------------------------------- tail shapes *)
+
+(* The plain tail above the joins — aggregation, computed columns,
+   DISTINCT, ORDER BY, OFFSET/LIMIT — on the shapes where its operators
+   meet their edge cases.  Every ordered query is totally ordered, or
+   single-table (both engines see rows in scan order, and every sort is
+   stable), so row sequences must match exactly. *)
+let tail_db () =
+  let db = mk_db () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [
+      "CREATE TABLE Z (id INT, x INT, y REAL, s TEXT)";
+      "INSERT INTO Z VALUES (0, NULL, NULL, NULL), (1, NULL, NULL, NULL), \
+       (2, 5, 1.5, 'a'), (3, NULL, NULL, NULL)";
+    ];
+  db
+
+let tail_ordered =
+  [
+    (* ungrouped aggregates: empty input, all-NULL input *)
+    "SELECT COUNT(*) AS c, COUNT(f) AS cf, SUM(f) AS s, AVG(f) AS a, \
+     MIN(v) AS mn, MAX(v) AS mx FROM T1 WHERE k = 99";
+    "SELECT COUNT(*) AS c, COUNT(x) AS cx, SUM(x) AS sx, AVG(y) AS ay, \
+     MIN(s) AS mn, MAX(y) AS mx FROM Z WHERE x IS NULL";
+    "SELECT k, COUNT(*) AS n FROM T1 WHERE k = 99 GROUP BY k";
+    (* GROUP BY + HAVING + ORDER BY + LIMIT/OFFSET *)
+    "SELECT k, COUNT(*) AS n, SUM(id) AS s FROM T1 GROUP BY k HAVING n > 3 \
+     ORDER BY n DESC, k LIMIT 4 OFFSET 1";
+    "SELECT k, MIN(v) AS lo, MAX(f) AS hi FROM T1 GROUP BY k ORDER BY lo, k \
+     LIMIT 3";
+    "SELECT x, COUNT(*) AS n, SUM(y) AS sy FROM Z GROUP BY x";
+    (* computed columns + ORDER BY + LIMIT (ties in input order) *)
+    "SELECT id, k * 10 + id AS score FROM T1 WHERE k < 8 ORDER BY score DESC \
+     LIMIT 5";
+    "SELECT id, k + 1 AS kk FROM T1 ORDER BY kk LIMIT 9";
+    "SELECT id, v || '-x' AS tag FROM T1 ORDER BY tag, id LIMIT 6 OFFSET 2";
+    (* DISTINCT + ORDER BY on a column the items do not project *)
+    "SELECT DISTINCT k FROM T1 ORDER BY id";
+    "SELECT DISTINCT k FROM T1 ORDER BY id DESC LIMIT 4";
+    "SELECT DISTINCT v, k FROM T1 ORDER BY f, id LIMIT 7 OFFSET 1";
+    (* LIMIT 0, OFFSET past the end *)
+    "SELECT * FROM T1 LIMIT 0";
+    "SELECT id FROM T1 ORDER BY id LIMIT 0";
+    "SELECT k, COUNT(*) AS n FROM T1 GROUP BY k LIMIT 0";
+    "SELECT id FROM T1 ORDER BY id LIMIT 5 OFFSET 100";
+    "SELECT * FROM T1 LIMIT 10 OFFSET 1000";
+    "SELECT DISTINCT k FROM T1 LIMIT 3 OFFSET 50";
+    (* SELECT * with ORDER BY *)
+    "SELECT * FROM T1 ORDER BY k DESC, id";
+    "SELECT * FROM T1 ORDER BY f LIMIT 6";
+    "SELECT DISTINCT * FROM T2 ORDER BY w, id LIMIT 5 OFFSET 3";
+  ]
+
+let test_tail_shapes () =
+  List.iter
+    (fun batch_rows ->
+      let db = tail_db () in
+      Option.iter (Db.set_batch_rows db) batch_rows;
+      List.iter (run_all_modes db ~ordered:true) tail_ordered)
+    [ Some 1; None ]
+
+(* A table of [3 * batch_rows] distinct rows: a LIMIT satisfied by the
+   first batch stops the tail from pulling (and the scan from decoding)
+   any other. *)
+let test_limit_stops_decoding () =
+  let batch_rows = 8 in
+  let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+  ignore (Db.exec_exn db "CREATE TABLE L (id INT, k INT)");
+  ignore
+    (Db.exec_exn db
+       (Printf.sprintf "INSERT INTO L VALUES %s"
+          (String.concat ", "
+             (List.init (3 * batch_rows) (fun i ->
+                  Printf.sprintf "(%d, %d)" i (i mod 5))))));
+  Db.set_batch_rows db batch_rows;
+  List.iter
+    (fun (sql, rows) ->
+      let before = Db.io_stats db in
+      let rs = rows_of db sql in
+      let d = Stats.diff ~after:(Db.io_stats db) ~before in
+      checki ("rows: " ^ sql) rows (Propagate.row_count rs);
+      checkb
+        (Printf.sprintf "%s decodes at most one batch (%d tuples)" sql
+           d.Stats.tuples_decoded)
+        true
+        (d.Stats.tuples_decoded <= batch_rows);
+      checki ("one batch: " ^ sql) 1 d.Stats.batches_decoded)
+    [
+      ("SELECT * FROM L LIMIT 2", 2);
+      ("SELECT DISTINCT k FROM L LIMIT 2", 2);
+      ("SELECT id FROM L LIMIT 3 OFFSET 4", 3);
+    ];
+  (* the whole table still streams through when nothing stops it *)
+  let before = Db.io_stats db in
+  checki "unlimited" (3 * batch_rows)
+    (Propagate.row_count (rows_of db "SELECT * FROM L"));
+  checki "every batch" 3
+    (Stats.diff ~after:(Db.io_stats db) ~before).Stats.batches_decoded;
+  (* the operator itself: one pull satisfies LIMIT 2, and a drained
+     source stays drained without pulling its input again *)
+  let module Vexec = Bdbms_asql.Vexec in
+  let schema = Schema.make [ { Schema.name = "x"; ty = Value.TInt } ] in
+  let pulls = ref 0 in
+  let input =
+    Vexec.of_tuples ~batch_rows schema
+      (Array.init (3 * batch_rows) (fun i -> [| Value.VInt i |]))
+  in
+  let counted =
+    { input with Vexec.next = (fun () -> incr pulls; input.Vexec.next ()) }
+  in
+  let limited = Vexec.limit counted ~offset:1 ~limit:(Some 2) in
+  Alcotest.(check (list string)) "offset 1 limit 2" [ "1"; "2" ]
+    (List.map Tuple.to_display (Vexec.to_rowset limited).Ops.rows);
+  checki "one pull" 1 !pulls;
+  checkb "exhausted stays exhausted" true (limited.Vexec.next () = None);
+  checki "still one pull" 1 !pulls
+
+(* ORDER BY ... LIMIT keeps ties in input order: its answer is the
+   stable sort of the whole input, cut to the limit. *)
+let test_top_k_stable () =
+  let db = mk_db () in
+  List.iter
+    (fun batch_rows ->
+      Db.set_batch_rows db batch_rows;
+      let all = (rows_of db "SELECT id, k FROM T1").Propagate.rows in
+      let by_k (a : Propagate.atuple) (b : Propagate.atuple) =
+        Value.compare a.Propagate.tuple.(1) b.Propagate.tuple.(1)
+      in
+      List.iter
+        (fun n ->
+          let expect =
+            List.filteri (fun i _ -> i < n) (List.stable_sort by_k all)
+          in
+          let got =
+            (rows_of db (Printf.sprintf "SELECT id, k FROM T1 ORDER BY k LIMIT %d" n))
+              .Propagate.rows
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "top-%d = stable sort prefix (batch_rows %d)" n
+               batch_rows)
+            (List.map encode_row expect) (List.map encode_row got))
+        [ 1; 7; 20; 59; 60; 200 ])
+    [ 1; 7; Bdbms_relation.Batch.default_rows ];
+  (* the operator itself, on rows that tie in runs *)
+  let module Vexec = Bdbms_asql.Vexec in
+  let schema =
+    Schema.make
+      [
+        { Schema.name = "k"; ty = Value.TInt };
+        { Schema.name = "seq"; ty = Value.TInt };
+      ]
+  in
+  let st = Random.State.make [| 0x70; 0x9c |] in
+  for _ = 1 to 40 do
+    let n = Random.State.int st 50 in
+    let rows =
+      Array.init n (fun i -> [| Value.VInt (Random.State.int st 4); Value.VInt i |])
+    in
+    let cmp a b = Value.compare b.(0) a.(0) in
+    let k = Random.State.int st 60 in
+    let batch_rows = 1 + Random.State.int st 9 in
+    let expect =
+      List.filteri (fun i _ -> i < k) (List.stable_sort cmp (Array.to_list rows))
+    in
+    let got =
+      (Vexec.to_rowset
+         (Vexec.top_k ~batch_rows (Vexec.of_tuples ~batch_rows schema rows) ~cmp ~k))
+        .Ops.rows
+    in
+    Alcotest.(check (list string))
+      (Printf.sprintf "Vexec.top_k n=%d k=%d" n k)
+      (List.map Tuple.to_display expect)
+      (List.map Tuple.to_display got)
+  done
+
+(* GROUP BY and DISTINCT agree with [=]: 0.0 and -0.0 are one group, and
+   NULL is a group of its own. *)
+let test_negative_zero_groups () =
+  let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [
+      "CREATE TABLE t (x FLOAT)";
+      "INSERT INTO t VALUES (0.0)";
+      "INSERT INTO t VALUES (-0.0)";
+      "INSERT INTO t VALUES (NULL)";
+      "INSERT INTO t VALUES (NULL)";
+    ];
+  List.iter
+    (fun mode ->
+      Db.set_exec_mode db mode;
+      let groups = rows_of db "SELECT x, COUNT(*) AS n FROM t GROUP BY x" in
+      Alcotest.(check (list string))
+        (mode_name mode ^ ": one group per value")
+        [ "0 | 2"; "NULL | 2" ]
+        (List.map
+           (fun (r : Propagate.atuple) -> Tuple.to_display r.Propagate.tuple)
+           groups.Propagate.rows);
+      checki (mode_name mode ^ ": DISTINCT") 2
+        (Propagate.row_count (rows_of db "SELECT DISTINCT x FROM t")))
+    [ `Naive; `Batch ];
+  Db.set_exec_mode db `Batch;
+  List.iter
+    (run_all_modes db ~ordered:true)
+    [
+      "SELECT x, COUNT(*) AS n FROM t GROUP BY x";
+      "SELECT DISTINCT x FROM t";
+      "SELECT * FROM t UNION SELECT * FROM t";
+    ]
 
 (* --------------------------------------------------------- stats checks *)
 
@@ -705,11 +916,67 @@ let test_analyze_statement () =
   | Ok (Executor.Message m) -> checkb "no actuals" false (contains m "actual rows=")
   | _ -> Alcotest.fail "expected EXPLAIN message")
 
+(* The tail's nodes, root first: the chain of first children down to the
+   top of the scan/join pipeline. *)
+let tail_chain (root : Analyze.node) =
+  let pipeline l =
+    List.exists
+      (fun p ->
+        String.length l >= String.length p
+        && String.sub l 0 (String.length p) = p)
+      [ "SCAN"; "INDEX SCAN"; "WHERE"; "HASH JOIN"; "BLOCK"; "POST-JOIN" ]
+  in
+  let rec go (n : Analyze.node) =
+    if pipeline n.Analyze.label then []
+    else
+      n
+      :: (match n.Analyze.children with c :: _ -> go c | [] -> [])
+  in
+  go root
+
+(* EXPLAIN ANALYZE over the plain tail: each shape prints its operator
+   labels, every tail node records the rows it produced, and the root
+   accounts for exactly the rows returned. *)
+let test_analyze_tail () =
+  let db = mk_db () in
+  List.iter
+    (fun (sql, expect) ->
+      List.iter
+        (fun batch_rows ->
+          Db.set_batch_rows db batch_rows;
+          let root, rs, _ = analyze db sql in
+          let chain = tail_chain root in
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "tail nodes and rows (batch_rows %d): %s" batch_rows
+               sql)
+            expect
+            (List.map
+               (fun (n : Analyze.node) -> (n.Analyze.label, n.Analyze.actual_rows))
+               chain);
+          List.iter
+            (fun (n : Analyze.node) ->
+              checki ("one loop at " ^ n.Analyze.label) 1 n.Analyze.loops)
+            chain;
+          checki ("root = returned rows: " ^ sql) (Propagate.row_count rs)
+            root.Analyze.actual_rows)
+        [ 1; Bdbms_relation.Batch.default_rows ])
+    [
+      ( "SELECT COUNT(*) AS n, SUM(k) AS s FROM T1 WHERE k > 2",
+        [ ("PROJECT (2 items)", 1); ("AGGREGATE", 1) ] );
+      ( "SELECT k, COUNT(*) AS n FROM T1 GROUP BY k",
+        [ ("PROJECT (2 items)", 10); ("GROUP BY k", 10) ] );
+      ( "SELECT id, k FROM T1 ORDER BY k DESC, id LIMIT 5",
+        [ ("PROJECT (2 items)", 5); ("TOP-K (k=5)", 5) ] );
+      ( "SELECT id FROM T1 ORDER BY v, id",
+        [ ("PROJECT (1 items)", t1_rows); ("SORT", t1_rows) ] );
+      ( "SELECT DISTINCT k FROM T1",
+        [ ("DISTINCT", 10); ("PROJECT (1 items)", t1_rows) ] );
+    ]
+
 (* ------------------------------------- batch representation properties *)
 
 module Batch = Bdbms_relation.Batch
 module Expr = Bdbms_relation.Expr
-module Cursor = Bdbms_relation.Cursor
 module Vexec = Bdbms_asql.Vexec
 
 let prop_schema =
@@ -776,7 +1043,13 @@ let test_batch_properties () =
     List.iteri
       (fun i t ->
         checkb "join_key matches the Value.hash_key reference" true
-          (Batch.join_key batch i cols = ref_join_key t))
+          (Batch.join_key batch i cols = ref_join_key t);
+        checkb "group_key matches Tuple.group_key" true
+          (Batch.group_key batch i (Array.of_list cols)
+          = Tuple.group_key (Array.of_list (List.map (Tuple.get t) cols)));
+        checkb "whole-row group_key matches" true
+          (Batch.group_key batch i (Array.init (Array.length t) Fun.id)
+          = Tuple.group_key t))
       tuples;
     (* retain ≡ filter over the selected list, and it composes *)
     let keep row = Batch.is_null batch ~row ~col:1 = false in
@@ -891,6 +1164,16 @@ let () =
           Alcotest.test_case "annotated reordered 3-way" `Quick
             test_annotated_reordered;
         ] );
+      ( "batch-tail",
+        [
+          Alcotest.test_case "tail shapes" `Quick test_tail_shapes;
+          Alcotest.test_case "limit stops decoding" `Quick
+            test_limit_stops_decoding;
+          Alcotest.test_case "top-k is a stable sort prefix" `Quick
+            test_top_k_stable;
+          Alcotest.test_case "negative zero groups once" `Quick
+            test_negative_zero_groups;
+        ] );
       ( "batch-representation",
         [
           Alcotest.test_case "selection vectors and round-trips" `Quick
@@ -912,6 +1195,7 @@ let () =
           Alcotest.test_case "differential sweep" `Quick
             test_analyze_differential_sweep;
           Alcotest.test_case "statement rendering" `Quick test_analyze_statement;
+          Alcotest.test_case "tail nodes" `Quick test_analyze_tail;
         ] );
       ( "stack-safety",
         [ Alcotest.test_case "limit on 1M rows" `Quick test_limit_stack_safety ] );

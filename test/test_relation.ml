@@ -602,29 +602,6 @@ let test_ops_incompatible_sets () =
   | exception Expr.Eval_error _ -> ()
   | _ -> Alcotest.fail "expected union-compatibility error"
 
-(* --------------------------------------------------------------- cursor *)
-
-(* a cursor over the gene table's rows, as the executor's tail sees one *)
-let gene_cursor t = Cursor.of_list (Table.schema t) (Ops.scan t).Ops.rows
-
-let test_cursor_limit_early_stop () =
-  let t = mk_gene_table () in
-  (* limit stops pulling from its input *)
-  let c = Cursor.limit (gene_cursor t) 2 in
-  checki "limited" 2 (List.length (Cursor.to_list c));
-  (* exhausted cursors stay exhausted *)
-  let c2 = gene_cursor t in
-  ignore (Cursor.to_list c2);
-  checkb "drained" true (Cursor.next c2 = None);
-  Cursor.close c2;
-  checkb "closed" true (Cursor.next c2 = None)
-
-let test_cursor_count_and_rowset () =
-  let t = mk_gene_table () in
-  checki "count" 4 (List.length (Cursor.to_list (gene_cursor t)));
-  let rs = Cursor.to_rowset (gene_cursor t) in
-  checki "rowset" 4 (Ops.row_count rs)
-
 let relation_qcheck =
   let module T = Tuple in
   let open QCheck in
@@ -644,6 +621,25 @@ let relation_qcheck =
         let t2 = T.make [ v_int a2; v_str b2; v_float c2 ] in
         let c = T.compare t1 t2 in
         if c = 0 then T.equal t1 t2 else T.compare t2 t1 = -c);
+    Test.make ~name:"group key equal iff compare equal" ~count:500
+      (let value =
+         Gen.(
+           oneof
+             [
+               return Value.VNull;
+               map (fun b -> Value.VBool b) bool;
+               map (fun i -> Value.VInt i) (int_range (-3) 3);
+               map (fun f -> Value.VFloat f)
+                 (oneofl [ 0.0; -0.0; 1.0; -2.0; 1.5; Float.nan; Float.infinity ]);
+               map (fun s -> Value.VString s) (oneofl [ ""; "a"; "AC" ]);
+               map (fun s -> Value.VDna s) (oneofl [ "a"; "AC" ]);
+             ])
+       in
+       make
+         ~print:(fun (a, b) -> Value.to_display a ^ " / " ^ Value.to_display b)
+         Gen.(pair value value))
+      (fun (a, b) ->
+        Value.group_key a = Value.group_key b = (Value.compare a b = 0));
     Test.make ~name:"intersect subset of both" ~count:100
       (pair (list_of_size (Gen.int_bound 20) small_nat) (list_of_size (Gen.int_bound 20) small_nat))
       (fun (xs, ys) ->
@@ -698,11 +694,6 @@ let () =
           Alcotest.test_case "like" `Quick test_expr_like;
           Alcotest.test_case "errors" `Quick test_expr_errors;
           Alcotest.test_case "columns used" `Quick test_expr_columns_used;
-        ] );
-      ( "cursor",
-        [
-          Alcotest.test_case "limit and lifecycle" `Quick test_cursor_limit_early_stop;
-          Alcotest.test_case "count/to_rowset" `Quick test_cursor_count_and_rowset;
         ] );
       ( "ops",
         [
