@@ -13,7 +13,6 @@ module Schema = Bdbms_relation.Schema
 module Tuple = Bdbms_relation.Tuple
 module Table = Bdbms_relation.Table
 module Expr = Bdbms_relation.Expr
-module Ops = Bdbms_relation.Ops
 module Manager = Bdbms_annotation.Manager
 module Region = Bdbms_annotation.Region
 module Propagate = Bdbms_annotation.Propagate
@@ -108,37 +107,35 @@ let build ~n ~seed =
   ignore disk;
   (mgr, f3_db1, f3_db2, p_db1, p_db2)
 
+(* A Figure-3 table as plain rows: its annotations are ordinary columns. *)
+let plain_scan table =
+  Propagate.of_rows (Table.schema table) (List.map snd (Table.to_list table))
+
 (* the paper's steps (a)-(c) over the Figure-3 tables *)
 let manual_three_statements f3_db1 f3_db2 =
   let data_cols = [ "GID"; "GName"; "GSequence" ] in
   (* (a) data-only intersection *)
   let r1 =
-    Ops.intersect
-      (Ops.project (Ops.scan f3_db1) data_cols)
-      (Ops.project (Ops.scan f3_db2) data_cols)
+    Propagate.intersect
+      (Propagate.project (plain_scan f3_db1) data_cols)
+      (Propagate.project (plain_scan f3_db2) data_cols)
   in
   (* (b) join back with DB1 to recover its annotation columns *)
   let r2 =
-    Ops.project
-      (Ops.join r1 (Ops.scan f3_db1)
+    Propagate.project
+      (Propagate.join r1 (plain_scan f3_db1)
          ~on:(Expr.Cmp (Expr.Eq, Expr.Col "GID", Expr.Col "r_GID")))
       [ "GID"; "GName"; "GSequence"; "Ann_GID"; "Ann_GName"; "Ann_GSequence" ]
   in
   (* (c) join with DB2 and concatenate both sides' annotation columns *)
   let joined =
-    Ops.join r2 (Ops.scan f3_db2)
+    Propagate.join r2 (plain_scan f3_db2)
       ~on:(Expr.Cmp (Expr.Eq, Expr.Col "GID", Expr.Col "r_GID"))
   in
-  let union_col a b out =
-    Ops.extend joined ~name:out ~ty:Value.TString
-      (Expr.Concat (Expr.Concat (Expr.Col a, Expr.Lit (v ",")), Expr.Col b))
-    |> fun _ -> (a, b, out)
-  in
-  ignore union_col;
   let r3 =
     List.fold_left
       (fun acc (a, b, out) ->
-        Ops.extend acc ~name:out ~ty:Value.TString
+        Propagate.extend acc ~name:out ~ty:Value.TString
           (Expr.Concat (Expr.Concat (Expr.Col a, Expr.Lit (v ",")), Expr.Col b)))
       joined
       [
@@ -147,7 +144,8 @@ let manual_three_statements f3_db1 f3_db2 =
         ("Ann_GSequence", "r_Ann_GSequence", "U_GSequence");
       ]
     |> fun rs ->
-    Ops.project rs [ "GID"; "GName"; "GSequence"; "U_GID"; "U_GName"; "U_GSequence" ]
+    Propagate.project rs
+      [ "GID"; "GName"; "GSequence"; "U_GID"; "U_GName"; "U_GSequence" ]
   in
   (r1, r2, r3)
 
@@ -164,12 +162,12 @@ let run () =
         let (r1, r2, r3), manual_us =
           time_us (fun () -> manual_three_statements f3_db1 f3_db2)
         in
-        let manual_intermediate = Ops.row_count r1 + Ops.row_count r2 in
+        let manual_intermediate = Propagate.row_count r1 + Propagate.row_count r2 in
         let asql_result, asql_us =
           time_us (fun () -> asql_single_statement mgr p_db1 p_db2)
         in
         (* both answers have the same common-gene set *)
-        assert (Ops.row_count r3 = Propagate.row_count asql_result);
+        assert (Propagate.row_count r3 = Propagate.row_count asql_result);
         [
           fmt_i n;
           "3";

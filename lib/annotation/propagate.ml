@@ -1,7 +1,6 @@
 module Schema = Bdbms_relation.Schema
 module Tuple = Bdbms_relation.Tuple
 module Expr = Bdbms_relation.Expr
-module Ops = Bdbms_relation.Ops
 module Table = Bdbms_relation.Table
 module Value = Bdbms_relation.Value
 
@@ -38,17 +37,12 @@ let scan mgr table ?ann_tables ?include_archived () =
   in
   { schema; rows }
 
-let of_rowset (rs : Ops.rowset) =
+let of_rows schema tuples =
   (* one shared all-empty annotation array: every operator here copies
      before writing (promote, merge_group, ...), so sharing is safe and a
      plain query wraps its answer without a per-row allocation *)
-  let empty = Array.make (Schema.arity rs.Ops.schema) [] in
-  {
-    schema = rs.Ops.schema;
-    rows = List.map (fun tuple -> { tuple; anns = empty }) rs.Ops.rows;
-  }
-
-let to_rowset t = { Ops.schema = t.schema; rows = List.map (fun at -> at.tuple) t.rows }
+  let empty = Array.make (Schema.arity schema) [] in
+  { schema; rows = List.map (fun tuple -> { tuple; anns = empty }) tuples }
 
 let all_annotations at = dedup_anns (List.concat (Array.to_list at.anns))
 
@@ -65,6 +59,19 @@ let project t names =
           {
             tuple = Array.of_list (List.map (fun i -> Tuple.get at.tuple i) indices);
             anns = Array.of_list (List.map (fun i -> at.anns.(i)) indices);
+          })
+        t.rows;
+  }
+
+let extend t ~name ~ty expr =
+  {
+    schema = Schema.make (Schema.columns t.schema @ [ { Schema.name; ty } ]);
+    rows =
+      List.map
+        (fun at ->
+          {
+            tuple = Array.append at.tuple [| Expr.eval t.schema at.tuple expr |];
+            anns = Array.append at.anns [| [] |];
           })
         t.rows;
   }
@@ -193,44 +200,70 @@ let join ?on_pair a b ~on =
   in
   { schema; rows }
 
+(* One group of [group_by]: its key values, one accumulator per
+   aggregate, and per output column the annotations of its members in
+   reverse order of appearance (duplicates kept until the end). *)
+type group = { key : Tuple.t; accs : Expr.acc array; seen : Ann.t list array }
+
 let group_by t ~keys ~aggs =
-  let plain = Ops.group_by (to_rowset t) ~keys ~aggs in
-  let key_indices = List.map (Schema.index_of_exn t.schema) keys in
-  let agg_sources =
-    List.map
-      (fun (agg, _) ->
-        match agg with
-        | Ops.Count_star -> None
-        | Ops.Count c | Ops.Sum c | Ops.Avg c | Ops.Min c | Ops.Max c ->
-            Some (Schema.index_of_exn t.schema c))
-      aggs
+  let key_cols = Array.of_list (List.map (Schema.index_of_exn t.schema) keys) in
+  let schema =
+    Schema.make
+      (List.map (Schema.column_at t.schema) (Array.to_list key_cols)
+      @ List.map
+          (fun (agg, name) -> { Schema.name; ty = Expr.agg_type t.schema agg })
+          aggs)
   in
-  (* group input atuples by key *)
-  let groups = Hashtbl.create 16 in
+  let aggs =
+    Array.of_list (List.map (fun (agg, _) -> (agg, Expr.agg_input t.schema agg)) aggs)
+  in
+  let nkeys = Array.length key_cols in
+  let new_group key =
+    {
+      key;
+      accs = Array.map (fun _ -> Expr.new_acc ()) aggs;
+      seen = Array.make (nkeys + Array.length aggs) [];
+    }
+  in
+  (* groups in reverse order of first appearance; with no keys, the one
+     global group exists even over empty input *)
+  let groups = ref (if nkeys = 0 then [ new_group [||] ] else []) in
+  let index = Hashtbl.create 64 in
+  let group_of at =
+    if nkeys = 0 then List.hd !groups
+    else
+      let key = Array.map (Tuple.get at.tuple) key_cols in
+      let k = Tuple.group_key key in
+      match Hashtbl.find_opt index k with
+      | Some g -> g
+      | None ->
+          let g = new_group key in
+          Hashtbl.add index k g;
+          groups := g :: !groups;
+          g
+  in
   List.iter
     (fun at ->
-      let key =
-        Tuple.group_key
-          (Array.of_list (List.map (fun i -> Tuple.get at.tuple i) key_indices))
-      in
-      let cur = try Hashtbl.find groups key with Not_found -> [] in
-      Hashtbl.replace groups key (at :: cur))
+      let g = group_of at in
+      let keep col src = g.seen.(col) <- List.rev_append at.anns.(src) g.seen.(col) in
+      Array.iteri keep key_cols;
+      Array.iteri
+        (fun j (agg, src) ->
+          match src with
+          | None -> Expr.agg_step agg g.accs.(j) Value.VNull
+          | Some i ->
+              Expr.agg_step agg g.accs.(j) (Tuple.get at.tuple i);
+              keep (nkeys + j) i)
+        aggs)
     t.rows;
-  let annotate_output_row out_tuple =
-    let key =
-      Tuple.group_key (Array.sub out_tuple 0 (List.length keys))
-    in
-    let members = try List.rev (Hashtbl.find groups key) with Not_found -> [] in
-    let col_union i =
-      dedup_anns (List.concat_map (fun at -> at.anns.(i)) members)
-    in
-    let key_anns = List.map col_union key_indices in
-    let agg_anns =
-      List.map (function None -> [] | Some i -> col_union i) agg_sources
-    in
-    { tuple = out_tuple; anns = Array.of_list (key_anns @ agg_anns) }
+  let row g =
+    let values = Array.mapi (fun j a -> Expr.agg_result (fst aggs.(j)) a) g.accs in
+    {
+      tuple = Array.append g.key values;
+      anns = Array.map (fun seen -> dedup_anns (List.rev seen)) g.seen;
+    }
   in
-  { schema = plain.Ops.schema; rows = List.map annotate_output_row plain.Ops.rows }
+  { schema; rows = List.rev_map row !groups }
 
 let order_by t specs =
   let indices =

@@ -1,8 +1,11 @@
 (** Annotation propagation: the extended operator semantics of Section 3.4.
 
-    An annotated rowset carries, for every tuple, the annotation set of
-    each column position.  Each operator mirrors its plain relational
-    counterpart and additionally implements the paper's propagation rules:
+    This is the one materialized relational algebra.  A rowset carries,
+    for every tuple, the annotation set of each column position; a plain
+    row is a row whose sets are all empty ({!of_rows}), so the naive
+    query oracle, annotated queries and plain set operations all run on
+    these operators.  Each is the relational operator extended with the
+    paper's propagation rules:
 
     - projection passes only the annotations of the projected columns;
     - selection passes surviving tuples with {e all} their annotations;
@@ -35,17 +38,20 @@ val scan :
     propagate, Section 3.3).  [ann_tables] narrows which annotation
     tables participate — the ANNOTATION operator of A-SQL SELECT. *)
 
-val of_rowset : Bdbms_relation.Ops.rowset -> t
-(** Wrap a plain rowset with empty annotation sets. *)
-
-val to_rowset : t -> Bdbms_relation.Ops.rowset
-(** Drop annotations. *)
+val of_rows : Bdbms_relation.Schema.t -> Bdbms_relation.Tuple.t list -> t
+(** Plain rows: every row shares one all-empty annotation array, so
+    wrapping an answer allocates nothing per row. *)
 
 val all_annotations : atuple -> Ann.t list
 (** Distinct annotations over all columns of one tuple. *)
 
 val select : t -> Bdbms_relation.Expr.t -> t
 val project : t -> string list -> t
+
+val extend :
+  t -> name:string -> ty:Bdbms_relation.Value.ty -> Bdbms_relation.Expr.t -> t
+(** Append the computed column [name] of declared type [ty]; it carries
+    no annotations. *)
 
 val promote : t -> from:string list -> to_:string -> t
 (** Copy the annotations of [from] columns onto column [to_].
@@ -58,6 +64,11 @@ val filter_anns : t -> Ann_pred.t -> t
 (** Keep all tuples; drop annotations failing the condition. *)
 
 val distinct : t -> t
+
+(** Set operators, with set semantics (the paper's INTERSECT example).
+    @raise Bdbms_relation.Expr.Eval_error when the schemas are not
+    union-compatible. *)
+
 val union : t -> t -> t
 val intersect : t -> t -> t
 val except : t -> t -> t
@@ -70,11 +81,19 @@ val join : ?on_pair:(unit -> unit) -> t -> t -> on:Bdbms_relation.Expr.t -> t
 val group_by :
   t ->
   keys:string list ->
-  aggs:(Bdbms_relation.Ops.aggregate * string) list ->
+  aggs:(Bdbms_relation.Expr.aggregate * string) list ->
   t
-(** Key columns keep the union of their group members' annotations; an
-    aggregate column carries the union of its source column's annotations
-    across the group ([COUNT( * )] carries none). *)
+(** Group on [keys] under {!Bdbms_relation.Tuple.group_key} (NULL is a
+    key value, [-0.0] groups with [0.0]), in first-appearance order;
+    each [(agg, out_name)] adds an output column.  With empty [keys], a
+    single global group, even over empty input.  One pass over the
+    input folds each aggregate over its group in input order
+    ({!Bdbms_relation.Expr.agg_step}) and unions the annotations: key
+    columns keep the union of their group members' annotations; an
+    aggregate column carries the union of its source column's
+    annotations across the group ([COUNT( * )] carries none).
+    @raise Bdbms_relation.Expr.Eval_error on an unknown aggregate
+    column. *)
 
 val order_by : t -> (string * [ `Asc | `Desc ]) list -> t
 val limit : t -> int -> t

@@ -3,7 +3,6 @@
 
 module Expr = Bdbms_relation.Expr
 module Value = Bdbms_relation.Value
-module Ops = Bdbms_relation.Ops
 module Ann_pred = Bdbms_annotation.Ann_pred
 module Ann_store = Bdbms_annotation.Ann_store
 module Acl = Bdbms_auth.Acl
@@ -19,7 +18,7 @@ type select_item =
 and item_expr =
   | Col_ref of string
   | Scalar of Expr.t          (** computed column *)
-  | Aggregate of Ops.aggregate
+  | Aggregate of Expr.aggregate
 
 type from_item = {
   table : string;

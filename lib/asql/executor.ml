@@ -4,7 +4,6 @@ module Tuple = Bdbms_relation.Tuple
 module Table = Bdbms_relation.Table
 module Catalog = Bdbms_relation.Catalog
 module Expr = Bdbms_relation.Expr
-module Ops = Bdbms_relation.Ops
 module Batch = Bdbms_relation.Batch
 module Disk = Bdbms_storage.Disk
 module Stats = Bdbms_obs.Stats
@@ -516,7 +515,7 @@ let needed_frame_cols (plan : Plan.t) (sel : Ast.select) =
               | Ast.Col_ref c -> mark_raw c
               | Ast.Scalar e -> mark_expr (resolve_expr resolve e)
               | Ast.Aggregate agg ->
-                  Option.iter mark_raw (Ops.agg_column agg)))
+                  Option.iter mark_raw (Expr.agg_column agg)))
         sel.Ast.items;
       needed
     with
@@ -535,14 +534,14 @@ let aggregate_items resolve (sel : Ast.select) =
         | Ast.Item { expr = Ast.Aggregate agg; alias; _ } ->
             let agg =
               match agg with
-              | Ops.Count_star -> Ops.Count_star
-              | Ops.Count c -> Ops.Count (resolve c)
-              | Ops.Sum c -> Ops.Sum (resolve c)
-              | Ops.Avg c -> Ops.Avg (resolve c)
-              | Ops.Min c -> Ops.Min (resolve c)
-              | Ops.Max c -> Ops.Max (resolve c)
+              | Expr.Count_star -> Expr.Count_star
+              | Expr.Count c -> Expr.Count (resolve c)
+              | Expr.Sum c -> Expr.Sum (resolve c)
+              | Expr.Avg c -> Expr.Avg (resolve c)
+              | Expr.Min c -> Expr.Min (resolve c)
+              | Expr.Max c -> Expr.Max (resolve c)
             in
-            Some (agg, Option.value alias ~default:(Ops.aggregate_name agg))
+            Some (agg, Option.value alias ~default:(Expr.aggregate_name agg))
         | _ -> None)
       sel.Ast.items
   in
@@ -555,7 +554,7 @@ let aggregate_items resolve (sel : Ast.select) =
               fail "column %s must appear in GROUP BY" c;
             (n, Option.value alias ~default:c)
         | Ast.Item { expr = Ast.Aggregate agg; alias; _ } ->
-            let n = Option.value alias ~default:(Ops.aggregate_name agg) in
+            let n = Option.value alias ~default:(Expr.aggregate_name agg) in
             (n, n)
         | Ast.Item { expr = Ast.Scalar _; _ } ->
             fail "computed columns are not supported with GROUP BY"
@@ -987,8 +986,8 @@ and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
           let extend s =
             List.fold_left
               (fun (s : Vexec.src) (out, e) ->
-                Vexec.extend s ~name:out ~ty:Value.TString
-                  (resolve_expr (make_resolver s.Vexec.schema prefixes) e))
+                let e = resolve_expr (make_resolver s.Vexec.schema prefixes) e in
+                Vexec.extend s ~name:out ~ty:(Expr.type_of s.Vexec.schema e) e)
               s computed
           in
           (* ORDER BY may reference pre-projection columns (classic SQL),
@@ -1032,7 +1031,8 @@ and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
         stage src (label, est_of, fun s -> bounded (op s))
     | st :: rest -> run (stage src st) rest
   in
-  let out = Propagate.of_rowset (Vexec.to_rowset (run bsrc stages)) in
+  let out = run bsrc stages in
+  let out = Propagate.of_rows out.Vexec.schema (Vexec.drain out) in
   (match (an, !top) with Some a, Some n -> Analyze.set_root a n | _ -> ());
   out
 
@@ -1108,19 +1108,9 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
                       | Some a -> a
                       | None -> fail "computed columns need AS <name>"
                     in
-                    let e = resolve_expr (make_resolver acc.Propagate.schema prefixes) e in
-                    let plain = Propagate.to_rowset acc in
-                    let plain' = Ops.extend plain ~name:out ~ty:Value.TString e in
-                    (* recompute with annotations preserved: extend keeps
-                       row order, so zip annotation arrays with an empty
-                       set for the new column *)
-                    let rows =
-                      List.map2
-                        (fun at tuple ->
-                          { Propagate.tuple; anns = Array.append at.Propagate.anns [| [] |] })
-                        acc.Propagate.rows plain'.Ops.rows
-                    in
-                    ( { Propagate.schema = plain'.Ops.schema; rows },
+                    let schema = acc.Propagate.schema in
+                    let e = resolve_expr (make_resolver schema prefixes) e in
+                    ( Propagate.extend acc ~name:out ~ty:(Expr.type_of schema e) e,
                       names @ [ (out, out) ] )
                 | Ast.Item { expr = Ast.Aggregate _; _ } -> assert false)
               (promoted, []) items

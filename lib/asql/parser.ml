@@ -1,6 +1,5 @@
 module Expr = Bdbms_relation.Expr
 module Value = Bdbms_relation.Value
-module Ops = Bdbms_relation.Ops
 module Ann_pred = Bdbms_annotation.Ann_pred
 module Ann = Bdbms_annotation.Ann
 module Ann_store = Bdbms_annotation.Ann_store
@@ -263,11 +262,11 @@ and parse_aatom st =
 
 let aggregate_of_name name col =
   match String.uppercase_ascii name with
-  | "COUNT" -> Some (match col with None -> Ops.Count_star | Some c -> Ops.Count c)
-  | "SUM" -> ( match col with Some c -> Some (Ops.Sum c) | None -> None)
-  | "AVG" -> ( match col with Some c -> Some (Ops.Avg c) | None -> None)
-  | "MIN" -> ( match col with Some c -> Some (Ops.Min c) | None -> None)
-  | "MAX" -> ( match col with Some c -> Some (Ops.Max c) | None -> None)
+  | "COUNT" -> Some (match col with None -> Expr.Count_star | Some c -> Expr.Count c)
+  | "SUM" -> ( match col with Some c -> Some (Expr.Sum c) | None -> None)
+  | "AVG" -> ( match col with Some c -> Some (Expr.Avg c) | None -> None)
+  | "MIN" -> ( match col with Some c -> Some (Expr.Min c) | None -> None)
+  | "MAX" -> ( match col with Some c -> Some (Expr.Max c) | None -> None)
   | _ -> None
 
 let is_aggregate_name name =
@@ -296,7 +295,7 @@ let parse_select_item st =
             let agg =
               if try_symbol st "*" then (
                 eat_symbol st ")";
-                Ops.Count_star)
+                Expr.Count_star)
               else begin
                 let col = parse_col_ref st in
                 eat_symbol st ")";

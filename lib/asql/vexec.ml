@@ -22,7 +22,6 @@ module Schema = Bdbms_relation.Schema
 module Tuple = Bdbms_relation.Tuple
 module Table = Bdbms_relation.Table
 module Expr = Bdbms_relation.Expr
-module Ops = Bdbms_relation.Ops
 module Batch = Bdbms_relation.Batch
 module Stats = Bdbms_obs.Stats
 module Bitmap = Bdbms_util.Bitmap
@@ -92,14 +91,14 @@ let rows_of src =
   pull
 
 (* Every selected row of a source, boxed, in order. *)
-let to_rowset src =
+let drain src =
   let pull = rows_of src in
   let rec go acc =
     match pull () with
     | None -> List.rev acc
     | Some (b, row) -> go (Batch.tuple_of b row :: acc)
   in
-  { Ops.schema = src.schema; rows = go [] }
+  go []
 
 (* Candidate rows fetched point-wise (index probes): decoded through
    [Table.get] — these row sets are small, the cache may already hold
@@ -543,7 +542,7 @@ let hash_join ?stats ?batch_rows ~build_left ~left_keys ~right_keys left right
    product reaches a cancellation checkpoint every [batch_rows] pairs. *)
 let block_join ?batch_rows left right =
   let schema = Schema.concat left.schema right.schema in
-  let inner = lazy (Array.of_list (to_rowset right).Ops.rows) in
+  let inner = lazy (Array.of_list (drain right)) in
   let outer = rows_of left in
   (* the current left row and the index of its next right partner *)
   let lt = ref [||] and ri = ref max_int in
@@ -644,7 +643,7 @@ let limit src ~offset ~limit =
 (* ORDER BY without LIMIT: drain, stable sort, re-batch. *)
 let sort ?batch_rows src ~cmp =
   blocking src.schema (fun () ->
-      let rows = Array.of_list (to_rowset src).Ops.rows in
+      let rows = Array.of_list (drain src) in
       Array.stable_sort cmp rows;
       of_tuples ?batch_rows src.schema rows)
 
@@ -717,53 +716,22 @@ let top_k ?batch_rows src ~cmp ~k =
 
 (* ------------------------------------------------------------ group by *)
 
-(* One aggregate's running state in one group. *)
-type acc = {
-  mutable n : int; (* rows counted / non-NULL inputs seen *)
-  mutable isum : int;
-  mutable fsum : float;
-  mutable all_int : bool;
-  mutable best : Value.t; (* MIN/MAX so far; NULL = none yet *)
-}
-
-let new_acc () = { n = 0; isum = 0; fsum = 0.0; all_int = true; best = Value.VNull }
-
-(* [Ops.group_by]'s finalization: SUM stays an INT while every input is
-   one, AVG and SUM otherwise fold as floats in input order. *)
-let finalize agg a =
-  match agg with
-  | Ops.Count_star | Ops.Count _ -> Value.VInt a.n
-  | Ops.Sum _ ->
-      if a.n = 0 then Value.VNull
-      else if a.all_int then Value.VInt a.isum
-      else Value.VFloat a.fsum
-  | Ops.Avg _ ->
-      if a.n = 0 then Value.VNull else Value.VFloat (a.fsum /. float_of_int a.n)
-  | Ops.Min _ | Ops.Max _ -> a.best
-
 (* Grouped and ungrouped aggregation over batches: the rows
-   [Ops.group_by] computes, in the same order (groups by first
+   [Propagate.group_by] computes, in the same order (groups by first
    appearance; with no keys, one row even over empty input).  Rows
    group under [Batch.group_key] of their key columns; each aggregate
    then runs one typed loop per batch over the numeric vectors,
-   accumulating per group in input order, and boxes only at
-   finalization. *)
+   updating its group's [Expr.acc] in input order as [Expr.agg_step]
+   would, and boxes only at finalization ([Expr.agg_result]). *)
 let group_by ?batch_rows src ~keys aggs =
   let schema = src.schema in
-  List.iter
-    (fun (agg, _) ->
-      match Ops.agg_column agg with
-      | Some c when not (Schema.mem schema c) ->
-          raise (Expr.Eval_error ("aggregate over unknown column " ^ c))
-      | _ -> ())
-    aggs;
   let key_cols = Array.of_list (List.map (Schema.index_of_exn schema) keys) in
   let out_schema =
     Schema.make
       (List.map (fun i -> Schema.column_at schema i) (Array.to_list key_cols)
       @ List.map
           (fun (agg, out_name) ->
-            { Schema.name = out_name; ty = Ops.agg_type schema agg })
+            { Schema.name = out_name; ty = Expr.agg_type schema agg })
           aggs)
   in
   (* each aggregate with its input column (-1 for COUNT( * )) *)
@@ -771,9 +739,7 @@ let group_by ?batch_rows src ~keys aggs =
     Array.of_list
       (List.map
          (fun (agg, _) ->
-           match Ops.agg_column agg with
-           | None -> (agg, -1)
-           | Some c -> (agg, Schema.index_of_exn schema c))
+           (agg, Option.value (Expr.agg_input schema agg) ~default:(-1)))
          aggs)
   in
   let nagg = Array.length aggs in
@@ -781,7 +747,7 @@ let group_by ?batch_rows src ~keys aggs =
       (* groups, newest first, with their key values and accumulators *)
       let groups = ref [] and index = Hashtbl.create 64 in
       let new_group key_vals =
-        let accs = Array.init nagg (fun _ -> new_acc ()) in
+        let accs = Array.init nagg (fun _ -> Expr.new_acc ()) in
         groups := (key_vals, accs) :: !groups;
         accs
       in
@@ -812,12 +778,12 @@ let group_by ?batch_rows src ~keys aggs =
           (fun j (agg, idx) ->
             let acc i = (Array.unsafe_get row_accs i).(j) in
             match agg with
-            | Ops.Count_star ->
+            | Expr.Count_star ->
                 for i = 0 to nsel - 1 do
                   let a = acc i in
                   a.n <- a.n + 1
                 done
-            | Ops.Count _ ->
+            | Expr.Count _ ->
                 let nulls = b.Batch.cols.(idx).Batch.nulls in
                 for i = 0 to nsel - 1 do
                   if not_null nulls (Array.unsafe_get sel i) then begin
@@ -825,7 +791,7 @@ let group_by ?batch_rows src ~keys aggs =
                     a.n <- a.n + 1
                   end
                 done
-            | Ops.Sum _ | Ops.Avg _ -> (
+            | Expr.Sum _ | Expr.Avg _ -> (
                 let c = b.Batch.cols.(idx) in
                 let nulls = c.Batch.nulls in
                 match c.Batch.data with
@@ -853,25 +819,13 @@ let group_by ?batch_rows src ~keys aggs =
                     (* boxed, including [Value.as_float]'s error on
                        non-numerics *)
                     for i = 0 to nsel - 1 do
-                      let x = Batch.value b ~row:(Array.unsafe_get sel i) ~col:idx in
-                      if not (Value.is_null x) then begin
-                        let a = acc i in
-                        a.n <- a.n + 1;
-                        (match x with
-                        | Value.VInt k -> a.isum <- a.isum + k
-                        | _ -> a.all_int <- false);
-                        a.fsum <- a.fsum +. Value.as_float x
-                      end
+                      Expr.agg_step agg (acc i)
+                        (Batch.value b ~row:(Array.unsafe_get sel i) ~col:idx)
                     done)
-            | Ops.Min _ | Ops.Max _ ->
-                let dir = match agg with Ops.Min _ -> -1 | _ -> 1 in
+            | Expr.Min _ | Expr.Max _ ->
                 for i = 0 to nsel - 1 do
-                  let x = Batch.value b ~row:(Array.unsafe_get sel i) ~col:idx in
-                  if not (Value.is_null x) then begin
-                    let a = acc i in
-                    if Value.is_null a.best || dir * Value.compare x a.best > 0 then
-                      a.best <- x
-                  end
+                  Expr.agg_step agg (acc i)
+                    (Batch.value b ~row:(Array.unsafe_get sel i) ~col:idx)
                 done)
           aggs
       in
@@ -888,7 +842,7 @@ let group_by ?batch_rows src ~keys aggs =
            (List.rev_map
               (fun (key_vals, accs) ->
                 Array.append key_vals
-                  (Array.mapi (fun j a -> finalize (fst aggs.(j)) a) accs))
+                  (Array.mapi (fun j a -> Expr.agg_result (fst aggs.(j)) a) accs))
               !groups)))
 
 (* ------------------------------------------------------------ metering *)

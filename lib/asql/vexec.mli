@@ -104,27 +104,28 @@ val rows_of : src -> unit -> (Bdbms_relation.Batch.t * int) option
     blocking ones ({!group_by}, {!sort}, {!top_k}) drain their input at
     their first pull, so a metered node above them is charged for it. *)
 
-val to_rowset : src -> Bdbms_relation.Ops.rowset
+val drain : src -> Bdbms_relation.Tuple.t list
 (** Drain a source, boxing its selected rows in order: the output. *)
 
 val group_by :
   ?batch_rows:int ->
   src ->
   keys:string list ->
-  (Bdbms_relation.Ops.aggregate * string) list ->
+  (Bdbms_relation.Expr.aggregate * string) list ->
   src
 (** Grouped ([keys] non-empty) or ungrouped aggregation: the rows
-    {!Bdbms_relation.Ops.group_by} computes, in its order — key columns
-    then one column per [(aggregate, output name)], groups by first
-    appearance, one row over empty input when ungrouped.  Rows group
-    under {!Bdbms_relation.Batch.group_key}; numeric aggregates run
-    typed per-column loops.  @raise Bdbms_relation.Expr.Eval_error on an
-    unknown aggregate column. *)
+    {!Bdbms_annotation.Propagate.group_by} computes, in its order — key
+    columns then one column per [(aggregate, output name)], groups by
+    first appearance, one row over empty input when ungrouped.  Rows
+    group under {!Bdbms_relation.Batch.group_key}; numeric aggregates
+    run typed per-column loops.  @raise Bdbms_relation.Expr.Eval_error
+    on an unknown aggregate column. *)
 
 val extend :
   src -> name:string -> ty:Bdbms_relation.Value.ty -> Bdbms_relation.Expr.t -> src
 (** Append a computed column (the pipelined
-    {!Bdbms_relation.Ops.extend}), evaluated on selected rows only. *)
+    {!Bdbms_annotation.Propagate.extend}), evaluated on selected rows
+    only.  [ty] is only declared: the column's values stay boxed. *)
 
 val distinct : src -> src
 (** Streaming duplicate elimination, first appearance wins, under

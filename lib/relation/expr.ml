@@ -173,3 +173,86 @@ let rec pp fmt = function
         (String.concat ", " (List.map Value.to_display vs))
   | Is_null a -> Format.fprintf fmt "(%a IS NULL)" pp a
   | Concat (a, b) -> Format.fprintf fmt "(%a || %a)" pp a pp b
+
+let rec type_of schema = function
+  | Col name -> (
+      match Schema.index_of schema name with
+      | Some i -> (Schema.column_at schema i).Schema.ty
+      | None -> fail "unknown column %S" name)
+  | Lit v -> Option.value (Value.type_of v) ~default:Value.TString
+  | Cmp _ | And _ | Or _ | Not _ | Like _ | In_list _ | Is_null _ -> Value.TBool
+  | Arith (_, a, b) -> (
+      match (type_of schema a, type_of schema b) with
+      | Value.TInt, Value.TInt -> Value.TInt
+      | _ -> Value.TFloat)
+  | Concat _ -> Value.TString
+
+(* ------------------------------------------------------------ aggregates *)
+
+type aggregate =
+  | Count_star
+  | Count of string
+  | Sum of string
+  | Avg of string
+  | Min of string
+  | Max of string
+
+let aggregate_name = function
+  | Count_star -> "COUNT(*)"
+  | Count c -> "COUNT(" ^ c ^ ")"
+  | Sum c -> "SUM(" ^ c ^ ")"
+  | Avg c -> "AVG(" ^ c ^ ")"
+  | Min c -> "MIN(" ^ c ^ ")"
+  | Max c -> "MAX(" ^ c ^ ")"
+
+let agg_column = function
+  | Count_star -> None
+  | Count c | Sum c | Avg c | Min c | Max c -> Some c
+
+let agg_input schema agg =
+  Option.map
+    (fun c ->
+      match Schema.index_of schema c with
+      | Some i -> i
+      | None -> fail "aggregate over unknown column %s" c)
+    (agg_column agg)
+
+let agg_type schema agg =
+  match (agg, agg_input schema agg) with
+  | (Sum _ | Min _ | Max _), Some i -> (Schema.column_at schema i).Schema.ty
+  | Avg _, _ -> Value.TFloat
+  | _ -> Value.TInt
+
+type acc = {
+  mutable n : int;
+  mutable isum : int;
+  mutable fsum : float;
+  mutable all_int : bool;
+  mutable best : Value.t;
+}
+
+let new_acc () = { n = 0; isum = 0; fsum = 0.0; all_int = true; best = Value.VNull }
+
+let agg_step agg a x =
+  match agg with
+  | Count_star -> a.n <- a.n + 1
+  | _ when Value.is_null x -> ()
+  | Count _ -> a.n <- a.n + 1
+  | Sum _ | Avg _ ->
+      a.n <- a.n + 1;
+      (match x with Value.VInt k -> a.isum <- a.isum + k | _ -> a.all_int <- false);
+      a.fsum <- a.fsum +. Value.as_float x
+  | Min _ ->
+      if Value.is_null a.best || Value.compare x a.best < 0 then a.best <- x
+  | Max _ ->
+      if Value.is_null a.best || Value.compare x a.best > 0 then a.best <- x
+
+let agg_result agg a =
+  match agg with
+  | Count_star | Count _ -> Value.VInt a.n
+  | Sum _ ->
+      if a.n = 0 then Value.VNull
+      else if a.all_int then Value.VInt a.isum
+      else Value.VFloat a.fsum
+  | Avg _ -> if a.n = 0 then Value.VNull else Value.VFloat (a.fsum /. float_of_int a.n)
+  | Min _ | Max _ -> a.best

@@ -11,7 +11,6 @@ module Table = Bdbms_relation.Table
 module Tuple = Bdbms_relation.Tuple
 module Value = Bdbms_relation.Value
 module Expr = Bdbms_relation.Expr
-module Ops = Bdbms_relation.Ops
 module Prov_record = Bdbms_provenance.Prov_record
 module Prov_store = Bdbms_provenance.Prov_store
 
@@ -417,7 +416,7 @@ let test_propagate_group_by () =
   (* group on GName with a COUNT aggregate; annotations must survive onto
      the group representatives *)
   let grouped =
-    Propagate.group_by ars ~keys:[ "GName" ] ~aggs:[ (Ops.Count "GID", "n") ]
+    Propagate.group_by ars ~keys:[ "GName" ] ~aggs:[ (Expr.Count "GID", "n") ]
   in
   checki "five groups" 5 (Propagate.row_count grouped);
   (* the mraW group's GName column keeps B1 (rows 0-2 were annotated) *)
@@ -446,6 +445,228 @@ let test_propagate_distinct_unions_annotations () =
     List.sort compare (List.map (fun a -> a.Ann.id) (Propagate.all_annotations row2))
   in
   Alcotest.(check (list string)) "A1+A2" (List.sort compare [ a1.Ann.id; a2.Ann.id ]) ids
+
+(* The plain relational algebra is [Propagate] over rows with empty
+   annotation sets. *)
+
+let plain_scan table =
+  Propagate.of_rows (Table.schema table) (List.map snd (Table.to_list table))
+
+let plain_genes () =
+  let bp, _, _ = mk_env () in
+  plain_scan (mk_db1 bp)
+
+let tuples (t : Propagate.t) = List.map (fun at -> at.Propagate.tuple) t.Propagate.rows
+
+let no_annotations (t : Propagate.t) =
+  List.for_all (fun at -> Array.for_all (( = ) []) at.Propagate.anns) t.Propagate.rows
+
+let test_plain_scan_select_project () =
+  let rs = plain_genes () in
+  checki "scan" 4 (Propagate.row_count rs);
+  let sel = Propagate.select rs (Expr.Like (Expr.Col "GSequence", "ATG%")) in
+  checki "select" 3 (Propagate.row_count sel);
+  let proj = Propagate.project sel [ "GID" ] in
+  checki "projected arity" 1 (Schema.arity proj.Propagate.schema);
+  checki "projected rows" 3 (Propagate.row_count proj);
+  checkb "no annotations" true (no_annotations proj)
+
+let test_plain_join () =
+  let rs = plain_genes () in
+  let a = Propagate.project rs [ "GID"; "GName" ] in
+  let b = Propagate.project rs [ "GID"; "GSequence" ] in
+  let j =
+    Propagate.join a b ~on:(Expr.Cmp (Expr.Eq, Expr.Col "GID", Expr.Col "r_GID"))
+  in
+  checki "join rows" 4 (Propagate.row_count j);
+  checki "join arity" 4 (Schema.arity j.Propagate.schema);
+  checkb "no annotations" true (no_annotations j)
+
+let test_plain_set_operators () =
+  let rs = plain_genes () in
+  let all = Propagate.project rs [ "GID" ] in
+  let some =
+    Propagate.project
+      (Propagate.select rs (Expr.Like (Expr.Col "GSequence", "ATG%")))
+      [ "GID" ]
+  in
+  checki "intersect" 3 (Propagate.row_count (Propagate.intersect all some));
+  checki "except" 1 (Propagate.row_count (Propagate.except all some));
+  checki "union" 4 (Propagate.row_count (Propagate.union all some));
+  (* duplicates collapse *)
+  let doubled = { all with Propagate.rows = all.Propagate.rows @ all.Propagate.rows } in
+  checki "union dedups" 4 (Propagate.row_count (Propagate.union doubled doubled))
+
+let test_plain_distinct_order_limit () =
+  let names = Propagate.project (plain_genes ()) [ "GName" ] in
+  let dup = { names with Propagate.rows = names.Propagate.rows @ names.Propagate.rows } in
+  checki "distinct" 4 (Propagate.row_count (Propagate.distinct dup));
+  let sorted = Propagate.order_by names [ ("GName", `Asc) ] in
+  checks "first sorted" "fruR" (Value.to_display (Tuple.get (List.hd (tuples sorted)) 0));
+  let top = Propagate.limit sorted 2 in
+  checki "limit" 2 (Propagate.row_count top)
+
+let species_schema =
+  Schema.make
+    [
+      { Schema.name = "species"; ty = Value.TString };
+      { Schema.name = "len"; ty = Value.TInt };
+    ]
+
+let test_plain_group_by () =
+  let rs =
+    Propagate.of_rows species_schema
+      (List.map
+         (fun (sp, len) -> Tuple.make [ v sp; Value.VInt len ])
+         [ ("ecoli", 100); ("ecoli", 200); ("yeast", 50) ])
+  in
+  let g =
+    Propagate.group_by rs ~keys:[ "species" ]
+      ~aggs:
+        [
+          (Expr.Count_star, "n");
+          (Expr.Sum "len", "total");
+          (Expr.Avg "len", "mean");
+          (Expr.Min "len", "lo");
+          (Expr.Max "len", "hi");
+        ]
+  in
+  checki "groups" 2 (Propagate.row_count g);
+  let ecoli = List.find (fun r -> Value.to_display (Tuple.get r 0) = "ecoli") (tuples g) in
+  checki "count" 2 (Value.as_int (Tuple.get ecoli 1));
+  checki "sum" 300 (Value.as_int (Tuple.get ecoli 2));
+  checkb "avg" true (Value.as_float (Tuple.get ecoli 3) = 150.0);
+  checki "min" 100 (Value.as_int (Tuple.get ecoli 4));
+  checki "max" 200 (Value.as_int (Tuple.get ecoli 5));
+  checkb "no annotations" true (no_annotations g)
+
+let test_plain_group_by_global () =
+  let rs = plain_genes () in
+  let g = Propagate.group_by rs ~keys:[] ~aggs:[ (Expr.Count_star, "n") ] in
+  checki "one row" 1 (Propagate.row_count g);
+  checki "count" 4 (Value.as_int (Tuple.get (List.hd (tuples g)) 0));
+  (* global aggregate over empty input still yields one row *)
+  let empty = Propagate.select rs (Expr.Lit (Value.VBool false)) in
+  let g0 = Propagate.group_by empty ~keys:[] ~aggs:[ (Expr.Count_star, "n") ] in
+  checki "count empty" 0 (Value.as_int (Tuple.get (List.hd (tuples g0)) 0))
+
+let test_plain_extend () =
+  let rs =
+    Propagate.extend (plain_genes ()) ~name:"tagged" ~ty:Value.TString
+      (Expr.Concat (Expr.Col "GID", Expr.Lit (v "!")))
+  in
+  checki "arity" 4 (Schema.arity rs.Propagate.schema);
+  checkb "value" true
+    (List.exists (fun r -> Value.to_display (Tuple.get r 3) = "JW0080!") (tuples rs));
+  checkb "no annotations" true (no_annotations rs)
+
+let test_plain_incompatible_sets () =
+  let rs = plain_genes () in
+  match Propagate.union (Propagate.project rs [ "GID" ]) rs with
+  | exception Expr.Eval_error _ -> ()
+  | _ -> Alcotest.fail "expected union-compatibility error"
+
+let plain_intersect_subset =
+  let ints = QCheck.(list_of_size (Gen.int_bound 20) small_nat) in
+  QCheck.Test.make ~name:"plain intersect subset of both" ~count:100
+    (QCheck.pair ints ints)
+    (fun (xs, ys) ->
+      let schema = Schema.make [ { Schema.name = "v"; ty = Value.TInt } ] in
+      let rs vs =
+        Propagate.of_rows schema (List.map (fun x -> Tuple.make [ Value.VInt x ]) vs)
+      in
+      List.for_all
+        (fun t ->
+          let x = Value.as_int (Tuple.get t 0) in
+          List.mem x xs && List.mem x ys)
+        (tuples (Propagate.intersect (rs xs) (rs ys))))
+
+(* Annotated group-by cases, over hand-built envelopes. *)
+
+let ann id =
+  Ann.make ~id ~body:(Xml.text id) ~category:Ann.Comment ~author:"u" ~created_at:1
+
+let annotated schema rows =
+  {
+    Propagate.schema;
+    rows =
+      List.map
+        (fun (cells, anns) -> { Propagate.tuple = Tuple.make cells; anns = Array.of_list anns })
+        rows;
+  }
+
+let ids l = List.map (fun a -> a.Ann.id) l
+
+let test_group_by_null_key () =
+  let rs =
+    annotated species_schema
+      [
+        ([ Value.VNull; Value.VInt 1 ], [ [ ann "k1" ]; [] ]);
+        ([ v "ecoli"; Value.VInt 2 ], [ []; [] ]);
+        ([ Value.VNull; Value.VInt 3 ], [ [ ann "k2"; ann "k1" ]; [] ]);
+      ]
+  in
+  let g = Propagate.group_by rs ~keys:[ "species" ] ~aggs:[ (Expr.Sum "len", "s") ] in
+  checki "two groups" 2 (Propagate.row_count g);
+  let null_group = List.hd g.Propagate.rows in
+  checkb "NULL key first" true (Value.is_null (Tuple.get null_group.Propagate.tuple 0));
+  checki "NULL group sums both rows" 4 (Value.as_int (Tuple.get null_group.Propagate.tuple 1));
+  Alcotest.(check (list string)) "key annotations unioned" [ "k1"; "k2" ]
+    (ids null_group.Propagate.anns.(0))
+
+let test_group_by_aggregate_annotations () =
+  let rs =
+    annotated species_schema
+      [
+        ([ v "ecoli"; Value.VInt 100 ], [ [ ann "s1" ]; [ ann "a1" ] ]);
+        ([ v "yeast"; Value.VInt 50 ], [ []; [ ann "y1" ] ]);
+        ([ v "ecoli"; Value.VInt 200 ], [ []; [ ann "a2"; ann "a1" ] ]);
+        ([ v "ecoli"; Value.VNull ], [ []; [ ann "a3" ] ]);
+      ]
+  in
+  let g =
+    Propagate.group_by rs ~keys:[ "species" ]
+      ~aggs:
+        [
+          (Expr.Count_star, "n");
+          (Expr.Count "len", "c");
+          (Expr.Sum "len", "s");
+          (Expr.Avg "len", "a");
+          (Expr.Min "len", "lo");
+          (Expr.Max "len", "hi");
+        ]
+  in
+  Alcotest.(check (list (list string)))
+    "values"
+    [
+      [ "ecoli"; "3"; "2"; "300"; "150"; "100"; "200" ];
+      [ "yeast"; "1"; "1"; "50"; "50"; "50"; "50" ];
+    ]
+    (List.map
+       (fun t -> List.map Value.to_display (Array.to_list t))
+       (tuples g));
+  let ecoli = List.hd g.Propagate.rows and yeast = List.nth g.Propagate.rows 1 in
+  Alcotest.(check (list (list string)))
+    "ecoli envelopes"
+    [ [ "s1" ]; []; [ "a1"; "a2"; "a3" ]; [ "a1"; "a2"; "a3" ]; [ "a1"; "a2"; "a3" ];
+      [ "a1"; "a2"; "a3" ]; [ "a1"; "a2"; "a3" ] ]
+    (List.map ids (Array.to_list ecoli.Propagate.anns));
+  Alcotest.(check (list (list string)))
+    "yeast envelopes" [ []; []; [ "y1" ]; [ "y1" ]; [ "y1" ]; [ "y1" ]; [ "y1" ] ]
+    (List.map ids (Array.to_list yeast.Propagate.anns))
+
+let test_group_by_empty_annotated () =
+  let rs = annotated species_schema [] in
+  let g =
+    Propagate.group_by rs ~keys:[]
+      ~aggs:[ (Expr.Count_star, "n"); (Expr.Sum "len", "s"); (Expr.Max "len", "hi") ]
+  in
+  Alcotest.(check (list (list string)))
+    "one row" [ [ "0"; "NULL"; "NULL" ] ]
+    (List.map (fun t -> List.map Value.to_display (Array.to_list t)) (tuples g));
+  checkb "empty envelopes" true (no_annotations g);
+  checki "one envelope per column" 3
+    (Array.length (List.hd g.Propagate.rows).Propagate.anns)
 
 (* ----------------------------------------------------------- provenance *)
 
@@ -560,6 +781,19 @@ let () =
           Alcotest.test_case "awhere and filter" `Quick test_propagate_awhere_filter;
           Alcotest.test_case "group by" `Quick test_propagate_group_by;
           Alcotest.test_case "distinct unions" `Quick test_propagate_distinct_unions_annotations;
+          Alcotest.test_case "group by NULL key" `Quick test_group_by_null_key;
+          Alcotest.test_case "group by aggregate annotations" `Quick
+            test_group_by_aggregate_annotations;
+          Alcotest.test_case "group by empty, annotated" `Quick test_group_by_empty_annotated;
+          Alcotest.test_case "plain scan/select/project" `Quick test_plain_scan_select_project;
+          Alcotest.test_case "plain join" `Quick test_plain_join;
+          Alcotest.test_case "plain set operators" `Quick test_plain_set_operators;
+          Alcotest.test_case "plain distinct/order/limit" `Quick test_plain_distinct_order_limit;
+          Alcotest.test_case "plain group by" `Quick test_plain_group_by;
+          Alcotest.test_case "plain global aggregate" `Quick test_plain_group_by_global;
+          Alcotest.test_case "plain extend" `Quick test_plain_extend;
+          Alcotest.test_case "plain incompatible sets" `Quick test_plain_incompatible_sets;
+          QCheck_alcotest.to_alcotest plain_intersect_subset;
         ] );
       ( "provenance",
         [

@@ -12,7 +12,6 @@ open Bdbms
 module Value = Bdbms_relation.Value
 module Schema = Bdbms_relation.Schema
 module Tuple = Bdbms_relation.Tuple
-module Ops = Bdbms_relation.Ops
 module Propagate = Bdbms_annotation.Propagate
 module Ann = Bdbms_annotation.Ann
 module Executor = Bdbms_asql.Executor
@@ -476,7 +475,7 @@ let test_limit_stops_decoding () =
   in
   let limited = Vexec.limit counted ~offset:1 ~limit:(Some 2) in
   Alcotest.(check (list string)) "offset 1 limit 2" [ "1"; "2" ]
-    (List.map Tuple.to_display (Vexec.to_rowset limited).Ops.rows);
+    (List.map Tuple.to_display (Vexec.drain limited));
   checki "one pull" 1 !pulls;
   checkb "exhausted stays exhausted" true (limited.Vexec.next () = None);
   checki "still one pull" 1 !pulls
@@ -529,9 +528,8 @@ let test_top_k_stable () =
       List.filteri (fun i _ -> i < k) (List.stable_sort cmp (Array.to_list rows))
     in
     let got =
-      (Vexec.to_rowset
-         (Vexec.top_k ~batch_rows (Vexec.of_tuples ~batch_rows schema rows) ~cmp ~k))
-        .Ops.rows
+      Vexec.drain
+        (Vexec.top_k ~batch_rows (Vexec.of_tuples ~batch_rows schema rows) ~cmp ~k)
     in
     Alcotest.(check (list string))
       (Printf.sprintf "Vexec.top_k n=%d k=%d" n k)
@@ -573,6 +571,54 @@ let test_negative_zero_groups () =
       "SELECT DISTINCT x FROM t";
       "SELECT * FROM t UNION SELECT * FROM t";
     ]
+
+(* A computed column is declared with its expression's type, so it is
+   union-compatible with a stored column of that type: set operations
+   over INT, FLOAT and BOOL computed columns run on both engines. *)
+let test_computed_set_operations () =
+  let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [
+      "CREATE TABLE S (id INT, n INT, r REAL, b BOOL, t TEXT)";
+      "INSERT INTO S VALUES (0, 1, 0.5, TRUE, 'a'), (1, 2, 1.5, FALSE, 'b'), \
+       (2, NULL, NULL, NULL, NULL), (3, 4, 3.5, TRUE, 'c'), \
+       (4, 2, 2.0, FALSE, 'a')";
+    ];
+  let sweep () =
+    List.iter
+      (run_all_modes db ~ordered:true)
+      [
+        "SELECT n + 1 AS x FROM S UNION SELECT n FROM S";
+        "SELECT n * 2 AS x FROM S INTERSECT SELECT n FROM S";
+        "SELECT n - 1 AS x FROM S EXCEPT SELECT id FROM S";
+        "SELECT r + 1 AS x FROM S UNION SELECT r FROM S";
+        "SELECT n + 0.5 AS x FROM S INTERSECT SELECT r FROM S";
+        "SELECT r * 2 AS x FROM S EXCEPT SELECT r FROM S";
+        "SELECT n > 1 AS x FROM S UNION SELECT b FROM S";
+        "SELECT t LIKE 'a%' AS x FROM S INTERSECT SELECT b FROM S";
+        "SELECT n IS NULL AS x FROM S EXCEPT SELECT b FROM S";
+        "SELECT id, n + 1 AS x FROM S UNION SELECT id, n FROM S";
+      ];
+    List.iter
+      (fun mode ->
+        Db.set_exec_mode db mode;
+        let rs =
+          rows_of db
+            "SELECT n + 1 AS i, n / 2 AS i2, n + r AS f, r * 2 AS f2, \
+             n = 2 AS eq, NOT b AS nb, t || '!' AS s, id IN (1, 2) AS isin FROM S"
+        in
+        Alcotest.(check (list string))
+          (mode_name mode ^ ": declared types")
+          [ "INT"; "INT"; "FLOAT"; "FLOAT"; "BOOL"; "BOOL"; "TEXT"; "BOOL" ]
+          (List.map
+             (fun c -> Value.type_name c.Schema.ty)
+             (Schema.columns rs.Propagate.schema)))
+      [ `Naive; `Batch ]
+  in
+  sweep ();
+  Db.set_batch_rows db 1;
+  sweep ()
 
 (* --------------------------------------------------------- stats checks *)
 
@@ -1140,15 +1186,72 @@ let test_compiled_predicates () =
 
 (* ------------------------------------------------------- stack safety *)
 
-let test_limit_stack_safety () =
-  let n = 1_000_000 in
-  let schema = Schema.make [ { Schema.name = "x"; ty = Value.TInt } ] in
-  let rows = Array.to_list (Array.init n (fun i -> Tuple.make [ Value.VInt i ])) in
-  let rs = { Ops.schema; rows } in
-  checki "ops limit big" (n - 1) (List.length (Ops.limit rs (n - 1)).Ops.rows);
-  let ars = Propagate.of_rowset rs in
-  checki "propagate limit big" (n - 1)
-    (Propagate.row_count (Propagate.limit ars (n - 1)))
+(* The materialized algebra and the batch drain on 1M rows, under an
+   8 MiB stack (OCaml 5's default allows 1 GiB, which would hide a
+   non-tail-recursive list walk of this length). *)
+let big_n = 1_000_000
+
+let big_schema =
+  Schema.make
+    [ { Schema.name = "x"; ty = Value.TInt }; { Schema.name = "g"; ty = Value.TInt } ]
+
+let big_rows =
+  lazy (Array.init big_n (fun i -> Tuple.make [ Value.VInt i; Value.VInt (i mod 3) ]))
+
+let on_big_rows f () =
+  let ars = Propagate.of_rows big_schema (Array.to_list (Lazy.force big_rows)) in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.stack_limit = 1 lsl 20 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) (fun () -> f ars)
+
+let test_limit_stack_safety =
+  on_big_rows (fun ars ->
+      checki "propagate limit big" (big_n - 1)
+        (Propagate.row_count (Propagate.limit ars (big_n - 1))))
+
+let test_group_by_stack_safety =
+  on_big_rows (fun ars ->
+      let module Expr = Bdbms_relation.Expr in
+      let grouped =
+        Propagate.group_by ars ~keys:[ "g" ]
+          ~aggs:[ (Expr.Count_star, "c"); (Expr.Sum "x", "s") ]
+      in
+      Alcotest.(check (list string))
+        "three groups"
+        [
+          "0 | 333334 | 166666833333";
+          "1 | 333333 | 166666166667";
+          "2 | 333333 | 166666500000";
+        ]
+        (List.map
+           (fun (at : Propagate.atuple) -> Tuple.to_display at.Propagate.tuple)
+           grouped.Propagate.rows);
+      checki "global" 1
+        (Propagate.row_count
+           (Propagate.group_by ars ~keys:[] ~aggs:[ (Expr.Count "x", "c") ])))
+
+let test_distinct_stack_safety =
+  on_big_rows (fun ars ->
+      checki "distinct rows" big_n (Propagate.row_count (Propagate.distinct ars));
+      checki "distinct keys" 3
+        (Propagate.row_count (Propagate.distinct (Propagate.project ars [ "g" ]))))
+
+let test_extend_project_stack_safety =
+  on_big_rows (fun ars ->
+      let module Expr = Bdbms_relation.Expr in
+      let ext =
+        Propagate.extend ars ~name:"y" ~ty:Value.TInt
+          (Expr.Arith (Expr.Add, Expr.Col "x", Expr.Lit (Value.VInt 1)))
+      in
+      checki "extend" big_n (Propagate.row_count ext);
+      checki "project" big_n (Propagate.row_count (Propagate.project ext [ "y"; "g" ])))
+
+let test_drain_stack_safety =
+  on_big_rows (fun _ ->
+      let module Vexec = Bdbms_asql.Vexec in
+      checki "drain" big_n
+        (List.length
+           (Vexec.drain (Vexec.of_tuples big_schema (Lazy.force big_rows)))))
 
 let () =
   Alcotest.run "bdbms_query"
@@ -1173,6 +1276,8 @@ let () =
             test_top_k_stable;
           Alcotest.test_case "negative zero groups once" `Quick
             test_negative_zero_groups;
+          Alcotest.test_case "computed columns in set operations" `Quick
+            test_computed_set_operations;
         ] );
       ( "batch-representation",
         [
@@ -1198,5 +1303,12 @@ let () =
           Alcotest.test_case "tail nodes" `Quick test_analyze_tail;
         ] );
       ( "stack-safety",
-        [ Alcotest.test_case "limit on 1M rows" `Quick test_limit_stack_safety ] );
+        [
+          Alcotest.test_case "limit on 1M rows" `Quick test_limit_stack_safety;
+          Alcotest.test_case "group by on 1M rows" `Quick test_group_by_stack_safety;
+          Alcotest.test_case "distinct on 1M rows" `Quick test_distinct_stack_safety;
+          Alcotest.test_case "extend and project on 1M rows" `Quick
+            test_extend_project_stack_safety;
+          Alcotest.test_case "batch drain on 1M rows" `Quick test_drain_stack_safety;
+        ] );
     ]

@@ -475,133 +475,6 @@ let test_expr_columns_used () =
   let e = And (Cmp (Eq, Col "a", Col "b"), Like (Col "a", "x%")) in
   Alcotest.check Alcotest.(list string) "columns" [ "a"; "b" ] (columns_used e)
 
-(* ------------------------------------------------------------------ Ops *)
-
-let mk_gene_table () =
-  let bp = mk_env () in
-  let t = Table.create bp ~name:"G" (gene_schema ()) in
-  List.iter
-    (fun (gid, name, seq) ->
-      match Table.insert t (Tuple.make [ v_str gid; v_str name; Value.VDna seq ]) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e)
-    [
-      ("JW0080", "mraW", "ATGATGGAAAA");
-      ("JW0082", "ftsI", "ATGAAAGCAGC");
-      ("JW0055", "yabP", "ATGAAAGTATC");
-      ("JW0078", "fruR", "GTGAAACTGGA");
-    ];
-  t
-
-let test_ops_scan_select_project () =
-  let t = mk_gene_table () in
-  let rs = Ops.scan t in
-  checki "scan" 4 (Ops.row_count rs);
-  let sel = Ops.select rs (Expr.Like (Expr.Col "GSequence", "ATG%")) in
-  checki "select" 3 (Ops.row_count sel);
-  let proj = Ops.project sel [ "GID" ] in
-  checki "projected arity" 1 (Schema.arity proj.Ops.schema);
-  checki "projected rows" 3 (Ops.row_count proj)
-
-let test_ops_join () =
-  let t = mk_gene_table () in
-  let a = Ops.project (Ops.scan t) [ "GID"; "GName" ] in
-  let b = Ops.project (Ops.scan t) [ "GID"; "GSequence" ] in
-  let j = Ops.join a b ~on:(Expr.Cmp (Expr.Eq, Expr.Col "GID", Expr.Col "r_GID")) in
-  checki "join rows" 4 (Ops.row_count j);
-  checki "join arity" 4 (Schema.arity j.Ops.schema)
-
-let test_ops_set_operators () =
-  let t = mk_gene_table () in
-  let all = Ops.project (Ops.scan t) [ "GID" ] in
-  let some =
-    Ops.project
-      (Ops.select (Ops.scan t) (Expr.Like (Expr.Col "GSequence", "ATG%")))
-      [ "GID" ]
-  in
-  checki "intersect" 3 (Ops.row_count (Ops.intersect all some));
-  checki "except" 1 (Ops.row_count (Ops.except all some));
-  checki "union" 4 (Ops.row_count (Ops.union all some));
-  (* duplicates collapse *)
-  let doubled = { all with Ops.rows = all.Ops.rows @ all.Ops.rows } in
-  checki "union dedups" 4 (Ops.row_count (Ops.union doubled doubled))
-
-let test_ops_distinct_order_limit () =
-  let t = mk_gene_table () in
-  let names = Ops.project (Ops.scan t) [ "GName" ] in
-  let dup = { names with Ops.rows = names.Ops.rows @ names.Ops.rows } in
-  checki "distinct" 4 (Ops.row_count (Ops.distinct dup));
-  let sorted = Ops.order_by names [ ("GName", `Asc) ] in
-  checks "first sorted" "fruR" (Value.to_display (Tuple.get (List.hd sorted.Ops.rows) 0));
-  let top = Ops.limit sorted 2 in
-  checki "limit" 2 (Ops.row_count top)
-
-let test_ops_group_by () =
-  let bp = mk_env () in
-  let schema =
-    Schema.make
-      [ { Schema.name = "species"; ty = Value.TString };
-        { Schema.name = "len"; ty = Value.TInt } ]
-  in
-  let t = Table.create bp ~name:"S" schema in
-  List.iter
-    (fun (sp, len) ->
-      match Table.insert t (Tuple.make [ v_str sp; v_int len ]) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e)
-    [ ("ecoli", 100); ("ecoli", 200); ("yeast", 50) ];
-  let rs = Ops.scan t in
-  let g =
-    Ops.group_by rs ~keys:[ "species" ]
-      ~aggs:
-        [
-          (Ops.Count_star, "n");
-          (Ops.Sum "len", "total");
-          (Ops.Avg "len", "mean");
-          (Ops.Min "len", "lo");
-          (Ops.Max "len", "hi");
-        ]
-  in
-  checki "groups" 2 (Ops.row_count g);
-  let ecoli =
-    List.find (fun r -> Value.to_display (Tuple.get r 0) = "ecoli") g.Ops.rows
-  in
-  checki "count" 2 (Value.as_int (Tuple.get ecoli 1));
-  checki "sum" 300 (Value.as_int (Tuple.get ecoli 2));
-  checkb "avg" true (Value.as_float (Tuple.get ecoli 3) = 150.0);
-  checki "min" 100 (Value.as_int (Tuple.get ecoli 4));
-  checki "max" 200 (Value.as_int (Tuple.get ecoli 5))
-
-let test_ops_group_by_global () =
-  let t = mk_gene_table () in
-  let g = Ops.group_by (Ops.scan t) ~keys:[] ~aggs:[ (Ops.Count_star, "n") ] in
-  checki "one row" 1 (Ops.row_count g);
-  checki "count" 4 (Value.as_int (Tuple.get (List.hd g.Ops.rows) 0));
-  (* global aggregate over empty input still yields one row *)
-  let empty = Ops.select (Ops.scan t) (Expr.Lit (Value.VBool false)) in
-  let g0 = Ops.group_by empty ~keys:[] ~aggs:[ (Ops.Count_star, "n") ] in
-  checki "count empty" 0 (Value.as_int (Tuple.get (List.hd g0.Ops.rows) 0))
-
-let test_ops_extend () =
-  let t = mk_gene_table () in
-  let rs =
-    Ops.extend (Ops.scan t) ~name:"tagged" ~ty:Value.TString
-      (Expr.Concat (Expr.Col "GID", Expr.Lit (v_str "!")))
-  in
-  checki "arity" 4 (Schema.arity rs.Ops.schema);
-  checkb "value" true
-    (List.exists
-       (fun r -> Value.to_display (Tuple.get r 3) = "JW0080!")
-       rs.Ops.rows)
-
-let test_ops_incompatible_sets () =
-  let t = mk_gene_table () in
-  let a = Ops.project (Ops.scan t) [ "GID" ] in
-  let b = Ops.scan t in
-  match Ops.union a b with
-  | exception Expr.Eval_error _ -> ()
-  | _ -> Alcotest.fail "expected union-compatibility error"
-
 let relation_qcheck =
   let module T = Tuple in
   let open QCheck in
@@ -640,17 +513,6 @@ let relation_qcheck =
          Gen.(pair value value))
       (fun (a, b) ->
         Value.group_key a = Value.group_key b = (Value.compare a b = 0));
-    Test.make ~name:"intersect subset of both" ~count:100
-      (pair (list_of_size (Gen.int_bound 20) small_nat) (list_of_size (Gen.int_bound 20) small_nat))
-      (fun (xs, ys) ->
-        let schema = Schema.make [ { Schema.name = "v"; ty = Value.TInt } ] in
-        let rs vs = { Ops.schema; rows = List.map (fun v -> T.make [ v_int v ]) vs } in
-        let inter = Ops.intersect (rs xs) (rs ys) in
-        List.for_all
-          (fun t ->
-            let v = Value.as_int (T.get t 0) in
-            List.mem v xs && List.mem v ys)
-          inter.Ops.rows);
   ]
 
 let () =
@@ -694,17 +556,6 @@ let () =
           Alcotest.test_case "like" `Quick test_expr_like;
           Alcotest.test_case "errors" `Quick test_expr_errors;
           Alcotest.test_case "columns used" `Quick test_expr_columns_used;
-        ] );
-      ( "ops",
-        [
-          Alcotest.test_case "scan/select/project" `Quick test_ops_scan_select_project;
-          Alcotest.test_case "join" `Quick test_ops_join;
-          Alcotest.test_case "set operators" `Quick test_ops_set_operators;
-          Alcotest.test_case "distinct/order/limit" `Quick test_ops_distinct_order_limit;
-          Alcotest.test_case "group by" `Quick test_ops_group_by;
-          Alcotest.test_case "global aggregate" `Quick test_ops_group_by_global;
-          Alcotest.test_case "extend" `Quick test_ops_extend;
-          Alcotest.test_case "incompatible sets" `Quick test_ops_incompatible_sets;
         ] );
       ("relation-properties", q relation_qcheck);
     ]
