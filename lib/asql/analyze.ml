@@ -1,8 +1,8 @@
-(* EXPLAIN ANALYZE recorder: per-operator actuals collected while a query
-   really executes.
+(* The plan tree EXPLAIN prints and EXPLAIN ANALYZE meters: per-operator
+   estimates, and the actuals collected while a query really executes.
 
-   The executor builds one [node] per plan operator (mirroring the
-   estimate tree {!Cost} prints) and wraps the operator's batch pull
+   {!Cost} builds one [node] per plan operator, with its estimates; under
+   EXPLAIN ANALYZE the executor wraps the operator's batch pull
    function — or, on the materialized paths, its whole evaluation — so
    each node accumulates actual rows, wall time, and the delta of every
    [Stats] counter attributable to it.  Accounting is inclusive, like Postgres:
@@ -24,6 +24,7 @@ module Timer = Bdbms_util.Timer
 type node = {
   label : string;
   est_rows : float; (* planner estimate; nan = no estimate available *)
+  est_pages : float; (* estimated page accesses; nan = none *)
   est_src : string option; (* "stats" / "heuristic"; None = not applicable *)
   table : string option; (* base table this node scans, for drift feedback *)
   mutable actual_rows : int;
@@ -32,17 +33,19 @@ type node = {
   mutable time_ns : int; (* inclusive wall time *)
   scratch : int array; (* live counters at the current pull's start *)
   acc : int array; (* accumulated counter deltas (inclusive) *)
-  mutable children : node list;
+  children : node list;
 }
 
 type t = { stats : Stats.t; mutable root : node option }
 
 let create stats = { stats; root = None }
 
-let node ?(est_rows = Float.nan) ?est_src ?table ?(children = []) label =
+let node ?(est_rows = Float.nan) ?(est_pages = Float.nan) ?est_src ?table
+    ?(children = []) label =
   {
     label;
     est_rows;
+    est_pages;
     est_src;
     table;
     actual_rows = 0;
@@ -56,7 +59,6 @@ let node ?(est_rows = Float.nan) ?est_src ?table ?(children = []) label =
 
 let set_root t n = t.root <- Some n
 let root t = t.root
-let add_child parent child = parent.children <- parent.children @ [ child ]
 
 (* Materialized-path metering: time one whole evaluation of the operator.
    The caller reports produced rows via [record_rows]. *)
@@ -114,21 +116,18 @@ let counters_line n =
   if interesting = [] then ""
   else Printf.sprintf "  [%s]" (String.concat " " interesting)
 
-(* Same tree layout as {!Cost.explain}, with estimates and actuals side
-   by side on every node. *)
-let render ?total_ns ?returned root_node =
+(* The one plan-tree renderer: EXPLAIN prints the estimates alone, EXPLAIN
+   ANALYZE passes [actuals] (total time, rows returned) and gets each
+   node's actuals and counter deltas beside its estimates. *)
+let render ?actuals root_node =
   let buf = Buffer.create 512 in
-  (match (total_ns, returned) with
-  | Some ns, Some rows ->
+  Option.iter
+    (fun (ns, rows) ->
       Buffer.add_string buf
         (Printf.sprintf "EXPLAIN ANALYZE  (total time=%s, rows returned=%d)\n"
            (Format.asprintf "%a" Timer.pp_ns ns)
-           rows)
-  | Some ns, None ->
-      Buffer.add_string buf
-        (Printf.sprintf "EXPLAIN ANALYZE  (total time=%s)\n"
-           (Format.asprintf "%a" Timer.pp_ns ns))
-  | None, _ -> ());
+           rows))
+    actuals;
   let rec render_node prefix is_last n =
     Buffer.add_string buf prefix;
     Buffer.add_string buf
@@ -138,18 +137,26 @@ let render ?total_ns ?returned root_node =
       else Printf.sprintf "est. rows=%.0f" n.est_rows
     in
     let est =
+      if Float.is_nan n.est_pages then est
+      else Printf.sprintf "%s, pages=%.0f" est n.est_pages
+    in
+    let est =
       match n.est_src with
       | None -> est
       | Some s -> Printf.sprintf "%s, est src=%s" est s
     in
-    let batches =
-      if n.batches > 0 then Printf.sprintf ", batches=%d" n.batches else ""
-    in
-    Buffer.add_string buf
-      (Printf.sprintf "%s  (%s)  (actual rows=%d, loops=%d%s, time=%s)%s\n"
-         n.label est n.actual_rows n.loops batches
-         (Format.asprintf "%a" Timer.pp_ns n.time_ns)
-         (counters_line n));
+    Buffer.add_string buf (Printf.sprintf "%s  (%s)" n.label est);
+    if actuals <> None then begin
+      let batches =
+        if n.batches > 0 then Printf.sprintf ", batches=%d" n.batches else ""
+      in
+      Buffer.add_string buf
+        (Printf.sprintf "  (actual rows=%d, loops=%d%s, time=%s)%s" n.actual_rows
+           n.loops batches
+           (Format.asprintf "%a" Timer.pp_ns n.time_ns)
+           (counters_line n))
+    end;
+    Buffer.add_char buf '\n';
     let child_prefix =
       if prefix = "" then "  " else prefix ^ (if is_last then "   " else "|  ")
     in

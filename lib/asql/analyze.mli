@@ -1,17 +1,18 @@
-(** EXPLAIN ANALYZE recorder: per-operator actuals (rows, loop counts,
-    wall time, {!Bdbms_obs.Stats} counter deltas) collected while a
-    query really executes, rendered side by side with the planner's
-    estimates.
+(** The plan tree: one {!node} per operator with the planner's estimates
+    (built by {!Cost}), and the actuals (rows, loop counts, wall time,
+    {!Bdbms_obs.Stats} counter deltas) collected while a query really
+    executes.
 
-    The executor installs a recorder in [Context.analyze] for the
-    duration of an [EXPLAIN ANALYZE] statement and builds one {!node} per
-    plan operator, mirroring the estimate tree [Cost] prints.
-    Accounting is inclusive (a node includes its children), matching
-    Postgres's EXPLAIN ANALYZE semantics. *)
+    [EXPLAIN] renders the estimates alone.  For [EXPLAIN ANALYZE] the
+    executor installs a recorder in [Context.analyze] for the duration
+    of the statement and meters the same nodes.  Accounting is inclusive
+    (a node includes its children), matching Postgres's EXPLAIN ANALYZE
+    semantics. *)
 
 type node = {
   label : string;
   est_rows : float;  (** planner estimate; [nan] = none available *)
+  est_pages : float;  (** estimated page accesses; [nan] = none available *)
   est_src : string option;
       (** where the estimate came from ([Plan.est_src_name]); rendered as
           [est src=...] next to the estimate *)
@@ -24,7 +25,7 @@ type node = {
   mutable time_ns : int;  (** inclusive wall time *)
   scratch : int array;
   acc : int array;  (** accumulated {!Bdbms_obs.Stats} deltas *)
-  mutable children : node list;
+  children : node list;
 }
 
 type t
@@ -34,6 +35,7 @@ val create : Bdbms_obs.Stats.t -> t
 
 val node :
   ?est_rows:float ->
+  ?est_pages:float ->
   ?est_src:string ->
   ?table:string ->
   ?children:node list ->
@@ -41,8 +43,6 @@ val node :
   node
 val set_root : t -> node -> unit
 val root : t -> node option
-val add_child : node -> node -> unit
-(** [add_child parent child] appends. *)
 
 val meter_batch_pull :
   t -> node -> rows:('b -> int) -> (unit -> 'b option) -> unit -> 'b option
@@ -57,6 +57,9 @@ val timed_block : t -> node -> (unit -> 'a) -> 'a
 
 val record_rows : node -> int -> unit
 
-val render : ?total_ns:int -> ?returned:int -> node -> string
-(** The annotated plan tree ([Cost.explain] layout, estimates and actuals
-    side by side, non-zero counter deltas per node). *)
+val render : ?actuals:Bdbms_util.Timer.ns * int -> node -> string
+(** The plan tree, one line per node: label, estimated rows and pages,
+    estimate source.  With [actuals] (total wall time, rows returned) —
+    EXPLAIN ANALYZE — a header line comes first and every node also
+    shows its actual rows, loops, batches, time and non-zero counter
+    deltas. *)

@@ -1,34 +1,18 @@
 module Table = Bdbms_relation.Table
 module Schema = Bdbms_relation.Schema
-module Catalog = Bdbms_relation.Catalog
 module Manager = Bdbms_annotation.Manager
 module Ann_store = Bdbms_annotation.Ann_store
+module Ann_pred = Bdbms_annotation.Ann_pred
 
-type estimate = { rows : float; pages : float }
-
-type warning = Unknown_table of string
-
-let warning_text = function
-  | Unknown_table t ->
-      Printf.sprintf "warning: unknown table %s - estimates default to zero" t
-
-(* selectivity heuristics live in Plan so the optimizer and EXPLAIN agree *)
-let selectivity = Plan.selectivity
 let awhere_selectivity = 0.5
 let distinct_factor = 0.8
 
-type node = {
-  label : string;
-  est : estimate;
-  src : Plan.est_src;
-      (* every node carries its estimate source: [Stats] only when all
-         the statistics feeding its estimate came from ANALYZE *)
-  children : node list;
-}
-
 (* a derived estimate is stats-sourced only when both inputs are *)
-let meet a b =
-  match (a, b) with Plan.Stats, Plan.Stats -> Plan.Stats | _ -> Plan.Heuristic
+let meet (a : Analyze.node) (b : Analyze.node) =
+  let stats = Some (Plan.est_src_name Plan.Stats) in
+  Plan.est_src_name
+    (if a.Analyze.est_src = stats && b.Analyze.est_src = stats then Plan.Stats
+     else Plan.Heuristic)
 
 (* Annotation-store page accounting for a FROM item: an unindexed
    annotation lookup rescans the store per row. *)
@@ -55,349 +39,174 @@ let ann_cost (ctx : Context.t) (f : Ast.from_item) rows =
       ( pages *. Float.max 1.0 rows,
         Printf.sprintf " ANNOTATION(%s)" (String.concat "," names) )
 
-(* Relation behind a FROM item: a catalog table, or a sys.* view
-   materialized for its row count (estimation does not care who asks, so
-   the local-session fallback user is fine here). *)
-let rel_of (ctx : Context.t) (f : Ast.from_item) =
-  if Sysview.is_sys f.Ast.table then
-    Sysview.materialize ctx ~user:"local" f.Ast.table
-  else
-    Option.map (fun t -> Plan.Base t) (Catalog.find ctx.catalog f.Ast.table)
-
 let rel_pages = function
   | Plan.Base t -> float_of_int (Table.storage_pages t)
   | Plan.Virtual _ -> 0.0 (* in-memory snapshot: no page I/O *)
 
-let scan_node ?(warn = fun _ -> ()) (ctx : Context.t) (f : Ast.from_item) =
-  match rel_of ctx f with
-  | None ->
-      (* surfaced as a typed warning, not silently folded into zeros *)
-      warn (Unknown_table f.Ast.table);
-      {
-        label = Printf.sprintf "SCAN %s  (unknown table!)" f.Ast.table;
-        est = { rows = 0.0; pages = 0.0 };
-        src = Plan.Heuristic;
-        children = [];
-      }
-  | Some rel ->
-      let rows = float_of_int (Plan.rel_live_count rel) in
-      let pages = rel_pages rel in
-      let ann_pages, ann_label = ann_cost ctx f rows in
-      {
-        label = Printf.sprintf "SCAN %s%s" f.Ast.table ann_label;
-        est = { rows; pages = pages +. ann_pages };
-        src = Plan.Heuristic;
-        children = [];
-      }
+(* ------------------------------------------------ the FROM/WHERE tree *)
 
-(* ------------------------------------------- plan-driven FROM/WHERE tree *)
-
-(* Access path + pushed predicates for one planned source. *)
-let source_node ctx (src : Plan.source) =
+let source_nodes ctx (src : Plan.source) =
   let f = src.Plan.item in
+  let table = f.Ast.table in
   let table_rows = float_of_int (Plan.rel_live_count src.Plan.rel) in
   let table_pages = rel_pages src.Plan.rel in
   let ann_pages, ann_label = ann_cost ctx f table_rows in
+  let est_src = Plan.est_src_name src.Plan.est_src in
   let scan =
     match src.Plan.access with
     | Plan.Seq_scan ->
-        {
-          label = Printf.sprintf "SCAN %s%s" f.Ast.table ann_label;
-          est = { rows = table_rows; pages = table_pages +. ann_pages };
-          src = src.Plan.est_src;
-          children = [];
-        }
+        Analyze.node ~est_rows:table_rows ~est_pages:(table_pages +. ann_pages)
+          ~est_src ~table
+          (Printf.sprintf "SCAN %s%s" table ann_label)
     | Plan.Index_probe { index; value = _ } ->
-        {
-          label =
-            Printf.sprintf "INDEX SCAN %s via %s(%s)%s" f.Ast.table
-              index.Context.idx_name index.Context.idx_column ann_label;
-          est =
-            {
-              rows = src.Plan.access_est;
-              pages = Float.min table_pages 4.0 +. ann_pages;
-            };
-          src = src.Plan.est_src;
-          children = [];
-        }
+        Analyze.node ~est_rows:src.Plan.access_est
+          ~est_pages:(Float.min table_pages 4.0 +. ann_pages)
+          ~est_src ~table
+          (Printf.sprintf "INDEX SCAN %s via %s(%s)%s" table
+             index.Context.idx_name index.Context.idx_column ann_label)
   in
   match src.Plan.pushed with
-  | [] -> scan
+  | [] -> (scan, scan)
   | es ->
       let sel =
-        let ts = Bdbms_stats.Registry.find ctx.Context.tstats
-            (Plan.rel_name src.Plan.rel) in
+        let ts =
+          Bdbms_stats.Registry.find ctx.Context.tstats (Plan.rel_name src.Plan.rel)
+        in
         Plan.conjuncts_selectivity_for ts ~schema:src.Plan.schema es
       in
-      {
-        label = Printf.sprintf "WHERE (selectivity %.2f)" sel;
-        est = { rows = src.Plan.est_rows; pages = scan.est.pages };
-        src = src.Plan.est_src;
-        children = [ scan ];
-      }
+      ( scan,
+        Analyze.node ~est_rows:src.Plan.est_rows ~est_pages:scan.Analyze.est_pages
+          ~est_src ~table ~children:[ scan ]
+          (Printf.sprintf "WHERE (selectivity %.2f)" sel) )
 
-(* One join step: the accumulated left tree joined with the step's source,
-   then any deferred (post-join) conjuncts. *)
-let step_node ctx joined_schema acc (step : Plan.step) =
-  let right = source_node ctx step.Plan.src in
+let step_nodes (plan : Plan.t) (acc : Analyze.node) (step : Plan.step)
+    (right : Analyze.node) =
   let post_sel = Plan.conjuncts_selectivity step.Plan.post in
   let join_rows =
     if post_sel > 0.0 then step.Plan.est_rows /. post_sel
     else step.Plan.est_rows
   in
-  let jsrc = meet acc.src right.src in
-  let joined =
+  let label =
     match step.Plan.kind with
     | Plan.Hash { left_cols; right_cols; build_left; left_acc_cols = _ } ->
-        let col p = (Schema.column_at joined_schema p).Schema.name in
+        let col p = (Schema.column_at plan.Plan.schema p).Schema.name in
         let keys =
           List.map2
             (fun l r -> Printf.sprintf "%s=%s" (col l) (col r))
             left_cols right_cols
         in
-        {
-          label =
-            Printf.sprintf "HASH JOIN (%s, build=%s)"
-              (String.concat ", " keys)
-              (if build_left then "left" else "right");
-          est = { rows = join_rows; pages = acc.est.pages +. right.est.pages };
-          src = jsrc;
-          children = [ acc; right ];
-        }
-    | Plan.Nested ->
-        {
-          label = "BLOCK NESTED-LOOP JOIN";
-          est = { rows = join_rows; pages = acc.est.pages +. right.est.pages };
-          src = jsrc;
-          children = [ acc; right ];
-        }
+        Printf.sprintf "HASH JOIN (%s, build=%s)" (String.concat ", " keys)
+          (if build_left then "left" else "right")
+    | Plan.Nested -> "BLOCK NESTED-LOOP JOIN"
+  in
+  let est_src = meet acc right in
+  let join =
+    Analyze.node ~est_rows:join_rows
+      ~est_pages:(acc.Analyze.est_pages +. right.Analyze.est_pages)
+      ~est_src ~children:[ acc; right ] label
   in
   match step.Plan.post with
-  | [] -> joined
+  | [] -> (join, join)
   | es ->
-      {
-        label =
-          Printf.sprintf "POST-JOIN WHERE (selectivity %.2f)"
-            (Plan.conjuncts_selectivity es);
-        est = { rows = step.Plan.est_rows; pages = joined.est.pages };
-        src = jsrc;
-        children = [ joined ];
-      }
+      ( join,
+        Analyze.node ~est_rows:step.Plan.est_rows ~est_pages:join.Analyze.est_pages
+          ~est_src ~children:[ join ]
+          (Printf.sprintf "POST-JOIN WHERE (selectivity %.2f)"
+             (Plan.conjuncts_selectivity es)) )
 
-(* FROM/WHERE subtree through the planner when every table exists and the
-   WHERE resolves; legacy rendering otherwise (so EXPLAIN never fails). *)
-let planned_from_where ctx (sel : Ast.select) =
-  let entries =
-    List.map
-      (fun (f : Ast.from_item) -> Option.map (fun r -> (f, r)) (rel_of ctx f))
-      sel.Ast.from
+let plan_node ctx (plan : Plan.t) =
+  List.fold_left
+    (fun acc (step : Plan.step) ->
+      let _, right = source_nodes ctx step.Plan.src in
+      snd (step_nodes plan acc step right))
+    (snd (source_nodes ctx plan.Plan.base))
+    plan.Plan.steps
+
+let set_op_node op (a : Analyze.node) (b : Analyze.node) =
+  let label, rows =
+    match op with
+    | `Union -> ("UNION", a.Analyze.est_rows +. b.Analyze.est_rows)
+    | `Intersect ->
+        ("INTERSECT", Float.min a.Analyze.est_rows b.Analyze.est_rows *. 0.5)
+    | `Except -> ("EXCEPT", a.Analyze.est_rows *. 0.5)
   in
-  if sel.Ast.from = [] || List.exists Option.is_none entries then None
+  Analyze.node ~est_rows:rows
+    ~est_pages:(a.Analyze.est_pages +. b.Analyze.est_pages)
+    ~est_src:(meet a b) ~children:[ a; b ] label
+
+(* ------------------------------------------------------ the SELECT tail *)
+
+type clause =
+  | Awhere of Ann_pred.t
+  | Aggregate
+  | Ahaving of Ann_pred.t
+  | Project
+  | Filter of Ann_pred.t
+  | Distinct
+  | Order of { top_k : bool }
+
+let aggregated (sel : Ast.select) =
+  sel.Ast.group_by <> []
+  || List.exists
+       (function Ast.Item { expr = Ast.Aggregate _; _ } -> true | _ -> false)
+       sel.Ast.items
+
+let tail_clauses (sel : Ast.select) =
+  let opt f = function None -> [] | Some p -> [ f p ] in
+  let distinct = if sel.Ast.distinct then [ Distinct ] else [] in
+  let order top_k = if sel.Ast.order_by = [] then [] else [ Order { top_k } ] in
+  let filter = opt (fun p -> Filter p) sel.Ast.filter in
+  opt (fun p -> Awhere p) sel.Ast.awhere
+  @
+  if aggregated sel then
+    (Aggregate :: opt (fun p -> Ahaving p) sel.Ast.ahaving)
+    @ (Project :: filter) @ distinct @ order true
+  else if sel.Ast.items = [ Ast.Star ] then
+    (Project :: filter) @ distinct @ order true
   else
-    let entries = List.filter_map Fun.id entries in
-    let frame = Plan.frame entries in
-    match sel.Ast.where with
-    | Some e
-      when Resolve.map_expr_opt frame.Plan.schema ~prefixes:frame.Plan.prefixes e
-           = None ->
-        None (* unresolvable column reference: fall back *)
-    | _ ->
-        let where =
-          Option.bind sel.Ast.where
-            (Resolve.map_expr_opt frame.Plan.schema ~prefixes:frame.Plan.prefixes)
-        in
-        let plan = Plan.build ctx frame ~where in
-        let base = source_node ctx plan.Plan.base in
-        Some
-          (List.fold_left
-             (step_node ctx plan.Plan.schema)
-             base plan.Plan.steps)
+    (* ORDER BY may name pre-projection columns, so it sorts first; a
+       DISTINCT after the projection rules out cutting to a LIMIT *)
+    order (not sel.Ast.distinct) @ (Project :: filter) @ distinct
 
-(* Legacy FROM/WHERE rendering: flat nested-loop fold with the whole WHERE
-   applied on top.  Used for unknown tables and unresolvable predicates. *)
-let legacy_from_where ?warn ctx (sel : Ast.select) =
-  let scans = List.map (scan_node ?warn ctx) sel.Ast.from in
-  let joined =
-    match scans with
-    | [] ->
-        {
-          label = "EMPTY";
-          est = { rows = 0.0; pages = 0.0 };
-          src = Plan.Heuristic;
-          children = [];
-        }
-    | [ s ] -> s
-    | first :: rest ->
-        List.fold_left
-          (fun acc s ->
-            {
-              label = "NESTED-LOOP JOIN";
-              est =
-                {
-                  rows = acc.est.rows *. s.est.rows;
-                  pages = acc.est.pages +. s.est.pages;
-                };
-              src = meet acc.src s.src;
-              children = [ acc; s ];
-            })
-          first rest
-  in
-  match sel.Ast.where with
-  | None -> joined
-  | Some e ->
-      let sel_f = selectivity e in
-      {
-        label = Printf.sprintf "WHERE (selectivity %.2f)" sel_f;
-        est = { joined.est with rows = joined.est.rows *. sel_f };
-        src = joined.src;
-        children = [ joined ];
-      }
+let top_k_bound (sel : Ast.select) =
+  Option.map
+    (fun n -> max 0 n + max 0 (Option.value sel.Ast.offset ~default:0))
+    sel.Ast.limit
 
-let rec select_node ?warn ctx (sel : Ast.select) =
-  let with_where =
-    match planned_from_where ctx sel with
-    | Some n -> n
-    | None -> legacy_from_where ?warn ctx sel
+let clause_estimate (sel : Ast.select) clause =
+  let ann kind p =
+    ( Format.asprintf "%s %a" kind Ann_pred.pp p,
+      fun rows -> rows *. awhere_selectivity )
   in
-  let with_awhere =
-    match sel.Ast.awhere with
-    | None -> with_where
-    | Some p ->
-        {
-          label = Format.asprintf "AWHERE %a" Bdbms_annotation.Ann_pred.pp p;
-          est = { with_where.est with rows = with_where.est.rows *. awhere_selectivity };
-          src = with_where.src;
-          children = [ with_where ];
-        }
-  in
-  let with_group =
-    if sel.Ast.group_by = [] then with_awhere
-    else
-      let groups = Float.max 1.0 (with_awhere.est.rows /. 10.0) in
-      {
-        label = Printf.sprintf "GROUP BY %s" (String.concat "," sel.Ast.group_by);
-        est = { with_awhere.est with rows = groups };
-        src = with_awhere.src;
-        children = [ with_awhere ];
-      }
-  in
-  let projected =
-    let item_count = List.length sel.Ast.items in
-    {
-      label =
-        (if sel.Ast.items = [ Ast.Star ] then "PROJECT *"
-         else Printf.sprintf "PROJECT (%d items)" item_count);
-      est = with_group.est;
-      src = with_group.src;
-      children = [ with_group ];
-    }
-  in
-  let with_filter =
-    match sel.Ast.filter with
-    | None -> projected
-    | Some p ->
-        {
-          label = Format.asprintf "FILTER %a" Bdbms_annotation.Ann_pred.pp p;
-          est = projected.est;
-          src = projected.src;
-          children = [ projected ];
-        }
-  in
-  let with_distinct =
-    if sel.Ast.distinct then
-      {
-        label = "DISTINCT";
-        est = { with_filter.est with rows = with_filter.est.rows *. distinct_factor };
-        src = with_filter.src;
-        children = [ with_filter ];
-      }
-    else with_filter
-  in
-  match (sel.Ast.order_by, sel.Ast.limit) with
-  | [], _ -> with_distinct
-  | _, Some n ->
-      let k = n + Option.value sel.Ast.offset ~default:0 in
-      {
-        label = Printf.sprintf "TOP-K (k=%d)" k;
-        est =
-          {
-            with_distinct.est with
-            rows = Float.min with_distinct.est.rows (float_of_int (max 0 k));
-          };
-        src = with_distinct.src;
-        children = [ with_distinct ];
-      }
-  | _, None ->
-      {
-        label = "SORT";
-        est = with_distinct.est;
-        src = with_distinct.src;
-        children = [ with_distinct ];
-      }
+  match clause with
+  | Awhere p -> ann "AWHERE" p
+  | Ahaving p -> ann "AHAVING" p
+  | Filter p -> (Format.asprintf "FILTER %a" Ann_pred.pp p, Fun.id)
+  | Aggregate when sel.Ast.group_by = [] -> ("AGGREGATE", fun _ -> 1.0)
+  | Aggregate ->
+      ( Printf.sprintf "GROUP BY %s" (String.concat "," sel.Ast.group_by),
+        fun rows -> Float.max 1.0 (rows /. 10.0) )
+  | Project ->
+      ( (if sel.Ast.items = [ Ast.Star ] then "PROJECT *"
+         else Printf.sprintf "PROJECT (%d items)" (List.length sel.Ast.items)),
+        Fun.id )
+  | Distinct -> ("DISTINCT", fun rows -> rows *. distinct_factor)
+  | Order { top_k } -> (
+      match top_k_bound sel with
+      | Some k when top_k ->
+          (Printf.sprintf "TOP-K (k=%d)" k, Float.min (float_of_int k))
+      | _ -> ("SORT", Fun.id))
 
-and query_node ?warn ctx = function
-  | Ast.Select sel -> select_node ?warn ctx sel
-  | Ast.Union (a, b) ->
-      let na = query_node ?warn ctx a and nb = query_node ?warn ctx b in
-      {
-        label = "UNION";
-        est = { rows = na.est.rows +. nb.est.rows; pages = na.est.pages +. nb.est.pages };
-        src = meet na.src nb.src;
-        children = [ na; nb ];
-      }
-  | Ast.Intersect (a, b) ->
-      let na = query_node ?warn ctx a and nb = query_node ?warn ctx b in
-      {
-        label = "INTERSECT";
-        est =
-          {
-            rows = Float.min na.est.rows nb.est.rows *. 0.5;
-            pages = na.est.pages +. nb.est.pages;
-          };
-        src = meet na.src nb.src;
-        children = [ na; nb ];
-      }
-  | Ast.Except (a, b) ->
-      let na = query_node ?warn ctx a and nb = query_node ?warn ctx b in
-      {
-        label = "EXCEPT";
-        est = { rows = na.est.rows *. 0.5; pages = na.est.pages +. nb.est.pages };
-        src = meet na.src nb.src;
-        children = [ na; nb ];
-      }
+let above (child : Analyze.node) label rows =
+  Analyze.node ~est_rows:rows ~est_pages:child.Analyze.est_pages
+    ?est_src:child.Analyze.est_src ~children:[ child ] label
 
-let estimate_query ctx q = (query_node ctx q).est
+let tail_node sel clause (child : Analyze.node) =
+  let label, est = clause_estimate sel clause in
+  above child label (est child.Analyze.est_rows)
 
-let warnings ctx q =
-  let ws = ref [] in
-  ignore (query_node ~warn:(fun w -> ws := w :: !ws) ctx q);
-  List.rev !ws
-
-let explain ctx q =
-  let buf = Buffer.create 256 in
-  let ws = ref [] in
-  let rec render prefix is_last node =
-    Buffer.add_string buf prefix;
-    Buffer.add_string buf (if prefix = "" then "" else if is_last then "`- " else "|- ");
-    Buffer.add_string buf
-      (Printf.sprintf "%s  (est. rows=%.0f, pages=%.0f, est src=%s)\n"
-         node.label node.est.rows node.est.pages (Plan.est_src_name node.src));
-    let child_prefix =
-      if prefix = "" then "  " else prefix ^ (if is_last then "   " else "|  ")
-    in
-    let rec go = function
-      | [] -> ()
-      | [ c ] -> render child_prefix true c
-      | c :: rest ->
-          render child_prefix false c;
-          go rest
-    in
-    go node.children
-  in
-  render "" true (query_node ~warn:(fun w -> ws := w :: !ws) ctx q);
-  List.iter
-    (fun w ->
-      Buffer.add_string buf (warning_text w);
-      Buffer.add_char buf '\n')
-    (List.rev !ws);
-  Buffer.contents buf
+let result_node sel (child : Analyze.node) =
+  let clauses = List.map (clause_estimate sel) (tail_clauses sel) in
+  above child
+    (Printf.sprintf "RESULT (%s)" (String.concat ", " (List.map fst clauses)))
+    (List.fold_left (fun rows (_, est) -> est rows) child.Analyze.est_rows clauses)

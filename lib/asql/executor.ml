@@ -46,16 +46,6 @@ exception Read_only of string
 exception View_read_only of string
 (* a write statement targeted a [sys.*] system view *)
 
-(* Statements that mutate the database (data writes or DDL) — the ones
-   rejected in read-only degraded mode.  Keep in sync with the server's
-   [Stmt_class.classify]; [Copy_to] exports to a file and stays allowed. *)
-let is_write_stmt = function
-  | Ast.Query _ | Ast.Explain _ | Ast.Explain_analyze _ | Ast.Show_pending _
-  | Ast.Show_outdated _ | Ast.Show_dependencies | Ast.Show_provenance _
-  | Ast.Show_tables | Ast.Describe _ | Ast.Copy_to _ ->
-      false
-  | _ -> true
-
 (* Cooperative cancellation checkpoints: batch sources check on every
    batch, the naive oracle once per [checkpoint_mask + 1] annotated rows
    or considered join pairs.  A disarmed token wraps
@@ -319,86 +309,10 @@ let order_cmp schema specs =
 (* ------------------------------------------------ EXPLAIN ANALYZE hooks *)
 
 (* While an EXPLAIN ANALYZE statement executes, [ctx.analyze] holds an
-   {!Analyze} recorder and the select paths build one node per plan
-   operator — labels and estimate formulas mirror the {!Cost} EXPLAIN
-   tree so the two render side by side — and meter each operator's
-   batch pulls (batch engine) or materialized evaluation (naive oracle,
-   and the annotated tail) through it. *)
-
-(* The access-path node(s) for one planned source: the scan itself, and
-   a pushdown-WHERE node above it when the planner pushed conjuncts.
-   Returns (scan, top); they are the same node when nothing was pushed. *)
-let analyze_source_nodes (src : Plan.source) =
-  let table_rows = float_of_int (Plan.rel_live_count src.Plan.rel) in
-  let est_src = Plan.est_src_name src.Plan.est_src in
-  let table = src.Plan.item.Ast.table in
-  let scan =
-    match src.Plan.access with
-    | Plan.Seq_scan ->
-        Analyze.node ~est_rows:table_rows ~est_src ~table
-          (Printf.sprintf "SCAN %s" src.Plan.item.Ast.table)
-    | Plan.Index_probe { index; value = _ } ->
-        Analyze.node ~est_rows:src.Plan.access_est ~est_src ~table
-          (Printf.sprintf "INDEX SCAN %s via %s(%s)" src.Plan.item.Ast.table
-             index.Context.idx_name index.Context.idx_column)
-  in
-  match src.Plan.pushed with
-  | [] -> (scan, scan)
-  | es ->
-      (* the estimates already folded the stats-aware selectivity in;
-         display the implied ratio so the label matches [Cost]'s *)
-      let sel =
-        if table_rows > 0.0 then src.Plan.est_rows /. table_rows
-        else Plan.conjuncts_selectivity es
-      in
-      let top =
-        Analyze.node ~est_rows:src.Plan.est_rows ~est_src ~table
-          ~children:[ scan ]
-          (Printf.sprintf "WHERE (selectivity %.2f)" sel)
-      in
-      (scan, top)
-
-(* The join node(s) for one plan step over the already-built left and
-   right subtrees, with a post-join-WHERE node above when the step has
-   deferred conjuncts. *)
-let analyze_step_nodes schema acc_n (step : Plan.step) right_n =
-  let post_sel = Plan.conjuncts_selectivity step.Plan.post in
-  let join_rows =
-    if post_sel > 0.0 then step.Plan.est_rows /. post_sel
-    else step.Plan.est_rows
-  in
-  let join_label =
-    match step.Plan.kind with
-    | Plan.Hash { left_cols; left_acc_cols = _; right_cols; build_left } ->
-        let col p = (Schema.column_at schema p).Schema.name in
-        let keys =
-          List.map2
-            (fun l r -> Printf.sprintf "%s=%s" (col l) (col r))
-            left_cols right_cols
-        in
-        Printf.sprintf "HASH JOIN (%s, build=%s)" (String.concat ", " keys)
-          (if build_left then "left" else "right")
-    | Plan.Nested -> "BLOCK NESTED-LOOP JOIN"
-  in
-  let jsrc =
-    match (acc_n.Analyze.est_src, right_n.Analyze.est_src) with
-    | Some "stats", Some "stats" -> "stats"
-    | _ -> "heuristic"
-  in
-  let join_n =
-    Analyze.node ~est_rows:join_rows ~est_src:jsrc ~children:[ acc_n; right_n ]
-      join_label
-  in
-  match step.Plan.post with
-  | [] -> (join_n, join_n)
-  | es ->
-      let top =
-        Analyze.node ~est_rows:step.Plan.est_rows ~est_src:jsrc
-          ~children:[ join_n ]
-          (Printf.sprintf "POST-JOIN WHERE (selectivity %.2f)"
-             (Plan.conjuncts_selectivity es))
-      in
-      (join_n, top)
+   {!Analyze} recorder: the batch engine meters {!Cost}'s nodes for its
+   plan — the tree EXPLAIN prints — batch pull by batch pull, and the
+   naive oracle times its materialized stages.  Without a recorder no
+   node is built. *)
 
 (* Canonical-order restore for permuted plans: the pipeline's accumulated
    layout is the slices in join order, but every column keeps its (unique,
@@ -409,31 +323,28 @@ let frame_names (plan : Plan.t) =
     (fun (c : Schema.column) -> c.Schema.name)
     (Schema.columns plan.Plan.schema)
 
-(* Naive-oracle metering: evaluate [f] under [n], charging its rows and
-   runtime to the node (no-op without a recorder). *)
-let analyze_block an n f =
+(* Naive-oracle metering: evaluate [f] under the node [mk] builds,
+   charging its rows and runtime to it; no node without a recorder. *)
+let analyze_block an mk f =
   match an with
-  | None -> f ()
+  | None -> (f (), None)
   | Some a ->
+      let n = mk () in
       let rs = Analyze.timed_block a n f in
-      Analyze.record_rows n (List.length rs.Propagate.rows);
-      rs
+      Analyze.record_rows n (Propagate.row_count rs);
+      (rs, Some n)
 
-(* The materialized tail (everything finish_select does) as one node,
-   which then becomes the recorded root. *)
-let analyze_finish an input_n f =
-  match an with
-  | None -> f ()
-  | Some a ->
-      let n =
-        Analyze.node
-          ~children:(match input_n with Some c -> [ c ] | None -> [])
-          "RESULT (awhere/group/project/order/limit)"
-      in
+(* The materialized tail (everything finish_select does) as one RESULT
+   node above [input_n], which then becomes the recorded root. *)
+let analyze_result an sel input_n f =
+  match (an, input_n) with
+  | Some a, Some input_n ->
+      let n = Cost.result_node sel input_n in
       let r = Analyze.timed_block a n f in
-      Analyze.record_rows n (List.length r.Propagate.rows);
+      Analyze.record_rows n (Propagate.row_count r);
       Analyze.set_root a n;
       r
+  | _ -> f ()
 
 (* Projection pruning for the batch engine: the set of joined-schema
    columns a SELECT can reach at runtime.  Every runtime read is
@@ -567,48 +478,49 @@ let aggregate_items resolve (sel : Ast.select) =
 let output_renames out_names =
   List.filter (fun (src, dst) -> src <> dst) out_names
 
-let rec exec_query (ctx : Context.t) ~user (q : Ast.query) : Propagate.t =
-  match q with
-  | Ast.Select sel -> exec_select ctx ~user sel
-  | Ast.Union (a, b) -> exec_compound ctx ~user "UNION" Propagate.union a b
-  | Ast.Intersect (a, b) ->
-      exec_compound ctx ~user "INTERSECT" Propagate.intersect a b
-  | Ast.Except (a, b) -> exec_compound ctx ~user "EXCEPT" Propagate.except a b
+(* A scalar SELECT list: each plain item's (source column, output name)
+   and each computed item's (column, output name, expression).  A
+   computed column is extended under a name no identifier can spell and
+   takes its alias only at the projection, so an alias may shadow an
+   input column. *)
+let scalar_items resolve items =
+  List.fold_left
+    (fun (names, computed) item ->
+      match item with
+      | Ast.Star -> fail "SELECT * cannot be mixed with other select items"
+      | Ast.Item { expr = Ast.Col_ref c; alias; _ } ->
+          (names @ [ (resolve c, Option.value alias ~default:c) ], computed)
+      | Ast.Item { expr = Ast.Scalar e; alias; _ } ->
+          let out =
+            match alias with
+            | Some a -> a
+            | None -> fail "computed columns need AS <name>"
+          in
+          let col = Printf.sprintf "#%d" (List.length computed) in
+          (names @ [ (col, out) ], computed @ [ (col, out, e) ])
+      | Ast.Item { expr = Ast.Aggregate _; _ } -> assert false)
+    ([], []) items
 
-(* Compound queries under EXPLAIN ANALYZE: each side's recorder root is
-   captured and reparented under a combining node, mirroring [Cost]. *)
-and exec_compound ctx ~user label combine a b =
-  match ctx.Context.analyze with
-  | None -> combine (exec_query ctx ~user a) (exec_query ctx ~user b)
-  | Some an ->
-      let side q =
-        let rs = exec_query ctx ~user q in
-        let n = Analyze.root an in
-        (rs, n)
-      in
-      let ra, na = side a in
-      let rb, nb = side b in
-      let children = List.filter_map Fun.id [ na; nb ] in
-      let node = Analyze.node ~children label in
-      let out = Analyze.timed_block an node (fun () -> combine ra rb) in
-      Analyze.record_rows node (Propagate.row_count out);
-      Analyze.set_root an node;
-      out
-
-(* Top-level equality conjuncts col = literal of a WHERE expression. *)
-and equality_conjuncts expr =
-  match expr with
-  | Expr.Cmp (Expr.Eq, Expr.Col c, Expr.Lit v)
-  | Expr.Cmp (Expr.Eq, Expr.Lit v, Expr.Col c) ->
-      [ (c, v) ]
-  | Expr.And (a, b) -> equality_conjuncts a @ equality_conjuncts b
-  | _ -> []
+(* Resolver over a (partly) extended schema: the alias of a computed
+   column already extended names that column — in later computed items
+   and in ORDER BY, as the output column it becomes — before any input
+   column. *)
+let alias_resolver computed schema prefixes c =
+  match
+    List.find_opt
+      (fun (col, out, _) ->
+        String.lowercase_ascii out = String.lowercase_ascii c
+        && Schema.mem schema col)
+      computed
+  with
+  | Some (col, _, _) -> col
+  | None -> make_resolver schema prefixes c
 
 (* Does this SELECT's answer carry per-cell annotation envelopes?  Only
    the annotation operators (and the system outdated warnings of Section
    5, when any are pending) need them; the batch engine then attaches
    envelopes to its surviving rows and runs the annotation-aware tail. *)
-and select_needs_anns (ctx : Context.t) (sel : Ast.select) =
+let select_needs_anns (ctx : Context.t) (sel : Ast.select) =
   sel.Ast.awhere <> None
   || sel.Ast.ahaving <> None
   || sel.Ast.filter <> None
@@ -621,7 +533,9 @@ and select_needs_anns (ctx : Context.t) (sel : Ast.select) =
          Tracker.has_outdated ctx.Context.tracker ~table:f.Ast.table)
        sel.Ast.from
 
-and exec_select ctx ~user (sel : Ast.select) : Propagate.t =
+(* The FROM list's relations, once the user has passed every ACL check
+   the query needs. *)
+let select_entries (ctx : Context.t) ~user (sel : Ast.select) =
   if sel.Ast.from = [] then fail "FROM clause is required";
   List.iter
     (fun (f : Ast.from_item) ->
@@ -641,24 +555,57 @@ and exec_select ctx ~user (sel : Ast.select) : Propagate.t =
       sel.Ast.from
   in
   check_ann_tables entries;
+  entries
+
+(* The batch engine's plan for a SELECT — what it executes and what
+   EXPLAIN describes.  An annotated query's frame carries row ids. *)
+let plan_select (ctx : Context.t) ~user (sel : Ast.select) =
+  let entries = select_entries ctx ~user sel in
+  let frame = Plan.frame ~row_ids:(select_needs_anns ctx sel) entries in
+  let resolve = make_resolver frame.Plan.schema frame.Plan.prefixes in
+  (* resolve the WHERE up front (same errors as the naive evaluator),
+     then let the planner classify its conjuncts *)
+  let where =
+    Obs.span ctx.Context.obs "resolve" (fun () ->
+        Option.map (resolve_expr resolve) sel.Ast.where)
+  in
+  Obs.span ctx.Context.obs "plan" (fun () -> Plan.build ctx frame ~where)
+
+let rec exec_query (ctx : Context.t) ~user (q : Ast.query) : Propagate.t =
+  match q with
+  | Ast.Select sel -> exec_select ctx ~user sel
+  | Ast.Union (a, b) -> exec_compound ctx ~user `Union Propagate.union a b
+  | Ast.Intersect (a, b) ->
+      exec_compound ctx ~user `Intersect Propagate.intersect a b
+  | Ast.Except (a, b) -> exec_compound ctx ~user `Except Propagate.except a b
+
+(* Compound queries under EXPLAIN ANALYZE: each side's recorder root is
+   captured and reparented under the combining node. *)
+and exec_compound ctx ~user op combine a b =
+  match ctx.Context.analyze with
+  | None -> combine (exec_query ctx ~user a) (exec_query ctx ~user b)
+  | Some an ->
+      let side q =
+        let rs = exec_query ctx ~user q in
+        (rs, Option.get (Analyze.root an))
+      in
+      let ra, na = side a in
+      let rb, nb = side b in
+      let node = Cost.set_op_node op na nb in
+      let out = Analyze.timed_block an node (fun () -> combine ra rb) in
+      Analyze.record_rows node (Propagate.row_count out);
+      Analyze.set_root an node;
+      out
+
+and exec_select ctx ~user (sel : Ast.select) : Propagate.t =
   match ctx.Context.exec_mode with
-  | `Naive -> exec_select_naive ctx entries sel
+  | `Naive -> exec_select_naive ctx (select_entries ctx ~user sel) sel
   | `Batch ->
       (* annotation semantics pick nothing but whether envelopes are
          attached: every SELECT runs the same pipeline *)
-      let row_ids = select_needs_anns ctx sel in
-      if row_ids then Stats.record_batch_fallback (Disk.stats ctx.Context.disk);
-      let frame = Plan.frame ~row_ids entries in
-      let resolve = make_resolver frame.Plan.schema frame.Plan.prefixes in
-      (* resolve the WHERE up front (same errors as the naive evaluator),
-         then let the planner classify its conjuncts *)
-      let where =
-        Obs.span ctx.Context.obs "resolve" (fun () ->
-            Option.map (resolve_expr resolve) sel.Ast.where)
-      in
-      let plan =
-        Obs.span ctx.Context.obs "plan" (fun () -> Plan.build ctx frame ~where)
-      in
+      let plan = plan_select ctx ~user sel in
+      if plan.Plan.row_ids then
+        Stats.record_batch_fallback (Disk.stats ctx.Context.disk);
       exec_select_batch ctx plan sel
 
 (* The naive reference evaluator: materialize every scan with its
@@ -667,21 +614,22 @@ and exec_select ctx ~user (sel : Ast.select) : Propagate.t =
    the pipelined engine against. *)
 and exec_select_naive ctx entries (sel : Ast.select) : Propagate.t =
   let an = ctx.Context.analyze in
+  let est = function
+    | Some (n : Analyze.node) -> n.Analyze.est_rows
+    | None -> Float.nan
+  in
   let multi = List.length entries > 1 in
   let scans =
     List.map
       (fun ((f : Ast.from_item), rel) ->
-        let n =
-          Analyze.node
-            ~est_rows:(float_of_int (Plan.rel_live_count rel))
-            (Printf.sprintf "SCAN %s" f.Ast.table)
-        in
-        let rs =
-          analyze_block an n (fun () ->
-              let rs = scan_rel ctx rel ~ann_tables:f.Ast.ann_tables in
-              if multi then prefix_schema (Plan.item_prefix f) rs else rs)
-        in
-        (rs, n))
+        analyze_block an
+          (fun () ->
+            Analyze.node
+              ~est_rows:(float_of_int (Plan.rel_live_count rel))
+              (Printf.sprintf "SCAN %s" f.Ast.table))
+          (fun () ->
+            let rs = scan_rel ctx rel ~ann_tables:f.Ast.ann_tables in
+            if multi then prefix_schema (Plan.item_prefix f) rs else rs))
       entries
   in
   let joined, joined_n =
@@ -690,15 +638,15 @@ and exec_select_naive ctx entries (sel : Ast.select) : Propagate.t =
     | first :: rest ->
         List.fold_left
           (fun (acc, acc_n) (rs, rs_n) ->
-            let n =
-              Analyze.node
-                ~est_rows:(acc_n.Analyze.est_rows *. rs_n.Analyze.est_rows)
-                ~children:[ acc_n; rs_n ] "NESTED-LOOP JOIN"
-            in
-            ( analyze_block an n (fun () ->
-                  Propagate.join ?on_pair:(cancel_hook ctx) acc rs
-                    ~on:(Expr.Lit (Value.VBool true))),
-              n ))
+            analyze_block an
+              (fun () ->
+                Analyze.node
+                  ~est_rows:(est acc_n *. est rs_n)
+                  ~children:(Option.to_list acc_n @ Option.to_list rs_n)
+                  "NESTED-LOOP JOIN")
+              (fun () ->
+                Propagate.join ?on_pair:(cancel_hook ctx) acc rs
+                  ~on:(Expr.Lit (Value.VBool true))))
           first rest
   in
   let prefixes = List.map Plan.item_prefix sel.Ast.from in
@@ -708,15 +656,16 @@ and exec_select_naive ctx entries (sel : Ast.select) : Propagate.t =
     | None -> (joined, joined_n)
     | Some e ->
         let sel_f = Plan.selectivity e in
-        let n =
-          Analyze.node
-            ~est_rows:(joined_n.Analyze.est_rows *. sel_f)
-            ~children:[ joined_n ]
-            (Printf.sprintf "WHERE (selectivity %.2f)" sel_f)
-        in
-        (analyze_block an n (fun () -> Propagate.select joined (resolve_expr resolve e)), n)
+        analyze_block an
+          (fun () ->
+            Analyze.node
+              ~est_rows:(est joined_n *. sel_f)
+              ~children:(Option.to_list joined_n)
+              (Printf.sprintf "WHERE (selectivity %.2f)" sel_f))
+          (fun () -> Propagate.select joined (resolve_expr resolve e))
   in
-  analyze_finish an (Some filtered_n) (fun () -> finish_select sel filtered prefixes)
+  analyze_result an sel filtered_n (fun () ->
+      finish_select sel filtered prefixes)
 
 (* Vectorized execution over column batches: scans decode page-at-a-time
    into column vectors, WHERE and JOIN run over selection vectors.  A
@@ -735,7 +684,7 @@ and exec_select_batch ctx (plan : Plan.t) (sel : Ast.select) : Propagate.t =
   in
   if plan.Plan.row_ids then
     Obs.span ctx.Context.obs "annotation.propagate" @@ fun () ->
-    analyze_finish ctx.Context.analyze plan_n (fun () ->
+    analyze_result ctx.Context.analyze sel plan_n (fun () ->
         finish_select sel (attach_envelopes ctx plan bsrc) plan.Plan.prefixes)
   else plain_tail ctx plan sel (bsrc, plan_n)
 
@@ -846,7 +795,7 @@ and batch_pipeline ?need ctx (plan : Plan.t) =
     match an with
     | None -> (pushed bsrc, None)
     | Some _ ->
-        let scan_n, top_n = analyze_source_nodes src in
+        let scan_n, top_n = Cost.source_nodes ctx src in
         let bsrc = pushed (meter scan_n bsrc) in
         let bsrc = if top_n == scan_n then bsrc else meter top_n bsrc in
         (bsrc, Some top_n)
@@ -871,9 +820,7 @@ and batch_pipeline ?need ctx (plan : Plan.t) =
         let post bsrc = List.fold_left Vexec.filter bsrc step.Plan.post in
         match (acc_n, right_n) with
         | Some acc_n, Some right_n ->
-            let join_n, top_n =
-              analyze_step_nodes plan.Plan.schema acc_n step right_n
-            in
+            let join_n, top_n = Cost.step_nodes plan acc_n step right_n in
             let bsrc = post (meter join_n joined) in
             let bsrc = if top_n == join_n then bsrc else meter top_n bsrc in
             (bsrc, Some top_n)
@@ -886,22 +833,40 @@ and batch_pipeline ?need ctx (plan : Plan.t) =
 
 (* Everything from aggregation to LIMIT over the pipeline's top batch
    source: one chain of batch operators, rows boxed once, at the output.
-   Under EXPLAIN ANALYZE each stage is a node stacked on the previous one
-   — so the tree mirrors execution order, which may sort before
-   projecting, unlike the estimate tree — metered by [Vexec.meter];
-   OFFSET/LIMIT runs inside the top node, so the root accounts for
-   exactly the rows returned. *)
+   Under EXPLAIN ANALYZE each stage's {!Cost.tail_node} is stacked on the
+   previous one and metered by [Vexec.meter]; OFFSET/LIMIT runs inside
+   the top node, so the root accounts for exactly the rows returned. *)
 and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
     ((bsrc : Vexec.src), (plan_n : Analyze.node option)) : Propagate.t =
+  let limit = Option.map (max 0) sel.Ast.limit in
+  let offset = max 0 (Option.value sel.Ast.offset ~default:0) in
+  let bounded s = Vexec.limit s ~offset ~limit in
+  let stage (src, top) (clause, op) =
+    match (ctx.Context.analyze, top) with
+    | Some a, Some child ->
+        let n = Cost.tail_node sel clause child in
+        (Vexec.meter a n (op src), Some n)
+    | _ -> (op src, None)
+  in
+  let rec run acc = function
+    | [] -> (bounded (fst acc), snd acc)
+    | [ (clause, op) ] -> stage acc (clause, fun s -> bounded (op s))
+    | st :: rest -> run (stage acc st) rest
+  in
+  let out, top = run (bsrc, plan_n) (tail_stages ctx plan sel) in
+  let out = Propagate.of_rows out.Vexec.schema (Vexec.drain out) in
+  (match (ctx.Context.analyze, top) with
+  | Some a, Some n -> Analyze.set_root a n
+  | _ -> ());
+  out
+
+(* The plain tail's stage list: one batch operator per
+   {!Cost.tail_clauses} entry, in execution order.  [plain_tail] runs it
+   over the pipeline; EXPLAIN reads its clauses. *)
+and tail_stages ctx (plan : Plan.t) (sel : Ast.select) =
   let batch_rows = ctx.Context.batch_rows in
   let prefixes = plan.Plan.prefixes in
   let resolve = make_resolver plan.Plan.schema prefixes in
-  let limit = Option.map (max 0) sel.Ast.limit in
-  let offset = max 0 (Option.value sel.Ast.offset ~default:0) in
-  let project_label =
-    if sel.Ast.items = [ Ast.Star ] then "PROJECT *"
-    else Printf.sprintf "PROJECT (%d items)" (List.length sel.Ast.items)
-  in
   (* project [names] (source column, output name) out of [s] *)
   let project names (s : Vexec.src) =
     let p =
@@ -911,38 +876,25 @@ and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
     Vexec.with_schema p
       (Schema.rename_columns p.Vexec.schema (output_renames names))
   in
-  (* ORDER BY over the stage input's columns: a bounded heap under a
-     LIMIT when [top_k] allows one, a stable sort otherwise *)
-  let order ~top_k ~prefixes specs =
-    let cmp (s : Vexec.src) =
-      let r = make_resolver s.Vexec.schema prefixes in
-      order_cmp s.Vexec.schema (List.map (fun (c, d) -> (r c, d)) specs)
+  (* ORDER BY over the stage input, its names resolved by [resolver]: a
+     bounded heap under a LIMIT when [top_k] allows one, a stable sort
+     otherwise *)
+  let order ~top_k resolver (s : Vexec.src) =
+    let r = resolver s.Vexec.schema in
+    let cmp =
+      order_cmp s.Vexec.schema
+        (List.map (fun (c, d) -> (r c, d)) sel.Ast.order_by)
     in
-    match limit with
-    | Some n when top_k ->
-        let k = offset + n in
-        ( Printf.sprintf "TOP-K (k=%d)" k,
-          Float.min (float_of_int k),
-          fun s -> Vexec.top_k ~batch_rows s ~cmp:(cmp s) ~k )
-    | _ -> ("SORT", Fun.id, fun s -> Vexec.sort ~batch_rows s ~cmp:(cmp s))
+    match Cost.top_k_bound sel with
+    | Some k when top_k -> Vexec.top_k ~batch_rows s ~cmp ~k
+    | _ -> Vexec.sort ~batch_rows s ~cmp
   in
-  let order_after_projection =
-    match sel.Ast.order_by with
-    | [] -> []
-    | specs -> [ order ~top_k:true ~prefixes:[] specs ]
-  in
-  (* 0.8 mirrors Cost.distinct_factor *)
-  let distinct =
-    if sel.Ast.distinct then [ ("DISTINCT", ( *. ) 0.8, Vexec.distinct) ] else []
-  in
-  (* (node label, estimate from the input's, operator) in execution order *)
-  let stages =
-    if
-      sel.Ast.group_by <> []
-      || List.exists
-           (function Ast.Item { expr = Ast.Aggregate _; _ } -> true | _ -> false)
-           sel.Ast.items
-    then begin
+  (* after the projection, ORDER BY names output columns *)
+  let output_order ~top_k = order ~top_k (fun schema -> make_resolver schema []) in
+  (* annotation clauses send a query to the annotated tail instead *)
+  let annotated () = assert false in
+  let op =
+    if Cost.aggregated sel then begin
       let keys, aggs, out_names = aggregate_items resolve sel in
       let having (s : Vexec.src) =
         match sel.Ast.having with
@@ -950,91 +902,48 @@ and plain_tail ctx (plan : Plan.t) (sel : Ast.select)
         | Some e ->
             Vexec.filter s (resolve_expr (make_resolver s.Vexec.schema []) e)
       in
-      ( (if keys = [] then "AGGREGATE"
-         else Printf.sprintf "GROUP BY %s" (String.concat "," sel.Ast.group_by)),
-        (fun est -> Float.max 1.0 (est /. 10.0)),
-        fun s -> Vexec.group_by ~batch_rows s ~keys aggs )
-      :: (project_label, Fun.id, fun s -> project out_names (having s))
-      :: (distinct @ order_after_projection)
+      function
+      | Cost.Aggregate -> fun s -> Vexec.group_by ~batch_rows s ~keys aggs
+      | Cost.Project -> fun s -> project out_names (having s)
+      | Cost.Distinct -> Vexec.distinct
+      | Cost.Order { top_k } -> output_order ~top_k
+      | Cost.Awhere _ | Cost.Ahaving _ | Cost.Filter _ -> annotated ()
     end
     else
-      (* PROMOTE never reaches here: it needs annotations, so it runs
-         [finish_select] *)
       match sel.Ast.items with
-      | [ Ast.Star ] ->
-          ((project_label, Fun.id, Fun.id) :: distinct) @ order_after_projection
-      | items ->
-          let names, computed =
-            List.fold_left
-              (fun (names, computed) item ->
-                match item with
-                | Ast.Star ->
-                    fail "SELECT * cannot be mixed with other select items"
-                | Ast.Item { expr = Ast.Col_ref c; alias; _ } ->
-                    let name = (resolve c, Option.value alias ~default:c) in
-                    (names @ [ name ], computed)
-                | Ast.Item { expr = Ast.Scalar e; alias; _ } ->
-                    let out =
-                      match alias with
-                      | Some a -> a
-                      | None -> fail "computed columns need AS <name>"
-                    in
-                    (names @ [ (out, out) ], computed @ [ (out, e) ])
-                | Ast.Item { expr = Ast.Aggregate _; _ } -> assert false)
-              ([], []) items
-          in
+      | [ Ast.Star ] -> (
+          function
+          | Cost.Project -> Fun.id
+          | Cost.Distinct -> Vexec.distinct
+          | Cost.Order { top_k } -> output_order ~top_k
+          | Cost.Aggregate | Cost.Awhere _ | Cost.Ahaving _ | Cost.Filter _ ->
+              annotated ())
+      | items -> (
+          (* PROMOTE never reaches here: it needs annotations, so it runs
+             [finish_select] *)
+          let names, computed = scalar_items resolve items in
           let extend s =
             List.fold_left
-              (fun (s : Vexec.src) (out, e) ->
-                let e = resolve_expr (make_resolver s.Vexec.schema prefixes) e in
-                Vexec.extend s ~name:out ~ty:(Expr.type_of s.Vexec.schema e) e)
+              (fun (s : Vexec.src) (col, _, e) ->
+                let schema = s.Vexec.schema in
+                let e = resolve_expr (alias_resolver computed schema prefixes) e in
+                Vexec.extend s ~name:col ~ty:(Expr.type_of schema e) e)
               s computed
           in
-          (* ORDER BY may reference pre-projection columns (classic SQL),
-             so order before projecting; DISTINCT, which runs after the
-             projection, rules out cutting to a LIMIT first *)
-          (match sel.Ast.order_by with
-          | [] -> [ (project_label, Fun.id, fun s -> project names (extend s)) ]
-          | specs ->
-              let label, est, op =
-                order ~top_k:(not sel.Ast.distinct) ~prefixes specs
-              in
-              [
-                (label, est, fun s -> op (extend s));
-                (project_label, Fun.id, project names);
-              ])
-          @ distinct
+          function
+          | Cost.Order { top_k } ->
+              fun s ->
+                order ~top_k
+                  (fun schema -> alias_resolver computed schema prefixes)
+                  (extend s)
+          | Cost.Project when sel.Ast.order_by = [] ->
+              fun s -> project names (extend s)
+          | Cost.Project -> project names
+          | Cost.Distinct -> Vexec.distinct
+          | Cost.Aggregate | Cost.Awhere _ | Cost.Ahaving _ | Cost.Filter _ ->
+              annotated ())
   in
-  let an = ctx.Context.analyze in
-  let est =
-    ref
-      (match List.rev plan.Plan.steps with
-      | step :: _ -> step.Plan.est_rows
-      | [] -> plan.Plan.base.Plan.est_rows)
-  in
-  let top = ref plan_n in
-  let stage src (label, est_of, op) =
-    match an with
-    | None -> op src
-    | Some a ->
-        est := est_of !est;
-        let n =
-          Analyze.node ~est_rows:!est ~children:(Option.to_list !top) label
-        in
-        top := Some n;
-        Vexec.meter a n (op src)
-  in
-  let bounded s = Vexec.limit s ~offset ~limit in
-  let rec run src = function
-    | [] -> bounded src
-    | [ (label, est_of, op) ] ->
-        stage src (label, est_of, fun s -> bounded (op s))
-    | st :: rest -> run (stage src st) rest
-  in
-  let out = run bsrc stages in
-  let out = Propagate.of_rows out.Vexec.schema (Vexec.drain out) in
-  (match (an, !top) with Some a, Some n -> Analyze.set_root a n | _ -> ());
-  out
+  List.map (fun clause -> (clause, op clause)) (Cost.tail_clauses sel)
 
 (* Everything from AWHERE to LIMIT over a materialized annotated rowset —
    shared by the naive oracle and the batch engine's annotated queries. *)
@@ -1047,13 +956,8 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
     | None -> filtered
     | Some p -> Propagate.awhere filtered p
   in
-  let has_aggregates =
-    List.exists
-      (function Ast.Item { expr = Ast.Aggregate _; _ } -> true | _ -> false)
-      sel.Ast.items
-  in
   let projected =
-    if has_aggregates || sel.Ast.group_by <> [] then begin
+    if Cost.aggregated sel then begin
       (* aggregate path *)
       let keys, aggs, out_names = aggregate_items resolve sel in
       let grouped = Propagate.group_by filtered ~keys ~aggs in
@@ -1096,24 +1000,14 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
               filtered items
           in
           (* computed columns *)
-          let extended, proj_names =
+          let proj_names, computed = scalar_items resolve items in
+          let extended =
             List.fold_left
-              (fun (acc, names) item ->
-                match item with
-                | Ast.Star -> fail "SELECT * cannot be mixed with other select items"
-                | Ast.Item { expr = Ast.Col_ref c; alias; _ } ->
-                    (acc, names @ [ (resolve c, Option.value alias ~default:c) ])
-                | Ast.Item { expr = Ast.Scalar e; alias; _ } ->
-                    let out = match alias with
-                      | Some a -> a
-                      | None -> fail "computed columns need AS <name>"
-                    in
-                    let schema = acc.Propagate.schema in
-                    let e = resolve_expr (make_resolver schema prefixes) e in
-                    ( Propagate.extend acc ~name:out ~ty:(Expr.type_of schema e) e,
-                      names @ [ (out, out) ] )
-                | Ast.Item { expr = Ast.Aggregate _; _ } -> assert false)
-              (promoted, []) items
+              (fun acc (col, _, e) ->
+                let schema = acc.Propagate.schema in
+                let e = resolve_expr (alias_resolver computed schema prefixes) e in
+                Propagate.extend acc ~name:col ~ty:(Expr.type_of schema e) e)
+              promoted computed
           in
           (* ORDER BY may reference pre-projection columns (classic SQL), so
              sort before projecting: projection preserves row order *)
@@ -1121,7 +1015,7 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
             match sel.Ast.order_by with
             | [] -> extended
             | specs ->
-                let r = make_resolver extended.Propagate.schema prefixes in
+                let r = alias_resolver computed extended.Propagate.schema prefixes in
                 Propagate.order_by extended (List.map (fun (c, d) -> (r c, d)) specs)
           in
           let projected = Propagate.project extended (List.map fst proj_names) in
@@ -1131,7 +1025,7 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
                 (output_renames proj_names) }
     end
   in
-  let already_sorted = not (has_aggregates || sel.Ast.group_by <> []) in
+  let already_sorted = not (Cost.aggregated sel) in
   (* FILTER drops non-matching annotations but keeps every tuple *)
   let result =
     match sel.Ast.filter with
@@ -1204,6 +1098,15 @@ let do_insert (ctx : Context.t) ~user ~table:table_name values =
   record_local_prov ctx ~table ~region:(Region.Rows rows)
     ~operation:Prov_record.Local_insert;
   rows
+
+(* Top-level equality conjuncts col = literal of a WHERE expression. *)
+let rec equality_conjuncts expr =
+  match expr with
+  | Expr.Cmp (Expr.Eq, Expr.Col c, Expr.Lit v)
+  | Expr.Cmp (Expr.Eq, Expr.Lit v, Expr.Col c) ->
+      [ (c, v) ]
+  | Expr.And (a, b) -> equality_conjuncts a @ equality_conjuncts b
+  | _ -> []
 
 (* Matching live rows of a single table; a top-level equality on an
    indexed column narrows the scan to the index's candidates (the full
@@ -1657,24 +1560,53 @@ let explain_analyze ctx ~user q =
   match analyze_query ctx ~user q with
   | Some root, result, elapsed ->
       note_estimate_drift ctx root;
-      Analyze.render ~total_ns:elapsed
-        ~returned:(Propagate.row_count result)
-        root
+      Analyze.render ~actuals:(elapsed, Propagate.row_count result) root
   | None, _, _ -> "EXPLAIN ANALYZE: no operators recorded"
+
+(* EXPLAIN: the nodes EXPLAIN ANALYZE would meter, for the batch engine's
+   plan in every exec mode, after the same ACL checks, lookups and
+   planning as the query.  The tail is checked against an input that
+   yields no rows, so every name it resolves fails as in the query, and
+   no row is read. *)
+let explain_select ctx ~user (sel : Ast.select) =
+  let plan = plan_select ctx ~user sel in
+  let top = Cost.plan_node ctx plan in
+  let empty = { Vexec.schema = plan.Plan.schema; next = (fun () -> None) } in
+  if plan.Plan.row_ids then begin
+    ignore
+      (finish_select sel (attach_envelopes ctx plan empty) plan.Plan.prefixes);
+    Cost.result_node sel top
+  end
+  else begin
+    let stages = tail_stages ctx plan sel in
+    ignore (List.fold_left (fun s (_, op) -> op s) empty stages);
+    List.fold_left (fun n (clause, _) -> Cost.tail_node sel clause n) top stages
+  end
+
+let rec explain_query ctx ~user = function
+  | Ast.Select sel -> explain_select ctx ~user sel
+  | Ast.Union (a, b) -> explain_set_op ctx ~user `Union a b
+  | Ast.Intersect (a, b) -> explain_set_op ctx ~user `Intersect a b
+  | Ast.Except (a, b) -> explain_set_op ctx ~user `Except a b
+
+and explain_set_op ctx ~user op a b =
+  let na = explain_query ctx ~user a in
+  Cost.set_op_node op na (explain_query ctx ~user b)
 
 (* --------------------------------------------------------------- execute *)
 
 let execute_exn (ctx : Context.t) ~user (stmt : Ast.statement) : outcome =
   Cancel.check ctx.Context.cancel;
   (match ctx.Context.read_only with
-  | Some reason when is_write_stmt stmt -> raise (Read_only reason)
+  | Some reason when Stmt_class.is_write (Stmt_class.classify stmt) ->
+      raise (Read_only reason)
   | _ -> ());
   (match sys_write_target stmt with
   | Some view -> raise (View_read_only view)
   | None -> ());
   match stmt with
   | Ast.Query q -> Rows (exec_query ctx ~user q)
-  | Ast.Explain q -> Message (Cost.explain ctx q)
+  | Ast.Explain q -> Message (Analyze.render (explain_query ctx ~user q))
   | Ast.Explain_analyze q -> Message (explain_analyze ctx ~user q)
   | Ast.Create_table { name; columns } ->
       ddl_hit ctx;

@@ -26,10 +26,6 @@ exception View_read_only of string
     [sys.*] system view; the payload is the canonical view name.
     {!execute} folds it into [Error "... is a read-only system view"]. *)
 
-val is_write_stmt : Ast.statement -> bool
-(** True for statements that mutate the database (data writes or DDL);
-    [COPY TO] exports to a file and does not count. *)
-
 val execute :
   Context.t -> user:string -> Ast.statement -> (outcome, string) result
 (** Evaluate one statement.  SQL-level failures return [Error];
@@ -46,6 +42,12 @@ val analyze_query :
     operator tree (if any), the result rows, and total wall time.  This
     is [EXPLAIN ANALYZE] before rendering; exposed so tests can compare
     per-node actuals against the naive oracle. *)
+
+val explain_query : Context.t -> user:string -> Ast.query -> Analyze.node
+(** [EXPLAIN] before rendering: the estimate tree of [q]'s batch plan —
+    the nodes {!analyze_query} meters — built after the same ACL checks,
+    lookups and planning as the query, and failing where it would.
+    Nothing is executed. *)
 
 val reanalyze_stale : Context.t -> unit
 (** Re-run ANALYZE for every registered table whose statistics are marked

@@ -1,5 +1,3 @@
-module Ast = Bdbms_asql.Ast
-
 type t = {
   reads : string list;
   writes : string list;

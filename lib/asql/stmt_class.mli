@@ -20,9 +20,11 @@ type t = {
   ddl : bool;  (** touches shared metadata: conflicts with everything *)
 }
 
-val classify : Bdbms_asql.Ast.statement -> t
+val classify : Ast.statement -> t
 
 val is_write : t -> bool
-(** Whether the statement must be buffered and replayed at commit
-    (mutates tables or metadata), as opposed to running read-only
-    against the snapshot. *)
+(** Whether the statement mutates tables or metadata: a server
+    transaction buffers it and replays it at commit instead of running
+    it read-only against the snapshot, and the executor refuses it in
+    read-only degraded mode ([COPY TO] exports to a file and is not a
+    write). *)

@@ -27,6 +27,7 @@ module Db = Bdbms.Db
 module Context = Bdbms_asql.Context
 module Executor = Bdbms_asql.Executor
 module Parser = Bdbms_asql.Parser
+module Stmt_class = Bdbms_asql.Stmt_class
 module Disk = Bdbms_storage.Disk
 module Pager = Bdbms_storage.Pager
 module Stats = Bdbms_obs.Stats

@@ -136,10 +136,10 @@ let test_explain () =
   (match Db.exec_exn db "EXPLAIN SELECT GID FROM G INTERSECT SELECT GID FROM G" with
   | Executor.Message plan -> checkb "intersect" true (contains_sub ~needle:"INTERSECT" plan)
   | _ -> Alcotest.fail "expected message");
-  (* EXPLAIN never fails on unknown tables; the tree shows the problem *)
-  match Db.exec_exn db "EXPLAIN SELECT * FROM nope" with
-  | Executor.Message plan -> checkb "unknown flagged" true (contains_sub ~needle:"unknown table" plan)
-  | _ -> Alcotest.fail "expected message"
+  (* EXPLAIN fails where the query would *)
+  match Db.exec db "EXPLAIN SELECT * FROM nope" with
+  | Error e -> checkb "unknown table" true (contains_sub ~needle:"unknown table nope" e)
+  | Ok _ -> Alcotest.fail "expected an error"
 
 (* --------------------------------------------------- indexed annotations *)
 

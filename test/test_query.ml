@@ -620,6 +620,48 @@ let test_computed_set_operations () =
   Db.set_batch_rows db 1;
   sweep ()
 
+(* A computed column's alias may shadow an input column: the output
+   column takes the alias, and ORDER BY names the output column, as it
+   does for any computed alias; a later computed item may name an earlier
+   alias.  Both engines, the plain and the annotated batch tail, at
+   one-row and default batches. *)
+let test_alias_shadows_input () =
+  let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [
+      "CREATE TABLE S (n INT)";
+      "INSERT INTO S VALUES (1), (2)";
+      "CREATE ANNOTATION TABLE notes ON S";
+    ];
+  let values sql =
+    List.map
+      (fun (r : Propagate.atuple) -> Value.to_display (Tuple.get r.Propagate.tuple 0))
+      (rows_of db sql).Propagate.rows
+  in
+  List.iter
+    (fun batch_rows ->
+      Db.set_batch_rows db batch_rows;
+      List.iter
+        (fun (sql, expect) ->
+          run_all_modes db ~ordered:true sql;
+          List.iter
+            (fun mode ->
+              Db.set_exec_mode db mode;
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s, batch_rows %d: %s" (mode_name mode)
+                   batch_rows sql)
+                expect (values sql))
+            [ `Naive; `Batch ])
+        [
+          ("SELECT n + 1 AS n FROM S", [ "2"; "3" ]);
+          ("SELECT 0 - n AS n FROM S ORDER BY n", [ "-2"; "-1" ]);
+          ("SELECT n + 1 AS n FROM S ANNOTATION(notes)", [ "2"; "3" ]);
+          ("SELECT 0 - n AS n FROM S ANNOTATION(notes) ORDER BY n", [ "-2"; "-1" ]);
+          ("SELECT n + 1 AS m, m * 10 AS q FROM S ORDER BY q DESC", [ "3"; "2" ]);
+        ])
+    [ 1; Bdbms_relation.Batch.default_rows ]
+
 (* --------------------------------------------------------- stats checks *)
 
 let diff_for db sql =
@@ -1019,6 +1061,83 @@ let test_analyze_tail () =
         [ ("DISTINCT", 10); ("PROJECT (1 items)", t1_rows) ] );
     ]
 
+(* ------------------------------------------------------ EXPLAIN tree *)
+
+let parse_query sql =
+  match Bdbms_asql.Parser.parse sql with
+  | Ok (Bdbms_asql.Ast.Query q) -> q
+  | Ok _ -> Alcotest.failf "not a query: %s" sql
+  | Error e -> Alcotest.failf "%s -- for: %s" e sql
+
+let explain_tree db sql =
+  Executor.explain_query (Db.context db) ~user:"admin" (parse_query sql)
+
+(* The fixed corpus plus the compound, ungrouped-aggregate, ORDER BY ...
+   LIMIT and DISTINCT ... ORDER BY shapes it lacks. *)
+let explain_corpus =
+  fixed_ordered @ fixed_unordered
+  @ [
+      "SELECT id FROM T1 WHERE k < 3 UNION SELECT id FROM T2 WHERE k < 3";
+      "SELECT k FROM T1 INTERSECT SELECT k FROM T2 WHERE id < 20";
+      "SELECT id FROM T1 ANNOTATION(notes) WHERE k = 2 EXCEPT SELECT id FROM T2";
+      "SELECT COUNT(*) FROM T1";
+      "SELECT id, k FROM T1 ORDER BY k DESC, id LIMIT 5";
+      "SELECT k, COUNT(*) AS n FROM T1 GROUP BY k ORDER BY n DESC LIMIT 2";
+      "SELECT DISTINCT k FROM T1 ORDER BY id DESC LIMIT 4";
+      "SELECT DISTINCT v, k FROM T1 ORDER BY f, id LIMIT 7 OFFSET 1";
+      "SELECT * FROM T2 WHERE id = 7";
+      "SELECT a.id, b.w FROM T1 a, T2 b WHERE a.k = b.k AND b.id = 3";
+    ]
+
+(* EXPLAIN prints the tree EXPLAIN ANALYZE meters: node by node, the same
+   label, estimated rows and pages, estimate source and child order. *)
+let test_explain_is_analyze_tree () =
+  let db = mk_db () in
+  let num x = Printf.sprintf "%.17g" x in
+  let rec same sql (e : Analyze.node) (a : Analyze.node) =
+    let at what = Printf.sprintf "%s at %s: %s" what e.Analyze.label sql in
+    Alcotest.(check string) (at "label") e.Analyze.label a.Analyze.label;
+    Alcotest.(check string) (at "est rows") (num e.Analyze.est_rows)
+      (num a.Analyze.est_rows);
+    Alcotest.(check string) (at "est pages") (num e.Analyze.est_pages)
+      (num a.Analyze.est_pages);
+    Alcotest.(check (option string)) (at "est src") e.Analyze.est_src
+      a.Analyze.est_src;
+    checki (at "children") (List.length e.Analyze.children)
+      (List.length a.Analyze.children);
+    List.iter2 (same sql) e.Analyze.children a.Analyze.children
+  in
+  List.iter
+    (fun batch_rows ->
+      Db.set_batch_rows db batch_rows;
+      List.iter
+        (fun sql ->
+          let expected = explain_tree db sql in
+          let root, _, _ = analyze db sql in
+          same sql expected root)
+        explain_corpus)
+    [ 1; Bdbms_relation.Batch.default_rows ]
+
+(* EXPLAIN does no work: over the whole corpus it decodes nothing, probes
+   and builds nothing, and an index no query has used yet stays
+   unbuilt. *)
+let test_explain_does_no_work () =
+  let db = mk_db () in
+  (* a reopened database's indexes start unbuilt, rebuilt at first probe *)
+  let idx = Hashtbl.find (Db.context db).Bdbms_asql.Context.indexes "t2_id" in
+  idx.Bdbms_asql.Context.tree <- None;
+  checkb "the corpus probes the index" true
+    (contains (Db.render_exn db "EXPLAIN SELECT * FROM T2 WHERE id = 7")
+       "INDEX SCAN T2 via t2_id(id)");
+  let before = Db.io_stats db in
+  List.iter (fun sql -> ignore (Db.exec_exn db ("EXPLAIN " ^ sql))) explain_corpus;
+  let d = Stats.diff ~after:(Db.io_stats db) ~before in
+  checki "tuples decoded" 0 d.Stats.tuples_decoded;
+  checki "batches decoded" 0 d.Stats.batches_decoded;
+  checki "index probes" 0 d.Stats.index_probes;
+  checki "hash builds" 0 d.Stats.hash_builds;
+  checkb "index still unbuilt" true (idx.Bdbms_asql.Context.tree = None)
+
 (* ------------------------------------- batch representation properties *)
 
 module Batch = Bdbms_relation.Batch
@@ -1278,6 +1397,8 @@ let () =
             test_negative_zero_groups;
           Alcotest.test_case "computed columns in set operations" `Quick
             test_computed_set_operations;
+          Alcotest.test_case "an alias shadows an input column" `Quick
+            test_alias_shadows_input;
         ] );
       ( "batch-representation",
         [
@@ -1301,6 +1422,10 @@ let () =
             test_analyze_differential_sweep;
           Alcotest.test_case "statement rendering" `Quick test_analyze_statement;
           Alcotest.test_case "tail nodes" `Quick test_analyze_tail;
+          Alcotest.test_case "EXPLAIN prints the metered tree" `Quick
+            test_explain_is_analyze_tree;
+          Alcotest.test_case "EXPLAIN does no work" `Quick
+            test_explain_does_no_work;
         ] );
       ( "stack-safety",
         [

@@ -240,6 +240,30 @@ let test_privileged_acl () =
   checkb "grant is per-view" true (contains ~needle:"privileged" e);
   Db.close db
 
+(* EXPLAIN passes the same grants as the query it describes: a user who
+   may not read a table (strict ACL) or a privileged view may not see
+   its plan, row estimates or selectivities either. *)
+let test_explain_acl () =
+  let db = workload_db () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [
+      "CREATE USER bob";
+      "CREATE TABLE secret (k INT, v TEXT)";
+      "INSERT INTO secret VALUES (1, 'a'), (2, 'b'), (3, 'c'), (4, 'd'), \
+       (5, 'e'), (6, 'f'), (7, 'g')";
+      "ANALYZE secret";
+    ];
+  Db.set_strict_acl db true;
+  List.iter
+    (fun sql ->
+      let e = exec_err db ~user:"bob" sql in
+      checkb (sql ^ " denied") true (contains ~needle:"lacks SELECT" e);
+      checks ("EXPLAIN fails like " ^ sql) e
+        (exec_err db ~user:"bob" ("EXPLAIN " ^ sql)))
+    [ "SELECT * FROM secret WHERE k = 3"; "SELECT * FROM sys.slow_queries" ];
+  Db.close db
+
 (* ------------------------------------------------------- query log *)
 
 let test_qlog_sampling_and_trace_ids () =
@@ -491,7 +515,10 @@ let () =
       ( "immutability",
         [ Alcotest.test_case "writes refused, analyze skips" `Quick test_sys_read_only ] );
       ( "acl",
-        [ Alcotest.test_case "privileged views need a grant" `Quick test_privileged_acl ] );
+        [
+          Alcotest.test_case "privileged views need a grant" `Quick test_privileged_acl;
+          Alcotest.test_case "EXPLAIN needs the same grants" `Quick test_explain_acl;
+        ] );
       ( "qlog",
         [
           Alcotest.test_case "sampling and trace ids" `Quick
