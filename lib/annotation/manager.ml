@@ -17,13 +17,19 @@ type t = {
   (* user-table name (lowercase) -> its annotation tables *)
   tables : (string, (string, ann_table) Hashtbl.t) Hashtbl.t;
   mutable registry : Ann_registry.t;
+  mutable version : int;
+      (* moves with the table definitions and the id counter; the
+         registry and the stores' pages move with their page writes *)
 }
 
 let id_prefix = "ann"
 
 let create bp clock =
   { bp; clock; ids = Idgen.create ~prefix:id_prefix (); tables = Hashtbl.create 16;
-    registry = Ann_registry.create bp }
+    registry = Ann_registry.create bp; version = 0 }
+
+let version t = t.version
+let bump t = t.version <- t.version + 1
 
 (* An id's registry number: "ann<n>" -> n. *)
 let number id =
@@ -57,6 +63,7 @@ let create_annotation_table t ~table ~name ?(scheme = Ann_store.Compact)
         store = Ann_store.create ~indexed scheme t.bp;
         default_category = category;
       };
+    bump t;
     Ok ()
   end
 
@@ -66,6 +73,7 @@ let drop_annotation_table t ~table_name ~name =
   | Some h ->
       if Hashtbl.mem h (norm name) then begin
         Hashtbl.remove h (norm name);
+        bump t;
         true
       end
       else false
@@ -119,6 +127,7 @@ let add t ~table ~ann_tables ~body ?category ~author ~region () =
               | None -> (List.hd ats).default_category
             in
             let n = Idgen.next_int t.ids in
+            bump t;
             let ann =
               Ann.make ~id:(id_prefix ^ string_of_int n) ~body ~category ~author
                 ~created_at:(Clock.tick t.clock)
@@ -241,7 +250,9 @@ let dump_tables t =
          compare (a.ati_table, a.ati_name) (b.ati_table, b.ati_name))
 
 let registry_head t = Ann_registry.head t.registry
-let attach_registry t h = t.registry <- Ann_registry.attach t.bp h
+let attach_registry t h =
+  t.registry <- Ann_registry.attach t.bp h;
+  bump t
 
 let id_counter t = Idgen.counter t.ids
 
@@ -254,6 +265,9 @@ let restore_annotation_table t info =
         Ann_store.restore ~indexed:info.ati_indexed info.ati_scheme t.bp
           ~heap_pages:info.ati_heap_pages;
       default_category = info.ati_category;
-    }
+    };
+  bump t
 
-let restore_id_counter t n = Idgen.restore t.ids n
+let restore_id_counter t n =
+  Idgen.restore t.ids n;
+  bump t

@@ -144,3 +144,10 @@ val restore_id_counter : t -> int -> unit
 
 val attach_registry : t -> Ann_registry.head -> unit
 (** Reattach the paged registry at bootstrap, reading no page. *)
+
+val version : t -> int
+(** Moves whenever a mutator changes the annotation-table definitions
+    or {!id_counter} (never backwards); the durable catalog reads it to
+    skip re-encoding.  The stores' heap pages and {!registry_head}
+    change only together with a page write, which
+    {!Bdbms_storage.Pager.mutations} counts. *)

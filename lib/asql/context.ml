@@ -50,6 +50,7 @@ type t = {
   mutable exec_mode : exec_mode;
   mutable batch_rows : int;
   indexes : (string, index_def) Hashtbl.t;
+  mutable indexes_version : int; (* bumped by [add_index]/[drop_index] *)
   tstats : Bdbms_stats.Registry.t;
       (* per-table optimizer statistics (ANALYZE results + DML deltas);
          persisted through the durable catalog as opaque blobs *)
@@ -71,11 +72,30 @@ type t = {
          shadows the view's built-in local fallback.  Copied across
          [Db.rollback]'s context recreation and into transaction
          snapshots. *)
+  mutable persisted_epoch : int option;
+      (* [catalog_epoch] when the page-0 root last equalled the metadata;
+         [None] until this context's first persist *)
 }
 
 let superuser = "admin"
 
 let norm = String.lowercase_ascii
+
+let indexes_on t ~table =
+  Hashtbl.fold
+    (fun _ idx acc -> if norm idx.idx_table = norm table then idx :: acc else acc)
+    t.indexes []
+
+let mark_indexes_dirty t ~table =
+  List.iter (fun idx -> idx.dirty <- true) (indexes_on t ~table)
+
+(* Cells the dependency tracker re-derived were written behind the index
+   maintenance of the executor's DML: mark their tables' indexes dirty. *)
+let note_tracker_report t (report : Tracker.report) =
+  List.iter
+    (fun (c : Bdbms_dependency.Dep_graph.cell) ->
+      mark_indexes_dirty t ~table:c.Bdbms_dependency.Dep_graph.table)
+    report.Tracker.recomputed
 
 let create ?(page_size = 4096) ?pool_pages ?policy ?path ?disk ?fault ?obs ()
     =
@@ -107,43 +127,56 @@ let create ?(page_size = 4096) ?pool_pages ?policy ?path ?disk ?fault ?obs ()
   ignore (Principal.add_user principals superuser);
   let acl = Acl.create principals in
   let approval = Approval.create catalog principals clock in
-  let indexes = Hashtbl.create 8 in
-  let mark_dirty table =
-    Hashtbl.iter
-      (fun _ idx -> if norm idx.idx_table = norm table then idx.dirty <- true)
-      indexes
+  let t =
+    {
+      disk;
+      bp;
+      clock;
+      catalog;
+      ann;
+      prov;
+      tracker;
+      principals;
+      acl;
+      approval;
+      strict_acl = false;
+      auto_provenance = false;
+      exec_mode = `Batch;
+      batch_rows = 1024;
+      indexes = Hashtbl.create 8;
+      indexes_version = 0;
+      tstats = Bdbms_stats.Registry.create ();
+      obs;
+      cancel;
+      read_only = None;
+      analyze = None;
+      session_label = None;
+      sys_providers = [];
+      persisted_epoch = None;
+    }
   in
+  (* an inverse statement wrote behind the executor, and the tracker
+     re-derives what depends on the reverted cell behind it too *)
   Approval.set_on_revert approval (fun ~table ~row ~col ->
-      mark_dirty table;
+      mark_indexes_dirty t ~table;
       match col with
-      | Some col -> ignore (Tracker.on_cell_update tracker ~table ~row ~col)
+      | Some col -> note_tracker_report t (Tracker.on_cell_update tracker ~table ~row ~col)
       | None -> ());
-  {
-    disk;
-    bp;
-    clock;
-    catalog;
-    ann;
-    prov;
-    tracker;
-    principals;
-    acl;
-    approval;
-    strict_acl = false;
-    auto_provenance = false;
-    exec_mode = `Batch;
-    batch_rows = 1024;
-    indexes;
-    tstats = Bdbms_stats.Registry.create ();
-    obs;
-    cancel;
-    read_only = None;
-    analyze = None;
-    session_label = None;
-    sys_providers = [];
-  }
+  t
 
 let durable t = Disk.is_durable t.disk
+
+let add_index t idx =
+  Hashtbl.replace t.indexes (norm idx.idx_name) idx;
+  t.indexes_version <- t.indexes_version + 1
+
+let drop_index t name =
+  Hashtbl.mem t.indexes (norm name)
+  && begin
+       Hashtbl.remove t.indexes (norm name);
+       t.indexes_version <- t.indexes_version + 1;
+       true
+     end
 
 (* Run [f] under a statement deadline (no-op when [timeout_ms] is
    [None]); any cancellation state is restored afterwards. *)
@@ -173,18 +206,39 @@ let index_infos t =
     t.indexes []
 
 let encode_catalog t =
+  Stats.record_catalog_encode (Disk.stats t.disk);
   Durable_catalog.encode (components t) ~indexes:(index_infos t)
     ~stats:(Bdbms_stats.Registry.encode_all t.tstats)
+
+(* Every input of [encode_catalog] changes only through a mutator that
+   moves one of these counters, and each counter only grows, so the sum
+   is unchanged exactly when none of them moved.  The paged heads (table
+   heads, annotation heap pages and registry, dependency-instance and
+   outdated heads) change only together with a page write, which the
+   pager's mutation count covers; the clock's time is its own counter. *)
+let catalog_epoch t =
+  Pager.mutations t.bp + Clock.now t.clock + Catalog.version t.catalog
+  + Manager.version t.ann + Prov_store.version t.prov
+  + Principal.version t.principals + Acl.version t.acl
+  + Bdbms_dependency.Rule_set.version (Tracker.rule_set t.tracker)
+  + Approval.version t.approval + Bdbms_stats.Registry.version t.tstats
+  + t.indexes_version
 
 (* Serialize the whole engine metadata into the page-0 catalog.  The
    chain pages go through pin-scoped mutation, so the catalog is
    redo-logged at write-back and becomes durable exactly with the commit
    that follows; an unchanged catalog is compared in place and writes
-   nothing. *)
+   nothing.  When the epoch has not moved since the root last took this
+   context's metadata, nothing can differ, so nothing is encoded.  The
+   epoch is taken again after the write: the chain pages it dirtied are
+   the catalog's own. *)
 let persist_catalog t =
   if durable t then
     Obs.timed t.obs t.obs.Obs.root_swap_hist "catalog.root_swap" (fun () ->
-        Meta_page.write_root t.disk (encode_catalog t))
+        if t.persisted_epoch <> Some (catalog_epoch t) then begin
+          Meta_page.write_root t.disk (encode_catalog t);
+          t.persisted_epoch <- Some (catalog_epoch t)
+        end)
 
 let bootstrap t =
   Obs.span t.obs "catalog.bootstrap" @@ fun () ->
@@ -202,7 +256,7 @@ let bootstrap t =
       Bdbms_stats.Registry.restore t.tstats stats_blobs;
       List.iter
         (fun (ix : Durable_catalog.index_info) ->
-          Hashtbl.replace t.indexes (norm ix.ix_name)
+          add_index t
             {
               idx_name = ix.ix_name;
               idx_table = ix.ix_table;
@@ -230,14 +284,6 @@ let close t =
 
 let register_procedure t proc =
   Procedure.Registry.register (Tracker.registry t.tracker) proc
-
-let indexes_on t ~table =
-  Hashtbl.fold
-    (fun _ idx acc -> if norm idx.idx_table = norm table then idx :: acc else acc)
-    t.indexes []
-
-let mark_indexes_dirty t ~table =
-  List.iter (fun idx -> idx.dirty <- true) (indexes_on t ~table)
 
 let index_key v =
   let module Value = Bdbms_relation.Value in

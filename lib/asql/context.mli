@@ -57,7 +57,11 @@ type t = {
       (** rows per column batch on the [`Batch] path (default 1024;
           tests use 1 as the degenerate case) *)
   indexes : (string, index_def) Hashtbl.t;
-      (** by lowercase index name *)
+      (** by lowercase index name; change it only through {!add_index}
+          and {!drop_index} *)
+  mutable indexes_version : int;
+      (** bumped by {!add_index} and {!drop_index}: part of
+          {!catalog_epoch} *)
   tstats : Bdbms_stats.Registry.t;
       (** per-table optimizer statistics: ANALYZE results maintained
           incrementally by the DML paths, consumed by [Plan]/[Cost] for
@@ -85,6 +89,9 @@ type t = {
           live-session provider here; an entry shadows the view's
           built-in local fallback.  Copied across [Db.rollback]'s
           context recreation and into transaction snapshots. *)
+  mutable persisted_epoch : int option;
+      (** {!catalog_epoch} when the page-0 root last equalled this
+          context's metadata; [None] until its first {!persist_catalog} *)
 }
 
 val create :
@@ -128,13 +135,23 @@ val bootstrap : t -> int
 
 val encode_catalog : t -> Bytes.t
 (** The current metadata as a {!Durable_catalog} blob: what
-    {!persist_catalog} hands to the page-0 root. *)
+    {!persist_catalog} hands to the page-0 root.  Counted in
+    [Stats.catalog_encodes]. *)
+
+val catalog_epoch : t -> int
+(** The catalog's change epoch: the pager's mutation count plus the
+    version counter of every other component {!encode_catalog} reads
+    (clock, tables, annotation tables, provenance tools, principals,
+    grants, rules, approval, statistics, index definitions).  Every
+    term only grows, so an unchanged epoch means unchanged metadata. *)
 
 val persist_catalog : t -> unit
 (** Serialize the current metadata into the page-0 catalog (done
-    automatically by {!commit}, {!checkpoint} and {!close}).  A blob
-    identical to the live root's writes nothing
-    ({!Bdbms_storage.Meta_page.write_root}). *)
+    automatically by {!commit}, {!checkpoint} and {!close}).  Returns at
+    once, encoding nothing, when {!catalog_epoch} equals
+    [persisted_epoch]; otherwise encodes, and a blob identical to the
+    live root's writes nothing ({!Bdbms_storage.Meta_page.write_root}).
+    Records the epoch after a write that returned. *)
 
 val commit : t -> unit
 (** Write back dirty pager frames (appending their redo records) and
@@ -156,11 +173,22 @@ val register_procedure :
 val superuser : string
 (** ["admin"], exempt from ACL checks. *)
 
+val add_index : t -> index_def -> unit
+(** Register (or replace) an index definition under its lowercase name. *)
+
+val drop_index : t -> string -> bool
+(** [false] when no index has that name. *)
+
 val indexes_on : t -> table:string -> index_def list
 (** All indexes registered over a table. *)
 
 val mark_indexes_dirty : t -> table:string -> unit
 (** Called when a table is mutated behind the executor's back. *)
+
+val note_tracker_report : t -> Bdbms_dependency.Tracker.report -> unit
+(** The tracker re-derived the report's cells behind the executor's
+    index maintenance: mark their tables' indexes dirty.  The executor's
+    DML and the approval revert hook both call it. *)
 
 val index_key : Bdbms_relation.Value.t -> string
 (** Order-preserving byte encoding of a value as an index key. *)

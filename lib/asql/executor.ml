@@ -280,14 +280,6 @@ let index_note_delete ctx ~table ~row tuple =
                ~value:row))
     (Context.indexes_on ctx ~table)
 
-(* When the dependency tracker re-derived cells, those writes bypassed the
-   index maintenance above: mark the touched tables' indexes dirty. *)
-let note_tracker_report ctx (report : Tracker.report) =
-  List.iter
-    (fun (c : Bdbms_dependency.Dep_graph.cell) ->
-      Context.mark_indexes_dirty ctx ~table:c.Bdbms_dependency.Dep_graph.table)
-    report.Tracker.recomputed
-
 
 (* ----------------------------------------------------------- the SELECT *)
 
@@ -501,20 +493,23 @@ let scalar_items resolve items =
       | Ast.Item { expr = Ast.Aggregate _; _ } -> assert false)
     ([], []) items
 
-(* Resolver over a (partly) extended schema: the alias of a computed
-   column already extended names that column — in later computed items
-   and in ORDER BY, as the output column it becomes — before any input
-   column. *)
-let alias_resolver computed schema prefixes c =
+(* Resolver over a (partly) extended schema: an output name among
+   [outputs] ((column, output name) pairs) whose column the schema
+   already holds names that column before any input column does.  A
+   later computed item sees the computed items' aliases; ORDER BY, which
+   sorts before the projection, sees every item's. *)
+let output_resolver outputs schema prefixes c =
   match
     List.find_opt
-      (fun (col, out, _) ->
+      (fun (col, out) ->
         String.lowercase_ascii out = String.lowercase_ascii c
         && Schema.mem schema col)
-      computed
+      outputs
   with
-  | Some (col, _, _) -> col
+  | Some (col, _) -> col
   | None -> make_resolver schema prefixes c
+
+let computed_outputs computed = List.map (fun (col, out, _) -> (col, out)) computed
 
 (* Does this SELECT's answer carry per-cell annotation envelopes?  Only
    the annotation operators (and the system outdated warnings of Section
@@ -926,7 +921,9 @@ and tail_stages ctx (plan : Plan.t) (sel : Ast.select) =
             List.fold_left
               (fun (s : Vexec.src) (col, _, e) ->
                 let schema = s.Vexec.schema in
-                let e = resolve_expr (alias_resolver computed schema prefixes) e in
+                let e =
+                  resolve_expr (output_resolver (computed_outputs computed) schema prefixes) e
+                in
                 Vexec.extend s ~name:col ~ty:(Expr.type_of schema e) e)
               s computed
           in
@@ -934,7 +931,7 @@ and tail_stages ctx (plan : Plan.t) (sel : Ast.select) =
           | Cost.Order { top_k } ->
               fun s ->
                 order ~top_k
-                  (fun schema -> alias_resolver computed schema prefixes)
+                  (fun schema -> output_resolver names schema prefixes)
                   (extend s)
           | Cost.Project when sel.Ast.order_by = [] ->
               fun s -> project names (extend s)
@@ -1005,7 +1002,9 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
             List.fold_left
               (fun acc (col, _, e) ->
                 let schema = acc.Propagate.schema in
-                let e = resolve_expr (alias_resolver computed schema prefixes) e in
+                let e =
+                  resolve_expr (output_resolver (computed_outputs computed) schema prefixes) e
+                in
                 Propagate.extend acc ~name:col ~ty:(Expr.type_of schema e) e)
               promoted computed
           in
@@ -1015,7 +1014,7 @@ and finish_select (sel : Ast.select) (filtered : Propagate.t) prefixes :
             match sel.Ast.order_by with
             | [] -> extended
             | specs ->
-                let r = alias_resolver computed extended.Propagate.schema prefixes in
+                let r = output_resolver proj_names extended.Propagate.schema prefixes in
                 Propagate.order_by extended (List.map (fun (c, d) -> (r c, d)) specs)
           in
           let projected = Propagate.project extended (List.map fst proj_names) in
@@ -1185,7 +1184,7 @@ let do_update (ctx : Context.t) ~user ~table:table_name sets where =
           ignore
             (Approval.log_update ctx.approval ~table:table_name ~row ~col
                ~column_name:cname ~old_value ~user);
-          note_tracker_report ctx
+          Context.note_tracker_report ctx
             (Tracker.on_cell_update ctx.tracker ~table:table_name ~row ~col);
           touched := (row, cname) :: !touched)
         sets)
@@ -1211,7 +1210,7 @@ let do_delete (ctx : Context.t) ~user ~table:table_name where =
       (* dependents of a deleted row cannot be recomputed: mark them *)
       let arity = Schema.arity (Table.schema table) in
       for col = 0 to arity - 1 do
-        note_tracker_report ctx
+        Context.note_tracker_report ctx
           (Tracker.on_cell_update ctx.tracker ~table:table_name ~row ~col)
       done)
     rows;
@@ -1707,8 +1706,8 @@ let execute_exn (ctx : Context.t) ~user (stmt : Ast.statement) : outcome =
       let tbl = find_table ctx table in
       if not (Schema.mem (Table.schema tbl) column) then
         fail "no column %s on %s" column table;
-      let key = String.lowercase_ascii name in
-      if Hashtbl.mem ctx.indexes key then fail "index %s already exists" name;
+      if Hashtbl.mem ctx.indexes (String.lowercase_ascii name) then
+        fail "index %s already exists" name;
       ddl_hit ctx;
       let idx =
         {
@@ -1720,14 +1719,11 @@ let execute_exn (ctx : Context.t) ~user (stmt : Ast.statement) : outcome =
         }
       in
       ignore (build_index ctx idx);
-      Hashtbl.replace ctx.indexes key idx;
+      Context.add_index ctx idx;
       Message (Printf.sprintf "index %s created on %s(%s)" name table column)
   | Ast.Drop_index name ->
-      let key = String.lowercase_ascii name in
-      if Hashtbl.mem ctx.indexes key then begin
-        Hashtbl.remove ctx.indexes key;
+      if Context.drop_index ctx name then
         Message (Printf.sprintf "index %s dropped" name)
-      end
       else fail "no index %s" name
   | Ast.Show_outdated table -> show_outdated ctx table
   | Ast.Copy_from { table; path; format } ->
@@ -1851,11 +1847,13 @@ let execute ctx ~user stmt =
   | exception Not_found -> Error "name not found"
   | exception Invalid_argument msg -> Error msg
 
+let run_stmt ctx ~user stmt =
+  Obs.span ctx.Context.obs "execute" (fun () -> execute ctx ~user stmt)
+
 let run ctx ~user src =
   match Obs.span ctx.Context.obs "parse" (fun () -> Parser.parse src) with
   | Error e -> Error e
-  | Ok stmt ->
-      Obs.span ctx.Context.obs "execute" (fun () -> execute ctx ~user stmt)
+  | Ok stmt -> run_stmt ctx ~user stmt
 
 let run_script ctx ~user src =
   match
@@ -1866,10 +1864,7 @@ let run_script ctx ~user src =
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | stmt :: rest -> (
-            match
-              Obs.span ctx.Context.obs "execute" (fun () ->
-                  execute ctx ~user stmt)
-            with
+            match run_stmt ctx ~user stmt with
             | Ok outcome -> go (outcome :: acc) rest
             | Error _ as e -> e)
       in

@@ -55,8 +55,12 @@ val reanalyze_stale : Context.t -> unit
     dropped tables are discarded.  [Db.exec] calls this at each statement
     boundary. *)
 
+val run_stmt :
+  Context.t -> user:string -> Ast.statement -> (outcome, string) result
+(** {!execute} under an ["execute"] trace span. *)
+
 val run : Context.t -> user:string -> string -> (outcome, string) result
-(** Parse then execute one statement. *)
+(** Parse (under a ["parse"] span), then {!run_stmt}. *)
 
 val run_script :
   Context.t -> user:string -> string -> (outcome list, string) result

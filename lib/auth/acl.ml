@@ -22,9 +22,12 @@ type t = {
   principals : Principal.t;
   (* table (lowercase) -> grants *)
   grants : (string, grant_entry list) Hashtbl.t;
+  mutable version : int;
 }
 
-let create principals = { principals; grants = Hashtbl.create 16 }
+let create principals = { principals; grants = Hashtbl.create 16; version = 0 }
+let version t = t.version
+let bump t = t.version <- t.version + 1
 
 let norm = String.lowercase_ascii
 
@@ -44,6 +47,7 @@ let grant t privilege ~table ?columns grantee =
     let cur = try Hashtbl.find t.grants key with Not_found -> [] in
     let columns = Option.map (List.map norm) columns in
     Hashtbl.replace t.grants key ({ privilege; grantee; columns } :: cur);
+    bump t;
     Ok ()
   end
 
@@ -58,6 +62,7 @@ let revoke t privilege ~table grantee =
           entries
       in
       Hashtbl.replace t.grants key keep;
+      bump t;
       dropped <> []
 
 let allowed t ~user privilege ~table ?column () =
@@ -90,4 +95,6 @@ let dump_grants t =
   Hashtbl.fold (fun table entries acc -> (table, entries) :: acc) t.grants []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let restore_grants t ~table entries = Hashtbl.replace t.grants (norm table) entries
+let restore_grants t ~table entries =
+  Hashtbl.replace t.grants (norm table) entries;
+  bump t

@@ -39,3 +39,7 @@ val dump_grants : t -> (string * grant_entry list) list
 
 val restore_grants : t -> table:string -> grant_entry list -> unit
 (** Reinstall a table's grant list verbatim at bootstrap. *)
+
+val version : t -> int
+(** Moves whenever a mutator above changes what {!dump_grants} reports (never
+    backwards); the durable catalog reads it to skip re-encoding. *)

@@ -41,6 +41,7 @@ type t = {
   mutable log : entry list; (* newest first *)
   mutable next_id : int;
   mutable on_revert : (table:string -> row:int -> col:int option -> unit) option;
+  mutable version : int;
 }
 
 let create catalog principals clock =
@@ -52,7 +53,11 @@ let create catalog principals clock =
     log = [];
     next_id = 1;
     on_revert = None;
+    version = 0;
   }
+
+let version t = t.version
+let bump t = t.version <- t.version + 1
 
 let set_on_revert t f = t.on_revert <- Some f
 
@@ -72,6 +77,7 @@ let start t ~table ?columns ~approved_by () =
     else begin
       Hashtbl.replace t.monitored_tables key
         { columns = Option.map (List.map norm) columns; approver = approved_by };
+      bump t;
       Ok ()
     end
   end
@@ -84,6 +90,7 @@ let stop t ~table ?columns () =
       match columns with
       | None ->
           Hashtbl.remove t.monitored_tables key;
+          bump t;
           true
       | Some cols -> (
           let cols = List.map norm cols in
@@ -99,6 +106,7 @@ let stop t ~table ?columns () =
               else
                 Hashtbl.replace t.monitored_tables key
                   { config with columns = Some remaining };
+              bump t;
               true))
 
 let monitored t ~table ?column () =
@@ -122,6 +130,7 @@ let add_entry t operation user =
   in
   t.next_id <- t.next_id + 1;
   t.log <- entry :: t.log;
+  bump t;
   entry
 
 let log_insert t ~table ~row ~user =
@@ -175,16 +184,17 @@ let check_decidable t id ~by =
         Error (Printf.sprintf "user %s may not approve changes to %s" by (table_of_entry e))
       else Ok e
 
-let decide e ~by ~at ~status =
+let decide t e ~by ~at ~status =
   e.status <- status;
   e.decided_by <- Some by;
-  e.decided_at <- Some at
+  e.decided_at <- Some at;
+  bump t
 
 let approve t id ~by =
   match check_decidable t id ~by with
   | Error _ as e -> e
   | Ok e ->
-      decide e ~by ~at:(Clock.tick t.clock) ~status:Approved;
+      decide t e ~by ~at:(Clock.tick t.clock) ~status:Approved;
       Ok ()
 
 let notify_revert t ~table ~row ~col =
@@ -221,7 +231,7 @@ let disapprove t id ~by =
       match execute_inverse t e.operation with
       | Error _ as err -> err
       | Ok () ->
-          decide e ~by ~at:(Clock.tick t.clock) ~status:Disapproved;
+          decide t e ~by ~at:(Clock.tick t.clock) ~status:Disapproved;
           Ok ())
 
 (* ---------------------------------------------- durable-catalog hooks *)
@@ -233,11 +243,15 @@ let dump_monitored t =
 let next_id t = t.next_id
 
 let restore_monitored t ~table config =
-  Hashtbl.replace t.monitored_tables (norm table) config
+  Hashtbl.replace t.monitored_tables (norm table) config;
+  bump t
 
 (* Entries must be fed oldest-first (the order [entries] reports). *)
 let restore_entry t ~id ~operation ~user ~at ~status ~decided_by ~decided_at =
   t.log <- { id; operation; user; at; status; decided_by; decided_at } :: t.log;
-  if id >= t.next_id then t.next_id <- id + 1
+  if id >= t.next_id then t.next_id <- id + 1;
+  bump t
 
-let restore_next_id t n = if n > t.next_id then t.next_id <- n
+let restore_next_id t n =
+  if n > t.next_id then t.next_id <- n;
+  bump t

@@ -118,3 +118,8 @@ val restore_entry :
     order {!entries} reports).  Advances the id counter past [id]. *)
 
 val restore_next_id : t -> int -> unit
+
+val version : t -> int
+(** Moves whenever a mutator changes the monitored tables, the log (an
+    entry or its status) or {!next_id} (never backwards); the durable
+    catalog reads it to skip re-encoding. *)

@@ -2,15 +2,21 @@ type t = {
   users : (string, unit) Hashtbl.t;
   groups : (string, unit) Hashtbl.t;
   membership : (string, string list) Hashtbl.t; (* user -> groups *)
+  mutable version : int;
 }
 
 let create () =
-  { users = Hashtbl.create 8; groups = Hashtbl.create 8; membership = Hashtbl.create 8 }
+  { users = Hashtbl.create 8; groups = Hashtbl.create 8; membership = Hashtbl.create 8;
+    version = 0 }
+
+let version t = t.version
+let bump t = t.version <- t.version + 1
 
 let add_user t name =
   if Hashtbl.mem t.users name then Error (Printf.sprintf "user %s already exists" name)
   else begin
     Hashtbl.replace t.users name ();
+    bump t;
     Ok ()
   end
 
@@ -18,6 +24,7 @@ let add_group t name =
   if Hashtbl.mem t.groups name then Error (Printf.sprintf "group %s already exists" name)
   else begin
     Hashtbl.replace t.groups name ();
+    bump t;
     Ok ()
   end
 
@@ -32,6 +39,7 @@ let add_to_group t ~user ~group =
     if List.mem group cur then Ok ()
     else begin
       Hashtbl.replace t.membership user (group :: cur);
+      bump t;
       Ok ()
     end
   end

@@ -23,3 +23,8 @@ val groups : t -> string list
 
 val memberships : t -> (string * string list) list
 (** (user, groups) pairs, both sorted — for the durable catalog. *)
+
+val version : t -> int
+(** Moves whenever a mutator above changes what {!users}, {!groups} or
+    {!memberships} report (never backwards); the durable catalog reads
+    it to skip re-encoding. *)

@@ -301,14 +301,21 @@ let render_exn t ?user sql = Executor.render (exec_exn t ?user sql)
    degradation, read-only refusal) propagate to the caller, which owns
    the transaction and decides how to abort it.  [timeout_ms] overrides
    the handle-level default for this statement. *)
-let exec_nocommit t ?(user = Context.superuser) ?session ?timeout_ms sql =
+let nocommit t ~user ?session ?timeout_ms sql run =
   let timeout_ms =
     match timeout_ms with Some _ as v -> v | None -> t.stmt_timeout_ms
   in
   guard t (fun () ->
       observed t ~user ?session ~info:stmt_info sql (fun () ->
-          Context.with_deadline t.ctx ?timeout_ms (fun () ->
-              Executor.run t.ctx ~user sql)))
+          Context.with_deadline t.ctx ?timeout_ms (fun () -> run t.ctx)))
+
+let exec_nocommit t ?(user = Context.superuser) ?session ?timeout_ms sql =
+  nocommit t ~user ?session ?timeout_ms sql (fun ctx -> Executor.run ctx ~user sql)
+
+let exec_stmt_nocommit t ?(user = Context.superuser) ?session ?timeout_ms ~sql
+    stmt =
+  nocommit t ~user ?session ?timeout_ms sql (fun ctx ->
+      Executor.run_stmt ctx ~user stmt)
 
 let force_rollback t = safe_rollback t
 

@@ -87,6 +87,17 @@ val exec_nocommit :
     {!Bdbms_storage.Backend.Io_degraded}) propagate to the caller, which
     owns the transaction boundary. *)
 
+val exec_stmt_nocommit :
+  t ->
+  ?user:string ->
+  ?session:int ->
+  ?timeout_ms:float ->
+  sql:string ->
+  Bdbms_asql.Ast.statement ->
+  (Bdbms_asql.Executor.outcome, string) result
+(** {!exec_nocommit} of a statement the caller already parsed from
+    [sql] (the text the query log records). *)
+
 val force_rollback : t -> unit
 (** Abandon everything since the last commit and re-bootstrap the engine
     from the committed state (no-op on an in-memory database).  When the

@@ -1,6 +1,7 @@
-type t = { mutable rules : Rule.t list }
+type t = { mutable rules : Rule.t list; mutable version : int }
 
-let create () = { rules = [] }
+let create () = { rules = []; version = 0 }
+let version t = t.version
 
 let rules t = t.rules
 
@@ -35,7 +36,7 @@ let would_cycle t rule =
      or target equals a source *)
   List.exists (Rule.attr_equal rule.Rule.target) rule.Rule.sources
   ||
-  let downstream = reachable { rules = rule :: t.rules } [ rule.Rule.target ] in
+  let downstream = reachable { t with rules = rule :: t.rules } [ rule.Rule.target ] in
   List.exists (fun s -> List.exists (Rule.attr_equal s) downstream) rule.Rule.sources
 
 let add t rule =
@@ -52,6 +53,7 @@ let add t rule =
             Error (Printf.sprintf "rule %s would create a dependency cycle" rule.Rule.id)
           else begin
             t.rules <- t.rules @ [ rule ];
+            t.version <- t.version + 1;
             Ok ()
           end)
 

@@ -18,6 +18,10 @@ val add : t -> Rule.t -> (unit, string) result
 
 val rules : t -> Rule.t list
 
+val version : t -> int
+(** Moves whenever a mutator above changes what {!rules} reports (never
+    backwards); the durable catalog reads it to skip re-encoding. *)
+
 val find : t -> string -> Rule.t option
 
 val rules_from_source : t -> Rule.attr -> Rule.t list

@@ -30,6 +30,7 @@ type snapshot = {
   pages_crc_verified : int;
   crc_failures : int;
   root_swaps : int;
+  catalog_encodes : int;
   page_ins : int;
   evictions : int;
   writebacks : int;
@@ -78,6 +79,7 @@ let slots =
     counter "pages_crc_verified" "Stored pages CRC-checked on read";
     counter "crc_failures" "Stored pages failing CRC verification";
     counter "root_swaps" "Catalog root slot swaps committed";
+    counter "catalog_encodes" "Catalog blobs encoded to persist or compare the root";
     counter "page_ins" "Pages faulted into the frame table";
     counter "evictions" "Frames evicted to make room";
     counter "writebacks" "Dirty frames written back at eviction (steals)";
@@ -122,27 +124,28 @@ let i_catalog_replayed = 14
 let i_pages_crc_verified = 15
 let i_crc_failures = 16
 let i_root_swaps = 17
-let i_page_ins = 18
-let i_evictions = 19
-let i_writebacks = 20
-let i_wal_forced_flushes = 21
-let i_peak_pinned = 22
-let i_sessions_opened = 23
-let i_commit_conflicts = 24
-let i_frames_rx = 25
-let i_frames_tx = 26
-let i_group_commits = 27
-let i_batches_decoded = 28
-let i_batch_fallbacks = 29
-let i_stats_analyzed = 30
-let i_stats_stale = 31
-let i_plans_reordered = 32
-let i_io_retries = 33
-let i_io_gave_up = 34
-let i_stmts_timed_out = 35
-let i_degraded_entries = 36
-let i_sessions_in_flight = 37
-let i_degraded = 38
+let i_catalog_encodes = 18
+let i_page_ins = 19
+let i_evictions = 20
+let i_writebacks = 21
+let i_wal_forced_flushes = 22
+let i_peak_pinned = 23
+let i_sessions_opened = 24
+let i_commit_conflicts = 25
+let i_frames_rx = 26
+let i_frames_tx = 27
+let i_group_commits = 28
+let i_batches_decoded = 29
+let i_batch_fallbacks = 30
+let i_stats_analyzed = 31
+let i_stats_stale = 32
+let i_plans_reordered = 33
+let i_io_retries = 34
+let i_io_gave_up = 35
+let i_stmts_timed_out = 36
+let i_degraded_entries = 37
+let i_sessions_in_flight = 38
+let i_degraded = 39
 
 let to_array s =
   [|
@@ -150,7 +153,7 @@ let to_array s =
     s.checkpoints; s.recovered_records; s.hash_builds; s.hash_probes;
     s.pushdown_pruned; s.index_probes; s.tuples_decoded; s.ann_envelopes;
     s.catalog_replayed; s.pages_crc_verified; s.crc_failures; s.root_swaps;
-    s.page_ins; s.evictions; s.writebacks; s.wal_forced_flushes;
+    s.catalog_encodes; s.page_ins; s.evictions; s.writebacks; s.wal_forced_flushes;
     s.peak_pinned; s.sessions_opened; s.commit_conflicts; s.frames_rx;
     s.frames_tx; s.group_commits; s.batches_decoded; s.batch_fallbacks;
     s.stats_analyzed; s.stats_stale; s.plans_reordered; s.io_retries;
@@ -178,6 +181,7 @@ let of_array a =
     pages_crc_verified = a.(i_pages_crc_verified);
     crc_failures = a.(i_crc_failures);
     root_swaps = a.(i_root_swaps);
+    catalog_encodes = a.(i_catalog_encodes);
     page_ins = a.(i_page_ins);
     evictions = a.(i_evictions);
     writebacks = a.(i_writebacks);
@@ -225,6 +229,7 @@ let record_catalog_replayed t n = t.(i_catalog_replayed) <- t.(i_catalog_replaye
 let record_page_crc_verified t = bump t i_pages_crc_verified
 let record_crc_failure t = bump t i_crc_failures
 let record_root_swap t = bump t i_root_swaps
+let record_catalog_encode t = bump t i_catalog_encodes
 let record_page_in t = bump t i_page_ins
 let record_eviction t = bump t i_evictions
 let record_writeback t = bump t i_writebacks

@@ -93,6 +93,10 @@ val record_page_crc_verified : t -> unit
 val record_crc_failure : t -> unit
 val record_root_swap : t -> unit
 
+val record_catalog_encode : t -> unit
+(** One whole catalog blob encoded (by a commit, checkpoint or close
+    whose metadata may have changed, or by a caller asking for it). *)
+
 val record_page_in : t -> unit
 (** A page faulted into the frame table from stable storage (a pool miss
     that performed physical I/O). *)
@@ -148,6 +152,7 @@ type snapshot = {
   pages_crc_verified : int;
   crc_failures : int;
   root_swaps : int;
+  catalog_encodes : int;
   page_ins : int;
   evictions : int;
   writebacks : int;

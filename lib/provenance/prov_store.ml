@@ -4,13 +4,17 @@ module Region = Bdbms_annotation.Region
 module Ann_store = Bdbms_annotation.Ann_store
 module Table = Bdbms_relation.Table
 
-type t = { mgr : Manager.t; tools : (string, unit) Hashtbl.t }
+type t = { mgr : Manager.t; tools : (string, unit) Hashtbl.t; mutable version : int }
 
 let reserved_table_name = "_provenance"
 
-let create mgr = { mgr; tools = Hashtbl.create 4 }
+let create mgr = { mgr; tools = Hashtbl.create 4; version = 0 }
 
-let register_tool t name = Hashtbl.replace t.tools name ()
+let register_tool t name =
+  Hashtbl.replace t.tools name ();
+  t.version <- t.version + 1
+
+let version t = t.version
 
 let tools t = Hashtbl.fold (fun k () acc -> k :: acc) t.tools [] |> List.sort String.compare
 

@@ -21,6 +21,10 @@ val register_tool : t -> string -> unit
 val tools : t -> string list
 (** Registered tool actors (sorted) — for the durable catalog. *)
 
+val version : t -> int
+(** Moves whenever a mutator above changes what {!tools} reports (never
+    backwards); the durable catalog reads it to skip re-encoding. *)
+
 val is_authorized_actor : t -> string -> bool
 (** The system actor ["system"] and registered tools only. *)
 

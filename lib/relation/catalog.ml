@@ -1,8 +1,10 @@
 module Pager = Bdbms_storage.Pager
 
-type t = { bp : Pager.t; tables : (string, Table.t) Hashtbl.t }
+type t = { bp : Pager.t; tables : (string, Table.t) Hashtbl.t; mutable version : int }
 
-let create bp = { bp; tables = Hashtbl.create 16 }
+let create bp = { bp; tables = Hashtbl.create 16; version = 0 }
+let version t = t.version
+let bump t = t.version <- t.version + 1
 
 let pager t = t.bp
 
@@ -14,6 +16,7 @@ let create_table t ~name schema =
   else begin
     let table = Table.create t.bp ~name schema in
     Hashtbl.replace t.tables key table;
+    bump t;
     Ok table
   end
 
@@ -21,12 +24,15 @@ let drop_table t name =
   let key = norm name in
   if Hashtbl.mem t.tables key then begin
     Hashtbl.remove t.tables key;
+    bump t;
     true
   end
   else false
 
 (* Re-register a table rebuilt from the durable catalog at bootstrap. *)
-let restore_table t table = Hashtbl.replace t.tables (norm (Table.name table)) table
+let restore_table t table =
+  Hashtbl.replace t.tables (norm (Table.name table)) table;
+  bump t
 
 let find t name = Hashtbl.find_opt t.tables (norm name)
 let find_exn t name = Hashtbl.find t.tables (norm name)

@@ -20,3 +20,7 @@ val find_exn : t -> string -> Table.t
 val exists : t -> string -> bool
 val table_names : t -> string list
 (** Sorted. *)
+
+val version : t -> int
+(** Moves whenever a mutator above changes what {!table_names} reports (never
+    backwards); the durable catalog reads it to skip re-encoding. *)

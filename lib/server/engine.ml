@@ -201,15 +201,20 @@ let with_tid t tid f =
   if tid = 0 then f ()
   else Trace.with_trace_id (Db.obs t.db).Obs.trace tid f
 
+(* The statement is parsed once, under the lock like the rest of its
+   trace, and the parsed form is what executes. *)
 let execute t ?(user = superuser) ?(session = 0) ?exec_mode ?timeout_ms
     ?(trace_id = 0) sql =
-  match Parser.parse sql with
-  | Error e -> Error (Sql e)
-  | Ok stmt ->
-      let cls = Stmt_class.classify stmt in
-      Mutex.protect t.mu (fun () ->
-          if t.closed then Error Closed
-          else begin
+  Mutex.protect t.mu (fun () ->
+      if t.closed then Error Closed
+      else
+        match
+          with_tid t trace_id (fun () ->
+              Obs.span (obs t) "parse" (fun () -> Parser.parse sql))
+        with
+        | Error e -> Error (Sql e)
+        | Ok stmt ->
+            let cls = Stmt_class.classify stmt in
             if Db.degraded t.db <> None then Db.try_heal t.db;
             let saved = (Db.context t.db).Context.exec_mode in
             (match exec_mode with
@@ -222,7 +227,8 @@ let execute t ?(user = superuser) ?(session = 0) ?exec_mode ?timeout_ms
               (fun () ->
                 match
                   with_tid t trace_id (fun () ->
-                      Db.exec_nocommit t.db ~user ~session ?timeout_ms sql)
+                      Db.exec_stmt_nocommit t.db ~user ~session ?timeout_ms
+                        ~sql stmt)
                 with
                 | Ok outcome -> (
                     match Db.commit t.db with
@@ -254,8 +260,7 @@ let execute t ?(user = superuser) ?(session = 0) ?exec_mode ?timeout_ms
                          (Printf.sprintf "engine is read-only (degraded: %s)"
                             reason))
                 | exception Backend.Io_degraded { op; detail } ->
-                    io_degraded_locked t ~op ~detail)
-          end)
+                    io_degraded_locked t ~op ~detail))
 
 (* ------------------------------------------------------- transactions *)
 

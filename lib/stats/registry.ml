@@ -1,36 +1,44 @@
 module Value = Bdbms_relation.Value
 
-type t = (string, Table_stats.t) Hashtbl.t
+type t = { tables : (string, Table_stats.t) Hashtbl.t; mutable version : int }
 
 let key = String.lowercase_ascii
-let create () : t = Hashtbl.create 16
-let find t name = Hashtbl.find_opt t (key name)
+let create () = { tables = Hashtbl.create 16; version = 0 }
+let version t = t.version
+let bump t = t.version <- t.version + 1
+let find t name = Hashtbl.find_opt t.tables (key name)
 
 let set t (ts : Table_stats.t) =
-  Hashtbl.replace t (key ts.Table_stats.table) ts
+  Hashtbl.replace t.tables (key ts.Table_stats.table) ts;
+  bump t
 
-let remove t name = Hashtbl.remove t (key name)
+let remove t name =
+  Hashtbl.remove t.tables (key name);
+  bump t
 
 let all t =
-  Hashtbl.fold (fun _ ts acc -> ts :: acc) t []
+  Hashtbl.fold (fun _ ts acc -> ts :: acc) t.tables []
   |> List.sort (fun a b ->
          compare a.Table_stats.table b.Table_stats.table)
 
 let stale t = List.filter Table_stats.is_stale (all t)
 
-let note_insert t name row =
-  Option.iter (fun ts -> Table_stats.note_insert ts row) (find t name)
+let note t name f =
+  match find t name with
+  | Some ts ->
+      f ts;
+      bump t
+  | None -> ()
 
-let note_update t name ~col v =
-  Option.iter (fun ts -> Table_stats.note_update ts ~col v) (find t name)
-
-let note_delete t name row =
-  Option.iter (fun ts -> Table_stats.note_delete ts row) (find t name)
+let note_insert t name row = note t name (fun ts -> Table_stats.note_insert ts row)
+let note_update t name ~col v = note t name (fun ts -> Table_stats.note_update ts ~col v)
+let note_delete t name row = note t name (fun ts -> Table_stats.note_delete ts row)
 
 let mark_stale t name =
   match find t name with
   | Some ts when not (Table_stats.is_stale ts) ->
       Table_stats.mark_stale ts;
+      bump t;
       true
   | _ -> false
 
@@ -38,7 +46,7 @@ let mark_stale t name =
 (* One self-contained versioned blob per table; the durable catalog
    treats these as opaque strings under its own record tag. *)
 
-let version = 1
+let blob_version = 1
 
 exception Malformed
 
@@ -119,7 +127,7 @@ let value r =
 
 let encode_table (ts : Table_stats.t) =
   let b = Buffer.create 256 in
-  add_u8 b version;
+  add_u8 b blob_version;
   add_str b ts.table;
   add_u32 b ts.analyzed_rows;
   add_u32 b ts.live_rows;
@@ -147,7 +155,7 @@ let encode_table (ts : Table_stats.t) =
 let decode_table blob =
   try
     let r = { buf = blob; pos = 0 } in
-    if u8 r <> version then None
+    if u8 r <> blob_version then None
     else begin
       let table = str r in
       let analyzed_rows = u32 r in

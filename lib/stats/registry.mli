@@ -40,3 +40,8 @@ val encode_all : t -> string list
 val restore : t -> string list -> unit
 (** Decode blobs into the registry, silently dropping undecodable
     ones. *)
+
+val version : t -> int
+(** Moves whenever {!set}, {!remove}, a delta hook on an analyzed table
+    or {!mark_stale} changes what {!encode_all} reports (never
+    backwards); the durable catalog reads it to skip re-encoding. *)

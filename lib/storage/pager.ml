@@ -86,6 +86,7 @@ type t = {
   mutable p_cancel : Bdbms_util.Cancel.t option;
       (* cooperative cancellation checked at every pin: a cancelled scan
          stops before faulting in its next page *)
+  mutable mutations : int; (* mutable pins taken, ever *)
 }
 
 let create ?(policy = Lru) ?(guard = false) ~capacity src =
@@ -102,10 +103,12 @@ let create ?(policy = Lru) ?(guard = false) ~capacity src =
     guard;
     on_first_dirty = None;
     p_cancel = None;
+    mutations = 0;
   }
 
 let set_on_first_dirty t hook = t.on_first_dirty <- hook
 let set_cancel t c = t.p_cancel <- c
+let mutations t = t.mutations
 
 let capacity t = t.cap
 let page_size t = t.src.src_page_size
@@ -259,13 +262,16 @@ let with_pin t ~accounting ~dirty page_id f =
   | Some c -> Bdbms_util.Cancel.check c);
   let frame = fetch t ~accounting page_id in
   pin t frame;
-  if dirty && not frame.f_dirty then begin
-    (* the frame still holds its last written-back (or loaded) image:
-       announce it before the mutation callback can touch it *)
-    (match t.on_first_dirty with
-    | Some hook -> hook page_id frame.f_page
-    | None -> ());
-    frame.f_dirty <- true
+  if dirty then begin
+    t.mutations <- t.mutations + 1;
+    if not frame.f_dirty then begin
+      (* the frame still holds its last written-back (or loaded) image:
+         announce it before the mutation callback can touch it *)
+      (match t.on_first_dirty with
+      | Some hook -> hook page_id frame.f_page
+      | None -> ());
+      frame.f_dirty <- true
+    end
   end;
   Fun.protect
     ~finally:(fun () -> unpin t frame)

@@ -55,6 +55,12 @@ val set_cancel : t -> Bdbms_util.Cancel.t option -> unit
     cancelled statement stops before faulting in another page.  Pins
     already held are unaffected (unpin is exception-safe). *)
 
+val mutations : t -> int
+(** Mutable pins ({!with_page_mut}) taken since {!create}: a counter
+    that moves whenever any page may have changed.  State that only
+    changes together with a page write (a table's row-map root and
+    counts, a heap's tail) can use it as its change counter. *)
+
 val with_page : ?accounting:accounting -> t -> Page.id -> (Page.t -> 'a) -> 'a
 (** Pin the frame and run the callback on the resident page.  The page
     must not be mutated (mutations are not marked dirty and are lost at

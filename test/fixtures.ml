@@ -29,3 +29,26 @@ let correlated_rows =
     (List.init 100 (fun i -> Printf.sprintf "(%d, %d)" (i mod 10) (i mod 10)))
 
 let drift_query = "EXPLAIN ANALYZE SELECT * FROM d WHERE k1 = 3 AND k2 = 3"
+
+(* The catalog change epoch's oracle.  Whenever [Context.catalog_epoch]
+   still equals the epoch of the last root write, [persist_catalog]
+   skips the encode, so the live page-0 root must equal a fresh encoding
+   byte for byte: a mutator that forgot its version bump leaves the root
+   stale and fails here.  Returns whether the epoch was current (and the
+   bytes were compared). *)
+let check_catalog_epoch ~what (ctx : Bdbms_asql.Context.t) =
+  let module Context = Bdbms_asql.Context in
+  let current =
+    Context.durable ctx
+    && ctx.Context.persisted_epoch = Some (Context.catalog_epoch ctx)
+  in
+  (if current then
+     match Bdbms_storage.Meta_page.read_root ctx.Context.disk with
+     | None -> Alcotest.failf "%s: epoch recorded but no catalog root" what
+     | Some root ->
+         if not (Bytes.equal root (Context.encode_catalog ctx)) then
+           Alcotest.failf
+             "%s: the catalog epoch did not move but the metadata did \
+              (a mutator missed its version bump)"
+             what);
+  current

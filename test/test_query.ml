@@ -662,6 +662,89 @@ let test_alias_shadows_input () =
         ])
     [ 1; Bdbms_relation.Batch.default_rows ]
 
+(* ORDER BY names an output column before an input column: a plain
+   item's alias sorts by its source column, and where an alias spells
+   another input column's name, the alias wins. *)
+let test_order_by_output_alias () =
+  let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [
+      "CREATE TABLE S (n INT, r INT)";
+      "INSERT INTO S VALUES (3, 10), (1, 30), (2, 20), (2, 20)";
+      "CREATE ANNOTATION TABLE notes ON S";
+    ];
+  let rows sql =
+    List.map
+      (fun (r : Propagate.atuple) ->
+        String.concat "|"
+          (List.map Value.to_display (Array.to_list r.Propagate.tuple)))
+      (rows_of db sql).Propagate.rows
+  in
+  List.iter
+    (fun batch_rows ->
+      Db.set_batch_rows db batch_rows;
+      List.iter
+        (fun (sql, expect) ->
+          run_all_modes db ~ordered:true sql;
+          List.iter
+            (fun mode ->
+              Db.set_exec_mode db mode;
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s, batch_rows %d: %s" (mode_name mode)
+                   batch_rows sql)
+                expect (rows sql))
+            [ `Naive; `Batch ])
+        [
+          ("SELECT n AS x FROM S ORDER BY x", [ "1"; "2"; "2"; "3" ]);
+          ("SELECT n AS x FROM S ORDER BY x DESC LIMIT 1", [ "3" ]);
+          ( "SELECT n AS r, r AS n FROM S ORDER BY n",
+            [ "3|10"; "2|20"; "2|20"; "1|30" ] );
+          ("SELECT DISTINCT n AS x FROM S ORDER BY x DESC", [ "3"; "2"; "1" ]);
+          ("SELECT n AS x FROM S ANNOTATION(notes) ORDER BY x", [ "1"; "2"; "2"; "3" ]);
+        ])
+    [ 1; Bdbms_relation.Batch.default_rows ]
+
+(* A DISAPPROVE's inverse statement re-derives the cells that depend on
+   the reverted one, behind the executor; the derived table's index must
+   follow, in both engines. *)
+let test_disapprove_rederives_behind_index () =
+  List.iter
+    (fun mode ->
+      let db = Db.create () in
+      Db.set_exec_mode db mode;
+      List.iter
+        (fun sql -> ignore (Db.exec_exn db sql))
+        [
+          "CREATE TABLE gene (gid INT, gs DNA)";
+          "CREATE TABLE protein (pid INT, ps PROTEIN)";
+          "INSERT INTO gene VALUES (0, 'ATGGCCAAA')";
+          "INSERT INTO protein VALUES (0, 'MAK')";
+          "CREATE DEPENDENCY r1 FROM gene.gs TO protein.ps USING P";
+          "LINK DEPENDENCY r1 FROM (0) TO 0";
+          "CREATE INDEX p_ps ON protein (ps)";
+          "START CONTENT APPROVAL ON gene APPROVED BY admin";
+          "UPDATE gene SET gs = 'ATGTGGTGG' WHERE gid = 0";
+        ];
+      let pids sql =
+        List.map
+          (fun (r : Propagate.atuple) -> Value.to_display (Tuple.get r.Propagate.tuple 0))
+          (rows_of db sql).Propagate.rows
+      in
+      let what = mode_name mode in
+      Alcotest.(check (list string))
+        (what ^ ": derived before DISAPPROVE") [ "0" ]
+        (pids "SELECT pid FROM protein WHERE ps = 'MWW'");
+      ignore (Db.exec_exn db "DISAPPROVE 1");
+      Alcotest.(check (list string))
+        (what ^ ": re-derived after DISAPPROVE") [ "0" ]
+        (pids "SELECT pid FROM protein WHERE ps = 'MAK'");
+      Alcotest.(check (list string))
+        (what ^ ": old value gone") []
+        (pids "SELECT pid FROM protein WHERE ps = 'MWW'");
+      Db.close db)
+    [ `Naive; `Batch ]
+
 (* --------------------------------------------------------- stats checks *)
 
 let diff_for db sql =
@@ -1397,6 +1480,10 @@ let () =
             test_negative_zero_groups;
           Alcotest.test_case "computed columns in set operations" `Quick
             test_computed_set_operations;
+          Alcotest.test_case "ORDER BY names an output alias" `Quick
+            test_order_by_output_alias;
+          Alcotest.test_case "DISAPPROVE re-derives behind an index" `Quick
+            test_disapprove_rederives_behind_index;
           Alcotest.test_case "an alias shadows an input column" `Quick
             test_alias_shadows_input;
         ] );

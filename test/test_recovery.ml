@@ -868,7 +868,9 @@ let run_bootstrap_workload ?pool_pages ~path ~arming () =
      List.iter
        (fun sql ->
          match Db.exec db sql with
-         | Ok _ -> incr applied
+         | Ok _ ->
+             incr applied;
+             ignore (Fixtures.check_catalog_epoch ~what:sql (Db.context db))
          | Error e -> Alcotest.failf "workload statement failed: %s (%s)" e sql)
        workload;
      (* the fault can also fire inside the close checkpoint *)
@@ -878,10 +880,41 @@ let run_bootstrap_workload ?pool_pages ~path ~arming () =
      (try Disk.abandon (Db.context db).Context.disk with Fault.Crash _ -> ()));
   (!crashed, !applied)
 
+(* Reads after a reopen, each followed by the catalog epoch oracle: the
+   first commit after the bootstrap encodes and compares, every later one
+   skips the encode unless an index build wrote pages.  Statements naming
+   a table the recovered prefix lacks fail and roll back, which is fine. *)
+let epoch_probes =
+  [
+    "SELECT GID FROM Gene WHERE GID = 'g1'";
+    "SELECT * FROM Protein";
+    "SELECT GID FROM Gene WHERE GID = 'b3'";
+    "SHOW PENDING";
+    "SELECT * FROM Gene ANNOTATION(notes)";
+    "SHOW OUTDATED Protein";
+  ]
+
+let check_epoch_after_reopen ~what path =
+  let db = Db.create ~page_size ~path () in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      let checked =
+        List.fold_left
+          (fun n sql ->
+            ignore (Db.exec db sql);
+            if Fixtures.check_catalog_epoch ~what:(what ^ ": " ^ sql) (Db.context db)
+            then n + 1
+            else n)
+          0 epoch_probes
+      in
+      if checked = 0 then Alcotest.failf "%s: the epoch oracle never ran" what)
+
 (* Reopen with [Db.create ~path] alone and differentially compare against
    the oracle.  A crash can land between a statement's durable commit and
    the harness bumping [applied], so prefix [applied] or [applied + 1]
-   both count as exact recovery. *)
+   both count as exact recovery.  Then the reopened file serves
+   [epoch_probes] under the catalog epoch oracle. *)
 let check_bootstrap ~what path applied =
   let oracles = Lazy.force oracle_fps in
   let db = Db.create ~page_size ~path () in
@@ -890,7 +923,8 @@ let check_bootstrap ~what path applied =
   let matches k = k >= 0 && k < Array.length oracles && fp = oracles.(k) in
   if not (matches applied || matches (applied + 1)) then
     Alcotest.failf "%s: bootstrapped state differs from oracle prefix %d/%d\n--- got:\n%s\n--- oracle %d:\n%s"
-      what applied (applied + 1) fp applied oracles.(min applied (Array.length oracles - 1))
+      what applied (applied + 1) fp applied oracles.(min applied (Array.length oracles - 1));
+  check_epoch_after_reopen ~what path
 
 let test_bootstrap_roundtrip () =
   let path = tmp_path () in
@@ -1176,6 +1210,7 @@ let test_read_only_commits_write_nothing () =
       e "SELECT COUNT(*) FROM d";
       let s = delta s0 in
       checki "reads: no root swaps" 0 s.Stats.root_swaps;
+      checki "reads: no catalog encodes" 0 s.Stats.catalog_encodes;
       checki "reads: no page writes" 0 s.Stats.writes;
       checki "reads: no WAL flushes" 0 s.Stats.wal_flushes;
       checki "reads: no checkpoints" 0 s.Stats.checkpoints;
@@ -1188,6 +1223,79 @@ let test_read_only_commits_write_nothing () =
       checkb "boundary re-analyze fired" true (s.Stats.stats_analyzed > 0);
       checki "re-analyzing read: one root swap" 1 s.Stats.root_swaps;
       checkb "re-analyzing read: logged" true (s.Stats.wal_flushes > 0))
+
+(* The catalog epoch oracle over [workload] and a corpus that changes
+   every component [encode_catalog] reads — most of its statements
+   (grants, principals, rules, approval decisions, index and table
+   definitions, statistics) with no page write, so only their own
+   version bumps move the epoch.  Reads sit between them.  After every
+   statement, and after a provenance tool registered through the API,
+   the epoch of the last root write is current and the root must equal
+   a fresh encoding. *)
+let epoch_corpus =
+  [
+    "CREATE USER bob";
+    "SELECT * FROM Gene WHERE GID = 'g1'";
+    "CREATE GROUP curators";
+    "ADD USER bob TO GROUP curators";
+    "GRANT SELECT ON Gene TO bob";
+    "SELECT COUNT(*) FROM Protein";
+    "GRANT INSERT ON Protein TO GROUP curators";
+    "REVOKE SELECT ON Gene FROM bob";
+    "ANALYZE";
+    "SELECT * FROM Gene WHERE GID = 'g3'";
+    "CREATE TABLE d (k1 INT, k2 INT)";
+    "INSERT INTO d VALUES " ^ Fixtures.correlated_rows;
+    "ANALYZE d";
+    Fixtures.drift_query;
+    Fixtures.drift_query;
+    "START CONTENT APPROVAL ON Gene APPROVED BY admin";
+    "UPDATE Gene SET GID = 'g1x' WHERE GID = 'g1'";
+    "INSERT INTO Gene VALUES ('g7', 'ACGT')";
+    "SHOW PENDING";
+    "APPROVE 3";
+    "DISAPPROVE 4";
+    "STOP CONTENT APPROVAL ON Gene";
+    "CREATE INDEX pidx ON Protein (PName)";
+    "SELECT PName FROM Protein WHERE PName = 'p1'";
+    "SELECT PName FROM Protein WHERE PName = 'q5'";
+    "DROP INDEX pidx";
+    "DROP INDEX gidx";
+    "ADD ANNOTATION TO Gene.notes VALUE 'late note' ON (SELECT * FROM Gene WHERE GID = 'b1')";
+    "SELECT * FROM Gene ANNOTATION(notes) WHERE GID = 'b1'";
+    "LINK DEPENDENCY r1 FROM (30) TO 60";
+    "CREATE TABLE w (a TEXT)";
+    "CREATE DEPENDENCY r3 FROM Protein.PName TO w.a USING LabCheck";
+    "CREATE ANNOTATION TABLE extra ON d";
+    "DROP ANNOTATION TABLE extra ON d";
+    "DROP TABLE w";
+    "VALIDATE Protein ROW 10 COLUMN PName";
+    "SHOW OUTDATED Protein";
+  ]
+
+let test_catalog_epoch_oracle () =
+  let path = tmp_path () in
+  let db = with_lab (Db.create ~page_size ~path ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Db.close db;
+      cleanup path)
+    (fun () ->
+      let checked = ref 0 in
+      let oracle what =
+        if Fixtures.check_catalog_epoch ~what (Db.context db) then incr checked
+      in
+      List.iter
+        (fun sql ->
+          ignore (Db.exec_exn db sql);
+          oracle sql)
+        (workload @ epoch_corpus);
+      Prov_store.register_tool (Db.context db).Context.prov "genobase-sync";
+      ignore (Db.commit db);
+      oracle "register_tool";
+      checki "the oracle ran after every statement"
+        (List.length workload + List.length epoch_corpus + 1)
+        !checked)
 
 (* An INSERT changes only its table's fixed-size head in the catalog, so
    the rest of a long blob (here, a content-approval log, which the root
@@ -1439,6 +1547,7 @@ let () =
         [
           Alcotest.test_case "read-only commits write nothing" `Quick
             test_read_only_commits_write_nothing;
+          Alcotest.test_case "catalog epoch oracle" `Quick test_catalog_epoch_oracle;
           Alcotest.test_case "encode-restore fixpoint" `Quick
             test_catalog_encode_fixpoint;
           Alcotest.test_case "golden catalog digest" `Quick

@@ -853,7 +853,16 @@ let fuzz_on = Sys.getenv_opt "BDBMS_FUZZ_SERVER" = Some "1"
 (* Random interleaving of sessions issuing BEGIN/INSERT/SELECT/COMMIT/
    ROLLBACK; the canonical state must equal the serial oracle of the
    acknowledged commits in seq order, for every seed. *)
+(* The catalog epoch oracle on the canonical engine after a round
+   ({!Fixtures.check_catalog_epoch}); counts the rounds it compared. *)
+let epoch_checks = ref 0
+
+let check_epoch_round what e =
+  if Fixtures.check_catalog_epoch ~what (Db.context (Engine.db e)) then
+    incr epoch_checks
+
 let fuzz_interleaved_sessions () =
+  epoch_checks := 0;
   for seed = 1 to 12 do
     with_engine (fun e ->
         let rng = Prng.create (0xBd5 + seed) in
@@ -928,8 +937,10 @@ let fuzz_interleaved_sessions () =
           checks
             (Printf.sprintf "seed %d: %s" seed sql)
             oracle_view (render e sql)
-        done)
-  done
+        done;
+        check_epoch_round (Printf.sprintf "seed %d" seed) e)
+  done;
+  checkb "the epoch oracle compared some rounds" true (!epoch_checks > 0)
 
 (* Crash injection at commit: arm the storage fault to crash on a random
    stable-storage op while a session streams committed txns; after the
@@ -1011,6 +1022,9 @@ let fuzz_crash_at_commit () =
       (Printf.sprintf "seed %d: acked commits survive recovery" seed)
       true
       (recovered = just_acked || recovered = with_maybe);
+    exec e2 "INSERT INTO f VALUES (0)";
+    ignore (render e2 "SELECT * FROM f");
+    check_epoch_round (Printf.sprintf "seed %d after recovery" seed) e2;
     Engine.close e2;
     cleanup path
   done
@@ -1128,7 +1142,7 @@ let test_reads_write_nothing_wire () =
             (fun name ->
               checki (name ^ " unchanged by 50 reads") (List.assoc name r0)
                 (List.assoc name r1))
-            [ "root_swaps"; "wal_flushes"; "writes" ];
+            [ "root_swaps"; "catalog_encodes"; "wal_flushes"; "writes" ];
           q "INSERT INTO t VALUES (4)";
           checki "a write swaps the root" 1
             (List.assoc "root_swaps" (stats_reading c) - List.assoc "root_swaps" r1)))
