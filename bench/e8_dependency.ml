@@ -109,12 +109,18 @@ let build_chains n =
     ignore (Tracker.link_rows tracker ~rule_id:"r1" ~source_rows:[ g ] ~target_row:pr);
     ignore (Tracker.link_rows tracker ~rule_id:"r2" ~source_rows:[ pr ] ~target_row:pr)
   done;
-  (gene, tracker)
+  (catalog, gene, tracker)
+
+(* The tracker's cell writer: the bare table write, since these tables
+   carry no index or statistics. *)
+let write_cell catalog (c : Bdbms_dependency.Dep_graph.cell) value =
+  Result.map ignore
+    (Table.update_cell (Catalog.find_exn catalog c.table) ~row:c.row ~col:c.col value)
 
 let cascade_rows () =
   List.map
     (fun (n, batch) ->
-      let gene, tracker = build_chains n in
+      let catalog, gene, tracker = build_chains n in
       let rng = Prng.create 83 in
       let reports, us =
         time_us (fun () ->
@@ -122,7 +128,8 @@ let cascade_rows () =
                 let row = Prng.int rng n in
                 let dna = Dna.random_gene rng ~codons:12 in
                 ignore (Table.update_cell gene ~row ~col:1 (Value.VDna dna));
-                Tracker.on_cell_update tracker ~table:"Gene" ~row ~col:1))
+                Tracker.on_cell_update tracker ~write:(write_cell catalog) ~table:"Gene"
+                  ~row ~col:1))
       in
       let recomputed =
         List.fold_left (fun acc r -> acc + List.length r.Tracker.recomputed) 0 reports

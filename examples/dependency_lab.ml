@@ -81,15 +81,19 @@ let () =
 
   print_endline "--- figure 9b: upgrading BLAST re-evaluates every E-value ---\n";
   show db "SELECT Gene1, Gene2, Evalue FROM GeneMatching" |> ignore;
-  let registry =
-    Bdbms_dependency.Tracker.registry (Db.context db).Bdbms_asql.Context.tracker
-  in
-  (match Bdbms_dependency.Procedure.Registry.find registry "BLAST" with
+  let ctx = Db.context db in
+  let tracker = ctx.Bdbms_asql.Context.tracker in
+  (match
+     Bdbms_dependency.Procedure.Registry.find
+       (Bdbms_dependency.Tracker.registry tracker) "BLAST"
+   with
   | Some blast ->
       Bdbms_dependency.Procedure.set_version blast "2.3.0";
+      (* re-evaluated E-values are written like any other cell, so an
+         index on GeneMatching would follow them *)
       let report =
-        Bdbms_dependency.Tracker.on_procedure_change
-          (Db.context db).Bdbms_asql.Context.tracker "BLAST"
+        Bdbms_dependency.Tracker.on_procedure_change tracker
+          ~write:(Bdbms_asql.Write.derive ctx) "BLAST"
       in
       Printf.printf "BLAST upgraded to 2.3.0: %d value(s) re-evaluated\n\n"
         (List.length report.Bdbms_dependency.Tracker.recomputed)

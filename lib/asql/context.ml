@@ -31,7 +31,6 @@ type index_def = {
   idx_table : string;
   idx_column : string;
   mutable tree : Bdbms_index.Btree.t option;
-  mutable dirty : bool;
 }
 
 type t = {
@@ -86,17 +85,6 @@ let indexes_on t ~table =
     (fun _ idx acc -> if norm idx.idx_table = norm table then idx :: acc else acc)
     t.indexes []
 
-let mark_indexes_dirty t ~table =
-  List.iter (fun idx -> idx.dirty <- true) (indexes_on t ~table)
-
-(* Cells the dependency tracker re-derived were written behind the index
-   maintenance of the executor's DML: mark their tables' indexes dirty. *)
-let note_tracker_report t (report : Tracker.report) =
-  List.iter
-    (fun (c : Bdbms_dependency.Dep_graph.cell) ->
-      mark_indexes_dirty t ~table:c.Bdbms_dependency.Dep_graph.table)
-    report.Tracker.recomputed
-
 let create ?(page_size = 4096) ?pool_pages ?policy ?path ?disk ?fault ?obs ()
     =
   (* The observability handle outlives the context: [Db.rollback]
@@ -126,43 +114,33 @@ let create ?(page_size = 4096) ?pool_pages ?policy ?path ?disk ?fault ?obs ()
   let principals = Principal.create () in
   ignore (Principal.add_user principals superuser);
   let acl = Acl.create principals in
-  let approval = Approval.create catalog principals clock in
-  let t =
-    {
-      disk;
-      bp;
-      clock;
-      catalog;
-      ann;
-      prov;
-      tracker;
-      principals;
-      acl;
-      approval;
-      strict_acl = false;
-      auto_provenance = false;
-      exec_mode = `Batch;
-      batch_rows = 1024;
-      indexes = Hashtbl.create 8;
-      indexes_version = 0;
-      tstats = Bdbms_stats.Registry.create ();
-      obs;
-      cancel;
-      read_only = None;
-      analyze = None;
-      session_label = None;
-      sys_providers = [];
-      persisted_epoch = None;
-    }
-  in
-  (* an inverse statement wrote behind the executor, and the tracker
-     re-derives what depends on the reverted cell behind it too *)
-  Approval.set_on_revert approval (fun ~table ~row ~col ->
-      mark_indexes_dirty t ~table;
-      match col with
-      | Some col -> note_tracker_report t (Tracker.on_cell_update tracker ~table ~row ~col)
-      | None -> ());
-  t
+  let approval = Approval.create principals clock in
+  {
+    disk;
+    bp;
+    clock;
+    catalog;
+    ann;
+    prov;
+    tracker;
+    principals;
+    acl;
+    approval;
+    strict_acl = false;
+    auto_provenance = false;
+    exec_mode = `Batch;
+    batch_rows = 1024;
+    indexes = Hashtbl.create 8;
+    indexes_version = 0;
+    tstats = Bdbms_stats.Registry.create ();
+    obs;
+    cancel;
+    read_only = None;
+    analyze = None;
+    session_label = None;
+    sys_providers = [];
+    persisted_epoch = None;
+  }
 
 let durable t = Disk.is_durable t.disk
 
@@ -262,7 +240,6 @@ let bootstrap t =
               idx_table = ix.ix_table;
               idx_column = ix.ix_column;
               tree = None;
-              dirty = false;
             })
         infos;
       Stats.record_catalog_replayed (Disk.stats t.disk) count;

@@ -21,19 +21,16 @@ val exec_mode_of_string : string -> exec_mode option
 
 val exec_mode_name : exec_mode -> string
 
-(** A secondary B+-tree index over one column of a user table.  Indexes
-    are maintained incrementally by the executor's DML paths; mutations
-    that bypass the executor (approval inverse statements, dependency
-    re-derivations) mark them dirty, and a dirty index is rebuilt from a
-    table scan on its next use.  [tree] is [None] until the first build
-    (bootstrap restores only the definition), so no page is allocated
-    for an index that is never probed. *)
+(** A secondary B+-tree index over one column of a user table.  Every
+    write goes through {!Write}, which maintains each built tree.  [tree]
+    is [None] until the first build from a table scan (bootstrap restores
+    only the definition), so no page is allocated for an index that is
+    never probed. *)
 type index_def = {
   idx_name : string;
   idx_table : string;
   idx_column : string;
   mutable tree : Bdbms_index.Btree.t option;
-  mutable dirty : bool;
 }
 
 type t = {
@@ -64,7 +61,7 @@ type t = {
           {!catalog_epoch} *)
   tstats : Bdbms_stats.Registry.t;
       (** per-table optimizer statistics: ANALYZE results maintained
-          incrementally by the DML paths, consumed by [Plan]/[Cost] for
+          incrementally by every {!Write}, consumed by [Plan]/[Cost] for
           selectivity and join ordering, persisted through the durable
           catalog as opaque versioned blobs *)
   obs : Bdbms_obs.Obs.t;
@@ -101,8 +98,7 @@ val create :
   ?obs:Bdbms_obs.Obs.t ->
   unit -> t
 (** A fresh engine.  The superuser ["admin"] and the system actor exist
-    from the start; approval inverse execution is wired into the
-    dependency tracker.  [pool_pages] bounds the pager's frame table
+    from the start.  [pool_pages] bounds the pager's frame table
     (durable default 256; in-memory default unbounded).  With [path],
     the page store is durable: backed by a database file and write-ahead
     log, with crash recovery run at open (see
@@ -181,14 +177,6 @@ val drop_index : t -> string -> bool
 
 val indexes_on : t -> table:string -> index_def list
 (** All indexes registered over a table. *)
-
-val mark_indexes_dirty : t -> table:string -> unit
-(** Called when a table is mutated behind the executor's back. *)
-
-val note_tracker_report : t -> Bdbms_dependency.Tracker.report -> unit
-(** The tracker re-derived the report's cells behind the executor's
-    index maintenance: mark their tables' indexes dirty.  The executor's
-    DML and the approval revert hook both call it. *)
 
 val index_key : Bdbms_relation.Value.t -> string
 (** Order-preserving byte encoding of a value as an index key. *)

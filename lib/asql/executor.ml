@@ -227,59 +227,11 @@ let build_index (ctx : Context.t) (idx : Context.index_def) =
         ~key:(Context.index_key (Tuple.get tuple col))
         ~value:row);
   idx.Context.tree <- Some tree;
-  idx.Context.dirty <- false;
   tree
 
-(* The index's tree, (re)built if it is unbuilt or dirty. *)
+(* The index's tree, built on its first use. *)
 let fresh_index ctx (idx : Context.index_def) =
-  match idx.Context.tree with
-  | Some tree when not idx.Context.dirty -> tree
-  | _ -> build_index ctx idx
-
-(* incremental maintenance: only touch clean, built indexes *)
-let clean_tree (idx : Context.index_def) =
-  if idx.Context.dirty then None else idx.Context.tree
-
-let index_note_insert ctx ~table ~row tuple =
-  List.iter
-    (fun (idx : Context.index_def) ->
-      match clean_tree idx with
-      | None -> ()
-      | Some tree ->
-          let tbl = find_table ctx table in
-          let col = Schema.index_of_exn (Table.schema tbl) idx.Context.idx_column in
-          Bdbms_index.Btree.insert tree
-            ~key:(Context.index_key (Tuple.get tuple col))
-            ~value:row)
-    (Context.indexes_on ctx ~table)
-
-let index_note_update ctx ~table ~row ~column ~old_value ~new_value =
-  List.iter
-    (fun (idx : Context.index_def) ->
-      match clean_tree idx with
-      | Some tree
-        when String.lowercase_ascii idx.Context.idx_column
-             = String.lowercase_ascii column ->
-          ignore
-            (Bdbms_index.Btree.delete tree ~key:(Context.index_key old_value) ~value:row);
-          Bdbms_index.Btree.insert tree ~key:(Context.index_key new_value) ~value:row
-      | _ -> ())
-    (Context.indexes_on ctx ~table)
-
-let index_note_delete ctx ~table ~row tuple =
-  List.iter
-    (fun (idx : Context.index_def) ->
-      match clean_tree idx with
-      | None -> ()
-      | Some tree ->
-          let tbl = find_table ctx table in
-          let col = Schema.index_of_exn (Table.schema tbl) idx.Context.idx_column in
-          ignore
-            (Bdbms_index.Btree.delete tree
-               ~key:(Context.index_key (Tuple.get tuple col))
-               ~value:row))
-    (Context.indexes_on ctx ~table)
-
+  match idx.Context.tree with Some tree -> tree | None -> build_index ctx idx
 
 (* ----------------------------------------------------------- the SELECT *)
 
@@ -1076,6 +1028,7 @@ let do_insert (ctx : Context.t) ~user ~table:table_name values =
   check_acl ctx ~user Acl.Insert ~table:table_name ();
   let table = find_table ctx table_name in
   let schema = Table.schema table in
+  let by = Some user in
   let rows =
     List.map
       (fun literals ->
@@ -1087,11 +1040,7 @@ let do_insert (ctx : Context.t) ~user ~table:table_name values =
                (fun i v -> coerce v (Schema.column_at schema i).Schema.ty)
                literals)
         in
-        let row = ok_or_fail (Table.insert table tuple) in
-        index_note_insert ctx ~table:table_name ~row tuple;
-        Stats_reg.note_insert ctx.Context.tstats table_name tuple;
-        ignore (Approval.log_insert ctx.approval ~table:table_name ~row ~user);
-        row)
+        ok_or_fail (Write.insert ctx ~user:by table tuple))
       values
   in
   record_local_prov ctx ~table ~region:(Region.Rows rows)
@@ -1169,6 +1118,7 @@ let do_update (ctx : Context.t) ~user ~table:table_name sets where =
       sets
   in
   let rows = matching_rows ctx table where in
+  let by = Some user in
   let touched = ref [] in
   List.iter
     (fun (row, tuple) ->
@@ -1177,15 +1127,7 @@ let do_update (ctx : Context.t) ~user ~table:table_name sets where =
           let value =
             coerce (Expr.eval schema tuple expr) (Schema.column_at schema col).Schema.ty
           in
-          let old_value = ok_or_fail (Table.update_cell table ~row ~col value) in
-          index_note_update ctx ~table:table_name ~row ~column:cname ~old_value
-            ~new_value:value;
-          Stats_reg.note_update ctx.Context.tstats table_name ~col value;
-          ignore
-            (Approval.log_update ctx.approval ~table:table_name ~row ~col
-               ~column_name:cname ~old_value ~user);
-          Context.note_tracker_report ctx
-            (Tracker.on_cell_update ctx.tracker ~table:table_name ~row ~col);
+          ignore (ok_or_fail (Write.update_cell ctx ~user:by table ~row ~col value));
           touched := (row, cname) :: !touched)
         sets)
     rows;
@@ -1201,19 +1143,8 @@ let do_delete (ctx : Context.t) ~user ~table:table_name where =
   check_acl ctx ~user Acl.Delete ~table:table_name ();
   let table = find_table ctx table_name in
   let rows = matching_rows ctx table where in
-  List.iter
-    (fun (row, tuple) ->
-      ignore (Table.delete table row);
-      index_note_delete ctx ~table:table_name ~row tuple;
-      Stats_reg.note_delete ctx.Context.tstats table_name tuple;
-      ignore (Approval.log_delete ctx.approval ~table:table_name ~row ~old_tuple:tuple ~user);
-      (* dependents of a deleted row cannot be recomputed: mark them *)
-      let arity = Schema.arity (Table.schema table) in
-      for col = 0 to arity - 1 do
-        Context.note_tracker_report ctx
-          (Tracker.on_cell_update ctx.tracker ~table:table_name ~row ~col)
-      done)
-    rows;
+  let by = Some user in
+  List.iter (fun (row, tuple) -> Write.delete ctx ~user:by table ~row tuple) rows;
   rows
 
 (* -------------------------------------------------- annotation commands *)
@@ -1298,7 +1229,7 @@ let do_add_annotation (ctx : Context.t) ~user targets value on =
       let log = deleted_log_table ctx tbl in
       let deleted = do_delete ctx ~user ~table where in
       let log_rows =
-        List.map (fun (_, tuple) -> ok_or_fail (Table.insert log tuple)) deleted
+        List.map (fun (_, tuple) -> ok_or_fail (Write.insert ctx ~user:None log tuple)) deleted
       in
       (* the deleted tuples live on in the log table, annotated with the
          reason for their deletion (Section 3.2) *)
@@ -1618,6 +1549,9 @@ let execute_exn (ctx : Context.t) ~user (stmt : Ast.statement) : outcome =
       ddl_hit ctx;
       if Catalog.drop_table ctx.catalog name then begin
         Stats_reg.remove ctx.Context.tstats name;
+        List.iter
+          (fun (idx : Context.index_def) -> ignore (Context.drop_index ctx idx.Context.idx_name))
+          (Context.indexes_on ctx ~table:name);
         Message (Printf.sprintf "table %s dropped" name)
       end
       else fail "unknown table %s" name
@@ -1672,7 +1606,7 @@ let execute_exn (ctx : Context.t) ~user (stmt : Ast.statement) : outcome =
       ok_or_fail (Approval.approve ctx.approval id ~by:user);
       Message (Printf.sprintf "entry %d approved" id)
   | Ast.Disapprove id ->
-      ok_or_fail (Approval.disapprove ctx.approval id ~by:user);
+      ok_or_fail (Approval.disapprove ctx.approval id ~by:user ~undo:(Write.undo ctx));
       Message (Printf.sprintf "entry %d disapproved; inverse statement executed" id)
   | Ast.Show_pending table -> Entries (Approval.pending ctx.approval ?table ())
   | Ast.Grant { privilege; table; columns; grantee } ->
@@ -1715,7 +1649,6 @@ let execute_exn (ctx : Context.t) ~user (stmt : Ast.statement) : outcome =
           idx_table = table;
           idx_column = column;
           tree = None;
-          dirty = false;
         }
       in
       ignore (build_index ctx idx);

@@ -1,8 +1,5 @@
-module Catalog = Bdbms_relation.Catalog
-module Table = Bdbms_relation.Table
 module Value = Bdbms_relation.Value
 module Tuple = Bdbms_relation.Tuple
-module Schema = Bdbms_relation.Schema
 module Clock = Bdbms_util.Clock
 
 type status = Pending | Approved | Disapproved
@@ -34,32 +31,26 @@ let inverse_description = function
 type config = { columns : string list option; approver : Acl.grantee }
 
 type t = {
-  catalog : Catalog.t;
   principals : Principal.t;
   clock : Clock.t;
   monitored_tables : (string, config) Hashtbl.t;
   mutable log : entry list; (* newest first *)
   mutable next_id : int;
-  mutable on_revert : (table:string -> row:int -> col:int option -> unit) option;
   mutable version : int;
 }
 
-let create catalog principals clock =
+let create principals clock =
   {
-    catalog;
     principals;
     clock;
     monitored_tables = Hashtbl.create 8;
     log = [];
     next_id = 1;
-    on_revert = None;
     version = 0;
   }
 
 let version t = t.version
 let bump t = t.version <- t.version + 1
-
-let set_on_revert t f = t.on_revert <- Some f
 
 let norm = String.lowercase_ascii
 
@@ -149,6 +140,10 @@ let log_delete t ~table ~row ~old_tuple ~user =
 
 let entries t = List.rev t.log
 
+let table_of_entry e =
+  match e.operation with
+  | Op_insert { table; _ } | Op_update { table; _ } | Op_delete { table; _ } -> table
+
 let pending t ?table () =
   entries t
   |> List.filter (fun e ->
@@ -156,16 +151,9 @@ let pending t ?table () =
          &&
          match table with
          | None -> true
-         | Some name -> (
-             match e.operation with
-             | Op_insert { table; _ } | Op_update { table; _ } | Op_delete { table; _ } ->
-                 norm table = norm name))
+         | Some name -> norm (table_of_entry e) = norm name)
 
 let find t id = List.find_opt (fun e -> e.id = id) t.log
-
-let table_of_entry e =
-  match e.operation with
-  | Op_insert { table; _ } | Op_update { table; _ } | Op_delete { table; _ } -> table
 
 let can_decide t ~user ~table =
   match Hashtbl.find_opt t.monitored_tables (norm table) with
@@ -197,38 +185,11 @@ let approve t id ~by =
       decide t e ~by ~at:(Clock.tick t.clock) ~status:Approved;
       Ok ()
 
-let notify_revert t ~table ~row ~col =
-  match t.on_revert with None -> () | Some f -> f ~table ~row ~col
-
-let execute_inverse t operation =
-  match operation with
-  | Op_insert { table; row } ->
-      let tbl = Catalog.find_exn t.catalog table in
-      if Table.delete tbl row then begin
-        notify_revert t ~table ~row ~col:None;
-        Ok ()
-      end
-      else Error (Printf.sprintf "cannot undo insert: row %d of %s is gone" row table)
-  | Op_update { table; row; col; old_value } -> (
-      let tbl = Catalog.find_exn t.catalog table in
-      match Table.update_cell tbl ~row ~col old_value with
-      | Ok _ ->
-          notify_revert t ~table ~row ~col:(Some col);
-          Ok ()
-      | Error e -> Error ("cannot undo update: " ^ e))
-  | Op_delete { table; row; old_tuple } -> (
-      let tbl = Catalog.find_exn t.catalog table in
-      match Table.resurrect tbl row old_tuple with
-      | Ok () ->
-          notify_revert t ~table ~row ~col:None;
-          Ok ()
-      | Error e -> Error ("cannot undo delete: " ^ e))
-
-let disapprove t id ~by =
+let disapprove t id ~by ~undo =
   match check_decidable t id ~by with
   | Error _ as e -> e
   | Ok e -> (
-      match execute_inverse t e.operation with
+      match undo e.operation with
       | Error _ as err -> err
       | Ok () ->
           decide t e ~by ~at:(Clock.tick t.clock) ~status:Disapproved;

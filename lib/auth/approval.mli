@@ -32,13 +32,8 @@ val inverse_description : operation -> string
 
 type t
 
-val create :
-  Bdbms_relation.Catalog.t -> Principal.t -> Bdbms_util.Clock.t -> t
-
-val set_on_revert : t -> (table:string -> row:int -> col:int option -> unit) -> unit
-(** Hook invoked after an inverse statement executes — the Db facade wires
-    this to the dependency tracker, since (as the paper notes) executing
-    an inverse may invalidate dependent elements. *)
+val create : Principal.t -> Bdbms_util.Clock.t -> t
+(** The log and its decisions only: approval writes no table. *)
 
 (** {1 Turning approval on and off (Figure 11)} *)
 
@@ -58,7 +53,7 @@ val stop : t -> table:string -> ?columns:string list -> unit -> bool
 
 val monitored : t -> table:string -> ?column:string -> unit -> bool
 
-(** {1 Logging (called by the DML layer after applying an operation)} *)
+(** {1 Logging (called by [Bdbms_asql.Write] after applying an operation)} *)
 
 val log_insert : t -> table:string -> row:int -> user:string -> entry option
 val log_update :
@@ -88,10 +83,14 @@ val approve : t -> int -> by:string -> (unit, string) result
 (** Marks the pending entry approved.  Fails on unknown id, non-pending
     status, or an unauthorized decider. *)
 
-val disapprove : t -> int -> by:string -> (unit, string) result
-(** Executes the inverse statement against the catalog, then marks the
-    entry disapproved.  Same failure cases as {!approve}, plus failures
-    executing the inverse (e.g. the row has since been deleted). *)
+val disapprove :
+  t -> int -> by:string -> undo:(operation -> (unit, string) result) ->
+  (unit, string) result
+(** Checks the entry as {!approve} does, runs its inverse statement
+    through [undo] (the engine's is [Bdbms_asql.Write.undo], an ordinary
+    write that indexes, statistics and dependent cells follow), then marks
+    the entry disapproved.  Fails as {!approve} does, or with [undo]'s
+    error (e.g. the row has since been deleted), leaving it pending. *)
 
 (** {1 Durable-catalog hooks} *)
 

@@ -11,6 +11,8 @@ type report = {
 
 let empty_report = { recomputed = []; marked = []; errors = [] }
 
+type write = Dep_graph.cell -> Bdbms_relation.Value.t -> (unit, string) result
+
 type t = {
   catalog : Catalog.t;
   rules : Rule_set.t;
@@ -105,12 +107,6 @@ let read_cell t (c : Dep_graph.cell) =
   | Some tuple -> Ok (Tuple.get tuple c.Dep_graph.col)
   | None -> Error (Format.asprintf "%a: row is not live" Dep_graph.pp_cell c)
 
-let write_cell t (c : Dep_graph.cell) value =
-  let table = Catalog.find_exn t.catalog c.Dep_graph.table in
-  match Table.update_cell table ~row:c.Dep_graph.row ~col:c.Dep_graph.col value with
-  | Ok _ -> Ok ()
-  | Error e -> Error e
-
 let run_chain chain inputs =
   match chain with
   | [] -> Error "empty procedure chain"
@@ -136,8 +132,9 @@ let mark_subtree t cell acc =
   List.iter (mark_cell t) downstream;
   acc @ (cell :: downstream)
 
-(* Cascade from a freshly-changed source cell. *)
-let rec cascade t (source : Dep_graph.cell) (report : report) visited =
+(* Cascade from a freshly-changed source cell; [write] stores each
+   re-derived value. *)
+let rec cascade t ~write (source : Dep_graph.cell) (report : report) visited =
   let instances = Dep_graph.instances_from t.graph source in
   List.fold_left
     (fun report inst ->
@@ -162,13 +159,13 @@ let rec cascade t (source : Dep_graph.cell) (report : report) visited =
               in
               match Result.bind inputs (run_chain rule.Rule.chain) with
               | Ok value -> (
-                  match write_cell t target value with
+                  match write target value with
                   | Ok () ->
                       clear_cell t target;
                       let report =
                         { report with recomputed = report.recomputed @ [ target ] }
                       in
-                      cascade t target report visited
+                      cascade t ~write target report visited
                   | Error e ->
                       let report =
                         { report with errors = report.errors @ [ (target, e) ] }
@@ -188,14 +185,14 @@ let rec cascade t (source : Dep_graph.cell) (report : report) visited =
    can mark or clear ends here, so the pages are current between calls. *)
 let flush_marks t = Hashtbl.iter (fun _ b -> Outdated.flush b) t.bitmaps
 
-let on_cell_update t ~table ~row ~col =
+let on_cell_update t ~write ~table ~row ~col =
   let cell = Dep_graph.cell ~table ~row ~col in
   clear_cell t cell;
-  let report = cascade t cell empty_report (ref [ cell ]) in
+  let report = cascade t ~write cell empty_report (ref [ cell ]) in
   flush_marks t;
   report
 
-let on_procedure_change t proc_name =
+let on_procedure_change t ~write proc_name =
   (* every instance of every rule whose chain uses the procedure *)
   let rules = List.filter (fun r -> Rule.uses_procedure r proc_name) (Rule_set.rules t.rules) in
   let report = ref empty_report in
@@ -212,7 +209,7 @@ let on_procedure_change t proc_name =
             let visited = ref [] in
             (* re-run by simulating an update of the first source *)
             match inst.Dep_graph.sources with
-            | src :: _ -> report := cascade t src !report visited
+            | src :: _ -> report := cascade t ~write src !report visited
             | [] -> ()
           end
           else report := { !report with marked = mark_subtree t target !report.marked })

@@ -43,13 +43,18 @@ val link_rows :
 (** Convenience: resolves the rule's source/target columns by name, so only
     row numbers are needed (one row per rule source, in order). *)
 
-val on_cell_update : t -> table:string -> row:int -> col:int -> report
-(** React to an updated cell: cascade re-derivations and outdated marks.
-    The updated cell itself is considered fresh (its own mark clears). *)
+type write = Dep_graph.cell -> Bdbms_relation.Value.t -> (unit, string) result
+(** Stores a re-derived value in its cell and keeps the table's side
+    structures current (the engine's is [Bdbms_asql.Write.derive]); the
+    tracker decides which cells to re-derive, and marks one whose write fails. *)
 
-val on_procedure_change : t -> string -> report
-(** React to a procedure upgrade or replacement (e.g. a new BLAST
-    version): every instance derived through it re-executes or is marked. *)
+val on_cell_update : t -> write:write -> table:string -> row:int -> col:int -> report
+(** React to an updated cell: cascade re-derivations (stored through [write])
+    and outdated marks.  The updated cell itself stays fresh (its mark clears). *)
+
+val on_procedure_change : t -> write:write -> string -> report
+(** React to a procedure upgrade or replacement (e.g. a new BLAST version):
+    every instance derived through it re-executes (through [write]) or is marked. *)
 
 val revalidate : t -> table:string -> row:int -> col:int -> unit
 (** Clear a cell's outdated mark after out-of-band verification. *)

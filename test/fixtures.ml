@@ -52,3 +52,35 @@ let check_catalog_epoch ~what (ctx : Bdbms_asql.Context.t) =
               (a mutator missed its version bump)"
              what);
   current
+
+(* The index oracle.  Every built index tree must hold exactly the
+   [(Context.index_key v, row)] pairs of a scan of its table: a write
+   that skipped index maintenance, or an index left over a dropped
+   table, fails here.  A tree not built yet is built from a scan on its
+   first probe and has nothing to check. *)
+let check_indexes ~what (ctx : Bdbms_asql.Context.t) =
+  let module Context = Bdbms_asql.Context in
+  let module Table = Bdbms_relation.Table in
+  Hashtbl.iter
+    (fun _ (idx : Context.index_def) ->
+      match
+        (idx.Context.tree, Bdbms_relation.Catalog.find ctx.Context.catalog idx.Context.idx_table)
+      with
+      | None, _ -> ()
+      | Some _, None ->
+          Alcotest.failf "%s: index %s is over %s, which no longer exists" what
+            idx.Context.idx_name idx.Context.idx_table
+      | Some tree, Some table ->
+          let col =
+            Bdbms_relation.Schema.index_of_exn (Table.schema table) idx.Context.idx_column
+          in
+          let scan =
+            Table.fold table ~init:[] ~f:(fun acc row tuple ->
+                (Context.index_key (Bdbms_relation.Tuple.get tuple col), row) :: acc)
+          in
+          let entries = Bdbms_index.Btree.range tree () in
+          if List.sort compare scan <> List.sort compare entries then
+            Alcotest.failf "%s: index %s (%d entries) differs from a scan of %s (%d rows)"
+              what idx.Context.idx_name (List.length entries) idx.Context.idx_table
+              (List.length scan))
+    ctx.Context.indexes

@@ -8,6 +8,9 @@ module Schema = Bdbms_relation.Schema
 module Tuple = Bdbms_relation.Tuple
 module Value = Bdbms_relation.Value
 module Clock = Bdbms_util.Clock
+module Db = Bdbms.Db
+module Context = Bdbms_asql.Context
+module Executor = Bdbms_asql.Executor
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -41,7 +44,7 @@ let mk_env () =
   in
   let principals = mk_lab () in
   let clock = Clock.create () in
-  (catalog, gene, principals, clock)
+  (gene, principals, clock)
 
 (* ------------------------------------------------------------ principals *)
 
@@ -85,8 +88,8 @@ let test_acl_column_scope () =
 (* -------------------------------------------------------------- approval *)
 
 let test_approval_lifecycle () =
-  let catalog, gene, principals, clock = mk_env () in
-  let ap = Approval.create catalog principals clock in
+  let gene, principals, clock = mk_env () in
+  let ap = Approval.create principals clock in
   checkb "start" true
     (Result.is_ok (Approval.start ap ~table:"Gene" ~approved_by:(Acl.User "admin") ()));
   checkb "double start" true
@@ -110,72 +113,70 @@ let test_approval_lifecycle () =
   checki "no pending" 0 (List.length (Approval.pending ap ()));
   checkb "still visible" true (Table.get gene row <> None)
 
+(* DISAPPROVE runs the logged change's inverse as an ordinary write, so
+   these cases drive it through SQL: a lab database whose Gene table is
+   under content approval by admin, with alice and bob as writers. *)
+let mk_db () =
+  let db = Db.create () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [ "CREATE TABLE Gene (GID TEXT, GSequence DNA)"; "CREATE USER alice"; "CREATE USER bob" ];
+  db
+
+let exec ?(user = "admin") db sql = ignore (Db.exec_exn db ~user sql)
+
+let table db name = Catalog.find_exn (Db.context db).Context.catalog name
+
+let cell db name row col =
+  match Table.get (table db name) row with
+  | Some tuple -> Value.to_display (Tuple.get tuple col)
+  | None -> Alcotest.failf "%s row %d is not live" name row
+
+let only_pending db =
+  match Db.exec_exn db "SHOW PENDING" with
+  | Executor.Entries [ e ] -> e
+  | _ -> Alcotest.fail "expected one pending entry"
+
+let disapprove db (e : Approval.entry) =
+  Db.exec db (Printf.sprintf "DISAPPROVE %d" e.Approval.id)
+
+let status db (e : Approval.entry) =
+  (Option.get (Approval.find (Db.context db).Context.approval e.Approval.id)).Approval.status
+
 let test_approval_disapprove_insert () =
-  let catalog, gene, principals, clock = mk_env () in
-  let ap = Approval.create catalog principals clock in
-  ignore (Approval.start ap ~table:"Gene" ~approved_by:(Acl.User "admin") ());
-  let row =
-    match Table.insert gene (Tuple.make [ v "bad"; Value.VDna "ATG" ]) with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  let entry = Option.get (Approval.log_insert ap ~table:"Gene" ~row ~user:"bob") in
-  checkb "disapprove" true
-    (Result.is_ok (Approval.disapprove ap entry.Approval.id ~by:"admin"));
+  let db = mk_db () in
+  exec db "START CONTENT APPROVAL ON Gene APPROVED BY admin";
+  exec db ~user:"bob" "INSERT INTO Gene VALUES ('bad', 'ATG')";
+  let entry = only_pending db in
+  checkb "disapprove" true (Result.is_ok (disapprove db entry));
   (* the inverse DELETE executed *)
-  checkb "row gone" true (Table.get gene row = None);
-  checkb "status" true (entry.Approval.status = Approval.Disapproved)
+  checkb "row gone" true (Table.get (table db "Gene") 0 = None);
+  checkb "status" true (status db entry = Approval.Disapproved)
 
 let test_approval_disapprove_update () =
-  let catalog, gene, principals, clock = mk_env () in
-  let ap = Approval.create catalog principals clock in
-  ignore (Approval.start ap ~table:"Gene" ~approved_by:(Acl.User "admin") ());
-  let row =
-    match Table.insert gene (Tuple.make [ v "JW1"; Value.VDna "AAA" ]) with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
+  let db = mk_db () in
+  exec db "INSERT INTO Gene VALUES ('JW1', 'AAA')";
+  exec db "START CONTENT APPROVAL ON Gene APPROVED BY admin";
   (* alice updates the sequence *)
-  let old_value =
-    match Table.update_cell gene ~row ~col:1 (Value.VDna "CCC") with
-    | Ok old -> old
-    | Error e -> Alcotest.fail e
-  in
-  let entry =
-    Option.get
-      (Approval.log_update ap ~table:"Gene" ~row ~col:1 ~column_name:"GSequence"
-         ~old_value ~user:"alice")
-  in
-  checkb "disapprove update" true
-    (Result.is_ok (Approval.disapprove ap entry.Approval.id ~by:"admin"));
+  exec db ~user:"alice" "UPDATE Gene SET GSequence = 'CCC' WHERE GID = 'JW1'";
+  checkb "disapprove update" true (Result.is_ok (disapprove db (only_pending db)));
   (* old value restored by the generated inverse UPDATE *)
-  (match Table.get gene row with
-  | Some tuple -> checks "restored" "AAA" (Value.to_display (Tuple.get tuple 1))
-  | None -> Alcotest.fail "row gone")
+  checks "restored" "AAA" (cell db "Gene" 0 1)
 
 let test_approval_disapprove_delete () =
-  let catalog, gene, principals, clock = mk_env () in
-  let ap = Approval.create catalog principals clock in
-  ignore (Approval.start ap ~table:"Gene" ~approved_by:(Acl.User "admin") ());
-  let tuple = Tuple.make [ v "JW2"; Value.VDna "GGG" ] in
-  let row =
-    match Table.insert gene tuple with Ok r -> r | Error e -> Alcotest.fail e
-  in
-  ignore (Table.delete gene row);
-  let entry =
-    Option.get (Approval.log_delete ap ~table:"Gene" ~row ~old_tuple:tuple ~user:"bob")
-  in
-  checkb "row dead" true (Table.get gene row = None);
-  checkb "disapprove delete" true
-    (Result.is_ok (Approval.disapprove ap entry.Approval.id ~by:"admin"));
+  let db = mk_db () in
+  exec db "INSERT INTO Gene VALUES ('JW0', 'AAA'), ('JW2', 'GGG'), ('JW3', 'TTT')";
+  exec db "START CONTENT APPROVAL ON Gene APPROVED BY admin";
+  exec db ~user:"bob" "DELETE FROM Gene WHERE GID = 'JW2'";
+  checkb "row dead" true (Table.get (table db "Gene") 1 = None);
+  checkb "disapprove delete" true (Result.is_ok (disapprove db (only_pending db)));
   (* the row came back at the same row number *)
-  (match Table.get gene row with
-  | Some t -> checks "resurrected" "JW2" (Value.to_display (Tuple.get t 0))
-  | None -> Alcotest.fail "row not resurrected")
+  checks "resurrected" "JW2" (cell db "Gene" 1 0);
+  checki "live rows" 3 (Table.live_count (table db "Gene"))
 
 let test_approval_authorization () =
-  let catalog, gene, principals, clock = mk_env () in
-  let ap = Approval.create catalog principals clock in
+  let gene, principals, clock = mk_env () in
+  let ap = Approval.create principals clock in
   ignore (Approval.start ap ~table:"Gene" ~approved_by:(Acl.User "admin") ());
   let row =
     match Table.insert gene (Tuple.make [ v "x"; Value.VDna "A" ]) with
@@ -187,16 +188,18 @@ let test_approval_authorization () =
   checkb "alice cannot approve" true
     (Result.is_error (Approval.approve ap entry.Approval.id ~by:"alice"));
   checkb "admin can" true (Result.is_ok (Approval.approve ap entry.Approval.id ~by:"admin"));
-  (* double decision rejected *)
+  (* double decision rejected, before any inverse runs *)
   checkb "already decided" true
-    (Result.is_error (Approval.disapprove ap entry.Approval.id ~by:"admin"));
+    (Result.is_error
+       (Approval.disapprove ap entry.Approval.id ~by:"admin" ~undo:(fun _ ->
+            Alcotest.fail "a decided entry ran its inverse")));
   checkb "unknown entry" true (Result.is_error (Approval.approve ap 999 ~by:"admin"))
 
 let test_approval_group_approver () =
-  let catalog, gene, principals, clock = mk_env () in
+  let gene, principals, clock = mk_env () in
   ignore (Principal.add_group principals "curators");
   ignore (Principal.add_to_group principals ~user:"admin" ~group:"curators");
-  let ap = Approval.create catalog principals clock in
+  let ap = Approval.create principals clock in
   ignore (Approval.start ap ~table:"Gene" ~approved_by:(Acl.Group "curators") ());
   let row =
     match Table.insert gene (Tuple.make [ v "x"; Value.VDna "A" ]) with
@@ -209,10 +212,8 @@ let test_approval_group_approver () =
   checkb "non-member cannot" false (Approval.can_decide ap ~user:"bob" ~table:"Gene")
 
 let test_approval_column_monitoring () =
-  let catalog, gene, principals, clock = mk_env () in
-  ignore catalog;
-  ignore gene;
-  let ap = Approval.create catalog principals clock in
+  let _, principals, clock = mk_env () in
+  let ap = Approval.create principals clock in
   ignore
     (Approval.start ap ~table:"Gene" ~columns:[ "GSequence" ] ~approved_by:(Acl.User "admin") ());
   checkb "sequence monitored" true
@@ -228,42 +229,30 @@ let test_approval_column_monitoring () =
   checkb "nothing monitored" false (Approval.monitored ap ~table:"Gene" ())
 
 let test_approval_unmonitored_not_logged () =
-  let catalog, _, principals, clock = mk_env () in
-  let ap = Approval.create catalog principals clock in
+  let _, principals, clock = mk_env () in
+  let ap = Approval.create principals clock in
   checkb "not monitored: no log" true
     (Approval.log_insert ap ~table:"Gene" ~row:0 ~user:"alice" = None);
   checkb "stop when off" false (Approval.stop ap ~table:"Gene" ())
 
+(* The inverse UPDATE is an ordinary write: the tracker re-derives the
+   cell that depends on the restored one. *)
 let test_approval_revert_hook () =
-  let catalog, gene, principals, clock = mk_env () in
-  let ap = Approval.create catalog principals clock in
-  ignore (Approval.start ap ~table:"Gene" ~approved_by:(Acl.User "admin") ());
-  let reverted = ref [] in
-  Approval.set_on_revert ap (fun ~table ~row ~col ->
-      reverted := (table, row, col) :: !reverted);
-  let row =
-    match Table.insert gene (Tuple.make [ v "x"; Value.VDna "AAA" ]) with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  let old_value =
-    match Table.update_cell gene ~row ~col:1 (Value.VDna "TTT") with
-    | Ok old -> old
-    | Error e -> Alcotest.fail e
-  in
-  let entry =
-    Option.get
-      (Approval.log_update ap ~table:"Gene" ~row ~col:1 ~column_name:"GSequence"
-         ~old_value ~user:"alice")
-  in
-  ignore (Approval.disapprove ap entry.Approval.id ~by:"admin");
-  checki "hook fired" 1 (List.length !reverted);
-  (match !reverted with
-  | [ (table, r, Some c) ] ->
-      checks "table" "Gene" table;
-      checki "row" row r;
-      checki "col" 1 c
-  | _ -> Alcotest.fail "unexpected hook payload")
+  let db = mk_db () in
+  List.iter (exec db)
+    [
+      "CREATE TABLE Protein (PName TEXT, PSequence PROTEIN)";
+      "INSERT INTO Gene VALUES ('x', 'ATGAAATAA')";
+      "INSERT INTO Protein VALUES ('p', 'MK')";
+      "CREATE DEPENDENCY r1 FROM Gene.GSequence TO Protein.PSequence USING P";
+      "LINK DEPENDENCY r1 FROM (0) TO 0";
+      "START CONTENT APPROVAL ON Gene APPROVED BY admin";
+    ];
+  exec db ~user:"alice" "UPDATE Gene SET GSequence = 'ATGTGGTGGTAA' WHERE GID = 'x'";
+  checks "derived from the update" "MWW" (cell db "Protein" 0 1);
+  checkb "disapprove" true (Result.is_ok (disapprove db (only_pending db)));
+  checks "sequence restored" "ATGAAATAA" (cell db "Gene" 0 1);
+  checks "dependent re-derived" "MK" (cell db "Protein" 0 1)
 
 let test_inverse_descriptions () =
   let ins = Approval.Op_insert { table = "Gene"; row = 3 } in
@@ -295,43 +284,24 @@ let approval_qcheck =
   [
     Test.make ~name:"disapprove-all restores the initial state" ~count:100 ops_gen
       (fun ops ->
-        let catalog, gene, principals, clock =
-          let d = Bdbms_storage.Disk.create ~page_size:1024 ~pool_pages:64 () in
-          let bp = Bdbms_storage.Disk.pager d in
-          let catalog = Catalog.create bp in
-          let t =
-            Result.get_ok
-              (Catalog.create_table catalog ~name:"G"
-                 (Bdbms_relation.Schema.make
-                    [ { Bdbms_relation.Schema.name = "v"; ty = Value.TInt } ]))
-          in
-          (catalog, t, mk_lab (), Clock.create ())
-        in
-        for i = 0 to 9 do
-          ignore (Table.insert gene (T.make [ Value.VInt i ]))
-        done;
-        let ap = Approval.create catalog principals clock in
-        ignore (Approval.start ap ~table:"G" ~approved_by:(Acl.User "admin") ());
-        let initial = Table.to_list gene in
+        let db = Db.create () in
+        exec db "CREATE TABLE G (k INT, v INT)";
+        exec db
+          ("INSERT INTO G VALUES "
+          ^ String.concat ", " (List.init 10 (fun i -> Printf.sprintf "(%d, %d)" i i)));
+        exec db "START CONTENT APPROVAL ON G APPROVED BY admin";
+        let initial = Table.to_list (table db "G") in
         (* apply and log every update *)
         List.iter
-          (fun (row, v) ->
-            match Table.update_cell gene ~row ~col:0 (Value.VInt v) with
-            | Ok old_value ->
-                ignore
-                  (Approval.log_update ap ~table:"G" ~row ~col:0 ~column_name:"v"
-                     ~old_value ~user:"alice")
-            | Error _ -> ())
+          (fun (row, v) -> exec db (Printf.sprintf "UPDATE G SET v = %d WHERE k = %d" v row))
           ops;
         (* disapprove newest-first *)
-        let pending = List.rev (Approval.pending ap ()) in
+        let pending = List.rev (Approval.pending (Db.context db).Context.approval ()) in
         List.iter
           (fun (e : Approval.entry) ->
-            match Approval.disapprove ap e.Approval.id ~by:"admin" with
-            | Ok () -> ()
-            | Error msg -> failwith msg)
+            match disapprove db e with Ok _ -> () | Error msg -> failwith msg)
           pending;
-        let final = Table.to_list gene in
+        let final = Table.to_list (table db "G") in
         List.length initial = List.length final
         && List.for_all2
              (fun (r1, t1) (r2, t2) -> r1 = r2 && T.equal t1 t2)

@@ -215,8 +215,8 @@ let test_create_index_and_lookup () =
     (Propagate.row_count (rows_of db "SELECT v FROM G WHERE GID = 'g010'"))
 
 let test_index_dirty_after_revert () =
-  (* an approval revert bypasses executor maintenance; the index must be
-     marked dirty and rebuilt so queries stay correct *)
+  (* an approval revert is an ordinary write: it maintains the index, so
+     queries through it stay correct *)
   let db = Db.create () in
   ignore (Db.exec_exn db "CREATE TABLE G (GID TEXT, GSequence DNA)");
   ignore (Db.exec_exn db "INSERT INTO G VALUES ('a', 'AAA')");
@@ -226,7 +226,7 @@ let test_index_dirty_after_revert () =
   ignore (Db.exec_exn db ~user:"bob" "UPDATE G SET GSequence = 'CCC' WHERE GID = 'a'");
   checki "updated findable" 1
     (Propagate.row_count (rows_of db "SELECT GID FROM G WHERE GSequence = 'CCC'"));
-  (* disapprove: the inverse UPDATE restores AAA behind the executor's back *)
+  (* disapprove: the inverse UPDATE restores AAA *)
   (match Db.exec_exn db "SHOW PENDING" with
   | Executor.Entries [ e ] ->
       ignore (Db.exec_exn db (Printf.sprintf "DISAPPROVE %d" e.Bdbms_auth.Approval.id))
@@ -237,8 +237,8 @@ let test_index_dirty_after_revert () =
     (Propagate.row_count (rows_of db "SELECT GID FROM G WHERE GSequence = 'CCC'"))
 
 let test_index_dirty_after_rederivation () =
-  (* a dependency re-derivation writes cells directly; indexed queries on
-     the re-derived column must still be correct *)
+  (* a dependency re-derivation writes cells through the same write path;
+     indexed queries on the re-derived column must still be correct *)
   let db = Db.create () in
   ignore (Db.exec_exn db "CREATE TABLE Gene (GID TEXT, GSequence DNA)");
   ignore (Db.exec_exn db "CREATE TABLE Protein (PName TEXT, PSequence PROTEIN)");

@@ -304,6 +304,14 @@ let test_dep_graph_space () =
 
 (* --------------------------------------------------------------- tracker *)
 
+(* The tracker's cell writer over a bare catalog, which keeps no index
+   or statistics. *)
+let write_cell catalog (c : Dep_graph.cell) value =
+  Result.map ignore
+    (Table.update_cell
+       (Catalog.find_exn catalog c.Dep_graph.table)
+       ~row:c.Dep_graph.row ~col:c.Dep_graph.col value)
+
 let setup_tracker () =
   let catalog, gene, protein = mk_env () in
   let tracker = Tracker.create catalog in
@@ -336,12 +344,12 @@ let setup_tracker () =
   (catalog, gene, protein, tracker, g0, p0)
 
 let test_tracker_figure9_cascade () =
-  let _, gene, protein, tracker, g0, p0 = setup_tracker () in
+  let catalog, gene, protein, tracker, g0, p0 = setup_tracker () in
   (* modify the gene sequence *)
   (match Table.update_cell gene ~row:g0 ~col:1 (Value.VDna "CCCGGGAAA") with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  let report = Tracker.on_cell_update tracker ~table:"Gene" ~row:g0 ~col:1 in
+  let report = Tracker.on_cell_update tracker ~write:(write_cell catalog) ~table:"Gene" ~row:g0 ~col:1 in
   (* PSequence recomputed automatically by tool P *)
   checki "one recomputed" 1 (List.length report.Tracker.recomputed);
   (match Table.get protein p0 with
@@ -358,9 +366,9 @@ let test_tracker_figure9_cascade () =
        report.Tracker.marked)
 
 let test_tracker_revalidate () =
-  let _, gene, _, tracker, g0, p0 = setup_tracker () in
+  let catalog, gene, _, tracker, g0, p0 = setup_tracker () in
   ignore (Table.update_cell gene ~row:g0 ~col:1 (Value.VDna "CCC"));
-  ignore (Tracker.on_cell_update tracker ~table:"Gene" ~row:g0 ~col:1);
+  ignore (Tracker.on_cell_update tracker ~write:(write_cell catalog) ~table:"Gene" ~row:g0 ~col:1);
   checkb "outdated" true (Tracker.is_outdated tracker ~table:"Protein" ~row:p0 ~col:3);
   (* the curator re-verifies the function without changing it *)
   Tracker.revalidate tracker ~table:"Protein" ~row:p0 ~col:3;
@@ -368,13 +376,13 @@ let test_tracker_revalidate () =
   checki "no outdated cells" 0 (List.length (Tracker.outdated_cells tracker ~table:"Protein"))
 
 let test_tracker_direct_update_clears () =
-  let _, gene, protein, tracker, g0, p0 = setup_tracker () in
+  let catalog, gene, protein, tracker, g0, p0 = setup_tracker () in
   ignore (Table.update_cell gene ~row:g0 ~col:1 (Value.VDna "CCC"));
-  ignore (Tracker.on_cell_update tracker ~table:"Gene" ~row:g0 ~col:1);
+  ignore (Tracker.on_cell_update tracker ~write:(write_cell catalog) ~table:"Gene" ~row:g0 ~col:1);
   checkb "outdated" true (Tracker.is_outdated tracker ~table:"Protein" ~row:p0 ~col:3);
   (* the lab re-runs the experiment and stores a fresh function value *)
   ignore (Table.update_cell protein ~row:p0 ~col:3 (v "Methyltransferase"));
-  ignore (Tracker.on_cell_update tracker ~table:"Protein" ~row:p0 ~col:3);
+  ignore (Tracker.on_cell_update tracker ~write:(write_cell catalog) ~table:"Protein" ~row:p0 ~col:3);
   checkb "fresh after direct update" false
     (Tracker.is_outdated tracker ~table:"Protein" ~row:p0 ~col:3)
 
@@ -415,7 +423,7 @@ let test_tracker_procedure_change () =
        (Tracker.link tracker ~rule_id:"r3" ~sources:[ (row, 0); (row, 1) ] ~target:(row, 2)));
   (* a BLAST upgrade re-executes and refreshes Evalue automatically *)
   Procedure.set_version blast "2.3.0";
-  let report = Tracker.on_procedure_change tracker "BLAST" in
+  let report = Tracker.on_procedure_change tracker ~write:(write_cell catalog) "BLAST" in
   checki "recomputed" 1 (List.length report.Tracker.recomputed);
   (match Table.get gm row with
   | Some tuple ->
@@ -425,9 +433,9 @@ let test_tracker_procedure_change () =
   checkb "not outdated" false (Tracker.is_outdated tracker ~table:"GeneMatching" ~row ~col:2)
 
 let test_tracker_non_executable_procedure_change () =
-  let _, _, _, tracker, _, p0 = setup_tracker () in
+  let catalog, _, _, tracker, _, p0 = setup_tracker () in
   (* the lab protocol changed: everything derived by it goes stale *)
-  let report = Tracker.on_procedure_change tracker "LabExperiment" in
+  let report = Tracker.on_procedure_change tracker ~write:(write_cell catalog) "LabExperiment" in
   checkb "marked" true (report.Tracker.marked <> []);
   checkb "PFunction stale" true (Tracker.is_outdated tracker ~table:"Protein" ~row:p0 ~col:3)
 
@@ -440,9 +448,9 @@ let test_tracker_multi_source_blast () =
     (Result.is_error (Tracker.link_rows tracker ~rule_id:"nope" ~source_rows:[ 0 ] ~target_row:0))
 
 let test_tracker_bitmap_stats () =
-  let _, gene, _, tracker, g0, _ = setup_tracker () in
+  let catalog, gene, _, tracker, g0, _ = setup_tracker () in
   ignore (Table.update_cell gene ~row:g0 ~col:1 (Value.VDna "CCC"));
-  ignore (Tracker.on_cell_update tracker ~table:"Gene" ~row:g0 ~col:1);
+  ignore (Tracker.on_cell_update tracker ~write:(write_cell catalog) ~table:"Gene" ~row:g0 ~col:1);
   match Tracker.bitmap_stats tracker ~table:"Protein" with
   | Some (raw, compressed) ->
       checkb "raw positive" true (raw > 0);

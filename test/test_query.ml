@@ -745,6 +745,201 @@ let test_disapprove_rederives_behind_index () =
       Db.close db)
     [ `Naive; `Batch ]
 
+(* ----------------------------------------------------- the write path *)
+
+module Context = Bdbms_asql.Context
+module Catalog = Bdbms_relation.Catalog
+module Table = Bdbms_relation.Table
+
+(* [f db what] on a fresh database that ran [script], in each engine at
+   one-row and default batches. *)
+let in_each_engine script f =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun batch_rows ->
+          let db = Db.create () in
+          Db.set_exec_mode db mode;
+          Db.set_batch_rows db batch_rows;
+          List.iter (fun sql -> ignore (Db.exec_exn db sql)) script;
+          f db (Printf.sprintf "%s, batch_rows %d" (mode_name mode) batch_rows);
+          Db.close db)
+        [ 1; Bdbms_relation.Batch.default_rows ])
+    [ `Naive; `Batch ]
+
+let first_column db sql =
+  List.map
+    (fun (r : Propagate.atuple) -> Value.to_display (Tuple.get r.Propagate.tuple 0))
+    (rows_of db sql).Propagate.rows
+
+(* Each analyzed table's statistics count the rows a scan finds. *)
+let check_live_rows ~what db =
+  let ctx = Db.context db in
+  List.iter
+    (fun (ts : Bdbms_stats.Table_stats.t) ->
+      checki
+        (Printf.sprintf "%s: live rows of %s" what ts.Bdbms_stats.Table_stats.table)
+        (Table.live_count (Catalog.find_exn ctx.Context.catalog ts.Bdbms_stats.Table_stats.table))
+        ts.Bdbms_stats.Table_stats.live_rows)
+    (Bdbms_stats.Registry.all ctx.Context.tstats)
+
+(* Writes of every kind on indexed, analyzed, dependency-linked tables:
+   DML, DISAPPROVE inverses, re-derived cells and the ON (DELETE ...)
+   log.  Reads between them compare the engines. *)
+let write_path_corpus =
+  [
+    "CREATE TABLE gene (gid INT, gs DNA)";
+    "CREATE TABLE protein (pid INT, ps PROTEIN)";
+    "CREATE ANNOTATION TABLE notes ON gene";
+    "INSERT INTO gene VALUES (0, 'ATGGCCAAA'), (1, 'ATGAAATAA'), (2, 'ATGTGG')";
+    "INSERT INTO protein VALUES (0, 'MAK'), (1, 'MK'), (2, 'MW')";
+    "CREATE INDEX g_gid ON gene (gid)";
+    "CREATE INDEX g_gs ON gene (gs)";
+    "CREATE INDEX p_ps ON protein (ps)";
+    "CREATE DEPENDENCY r1 FROM gene.gs TO protein.ps USING P";
+    "LINK DEPENDENCY r1 FROM (0) TO 0";
+    "LINK DEPENDENCY r1 FROM (1) TO 1";
+    "LINK DEPENDENCY r1 FROM (2) TO 2";
+    "ANALYZE";
+    "UPDATE gene SET gs = 'ATGTGGTGG' WHERE gid = 0";
+    "SELECT pid FROM protein WHERE ps = 'MWW'";
+    "START CONTENT APPROVAL ON gene APPROVED BY admin";
+    "UPDATE gene SET gs = 'ATGCCC' WHERE gid = 1";
+    "INSERT INTO gene VALUES (3, 'ATGAAA')";
+    "DELETE FROM gene WHERE gid = 2";
+    "SELECT gid, gs FROM gene WHERE gid = 3";
+    "DISAPPROVE 1";
+    "SELECT pid FROM protein WHERE ps = 'MK'";
+    "DISAPPROVE 2";
+    "DISAPPROVE 3";
+    "SELECT gid FROM gene WHERE gid = 2";
+    "STOP CONTENT APPROVAL ON gene";
+    "UPDATE gene SET gid = gid + 10 WHERE gid < 2";
+    "SELECT gid FROM gene WHERE gid = 11";
+    "ADD ANNOTATION TO gene.notes VALUE 'gone' ON (DELETE FROM gene WHERE gid = 10)";
+    "CREATE INDEX dl_gid ON _deleted_gene (gid)";
+    "ADD ANNOTATION TO gene.notes VALUE 'gone too' ON (DELETE FROM gene WHERE gid = 11)";
+    "SELECT gid FROM _deleted_gene WHERE gid = 11";
+    "ADD ANNOTATION TO gene.notes VALUE 'new' ON (INSERT INTO gene VALUES (4, 'ATGGCC'))";
+    "DELETE FROM protein WHERE pid = 2";
+    "SELECT pid, ps FROM protein WHERE ps = 'MAK'";
+  ]
+
+(* The index oracle after every statement of the corpus. *)
+let test_write_path_corpus () =
+  List.iter
+    (fun batch_rows ->
+      let db = Db.create () in
+      Db.set_batch_rows db batch_rows;
+      List.iter
+        (fun sql ->
+          if String.starts_with ~prefix:"SELECT" sql then run_all_modes db ~ordered:false sql
+          else ignore (Db.exec_exn db sql);
+          let what = Printf.sprintf "batch_rows %d: %s" batch_rows sql in
+          Fixtures.check_indexes ~what (Db.context db);
+          check_live_rows ~what db)
+        write_path_corpus;
+      Db.close db)
+    [ 1; Bdbms_relation.Batch.default_rows ]
+
+(* The ON (DELETE ...) log table is written like any table, so an index
+   created on it follows the rows logged after it. *)
+let test_deleted_log_index () =
+  in_each_engine
+    [
+      "CREATE TABLE gene (gid INT, gs DNA)";
+      "INSERT INTO gene VALUES (1, 'ATG'), (2, 'ATGAAA')";
+      "CREATE ANNOTATION TABLE notes ON gene";
+      "ADD ANNOTATION TO gene.notes VALUE 'obsolete' ON (DELETE FROM gene WHERE gid = 2)";
+      "CREATE INDEX dl_gid ON _deleted_gene (gid)";
+      "ADD ANNOTATION TO gene.notes VALUE 'obsolete too' ON (DELETE FROM gene WHERE gid = 1)";
+    ]
+    (fun db what ->
+      Alcotest.(check (list string))
+        (what ^ ": the second logged row") [ "1" ]
+        (first_column db "SELECT gid FROM _deleted_gene WHERE gid = 1");
+      Fixtures.check_indexes ~what (Db.context db))
+
+(* DISAPPROVE of an INSERT deletes the row as DELETE does, so the cell
+   derived from it is marked outdated the same way. *)
+let test_disapprove_insert_marks_dependents () =
+  let script =
+    [
+      "CREATE TABLE gene (gid INT, gs DNA)";
+      "CREATE TABLE protein (pid INT, ps PROTEIN)";
+      "START CONTENT APPROVAL ON gene APPROVED BY admin";
+      "INSERT INTO gene VALUES (1, 'ATGGCCAAA')";
+      "INSERT INTO protein VALUES (1, 'MAK')";
+      "CREATE DEPENDENCY r1 FROM gene.gs TO protein.ps USING P";
+      "LINK DEPENDENCY r1 FROM (0) TO 0";
+    ]
+  in
+  let outdated db =
+    List.map
+      (fun (r : Propagate.atuple) ->
+        String.concat " | " (List.map Value.to_display (Array.to_list r.Propagate.tuple)))
+      (rows_of db "SHOW OUTDATED protein").Propagate.rows
+  in
+  let marked_ps db =
+    List.map
+      (fun (r : Propagate.atuple) -> List.length r.Propagate.anns.(1))
+      (rows_of db "SELECT pid, ps FROM protein").Propagate.rows
+  in
+  List.iter
+    (fun undo ->
+      in_each_engine (script @ [ undo ]) (fun db what ->
+          let what = what ^ ", " ^ undo in
+          Alcotest.(check (list string)) (what ^ ": outdated") [ "0 | ps" ] (outdated db);
+          Alcotest.(check (list int)) (what ^ ": ps arrives marked") [ 1 ] (marked_ps db)))
+    [ "DELETE FROM gene WHERE gid = 1"; "DISAPPROVE 1" ]
+
+(* DISAPPROVE of an INSERT, an UPDATE and a DELETE on an analyzed,
+   indexed, dependency-linked table: after each inverse every index
+   equals a scan and each analyzed table's statistics count its rows. *)
+let test_disapprove_keeps_indexes_and_stats () =
+  in_each_engine
+    [
+      "CREATE TABLE gene (gid INT, gs DNA)";
+      "CREATE TABLE protein (pid INT, ps PROTEIN)";
+      "INSERT INTO gene VALUES (0, 'ATGGCCAAA'), (1, 'ATGAAATAA')";
+      "INSERT INTO protein VALUES (0, 'MAK'), (1, 'MK')";
+      "CREATE DEPENDENCY r1 FROM gene.gs TO protein.ps USING P";
+      "LINK DEPENDENCY r1 FROM (0) TO 0";
+      "LINK DEPENDENCY r1 FROM (1) TO 1";
+      "CREATE INDEX g_gid ON gene (gid)";
+      "CREATE INDEX p_ps ON protein (ps)";
+      "ANALYZE";
+      "START CONTENT APPROVAL ON gene APPROVED BY admin";
+      "INSERT INTO gene VALUES (2, 'ATGTGG')";
+      "UPDATE gene SET gs = 'ATGTGGTGG' WHERE gid = 0";
+      "DELETE FROM gene WHERE gid = 1";
+    ]
+    (fun db what ->
+      let check ~after expect =
+        let what = Printf.sprintf "%s, after %s" what after in
+        Fixtures.check_indexes ~what (Db.context db);
+        check_live_rows ~what db;
+        List.iter
+          (fun (sql, rows) -> Alcotest.(check (list string)) (what ^ ": " ^ sql) rows (first_column db sql))
+          expect
+      in
+      check ~after:"the writes"
+        [
+          ("SELECT gid FROM gene WHERE gid = 2", [ "2" ]);
+          ("SELECT pid FROM protein WHERE ps = 'MWW'", [ "0" ]);
+          ("SELECT gid FROM gene WHERE gid = 1", []);
+        ];
+      ignore (Db.exec_exn db "DISAPPROVE 1");
+      check ~after:"DISAPPROVE of the INSERT" [ ("SELECT gid FROM gene WHERE gid = 2", []) ];
+      ignore (Db.exec_exn db "DISAPPROVE 2");
+      check ~after:"DISAPPROVE of the UPDATE"
+        [
+          ("SELECT pid FROM protein WHERE ps = 'MAK'", [ "0" ]);
+          ("SELECT pid FROM protein WHERE ps = 'MWW'", []);
+        ];
+      ignore (Db.exec_exn db "DISAPPROVE 3");
+      check ~after:"DISAPPROVE of the DELETE" [ ("SELECT gid FROM gene WHERE gid = 1", [ "1" ]) ])
+
 (* --------------------------------------------------------- stats checks *)
 
 let diff_for db sql =
@@ -1486,6 +1681,16 @@ let () =
             test_disapprove_rederives_behind_index;
           Alcotest.test_case "an alias shadows an input column" `Quick
             test_alias_shadows_input;
+        ] );
+      ( "write-path",
+        [
+          Alcotest.test_case "index oracle over the write corpus" `Quick
+            test_write_path_corpus;
+          Alcotest.test_case "ON (DELETE) log keeps its index" `Quick test_deleted_log_index;
+          Alcotest.test_case "DISAPPROVE of an INSERT marks dependents" `Quick
+            test_disapprove_insert_marks_dependents;
+          Alcotest.test_case "DISAPPROVE keeps indexes and stats" `Quick
+            test_disapprove_keeps_indexes_and_stats;
         ] );
       ( "batch-representation",
         [

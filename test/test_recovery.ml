@@ -1283,6 +1283,7 @@ let test_catalog_epoch_oracle () =
     (fun () ->
       let checked = ref 0 in
       let oracle what =
+        Fixtures.check_indexes ~what (Db.context db);
         if Fixtures.check_catalog_epoch ~what (Db.context db) then incr checked
       in
       List.iter
@@ -1296,6 +1297,43 @@ let test_catalog_epoch_oracle () =
       checki "the oracle ran after every statement"
         (List.length workload + List.length epoch_corpus + 1)
         !checked)
+
+(* DROP TABLE drops the table's indexes: a table re-created under the
+   name takes rows and index names freely, the catalog epoch moves, and a
+   reopen restores no index over the dropped table. *)
+let test_drop_table_drops_indexes () =
+  let path = tmp_path () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      let indexes db = Hashtbl.length (Db.context db).Context.indexes in
+      let db = Db.create ~page_size ~path () in
+      List.iter
+        (fun sql ->
+          ignore (Db.exec_exn db sql);
+          ignore (Fixtures.check_catalog_epoch ~what:sql (Db.context db)))
+        [
+          "CREATE TABLE t (a INT, b TEXT)";
+          "INSERT INTO t VALUES (1, 'x')";
+          "CREATE INDEX t_a ON t (a)";
+          "DROP TABLE t";
+          "CREATE TABLE t (c INT)";
+          "INSERT INTO t VALUES (5)";
+        ];
+      checki "no index after DROP TABLE" 0 (indexes db);
+      Db.close db;
+      let db = Db.create ~page_size ~path () in
+      Fun.protect
+        ~finally:(fun () -> Db.close db)
+        (fun () ->
+          checki "a reopen restores no index" 0 (indexes db);
+          ignore (Db.exec_exn db "CREATE INDEX t_a ON t (c)");
+          (match Db.exec_exn db "SELECT c FROM t WHERE c = 5" with
+          | Bdbms_asql.Executor.Rows rs ->
+              checki "the re-created index finds the row" 1
+                (Bdbms_annotation.Propagate.row_count rs)
+          | _ -> Alcotest.fail "expected rows");
+          Fixtures.check_indexes ~what:"after the reopen" (Db.context db)))
 
 (* An INSERT changes only its table's fixed-size head in the catalog, so
    the rest of a long blob (here, a content-approval log, which the root
@@ -1554,6 +1592,8 @@ let () =
             test_catalog_golden_digest;
           Alcotest.test_case "insert commit writes one chain page" `Quick
             test_insert_commit_writes_one_chain_page;
+          Alcotest.test_case "DROP TABLE drops its indexes" `Quick
+            test_drop_table_drops_indexes;
         ] );
       ( "facade",
         [

@@ -853,11 +853,13 @@ let fuzz_on = Sys.getenv_opt "BDBMS_FUZZ_SERVER" = Some "1"
 (* Random interleaving of sessions issuing BEGIN/INSERT/SELECT/COMMIT/
    ROLLBACK; the canonical state must equal the serial oracle of the
    acknowledged commits in seq order, for every seed. *)
-(* The catalog epoch oracle on the canonical engine after a round
-   ({!Fixtures.check_catalog_epoch}); counts the rounds it compared. *)
+(* The index and catalog epoch oracles on the canonical engine after a
+   round ({!Fixtures.check_indexes}, {!Fixtures.check_catalog_epoch});
+   counts the rounds the epoch oracle compared. *)
 let epoch_checks = ref 0
 
 let check_epoch_round what e =
+  Fixtures.check_indexes ~what (Db.context (Engine.db e));
   if Fixtures.check_catalog_epoch ~what (Db.context (Engine.db e)) then
     incr epoch_checks
 
@@ -870,6 +872,8 @@ let fuzz_interleaved_sessions () =
         for k = 0 to n_tables - 1 do
           exec e (Printf.sprintf "CREATE TABLE f%d (n INT)" k)
         done;
+        (* built at once on the canonical engine: every commit maintains it *)
+        exec e "CREATE INDEX f0_n ON f0 (n)";
         let sessions =
           Array.init n_sessions (fun _ ->
               match Session.create e ~user:"admin" with
