@@ -65,7 +65,9 @@ let measure policy tag =
     rows := !rows + 500
   done;
   exec db "CREATE INDEX tk ON T (k)";
-  (match Bdbms.Db.commit db with Ok () -> () | Error e -> failwith e);
+  (match Bdbms.Db.commit db with
+  | Ok () -> ()
+  | Error e -> failwith (Bdbms.Db.error_message e));
   let before = Bdbms.Db.io_stats db in
   let scan, scan_us = time_us (fun () -> exec db "SELECT k FROM T") in
   ignore scan;

@@ -17,24 +17,28 @@ let run_statement db ~user ~timing sql =
   | Error e -> Printf.printf "error: %s\n" e);
   if timing then Printf.printf "Time: %s\n" (Format.asprintf "%a" Timer.pp_ns elapsed)
 
+(* Each statement of the script runs through the statement boundary (so
+   --stmt-timeout and --slow-ms apply) and is committed on its own; the
+   first error stops the script. *)
 let run_script db ~user path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let src = really_input_string ic n in
   close_in ic;
-  match Bdbms_asql.Parser.parse_multi src with
+  match Bdbms_asql.Parser.parse_script src with
   | Error e ->
       Printf.eprintf "parse error: %s\n" e;
       exit 1
   | Ok stmts ->
       List.iter
-        (fun stmt ->
-          match Bdbms_asql.Executor.execute (Db.context db) ~user stmt with
-          | Ok outcome ->
-              if Db.durable db then ignore (Db.commit db);
-              print_endline (Bdbms_asql.Executor.render outcome)
+        (fun (sql, stmt) ->
+          match
+            Result.bind (Db.statement db ~user ~sql stmt) (fun outcome ->
+                Result.map (fun () -> outcome) (Db.commit db))
+          with
+          | Ok outcome -> print_endline (Bdbms_asql.Executor.render outcome)
           | Error e ->
-              Printf.eprintf "error: %s\n" e;
+              Printf.eprintf "error: %s\n" (Db.error_message e);
               exit 1)
         stmts
 

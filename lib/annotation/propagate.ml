@@ -136,16 +136,39 @@ let group_rows rows =
 
 let distinct t = { t with rows = List.map merge_group (group_rows t.rows) }
 
-let check_compatible op a b =
+(* [t]'s INT columns opposite a REAL column of [other] become REAL, their
+   values widened, so both sides of a set operator have one schema. *)
+let widen t other =
+  let cols = Schema.columns t.schema in
+  let wide =
+    Array.of_list
+      (List.map2
+         (fun c o -> c.Schema.ty = Value.TInt && o.Schema.ty = Value.TFloat)
+         cols (Schema.columns other.schema))
+  in
+  if not (Array.mem true wide) then t
+  else
+    let schema =
+      Schema.make
+        (List.mapi (fun i c -> if wide.(i) then { c with Schema.ty = Value.TFloat } else c) cols)
+    in
+    let cell i = function
+      | Value.VInt n when wide.(i) -> Value.VFloat (float_of_int n)
+      | v -> v
+    in
+    { schema; rows = List.map (fun at -> { at with tuple = Array.mapi cell at.tuple }) t.rows }
+
+let compatible op a b =
   if not (Schema.union_compatible a.schema b.schema) then
-    raise (Expr.Eval_error (op ^ ": schemas are not union-compatible"))
+    raise (Expr.Eval_error (op ^ ": schemas are not union-compatible"));
+  (widen a b, widen b a)
 
 let union a b =
-  check_compatible "UNION" a b;
+  let a, b = compatible "UNION" a b in
   distinct { a with rows = a.rows @ b.rows }
 
 let intersect a b =
-  check_compatible "INTERSECT" a b;
+  let a, b = compatible "INTERSECT" a b in
   (* a tuple survives when present in both sides; its annotations are the
      union over all equal tuples from both sides (the paper's gene
      example: common genes carry annotations from both source tables) *)
@@ -169,7 +192,7 @@ let intersect a b =
   { a with rows }
 
 let except a b =
-  check_compatible "EXCEPT" a b;
+  let a, b = compatible "EXCEPT" a b in
   let b_keys = Hashtbl.create 16 in
   List.iter (fun at -> Hashtbl.replace b_keys (Tuple.group_key at.tuple) ()) b.rows;
   let groups = group_rows a.rows in

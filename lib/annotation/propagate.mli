@@ -66,6 +66,8 @@ val filter_anns : t -> Ann_pred.t -> t
 val distinct : t -> t
 
 (** Set operators, with set semantics (the paper's INTERSECT example).
+    An INT column opposite a REAL one comes out REAL, its values
+    widened, so [2] and [2.0] are one row.
     @raise Bdbms_relation.Expr.Eval_error when the schemas are not
     union-compatible. *)
 

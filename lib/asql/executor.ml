@@ -1780,29 +1780,6 @@ let execute ctx ~user stmt =
   | exception Not_found -> Error "name not found"
   | exception Invalid_argument msg -> Error msg
 
-let run_stmt ctx ~user stmt =
-  Obs.span ctx.Context.obs "execute" (fun () -> execute ctx ~user stmt)
-
-let run ctx ~user src =
-  match Obs.span ctx.Context.obs "parse" (fun () -> Parser.parse src) with
-  | Error e -> Error e
-  | Ok stmt -> run_stmt ctx ~user stmt
-
-let run_script ctx ~user src =
-  match
-    Obs.span ctx.Context.obs "parse" (fun () -> Parser.parse_multi src)
-  with
-  | Error e -> Error e
-  | Ok stmts ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | stmt :: rest -> (
-            match run_stmt ctx ~user stmt with
-            | Ok outcome -> go (outcome :: acc) rest
-            | Error _ as e -> e)
-      in
-      go [] stmts
-
 (* ---------------------------------------------------------------- render *)
 
 let render outcome =

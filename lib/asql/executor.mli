@@ -31,7 +31,8 @@ val execute :
 (** Evaluate one statement.  SQL-level failures return [Error];
     {!Read_only}, {!Bdbms_util.Cancel.Cancelled} (statement deadline)
     and {!Bdbms_storage.Backend.Io_degraded} (retry budget exhausted)
-    propagate as exceptions for the transaction layer to handle. *)
+    propagate as exceptions: [Db.statement], the one statement
+    boundary, sorts them into error classes. *)
 
 val analyze_query :
   Context.t ->
@@ -52,20 +53,8 @@ val explain_query : Context.t -> user:string -> Ast.query -> Analyze.node
 val reanalyze_stale : Context.t -> unit
 (** Re-run ANALYZE for every registered table whose statistics are marked
     stale (by DML churn or EXPLAIN ANALYZE drift feedback); entries for
-    dropped tables are discarded.  [Db.exec] calls this at each statement
-    boundary. *)
-
-val run_stmt :
-  Context.t -> user:string -> Ast.statement -> (outcome, string) result
-(** {!execute} under an ["execute"] trace span. *)
-
-val run : Context.t -> user:string -> string -> (outcome, string) result
-(** Parse (under a ["parse"] span), then {!run_stmt}. *)
-
-val run_script :
-  Context.t -> user:string -> string -> (outcome list, string) result
-(** Parse and execute a [;]-separated script, stopping at the first
-    error. *)
+    dropped tables are discarded.  [Db.exec] and [Db.exec_script] call
+    this after their statements, before the commit. *)
 
 val render : outcome -> string
 (** Human-readable rendering: a table of rows with their annotations

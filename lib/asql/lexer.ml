@@ -13,15 +13,17 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
 let is_digit c = c >= '0' && c <= '9'
 
-let tokenize src =
+(* [emit token start stop] for each token, [stop] exclusive. *)
+let scan src emit =
   let n = String.length src in
   let pos = ref 0 in
-  let tokens = ref [] in
   let error = ref None in
-  let emit t = tokens := t :: !tokens in
+  let start = ref 0 in
+  let emit t = emit t !start !pos in
   let peek k = if !pos + k < n then Some src.[!pos + k] else None in
   while !error = None && !pos < n do
     let c = src.[!pos] in
+    start := !pos;
     if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr pos
     else if c = '-' && peek 1 = Some '-' then begin
       (* line comment *)
@@ -101,19 +103,23 @@ let tokenize src =
       let two = if !pos + 1 < n then String.sub src !pos 2 else "" in
       match two with
       | "<>" | "<=" | ">=" | "||" | "!=" ->
-          emit (Symbol (if two = "!=" then "<>" else two));
-          pos := !pos + 2
+          pos := !pos + 2;
+          emit (Symbol (if two = "!=" then "<>" else two))
       | _ -> (
           match c with
           | '(' | ')' | ',' | '.' | ';' | '=' | '<' | '>' | '+' | '-' | '*' | '/' | '%' ->
-              emit (Symbol (String.make 1 c));
-              incr pos
+              incr pos;
+              emit (Symbol (String.make 1 c))
           | c -> error := Some (Printf.sprintf "unexpected character %C" c))
     end
   done;
-  match !error with
-  | Some e -> Error e
-  | None -> Ok (List.rev (Eof :: !tokens))
+  match !error with Some e -> Error e | None -> Ok ()
+
+let tokenize src =
+  let tokens = ref [] in
+  Result.map
+    (fun () -> List.rev (Eof :: !tokens))
+    (scan src (fun t _ _ -> tokens := t :: !tokens))
 
 let token_text = function
   | Ident s -> s

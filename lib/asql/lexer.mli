@@ -14,5 +14,9 @@ type token =
 
 val tokenize : string -> (token list, string) result
 
+val scan : string -> (token -> int -> int -> unit) -> (unit, string) result
+(** [scan src emit] calls [emit token start stop] for each token in
+    order, [stop] exclusive; no [Eof] is emitted. *)
+
 val pp_token : Format.formatter -> token -> unit
 val token_text : token -> string

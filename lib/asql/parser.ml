@@ -802,16 +802,26 @@ let parse src =
           else Error (Printf.sprintf "trailing input at %s" (Lexer.token_text (peek st)))
       | exception Parse_failure msg -> Error msg)
 
-let parse_multi src =
-  match Lexer.tokenize src with
+let parse_script src =
+  let n = String.length src and located = ref [] in
+  match Lexer.scan src (fun t start stop -> located := (t, start, stop) :: !located) with
   | Error e -> Error e
-  | Ok tokens -> (
-      let st = { tokens = Array.of_list tokens; pos = 0 } in
+  | Ok () -> (
+      let located = Array.of_list (List.rev ((Lexer.Eof, n, n) :: !located)) in
+      let st = { tokens = Array.map (fun (t, _, _) -> t) located; pos = 0 } in
+      let text first =
+        let _, start, _ = located.(first) and _, _, stop = located.(st.pos - 1) in
+        String.sub src start (stop - start)
+      in
       let rec go acc =
         if peek st = Lexer.Eof then Ok (List.rev acc)
         else
-          match parse_one st with
-          | stmt -> go (stmt :: acc)
+          let first = st.pos in
+          match parse_statement_inner st with
+          | stmt ->
+              let sql = text first in
+              ignore (try_symbol st ";");
+              go ((sql, stmt) :: acc)
           | exception Parse_failure msg -> Error msg
       in
       go [])

@@ -19,5 +19,6 @@
 val parse : string -> (Ast.statement, string) result
 (** Parse one statement (a trailing [;] is allowed). *)
 
-val parse_multi : string -> (Ast.statement list, string) result
-(** Parse a [;]-separated script. *)
+val parse_script : string -> ((string * Ast.statement) list, string) result
+(** Parse a [;]-separated script: each statement with its source text
+    (from its first token to its last, the [;] left out). *)

@@ -57,6 +57,11 @@ let cascade (ctx : Context.t) tbl ~row ~col =
   ignore
     (Tracker.on_cell_update ctx.tracker ~write:(derive ctx) ~table:(Table.name tbl) ~row ~col)
 
+let cascade_row ctx tbl ~row =
+  for col = 0 to Schema.arity (Table.schema tbl) - 1 do
+    cascade ctx tbl ~row ~col
+  done
+
 let update_cell (ctx : Context.t) ~user tbl ~row ~col value =
   match set_cell ctx tbl ~row ~col value with
   | Error _ as e -> e
@@ -82,9 +87,7 @@ let delete (ctx : Context.t) ~user tbl ~row tuple =
           (Approval.log_delete ctx.approval ~table:(Table.name tbl) ~row ~old_tuple:tuple ~user)
     | None -> ());
     (* dependents of a deleted row cannot be recomputed: they get marked *)
-    for col = 0 to Schema.arity (Table.schema tbl) - 1 do
-      cascade ctx tbl ~row ~col
-    done
+    cascade_row ctx tbl ~row
   end
 
 let undo (ctx : Context.t) (op : Approval.operation) =
@@ -101,5 +104,8 @@ let undo (ctx : Context.t) (op : Approval.operation) =
   | Approval.Op_delete { table; row; old_tuple } -> (
       let tbl = Catalog.find_exn ctx.catalog table in
       match Table.resurrect tbl row old_tuple with
-      | Ok () -> Ok (added ctx tbl ~row old_tuple)
+      | Ok () ->
+          added ctx tbl ~row old_tuple;
+          (* the dependents the delete marked derive from the row again *)
+          Ok (cascade_row ctx tbl ~row)
       | Error e -> Error ("cannot undo delete: " ^ e))

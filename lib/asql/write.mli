@@ -31,4 +31,5 @@ val derive :
 val undo : Context.t -> Bdbms_auth.Approval.operation -> (unit, string) result
 (** Run a logged change's inverse statement unlogged: delete an inserted
     row, restore an updated cell, or bring a deleted row back at its row
-    number.  [Error] when the row has since changed state. *)
+    number and re-derive its dependents.  [Error] when the row has since
+    changed state. *)

@@ -9,6 +9,8 @@ module Timer = Bdbms_util.Timer
 module Cancel = Bdbms_util.Cancel
 module Backoff = Bdbms_util.Backoff
 module Backend = Bdbms_storage.Backend
+module Pager = Bdbms_storage.Pager
+module Parser = Bdbms_asql.Parser
 
 type t = {
   mutable ctx : Context.t;
@@ -110,34 +112,54 @@ let rollback t =
 
 (* ----------------------------------------------- degraded-mode lifecycle *)
 
+type error =
+  | Sql of string
+  | Conflict of string
+  | Busy of string
+  | Timeout of string
+  | Degraded of string
+  | Closed
+
+let error_message = function
+  | Sql m | Conflict m | Busy m | Timeout m | Degraded m -> m
+  | Closed -> closed_error
+
 let transient_reopen = function
   | Backend.Io_degraded _ -> true
   | e -> Backend.io_retryable e
 
-(* Flip into read-only degraded mode: record the reason, then discard the
-   possibly-poisoned uncommitted state by re-bootstrapping from the last
-   commit.  The reopen itself needs I/O (WAL replay restores page slots),
-   so it runs under its own bounded retry — transient faults are finite
-   by construction, and the backend's inner retry absorbs most of them.
-   After this, reads serve normally from the consistent re-bootstrapped
-   state and writes fail fast with a retryable error until a health probe
-   succeeds ([try_heal]). *)
-let enter_degraded t reason =
+(* Read-only degraded mode: record the reason; the rollback that follows
+   discards the possibly-poisoned uncommitted state.  After it, reads
+   serve normally from the consistent re-bootstrapped state and writes
+   fail fast with a retryable error until a health probe succeeds
+   ([try_heal]). *)
+let mark_degraded t reason =
   if t.degraded = None then begin
     Stats.record_degraded_entry t.obs.Obs.stats;
     Stats.set_degraded t.obs.Obs.stats true
   end;
-  t.degraded <- Some reason;
+  t.degraded <- Some reason
+
+(* A rollback that cannot throw transient I/O errors at the caller: the
+   reopen itself needs I/O (WAL replay restores page slots), so when it
+   fails the handle enters degraded mode and retries the reopen with
+   backoff — transient faults are finite by construction, and the
+   backend's inner retry absorbs most of them. *)
+let force_rollback t =
   let rec reopen attempt =
     match rollback t with
     | () -> ()
-    | exception e when attempt < 8 && transient_reopen e ->
+    | exception e when attempt < 9 && transient_reopen e ->
+        mark_degraded t
+          (match e with
+          | Backend.Io_degraded { op; detail } -> Printf.sprintf "%s: %s" op detail
+          | e -> Printexc.to_string e);
         Unix.sleepf
           (Backoff.delay_ms Backoff.default ~attempt:(min attempt 6) /. 1000.);
         reopen (attempt + 1)
   in
   reopen 1;
-  t.ctx.Context.read_only <- Some reason
+  t.ctx.Context.read_only <- t.degraded
 
 (* Single-attempt health probe; on success write mode is re-armed. *)
 let try_heal t =
@@ -152,124 +174,131 @@ let try_heal t =
 
 let degraded t = t.degraded
 
-(* A rollback that cannot throw transient I/O errors at the caller: if
-   the reopen's own I/O keeps failing, fall through to degraded mode
-   (whose entry retries the reopen with backoff). *)
-let safe_rollback t =
-  try rollback t
-  with
-  | Backend.Io_degraded { op; detail } ->
-      enter_degraded t (Printf.sprintf "%s: %s" op detail)
-  | e when Backend.io_retryable e ->
-      enter_degraded t (Printexc.to_string e)
+(* The one place the fault-lifecycle exceptions become error classes.  A
+   deadline expiry counts; an exhausted I/O retry budget on the handle's
+   own context ([own]) marks the handle degraded — a snapshot's leaves it
+   alone.  In every case the statement is not committed: the caller rolls
+   back (its own context) or fails the transaction (a snapshot), which is
+   what makes client-side retry safe. *)
+let classified t ~own f =
+  match f () with
+  | r -> r
+  | exception Cancel.Cancelled reason ->
+      Stats.record_stmt_timed_out t.obs.Obs.stats;
+      Error (Timeout ("statement aborted: " ^ reason))
+  | exception Executor.Read_only reason ->
+      Error
+        (Degraded
+           (Printf.sprintf "database is read-only (degraded: %s); retry later"
+              reason))
+  | exception Backend.Io_degraded { op; detail } ->
+      let reason = Printf.sprintf "%s: %s" op detail in
+      if own then mark_degraded t reason;
+      Error (Degraded (Printf.sprintf "I/O failing (%s); retry later" reason))
+  | exception Pager.Pool_exhausted _ -> Error (Busy "buffer pool exhausted; retry")
 
-(* Auto-commit: on a durable database each successful statement is made
-   durable before the result is returned; a failed one rolls back. *)
-let autocommit t = function
-  | Ok _ -> if durable t then Context.commit t.ctx
-  | Error _ -> safe_rollback t
+(* Make the statements since the last commit durable (a no-op in
+   memory).  Its I/O faults are classified like a statement's; the
+   deadline never covers it — a commit, once started, is never
+   half-cancelled. *)
+let commit t =
+  if t.closed then Error Closed
+  else classified t ~own:true (fun () -> Ok (Context.commit t.ctx))
 
 (* Locally originated statements get sequential trace ids; wire requests
-   arrive with the client's id already installed on the trace recorder
-   (so the whole request tree shares it) and keep it. *)
+   carry the client's. *)
 let tid_counter = ref 0
 
 let next_trace_id () =
   incr tid_counter;
   !tid_counter
 
-(* Result classifiers for the query log: did the statement succeed, and
-   how many rows did it produce (-1 = not a rowset / unknown). *)
-let stmt_info = function
-  | Ok (Executor.Rows rs) ->
-      (true, List.length rs.Bdbms_annotation.Propagate.rows)
-  | Ok (Executor.Count { affected; _ }) -> (true, affected)
-  | Ok _ -> (true, -1)
-  | Error _ -> (false, -1)
+(* Execute under the ["execute"] span and the deadline (the call's own,
+   else the handle default), faults classified. *)
+let run t ctx ~own ~user ?timeout_ms stmt =
+  let timeout_ms =
+    match timeout_ms with Some _ -> timeout_ms | None -> t.stmt_timeout_ms
+  in
+  classified t ~own (fun () ->
+      Obs.span t.obs "execute" (fun () ->
+          Context.with_deadline ctx ?timeout_ms (fun () ->
+              Result.map_error (fun e -> Sql e) (Executor.execute ctx ~user stmt))))
 
-let script_info = function Ok _ -> (true, -1) | Error _ -> (false, -1)
-
-(* Per-statement observation: every execution lands in the statement
-   latency histogram and the structured query log (ring + sampled JSONL
-   sink) with its trace id; when the slow-query log is armed, statements
-   at or over the threshold also print their text plus the trace spans
-   they opened (tracing is enabled by [set_slow_ms], so the spans are
+(* The statement boundary.  The observation: the statement latency
+   histogram and the structured query log (ring + sampled JSONL sink)
+   with its trace id; when the slow-query log is armed, statements at or
+   over the threshold also print their text plus the trace spans they
+   opened (tracing is enabled by [set_slow_ms], so the spans are
    there). *)
-let observed t ~user ?(session = 0) ~info sql f =
-  let trace = t.obs.Obs.trace in
-  let mark = Trace.mark trace in
-  let inherited = Trace.trace_id trace in
-  let tid = if inherited = 0 then next_trace_id () else inherited in
-  let r, elapsed =
-    Trace.with_trace_id trace tid (fun () -> Timer.timed f)
-  in
-  Metrics.observe t.obs.Obs.stmt_hist elapsed;
-  let slow =
-    match t.slow_ms with
-    | Some threshold -> Timer.ns_to_ms elapsed >= threshold
-    | None -> false
-  in
-  if slow then
-    Printf.eprintf "[slow query: %s] %s\n%s%!"
-      (Format.asprintf "%a" Timer.pp_ns elapsed)
-      (String.trim sql)
-      (Trace.render_tree ~since:mark t.obs.Obs.trace);
-  let ok, rows = info r in
-  Bdbms_obs.Qlog.record t.obs.Obs.qlog ~sql ~user ~session ~dur_ns:elapsed
-    ~rows ~trace_id:tid ~ok ~slow;
-  r
+let statement t ?snapshot ~user ?(session = 0) ?timeout_ms ?(trace_id = 0)
+    ~sql stmt =
+  if t.closed then Error Closed
+  else begin
+    let ctx =
+      match snapshot with
+      | Some ctx -> ctx
+      | None ->
+          try_heal t;
+          t.ctx
+    in
+    let trace = t.obs.Obs.trace in
+    let mark = Trace.mark trace in
+    let tid = if trace_id = 0 then next_trace_id () else trace_id in
+    let r, elapsed =
+      Trace.with_trace_id trace tid (fun () ->
+          Timer.timed (fun () ->
+              run t ctx ~own:(snapshot = None) ~user ?timeout_ms stmt))
+    in
+    Metrics.observe t.obs.Obs.stmt_hist elapsed;
+    let slow =
+      match t.slow_ms with
+      | Some threshold -> Timer.ns_to_ms elapsed >= threshold
+      | None -> false
+    in
+    if slow then
+      Printf.eprintf "[slow query: %s] %s\n%s%!"
+        (Format.asprintf "%a" Timer.pp_ns elapsed)
+        (String.trim sql)
+        (Trace.render_tree ~since:mark trace);
+    let ok, rows =
+      match r with
+      | Ok (Executor.Rows rs) ->
+          (true, List.length rs.Bdbms_annotation.Propagate.rows)
+      | Ok (Executor.Count { affected; _ }) -> (true, affected)
+      | Ok _ -> (true, -1)
+      | Error _ -> (false, -1)
+    in
+    Bdbms_obs.Qlog.record t.obs.Obs.qlog ~sql ~user ~session ~dur_ns:elapsed
+      ~rows ~trace_id:tid ~ok ~slow;
+    r
+  end
 
-(* Fold the fault-lifecycle exceptions into [Error]s with the right side
-   effects.  A deadline expiry rolls back (the statement may have
-   half-applied) and counts; a write refused in degraded mode rolls back
-   too (earlier statements of a script may have applied); an exhausted
-   I/O retry budget drops the engine into read-only degraded mode.  In
-   every case the error means the statement is not committed, which is
-   what makes client-side retry safe. *)
-let protected t f =
-  if t.degraded <> None then try_heal t;
-  match f () with
-  | r -> r
-  | exception Cancel.Cancelled reason ->
-      Stats.record_stmt_timed_out t.obs.Obs.stats;
-      safe_rollback t;
-      Error ("statement aborted: " ^ reason)
-  | exception Executor.Read_only reason ->
-      safe_rollback t;
-      Error
-        (Printf.sprintf "database is read-only (degraded: %s); retry later"
-           reason)
-  | exception Backend.Io_degraded { op; detail } ->
-      enter_degraded t (Printf.sprintf "%s: %s" op detail);
-      Error
-        (Printf.sprintf
-           "I/O failing (%s: %s); entering read-only degraded mode" op detail)
-
-(* The deadline covers statement execution only — a commit, once started,
-   is never half-cancelled (its own failures are handled above). *)
-let with_stmt_deadline t f =
-  match t.stmt_timeout_ms with
-  | None -> f ()
-  | Some ms -> Context.with_deadline t.ctx ~timeout_ms:ms f
+let replay t ~user stmt = run t t.ctx ~own:true ~user stmt
 
 (* Adaptive-optimizer housekeeping at the statement boundary: tables whose
    statistics went stale (DML churn or EXPLAIN ANALYZE drift feedback) are
    re-analyzed before the commit, so the refreshed statistics ride the
    same durable catalog write.  Best-effort: a failure here must never
-   fail the statement that triggered it. *)
-let refresh_stale_stats t = function
-  | Ok _ when t.degraded = None -> (
-      try Executor.reanalyze_stale t.ctx with _ -> ())
-  | _ -> ()
+   fail the statement that triggered it.  Then auto-commit: on a durable
+   database each successful call is made durable before the result is
+   returned; a failed one rolls back. *)
+let autocommit t = function
+  | Ok _ as r -> (
+      if t.degraded = None then (try Executor.reanalyze_stale t.ctx with _ -> ());
+      match commit t with
+      | Ok () -> r
+      | Error e ->
+          force_rollback t;
+          Error (error_message e))
+  | Error e ->
+      force_rollback t;
+      Error (error_message e)
 
 let exec t ?(user = Context.superuser) sql =
   guard t (fun () ->
-      observed t ~user ~info:stmt_info sql (fun () ->
-          protected t (fun () ->
-              let r = with_stmt_deadline t (fun () -> Executor.run t.ctx ~user sql) in
-              refresh_stale_stats t r;
-              autocommit t r;
-              r)))
+      match Obs.span t.obs "parse" (fun () -> Parser.parse sql) with
+      | Error _ as e -> e
+      | Ok stmt -> autocommit t (statement t ~user ~sql stmt))
 
 let exec_exn t ?user sql =
   match exec t ?user sql with
@@ -278,46 +307,19 @@ let exec_exn t ?user sql =
 
 let exec_script t ?(user = Context.superuser) sql =
   guard t (fun () ->
-      observed t ~user ~info:script_info sql (fun () ->
-          protected t (fun () ->
-              let r =
-                with_stmt_deadline t (fun () ->
-                    Executor.run_script t.ctx ~user sql)
-              in
-              refresh_stale_stats t r;
-              autocommit t r;
-              r)))
+      match Obs.span t.obs "parse" (fun () -> Parser.parse_script sql) with
+      | Error _ as e -> e
+      | Ok stmts ->
+          let rec go acc = function
+            | [] -> Ok (List.rev acc)
+            | (sql, stmt) :: rest -> (
+                match statement t ~user ~sql stmt with
+                | Ok outcome -> go (outcome :: acc) rest
+                | Error _ as e -> e)
+          in
+          autocommit t (go [] stmts))
 
 let render_exn t ?user sql = Executor.render (exec_exn t ?user sql)
-
-(* ------------------------------------------------- server entry points *)
-
-(* The multi-session server owns transaction boundaries itself: it
-   replays buffered statements with [exec_nocommit], then seals the whole
-   batch with one [commit] (group commit) or discards it with
-   [force_rollback].  A failed statement here does NOT roll back — the
-   committer must decide what of the batch survives. *)
-(* Unlike {!exec}, the fault-lifecycle exceptions (deadline expiry, I/O
-   degradation, read-only refusal) propagate to the caller, which owns
-   the transaction and decides how to abort it.  [timeout_ms] overrides
-   the handle-level default for this statement. *)
-let nocommit t ~user ?session ?timeout_ms sql run =
-  let timeout_ms =
-    match timeout_ms with Some _ as v -> v | None -> t.stmt_timeout_ms
-  in
-  guard t (fun () ->
-      observed t ~user ?session ~info:stmt_info sql (fun () ->
-          Context.with_deadline t.ctx ?timeout_ms (fun () -> run t.ctx)))
-
-let exec_nocommit t ?(user = Context.superuser) ?session ?timeout_ms sql =
-  nocommit t ~user ?session ?timeout_ms sql (fun ctx -> Executor.run ctx ~user sql)
-
-let exec_stmt_nocommit t ?(user = Context.superuser) ?session ?timeout_ms ~sql
-    stmt =
-  nocommit t ~user ?session ?timeout_ms sql (fun ctx ->
-      Executor.run_stmt ctx ~user stmt)
-
-let force_rollback t = safe_rollback t
 
 let set_on_first_dirty t hook =
   t.on_first_dirty <- hook;
@@ -341,7 +343,6 @@ let set_stmt_timeout_ms t v =
 
 let stmt_timeout_ms t = t.stmt_timeout_ms
 
-let commit t = guard t (fun () -> Ok (Context.commit t.ctx))
 let checkpoint t = guard t (fun () -> Ok (Context.checkpoint t.ctx))
 
 let close t =

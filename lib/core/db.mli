@@ -50,14 +50,18 @@ val context : t -> Bdbms_asql.Context.t
 val exec :
   t -> ?user:string -> string -> (Bdbms_asql.Executor.outcome, string) result
 (** Execute one A-SQL statement as [user] (default the superuser
-    ["admin"]). *)
+    ["admin"]): parse it, run it through {!statement}, re-ANALYZE the
+    tables whose statistics went stale and commit; a failed statement
+    rolls back. *)
 
 val exec_exn : t -> ?user:string -> string -> Bdbms_asql.Executor.outcome
 (** @raise Failure on parse or execution errors. *)
 
 val exec_script :
   t -> ?user:string -> string -> (Bdbms_asql.Executor.outcome list, string) result
-(** Execute a [;]-separated script, stopping at the first error.  On a
+(** Execute a [;]-separated script, stopping at the first error.  Each
+    statement runs through {!statement} with its own text; the script
+    commits once, after the last.  On a
     durable database a failing script rolls back: the uncommitted WAL
     tail is abandoned and the engine re-bootstraps from the last
     committed state, so no partial effects survive. *)
@@ -65,38 +69,55 @@ val exec_script :
 val render_exn : t -> ?user:string -> string -> string
 (** Execute and render human-readable output. *)
 
-(** {1 Server entry points}
+(** {1 The statement boundary}
 
-    Used by the multi-session server ([Bdbms_server]), which owns
-    transaction boundaries itself.  Regular callers want {!exec}. *)
+    Every A-SQL statement runs through {!statement}: {!exec},
+    {!exec_script}, the server engine's autocommit and transaction
+    statements, and the shell's [-f] scripts.  What follows the
+    statement (commit, rollback, re-ANALYZE) is the caller's. *)
 
-val exec_nocommit :
+type error =
+  | Sql of string  (** parse/execution/authorization error *)
+  | Conflict of string  (** first-writer-wins abort (the server engine's) *)
+  | Busy of string  (** buffer pool exhausted *)
+  | Timeout of string  (** statement deadline expired *)
+  | Degraded of string
+      (** read-only degraded mode, or an exhausted I/O retry budget *)
+  | Closed  (** the handle is closed *)
+
+val error_message : error -> string
+
+val statement :
   t ->
-  ?user:string ->
+  ?snapshot:Bdbms_asql.Context.t ->
+  user:string ->
   ?session:int ->
   ?timeout_ms:float ->
-  string ->
-  (Bdbms_asql.Executor.outcome, string) result
-(** Execute one statement {e without} auto-commit or auto-rollback: the
-    caller replays a transaction's buffered statements with this, then
-    seals the batch with {!commit} (one WAL flush for the whole group) or
-    discards it with {!force_rollback}.  [timeout_ms] overrides the
-    handle-level {!set_stmt_timeout_ms} for this statement.  Unlike
-    {!exec}, the fault-lifecycle exceptions
-    ({!Bdbms_util.Cancel.Cancelled}, {!Bdbms_asql.Executor.Read_only},
-    {!Bdbms_storage.Backend.Io_degraded}) propagate to the caller, which
-    owns the transaction boundary. *)
-
-val exec_stmt_nocommit :
-  t ->
-  ?user:string ->
-  ?session:int ->
-  ?timeout_ms:float ->
+  ?trace_id:int ->
   sql:string ->
   Bdbms_asql.Ast.statement ->
-  (Bdbms_asql.Executor.outcome, string) result
-(** {!exec_nocommit} of a statement the caller already parsed from
-    [sql] (the text the query log records). *)
+  (Bdbms_asql.Executor.outcome, error) result
+(** Run one statement, parsed from [sql], on the handle's own context or
+    on a transaction [snapshot]'s, neither committing nor rolling back.
+    Once per statement it installs [trace_id] (0: a fresh local id) as
+    the ambient trace id, opens the ["execute"] span, applies the
+    deadline ([timeout_ms], else {!set_stmt_timeout_ms}'s default),
+    records one observation — the [stmt_hist] sample, the query-log
+    entry (with [session], the wire session id, 0 = local) and the slow
+    log — and sorts the fault-lifecycle exceptions
+    ({!Bdbms_util.Cancel.Cancelled}, {!Bdbms_asql.Executor.Read_only},
+    {!Bdbms_storage.Backend.Io_degraded},
+    {!Bdbms_storage.Pager.Pool_exhausted}) into {!error} classes.  On
+    the handle's own context a degraded handle runs a health probe
+    first, and an exhausted I/O retry budget marks it degraded; the
+    caller's {!force_rollback} then re-bootstraps it read-only. *)
+
+val replay :
+  t -> user:string -> Bdbms_asql.Ast.statement ->
+  (Bdbms_asql.Executor.outcome, error) result
+(** Run a statement already observed on a transaction snapshot on the
+    handle's own context for commit replay: {!statement}'s span,
+    deadline and fault classes, without a second observation. *)
 
 val force_rollback : t -> unit
 (** Abandon everything since the last commit and re-bootstrap the engine
@@ -155,23 +176,17 @@ val degraded : t -> string option
     probe runs at the next statement and re-arms write mode once I/O
     recovers. *)
 
-val enter_degraded : t -> string -> unit
-(** Force read-only degraded mode (normally triggered internally by
-    {!Bdbms_storage.Backend.Io_degraded}): records the reason, bumps the
-    [degraded] gauge/counter, and re-bootstraps from the last committed
-    state under its own bounded retry.  Used by the server engine when a
-    transaction's I/O gives out. *)
-
 val try_heal : t -> unit
 (** Run one I/O health probe if degraded; on success clear degraded mode
     and re-arm writes.  No-op when healthy. *)
 
 val durable : t -> bool
 
-val commit : t -> (unit, string) result
+val commit : t -> (unit, error) result
 (** Make all writes so far durable (no-op on an in-memory database).
     [exec]/[exec_script] already do this after each successful call.
-    [Error] once the database is closed. *)
+    I/O faults are classified like {!statement}'s; the caller rolls
+    back.  [Error Closed] once the database is closed. *)
 
 val checkpoint : t -> (unit, string) result
 (** Store dirty pages to the database file and reset the write-ahead
@@ -217,8 +232,8 @@ val qlog : t -> Bdbms_obs.Qlog.t
 (** The structured query log: slow-statement ring (feeds
     [sys.slow_queries]) and sampling JSONL sink.  Every statement run
     through this handle is recorded with its user, duration, row count
-    and trace id; [session] on {!exec_nocommit} attributes server-side
-    statements to their connection. *)
+    and trace id, once, at {!statement}; its [session] attributes
+    server-side statements to their connection. *)
 
 val set_tracing : t -> bool -> unit
 (** Turn hierarchical trace-span recording on or off (off by default;

@@ -62,7 +62,12 @@ let equal a b = a.cols = b.cols
 
 let union_compatible a b =
   arity a = arity b
-  && Array.for_all2 (fun ca cb -> ca.ty = cb.ty) a.cols b.cols
+  && Array.for_all2
+       (fun ca cb ->
+         ca.ty = cb.ty
+         || (ca.ty = Value.TInt && cb.ty = Value.TFloat)
+         || (ca.ty = Value.TFloat && cb.ty = Value.TInt))
+       a.cols b.cols
 
 let pp fmt t =
   Format.fprintf fmt "(%s)"

@@ -34,6 +34,6 @@ val rename_columns : t -> (string * string) list -> t
 val equal : t -> t -> bool
 val union_compatible : t -> t -> bool
 (** Same arity and column types (names may differ), as required by the set
-    operators. *)
+    operators; INT matches REAL (the set operators widen it). *)
 
 val pp : Format.formatter -> t -> unit

@@ -25,20 +25,13 @@
 
 module Db = Bdbms.Db
 module Context = Bdbms_asql.Context
-module Executor = Bdbms_asql.Executor
 module Parser = Bdbms_asql.Parser
 module Stmt_class = Bdbms_asql.Stmt_class
 module Disk = Bdbms_storage.Disk
-module Pager = Bdbms_storage.Pager
 module Stats = Bdbms_obs.Stats
-module Backend = Bdbms_storage.Backend
 module Obs = Bdbms_obs.Obs
-module Trace = Bdbms_obs.Trace
-module Qlog = Bdbms_obs.Qlog
-module Timer = Bdbms_util.Timer
-module Cancel = Bdbms_util.Cancel
 
-type error =
+type error = Db.error =
   | Sql of string
   | Conflict of string
   | Busy of string
@@ -54,9 +47,7 @@ let retryable = function
   | Conflict _ | Busy _ | Degraded _ -> true
   | Sql _ | Timeout _ | Closed -> false
 
-let error_message = function
-  | Sql m | Conflict m | Busy m | Timeout m | Degraded m -> m
-  | Closed -> "engine is closed"
+let error_message = Db.error_message
 
 (* What a sealed commit wrote, for first-writer-wins checks against
    later-committing transactions whose horizon predates it.  [wildcard]
@@ -86,7 +77,8 @@ and txn = {
   tx_horizon : int;
   tx_ctx : Context.t;
   tx_user : string;
-  mutable tx_stmts : string list; (* buffered write statements, reversed *)
+  mutable tx_stmts : (string * Bdbms_asql.Ast.statement) list;
+      (* buffered write statements with their text, reversed *)
   mutable tx_touched : string list; (* reads ∪ writes of the write stmts *)
   mutable tx_writes : string list;
   mutable tx_ddl : bool;
@@ -176,91 +168,42 @@ let abort_cycle_locked t =
 
 let superuser = Context.superuser
 
-(* An exhausted I/O retry budget anywhere under the engine lock: drop
-   into read-only degraded mode (which re-bootstraps the canonical
-   engine) and discard the version store's pending pre-images — the
-   rollback already reinstalled the capture hook on the fresh disk. *)
-let io_degraded_locked t ~op ~detail =
-  Db.enter_degraded t.db (Printf.sprintf "%s: %s" op detail);
-  Version_store.abort_cycle t.vs;
-  Error
-    (Degraded
-       (Printf.sprintf "I/O failing (%s: %s); engine is read-only" op detail))
-
-let note_timeout t reason =
-  Stats.record_stmt_timed_out (obs t).Obs.stats;
-  Error (Timeout ("statement aborted: " ^ reason))
-
-(* Install a wire-supplied trace id (0 = none) as the ambient id for the
-   duration of a statement, so every span and query-log entry it records
-   links back to the client's request frame.  The ambient id is a single
-   shared slot on the trace ring: exact under the engine lock (the
-   autocommit path), best-effort for concurrently executing snapshot
-   statements. *)
-let with_tid t tid f =
-  if tid = 0 then f ()
-  else Trace.with_trace_id (Db.obs t.db).Obs.trace tid f
-
 (* The statement is parsed once, under the lock like the rest of its
-   trace, and the parsed form is what executes. *)
+   trace, and the parsed form is what executes: through the statement
+   boundary, then the commit, or the cycle is aborted.  An exhausted I/O
+   retry budget has marked the handle degraded by then, so the abort's
+   re-bootstrap comes back read-only. *)
 let execute t ?(user = superuser) ?(session = 0) ?exec_mode ?timeout_ms
     ?(trace_id = 0) sql =
   Mutex.protect t.mu (fun () ->
       if t.closed then Error Closed
       else
-        match
-          with_tid t trace_id (fun () ->
-              Obs.span (obs t) "parse" (fun () -> Parser.parse sql))
-        with
+        match Obs.span (obs t) "parse" (fun () -> Parser.parse sql) with
         | Error e -> Error (Sql e)
         | Ok stmt ->
-            let cls = Stmt_class.classify stmt in
-            if Db.degraded t.db <> None then Db.try_heal t.db;
             let saved = (Db.context t.db).Context.exec_mode in
-            (match exec_mode with
-            | Some m -> (Db.context t.db).Context.exec_mode <- m
-            | None -> ());
+            Option.iter (fun m -> (Db.context t.db).Context.exec_mode <- m) exec_mode;
             Fun.protect
               ~finally:(fun () ->
                 (* a rollback recreates the context, so re-fetch it *)
                 (Db.context t.db).Context.exec_mode <- saved)
               (fun () ->
                 match
-                  with_tid t trace_id (fun () ->
-                      Db.exec_stmt_nocommit t.db ~user ~session ?timeout_ms
-                        ~sql stmt)
+                  Result.bind
+                    (Db.statement t.db ~user ~session ?timeout_ms ~trace_id ~sql stmt)
+                    (fun outcome -> Result.map (fun () -> outcome) (Db.commit t.db))
                 with
-                | Ok outcome -> (
-                    match Db.commit t.db with
-                    | Ok () ->
-                        t.commit_seq <- t.commit_seq + 1;
-                        record_commit_locked t
-                          ~tables:
-                            (if cls.Stmt_class.ddl then [ wildcard ]
-                             else cls.Stmt_class.writes);
-                        Ok outcome
-                    | Error e ->
-                        abort_cycle_locked t;
-                        Error (Sql e)
-                    | exception Backend.Io_degraded { op; detail } ->
-                        io_degraded_locked t ~op ~detail)
-                | Error e ->
+                | Ok _ as r ->
+                    let cls = Stmt_class.classify stmt in
+                    t.commit_seq <- t.commit_seq + 1;
+                    record_commit_locked t
+                      ~tables:
+                        (if cls.Stmt_class.ddl then [ wildcard ]
+                         else cls.Stmt_class.writes);
+                    r
+                | Error _ as e ->
                     abort_cycle_locked t;
-                    Error (Sql e)
-                | exception Pager.Pool_exhausted _ ->
-                    abort_cycle_locked t;
-                    Error (Busy "buffer pool exhausted; retry")
-                | exception Cancel.Cancelled reason ->
-                    abort_cycle_locked t;
-                    note_timeout t reason
-                | exception Executor.Read_only reason ->
-                    abort_cycle_locked t;
-                    Error
-                      (Degraded
-                         (Printf.sprintf "engine is read-only (degraded: %s)"
-                            reason))
-                | exception Backend.Io_degraded { op; detail } ->
-                    io_degraded_locked t ~op ~detail))
+                    e))
 
 (* ------------------------------------------------------- transactions *)
 
@@ -337,104 +280,59 @@ let finish txn =
 
 let rollback_txn txn = finish txn
 
-let rec txn_exec txn ?(session = 0) ?timeout_ms ?(trace_id = 0) sql =
+(* A write is refused while the engine is degraded rather than buffered:
+   commit replay would refuse it anyway (the canonical engine is
+   read-only).  Any error fails the transaction. *)
+let txn_exec txn ?session ?timeout_ms ?trace_id sql =
   let t = txn.tx_engine in
   if txn.tx_done then Error (Sql "no transaction in progress")
   else if txn.tx_failed then
     Error (Sql "current transaction is aborted; ROLLBACK and retry")
   else
-    match Parser.parse sql with
-    | Error e ->
-        txn.tx_failed <- true;
-        Error (Sql e)
-    | Ok stmt -> (
-        let cls = Stmt_class.classify stmt in
-        if Stmt_class.is_write cls && Db.degraded t.db <> None then begin
-          (* fail fast instead of buffering a write that commit replay
-             would refuse anyway (the canonical engine is read-only) *)
-          Db.try_heal t.db;
-          if Db.degraded t.db <> None then begin
-            txn.tx_failed <- true;
-            Error
-              (Degraded "engine is read-only (degraded); ROLLBACK and retry")
-          end
-          else txn_exec_stmt txn cls ~session ?timeout_ms ~trace_id sql stmt
-        end
-        else txn_exec_stmt txn cls ~session ?timeout_ms ~trace_id sql stmt)
-
-and txn_exec_stmt txn cls ~session ?timeout_ms ~trace_id sql stmt =
-  let t = txn.tx_engine in
-  let o = Db.obs t.db in
-  let run () =
-    with_tid t trace_id (fun () ->
-        Obs.timed o o.Obs.stmt_hist "txn.stmt" (fun () ->
-            Context.with_deadline txn.tx_ctx ?timeout_ms (fun () ->
-                Executor.execute txn.tx_ctx ~user:txn.tx_user stmt)))
-  in
-  match Timer.timed run with
-  | result, elapsed -> (
-      (* transaction statements bypass [Db.exec]'s recording, so the
-         query log is fed here, carrying the wire session and trace id *)
-      let ok, rows =
-        match result with
-        | Ok (Executor.Rows rs) ->
-            (true, List.length rs.Bdbms_annotation.Propagate.rows)
-        | Ok (Executor.Count { affected; _ }) -> (true, affected)
-        | Ok _ -> (true, -1)
-        | Error _ -> (false, -1)
-      in
-      let slow =
-        match Db.slow_ms t.db with
-        | Some threshold -> Timer.ns_to_ms elapsed >= threshold
-        | None -> false
-      in
-      Qlog.record o.Obs.qlog ~sql ~user:txn.tx_user ~session ~dur_ns:elapsed
-        ~rows ~trace_id ~ok ~slow;
-      match result with
-      | Ok outcome ->
-          if Stmt_class.is_write cls then begin
-            txn.tx_stmts <- sql :: txn.tx_stmts;
-            txn.tx_touched <-
-              dedup
-                (cls.Stmt_class.reads @ cls.Stmt_class.writes @ txn.tx_touched);
-            txn.tx_writes <- dedup (cls.Stmt_class.writes @ txn.tx_writes);
-            if cls.Stmt_class.ddl then txn.tx_ddl <- true
-          end;
-          Ok outcome
-      | Error e ->
-          txn.tx_failed <- true;
-          Error (Sql e))
-  | exception Pager.Pool_exhausted _ ->
-      txn.tx_failed <- true;
-      Error (Busy "snapshot buffer pool exhausted; ROLLBACK and retry")
-  | exception Cancel.Cancelled reason ->
-      txn.tx_failed <- true;
-      note_timeout t reason
+    let r =
+      match Parser.parse sql with
+      | Error e -> Error (Sql e)
+      | Ok stmt ->
+          let cls = Stmt_class.classify stmt in
+          let write = Stmt_class.is_write cls in
+          if write then Db.try_heal t.db;
+          if write && Db.degraded t.db <> None then
+            Error (Degraded "engine is read-only (degraded); ROLLBACK and retry")
+          else
+            Db.statement t.db ~snapshot:txn.tx_ctx ~user:txn.tx_user ?session
+              ?timeout_ms ?trace_id ~sql stmt
+            |> Result.map (fun outcome ->
+                   if write then begin
+                     txn.tx_stmts <- (sql, stmt) :: txn.tx_stmts;
+                     txn.tx_touched <-
+                       dedup
+                         (cls.Stmt_class.reads @ cls.Stmt_class.writes
+                        @ txn.tx_touched);
+                     txn.tx_writes <- dedup (cls.Stmt_class.writes @ txn.tx_writes);
+                     if cls.Stmt_class.ddl then txn.tx_ddl <- true
+                   end;
+                   outcome)
+    in
+    if Result.is_error r then txn.tx_failed <- true;
+    r
 
 (* ------------------------------------------------------- group commit *)
 
 exception Restart_batch
 
 (* Replay one transaction's buffered statements onto the canonical
-   engine.  A failure poisons the whole uncommitted cycle (prior
+   engine: parsed and observed already on the snapshot, so they only
+   execute.  A failure poisons the whole uncommitted cycle (prior
    transactions of this batch included), so the caller rolls everything
    back and restarts the batch without the offender. *)
 let replay_txn t txn =
   let rec go = function
     | [] -> Ok ()
-    | sql :: rest -> (
-        match Db.exec_nocommit t.db ~user:txn.tx_user sql with
+    | (sql, stmt) :: rest -> (
+        match Db.replay t.db ~user:txn.tx_user stmt with
         | Ok _ -> go rest
-        | Error e -> Error (Sql e)
-        | exception Pager.Pool_exhausted _ ->
-            Error (Busy "buffer pool exhausted during commit replay; retry")
-        | exception Cancel.Cancelled reason -> note_timeout t reason
-        | exception Executor.Read_only reason ->
-            Error
-              (Degraded
-                 (Printf.sprintf "engine is read-only (degraded: %s)" reason))
-        | exception Backend.Io_degraded { op; detail } ->
-            io_degraded_locked t ~op ~detail)
+        | Error (Sql e) -> Error (Sql (Printf.sprintf "%s (commit replay of: %s)" e sql))
+        | Error _ as e -> e)
   in
   go (List.rev txn.tx_stmts)
 
@@ -511,18 +409,10 @@ let process_batch t reqs =
                        t.commit_seq <- t.commit_seq + 1;
                        rq.rq_result <- Some (Ok t.commit_seq))
                      (List.rev !replayed)
-               | Error e ->
+               | Error _ as e ->
                    abort_cycle_locked t;
                    List.iter
-                     (fun rq ->
-                       if rq.rq_result = None then
-                         rq.rq_result <- Some (Error (Sql e)))
-                     reqs
-               | exception Backend.Io_degraded { op; detail } ->
-                   let e = io_degraded_locked t ~op ~detail in
-                   List.iter
-                     (fun rq ->
-                       if rq.rq_result = None then rq.rq_result <- Some e)
+                     (fun rq -> if rq.rq_result = None then rq.rq_result <- Some e)
                      reqs
              end
            with Restart_batch -> attempt ())

@@ -18,7 +18,7 @@
 
 type t
 
-type error =
+type error = Bdbms.Db.error =
   | Sql of string  (** parse/execution/authorization error — not retryable *)
   | Conflict of string  (** first-writer-wins abort — retry on a fresh snapshot *)
   | Busy of string  (** transient resource exhaustion (e.g. pager pool) — retryable *)
@@ -72,8 +72,11 @@ val execute :
   ?trace_id:int ->
   string ->
   (Bdbms_asql.Executor.outcome, error) result
-(** Autocommit path: execute one statement on the canonical engine under
-    the engine lock, commit (sealing a version-store cycle), and return.
+(** Autocommit path: parse one statement and run it through
+    {!Bdbms.Db.statement} (the one statement boundary: trace id, span,
+    deadline, observation, fault classes) on the canonical engine under
+    the engine lock, then commit (sealing a version-store cycle) or abort
+    the cycle, and return.
     Never conflicts — it runs at the head of history.  [exec_mode]
     overrides the SELECT engine for this statement only (the session
     [\exec] setting); the canonical engine's mode is restored after.
@@ -99,8 +102,10 @@ val txn_exec :
   ?trace_id:int ->
   string ->
   (Bdbms_asql.Executor.outcome, error) result
-(** Execute a statement inside the transaction, against its snapshot.
-    Write statements also enter the replay buffer.  After any error the
+(** Execute a statement inside the transaction: parsed once and run
+    through {!Bdbms.Db.statement} against its snapshot, which records its
+    one observation and sorts its faults into error classes.  Write
+    statements also enter the replay buffer, parsed, with their text.  After any error the
     transaction is failed: subsequent statements return [Sql] errors
     until rollback (commit will also refuse).  [timeout_ms] arms a
     cooperative deadline on this statement (expiry fails the transaction
@@ -111,7 +116,10 @@ val txn_exec :
 
 val commit_txn : txn -> (int, error) result
 (** Commit: conflict-check against commits sealed after the horizon,
-    replay the buffered writes on the canonical engine, group-commit
+    replay the buffered writes on the canonical engine
+    ({!Bdbms.Db.replay}: executed again, neither re-parsed nor
+    re-observed; their cost shows in the commit's own latency and
+    trace), group-commit
     with concurrently arriving transactions (one WAL fsync per batch),
     and return this transaction's position in the global commit order
     (0 for a read-only transaction, which commits trivially).  The

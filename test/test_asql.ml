@@ -14,13 +14,15 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
+let run ctx ~user sql = Result.bind (Parser.parse sql) (Executor.execute ctx ~user)
+
 let exec ?(user = "admin") ctx sql =
-  match Executor.run ctx ~user sql with
+  match run ctx ~user sql with
   | Ok outcome -> outcome
   | Error e -> Alcotest.failf "%s -- for: %s" e sql
 
 let exec_err ?(user = "admin") ctx sql =
-  match Executor.run ctx ~user sql with
+  match run ctx ~user sql with
   | Ok _ -> Alcotest.failf "expected an error for: %s" sql
   | Error e -> e
 
@@ -35,9 +37,15 @@ let count_of ?(user = "admin") ctx sql =
   | _ -> Alcotest.failf "expected a count for: %s" sql
 
 let script ?(user = "admin") ctx sql =
-  match Executor.run_script ctx ~user sql with
-  | Ok _ -> ()
+  match Parser.parse_script sql with
   | Error e -> Alcotest.failf "%s -- in script" e
+  | Ok stmts ->
+      List.iter
+        (fun (text, stmt) ->
+          match Executor.execute ctx ~user stmt with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s -- in script at: %s" e text)
+        stmts
 
 let mk_ctx () = Context.create ~page_size:1024 ~pool_pages:128 ()
 

@@ -893,6 +893,71 @@ let test_disapprove_insert_marks_dependents () =
           Alcotest.(check (list int)) (what ^ ": ps arrives marked") [ 1 ] (marked_ps db)))
     [ "DELETE FROM gene WHERE gid = 1"; "DISAPPROVE 1" ]
 
+(* DISAPPROVE of a DELETE brings the row back, and the cell the delete
+   marked outdated is derived from the restored row again. *)
+let test_disapprove_delete_rederives () =
+  in_each_engine
+    [
+      "CREATE TABLE gene (gid INT, gs DNA)";
+      "CREATE TABLE protein (pid INT, ps PROTEIN)";
+      "INSERT INTO gene VALUES (0, 'ATGGCCAAA')";
+      "INSERT INTO protein VALUES (0, 'MK')";
+      "CREATE DEPENDENCY r1 FROM gene.gs TO protein.ps USING P";
+      "LINK DEPENDENCY r1 FROM (0) TO 0";
+      "START CONTENT APPROVAL ON gene APPROVED BY admin";
+      "DELETE FROM gene WHERE gid = 0";
+    ]
+    (fun db what ->
+      Alcotest.(check (list string))
+        (what ^ ": the delete marks ps") [ "0 | ps" ]
+        (List.map
+           (fun (r : Propagate.atuple) ->
+             String.concat " | " (List.map Value.to_display (Array.to_list r.Propagate.tuple)))
+           (rows_of db "SHOW OUTDATED protein").Propagate.rows);
+      ignore (Db.exec_exn db "DISAPPROVE 1");
+      Alcotest.(check (list string))
+        (what ^ ": the gene is back") [ "0" ] (first_column db "SELECT gid FROM gene");
+      Alcotest.(check int)
+        (what ^ ": nothing outdated") 0
+        (List.length (rows_of db "SHOW OUTDATED protein").Propagate.rows);
+      Alcotest.(check (list string))
+        (what ^ ": ps derived from the restored gene") [ "MAK" ]
+        (first_column db "SELECT ps FROM protein WHERE pid = 0"))
+
+(* INT against REAL in a set operator: the output column is REAL and 2
+   and 2.0 are one row, on both engines. *)
+let test_set_operations_widen_int () =
+  let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [
+      "CREATE TABLE s (n INT, r REAL)";
+      "INSERT INTO s VALUES (1, 2.0), (2, 2.5), (3, NULL), (NULL, 1.0)";
+    ];
+  let expect =
+    [
+      ("SELECT n FROM s UNION SELECT r FROM s", [ "1"; "2"; "3"; "NULL"; "2.5" ]);
+      ("SELECT r FROM s UNION SELECT n FROM s", [ "2"; "2.5"; "NULL"; "1"; "3" ]);
+      ("SELECT n FROM s INTERSECT SELECT r FROM s", [ "1"; "2"; "NULL" ]);
+      ("SELECT n FROM s EXCEPT SELECT r FROM s", [ "3" ]);
+    ]
+  in
+  List.iter
+    (fun batch_rows ->
+      Db.set_batch_rows db batch_rows;
+      List.iter
+        (fun (sql, rows) ->
+          run_all_modes db ~ordered:true sql;
+          let rs = rows_of db sql in
+          let what = Printf.sprintf "batch_rows %d: %s" batch_rows sql in
+          Alcotest.(check (list string))
+            (what ^ ": REAL output") [ "FLOAT" ]
+            (List.map (fun c -> Value.type_name c.Schema.ty) (Schema.columns rs.Propagate.schema));
+          Alcotest.(check (list string)) what rows (first_column db sql))
+        expect)
+    [ 1; Bdbms_relation.Batch.default_rows ];
+  Db.close db
+
 (* DISAPPROVE of an INSERT, an UPDATE and a DELETE on an analyzed,
    indexed, dependency-linked table: after each inverse every index
    equals a scan and each analyzed table's statistics count its rows. *)
@@ -1675,6 +1740,8 @@ let () =
             test_negative_zero_groups;
           Alcotest.test_case "computed columns in set operations" `Quick
             test_computed_set_operations;
+          Alcotest.test_case "set operations widen INT against REAL" `Quick
+            test_set_operations_widen_int;
           Alcotest.test_case "ORDER BY names an output alias" `Quick
             test_order_by_output_alias;
           Alcotest.test_case "DISAPPROVE re-derives behind an index" `Quick
@@ -1689,6 +1756,8 @@ let () =
           Alcotest.test_case "ON (DELETE) log keeps its index" `Quick test_deleted_log_index;
           Alcotest.test_case "DISAPPROVE of an INSERT marks dependents" `Quick
             test_disapprove_insert_marks_dependents;
+          Alcotest.test_case "DISAPPROVE of a DELETE re-derives dependents" `Quick
+            test_disapprove_delete_rederives;
           Alcotest.test_case "DISAPPROVE keeps indexes and stats" `Quick
             test_disapprove_keeps_indexes_and_stats;
         ] );

@@ -1133,7 +1133,7 @@ let test_use_after_close () =
   | Error e -> checks "exec rejected" "database is closed" e
   | Ok _ -> Alcotest.fail "exec on a closed handle succeeded");
   (match Db.commit db with
-  | Error e -> checks "commit rejected" "database is closed" e
+  | Error e -> checks "commit rejected" "database is closed" (Db.error_message e)
   | Ok () -> Alcotest.fail "commit on a closed handle succeeded");
   (match Db.checkpoint db with
   | Error e -> checks "checkpoint rejected" "database is closed" e

@@ -257,9 +257,12 @@ let test_failed_reopen_degrades () =
   let db = Db.create ~path ~fault () in
   ignore (Db.exec_exn db "CREATE TABLE t (n INT)");
   ignore (Db.exec_exn db "INSERT INTO t VALUES (1)");
-  (match Db.exec_nocommit db "INSERT INTO t VALUES (2)" with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  (let sql = "INSERT INTO t VALUES (2)" in
+   match
+     Db.statement db ~user:"admin" ~sql (Result.get_ok (Bdbms_asql.Parser.parse sql))
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail (Db.error_message e));
   (* one retry budget of failures: the first reopen gives up, the
      degraded entry's retry finds the injector drained *)
   Fault.arm_io fault ~count:Backoff.default.Backoff.max_attempts Fault.Eio;

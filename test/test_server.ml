@@ -23,6 +23,9 @@ module Engine = Bdbms_server.Engine
 module Session = Bdbms_server.Session
 module Server = Bdbms_server.Server
 module Client = Bdbms_server.Client
+module Obs = Bdbms_obs.Obs
+module Qlog = Bdbms_obs.Qlog
+module Metrics = Bdbms_obs.Metrics
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -882,6 +885,10 @@ let fuzz_interleaved_sessions () =
         in
         let pending = Array.make n_sessions [] in
         let committed = ref [] in
+        (* A-SQL statements that reached execution, for the query-log
+           oracle: the set-up above, each transaction statement, and the
+           final reads below *)
+        let executed = ref (n_tables + 1) in
         for step = 1 to 250 do
           let i = Prng.int rng n_sessions in
           let s = sessions.(i) in
@@ -897,11 +904,13 @@ let fuzz_interleaved_sessions () =
                 Printf.sprintf "INSERT INTO f%d VALUES (%d)"
                   (Prng.int rng n_tables) step
               in
+              incr executed;
               match Session.execute s sql with
               | Ok _ -> pending.(i) <- sql :: pending.(i)
               | Error err -> Alcotest.fail (Engine.error_message err)
             end
             else if die < 70 then begin
+              incr executed;
               match
                 Session.execute s
                   (Printf.sprintf "SELECT * FROM f%d" (Prng.int rng n_tables))
@@ -942,6 +951,11 @@ let fuzz_interleaved_sessions () =
             (Printf.sprintf "seed %d: %s" seed sql)
             oracle_view (render e sql)
         done;
+        (* every statement recorded once: commit replay records nothing *)
+        checki
+          (Printf.sprintf "seed %d: query-log entries" seed)
+          (!executed + n_tables)
+          (Qlog.recorded (Db.qlog (Engine.db e)));
         check_epoch_round (Printf.sprintf "seed %d" seed) e)
   done;
   checkb "the epoch oracle compared some rounds" true (!epoch_checks > 0)
@@ -1151,6 +1165,91 @@ let test_reads_write_nothing_wire () =
           checki "a write swaps the root" 1
             (List.assoc "root_swaps" (stats_reading c) - List.assoc "root_swaps" r1)))
 
+(* ------------------------------------------- the statement boundary *)
+
+(* [stmt_hist] samples and query-log entries since [f] began, and the
+   JSONL lines the query log wrote meanwhile. *)
+let observations engine f =
+  let o = Engine.obs engine in
+  let lines = ref [] in
+  Qlog.set_sink o.Obs.qlog (Some (fun l -> lines := l :: !lines));
+  let h0 = Metrics.count o.Obs.stmt_hist and q0 = Qlog.recorded o.Obs.qlog in
+  f ();
+  Qlog.set_sink o.Obs.qlog None;
+  (Metrics.count o.Obs.stmt_hist - h0, Qlog.recorded o.Obs.qlog - q0, !lines)
+
+(* A transactional statement is observed once, on its snapshot: commit
+   replay executes it again but neither re-parses nor re-records it. *)
+let test_txn_statement_observed_once () =
+  let check what tid (hist, recorded, lines) =
+    checki (what ^ ": one stmt_hist sample") 1 hist;
+    checki (what ^ ": one query-log entry") 1 recorded;
+    checkb (what ^ ": the entry carries the request's trace id") true
+      (List.exists (fun l -> contains l (Printf.sprintf "\"trace_id\":%d" tid)) lines)
+  in
+  with_server (fun ~engine ~server:_ ~sock ->
+      exec engine "CREATE TABLE t (n INT)";
+      check "engine" 4242
+        (observations engine (fun () ->
+             let txn = Engine.begin_txn engine () in
+             ignore (ok "insert" (Engine.txn_exec txn ~trace_id:4242 "INSERT INTO t VALUES (1)"));
+             checkb "committed" true (ok "commit" (Engine.commit_txn txn) > 0)));
+      let c = Client.connect_unix sock in
+      hello_ok c ~user:"admin";
+      let tid = ref 0 in
+      let hist, recorded, lines =
+        observations engine (fun () ->
+            ignore (query_ok c "BEGIN");
+            ignore (query_ok c "INSERT INTO t VALUES (2)");
+            tid := Client.last_trace_id c;
+            ignore (query_ok c "COMMIT"))
+      in
+      checkb "the client stamped a trace id" true (!tid <> 0);
+      check "wire" !tid (hist, recorded, lines);
+      checks "both rows committed" "n\n1\n2\n(2 rows)"
+        (String.trim (render engine "SELECT * FROM t ORDER BY n"));
+      Client.close c)
+
+(* A fault exception inside a snapshot statement is sorted into its error
+   class like an autocommit statement's: an exhausted I/O retry budget is
+   a [Degraded] answer that fails the transaction and leaves the
+   canonical engine as it was.  The storage fault harness cannot raise it
+   there (while the engine lock is free every canonical frame is clean,
+   and loads are not fault-counted operations), so the snapshot's
+   [sys.sessions] provider raises it, as a base read's write-back
+   would. *)
+let test_snapshot_io_fault_degraded () =
+  with_engine (fun e ->
+      exec e "CREATE TABLE t (n INT)";
+      exec e "INSERT INTO t VALUES (1)";
+      let failing = ref false in
+      let ctx = Db.context (Engine.db e) in
+      ctx.Context.sys_providers <-
+        [
+          ( "sys.sessions",
+            fun () ->
+              if !failing then
+                raise (Backend.Io_degraded { op = "store"; detail = "injected" });
+              [] );
+        ];
+      let txn = Engine.begin_txn e () in
+      ignore (ok "write" (Engine.txn_exec txn "INSERT INTO t VALUES (2)"));
+      failing := true;
+      (match Engine.txn_exec txn "SELECT * FROM sys.sessions" with
+      | Error (Engine.Degraded _) -> ()
+      | Error err -> Alcotest.fail ("expected Degraded, got: " ^ Engine.error_message err)
+      | Ok _ -> Alcotest.fail "the provider did not raise");
+      failing := false;
+      (match Engine.txn_exec txn "SELECT * FROM t" with
+      | Error (Engine.Sql m) -> checkb "the transaction is failed" true (contains m "aborted")
+      | _ -> Alcotest.fail "a failed transaction must refuse statements");
+      (match Engine.commit_txn txn with
+      | Ok _ -> Alcotest.fail "a failed transaction must refuse commit"
+      | Error _ -> ());
+      checkb "the canonical engine is not degraded" true (Db.degraded (Engine.db e) = None);
+      checks "nothing of the transaction landed" "n\n1\n(1 rows)"
+        (String.trim (render e "SELECT * FROM t")))
+
 (* ---------------------------------------------------------- registry *)
 
 let () =
@@ -1218,6 +1317,13 @@ let () =
           Alcotest.test_case "exec modes over the wire" `Quick
             test_wire_exec_modes;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
+        ] );
+      ( "statement-boundary",
+        [
+          Alcotest.test_case "a transactional statement is observed once" `Quick
+            test_txn_statement_observed_once;
+          Alcotest.test_case "snapshot I/O fault is Degraded" `Quick
+            test_snapshot_io_fault_degraded;
         ] );
       ( "counters",
         [
