@@ -1318,9 +1318,9 @@ let () =
             test_wire_exec_modes;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
         ] );
-      ( "statement-boundary",
+      ( "boundary",
         [
-          Alcotest.test_case "a transactional statement is observed once" `Quick
+          Alcotest.test_case "a txn statement is observed once" `Quick
             test_txn_statement_observed_once;
           Alcotest.test_case "snapshot I/O fault is Degraded" `Quick
             test_snapshot_io_fault_degraded;
