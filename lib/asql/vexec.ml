@@ -525,9 +525,10 @@ let hash_join ?stats ?batch_rows ~build_left ~left_keys ~right_keys left right
                         build_keys probe_keys)
                     (Hashtbl.find_all (Lazy.force table) k)
                 in
-                (* find_all is newest-first; rev_map restores build order *)
-                let pt = Batch.tuple_of pb row in
-                pending := List.rev_map (emit pt) matches);
+                (* find_all is newest-first; rev_map restores build order;
+                   a row without a match is never boxed *)
+                if matches <> [] then
+                  pending := List.rev_map (emit (Batch.tuple_of pb row)) matches);
             pull ())
   in
   of_pull ?batch_rows out_schema (Batch.generic_layout out_schema) pull

@@ -112,6 +112,11 @@ val statement :
     first, and an exhausted I/O retry budget marks it degraded; the
     caller's {!force_rollback} then re-bootstraps it read-only. *)
 
+val classified :
+  t -> own:bool -> (unit -> ('a, error) result) -> ('a, error) result
+(** [f ()] with {!statement}'s fault classes; [own]: on the handle's own
+    context, where an exhausted I/O retry budget marks it degraded. *)
+
 val replay :
   t -> user:string -> Bdbms_asql.Ast.statement ->
   (Bdbms_asql.Executor.outcome, error) result

@@ -80,14 +80,21 @@ let with_schema t schema =
 
 (* {2 Builder} *)
 
+(* The dictionary is an open-addressing table over flat [int] arrays: a
+   slot holds [id + 1] (0 = empty) and each id keeps its FNV-1a hash, so
+   a probe compares hashes before bytes and doubling the table rehashes
+   ids without re-reading a string.  Both entry points ([put] with a
+   string, [append_span] with a page span) hash the same bytes the same
+   way, so equal strings get equal ids across every [DStr] column of a
+   batch — [Vexec]'s column-to-column comparison relies on it. *)
 type builder = {
   b_schema : Schema.t;
   b_layout : layout;
   cap : int;
   b_cols : col array;
   b_need : bool array;  (* columns the query reads; others parsed past *)
-  b_dict : (string, int) Hashtbl.t;
-  b_spans : (int, int) Hashtbl.t;  (* span hash -> dict id *)
+  mutable b_slots : int array;  (* power-of-two size, at most half full *)
+  mutable b_hashes : int array;  (* id -> span hash *)
   mutable b_arr : string array;  (* id -> interned string, first b_nstrs live *)
   mutable b_nstrs : int;
   mutable b_n : int;
@@ -125,9 +132,9 @@ let builder ?(cap = default_rows) ?need schema layout =
     cap;
     b_cols = Array.init layout.arity mk_col;
     b_need;
-    b_dict = Hashtbl.create 64;
-    b_spans = Hashtbl.create 64;
-    b_arr = [||];
+    b_slots = Array.make 32 0;
+    b_hashes = Array.make 16 0;
+    b_arr = Array.make 16 "";
     b_nstrs = 0;
     b_n = 0;
   }
@@ -135,29 +142,6 @@ let builder ?(cap = default_rows) ?need schema layout =
 let full b = b.b_n >= b.cap
 let length b = b.b_n
 
-let grow_dict b =
-  if b.b_nstrs >= Array.length b.b_arr then begin
-    let arr = Array.make (max 16 (2 * Array.length b.b_arr)) "" in
-    Array.blit b.b_arr 0 arr 0 b.b_nstrs;
-    b.b_arr <- arr
-  end
-
-let intern b s =
-  match Hashtbl.find_opt b.b_dict s with
-  | Some id -> id
-  | None ->
-      let id = b.b_nstrs in
-      Hashtbl.add b.b_dict s id;
-      grow_dict b;
-      b.b_arr.(id) <- s;
-      b.b_nstrs <- id + 1;
-      id
-
-(* Dictionary lookup keyed on the raw byte span, so a repeated string
-   costs a hash walk and a byte comparison — the [Bytes.sub_string] copy
-   and the string-keyed [Hashtbl] probe only happen the first time a
-   value is seen.  FNV-1a; collisions resolved by comparing against the
-   interned strings bucketed under the same hash. *)
 let span_hash buf pos len =
   let h = ref 0x811c9dc5 in
   for i = pos to pos + len - 1 do
@@ -174,17 +158,46 @@ let span_eq s buf pos len =
   done;
   !i = len
 
-let intern_span b buf pos len =
+(* Double the table: ids keep their hashes, so no string is re-read. *)
+let grow b =
+  let n = b.b_nstrs and slots = Array.make (4 * b.b_nstrs) 0 in
+  let mask = Array.length slots - 1 in
+  for id = 0 to n - 1 do
+    let i = ref (b.b_hashes.(id) land mask) in
+    while slots.(!i) <> 0 do
+      i := (!i + 1) land mask
+    done;
+    slots.(!i) <- id + 1
+  done;
+  b.b_slots <- slots;
+  b.b_hashes <- Array.append b.b_hashes (Array.make n 0);
+  b.b_arr <- Array.append b.b_arr (Array.make n "")
+
+(* A repeated string costs a hash, a probe and a byte comparison; a new
+   one is stored as [s], else copied out of the span.  The table is at
+   most half full, so the probe ends. *)
+let intern_span ?s b buf pos len =
   let h = span_hash buf pos len in
-  let rec probe = function
-    | id :: rest -> if span_eq b.b_arr.(id) buf pos len then id else probe rest
-    | [] ->
-        let id = intern b (Bytes.sub_string buf pos len) in
-        (* not already bucketed under [h], else [probe] would have hit *)
-        Hashtbl.add b.b_spans h id;
-        id
-  in
-  probe (Hashtbl.find_all b.b_spans h)
+  let slots = b.b_slots in
+  let mask = Array.length slots - 1 in
+  let i = ref (h land mask) and found = ref (-1) in
+  while !found < 0 && Array.unsafe_get slots !i <> 0 do
+    let id = Array.unsafe_get slots !i - 1 in
+    if b.b_hashes.(id) = h && span_eq b.b_arr.(id) buf pos len then found := id
+    else i := (!i + 1) land mask
+  done;
+  if !found >= 0 then !found
+  else begin
+    let id = b.b_nstrs in
+    slots.(!i) <- id + 1;
+    b.b_hashes.(id) <- h;
+    b.b_arr.(id) <- (match s with Some s -> s | None -> Bytes.sub_string buf pos len);
+    b.b_nstrs <- id + 1;
+    if id + 1 = Array.length b.b_arr then grow b;
+    id
+  end
+
+let intern b s = intern_span ~s b (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let put b ~row ~col v =
   let c = b.b_cols.(col) in
@@ -210,23 +223,15 @@ let append_tuple b (t : Tuple.t) =
   b.b_n <- row + 1
 
 (* Same little-endian encoding as [Value.decode]'s readers, but parsing
-   a pinned page buffer in place and assembling ints directly into a
-   native [int] — [(b7 lsl 56)] wraps into the sign bit, which is exactly
-   [Int64.to_int]'s 63-bit truncation — so the hot decode loop allocates
-   nothing for ints and one box (via [Int64]) for floats. *)
-let read_u32 buf pos =
-  let b i = Char.code (Bytes.unsafe_get buf (pos + i)) in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
+   a pinned page buffer in place: the [Bytes] primitives compile to plain
+   loads, so the hot decode loop allocates nothing for ints and floats
+   ([Int64.to_int] is the 63-bit truncation [Value.decode] applies). *)
+let read_u32 buf pos = Int32.to_int (Bytes.get_int32_le buf pos) land 0xFFFF_FFFF
+let read_int buf pos = Int64.to_int (Bytes.get_int64_le buf pos)
+let read_f64 buf pos = Int64.float_of_bits (Bytes.get_int64_le buf pos)
 
-let read_int buf pos =
-  let b i = Char.code (Bytes.unsafe_get buf (pos + i)) in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-  lor (b 4 lsl 32) lor (b 5 lsl 40) lor (b 6 lsl 48) lor (b 7 lsl 56)
-
-let read_f64 buf pos =
-  let lo = read_u32 buf pos and hi = read_u32 buf (pos + 4) in
-  Int64.float_of_bits
-    (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32))
+let need limit pos k =
+  if pos + k > limit then invalid_arg "Batch.append_payload: truncated"
 
 (* Decode one encoded tuple record (as stored by [Tuple.encode]) straight
    out of [buf] into the column vectors, skipping both the per-record
@@ -246,11 +251,8 @@ let append_span b buf ~pos:base ~len =
          n b.b_layout.arity);
   let row = b.b_n in
   let pos = ref (base + 2) in
-  let need k =
-    if !pos + k > limit then invalid_arg "Batch.append_payload: truncated"
-  in
   for ci = 0 to n - 1 do
-    need 1;
+    need limit !pos 1;
     let tag = Bytes.unsafe_get buf !pos in
     if not (Array.unsafe_get b.b_need ci) then
       (* pruned column: validate and step over the value, store nothing —
@@ -259,12 +261,12 @@ let append_span b buf ~pos:base ~len =
       match tag with
       | '\000' | '\004' | '\005' -> incr pos
       | '\001' | '\002' ->
-          need 9;
+          need limit !pos 9;
           pos := !pos + 9
       | '\003' | '\006' | '\007' | '\008' ->
-          need 5;
+          need limit !pos 5;
           let slen = read_u32 buf (!pos + 1) in
-          need (5 + slen);
+          need limit !pos (5 + slen);
           pos := !pos + 5 + slen
       | _ -> invalid_arg "Batch.append_payload: bad tag"
     else
@@ -274,7 +276,7 @@ let append_span b buf ~pos:base ~len =
         Bitmap.set c.nulls ~row ~col:0 true;
         incr pos
     | '\001' -> (
-        need 9;
+        need limit !pos 9;
         let v = read_int buf (!pos + 1) in
         pos := !pos + 9;
         match c.data with
@@ -282,7 +284,7 @@ let append_span b buf ~pos:base ~len =
         | DVal a -> a.(row) <- Value.VInt v
         | _ -> invalid_arg "Batch.append_payload: INT in non-int column")
     | '\002' -> (
-        need 9;
+        need limit !pos 9;
         let v = read_f64 buf (!pos + 1) in
         pos := !pos + 9;
         match c.data with
@@ -297,9 +299,9 @@ let append_span b buf ~pos:base ~len =
         | DVal a -> a.(row) <- Value.VBool v
         | _ -> invalid_arg "Batch.append_payload: BOOL in non-bool column")
     | '\003' | '\006' | '\007' | '\008' -> (
-        need 5;
+        need limit !pos 5;
         let slen = read_u32 buf (!pos + 1) in
-        need (5 + slen);
+        need limit !pos (5 + slen);
         let spos = !pos + 5 in
         pos := spos + slen;
         match (c.data, tag) with
@@ -422,30 +424,37 @@ let group_key_at t ~row ~col =
     | DStr ids -> "s" ^ t.dict.(ids.(row))
     | DVal a -> Value.group_key a.(row)
 
+(* One column keys as its own [Value.group_key]; more are framed by
+   [Tuple.add_group_key], exactly as [Tuple.group_key] does. *)
 let group_key t row cols =
-  let buf = Buffer.create 32 in
-  Array.iter (fun col -> Tuple.add_group_key buf (group_key_at t ~row ~col)) cols;
-  Buffer.contents buf
+  if Array.length cols = 1 then group_key_at t ~row ~col:cols.(0)
+  else begin
+    let buf = Buffer.create 32 in
+    Array.iter (fun col -> Tuple.add_group_key buf (group_key_at t ~row ~col)) cols;
+    Buffer.contents buf
+  end
 
-(* Self-delimiting multi-column key: each column's [hash_key] prefixed
-   by its length, so no two key tuples share bytes; [None] when any key
-   column is NULL (SQL equality never matches NULL, so the row can
-   neither build nor probe). *)
-let join_key t row cols =
-  let buf = Buffer.create 32 in
-  let ok =
-    List.for_all
-      (fun col ->
-        match hash_key t ~row ~col with
-        | None -> false
-        | Some k ->
-            Buffer.add_string buf (string_of_int (String.length k));
-            Buffer.add_char buf ':';
-            Buffer.add_string buf k;
-            true)
-      cols
-  in
-  if ok then Some (Buffer.contents buf) else None
+(* One column keys as its own [hash_key].  More make a self-delimiting
+   key: each column's [hash_key] prefixed by its length, so no two key
+   tuples share bytes.  [None] when any key column is NULL (SQL equality
+   never matches NULL, so the row can neither build nor probe). *)
+let join_key t row = function
+  | [ col ] -> hash_key t ~row ~col
+  | cols ->
+      let buf = Buffer.create 32 in
+      let ok =
+        List.for_all
+          (fun col ->
+            match hash_key t ~row ~col with
+            | None -> false
+            | Some k ->
+                Buffer.add_string buf (string_of_int (String.length k));
+                Buffer.add_char buf ':';
+                Buffer.add_string buf k;
+                true)
+          cols
+      in
+      if ok then Some (Buffer.contents buf) else None
 
 (* {2 Selection vector} *)
 

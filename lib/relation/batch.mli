@@ -52,7 +52,9 @@ type col = {
 type t = {
   schema : Schema.t;
   cols : col array;
-  dict : string array;  (** the per-batch string dictionary *)
+  dict : string array;
+      (** the per-batch string dictionary: two [DStr] cells of a batch
+          hold equal ids exactly when their strings are equal *)
   n : int;  (** rows decoded into the vectors *)
   mutable sel : int array;  (** selection vector; first [nsel] entries live *)
   mutable nsel : int;
@@ -134,10 +136,10 @@ val hash_key : t -> row:int -> col:int -> string option
     NULL. *)
 
 val join_key : t -> int -> int list -> string option
-(** Multi-column hash-join key over the given columns: the
-    concatenation of each column's {!hash_key} prefixed by its length
-    and [':'] (so it is self-delimiting); [None] when any key column is
-    NULL. *)
+(** Hash-join key over the given columns: one column's {!hash_key}
+    as is; for more, the concatenation of each column's {!hash_key}
+    prefixed by its length and [':'] (so it is self-delimiting).  [None]
+    when any key column is NULL. *)
 
 val group_key : t -> int -> int array -> string
 (** {!Tuple.group_key} of the row's values in the given columns,

@@ -101,9 +101,12 @@ let add_group_key buf k =
   Buffer.add_string buf k
 
 let group_key t =
-  let buf = Buffer.create 32 in
-  Array.iter (fun v -> add_group_key buf (Value.group_key v)) t;
-  Buffer.contents buf
+  if Array.length t = 1 then Value.group_key t.(0)
+  else begin
+    let buf = Buffer.create 32 in
+    Array.iter (fun v -> add_group_key buf (Value.group_key v)) t;
+    Buffer.contents buf
+  end
 
 let equal a b =
   Array.length a = Array.length b

@@ -28,9 +28,9 @@ val decode_using : arity:int -> string -> t
     mismatch. *)
 
 val group_key : t -> string
-(** Column-wise {!Value.group_key}, each prefixed by its length (so the
-    key is self-delimiting): the key GROUP BY and DISTINCT group rows
-    under. *)
+(** The key GROUP BY and DISTINCT group rows under: a one-value tuple's
+    {!Value.group_key}; otherwise each value's {!Value.group_key}
+    prefixed by its length (so the key is self-delimiting). *)
 
 val add_group_key : Buffer.t -> string -> unit
 (** Append one column's {!Value.group_key} to a row key under

@@ -207,61 +207,77 @@ let execute t ?(user = superuser) ?(session = 0) ?exec_mode ?timeout_ms
 
 (* ------------------------------------------------------- transactions *)
 
-let begin_txn t ?(user = superuser) () =
-  let horizon, base_count, flags =
-    Mutex.protect t.mu (fun () ->
-        if t.closed then failwith "engine is closed";
-        let ctx = Db.context t.db in
-        let horizon = Version_store.csn t.vs in
-        Version_store.retain t.vs ~horizon;
-        ( horizon,
-          Disk.page_count ctx.Context.disk,
-          ( ctx.Context.strict_acl,
-            ctx.Context.auto_provenance,
-            ctx.Context.exec_mode,
-            ctx.Context.batch_rows,
-            ctx.Context.sys_providers ) ))
+(* A private engine over a copy-on-write overlay of the committed state
+   at [horizon]. *)
+let snapshot t ~user ~horizon ~base_count (sa, ap, em, br, sp) =
+  (* no [~obs]: the overlay counts into a private group, since its page
+     writes are memory, not the handle's I/O *)
+  let disk =
+    Disk.overlay ~page_size:t.page_size ~pool_pages:t.snapshot_pool
+      ~base_count
+      ~base_read:(fun id -> read_committed t ~horizon id)
+      ()
   in
+  let ctx = Context.create ~disk ~obs:(Db.obs t.db) () in
+  (* built-ins before bootstrap so persisted dependency chains rebind *)
+  Db.register_builtin_procedures ctx;
+  let (_ : int) = Context.bootstrap ctx in
+  ctx.Context.strict_acl <- sa;
+  ctx.Context.auto_provenance <- ap;
+  ctx.Context.exec_mode <- em;
+  ctx.Context.batch_rows <- br;
+  (* the live-session provider follows the snapshot, so [sys.sessions]
+     works inside a transaction too *)
+  ctx.Context.sys_providers <- sp;
+  ctx.Context.session_label <- Some (Printf.sprintf "%s@%d" user horizon);
+  ctx
+
+(* The bootstrap's faults (its base reads go through the canonical pool)
+   are classified like a snapshot statement's; the horizon is released
+   on every failure. *)
+let begin_txn t ?(user = superuser) () =
   match
-    (* no [~obs]: the overlay counts into a private group, since its page
-       writes are memory, not the handle's I/O *)
-    let disk =
-      Disk.overlay ~page_size:t.page_size ~pool_pages:t.snapshot_pool
-        ~base_count
-        ~base_read:(fun id -> read_committed t ~horizon id)
-        ()
-    in
-    let ctx = Context.create ~disk ~obs:(Db.obs t.db) () in
-    (* built-ins before bootstrap so persisted dependency chains rebind *)
-    Db.register_builtin_procedures ctx;
-    let (_ : int) = Context.bootstrap ctx in
-    let sa, ap, em, br, sp = flags in
-    ctx.Context.strict_acl <- sa;
-    ctx.Context.auto_provenance <- ap;
-    ctx.Context.exec_mode <- em;
-    ctx.Context.batch_rows <- br;
-    (* the live-session provider follows the snapshot, so [sys.sessions]
-       works inside a transaction too *)
-    ctx.Context.sys_providers <- sp;
-    ctx.Context.session_label <- Some (Printf.sprintf "%s@%d" user horizon);
-    ctx
+    Mutex.protect t.mu (fun () ->
+        if t.closed then None
+        else
+          let ctx = Db.context t.db in
+          let horizon = Version_store.csn t.vs in
+          Version_store.retain t.vs ~horizon;
+          Some
+            ( horizon,
+              Disk.page_count ctx.Context.disk,
+              ( ctx.Context.strict_acl,
+                ctx.Context.auto_provenance,
+                ctx.Context.exec_mode,
+                ctx.Context.batch_rows,
+                ctx.Context.sys_providers ) ))
   with
-  | ctx ->
-      {
-        tx_engine = t;
-        tx_horizon = horizon;
-        tx_ctx = ctx;
-        tx_user = user;
-        tx_stmts = [];
-        tx_touched = [];
-        tx_writes = [];
-        tx_ddl = false;
-        tx_failed = false;
-        tx_done = false;
-      }
-  | exception e ->
-      Version_store.release t.vs ~horizon;
-      raise e
+  | None -> Error Closed
+  | Some (horizon, base_count, flags) -> (
+      match
+        Db.classified t.db ~own:false (fun () ->
+            Ok (snapshot t ~user ~horizon ~base_count flags))
+      with
+      | Ok ctx ->
+          Ok
+            {
+              tx_engine = t;
+              tx_horizon = horizon;
+              tx_ctx = ctx;
+              tx_user = user;
+              tx_stmts = [];
+              tx_touched = [];
+              tx_writes = [];
+              tx_ddl = false;
+              tx_failed = false;
+              tx_done = false;
+            }
+      | Error _ as e ->
+          Version_store.release t.vs ~horizon;
+          e
+      | exception e ->
+          Version_store.release t.vs ~horizon;
+          raise e)
 
 let txn_user txn = txn.tx_user
 let txn_active txn = not txn.tx_done

@@ -91,9 +91,12 @@ val execute :
 
 type txn
 
-val begin_txn : t -> ?user:string -> unit -> txn
+val begin_txn : t -> ?user:string -> unit -> (txn, error) result
 (** Take a snapshot: pin the current CSN as the horizon and build a
-    private engine over a copy-on-write overlay. *)
+    private engine over a copy-on-write overlay.  A fault while
+    bootstrapping it is classified like a snapshot statement's (e.g.
+    {!Busy} when a base read finds the canonical pool exhausted) and
+    releases the horizon; {!Closed} once the engine is shut down. *)
 
 val txn_exec :
   txn ->

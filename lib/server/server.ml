@@ -12,7 +12,6 @@
    says if it is retryable). *)
 
 module Executor = Bdbms_asql.Executor
-module Pager = Bdbms_storage.Pager
 module Stats = Bdbms_obs.Stats
 module Obs = Bdbms_obs.Obs
 module P = Protocol
@@ -93,9 +92,6 @@ let handle_query session ?timeout_ms ?trace_id sql =
   match Session.execute session ?timeout_ms ?trace_id sql with
   | Ok reply -> reply_resp reply
   | Error e -> error_resp e
-  | exception Pager.Pool_exhausted _ ->
-      P.Error_resp
-        { code = P.E_busy; message = "buffer pool exhausted; retry" }
   | exception e ->
       P.Error_resp
         { code = P.E_internal; message = Printexc.to_string e }

@@ -177,14 +177,11 @@ let execute t ?timeout_ms ?(trace_id = 0) sql =
         if t.txn <> None then
           Error (Engine.Sql "a transaction is already in progress")
         else
-          match Engine.begin_txn t.engine ~user:t.user () with
-          | txn ->
-              (match t.exec_override with
-              | Some m -> Engine.txn_set_exec_mode txn m
-              | None -> ());
-              t.txn <- Some txn;
-              Ok Began
-          | exception Failure e -> Error (Engine.Sql e))
+          Engine.begin_txn t.engine ~user:t.user ()
+          |> Result.map (fun txn ->
+                 Option.iter (Engine.txn_set_exec_mode txn) t.exec_override;
+                 t.txn <- Some txn;
+                 Began))
     | Some Commit_txn -> (
         match t.txn with
         | None -> Error (Engine.Sql "no transaction in progress")

@@ -1481,6 +1481,65 @@ let test_explain_does_no_work () =
   checki "hash builds" 0 d.Stats.hash_builds;
   checkb "index still unbuilt" true (idx.Bdbms_asql.Context.tree = None)
 
+(* Join and group keys of one column are the column's own key, of two
+   or more a framed concatenation; both engines must agree on every
+   equality the keys encode: 1 = 1.0, -0.0 = 0.0, TEXT against DNA
+   content, and NULL, which never joins but groups as one value. *)
+let test_join_group_keys () =
+  let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [
+      "CREATE TABLE L (i INT, f FLOAT, s TEXT, d DNA)";
+      "CREATE TABLE R (i INT, f FLOAT, s TEXT, d DNA)";
+      "INSERT INTO L VALUES (1, 1.0, 'ACGT', 'ACGT'), (0, -0.0, 'AC', 'AC'), \
+       (NULL, NULL, NULL, NULL), (2, 0.0, 'G', 'G'), (1, 2.5, 'ACGT', 'TT'), \
+       (NULL, 1.0, 'x', NULL)";
+      "INSERT INTO R VALUES (1, 1.0, 'TT', 'ACGT'), (0, 0.0, 'AC', 'AC'), \
+       (NULL, NULL, NULL, NULL), (3, -0.0, 'G', 'G'), (2, 2.0, 'x', NULL)";
+    ];
+  let joins =
+    [
+      (* INT against FLOAT: 1 = 1.0, 0 = 0.0 and 0 = -0.0, 2 = 2.0 *)
+      ("SELECT L.i, R.f FROM L, R WHERE L.i = R.f", 5);
+      (* -0.0 = 0.0 both ways; NULL never joins *)
+      ("SELECT L.f, R.f FROM L, R WHERE L.f = R.f", 6);
+      (* TEXT against DNA content *)
+      ("SELECT L.s, R.d FROM L, R WHERE L.s = R.d", 4);
+      ("SELECT L.d, R.s FROM L, R WHERE L.d = R.s", 3);
+      (* two columns: both must match *)
+      ("SELECT L.i, L.s, R.f FROM L, R WHERE L.i = R.f AND L.s = R.d", 3);
+      ("SELECT L.f, R.i FROM L, R WHERE L.f = R.f AND L.d = R.s", 2);
+    ]
+  in
+  let groups =
+    [
+      (* -0.0 and 0.0 group once; NULL is one group *)
+      ("SELECT f, COUNT(*) AS n FROM L GROUP BY f", 4);
+      ("SELECT d, COUNT(*) AS n FROM L GROUP BY d", 5);
+      ("SELECT i, s, COUNT(*) AS n FROM L GROUP BY i, s", 5);
+      ("SELECT DISTINCT f FROM R", 4);
+      ("SELECT DISTINCT i, s FROM L", 5);
+      (* boxed join-output cells: -0.0 and 0.0 key alike *)
+      ("SELECT DISTINCT R.f FROM L, R WHERE L.i = R.f", 3);
+      ("SELECT L.s, COUNT(*) AS n FROM L, R WHERE L.s = R.d GROUP BY L.s", 3);
+    ]
+  in
+  List.iter
+    (fun batch_rows ->
+      Db.set_batch_rows db batch_rows;
+      List.iter
+        (fun (sql, n) ->
+          run_all_modes db ~ordered:false sql;
+          Db.set_exec_mode db `Batch;
+          let d = diff_for db sql in
+          checki (Printf.sprintf "batch_rows %d: rows of %s" batch_rows sql) n
+            (Propagate.row_count (rows_of db sql));
+          if List.mem_assoc sql joins then
+            checkb ("hash join ran: " ^ sql) true (d.Stats.hash_builds > 0))
+        (joins @ groups))
+    [ 1; Bdbms_relation.Batch.default_rows ]
+
 (* ------------------------------------- batch representation properties *)
 
 module Batch = Bdbms_relation.Batch
@@ -1552,6 +1611,15 @@ let test_batch_properties () =
       (fun i t ->
         checkb "join_key matches the Value.hash_key reference" true
           (Batch.join_key batch i cols = ref_join_key t);
+        (* one column: its own key, no length prefix *)
+        Array.iteri
+          (fun col v ->
+            checkb "one-column join_key is the column's hash_key" true
+              (Batch.join_key batch i [ col ] = Value.hash_key v);
+            checkb "one-column group_key is the value's group_key" true
+              (Batch.group_key batch i [| col |] = Value.group_key v
+              && Tuple.group_key [| v |] = Value.group_key v))
+          t;
         checkb "group_key matches Tuple.group_key" true
           (Batch.group_key batch i (Array.of_list cols)
           = Tuple.group_key (Array.of_list (List.map (Tuple.get t) cols)));
@@ -1582,6 +1650,111 @@ let test_batch_properties () =
 (* Compiled predicates must agree with the reference three-valued
    evaluator on every row, for every predicate shape the compiler
    specializes (and the ones it falls back on). *)
+(* The batch dictionary: strings reach it through both [append_span]
+   (a page span) and [append_tuple] (a boxed value), over TEXT, DNA and
+   PROTEIN columns alike, with duplicates, empty and multi-KB strings and
+   more than 1,024 distinct values, so the table grows several times.
+   Every cell reads back its source string, and two cells hold equal ids
+   exactly when their strings are equal. *)
+let seq_schema =
+  Schema.make
+    [
+      { Schema.name = "t"; ty = Value.TString };
+      { Schema.name = "d"; ty = Value.TDna };
+      { Schema.name = "p"; ty = Value.TProtein };
+    ]
+
+let test_dictionary_ids () =
+  let st = Random.State.make [| 0xd1; 0xc7 |] in
+  let layout = Batch.layout_of_schema seq_schema in
+  let pick_string () =
+    match Random.State.int st 10 with
+    | 0 -> ""
+    | 1 -> String.make (1024 + Random.State.int st 4096) "ACGT".[Random.State.int st 4]
+    | 2 | 3 -> Printf.sprintf "dup%d" (Random.State.int st 8)
+    | _ -> Printf.sprintf "ACGT%d" (Random.State.int st 100_000)
+  in
+  for round = 1 to 4 do
+    let n = 200 + (round * 150) in
+    let b = Batch.builder ~cap:n seq_schema layout in
+    let rows =
+      Array.init n (fun _ ->
+          [| Value.VString (pick_string ()); Value.VDna (pick_string ());
+             Value.VProtein (pick_string ()) |])
+    in
+    Array.iter
+      (fun t ->
+        if Random.State.bool st then Batch.append_tuple b t
+        else
+          (* embed the record mid-buffer so the span's offset matters *)
+          let payload = Tuple.encode t in
+          let pad = Random.State.int st 9 in
+          let buf = Bytes.make (pad + String.length payload + 3) '#' in
+          Bytes.blit_string payload 0 buf pad (String.length payload);
+          Batch.append_span b buf ~pos:pad ~len:(String.length payload))
+      rows;
+    let batch = Batch.finish b in
+    let id_of = Hashtbl.create 1024 and str_of = Hashtbl.create 1024 in
+    Array.iteri
+      (fun r t ->
+        Array.iteri
+          (fun c v ->
+            let src = Value.as_string v in
+            let id =
+              match batch.Batch.cols.(c).Batch.data with
+              | Batch.DStr ids -> ids.(r)
+              | _ -> Alcotest.fail "string column is not dictionary-coded"
+            in
+            checkb "dict.(ids.(r)) is the source string" true
+              (batch.Batch.dict.(id) = src);
+            (match Hashtbl.find_opt id_of src with
+            | Some id' -> checki "equal strings share an id" id' id
+            | None -> Hashtbl.add id_of src id);
+            match Hashtbl.find_opt str_of id with
+            | Some s' -> checkb "equal ids hold equal strings" true (s' = src)
+            | None -> Hashtbl.add str_of id src)
+          t)
+      rows;
+    checki "one dictionary entry per distinct string" (Hashtbl.length id_of)
+      (Array.length batch.Batch.dict);
+    if round = 4 then
+      checkb "more than 1,024 distinct strings in one batch" true
+        (Hashtbl.length id_of > 1024)
+  done
+
+(* Minor-heap words per decoded row of a unique TEXT column: a new
+   string costs its own copy (3 words for an 8-byte gid) plus the
+   table's amortized doubling, and the decode loop allocates nothing
+   else.  The bound is deterministic (allocation, not time): this
+   decoder reads 4.5 words a row, the [Hashtbl]-backed dictionary it
+   replaced 41.3 (bucket cells, probe lists and per-row closures). *)
+let test_dictionary_minor_words () =
+  let schema = Schema.make [ { Schema.name = "gid"; ty = Value.TString } ] in
+  let layout = Batch.layout_of_schema schema in
+  let n = Batch.default_rows in
+  let payloads =
+    Array.init n (fun i -> Tuple.encode [| Value.VString (Printf.sprintf "G%07d" i) |])
+  in
+  let buf = Bytes.of_string (String.concat "" (Array.to_list payloads)) in
+  let decode () =
+    let b = Batch.builder ~cap:n schema layout in
+    let pos = ref 0 in
+    Array.iter
+      (fun p ->
+        let len = String.length p in
+        Batch.append_span b buf ~pos:!pos ~len;
+        pos := !pos + len)
+      payloads;
+    Batch.finish b
+  in
+  ignore (decode ());
+  let before = Gc.minor_words () in
+  let batch = decode () in
+  let per_row = (Gc.minor_words () -. before) /. float_of_int n in
+  checki "every gid interned" n (Array.length batch.Batch.dict);
+  checkb (Printf.sprintf "%.1f minor words per unique TEXT row <= 8" per_row) true
+    (per_row <= 8.0)
+
 let test_compiled_predicates () =
   let st = Random.State.make [| 0xc0; 0x0e |] in
   let lit_int () = Expr.Lit (Value.VInt (Random.State.int st 10 - 5)) in
@@ -1728,6 +1901,7 @@ let () =
           Alcotest.test_case "annotated fixture" `Quick test_annotated_fixture;
           Alcotest.test_case "annotated reordered 3-way" `Quick
             test_annotated_reordered;
+          Alcotest.test_case "join and group keys" `Quick test_join_group_keys;
         ] );
       ( "batch-tail",
         [
@@ -1767,6 +1941,9 @@ let () =
             test_batch_properties;
           Alcotest.test_case "compiled predicates" `Quick
             test_compiled_predicates;
+          Alcotest.test_case "dictionary ids" `Quick test_dictionary_ids;
+          Alcotest.test_case "dictionary minor words" `Quick
+            test_dictionary_minor_words;
         ] );
       ( "observability",
         [

@@ -1466,7 +1466,7 @@ let test_bootstrap_reads_constant () =
       cleanup path)
     (fun () ->
       let canonical = Db.io_stats (Bdbms_server.Engine.db e) in
-      let txn = Bdbms_server.Engine.begin_txn e () in
+      let txn = Result.get_ok (Bdbms_server.Engine.begin_txn e ()) in
       (* every page the snapshot's bootstrap faults in is a committed
          read through the canonical store *)
       let got =

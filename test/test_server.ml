@@ -23,6 +23,7 @@ module Engine = Bdbms_server.Engine
 module Session = Bdbms_server.Session
 module Server = Bdbms_server.Server
 module Client = Bdbms_server.Client
+module Version_store = Bdbms_server.Version_store
 module Obs = Bdbms_obs.Obs
 module Qlog = Bdbms_obs.Qlog
 module Metrics = Bdbms_obs.Metrics
@@ -186,13 +187,13 @@ let test_snapshot_isolation () =
   with_engine (fun e ->
       exec e "CREATE TABLE t (id INT)";
       exec e "INSERT INTO t VALUES (1)";
-      let r = Engine.begin_txn e () in
+      let r = ok "BEGIN" (Engine.begin_txn e ()) in
       let before = trender r "SELECT * FROM t" in
       (* a writer commits underneath the open snapshot *)
       exec e "INSERT INTO t VALUES (2)";
       checks "snapshot is stable" before (trender r "SELECT * FROM t");
       checki "read-only commit is free" 0 (ok "commit" (Engine.commit_txn r));
-      let r2 = Engine.begin_txn e () in
+      let r2 = ok "BEGIN" (Engine.begin_txn e ()) in
       checkb "new snapshot sees the write" true
         (trender r2 "SELECT * FROM t" <> before);
       Engine.rollback_txn r2)
@@ -208,7 +209,7 @@ let test_snapshot_row_map_horizon () =
       exec e
         ("INSERT INTO g VALUES "
         ^ String.concat ", " (List.init 50 (fun i -> Printf.sprintf "(%d, 'v%d')" i i)));
-      let txn = Engine.begin_txn e () in
+      let txn = ok "BEGIN" (Engine.begin_txn e ()) in
       let rows = trender txn "SELECT * FROM g" in
       let count = trender txn "SELECT COUNT(*) FROM g" in
       for chunk = 0 to 19 do
@@ -227,7 +228,7 @@ let test_snapshot_row_map_horizon () =
       ignore (ok "txn insert" (Engine.txn_exec txn "INSERT INTO w VALUES (7)"));
       checkb "commit replays" true (ok "commit" (Engine.commit_txn txn) > 0);
       checks "replayed write landed" "n\n7\n(1 rows)" (render e "SELECT * FROM w");
-      let after = Engine.begin_txn e () in
+      let after = ok "BEGIN" (Engine.begin_txn e ()) in
       checks "new snapshot counts every commit" (render e "SELECT COUNT(*) FROM g")
         (trender after "SELECT COUNT(*) FROM g");
       checkb "1,049 live rows" true
@@ -257,7 +258,7 @@ let test_snapshot_annotations_links_horizon () =
       exec e "CREATE DEPENDENCY r1 FROM g.s TO p.ps USING P";
       exec e "LINK DEPENDENCY r1 FROM (0) TO 0";
       let annotated = "SELECT * FROM g ANNOTATION(notes)" in
-      let old = Engine.begin_txn e () in
+      let old = ok "BEGIN" (Engine.begin_txn e ()) in
       let before = trender old annotated in
       (* enough annotations that the registry grows new pages *)
       for i = 1 to 60 do
@@ -282,7 +283,7 @@ let test_snapshot_annotations_links_horizon () =
       | Ok _ -> Alcotest.fail "a write concurrent with LINK must conflict"
       | Error err -> Alcotest.fail (Engine.error_message err));
       (* one transaction annotates, archives and links; commit replays *)
-      let txn = Engine.begin_txn e () in
+      let txn = ok "BEGIN" (Engine.begin_txn e ()) in
       ignore
         (ok "txn add"
            (Engine.txn_exec txn
@@ -299,14 +300,14 @@ let test_snapshot_annotations_links_horizon () =
       exec e "UPDATE g SET s = 'ATGTGG' WHERE k = 2";
       checks "the replayed link derives" "ps\nMW\n(1 rows)"
         (render e "SELECT ps FROM p WHERE n = 'p2'");
-      let fresh = Engine.begin_txn e () in
+      let fresh = ok "BEGIN" (Engine.begin_txn e ()) in
       checks "a new snapshot sees every commit" (render e annotated) (trender fresh annotated);
       Engine.rollback_txn fresh)
 
 let test_read_own_writes () =
   with_engine (fun e ->
       exec e "CREATE TABLE t (id INT)";
-      let w = Engine.begin_txn e () in
+      let w = ok "BEGIN" (Engine.begin_txn e ()) in
       ignore (ok "insert" (Engine.txn_exec w "INSERT INTO t VALUES (7)"));
       checkb "txn sees its own write" true
         (trender w "SELECT * FROM t" <> render e "SELECT * FROM t");
@@ -321,8 +322,8 @@ let test_read_own_writes () =
 let test_first_writer_wins () =
   with_engine (fun e ->
       exec e "CREATE TABLE t (id INT)";
-      let t1 = Engine.begin_txn e () in
-      let t2 = Engine.begin_txn e () in
+      let t1 = ok "BEGIN" (Engine.begin_txn e ()) in
+      let t2 = ok "BEGIN" (Engine.begin_txn e ()) in
       ignore (ok "t1 insert" (Engine.txn_exec t1 "INSERT INTO t VALUES (1)"));
       ignore (ok "t2 insert" (Engine.txn_exec t2 "INSERT INTO t VALUES (2)"));
       (match Engine.commit_txn t1 with
@@ -336,7 +337,7 @@ let test_first_writer_wins () =
           checkb "conflict is retryable" true (Engine.retryable err));
       checki "conflict counted" 1 (Db.io_stats (Engine.db e)).Stats.commit_conflicts;
       (* the loser retries on a fresh snapshot and succeeds *)
-      let t3 = Engine.begin_txn e () in
+      let t3 = ok "BEGIN" (Engine.begin_txn e ()) in
       ignore (ok "retry insert" (Engine.txn_exec t3 "INSERT INTO t VALUES (2)"));
       checkb "retry commits" true (ok "retry" (Engine.commit_txn t3) > 0))
 
@@ -344,8 +345,8 @@ let test_disjoint_writers_no_conflict () =
   with_engine (fun e ->
       exec e "CREATE TABLE a (id INT)";
       exec e "CREATE TABLE b (id INT)";
-      let t1 = Engine.begin_txn e () in
-      let t2 = Engine.begin_txn e () in
+      let t1 = ok "BEGIN" (Engine.begin_txn e ()) in
+      let t2 = ok "BEGIN" (Engine.begin_txn e ()) in
       ignore (ok "t1" (Engine.txn_exec t1 "INSERT INTO a VALUES (1)"));
       ignore (ok "t2" (Engine.txn_exec t2 "INSERT INTO b VALUES (1)"));
       checkb "t1 commits" true (ok "t1 commit" (Engine.commit_txn t1) > 0);
@@ -357,7 +358,7 @@ let test_rollback_discards () =
   with_engine (fun e ->
       exec e "CREATE TABLE t (id INT)";
       let empty = render e "SELECT * FROM t" in
-      let w = Engine.begin_txn e () in
+      let w = ok "BEGIN" (Engine.begin_txn e ()) in
       ignore (ok "insert" (Engine.txn_exec w "INSERT INTO t VALUES (1)"));
       Engine.rollback_txn w;
       checks "rollback discards the write" empty (render e "SELECT * FROM t");
@@ -366,7 +367,7 @@ let test_rollback_discards () =
 let test_failed_txn_refuses_commit () =
   with_engine (fun e ->
       exec e "CREATE TABLE t (id INT)";
-      let w = Engine.begin_txn e () in
+      let w = ok "BEGIN" (Engine.begin_txn e ()) in
       (match Engine.txn_exec w "INSERT INTO nonexistent VALUES (1)" with
       | Ok _ -> Alcotest.fail "expected failure"
       | Error _ -> ());
@@ -380,6 +381,12 @@ let test_failed_txn_refuses_commit () =
       exec e "INSERT INTO t VALUES (1)")
 
 (* --------------------------------------- satellite: pool backpressure *)
+
+(* Run [k] with pages [ids] of pool [bp] pinned. *)
+let rec pinned bp ids k =
+  match ids with
+  | [] -> k ()
+  | id :: rest -> Pager.with_page bp id (fun _ -> pinned bp rest k)
 
 (* Pin every canonical frame, then push a query through a session: the
    engine must answer a retryable [Busy], and the session must survive
@@ -395,14 +402,8 @@ let test_pool_backpressure () =
         | Ok s -> s
         | Error err -> Alcotest.fail (Engine.error_message err)
       in
-      let disk = (Db.context (Engine.db e)).Context.disk in
-      let bp = Disk.pager disk in
-      let rec pinned ids k =
-        match ids with
-        | [] -> k ()
-        | id :: rest -> Pager.with_page bp id (fun _ -> pinned rest k)
-      in
-      pinned [ 0; 1; 2; 3 ] (fun () ->
+      let bp = Disk.pager (Db.context (Engine.db e)).Context.disk in
+      pinned bp [ 0; 1; 2; 3 ] (fun () ->
           match Session.execute sess "SELECT * FROM t" with
           | Ok _ -> Alcotest.fail "expected Busy with all frames pinned"
           | Error err ->
@@ -665,10 +666,10 @@ let test_concurrent_clients () =
 
 (* ------------------------------------------- resilience over the wire *)
 
-let with_server ?idle_timeout_s f =
+let with_server ?idle_timeout_s ?page_size ?pool_pages f =
   let path = tmp_path () in
   let sock = path ^ ".sock" in
-  let engine = Engine.create ~path () in
+  let engine = Engine.create ?page_size ?pool_pages ~path () in
   let server = Server.create ?idle_timeout_s engine in
   Server.listen_unix server sock;
   Fun.protect
@@ -1191,7 +1192,7 @@ let test_txn_statement_observed_once () =
       exec engine "CREATE TABLE t (n INT)";
       check "engine" 4242
         (observations engine (fun () ->
-             let txn = Engine.begin_txn engine () in
+             let txn = ok "BEGIN" (Engine.begin_txn engine ()) in
              ignore (ok "insert" (Engine.txn_exec txn ~trace_id:4242 "INSERT INTO t VALUES (1)"));
              checkb "committed" true (ok "commit" (Engine.commit_txn txn) > 0)));
       let c = Client.connect_unix sock in
@@ -1232,7 +1233,7 @@ let test_snapshot_io_fault_degraded () =
                 raise (Backend.Io_degraded { op = "store"; detail = "injected" });
               [] );
         ];
-      let txn = Engine.begin_txn e () in
+      let txn = ok "BEGIN" (Engine.begin_txn e ()) in
       ignore (ok "write" (Engine.txn_exec txn "INSERT INTO t VALUES (2)"));
       failing := true;
       (match Engine.txn_exec txn "SELECT * FROM sys.sessions" with
@@ -1249,6 +1250,44 @@ let test_snapshot_io_fault_degraded () =
       checkb "the canonical engine is not degraded" true (Db.degraded (Engine.db e) = None);
       checks "nothing of the transaction landed" "n\n1\n(1 rows)"
         (String.trim (render e "SELECT * FROM t")))
+
+(* A fault while BEGIN bootstraps its snapshot is an error class, not an
+   exception.  The bootstrap streams the catalog one overlay page at a
+   time, so a one-frame overlay pool does not exhaust; its base reads go
+   through the canonical pool, though, so with every canonical frame
+   pinned away from the catalog root, BEGIN answers [Busy] ([E_busy]
+   over the wire) through the error path.  The horizon it retained is
+   released, no transaction is left open, and the session serves on. *)
+let test_begin_bootstrap_fault () =
+  with_server ~page_size:256 ~pool_pages:4 (fun ~engine ~server:_ ~sock ->
+      exec engine "CREATE TABLE t (id INT, s TEXT)";
+      for i = 1 to 60 do
+        exec engine (Printf.sprintf "INSERT INTO t VALUES (%d, 'row%d')" i i)
+      done;
+      let vs = Engine.version_store engine in
+      let bp = Disk.pager (Db.context (Engine.db engine)).Context.disk in
+      let away_from_root = [ 1; 2; 3; 4 ] in
+      pinned bp away_from_root (fun () ->
+          match Engine.begin_txn engine () with
+          | Error (Engine.Busy _) -> ()
+          | Error err -> Alcotest.fail ("expected Busy, got: " ^ Engine.error_message err)
+          | Ok _ -> Alcotest.fail "the bootstrap read did not exhaust the pool");
+      checki "engine: no live horizon" 0 (Version_store.live_horizons vs);
+      let c = Client.connect_unix sock in
+      hello_ok c ~user:"admin";
+      pinned bp away_from_root (fun () ->
+          match Client.query c "BEGIN" with
+          | P.Error_resp { code = P.E_busy; _ } -> ()
+          | _ -> Alcotest.fail "expected E_busy");
+      checki "wire: no live horizon" 0 (Version_store.live_horizons vs);
+      (match Client.query c "COMMIT" with
+      | P.Error_resp { code = P.E_exec; _ } -> ()
+      | _ -> Alcotest.fail "no transaction may be open after a failed BEGIN");
+      checks "the session serves on" "60"
+        (List.nth (String.split_on_char '\n' (rendered_of (query_ok c "SELECT COUNT(*) FROM t"))) 1);
+      ignore (query_ok c "BEGIN");
+      ignore (query_ok c "COMMIT");
+      Client.close c)
 
 (* ---------------------------------------------------------- registry *)
 
@@ -1324,6 +1363,8 @@ let () =
             test_txn_statement_observed_once;
           Alcotest.test_case "snapshot I/O fault is Degraded" `Quick
             test_snapshot_io_fault_degraded;
+          Alcotest.test_case "BEGIN bootstrap fault is Busy" `Quick
+            test_begin_bootstrap_fault;
         ] );
       ( "counters",
         [
