@@ -46,6 +46,20 @@ let time_us f =
   let elapsed = (Unix.gettimeofday () -. start) *. 1e6 in
   (result, elapsed)
 
+(* Lower quartile, median and upper quartile of a non-empty list, each
+   interpolated between the two nearest ranks. *)
+let quartiles xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  let at p =
+    let x = p *. float_of_int (n - 1) in
+    let i = int_of_float x in
+    if i >= n - 1 then a.(n - 1)
+    else a.(i) +. ((x -. float_of_int i) *. (a.(i + 1) -. a.(i)))
+  in
+  (at 0.25, at 0.5, at 0.75)
+
 (* Logical page accesses (buffer hits + physical reads + writes) between
    two snapshots: the cache-independent cost measure used throughout. *)
 let accesses_between ~before ~after =

@@ -159,16 +159,28 @@ let run () =
         "recovery us/record"; "records replayed";
       ]
     ~rows;
-  (* machine-readable summary on the largest size *)
+  (* machine-readable summary on the largest size: one run's timings
+     spread too widely to compare, so the table's run and [reps - 1]
+     more give a median and quartiles *)
+  let reps = 5 in
   (match List.rev results with
-  | (n, wal_us, _, ckpt_us, rec_us, recovered, stats) :: _ ->
+  | (n, wal_us, wal_bytes, ckpt_us, rec_us, recovered, stats) :: _ ->
+      let runs =
+        (wal_us, wal_bytes, ckpt_us, rec_us, recovered, stats)
+        :: List.init (reps - 1) (fun _ -> run_one ~n ~group)
+      in
+      let summary per_run =
+        let q1, median, q3 = quartiles (List.map per_run runs) in
+        Printf.sprintf "{\"median\": %.2f, \"q1\": %.2f, \"q3\": %.2f}" median q1 q3
+      in
       Printf.printf
-        "BENCH_recovery {\"pages\": %d, \"wal_append_us_per_page\": %.2f, \
-         \"checkpoint_us_per_page\": %.2f, \"recovery_us_per_record\": %.2f, \
+        "BENCH_recovery {\"pages\": %d, \"runs\": %d, \"wal_append_us_per_page\": %s, \
+         \"checkpoint_us_per_page\": %s, \"recovery_us_per_record\": %s, \
          \"records_replayed\": %d, \"wal_flushes\": %d}\n"
-        n (wal_us /. float_of_int n)
-        (ckpt_us /. float_of_int n)
-        (rec_us /. float_of_int (max 1 recovered))
+        n reps
+        (summary (fun (wal_us, _, _, _, _, _) -> wal_us /. float_of_int n))
+        (summary (fun (_, _, ckpt_us, _, _, _) -> ckpt_us /. float_of_int n))
+        (summary (fun (_, _, _, rec_us, recovered, _) -> rec_us /. float_of_int (max 1 recovered)))
         recovered stats.Stats.wal_flushes
   | [] -> ());
   catalog_overhead ()

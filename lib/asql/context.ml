@@ -261,13 +261,3 @@ let close t =
 
 let register_procedure t proc =
   Procedure.Registry.register (Tracker.registry t.tracker) proc
-
-let index_key v =
-  let module Value = Bdbms_relation.Value in
-  let module Key_codec = Bdbms_index.Key_codec in
-  match v with
-  | Value.VNull -> "\000"
-  | Value.VInt n -> "i" ^ Key_codec.of_int n
-  | Value.VFloat f -> "f" ^ Key_codec.of_float f
-  | Value.VBool b -> if b then "b1" else "b0"
-  | v -> "s" ^ Value.as_string v

@@ -177,6 +177,3 @@ val drop_index : t -> string -> bool
 
 val indexes_on : t -> table:string -> index_def list
 (** All indexes registered over a table. *)
-
-val index_key : Bdbms_relation.Value.t -> string
-(** Order-preserving byte encoding of a value as an index key. *)

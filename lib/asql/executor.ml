@@ -222,10 +222,7 @@ let build_index (ctx : Context.t) (idx : Context.index_def) =
   let table = find_table ctx idx.Context.idx_table in
   let col = Schema.index_of_exn (Table.schema table) idx.Context.idx_column in
   let tree = Bdbms_index.Btree.create ctx.bp in
-  Table.iter table (fun row tuple ->
-      Bdbms_index.Btree.insert tree
-        ~key:(Context.index_key (Tuple.get tuple col))
-        ~value:row);
+  Table.iter table (fun row tuple -> Write.index_add tree (Tuple.get tuple col) ~row);
   idx.Context.tree <- Some tree;
   tree
 
@@ -722,8 +719,9 @@ and batch_pipeline ?need ctx (plan : Plan.t) =
           let tree = fresh_index ctx index in
           Stats.record_index_probe stats;
           let rows =
-            Bdbms_index.Btree.search tree (Context.index_key value)
-            |> List.sort_uniq compare
+            match Value.hash_key value with
+            | Some key -> List.sort_uniq compare (Bdbms_index.Btree.search tree key)
+            | None -> [] (* [= NULL] matches no row *)
           in
           Vexec.of_rows ~batch_rows ?row_id table rows
     in
@@ -1047,62 +1045,25 @@ let do_insert (ctx : Context.t) ~user ~table:table_name values =
     ~operation:Prov_record.Local_insert;
   rows
 
-(* Top-level equality conjuncts col = literal of a WHERE expression. *)
-let rec equality_conjuncts expr =
-  match expr with
-  | Expr.Cmp (Expr.Eq, Expr.Col c, Expr.Lit v)
-  | Expr.Cmp (Expr.Eq, Expr.Lit v, Expr.Col c) ->
-      [ (c, v) ]
-  | Expr.And (a, b) -> equality_conjuncts a @ equality_conjuncts b
-  | _ -> []
+(* The live rows a write's WHERE selects, ascending, with their tuples:
+   the SELECT planner's one-entry frame with row ids, where [item]'s
+   alias or name qualifies the columns.  The pipeline is drained before
+   the caller writes anything. *)
+let selected_rows (ctx : Context.t) (item : Ast.from_item) table where =
+  let frame = Plan.frame ~row_ids:true [ (item, Plan.Base table) ] in
+  let resolve = make_resolver frame.Plan.schema frame.Plan.prefixes in
+  let plan = Plan.build ctx frame ~where:(Option.map (resolve_expr resolve) where) in
+  let rid = Option.get plan.Plan.base.Plan.row_id in
+  let pull = Vexec.rows_of (fst (batch_pipeline ctx plan)) in
+  let rec drain acc =
+    match pull () with
+    | None -> acc
+    | Some (b, row) -> drain (Value.as_int (Batch.value b ~row ~col:rid) :: acc)
+  in
+  List.sort compare (drain [])
+  |> List.filter_map (fun row -> Option.map (fun t -> (row, t)) (Table.get table row))
 
-(* Matching live rows of a single table; a top-level equality on an
-   indexed column narrows the scan to the index's candidates (the full
-   predicate is still applied). *)
-let matching_rows (ctx : Context.t) table where =
-  let schema = Table.schema table in
-  let table_name = Table.name table in
-  let resolve = make_resolver schema [ table_name ] in
-  let pred =
-    match where with
-    | None -> None
-    | Some e -> Some (resolve_expr resolve e)
-  in
-  let candidates =
-    match pred with
-    | None -> None
-    | Some p ->
-        List.find_map
-          (fun (c, v) ->
-            if not (Schema.mem schema c) then None
-            else
-              Context.indexes_on ctx ~table:table_name
-              |> List.find_map (fun (idx : Context.index_def) ->
-                     if
-                       String.lowercase_ascii idx.Context.idx_column
-                       = String.lowercase_ascii c
-                     then begin
-                       Some
-                         (Bdbms_index.Btree.search (fresh_index ctx idx)
-                            (Context.index_key v))
-                     end
-                     else None))
-          (equality_conjuncts p)
-  in
-  let keep tuple =
-    match pred with None -> true | Some p -> Expr.eval_pred schema tuple p
-  in
-  match candidates with
-  | Some rows ->
-      List.sort_uniq compare rows
-      |> List.filter_map (fun row ->
-             match Table.get table row with
-             | Some tuple when keep tuple -> Some (row, tuple)
-             | _ -> None)
-  | None ->
-      Table.fold table ~init:[] ~f:(fun acc row tuple ->
-          if keep tuple then (row, tuple) :: acc else acc)
-      |> List.rev
+let write_target table = { Ast.table; table_alias = None; ann_tables = None }
 
 (* Update; returns the (row, column-name) cells written. *)
 let do_update (ctx : Context.t) ~user ~table:table_name sets where =
@@ -1117,7 +1078,7 @@ let do_update (ctx : Context.t) ~user ~table:table_name sets where =
         (c, Schema.index_of_exn schema c, resolve_expr resolve e))
       sets
   in
-  let rows = matching_rows ctx table where in
+  let rows = selected_rows ctx (write_target table_name) table where in
   let by = Some user in
   let touched = ref [] in
   List.iter
@@ -1142,7 +1103,7 @@ let do_update (ctx : Context.t) ~user ~table:table_name sets where =
 let do_delete (ctx : Context.t) ~user ~table:table_name where =
   check_acl ctx ~user Acl.Delete ~table:table_name ();
   let table = find_table ctx table_name in
-  let rows = matching_rows ctx table where in
+  let rows = selected_rows ctx (write_target table_name) table where in
   let by = Some user in
   List.iter (fun (row, tuple) -> Write.delete ctx ~user:by table ~row tuple) rows;
   rows
@@ -1157,13 +1118,14 @@ let single_target_table targets =
 (* The region covered by an ON (SELECT ...): rows matching the WHERE, and
    the projected columns (all columns when the item list is [*]). *)
 let region_of_select (ctx : Context.t) ~table_name (sel : Ast.select) =
-  (match sel.Ast.from with
-  | [ f ] when String.lowercase_ascii f.Ast.table = String.lowercase_ascii table_name -> ()
-  | _ -> fail "the ON (SELECT ...) must select from %s only" table_name);
+  let item =
+    match sel.Ast.from with
+    | [ f ] when String.lowercase_ascii f.Ast.table = String.lowercase_ascii table_name -> f
+    | _ -> fail "the ON (SELECT ...) must select from %s only" table_name
+  in
   let table = find_table ctx table_name in
-  let schema = Table.schema table in
-  let resolve = make_resolver schema [ table_name ] in
-  let rows = List.map fst (matching_rows ctx table sel.Ast.where) in
+  let rows = List.map fst (selected_rows ctx item table sel.Ast.where) in
+  let resolve = make_resolver (Table.schema table) [ Plan.item_prefix item ] in
   match sel.Ast.items with
   | [ Ast.Star ] -> Region.Rows rows
   | items ->

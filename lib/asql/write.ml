@@ -1,3 +1,4 @@
+module Value = Bdbms_relation.Value
 module Schema = Bdbms_relation.Schema
 module Tuple = Bdbms_relation.Tuple
 module Table = Bdbms_relation.Table
@@ -20,9 +21,22 @@ let rec each_tree tbl f = function
 
 let iter_trees ctx tbl f = each_tree tbl f (Context.indexes_on ctx ~table:(Table.name tbl))
 
+(* An index keys a cell by the key [=] agrees with, [Value.hash_key]:
+   ints and floats share one numeric key and -0.0 is 0.0.  NULL has no
+   key and gets no entry, since [=] never matches it. *)
+let index_add tree value ~row =
+  match Value.hash_key value with
+  | Some key -> Btree.insert tree ~key ~value:row
+  | None -> ()
+
+let index_remove tree value ~row =
+  match Value.hash_key value with
+  | Some key -> ignore (Btree.delete tree ~key ~value:row)
+  | None -> ()
+
 let added (ctx : Context.t) tbl ~row tuple =
   iter_trees ctx tbl (fun tree col ->
-      Btree.insert tree ~key:(Context.index_key (Tuple.get tuple col)) ~value:row);
+      index_add tree (Tuple.get tuple col) ~row);
   Stats_reg.note_insert ctx.Context.tstats (Table.name tbl) tuple
 
 let insert (ctx : Context.t) ~user tbl tuple =
@@ -43,8 +57,8 @@ let set_cell (ctx : Context.t) tbl ~row ~col value =
   | Ok old_value as r ->
       iter_trees ctx tbl (fun tree c ->
           if c = col then begin
-            ignore (Btree.delete tree ~key:(Context.index_key old_value) ~value:row);
-            Btree.insert tree ~key:(Context.index_key value) ~value:row
+            index_remove tree old_value ~row;
+            index_add tree value ~row
           end);
       Stats_reg.note_update ctx.Context.tstats (Table.name tbl) ~col value;
       r
@@ -79,7 +93,7 @@ let update_cell (ctx : Context.t) ~user tbl ~row ~col value =
 let delete (ctx : Context.t) ~user tbl ~row tuple =
   if Table.delete tbl row then begin
     iter_trees ctx tbl (fun tree col ->
-        ignore (Btree.delete tree ~key:(Context.index_key (Tuple.get tuple col)) ~value:row));
+        index_remove tree (Tuple.get tuple col) ~row);
     Stats_reg.note_delete ctx.Context.tstats (Table.name tbl) tuple;
     (match user with
     | Some user ->

@@ -6,6 +6,10 @@
     the change for approval when [user] is [Some writer], and an update or
     a delete runs the tracker cascade. *)
 
+val index_add : Bdbms_index.Btree.t -> Bdbms_relation.Value.t -> row:int -> unit
+(** Enter a cell into an index tree under [Value.hash_key], the key [=]
+    agrees with; a NULL cell gets no entry. *)
+
 val insert :
   Context.t -> user:string option -> Bdbms_relation.Table.t -> Bdbms_relation.Tuple.t ->
   (int, string) result

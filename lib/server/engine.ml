@@ -39,14 +39,6 @@ type error = Db.error =
   | Degraded of string
   | Closed
 
-(* [Degraded] is transient by design (a health probe re-arms writes once
-   I/O recovers), so clients may retry.  [Timeout] is not: the statement
-   blew its own deadline and was rolled back — retrying with the same
-   deadline would blow it again. *)
-let retryable = function
-  | Conflict _ | Busy _ | Degraded _ -> true
-  | Sql _ | Timeout _ | Closed -> false
-
 let error_message = Db.error_message
 
 (* What a sealed commit wrote, for first-writer-wins checks against

@@ -31,7 +31,6 @@ type error = Bdbms.Db.error =
           I/O recovers) *)
   | Closed  (** the engine is shut down *)
 
-val retryable : error -> bool
 val error_message : error -> string
 
 val create :

@@ -54,10 +54,11 @@ let check_catalog_epoch ~what (ctx : Bdbms_asql.Context.t) =
   current
 
 (* The index oracle.  Every built index tree must hold exactly the
-   [(Context.index_key v, row)] pairs of a scan of its table: a write
-   that skipped index maintenance, or an index left over a dropped
-   table, fails here.  A tree not built yet is built from a scan on its
-   first probe and has nothing to check. *)
+   [(Value.hash_key v, row)] pairs of a scan of its table, keyed the way
+   [=] compares values, with no entry for a NULL cell (which [=] never
+   matches): a write that skipped index maintenance, or an index left
+   over a dropped table, fails here.  A tree not built yet is built from
+   a scan on its first probe and has nothing to check. *)
 let check_indexes ~what (ctx : Bdbms_asql.Context.t) =
   let module Context = Bdbms_asql.Context in
   let module Table = Bdbms_relation.Table in
@@ -76,7 +77,9 @@ let check_indexes ~what (ctx : Bdbms_asql.Context.t) =
           in
           let scan =
             Table.fold table ~init:[] ~f:(fun acc row tuple ->
-                (Context.index_key (Bdbms_relation.Tuple.get tuple col), row) :: acc)
+                match Bdbms_relation.Value.hash_key (Bdbms_relation.Tuple.get tuple col) with
+                | Some key -> (key, row) :: acc
+                | None -> acc)
           in
           let entries = Bdbms_index.Btree.range tree () in
           if List.sort compare scan <> List.sort compare entries then

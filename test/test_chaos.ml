@@ -13,7 +13,9 @@
    - no session wedges: every client thread finishes its script;
    - deadlines hold: once faults are disarmed, a statement with a
      deadline is aborted within 2x its deadline;
-   - the engine heals: after the faults clear, writes succeed again.
+   - the engine heals: after the faults clear, writes succeed again;
+   - the index over the table holds exactly the table's values, live and
+     after the restart ({!Fixtures.check_indexes}).
 
    Runs 8 seeds under the normal test suite; `make fuzz-chaos` sets
    BDBMS_FUZZ_CHAOS=1 for the full 200-seed campaign. *)
@@ -165,9 +167,12 @@ let run_seed seed =
   let engine = Engine.create ~fault ~path () in
   let server = Server.create ~idle_timeout_s:30. engine in
   Server.listen_unix server sock;
-  (match Engine.execute engine "CREATE TABLE chaos (n INT)" with
-  | Ok _ -> ()
-  | Error e -> failf "seed %d: create table: %s" seed (Engine.error_message e));
+  List.iter
+    (fun sql ->
+      match Engine.execute engine sql with
+      | Ok _ -> ()
+      | Error e -> failf "seed %d: %s: %s" seed sql (Engine.error_message e))
+    [ "CREATE TABLE chaos (n INT)"; "CREATE INDEX chaos_n ON chaos (n)" ];
   let oracle = { mu = Mutex.create (); acked = []; unknown = [] } in
   let stop_flag = Atomic.make false in
   let chaos = Thread.create (fun () -> run_chaos ~seed fault stop_flag) () in
@@ -231,6 +236,11 @@ let run_seed seed =
   let final = final_rows_via c in
   check_inclusion ~seed ~what:"live" ~final ~acked:oracle.acked
     ~unknown:oracle.unknown;
+  let check_index what engine =
+    Fixtures.check_indexes ~what:(Printf.sprintf "seed %d: %s" seed what)
+      (Bdbms.Db.context (Engine.db engine))
+  in
+  check_index "live" engine;
 
   (* durability: restart the whole stack and re-check *)
   Server.stop server;
@@ -247,7 +257,13 @@ let run_seed seed =
     | Error e -> failf "seed %d: post-restart read: %s" seed (Engine.error_message e)
   in
   check_inclusion ~seed ~what:"restarted" ~final:final2 ~acked:oracle.acked
-    ~unknown:oracle.unknown
+    ~unknown:oracle.unknown;
+  (* a probe rebuilds the index from the recovered table *)
+  let probe = Printf.sprintf "SELECT n FROM chaos WHERE n = %d" ((seed * 1_000_000) + 900_001) in
+  (match Engine.execute engine2 probe with
+  | Ok _ -> ()
+  | Error e -> failf "seed %d: post-restart probe: %s" seed (Engine.error_message e));
+  check_index "restarted" engine2
 
 let () =
   Printf.printf "chaos: %d seed(s)%s\n%!" seeds

@@ -73,6 +73,14 @@ let setup db =
   stmt "ADD ANNOTATION TO T2.tags VALUE 'small' ON (SELECT * FROM T2 WHERE id < 10)";
   stmt "ADD ANNOTATION TO T2.tags VALUE 'w' ON (SELECT w FROM T2 WHERE k = 3)";
   stmt "CREATE INDEX t2_id ON T2 (id)";
+  (* [N]'s INT and REAL indexes hold values [=] equates across the index
+     key's types ([2] and [2.0], [0.0] and [-0.0]) and NULLs *)
+  stmt "CREATE TABLE N (id INT, k INT, f REAL)";
+  stmt
+    "INSERT INTO N VALUES (0, 2, 0.0), (1, 3, -0.0), (2, NULL, 2.0), \
+     (3, 2, NULL), (4, 1, 2.5), (5, 0, 1.0)";
+  stmt "CREATE INDEX n_k ON N (k)";
+  stmt "CREATE INDEX n_f ON N (f)";
   (* [O.derived] in rows 1 and 3 is marked outdated by the dependency
      manager: its source changed and the procedure cannot recompute *)
   (match
@@ -156,6 +164,14 @@ let fixed_ordered =
     "SELECT id, v FROM T1 ANNOTATION(notes) WHERE k < 5 ORDER BY id DESC \
      LIMIT 4 OFFSET 1";
     "SELECT * FROM O ORDER BY id";
+    (* indexed numeric equality: each probe keys its literal as [=]
+       compares it *)
+    "SELECT id FROM N WHERE k = 2.0 ORDER BY id";
+    "SELECT id FROM N WHERE f = 2 ORDER BY id";
+    "SELECT id FROM N WHERE f = 0.0 ORDER BY id";
+    "SELECT id FROM N WHERE f = -0.0 ORDER BY id";
+    "SELECT id FROM N WHERE k = NULL ORDER BY id";
+    "SELECT id FROM N WHERE f = NULL ORDER BY id";
   ]
 
 let fixed_unordered =
@@ -859,6 +875,169 @@ let test_deleted_log_index () =
         (what ^ ": the second logged row") [ "1" ]
         (first_column db "SELECT gid FROM _deleted_gene WHERE gid = 1");
       Fixtures.check_indexes ~what (Db.context db))
+
+(* A 20-row table for the write-selection corpus: NULLs in [k], [f] and
+   [s], [-0.0] beside [0.0], REAL cells equal to INT literals, and
+   [k = 7] on 12 rows, over half the table, so that with statistics the
+   planner scans rather than probes for it. *)
+let selection_script ~indexed ~analyzed =
+  let k i =
+    if i < 12 then "7"
+    else List.nth [ "2"; "NULL"; "3"; "2"; "NULL"; "0"; "1"; "5" ] (i - 12)
+  in
+  let f i = List.nth [ "0.0"; "-0.0"; "2.0"; "NULL"; "2.5" ] (i mod 5) in
+  let s i = List.nth [ "'abc'"; "'abd'"; "NULL"; "'xyz'" ] (i mod 4) in
+  [
+    "CREATE TABLE W (id INT, k INT, f REAL, s TEXT, mark INT)";
+    "INSERT INTO W VALUES "
+    ^ String.concat ", "
+        (List.init 20 (fun i -> Printf.sprintf "(%d, %s, %s, %s, 0)" i (k i) (f i) (s i)));
+  ]
+  @ (if indexed then
+       [
+         "CREATE INDEX w_k ON W (k)";
+         "CREATE INDEX w_f ON W (f)";
+         "CREATE INDEX w_s ON W (s)";
+         "CREATE INDEX w_mark ON W (mark)";
+       ]
+     else [])
+  @ if analyzed then [ "ANALYZE W" ] else []
+
+let selection_predicates =
+  [
+    "k = 2";
+    "k = 2.0";
+    "k = 7";
+    "k = 7.0";
+    "f = 0.0";
+    "f = -0.0";
+    "f = 0";
+    "f = 2";
+    "k = NULL";
+    "f = NULL";
+    "k IS NULL";
+    "NOT (k = 2)";
+    "k <> 7";
+    "NOT (k = 7 OR f IS NULL)";
+    "s LIKE 'ab%'";
+    "NOT (s LIKE 'ab%')";
+    "s = 'abc'";
+    "k = 7 AND f = 0.0";
+    "k = 2 OR f = 2";
+    "f = 2.5 AND s = 'abc'";
+    "k = 7 AND s = NULL";
+    "id < 5 AND k = 7";
+    "f = 0.0 AND k = 2.0";
+  ]
+
+(* A write's rows are the rows its WHERE selects: [UPDATE ... WHERE p]
+   touches exactly the naive oracle's [SELECT id ... WHERE p], and
+   [DELETE ... WHERE p] on a fresh copy removes exactly them, with or
+   without indexes and statistics, so an index never changes an
+   affected count.  The index oracle runs after every statement. *)
+let test_write_selects_where_rows () =
+  let naive_ids db sql =
+    Db.set_exec_mode db `Naive;
+    let ids = List.sort compare (List.map int_of_string (first_column db sql)) in
+    Db.set_exec_mode db `Batch;
+    ids
+  in
+  let affected db sql =
+    match Db.exec_exn db sql with
+    | Executor.Count { affected; _ } -> affected
+    | _ -> Alcotest.failf "expected a count for %s" sql
+  in
+  let probes db sql =
+    let before = Db.io_stats db in
+    let n = affected db sql in
+    (n, (Stats.diff ~after:(Db.io_stats db) ~before).Stats.index_probes)
+  in
+  List.iter
+    (fun (indexed, analyzed) ->
+      List.iter
+        (fun batch_rows ->
+          List.iter
+            (fun p ->
+              let what =
+                Printf.sprintf "indexed %b, analyzed %b, batch_rows %d: WHERE %s" indexed
+                  analyzed batch_rows p
+              in
+              let fresh () =
+                let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+                Db.set_batch_rows db batch_rows;
+                List.iter (fun sql -> ignore (Db.exec_exn db sql))
+                  (selection_script ~indexed ~analyzed);
+                db
+              in
+              let db = fresh () in
+              let want = naive_ids db ("SELECT id FROM W WHERE " ^ p) in
+              let n, probed = probes db ("UPDATE W SET mark = 1 WHERE " ^ p) in
+              Fixtures.check_indexes ~what:(what ^ ", UPDATE") (Db.context db);
+              checki (what ^ ": cells updated") (List.length want) n;
+              Alcotest.(check (list int))
+                (what ^ ": rows marked") want
+                (naive_ids db "SELECT id FROM W WHERE mark = 1");
+              (* the planner's cost rule is the one index choice: a probe
+                 without statistics, a scan for the majority value *)
+              if indexed && (not analyzed) && p = "k = 2.0" then
+                checkb (what ^ ": probes the index") true (probed > 0);
+              if analyzed && p = "k = 7" then checki (what ^ ": scans") 0 probed;
+              Db.close db;
+              let db = fresh () in
+              let all = naive_ids db "SELECT id FROM W" in
+              checki (what ^ ": rows deleted") (List.length want)
+                (affected db ("DELETE FROM W WHERE " ^ p));
+              Fixtures.check_indexes ~what:(what ^ ", DELETE") (Db.context db);
+              Alcotest.(check (list int))
+                (what ^ ": rows left") (List.filter (fun id -> not (List.mem id want)) all)
+                (naive_ids db "SELECT id FROM W");
+              Db.close db)
+            selection_predicates)
+        [ 1; 7; Bdbms_relation.Batch.default_rows ])
+    [ (false, false); (true, false); (true, true) ]
+
+(* An ON (SELECT ...) resolves names as that SELECT does: [g.gid] under
+   the alias [g] qualifies a column, and [gene.gid] under the alias is
+   refused with the SELECT's own error. *)
+let test_on_select_resolves_like_select () =
+  in_each_engine
+    [
+      "CREATE TABLE gene (gid TEXT, gs DNA)";
+      "INSERT INTO gene VALUES ('a', 'ATG'), ('b', 'ATGAAA')";
+      "CREATE ANNOTATION TABLE notes ON gene";
+    ]
+    (fun db what ->
+      ignore
+        (Db.exec_exn db
+           "ADD ANNOTATION TO gene.notes VALUE 'aliased' \
+            ON (SELECT g.gs FROM gene g WHERE g.gid = 'a')");
+      Alcotest.(check (list string))
+        (what ^ ": annotations per cell")
+        [ "a 0 1"; "b 0 0" ]
+        (List.map
+           (fun (r : Propagate.atuple) ->
+             Printf.sprintf "%s %d %d"
+               (Value.to_display (Tuple.get r.Propagate.tuple 0))
+               (List.length r.Propagate.anns.(0))
+               (List.length r.Propagate.anns.(1)))
+           (rows_of db "SELECT gid, gs FROM gene ANNOTATION(notes) ORDER BY gid")
+             .Propagate.rows);
+      let error sql =
+        match Db.exec db sql with
+        | Error e -> e
+        | Ok _ -> Alcotest.failf "%s: expected an error from %s" what sql
+      in
+      let select = "SELECT g.gs FROM gene g WHERE gene.gid = 'a'" in
+      let want = error select in
+      List.iter
+        (fun stmt ->
+          Alcotest.(check string) (what ^ ": " ^ stmt) want
+            (error (Printf.sprintf "%s ON (%s)" stmt select)))
+        [
+          "ADD ANNOTATION TO gene.notes VALUE 'x'";
+          "ARCHIVE ANNOTATION FROM gene.notes";
+          "RESTORE ANNOTATION FROM gene.notes";
+        ])
 
 (* DISAPPROVE of an INSERT deletes the row as DELETE does, so the cell
    derived from it is marked outdated the same way. *)
@@ -1928,6 +2107,10 @@ let () =
           Alcotest.test_case "index oracle over the write corpus" `Quick
             test_write_path_corpus;
           Alcotest.test_case "ON (DELETE) log keeps its index" `Quick test_deleted_log_index;
+          Alcotest.test_case "a write selects the rows its WHERE selects" `Quick
+            test_write_selects_where_rows;
+          Alcotest.test_case "ON (SELECT) resolves names as its SELECT does" `Quick
+            test_on_select_resolves_like_select;
           Alcotest.test_case "DISAPPROVE of an INSERT marks dependents" `Quick
             test_disapprove_insert_marks_dependents;
           Alcotest.test_case "DISAPPROVE of a DELETE re-derives dependents" `Quick

@@ -880,10 +880,11 @@ let run_bootstrap_workload ?pool_pages ~path ~arming () =
      (try Disk.abandon (Db.context db).Context.disk with Fault.Crash _ -> ()));
   (!crashed, !applied)
 
-(* Reads after a reopen, each followed by the catalog epoch oracle: the
-   first commit after the bootstrap encodes and compares, every later one
-   skips the encode unless an index build wrote pages.  Statements naming
-   a table the recovered prefix lacks fail and roll back, which is fine. *)
+(* Reads after a reopen, each followed by the index oracle (the first
+   probe builds [gidx]) and the catalog epoch oracle: the first commit
+   after the bootstrap encodes and compares, every later one skips the
+   encode unless an index build wrote pages.  Statements naming a table
+   the recovered prefix lacks fail and roll back, which is fine. *)
 let epoch_probes =
   [
     "SELECT GID FROM Gene WHERE GID = 'g1'";
@@ -903,6 +904,7 @@ let check_epoch_after_reopen ~what path =
         List.fold_left
           (fun n sql ->
             ignore (Db.exec db sql);
+            Fixtures.check_indexes ~what:(what ^ ": " ^ sql) (Db.context db);
             if Fixtures.check_catalog_epoch ~what:(what ^ ": " ^ sql) (Db.context db)
             then n + 1
             else n)

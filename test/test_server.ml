@@ -334,7 +334,7 @@ let test_first_writer_wins () =
       | Error err ->
           checkb "conflict error" true
             (match err with Engine.Conflict _ -> true | _ -> false);
-          checkb "conflict is retryable" true (Engine.retryable err));
+          checkb "conflict is retryable" true (P.code_retryable P.E_conflict));
       checki "conflict counted" 1 (Db.io_stats (Engine.db e)).Stats.commit_conflicts;
       (* the loser retries on a fresh snapshot and succeeds *)
       let t3 = ok "BEGIN" (Engine.begin_txn e ()) in
@@ -409,7 +409,7 @@ let test_pool_backpressure () =
           | Error err ->
               checkb "busy error" true
                 (match err with Engine.Busy _ -> true | _ -> false);
-              checkb "busy is retryable" true (Engine.retryable err));
+              checkb "busy is retryable" true (P.code_retryable P.E_busy));
       (match Session.execute sess "SELECT * FROM t" with
       | Ok _ -> ()
       | Error err ->
@@ -504,7 +504,9 @@ let test_session_conflict_keeps_session () =
       | Ok (Session.Committed _) -> ()
       | _ -> Alcotest.fail "first committer must win");
       (match Session.execute s2 "COMMIT" with
-      | Error err -> checkb "loser conflicts" true (Engine.retryable err)
+      | Error err ->
+          checkb "loser conflicts" true
+            (match err with Engine.Conflict _ -> true | _ -> false)
       | Ok _ -> Alcotest.fail "second committer must lose");
       checkb "loser's txn is closed" true (not (Session.in_txn s2));
       (* the losing session keeps working *)
@@ -927,8 +929,8 @@ let fuzz_interleaved_sessions () =
               | Ok _ -> Alcotest.fail "expected Committed"
               | Error err ->
                   (* first-writer-wins loser: acknowledged nothing *)
-                  checkb "commit failure is retryable" true
-                    (Engine.retryable err)
+                  checkb "commit failure is a conflict" true
+                    (match err with Engine.Conflict _ -> true | _ -> false)
             end
             else ignore (Session.execute s "ROLLBACK")
         done;
