@@ -28,8 +28,8 @@ bench-e2e: ## E20 over the wire, all four workloads (20 s each; not part of chec
 fuzz-recovery: ## crash-anywhere sweep: fault at every op of the bootstrap workload
 	BDBMS_FUZZ_DEEP=1 dune exec test/test_recovery.exe -- test bootstrap
 
-fuzz-paging: ## crash-anywhere sweep through a 4-frame pool, incl. eviction fault points
-	BDBMS_FUZZ_PAGING=1 dune exec test/test_recovery.exe -- test bootstrap
+fuzz-paging: ## crash-anywhere sweep through a 4-frame pool, incl. eviction fault points; every read-only pin is checked not to mutate its page
+	BDBMS_FUZZ_PAGING=1 BDBMS_PAGER_GUARD=1 dune exec test/test_recovery.exe -- test bootstrap
 
 fuzz-server: ## randomized concurrent sessions vs serial oracle + crash injection at commit
 	BDBMS_FUZZ_SERVER=1 dune exec test/test_server.exe -- test fuzz

@@ -1116,13 +1116,34 @@ let single_target_table targets =
   | _ -> fail "all annotation tables in one command must belong to one user table"
 
 (* The region covered by an ON (SELECT ...): rows matching the WHERE, and
-   the projected columns (all columns when the item list is [*]). *)
+   the projected columns (all columns when the item list is [*]).  The
+   region is a set of cells, so a clause that would shape the SELECT's
+   answer instead (its order, its number of rows, grouping) is refused
+   rather than ignored. *)
 let region_of_select (ctx : Context.t) ~table_name (sel : Ast.select) =
   let item =
     match sel.Ast.from with
     | [ f ] when String.lowercase_ascii f.Ast.table = String.lowercase_ascii table_name -> f
     | _ -> fail "the ON (SELECT ...) must select from %s only" table_name
   in
+  let refused =
+    List.filter_map
+      (fun (present, clause) -> if present then Some clause else None)
+      [
+        (sel.Ast.distinct, "DISTINCT");
+        (sel.Ast.group_by <> [], "GROUP BY");
+        (sel.Ast.having <> None, "HAVING");
+        (sel.Ast.awhere <> None, "AWHERE");
+        (sel.Ast.ahaving <> None, "AHAVING");
+        (sel.Ast.filter <> None, "FILTER");
+        (sel.Ast.order_by <> [], "ORDER BY");
+        (sel.Ast.limit <> None, "LIMIT");
+        (sel.Ast.offset <> None, "OFFSET");
+      ]
+  in
+  if refused <> [] then
+    fail "the ON (SELECT ...) cannot use %s: it selects cells by FROM and WHERE only"
+      (String.concat ", " refused);
   let table = find_table ctx table_name in
   let rows = List.map fst (selected_rows ctx item table sel.Ast.where) in
   let resolve = make_resolver (Table.schema table) [ Plan.item_prefix item ] in
@@ -1158,11 +1179,12 @@ let do_add_annotation (ctx : Context.t) ~user targets value on =
     ok_or_fail (Manager.add ctx.ann ~table ~ann_tables ~body ~author:user ~region ())
   in
   match on with
-  | Ast.On_select sel ->
-      let region = region_of_select ctx ~table_name sel in
-      let table = find_table ctx table_name in
-      let ann = add ~table ~region in
-      Message (Printf.sprintf "annotation %s added" ann.Ann.id)
+  | Ast.On_select sel -> (
+      match region_of_select ctx ~table_name sel with
+      | Region.Rows [] | Region.Cells [] -> Message "0 rows selected, no annotation added"
+      | region ->
+          let ann = add ~table:(find_table ctx table_name) ~region in
+          Message (Printf.sprintf "annotation %s added" ann.Ann.id))
   | Ast.On_insert { table; values } ->
       if String.lowercase_ascii table <> String.lowercase_ascii table_name then
         fail "ON (INSERT ...) must target %s" table_name;

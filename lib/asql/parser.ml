@@ -20,10 +20,22 @@ let next st =
   advance st;
   t
 
+(* [s] is keyword [kw] (given in upper case) in any case; allocates
+   nothing, unlike comparing an upper-cased copy *)
+let kw_equal s kw =
+  let n = String.length kw in
+  String.length s = n
+  &&
+  let i = ref 0 in
+  while !i < n && Char.uppercase_ascii (String.unsafe_get s !i) = String.unsafe_get kw !i do
+    incr i
+  done;
+  !i = n
+
 (* case-insensitive keyword check without consuming *)
 let at_kw st kw =
   match peek st with
-  | Lexer.Ident s -> String.uppercase_ascii s = kw
+  | Lexer.Ident s -> kw_equal s kw
   | _ -> false
 
 let eat_kw st kw =
@@ -58,10 +70,14 @@ let reserved =
     "IN"; "ASC"; "DESC"; "VALUES"; "SET"; "BETWEEN"; "ANN";
   ]
 
+let is_reserved s =
+  let rec mem s = function [] -> false | kw :: rest -> kw_equal s kw || mem s rest in
+  mem s reserved
+
 let ident st =
   match next st with
   | Lexer.Ident s ->
-      if List.mem (String.uppercase_ascii s) reserved then
+      if is_reserved s then
         fail "unexpected keyword %s" s
       else s
   | t -> fail "expected an identifier, found %s" (Lexer.token_text t)
@@ -82,7 +98,7 @@ let table_ident st =
     at_symbol st "."
     &&
     match st.tokens.(st.pos + 1) with
-    | Lexer.Ident s -> not (List.mem (String.uppercase_ascii s) reserved)
+    | Lexer.Ident s -> not (is_reserved s)
     | _ -> false
   then begin
     advance st;
@@ -115,13 +131,13 @@ let parse_literal st =
   | Lexer.String_lit s ->
       advance st;
       Value.VString s
-  | Lexer.Ident s when String.uppercase_ascii s = "TRUE" ->
+  | Lexer.Ident s when kw_equal s "TRUE" ->
       advance st;
       Value.VBool true
-  | Lexer.Ident s when String.uppercase_ascii s = "FALSE" ->
+  | Lexer.Ident s when kw_equal s "FALSE" ->
       advance st;
       Value.VBool false
-  | Lexer.Ident s when String.uppercase_ascii s = "NULL" ->
+  | Lexer.Ident s when kw_equal s "NULL" ->
       advance st;
       Value.VNull
   | Lexer.Symbol "-" -> (
@@ -207,9 +223,7 @@ and parse_factor st =
       let e = parse_expr st in
       eat_symbol st ")";
       e
-  | Lexer.Ident s
-    when not (List.mem (String.uppercase_ascii s) reserved) ->
-      Expr.Col (parse_col_ref st)
+  | Lexer.Ident s when not (is_reserved s) -> Expr.Col (parse_col_ref st)
   | _ -> Expr.Lit (parse_literal st)
 
 (* ---------------------------------------------------- annotation preds *)
@@ -333,9 +347,8 @@ let parse_from_item st =
   let table = table_ident st in
   let table_alias =
     match peek st with
-    | Lexer.Ident s
-      when (not (List.mem (String.uppercase_ascii s) reserved))
-           && String.uppercase_ascii s <> "ANNOTATION" ->
+    | Lexer.Ident s when not (is_reserved s) ->
+        (* ANNOTATION is reserved: [FROM t ANNOTATION (...)] has no alias *)
         advance st;
         Some s
     | _ -> None
@@ -772,7 +785,7 @@ let parse_statement_inner st =
   else if try_kw st "ANALYZE" then begin
     (* ANALYZE [table] -- bare ANALYZE covers every table *)
     match peek st with
-    | Lexer.Ident s when not (List.mem (String.uppercase_ascii s) reserved) ->
+    | Lexer.Ident s when not (is_reserved s) ->
         Ast.Analyze_stats (Some (table_ident st))
     | _ -> Ast.Analyze_stats None
   end

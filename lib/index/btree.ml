@@ -10,6 +10,8 @@ type node =
 type t = {
   bp : Pager.t;
   cmp : string -> string -> int;
+  bytewise : bool;
+      (* [cmp] is the default byte order: reads compare keys in place *)
   mutable root : Page.id;
   mutable entry_count : int;
   mutable node_pages : int;
@@ -95,8 +97,11 @@ let alloc_node t node =
   store t id node;
   id
 
-let create ?(cmp = String.compare) bp =
-  let t = { bp; cmp; root = 0; entry_count = 0; node_pages = 0; height = 1 } in
+let create ?cmp bp =
+  let t =
+    { bp; cmp = Option.value cmp ~default:String.compare; bytewise = cmp = None;
+      root = 0; entry_count = 0; node_pages = 0; height = 1 }
+  in
   t.root <- alloc_node t (Leaf { entries = [||]; next = None });
   t
 
@@ -106,8 +111,9 @@ let head (t : t) =
   { root = t.root; height = t.height; entries = t.entry_count; node_pages = t.node_pages }
 
 (* Nothing is read: the nodes stay where the head says they are. *)
-let attach ?(cmp = String.compare) bp h =
-  { bp; cmp; root = h.root; entry_count = h.entries; node_pages = h.node_pages;
+let attach ?cmp bp h =
+  { bp; cmp = Option.value cmp ~default:String.compare; bytewise = cmp = None;
+    root = h.root; entry_count = h.entries; node_pages = h.node_pages;
     height = h.height }
 
 let page_capacity t = Pager.page_size t.bp
@@ -117,14 +123,6 @@ let page_capacity t = Pager.page_size t.bp
 let child_index t seps key =
   let n = Array.length seps in
   let rec go i = if i >= n then n else if t.cmp key seps.(i) < 0 then i else go (i + 1) in
-  go 0
-
-(* leftmost child that may contain [key]: duplicates of a separator key can
-   remain in the left sibling after a split, so searches must descend
-   left-biased and scan forward *)
-let child_index_left t seps key =
-  let n = Array.length seps in
-  let rec go i = if i >= n then n else if t.cmp key seps.(i) <= 0 then i else go (i + 1) in
   go 0
 
 (* first entry index in a sorted entry array with entry key >= key *)
@@ -205,35 +203,85 @@ let insert t ~key ~value =
       t.height <- t.height + 1);
   t.entry_count <- t.entry_count + 1
 
+(* ------------------------------------------------------ in-page reads *)
+
+(* Reads walk each node's bytes under its pin instead of decoding it: a
+   bytewise tree compares keys in place and allocates nothing per entry;
+   a tree with a custom [cmp] extracts one key per comparison. *)
+
+(* [t.cmp (stored key at [pos, pos+len)) key] *)
+let cmp_stored t key page pos len =
+  if t.bytewise then Page.compare_bytes page ~pos ~len key
+  else t.cmp (Page.get_bytes page ~pos ~len) key
+
+(* [key <= separator at [pos, pos+len)]: the child left of that separator
+   may hold [key] *)
+let key_le t key page pos len =
+  if t.bytewise then Page.compare_bytes page ~pos ~len key >= 0
+  else t.cmp key (Page.get_bytes page ~pos ~len) <= 0
+
+(* The one descent of every read: from [page_id] down to a leaf, taking in
+   each internal node the child left of the first separator that
+   satisfies [left_of page pos len] (the last child if none does).
+   Duplicates of a separator key can remain in the left sibling after a
+   split, so a key probe descends left-biased and scans forward. *)
+let rec descend t ~left_of page_id =
+  let child =
+    Pager.with_page t.bp page_id (fun page ->
+        match Char.chr (Page.get_byte page 0) with
+        | 'L' -> -1
+        | 'I' ->
+            let nseps = Page.get_u16 page 1 - 1 in
+            let child = ref (Page.get_u32 page 3) and pos = ref 7 and i = ref 0 in
+            while !i < nseps do
+              let klen = Page.get_u16 page !pos in
+              if left_of page (!pos + 2) klen then i := nseps
+              else begin
+                child := Page.get_u32 page (!pos + 2 + klen);
+                pos := !pos + 6 + klen;
+                incr i
+              end
+            done;
+            !child
+        | c -> invalid_arg (Printf.sprintf "Btree: corrupt node tag %C" c))
+  in
+  if child < 0 then page_id else descend t ~left_of child
+
+(* Visits leaf entries in key order from leaf [page_id] on, across next
+   pointers, until [visit page pos len value] returns [true]. *)
+let rec scan_leaves t page_id visit =
+  let next =
+    Pager.with_page t.bp page_id (fun page ->
+        let count = Page.get_u16 page 1 in
+        let pos = ref 7 and i = ref 0 and stop = ref false in
+        while (not !stop) && !i < count do
+          let klen = Page.get_u16 page !pos in
+          if visit page (!pos + 2) klen (Page.get_u32 page (!pos + 2 + klen)) then
+            stop := true
+          else begin
+            pos := !pos + 6 + klen;
+            incr i
+          end
+        done;
+        if !stop then -1 else Page.get_u32 page 3 - 1)
+  in
+  if next >= 0 then scan_leaves t next visit
+
 (* --------------------------------------------------------------- search *)
 
-let rec find_leaf t page_id key =
-  match load t page_id with
-  | Leaf _ -> page_id
-  | Internal { children; seps } -> find_leaf t children.(child_index_left t seps key) key
-
 let search t key =
-  let leaf_id = find_leaf t t.root key in
-  (* collect equal keys, following next pointers across leaves; skip any
-     smaller keys first (left-biased descent may land before them) *)
-  let rec collect page_id acc =
-    match load t page_id with
-    | Internal _ -> assert false
-    | Leaf { entries; next } ->
-        let acc = ref acc and stop = ref false in
-        Array.iter
-          (fun (k, v) ->
-            if not !stop then
-              let c = t.cmp k key in
-              if c = 0 then acc := v :: !acc else if c > 0 then stop := true)
-          entries;
-        if !stop || next = None then List.rev !acc
-        else collect (Option.get next) !acc
-  in
-  collect leaf_id []
+  let leaf = descend t ~left_of:(key_le t key) t.root in
+  (* collect equal keys; skip any smaller keys first (the left-biased
+     descent may land before them) *)
+  let acc = ref [] in
+  scan_leaves t leaf (fun page pos len v ->
+      let c = cmp_stored t key page pos len in
+      if c = 0 then acc := v :: !acc;
+      c > 0);
+  List.rev !acc
 
 let delete t ~key ~value =
-  let leaf_id = find_leaf t t.root key in
+  let leaf_id = descend t ~left_of:(key_le t key) t.root in
   let rec try_delete page_id =
     match load t page_id with
     | Internal _ -> assert false
@@ -269,46 +317,32 @@ let delete t ~key ~value =
 (* ---------------------------------------------------------------- range *)
 
 let range t ?lo ?hi () =
-  let in_lo key =
+  let in_lo page pos len =
     match lo with
     | None -> true
     | Some (k, inclusive) ->
-        let c = t.cmp key k in
+        let c = cmp_stored t k page pos len in
         if inclusive then c >= 0 else c > 0
   in
-  let past_hi key =
+  let past_hi page pos len =
     match hi with
     | None -> false
     | Some (k, inclusive) ->
-        let c = t.cmp key k in
+        let c = cmp_stored t k page pos len in
         if inclusive then c > 0 else c >= 0
   in
   let start_leaf =
     match lo with
-    | None ->
-        let rec leftmost page_id =
-          match load t page_id with
-          | Leaf _ -> page_id
-          | Internal { children; _ } -> leftmost children.(0)
-        in
-        leftmost t.root
-    | Some (k, _) -> find_leaf t t.root k
+    | None -> descend t ~left_of:(fun _ _ _ -> true) t.root
+    | Some (k, _) -> descend t ~left_of:(key_le t k) t.root
   in
   let out = ref [] in
-  let rec scan page_id =
-    match load t page_id with
-    | Internal _ -> assert false
-    | Leaf { entries; next } ->
-        let stop = ref false in
-        Array.iter
-          (fun (k, v) ->
-            if not !stop then
-              if past_hi k then stop := true
-              else if in_lo k then out := (k, v) :: !out)
-          entries;
-        if (not !stop) && next <> None then scan (Option.get next)
-  in
-  scan start_leaf;
+  scan_leaves t start_leaf (fun page pos len v ->
+      past_hi page pos len
+      || begin
+        if in_lo page pos len then out := (Page.get_bytes page ~pos ~len, v) :: !out;
+        false
+      end);
   List.rev !out
 
 let prefix_search t prefix =
@@ -317,30 +351,15 @@ let prefix_search t prefix =
   | None -> range t ~lo:(prefix, true) ()
 
 let range_probe t ~probe =
-  (* descend to the leftmost leaf that may contain probe >= 0 *)
-  let rec descend page_id =
-    match load t page_id with
-    | Leaf _ -> page_id
-    | Internal { children; seps } ->
-        let n = Array.length seps in
-        let rec find i = if i >= n then n else if probe seps.(i) >= 0 then i else find (i + 1) in
-        descend children.(find 0)
+  let leaf =
+    descend t ~left_of:(fun page pos len -> probe (Page.get_bytes page ~pos ~len) >= 0) t.root
   in
   let out = ref [] in
-  let rec scan page_id =
-    match load t page_id with
-    | Internal _ -> assert false
-    | Leaf { entries; next } ->
-        let stop = ref false in
-        Array.iter
-          (fun (k, v) ->
-            if not !stop then
-              let p = probe k in
-              if p > 0 then stop := true else if p = 0 then out := (k, v) :: !out)
-          entries;
-        if (not !stop) && next <> None then scan (Option.get next)
-  in
-  scan (descend t.root);
+  scan_leaves t leaf (fun page pos len v ->
+      let k = Page.get_bytes page ~pos ~len in
+      let p = probe k in
+      if p = 0 then out := (k, v) :: !out;
+      p > 0);
   List.rev !out
 
 let entry_count (t : t) = t.entry_count

@@ -3,10 +3,14 @@
 let p = 10
 let m = 1 lsl p
 
-type t = Bytes.t
+(* [memo] caches {!estimate}: the planner asks for a column's NDV
+   several times per plan and the register loop costs far more than a
+   one-row probe.  Only a rising register can change the estimate, so
+   [add] clears the memo just then. *)
+type t = { regs : Bytes.t; mutable memo : float option }
 
-let create () = Bytes.make m '\000'
-let copy = Bytes.copy
+let create () = { regs = Bytes.make m '\000'; memo = None }
+let copy t = { regs = Bytes.copy t.regs; memo = t.memo }
 
 (* FNV-1a, 64-bit.  Hashtbl.hash folds only a prefix of long strings
    and yields 30-bit values — useless for distinguishing millions of
@@ -33,21 +37,24 @@ let add t key =
     in
     go 0
   in
-  if rank > Char.code (Bytes.get t idx) then Bytes.set t idx (Char.chr rank)
+  if rank > Char.code (Bytes.get t.regs idx) then begin
+    Bytes.set t.regs idx (Char.chr rank);
+    t.memo <- None
+  end
 
 let merge a b =
-  let out = Bytes.copy a in
+  let out = Bytes.copy a.regs in
   for i = 0 to m - 1 do
-    if Bytes.get b i > Bytes.get out i then Bytes.set out i (Bytes.get b i)
+    if Bytes.get b.regs i > Bytes.get out i then Bytes.set out i (Bytes.get b.regs i)
   done;
-  out
+  { regs = out; memo = None }
 
 let alpha = 0.7213 /. (1.0 +. (1.079 /. float_of_int m))
 
-let estimate t =
+let compute regs =
   let sum = ref 0.0 and zeros = ref 0 in
   for i = 0 to m - 1 do
-    let r = Char.code (Bytes.get t i) in
+    let r = Char.code (Bytes.get regs i) in
     if r = 0 then incr zeros;
     sum := !sum +. Float.ldexp 1.0 (-r)
   done;
@@ -57,8 +64,16 @@ let estimate t =
     float_of_int m *. log (float_of_int m /. float_of_int !zeros)
   else raw
 
-let to_string = Bytes.to_string
+let estimate t =
+  match t.memo with
+  | Some e -> e
+  | None ->
+      let e = compute t.regs in
+      t.memo <- Some e;
+      e
+
+let to_string t = Bytes.to_string t.regs
 
 let of_string s =
   if String.length s <> m then invalid_arg "Hll.of_string: bad register count";
-  Bytes.of_string s
+  { regs = Bytes.of_string s; memo = None }

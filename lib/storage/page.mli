@@ -27,6 +27,10 @@ val set_u32 : t -> int -> int -> unit
 val get_bytes : t -> pos:int -> len:int -> string
 val set_bytes : t -> pos:int -> string -> unit
 
+val compare_bytes : t -> pos:int -> len:int -> string -> int
+(** The sign of [String.compare (get_bytes t ~pos ~len) s], computed in
+    place: nothing is allocated. *)
+
 val unsafe_bytes : t -> Bytes.t
 (** The page's underlying buffer, aliased (not copied) — for file I/O in
     the storage backend only. *)

@@ -78,6 +78,9 @@ type t = {
   (* Clock: FIFO queue with lazy revalidation *)
   clock_queue : Page.id Queue.t;
   mutable pinned_frames : int; (* frames with f_pins > 0 *)
+  mutable dirty_frames : int;
+      (* frames with f_dirty: a read-only commit asks [has_dirty] and
+         [flush_dirty] without folding over the whole pool *)
   guard : bool; (* verify with_page callbacks did not mutate *)
   mutable on_first_dirty : (Page.id -> Page.t -> unit) option;
       (* observer of clean->dirty frame transitions; the snapshot layer
@@ -100,6 +103,7 @@ let create ?(policy = Lru) ?(guard = false) ~capacity src =
     tail = None;
     clock_queue = Queue.create ();
     pinned_frames = 0;
+    dirty_frames = 0;
     guard;
     on_first_dirty = None;
     p_cancel = None;
@@ -153,6 +157,7 @@ let evict t frame =
   if frame.f_dirty then begin
     t.src.src_write_back frame.f_id frame.f_page ~evicting:true;
     frame.f_dirty <- false;
+    t.dirty_frames <- t.dirty_frames - 1;
     Stats.record_writeback t.src.src_stats
   end;
   if t.policy = Lru then list_unlink t frame;
@@ -270,7 +275,8 @@ let with_pin t ~accounting ~dirty page_id f =
       (match t.on_first_dirty with
       | Some hook -> hook page_id frame.f_page
       | None -> ());
-      frame.f_dirty <- true
+      frame.f_dirty <- true;
+      t.dirty_frames <- t.dirty_frames + 1
     end
   end;
   Fun.protect
@@ -312,19 +318,21 @@ let flush_one t page_id =
   match Hashtbl.find_opt t.frames page_id with
   | Some frame when frame.f_dirty ->
       t.src.src_write_back page_id frame.f_page ~evicting:false;
-      frame.f_dirty <- false
+      frame.f_dirty <- false;
+      t.dirty_frames <- t.dirty_frames - 1
   | _ -> ()
 
 (* Write back every dirty frame (in page-id order, for deterministic log
    contents under the crash-anywhere fuzz) without evicting anything. *)
 let flush_dirty t =
-  let dirty =
-    Hashtbl.fold (fun id f acc -> if f.f_dirty then id :: acc else acc) t.frames []
-  in
-  List.iter (flush_one t) (List.sort compare dirty)
+  if t.dirty_frames > 0 then begin
+    let dirty =
+      Hashtbl.fold (fun id f acc -> if f.f_dirty then id :: acc else acc) t.frames []
+    in
+    List.iter (flush_one t) (List.sort compare dirty)
+  end
 
-let has_dirty t =
-  Hashtbl.fold (fun _ f acc -> acc || f.f_dirty) t.frames false
+let has_dirty t = t.dirty_frames > 0
 
 let peek t page_id =
   match Hashtbl.find_opt t.frames page_id with

@@ -83,9 +83,11 @@ val flush_one : t -> Page.id -> unit
 (** Write back this frame if resident and dirty; it stays resident. *)
 
 val flush_dirty : t -> unit
-(** Write back every dirty frame, in page-id order, without evicting. *)
+(** Write back every dirty frame, in page-id order, without evicting.
+    Returns at once when no frame is dirty. *)
 
 val has_dirty : t -> bool
+(** Some resident frame is dirty.  O(1): the pager counts dirty frames. *)
 
 val peek : t -> Page.id -> Page.t option
 (** The resident frame's page, if any — no pin, no fault-in, no stats.

@@ -153,6 +153,49 @@ let test_parse_errors () =
   ignore (exec_err ctx "INSERT INTO missing VALUES (1)");
   ignore (exec_err ctx "CREATE TABLE t (c NOTATYPE)")
 
+(* Keywords match in any case, reserved words are refused as identifiers
+   in any case with the word as written, and TRUE / FALSE / NULL are
+   literals in any case. *)
+let test_keywords_any_case () =
+  let parse sql =
+    match Parser.parse sql with
+    | Ok st -> st
+    | Error e -> Alcotest.failf "%s: %s" sql e
+  in
+  List.iter
+    (fun sql ->
+      checkb sql true
+        (parse sql = parse "SELECT k FROM t WHERE k = 1 ORDER BY k DESC LIMIT 2"))
+    [
+      "select k from t where k = 1 order by k desc limit 2";
+      "SeLeCt k FrOm t WhErE k = 1 OrDeR bY k DeSc LiMiT 2";
+    ];
+  List.iter
+    (fun (sql, word) ->
+      Alcotest.(check (result reject string))
+        sql
+        (Error ("unexpected keyword " ^ word))
+        (Result.map ignore (Parser.parse sql)))
+    [
+      ("CREATE TABLE select (k INT)", "select");
+      ("CREATE TABLE SeLeCt (k INT)", "SeLeCt");
+      ("CREATE TABLE t (Where INT)", "Where");
+      ("SELECT * FROM values", "values");
+      ("SELECT * FROM aNN", "aNN");
+    ];
+  let ctx = mk_ctx () in
+  ignore (exec ctx "CREATE TABLE b (x BOOL, y TEXT)");
+  ignore (exec ctx "insert into b values (true, Null), (False, 'a'), (TRUE, nULL)");
+  Alcotest.(check (list (list string)))
+    "literals in any case"
+    [ [ "true"; "NULL" ]; [ "false"; "a" ]; [ "true"; "NULL" ] ]
+    (List.map
+       (fun (r : Propagate.atuple) ->
+         List.map (fun i -> Value.to_display (Tuple.get r.Propagate.tuple i)) [ 0; 1 ])
+       (rows_of ctx "SELECT x, y FROM b").Propagate.rows);
+  checki "IS null in any case" 2
+    (Propagate.row_count (rows_of ctx "SELECT * FROM b WHERE y Is nUlL"))
+
 (* ------------------------------------------------------------ annotations *)
 
 let test_annotation_propagation_asql () =
@@ -680,6 +723,7 @@ let () =
           Alcotest.test_case "join with aliases" `Quick test_join_with_aliases;
           Alcotest.test_case "set operators" `Quick test_set_operators;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "keywords in any case" `Quick test_keywords_any_case;
         ] );
       ( "a-sql-annotations",
         [

@@ -138,6 +138,138 @@ let test_btree_range_probe () =
   let found = List.map fst (Btree.range_probe t ~probe) in
   Alcotest.check Alcotest.(list string) "b-keys" [ "ba"; "bb"; "bc" ] found
 
+(* Every read (search, range, prefix_search, range_probe) against a sorted
+   model, through a 4-frame pool so the reads fault leaves in and out.
+   Keys repeat, so runs of duplicates span leaves.  [custom] is the
+   default order behind a closure: it takes the comparator path, which
+   extracts a key per comparison, and must answer exactly as the
+   in-place byte comparison does; [reversed] checks that reads follow the
+   tree's comparator. *)
+let test_btree_read_model () =
+  let comparators =
+    [
+      ("default", None, String.compare);
+      ("custom", Some (fun a b -> String.compare a b), String.compare);
+      ("reversed", Some (fun a b -> String.compare b a), fun a b -> String.compare b a);
+    ]
+  in
+  List.iter
+    (fun (name, cmp_opt, cmp) ->
+      for seed = 1 to 6 do
+        let rng = Prng.create seed in
+        let _, bp = mk_bp ~page_size:256 ~capacity:4 () in
+        let t = Btree.create ?cmp:cmp_opt bp in
+        let pool =
+          Array.init 30 (fun _ ->
+              Prng.string rng ~alphabet:"abc" ~len:(1 + Prng.int rng 5))
+        in
+        let n = 1000 in
+        let model = List.init n (fun v -> (Prng.choose rng pool, v)) in
+        List.iter (fun (k, v) -> Btree.insert t ~key:k ~value:v) model;
+        let ctx what = Printf.sprintf "%s seed %d: %s" name seed what in
+        checkb (ctx "height > 2") true (Btree.height t > 2);
+        let sorted l = List.sort compare l in
+        let in_order l =
+          let rec go = function
+            | (a, _) :: ((b, _) :: _ as rest) -> cmp a b <= 0 && go rest
+            | _ -> true
+          in
+          go l
+        in
+        let check_entries what expected got =
+          checkb (ctx (what ^ " in key order")) true (in_order got);
+          Alcotest.check
+            Alcotest.(list (pair string int))
+            (ctx what) (sorted expected) (sorted got)
+        in
+        let probes = Array.to_list pool @ [ ""; "abd"; "ccccccc"; "b" ] in
+        List.iter
+          (fun probe ->
+            checkli (ctx ("search " ^ probe))
+              (sorted (List.filter_map (fun (k, v) -> if cmp k probe = 0 then Some v else None) model))
+              (sorted (Btree.search t probe)))
+          probes;
+        List.iter
+          (fun (lo, hi) ->
+            let lo, hi = if cmp lo hi <= 0 then (lo, hi) else (hi, lo) in
+            List.iter
+              (fun (li, hi_incl) ->
+                let expected =
+                  List.filter
+                    (fun (k, _) ->
+                      let a = cmp k lo and b = cmp k hi in
+                      (if li then a >= 0 else a > 0) && if hi_incl then b <= 0 else b < 0)
+                    model
+                in
+                check_entries
+                  (Printf.sprintf "range %s%s,%s%s" (if li then "[" else "(") lo hi
+                     (if hi_incl then "]" else ")"))
+                  expected
+                  (Btree.range t ~lo:(lo, li) ~hi:(hi, hi_incl) ()))
+              [ (true, true); (false, true); (true, false); (false, false) ];
+            check_entries ("range from " ^ lo)
+              (List.filter (fun (k, _) -> cmp k lo >= 0) model)
+              (Btree.range t ~lo:(lo, true) ());
+            check_entries ("range to " ^ hi)
+              (List.filter (fun (k, _) -> cmp k hi <= 0) model)
+              (Btree.range t ~hi:(hi, true) ());
+            let probe k = if cmp k lo < 0 then -1 else if cmp k hi > 0 then 1 else 0 in
+            check_entries
+              (Printf.sprintf "range_probe %s..%s" lo hi)
+              (List.filter (fun (k, _) -> probe k = 0) model)
+              (Btree.range_probe t ~probe))
+          [ (pool.(0), pool.(1)); (pool.(2), pool.(3)); ("", "b"); ("b", "cccccc") ];
+        (* prefix_search is defined over the byte order *)
+        if cmp_opt = None || name = "custom" then
+          List.iter
+            (fun prefix ->
+              let starts k =
+                String.length k >= String.length prefix
+                && String.sub k 0 (String.length prefix) = prefix
+              in
+              check_entries ("prefix " ^ prefix)
+                (List.filter (fun (k, _) -> starts k) model)
+                (Btree.prefix_search t prefix))
+            [ ""; "a"; "ab"; "c"; "cab"; "bbbbb" ]
+      done)
+    comparators
+
+(* A probe allocates per node visited and per value returned, never per
+   entry in a node: the worst minor words of one [search] on a height-2
+   tree stay under one bound whether its leaves hold ~8 entries (256-byte
+   pages) or ~290 (8 KiB pages).  A probe that decodes its nodes
+   allocates per entry: 375 words already on the small pages. *)
+let test_btree_search_words () =
+  let words_per_search ~page_size =
+    let _, bp = mk_bp ~page_size ~capacity:64 () in
+    let t = Btree.create bp in
+    let i = ref 0 in
+    (* sequential keys, up to three leaves under one root *)
+    while Btree.height t < 2 || Btree.node_pages t < 4 do
+      Btree.insert t ~key:(Key_codec.of_int !i) ~value:!i;
+      incr i
+    done;
+    checki "height" 2 (Btree.height t);
+    let n = !i in
+    let worst = ref 0 in
+    for k = 0 to n - 1 do
+      let key = Key_codec.of_int k in
+      let before = Gc.minor_words () in
+      let r = Btree.search t key in
+      let after = Gc.minor_words () in
+      if r <> [ k ] then Alcotest.failf "search %d missed" k;
+      worst := max !worst (int_of_float (after -. before))
+    done;
+    (n, !worst)
+  in
+  let small_n, small = words_per_search ~page_size:256 in
+  let big_n, big = words_per_search ~page_size:8192 in
+  checkb "big leaves hold many more entries" true (big_n > 10 * small_n);
+  checkb (Printf.sprintf "search allocates %d words on small leaves (<= 160)" small) true
+    (small <= 160);
+  checkb (Printf.sprintf "search allocates %d words on big leaves (<= 160)" big) true
+    (big <= 160)
+
 let btree_qcheck =
   let open QCheck in
   let mixed_ops =
@@ -385,6 +517,9 @@ let () =
           Alcotest.test_case "prefix" `Quick test_btree_prefix;
           Alcotest.test_case "delete" `Quick test_btree_delete;
           Alcotest.test_case "range probe" `Quick test_btree_range_probe;
+          Alcotest.test_case "reads agree with a sorted model" `Quick test_btree_read_model;
+          Alcotest.test_case "search allocates nothing per entry" `Quick
+            test_btree_search_words;
         ] );
       ("btree-properties", q btree_qcheck);
       ( "rtree",

@@ -71,6 +71,106 @@ let test_guard_catches_mutation () =
   Pager.with_page_mut bp p1 (fun p -> Page.set_byte p 0 0xFF);
   Pager.with_page bp p1 (fun p -> checki "mutation kept" 0xFF (Page.get_byte p 0))
 
+(* The dirty-frame count against a model.  A pager over a store that
+   records each write-back; the model holds each page's last written
+   byte and the set of pages mutated since their last write-back.
+   Through random pins, mutable pins (some nested in a read pin of
+   another page), allocations, single flushes and the evictions they
+   force in 4 frames, under both policies: no clean page is ever written
+   back, [flush_one] writes back exactly a dirty page, [flush_dirty]
+   exactly the model's dirty pages in id order, [has_dirty] agrees after
+   every step, and the store ends holding every last write. *)
+let test_dirty_count_oracle () =
+  List.iter
+    (fun policy ->
+      for seed = 1 to 30 do
+        let what fmt =
+          Printf.ksprintf
+            (Printf.sprintf "%s seed %d: %s"
+               (match policy with Pager.Lru -> "lru" | Pager.Clock -> "clock")
+               seed)
+            fmt
+        in
+        let rng = Bdbms_util.Prng.create seed in
+        let store = Hashtbl.create 64 and count = ref 0 and written = ref [] in
+        let dirty = Hashtbl.create 16 and last = Hashtbl.create 64 in
+        let src =
+          {
+            Pager.src_page_size = 64;
+            src_stats = Stats.create ();
+            src_page_count = (fun () -> !count);
+            src_load =
+              (fun id ->
+                match Hashtbl.find_opt store id with
+                | Some p -> Page.copy p
+                | None -> Page.create ~size:64 ());
+            src_write_back =
+              (fun id page ~evicting:_ ->
+                if not (Hashtbl.mem dirty id) then
+                  Alcotest.failf "%s" (what "clean page %d written back" id);
+                Hashtbl.remove dirty id;
+                Hashtbl.replace store id (Page.copy page);
+                written := id :: !written);
+            src_alloc =
+              (fun () ->
+                incr count;
+                !count - 1);
+          }
+        in
+        let bp = Pager.create ~policy ~guard:true ~capacity:4 src in
+        let writes () =
+          let w = List.rev !written in
+          written := [];
+          w
+        in
+        let mutate id =
+          let b = Bdbms_util.Prng.int rng 256 in
+          Pager.with_page_mut bp id (fun p ->
+              Page.set_byte p 0 b;
+              Hashtbl.replace dirty id ());
+          Hashtbl.replace last id b
+        in
+        let pick () = Bdbms_util.Prng.int rng !count in
+        for step = 1 to 200 do
+          (if !count = 0 then ignore (Pager.alloc_page bp)
+           else
+             match Bdbms_util.Prng.int rng 10 with
+             | 0 -> ignore (Pager.alloc_page bp)
+             | 1 | 2 | 3 -> Pager.with_page bp (pick ()) ignore
+             | 4 | 5 -> mutate (pick ())
+             | 6 ->
+                 let a = pick () and b = pick () in
+                 if a = b then mutate b else Pager.with_page bp a (fun _ -> mutate b)
+             | 7 ->
+                 let id = pick () in
+                 let want = if Hashtbl.mem dirty id then [ id ] else [] in
+                 Pager.flush_one bp id;
+                 Alcotest.(check (list int)) (what "flush_one %d at step %d" id step) want
+                   (writes ())
+             | _ ->
+                 let want = List.sort compare (List.of_seq (Hashtbl.to_seq_keys dirty)) in
+                 Pager.flush_dirty bp;
+                 Alcotest.(check (list int)) (what "flush_dirty at step %d" step) want
+                   (writes ()));
+          ignore (writes ());
+          checkb (what "has_dirty at step %d" step) (Hashtbl.length dirty > 0)
+            (Pager.has_dirty bp)
+        done;
+        Pager.flush_dirty bp;
+        ignore (writes ());
+        checkb (what "clean after flush_dirty") false (Pager.has_dirty bp);
+        Pager.flush_dirty bp;
+        Alcotest.(check (list int)) (what "a clean pool writes nothing") [] (writes ());
+        Hashtbl.iter
+          (fun id b ->
+            checki (what "page %d holds its last write" id) b
+              (Page.get_byte (Hashtbl.find store id) 0))
+          last;
+        checkb (what "evictions exercised") true
+          ((Stats.snapshot src.Pager.src_stats).Stats.evictions > 0)
+      done)
+    [ Pager.Lru; Pager.Clock ]
+
 let test_eviction_stats () =
   let d = Disk.create ~page_size:128 ~pool_pages:2 () in
   let bp = Disk.pager d in
@@ -256,6 +356,8 @@ let () =
           Alcotest.test_case "eviction counters" `Quick test_eviction_stats;
           Alcotest.test_case "steal keeps uncommitted out of the file" `Quick
             test_steal_respects_commit;
+          Alcotest.test_case "dirty count agrees with a model" `Quick
+            test_dirty_count_oracle;
         ] );
       ( "pin-leaks",
         [

@@ -996,6 +996,83 @@ let test_write_selects_where_rows () =
         [ 1; 7; Bdbms_relation.Batch.default_rows ])
     [ (false, false); (true, false); (true, true) ]
 
+(* An ON (SELECT ...) region is the cells its FROM, WHERE and item list
+   pick; a clause that would shape the SELECT's answer is refused by
+   name, in ADD, ARCHIVE and RESTORE alike, and nothing is annotated. *)
+let on_select_gene =
+  [
+    "CREATE TABLE gene (gid TEXT, gs DNA)";
+    "INSERT INTO gene VALUES ('a', 'ATG'), ('b', 'ATGAAA'), ('c', 'ATGCCC')";
+    "CREATE ANNOTATION TABLE notes ON gene";
+  ]
+
+let annotations_per_cell db =
+  List.map
+    (fun (r : Propagate.atuple) ->
+      Printf.sprintf "%s %d %d"
+        (Value.to_display (Tuple.get r.Propagate.tuple 0))
+        (List.length r.Propagate.anns.(0))
+        (List.length r.Propagate.anns.(1)))
+    (rows_of db "SELECT gid, gs FROM gene ANNOTATION(notes) ORDER BY gid").Propagate.rows
+
+let test_on_select_refuses clause select () =
+  in_each_engine on_select_gene (fun db what ->
+      List.iter
+        (fun stmt ->
+          let sql = Printf.sprintf "%s ON (%s)" stmt select in
+          match Db.exec db sql with
+          | Ok _ -> Alcotest.failf "%s: %s was accepted" what sql
+          | Error e ->
+              checkb
+                (Printf.sprintf "%s: the error names %s (%s)" what clause e)
+                true (contains e clause))
+        [
+          "ADD ANNOTATION TO gene.notes VALUE 'v'";
+          "ARCHIVE ANNOTATION FROM gene.notes";
+          "RESTORE ANNOTATION FROM gene.notes";
+        ];
+      Alcotest.(check (list string))
+        (what ^ ": nothing annotated") [ "a 0 0"; "b 0 0"; "c 0 0" ] (annotations_per_cell db))
+
+let on_select_clauses =
+  [
+    ("DISTINCT", "SELECT DISTINCT gs FROM gene WHERE gid > 'a'");
+    ("GROUP BY", "SELECT gs FROM gene WHERE gid > 'a' GROUP BY gs");
+    ("HAVING", "SELECT gs FROM gene GROUP BY gs HAVING gs = 'ATG'");
+    ("AWHERE", "SELECT gs FROM gene WHERE gid > 'a' AWHERE ANN CONTAINS 'x'");
+    ("AHAVING", "SELECT gs FROM gene GROUP BY gs AHAVING ANN CONTAINS 'x'");
+    ("FILTER", "SELECT gs FROM gene WHERE gid > 'a' FILTER ANN CONTAINS 'x'");
+    ("ORDER BY", "SELECT gs FROM gene WHERE gid > 'a' ORDER BY gid");
+    ("LIMIT", "SELECT gs FROM gene WHERE gid > 'a' LIMIT 1");
+    ("OFFSET", "SELECT gs FROM gene WHERE gid > 'a' OFFSET 1");
+  ]
+
+(* An ON (SELECT ...) that selects no row adds nothing, as ON (UPDATE ...)
+   does, and the next annotation gets the id it would have had. *)
+let test_on_select_empty () =
+  in_each_engine on_select_gene (fun db what ->
+      let msg sql =
+        match Db.exec_exn db sql with
+        | Executor.Message m -> m
+        | _ -> Alcotest.failf "%s: no message from %s" what sql
+      in
+      Alcotest.(check string)
+        (what ^ ": empty selection")
+        "0 rows selected, no annotation added"
+        (msg "ADD ANNOTATION TO gene.notes VALUE 'v' ON (SELECT gs FROM gene WHERE gid = 'zz')");
+      Alcotest.(check (list string))
+        (what ^ ": nothing annotated") [ "a 0 0"; "b 0 0"; "c 0 0" ] (annotations_per_cell db);
+      let fresh = Db.create () in
+      List.iter (fun sql -> ignore (Db.exec_exn fresh sql)) on_select_gene;
+      let add = "ADD ANNOTATION TO gene.notes VALUE 'w' ON (SELECT gs FROM gene WHERE gid = 'b')" in
+      let want =
+        match Db.exec_exn fresh add with
+        | Executor.Message m -> m
+        | _ -> Alcotest.fail "no message"
+      in
+      Db.close fresh;
+      Alcotest.(check string) (what ^ ": next annotation id unchanged") want (msg add))
+
 (* An ON (SELECT ...) resolves names as that SELECT does: [g.gid] under
    the alias [g] qualifies a column, and [gene.gid] under the alias is
    refused with the SELECT's own error. *)
@@ -2117,7 +2194,16 @@ let () =
             test_disapprove_delete_rederives;
           Alcotest.test_case "DISAPPROVE keeps indexes and stats" `Quick
             test_disapprove_keeps_indexes_and_stats;
-        ] );
+          Alcotest.test_case "ON (SELECT) that selects no row adds nothing" `Quick
+            test_on_select_empty;
+        ]
+        @ List.map
+            (fun (clause, select) ->
+              Alcotest.test_case
+                (Printf.sprintf "ON (SELECT) refuses %s" clause)
+                `Quick
+                (test_on_select_refuses clause select))
+            on_select_clauses );
       ( "batch-representation",
         [
           Alcotest.test_case "selection vectors and round-trips" `Quick

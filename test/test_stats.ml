@@ -75,6 +75,25 @@ let hll_qcheck =
         let h = Hll.create () in
         List.iter (fun x -> Hll.add h (string_of_int x)) xs;
         Hll.estimate (Hll.of_string (Hll.to_string h)) = Hll.estimate h);
+    (* The estimate is memoized: after any interleaving of the sketch
+       operations (and of estimates, which fill the memo) it must be the
+       value computed afresh from the registers. *)
+    Test.make ~count:200 ~name:"memoized estimate equals a fresh one"
+      (list_of_size Gen.(int_range 1 300)
+         (quad (int_bound 5) (int_bound 2) (int_bound 2) (int_bound 400)))
+      (fun ops ->
+        let slots = Array.init 3 (fun _ -> Hll.create ()) in
+        let fresh h = Hll.estimate (Hll.of_string (Hll.to_string h)) in
+        List.for_all
+          (fun (op, a, b, k) ->
+            (match op with
+            | 0 | 1 -> Hll.add slots.(a) (string_of_int k)
+            | 2 -> slots.(a) <- Hll.merge slots.(a) slots.(b)
+            | 3 -> slots.(a) <- Hll.copy slots.(b)
+            | 4 -> slots.(a) <- Hll.of_string (Hll.to_string slots.(b))
+            | _ -> ignore (Hll.estimate slots.(a)));
+            Array.for_all (fun h -> Float.equal (Hll.estimate h) (fresh h)) slots)
+          ops);
   ]
 
 (* ------------------------------------------------------------ histogram *)
