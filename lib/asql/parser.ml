@@ -223,6 +223,8 @@ and parse_factor st =
       let e = parse_expr st in
       eat_symbol st ")";
       e
+  | Lexer.Ident s when kw_equal s "TRUE" || kw_equal s "FALSE" ->
+      Expr.Lit (parse_literal st)
   | Lexer.Ident s when not (is_reserved s) -> Expr.Col (parse_col_ref st)
   | _ -> Expr.Lit (parse_literal st)
 

@@ -28,6 +28,7 @@ module Context = Bdbms_asql.Context
 module Parser = Bdbms_asql.Parser
 module Stmt_class = Bdbms_asql.Stmt_class
 module Disk = Bdbms_storage.Disk
+module Page = Bdbms_storage.Page
 module Stats = Bdbms_obs.Stats
 module Obs = Bdbms_obs.Obs
 
@@ -107,16 +108,16 @@ let create ?page_size ?pool_pages ?(snapshot_pool_pages = 128)
 
 (* ------------------------------------------------------ snapshot reads *)
 
-(* The content page [id] had at [horizon]: a retained version if any
-   commit after the horizon overwrote it, else the canonical page (still
-   current).  Takes the engine lock so the two-step lookup is atomic
-   against a concurrent batch sealing — and so it never reads canonical
-   frames mid-replay. *)
-let read_committed t ~horizon id =
+(* Writes into [dst] the content page [id] had at [horizon]: a retained
+   version if any commit after the horizon overwrote it, else the
+   canonical page (still current).  Takes the engine lock so the
+   two-step lookup is atomic against a concurrent batch sealing — and so
+   it never reads canonical frames mid-replay. *)
+let read_committed t ~horizon id dst =
   Mutex.protect t.mu (fun () ->
       match Version_store.read t.vs ~horizon id with
-      | Some page -> page
-      | None -> Disk.read (Db.context t.db).Context.disk id)
+      | Some src -> Page.blit ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:(Page.size dst)
+      | None -> Disk.read_into (Db.context t.db).Context.disk id dst)
 
 (* ------------------------------------------------------ commit history *)
 
@@ -207,7 +208,7 @@ let snapshot t ~user ~horizon ~base_count (sa, ap, em, br, sp) =
   let disk =
     Disk.overlay ~page_size:t.page_size ~pool_pages:t.snapshot_pool
       ~base_count
-      ~base_read:(fun id -> read_committed t ~horizon id)
+      ~base_read:(fun id dst -> read_committed t ~horizon id dst)
       ()
   in
   let ctx = Context.create ~disk ~obs:(Db.obs t.db) () in

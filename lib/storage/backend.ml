@@ -67,18 +67,20 @@ let slot_off ps id = ps + (id * slot_len ps)
 
 (* ------------------------------------------------------- raw file I/O *)
 
-let pread fd ~off buf =
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let len = Bytes.length buf in
-  let got = ref 0 in
-  (try
-     while !got < len do
-       let n = Unix.read fd buf !got (len - !got) in
-       if n = 0 then raise Exit;
-       got := !got + n
-     done
-   with Exit -> ());
-  !got
+(* One positional read (backend_stubs.c): up to [len] bytes at file
+   offset [off] into [buf] from [pos]; fewer only at end of file. *)
+external read_at_unsafe : Unix.file_descr -> int -> Bytes.t -> int -> int -> int
+  = "bdbms_read_at"
+
+(* One positional read of a page slot: the image into the page, the
+   trailer summarised (see [load_into]). *)
+external read_slot : Unix.file_descr -> int -> string -> Bytes.t -> int
+  = "bdbms_read_slot"
+
+let read_at fd ~off buf ~pos ~len =
+  if off < 0 || pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Backend.read_at: out of range";
+  read_at_unsafe fd off buf pos len
 
 let pwrite_raw fd ~off buf ~len =
   ignore (Unix.lseek fd off Unix.SEEK_SET);
@@ -208,7 +210,7 @@ let file ~fault ?obs ~page_size ~path () =
   end
   else begin
     let h = Bytes.create header_fields in
-    ignore (pread fd ~off:0 h);
+    ignore (read_at fd ~off:0 h ~pos:0 ~len:header_fields);
     if Bytes.sub_string h 0 4 <> magic then
       unregister_and (fun () ->
           Unix.close fd;
@@ -246,31 +248,20 @@ let close = function
    empty, not corrupt. *)
 type verdict = Crc_ok | Crc_zero | Crc_bad
 
-let all_zero buf =
-  let n = Bytes.length buf in
-  let rec go i = i >= n || (Bytes.get buf i = '\000' && go (i + 1)) in
-  go 0
-
-let load t id =
+(* Fills [page] with slot [id]'s image in one positional read and
+   checks it against the trailer.  A slot past end of file reads as zero
+   bytes, as the file would after growing. *)
+let load_into t id page =
   match t with
-  | Mem _ -> invalid_arg "Backend.load: in-memory backend has no stable store"
+  | Mem _ -> invalid_arg "Backend.load_into: in-memory backend has no stable store"
   | File f ->
       let ps = f.f_page_size in
-      let slot = Bytes.make (slot_len ps) '\000' in
-      ignore (pread f.fd ~off:(slot_off ps id) slot);
-      let page = Page.create ~size:ps () in
-      Bytes.blit slot 0 (Page.unsafe_bytes page) 0 ps;
-      let verdict =
-        if Bytes.sub_string slot ps 4 = trailer_magic then begin
-          let stored = Int32.to_int (Bytes.get_int32_le slot (ps + 4)) in
-          let actual = Crc32.bytes (Page.unsafe_bytes page) ~pos:0 ~len:ps in
-          if stored land 0xFFFFFFFF = actual land 0xFFFFFFFF then Crc_ok
-          else Crc_bad
-        end
-        else if all_zero slot then Crc_zero
-        else Crc_bad
-      in
-      (page, verdict)
+      if Page.size page <> ps then invalid_arg "Backend.load_into: page size mismatch";
+      let buf = Page.unsafe_bytes page in
+      match read_slot f.fd (slot_off ps id) trailer_magic buf with
+      | -1 -> Crc_zero
+      | -2 -> Crc_bad
+      | stored -> if stored = Crc32.bytes buf then Crc_ok else Crc_bad
 
 let store t id page =
   match t with

@@ -49,14 +49,17 @@ val is_persistent : t -> bool
 val path : t -> string option
 
 type verdict = Crc_ok | Crc_zero | Crc_bad
-(** Result of the CRC-trailer check on {!load}: verified, legitimately
-    empty (all-zero slot, allocated but never stored), or corrupt. *)
+(** Result of the CRC-trailer check on {!load_into}: verified,
+    legitimately empty (all-zero slot, trailer included: allocated but
+    never stored), or corrupt. *)
 
-val load : t -> Page.id -> Page.t * verdict
-(** Read a page from the stable store (file backend only) and check its
-    CRC trailer.  Classification, not an exception: the caller decides
-    whether a bad page is repairable (by WAL replay) before raising
-    {!Corrupt}. *)
+val load_into : t -> Page.id -> Page.t -> verdict
+(** Fill the page (a frame the caller owns, of the backend's page size)
+    from the stable store (file backend only) with one positional read
+    of its slot, and check the CRC trailer.  A slot past end of file
+    reads as zeros.  Allocates nothing.  Classification, not an
+    exception: the caller decides whether a bad page is repairable (by
+    WAL replay) before raising {!Corrupt}. *)
 
 val store : t -> Page.id -> Page.t -> unit
 (** Write a page image plus its CRC trailer to the stable store;
@@ -94,6 +97,9 @@ val guarded_pwrite : Fault.t -> Unix.file_descr -> off:int -> Bytes.t -> unit
 (** A fault-guarded positional write: a crash may land only a prefix of
     the buffer before raising.  Shared with {!Wal}. *)
 
-val pread : Unix.file_descr -> off:int -> Bytes.t -> int
-(** Positional read filling as much of the buffer as the file provides;
-    returns the number of bytes read.  Shared with {!Wal}. *)
+val read_at : Unix.file_descr -> off:int -> Bytes.t -> pos:int -> len:int -> int
+(** One positional read (pread(2), no seek; EINTR and short reads
+    retried) of up to [len] bytes at file offset [off] into the buffer
+    from [pos]; returns the number of bytes read, fewer only at end of
+    file.  The runtime lock is released around the syscall.  Shared with
+    {!Wal}. *)

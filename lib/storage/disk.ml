@@ -60,7 +60,8 @@ type durable = {
 
 type overlay_base = {
   ob_count : int; (* pages the base held when the overlay was created *)
-  ob_read : Page.id -> Page.t; (* committed-version read from the base *)
+  ob_read : Page.id -> Page.t -> unit;
+      (* writes the base's committed version into the supplied page *)
 }
 
 type core = {
@@ -127,9 +128,8 @@ let live d =
   if d.released then
     raise (Backend.Io_degraded { op = "io"; detail = "disk was abandoned" })
 
-let load_slot c d id =
-  let page, verdict = Backend.load d.backend id in
-  (match verdict with
+let load_slot c d id page =
+  match Backend.load_into d.backend id page with
   | Backend.Crc_ok -> Stats.record_page_crc_verified c.stats
   | Backend.Crc_zero -> () (* allocated but never stored: legitimately zero *)
   | Backend.Crc_bad ->
@@ -137,16 +137,15 @@ let load_slot c d id =
       Stats.record_crc_failure c.stats;
       raise
         (Backend.Corrupt
-           { page = id; detail = "stored page failed CRC verification" }));
-  page
+           { page = id; detail = "stored page failed CRC verification" })
 
-let src_load c id =
+let src_load c id page =
   match c.durable with
   | None -> (
       match c.base with
       | Some b when id < b.ob_count && not (Hashtbl.mem c.local id) ->
-          b.ob_read id
-      | _ -> Page.copy c.mem.(id))
+          b.ob_read id page
+      | _ -> Page.blit ~src:c.mem.(id) ~src_pos:0 ~dst:page ~dst_pos:0 ~len:c.page_size)
   | Some d -> (
       live d;
       match Hashtbl.find_opt d.loc id with
@@ -155,8 +154,8 @@ let src_load c id =
              dropped, but the historical [write] path records offsets
              that may still sit in the append buffer. *)
           if off >= Wal.flushed_bytes d.wal then Wal.flush d.wal;
-          Wal.read_page_image d.wal ~off ~page_id:id ~page_size:c.page_size
-      | Some In_slot | None -> load_slot c d id)
+          Wal.read_page_image_into d.wal ~off ~page_id:id page
+      | Some In_slot | None -> load_slot c d id page)
 
 let push_record c d id page ~evicting =
   live d;
@@ -225,7 +224,7 @@ let make_pager core ~policy ~guard ~capacity =
       Pager.src_page_size = core.page_size;
       src_stats = core.stats;
       src_page_count = (fun () -> core.count);
-      src_load = (fun id -> src_load core id);
+      src_load = (fun id page -> src_load core id page);
       src_write_back =
         (fun id page ~evicting -> src_write_back core id page ~evicting);
       src_alloc = (fun () -> src_alloc core ());
@@ -309,10 +308,10 @@ let open_file ?(page_size = Page.default_size) ?fault
      the log, so judgement is deferred until after replay — only a bad
      page NOT fully rewritten by a replayed record is real corruption. *)
   let bad = Hashtbl.create 4 in
+  let scratch = Page.create ~size:page_size () in
   (try
      for i = 0 to stored - 1 do
-       let _page, verdict = Backend.load backend i in
-       match verdict with
+       match Backend.load_into backend i scratch with
        | Backend.Crc_ok -> Stats.record_page_crc_verified stats
        | Backend.Crc_zero -> ()
        | Backend.Crc_bad ->
@@ -399,6 +398,11 @@ let with_page_mut t id f = Pager.with_page_mut t.pager id f
 
 let read t id = Pager.with_page ~accounting:Pager.Count_read t.pager id Page.copy
 
+(* [read] into a page the caller owns: no allocation. *)
+let read_into t id dst =
+  Pager.with_page ~accounting:Pager.Count_read t.pager id (fun src ->
+      Page.blit ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:t.core.page_size)
+
 let write t id page =
   if Page.size page <> t.core.page_size then
     invalid_arg "Disk.write: page size mismatch";
@@ -434,15 +438,16 @@ let checkpoint t =
       let ids =
         List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) d.dirty [])
       in
+      let image = lazy (Page.create ~size:t.core.page_size ()) in
       let store id =
         match Pager.peek t.pager id with
         | Some page -> Backend.store d.backend id page
         | None -> (
             match Hashtbl.find_opt d.loc id with
             | Some (In_wal off) ->
-                Backend.store d.backend id
-                  (Wal.read_page_image d.wal ~off ~page_id:id
-                     ~page_size:t.core.page_size)
+                let page = Lazy.force image in
+                Wal.read_page_image_into d.wal ~off ~page_id:id page;
+                Backend.store d.backend id page
             | Some In_slot | None -> ())
       in
       let root_dirty = List.mem 0 ids in

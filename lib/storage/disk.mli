@@ -45,13 +45,13 @@ val overlay :
   ?guard:bool ->
   ?obs:Bdbms_obs.Obs.t ->
   base_count:int ->
-  base_read:(Page.id -> Page.t) ->
+  base_read:(Page.id -> Page.t -> unit) ->
   unit ->
   t
 (** A copy-on-write overlay over some base store: reads of pages below
     [base_count] that have not been locally overwritten are served by
     [base_read] (the snapshot layer's committed-version lookup — called
-    on pager miss, so it must return a page the overlay may own);
+    on pager miss, it writes the page into the overlay's frame);
     writes and fresh allocations live only in this overlay's private
     in-memory store and die with it.  Ephemeral by construction —
     {!commit} and {!checkpoint} are no-ops and nothing ever reaches the
@@ -119,6 +119,9 @@ val with_page_mut : t -> Page.id -> (Page.t -> 'a) -> 'a
 val read : t -> Page.id -> Page.t
 (** A copy of the page's current contents (counted as a read).
     @raise Invalid_argument on an unallocated id. *)
+
+val read_into : t -> Page.id -> Page.t -> unit
+(** {!read} into a page the caller owns (counted the same way). *)
 
 val write : t -> Page.id -> Page.t -> unit
 (** Store the page contents (counted as a write); on a durable disk the

@@ -51,7 +51,9 @@ type source = {
   src_page_size : int;
   src_stats : Stats.t;
   src_page_count : unit -> int;
-  src_load : Page.id -> Page.t;
+  src_load : Page.id -> Page.t -> unit;
+      (* fills the supplied page (a recycled frame, arbitrary bytes) with
+         the page's image *)
   src_write_back : Page.id -> Page.t -> evicting:bool -> unit;
   src_alloc : unit -> Page.id;
 }
@@ -90,6 +92,9 @@ type t = {
       (* cooperative cancellation checked at every pin: a cancelled scan
          stops before faulting in its next page *)
   mutable mutations : int; (* mutable pins taken, ever *)
+  mutable free : Page.t list;
+      (* pages of evicted frames, reused by the next fault or allocation:
+         the pool's buffers number at most [cap] + 1 *)
 }
 
 let create ?(policy = Lru) ?(guard = false) ~capacity src =
@@ -108,6 +113,7 @@ let create ?(policy = Lru) ?(guard = false) ~capacity src =
     on_first_dirty = None;
     p_cancel = None;
     mutations = 0;
+    free = [];
   }
 
 let set_on_first_dirty t hook = t.on_first_dirty <- hook
@@ -148,6 +154,32 @@ let touch t frame =
     list_push_front t frame
   end
 
+(* ------------------------------------------------------------ free list *)
+
+(* The guard's poison: a caller that kept a page past its pin reads this,
+   not a plausible stale page. *)
+let poison = '\xdb'
+
+let take_page t =
+  match t.free with
+  | p :: rest ->
+      t.free <- rest;
+      p
+  | [] -> Page.create ~size:t.src.src_page_size ()
+
+let keep_page t page =
+  if t.guard then Bytes.fill (Page.unsafe_bytes page) 0 (Page.size page) poison;
+  t.free <- page :: t.free
+
+(* [f ()], handing [page] back to the free list if it raises. *)
+let keeping_on_error t page f =
+  match f () with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      keep_page t page;
+      Printexc.raise_with_backtrace e bt
+
 (* ------------------------------------------------------------- eviction *)
 
 (* Writes the frame back (if dirty) and forgets it.  The write-back runs
@@ -162,6 +194,7 @@ let evict t frame =
   end;
   if t.policy = Lru then list_unlink t frame;
   Hashtbl.remove t.frames frame.f_id;
+  keep_page t frame.f_page;
   Stats.record_eviction t.src.src_stats
 
 let exhausted t = Pool_exhausted { capacity = t.cap; pinned = t.pinned_frames }
@@ -211,7 +244,7 @@ let make_room t =
 (* --------------------------------------------------------------- access *)
 
 let install t page_id page =
-  make_room t;
+  keeping_on_error t page (fun () -> make_room t);
   let frame =
     {
       f_id = page_id;
@@ -244,8 +277,10 @@ let fetch t ~accounting page_id =
       frame
   | None ->
       (* Fault the page in.  Load before making room so a load failure
-         (corruption, injected crash) does not evict anything. *)
-      let page = t.src.src_load page_id in
+         (corruption, injected crash) does not evict anything; its page
+         goes back to the free list. *)
+      let page = take_page t in
+      keeping_on_error t page (fun () -> t.src.src_load page_id page);
       Stats.record_read t.src.src_stats;
       Stats.record_page_in t.src.src_stats;
       install t page_id page
@@ -309,7 +344,9 @@ let with_page_mut ?(accounting = Count_hit) t page_id f =
 
 let alloc_page t =
   let id = t.src.src_alloc () in
-  let (_ : frame) = install t id (Page.create ~size:t.src.src_page_size ()) in
+  let page = take_page t in
+  Page.zero page;
+  let (_ : frame) = install t id page in
   id
 
 (* ---------------------------------------------------------- write-backs *)

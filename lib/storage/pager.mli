@@ -27,7 +27,9 @@ type source = {
   src_page_size : int;
   src_stats : Bdbms_obs.Stats.t;
   src_page_count : unit -> int;  (** allocated pages, for bounds checks *)
-  src_load : Page.id -> Page.t;  (** fault a page in (physical read) *)
+  src_load : Page.id -> Page.t -> unit;
+      (** fault a page in (physical read) into the supplied page: a
+          recycled frame holding arbitrary bytes, to be overwritten whole *)
   src_write_back : Page.id -> Page.t -> evicting:bool -> unit;
       (** persist a dirty frame; [evicting] engages WAL-before-data *)
   src_alloc : unit -> Page.id;  (** allocate a fresh zeroed page *)

@@ -37,6 +37,7 @@ type t = {
   buf : Buffer.t; (* encoded records awaiting a group flush *)
   group_bytes : int; (* auto-flush threshold for [buf] *)
   mutable file_bytes : int; (* bytes written to the file so far *)
+  mutable scratch : Bytes.t; (* [read_page_image_into]'s read buffer *)
 }
 
 let magic = "BWAL"
@@ -103,6 +104,7 @@ let open_reset ~fault ~stats ?obs ?(group_bytes = 64 * 1024) path =
     buf = Buffer.create 4096;
     group_bytes;
     file_bytes = header_len;
+    scratch = Bytes.empty;
   }
 
 let size t = t.file_bytes + Buffer.length t.buf
@@ -146,32 +148,33 @@ let append_located t r =
 let flushed_bytes t = t.file_bytes
 
 (* Random-access read of a [Page_write] record previously appended at
-   [off] (as returned by [append_located]) and since flushed.  The frame
-   is CRC-verified; any mismatch means the log we ourselves wrote was
-   damaged underneath us, which is surfaced as corruption of the page. *)
-let read_page_image t ~off ~page_id ~page_size =
+   [off] (as returned by [append_located]) and since flushed, into
+   [page].  One positional read covers the frame and the longest
+   plausible payload; the frame is CRC-verified, and any mismatch means
+   the log we ourselves wrote was damaged underneath us, which is
+   surfaced as corruption of the page. *)
+let read_page_image_into t ~off ~page_id page =
   let corrupt detail = raise (Backend.Corrupt { page = page_id; detail }) in
+  let page_size = Page.size page in
   if off + frame_len > t.file_bytes then
     corrupt "WAL page image offset beyond flushed log";
-  let frame = Bytes.create frame_len in
-  if Backend.pread t.fd ~off frame <> frame_len then
-    corrupt "short read of WAL frame";
-  let plen = Int32.to_int (Bytes.get_int32_le frame 0) in
-  let crc = Int32.to_int (Bytes.get_int32_le frame 4) in
+  let want = frame_len + page_size + 64 in
+  if Bytes.length t.scratch < want then t.scratch <- Bytes.create want;
+  let b = t.scratch in
+  let got = Backend.read_at t.fd ~off b ~pos:0 ~len:want in
+  if got < frame_len then corrupt "short read of WAL frame";
+  let plen = Int32.to_int (Bytes.get_int32_le b 0) in
+  let crc = Int32.to_int (Bytes.get_int32_le b 4) in
   if plen <= 0 || plen > page_size + 64 then corrupt "bad WAL frame length";
-  let payload = Bytes.create plen in
-  if Backend.pread t.fd ~off:(off + frame_len) payload <> plen then
-    corrupt "short read of WAL payload";
-  let payload = Bytes.unsafe_to_string payload in
-  if Crc32.string payload land 0xFFFFFFFF <> crc land 0xFFFFFFFF then
-    corrupt "WAL page image failed CRC verification";
-  match decode_payload payload with
-  | Some (Page_write { page_id = pid; data })
-    when pid = page_id && String.length data = page_size ->
-      let page = Page.create ~size:page_size () in
-      Page.set_bytes page ~pos:0 data;
-      page
-  | _ -> corrupt "WAL record at offset is not this page's image"
+  if got < frame_len + plen then corrupt "short read of WAL payload";
+  if Crc32.bytes b ~pos:frame_len ~len:plen land 0xFFFFFFFF <> crc land 0xFFFFFFFF
+  then corrupt "WAL page image failed CRC verification";
+  if
+    plen = 5 + page_size
+    && Bytes.get b frame_len = 'P'
+    && Int32.to_int (Bytes.get_int32_le b (frame_len + 1)) = page_id
+  then Bytes.blit b (frame_len + 5) (Page.unsafe_bytes page) 0 page_size
+  else corrupt "WAL record at offset is not this page's image"
 
 let commit t =
   append t Commit;

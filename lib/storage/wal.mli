@@ -34,18 +34,19 @@ val append : t -> record -> unit
 
 val append_located : t -> record -> int
 (** {!append}, returning the file offset the record's frame will occupy
-    once flushed — the handle for {!read_page_image}. *)
+    once flushed — the handle for {!read_page_image_into}. *)
 
 val flush : t -> unit
 (** Write the buffered batch and fsync (one wal_flush). *)
 
 val flushed_bytes : t -> int
 (** Bytes durably in the log file (excludes the unflushed buffer): an
-    offset below this can be read back with {!read_page_image}. *)
+    offset below this can be read back with {!read_page_image_into}. *)
 
-val read_page_image : t -> off:int -> page_id:int -> page_size:int -> Page.t
-(** Read back the page image of a [Page_write] record appended at [off]
-    (per {!append_located}) and since flushed.  Used by the pager to
+val read_page_image_into : t -> off:int -> page_id:int -> Page.t -> unit
+(** Read back into the page the image of a [Page_write] record appended
+    at [off] (per {!append_located}) and since flushed, with one
+    positional read into a buffer the log keeps.  Used by the pager to
     fault in a stolen page whose latest image lives only in the log.
     @raise Backend.Corrupt if the frame fails CRC verification or does
     not hold this page's image. *)

@@ -71,16 +71,23 @@ let test_guard_catches_mutation () =
   Pager.with_page_mut bp p1 (fun p -> Page.set_byte p 0 0xFF);
   Pager.with_page bp p1 (fun p -> checki "mutation kept" 0xFF (Page.get_byte p 0))
 
-(* The dirty-frame count against a model.  A pager over a store that
-   records each write-back; the model holds each page's last written
-   byte and the set of pages mutated since their last write-back.
-   Through random pins, mutable pins (some nested in a read pin of
-   another page), allocations, single flushes and the evictions they
-   force in 4 frames, under both policies: no clean page is ever written
-   back, [flush_one] writes back exactly a dirty page, [flush_dirty]
-   exactly the model's dirty pages in id order, [has_dirty] agrees after
-   every step, and the store ends holding every last write. *)
+(* The pager against a model of its source.  A pager over a store that
+   records each write-back; the model holds each page's current bytes,
+   the set of pages mutated since their last write-back, and every
+   distinct buffer the pager has handed the source.  Through random
+   pins, mutable pins (some nested in a read pin of another page),
+   allocations, single flushes, injected load failures and the evictions
+   they force in 4 frames, under both policies and the guard (which
+   poisons recycled frames): every pinned page equals the model's, no
+   clean page is ever written back, [flush_one] writes back exactly a
+   dirty page, [flush_dirty] exactly the model's dirty pages in id
+   order, [has_dirty] agrees after every step, a failed load changes
+   nothing resident, the source sees at most capacity + 1 buffers, and
+   the store ends holding every last write. *)
+exception Injected_load_failure
+
 let test_dirty_count_oracle () =
+  let capacity = 4 and size = 64 in
   List.iter
     (fun policy ->
       for seed = 1 to 30 do
@@ -93,19 +100,32 @@ let test_dirty_count_oracle () =
         in
         let rng = Bdbms_util.Prng.create seed in
         let store = Hashtbl.create 64 and count = ref 0 and written = ref [] in
-        let dirty = Hashtbl.create 16 and last = Hashtbl.create 64 in
+        let dirty = Hashtbl.create 16 and model = Hashtbl.create 64 in
+        let buffers = ref [] and fail_load = ref false and failed = ref 0 in
+        let saw page =
+          if not (List.memq page !buffers) then buffers := page :: !buffers;
+          if List.length !buffers > capacity + 1 then
+            Alcotest.failf "%s" (what "source handed %d buffers" (List.length !buffers))
+        in
         let src =
           {
-            Pager.src_page_size = 64;
+            Pager.src_page_size = size;
             src_stats = Stats.create ();
             src_page_count = (fun () -> !count);
             src_load =
-              (fun id ->
+              (fun id page ->
+                saw page;
+                if !fail_load then begin
+                  fail_load := false;
+                  Page.set_byte page 0 0xEE;
+                  raise Injected_load_failure
+                end;
                 match Hashtbl.find_opt store id with
-                | Some p -> Page.copy p
-                | None -> Page.create ~size:64 ());
+                | Some p -> Page.blit ~src:p ~src_pos:0 ~dst:page ~dst_pos:0 ~len:size
+                | None -> Page.zero page);
             src_write_back =
               (fun id page ~evicting:_ ->
+                saw page;
                 if not (Hashtbl.mem dirty id) then
                   Alcotest.failf "%s" (what "clean page %d written back" id);
                 Hashtbl.remove dirty id;
@@ -117,36 +137,61 @@ let test_dirty_count_oracle () =
                 !count - 1);
           }
         in
-        let bp = Pager.create ~policy ~guard:true ~capacity:4 src in
+        let bp = Pager.create ~policy ~guard:true ~capacity src in
         let writes () =
           let w = List.rev !written in
           written := [];
           w
         in
+        let agrees id p =
+          if not (Bytes.equal (Page.unsafe_bytes p) (Hashtbl.find model id)) then
+            Alcotest.failf "%s" (what "pinned page %d differs from the model" id)
+        in
+        let read id = Pager.with_page bp id (agrees id) in
         let mutate id =
-          let b = Bdbms_util.Prng.int rng 256 in
+          let at = Bdbms_util.Prng.int rng size and b = Bdbms_util.Prng.int rng 256 in
           Pager.with_page_mut bp id (fun p ->
-              Page.set_byte p 0 b;
+              agrees id p;
+              Page.set_byte p at b;
               Hashtbl.replace dirty id ());
-          Hashtbl.replace last id b
+          Bytes.set (Hashtbl.find model id) at (Char.chr b)
+        in
+        let alloc () =
+          let id = Pager.alloc_page bp in
+          Hashtbl.replace model id (Bytes.make size '\000')
         in
         let pick () = Bdbms_util.Prng.int rng !count in
         for step = 1 to 200 do
-          (if !count = 0 then ignore (Pager.alloc_page bp)
+          (if !count = 0 then alloc ()
            else
-             match Bdbms_util.Prng.int rng 10 with
-             | 0 -> ignore (Pager.alloc_page bp)
-             | 1 | 2 | 3 -> Pager.with_page bp (pick ()) ignore
+             match Bdbms_util.Prng.int rng 11 with
+             | 0 -> alloc ()
+             | 1 | 2 | 3 -> read (pick ())
              | 4 | 5 -> mutate (pick ())
              | 6 ->
                  let a = pick () and b = pick () in
-                 if a = b then mutate b else Pager.with_page bp a (fun _ -> mutate b)
+                 if a = b then mutate b
+                 else Pager.with_page bp a (fun p -> agrees a p; mutate b)
              | 7 ->
                  let id = pick () in
                  let want = if Hashtbl.mem dirty id then [ id ] else [] in
                  Pager.flush_one bp id;
                  Alcotest.(check (list int)) (what "flush_one %d at step %d" id step) want
                    (writes ())
+             | 8 ->
+                 let id = pick () in
+                 if Pager.peek bp id = None then begin
+                   let resident = Pager.resident bp in
+                   fail_load := true;
+                   (match Pager.with_page bp id ignore with
+                   | () -> Alcotest.failf "%s" (what "load of %d did not fail" id)
+                   | exception Injected_load_failure -> incr failed);
+                   checki (what "failed load of %d: resident" id) resident
+                     (Pager.resident bp);
+                   checkb (what "failed load of %d: not resident" id) true
+                     (Pager.peek bp id = None);
+                   checki (what "failed load of %d: pins" id) 0 (Pager.pinned bp)
+                 end
              | _ ->
                  let want = List.sort compare (List.of_seq (Hashtbl.to_seq_keys dirty)) in
                  Pager.flush_dirty bp;
@@ -162,12 +207,17 @@ let test_dirty_count_oracle () =
         Pager.flush_dirty bp;
         Alcotest.(check (list int)) (what "a clean pool writes nothing") [] (writes ());
         Hashtbl.iter
-          (fun id b ->
-            checki (what "page %d holds its last write" id) b
-              (Page.get_byte (Hashtbl.find store id) 0))
-          last;
+          (fun id want ->
+            let got =
+              match Hashtbl.find_opt store id with
+              | Some p -> Page.unsafe_bytes p
+              | None -> Bytes.make size '\000'
+            in
+            checkb (what "page %d holds its last write" id) true (Bytes.equal want got))
+          model;
         checkb (what "evictions exercised") true
-          ((Stats.snapshot src.Pager.src_stats).Stats.evictions > 0)
+          ((Stats.snapshot src.Pager.src_stats).Stats.evictions > 0);
+        checkb (what "load failures exercised") true (!failed > 0)
       done)
     [ Pager.Lru; Pager.Clock ]
 
@@ -343,6 +393,63 @@ let test_table_10x_pool () =
   Db.close db;
   cleanup path
 
+(* Page-ins while another thread allocates.  A page-in's read releases
+   the runtime lock, so the other thread's minor collections run in the
+   middle of it and move every young block: the read must come back into
+   the frame intact.  400 distinct 4 KiB pages, cycled through 8 frames,
+   every access a fault; each page must hold the bytes written to it. *)
+let test_page_ins_under_allocation () =
+  let path = tmp_path () in
+  let pages = 400 and faults = 100_000 in
+  let d = Disk.open_file ~page_size:4096 ~pool_pages:8 path in
+  let ids = Array.init pages (fun _ -> Disk.alloc d) in
+  let crcs =
+    Array.mapi
+      (fun i id ->
+        let rng = Bdbms_util.Prng.create (i + 1) in
+        Disk.with_page_mut d id (fun p ->
+            for k = 0 to Page.size p - 1 do
+              Page.set_byte p k (Bdbms_util.Prng.int rng 256)
+            done;
+            Bdbms_util.Crc32.bytes (Page.unsafe_bytes p)))
+      ids
+  in
+  Disk.checkpoint d;
+  let stop = Atomic.make false and minors = Atomic.make 0 in
+  let churn =
+    Thread.create
+      (fun () ->
+        let keep = Array.make 64 [] in
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          keep.(!i land 63) <- List.init 16 (fun k -> ref (k + !i));
+          incr i;
+          Atomic.set minors (Gc.quick_stat ()).Gc.minor_collections;
+          Thread.yield ()
+        done)
+      ()
+  in
+  let minors_before = (Gc.quick_stat ()).Gc.minor_collections in
+  let before = (Stats.snapshot (Disk.stats d)).Stats.page_ins in
+  let bad = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join churn)
+    (fun () ->
+      for n = 0 to faults - 1 do
+        let i = n mod pages in
+        Disk.with_page d ids.(i) (fun p ->
+            if Bdbms_util.Crc32.bytes (Page.unsafe_bytes p) <> crcs.(i) then incr bad)
+      done);
+  checki "every page read back what was written" 0 !bad;
+  checkb "minor collections ran beside the reads" true
+    (Atomic.get minors > minors_before);
+  checki "every access faulted" faults
+    ((Stats.snapshot (Disk.stats d)).Stats.page_ins - before);
+  Disk.close d;
+  cleanup path
+
 let () =
   Alcotest.run "bdbms_paging"
     [
@@ -370,5 +477,7 @@ let () =
         [
           Alcotest.test_case "scan + probe a table 10x the pool" `Quick
             test_table_10x_pool;
+          Alcotest.test_case "page-ins stay correct while another thread allocates"
+            `Quick test_page_ins_under_allocation;
         ] );
     ]

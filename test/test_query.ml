@@ -588,6 +588,34 @@ let test_negative_zero_groups () =
       "SELECT * FROM t UNION SELECT * FROM t";
     ]
 
+(* TRUE and FALSE are boolean literals inside an expression, in any
+   case, as they are in VALUES — not names of columns. *)
+let test_boolean_literals () =
+  let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+  List.iter
+    (fun sql -> ignore (Db.exec_exn db sql))
+    [
+      "CREATE TABLE b (x BOOL, y TEXT)";
+      "INSERT INTO b VALUES (TRUE, 'a')";
+      "INSERT INTO b VALUES (false, 'c')";
+    ];
+  List.iter
+    (fun mode ->
+      Db.set_exec_mode db mode;
+      List.iter
+        (fun (sql, want) ->
+          Alcotest.(check (list string))
+            (mode_name mode ^ ": " ^ sql) want
+            (List.map
+               (fun (r : Propagate.atuple) -> Tuple.to_display r.Propagate.tuple)
+               (rows_of db sql).Propagate.rows))
+        [
+          ("SELECT * FROM b WHERE x = TRUE", [ "true | a" ]);
+          ("SELECT y FROM b WHERE x = false", [ "c" ]);
+          ("SELECT y FROM b WHERE x <> True ORDER BY y", [ "c" ]);
+        ])
+    [ `Naive; `Batch ]
+
 (* A computed column is declared with its expression's type, so it is
    union-compatible with a stored column of that type: set operations
    over INT, FLOAT and BOOL computed columns run on both engines. *)
@@ -2168,6 +2196,8 @@ let () =
             test_top_k_stable;
           Alcotest.test_case "negative zero groups once" `Quick
             test_negative_zero_groups;
+          Alcotest.test_case "TRUE and FALSE are literals in expressions" `Quick
+            test_boolean_literals;
           Alcotest.test_case "computed columns in set operations" `Quick
             test_computed_set_operations;
           Alcotest.test_case "set operations widen INT against REAL" `Quick

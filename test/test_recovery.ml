@@ -53,7 +53,7 @@ let test_crc32_vector () =
   checki "check value" 0xCBF43926 (Crc32.string "123456789");
   checki "bytes agrees" (Crc32.string "abc") (Crc32.bytes (Bytes.of_string "abc"))
 
-(* The textbook one-byte-at-a-time CRC-32 the sliced kernel must match. *)
+(* The textbook one-byte-at-a-time CRC-32 both kernels must match. *)
 let crc32_reference s pos len =
   let table =
     Array.init 256 (fun n ->
@@ -69,22 +69,21 @@ let crc32_reference s pos len =
   done;
   !crc lxor 0xFFFFFFFF
 
-let test_crc32_reference () =
+(* [digest ~pos ~len s] against the bytewise reference at every length
+   to 300 (every fold width and tail on a folding host), at random
+   offsets within each, and over 1 MiB. *)
+let crc32_agrees what_kernel digest =
   let rng = Random.State.make [| 0xC3C |] in
   let random_string n =
     String.init n (fun _ -> Char.chr (Random.State.int rng 256))
   in
   let agree what s pos len =
-    let want = crc32_reference s pos len in
-    checki (what ^ " string") want (Crc32.string ~pos ~len s);
-    checki (what ^ " bytes") want (Crc32.bytes ~pos ~len (Bytes.of_string s))
+    checki (what_kernel ^ " " ^ what) (crc32_reference s pos len) (digest ~pos ~len s)
   in
-  for n = 0 to 70 do
+  for n = 0 to 300 do
     let s = random_string n in
     let what = Printf.sprintf "length %d" n in
-    checki (what ^ " whole") (crc32_reference s 0 n) (Crc32.string s);
-    checki (what ^ " whole bytes") (crc32_reference s 0 n)
-      (Crc32.bytes (Bytes.of_string s));
+    agree (what ^ " whole") s 0 n;
     for _ = 1 to 8 do
       let pos = Random.State.int rng (n + 1) in
       let len = Random.State.int rng (n - pos + 1) in
@@ -93,12 +92,28 @@ let test_crc32_reference () =
   done;
   let n = (1 lsl 20) + 13 in
   let big = random_string n in
-  checki "1 MiB whole" (crc32_reference big 0 n) (Crc32.string big);
+  agree "1 MiB whole" big 0 n;
   for _ = 1 to 6 do
     let pos = Random.State.int rng 4096 in
     let len = n - pos - Random.State.int rng 4096 in
     agree (Printf.sprintf "1 MiB pos %d len %d" pos len) big pos len
   done
+
+(* The host's kernel (folded where the CPU has PCLMULQDQ), through both
+   entry points, and the defaulted arguments. *)
+let test_crc32_reference () =
+  crc32_agrees "string" (fun ~pos ~len s -> Crc32.string ~pos ~len s);
+  crc32_agrees "bytes" (fun ~pos ~len s ->
+      Crc32.bytes ~pos ~len (Bytes.of_string s));
+  for n = 0 to 300 do
+    let s = String.init n (fun i -> Char.chr ((i * 131) land 0xff)) in
+    checki (Printf.sprintf "whole %d" n) (crc32_reference s 0 n) (Crc32.string s);
+    checki (Printf.sprintf "whole bytes %d" n) (crc32_reference s 0 n)
+      (Crc32.bytes (Bytes.of_string s))
+  done
+
+let test_crc32_portable () =
+  crc32_agrees "portable" (fun ~pos ~len s -> Crc32.portable ~pos ~len s)
 
 let test_crc32_bounds () =
   let s = "abcdef" in
@@ -1549,6 +1564,8 @@ let () =
           Alcotest.test_case "crc32 vector" `Quick test_crc32_vector;
           Alcotest.test_case "crc32 vs bytewise reference" `Quick
             test_crc32_reference;
+          Alcotest.test_case "crc32 portable kernel vs bytewise reference"
+            `Quick test_crc32_portable;
           Alcotest.test_case "crc32 out-of-range pos/len" `Quick
             test_crc32_bounds;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
