@@ -17,8 +17,8 @@ fmt: ## format the tree (requires an ocamlformat config/install)
 bench: ## all paper experiments + E11 durability + E12 query engine
 	dune exec bench/main.exe
 
-bench-quick: ## E12 query + E13 paging + E14 observability + E15 server + E16 batch-vs-naive + E17 resilience + E18 optimizer + E19 introspection smoke runs (reduced sizes)
-	dune exec bench/main.exe -- E12 E13 E14 E15 E16 E17 E18 E19 --quick
+bench-quick: ## E12 query + E13 paging + E14 observability + E15 server + E16 batch-vs-naive + E17 resilience + E18 optimizer + E19 introspection + E21 cascades smoke runs (reduced sizes)
+	dune exec bench/main.exe -- E12 E13 E14 E15 E16 E17 E18 E19 E21 --quick
 
 bench-e2e: ## E20 over the wire, all four workloads (20 s each; not part of check)
 	for w in lookup scan curation ingest; do \

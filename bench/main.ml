@@ -41,6 +41,12 @@
      E18 cost-based join ordering          (ANALYZE statistics vs FROM
                                             order on a skewed 3-table
                                             join; guards stats >= 2x)
+     E19 introspection overhead            (sys.* scans and the sampled
+                                            query log)
+     E21 statement cascades                (one dependency cascade per
+                                            UPDATE/DELETE; guards its
+                                            derivation and bitmap-store
+                                            counts)
 
    Usage:
      dune exec bench/main.exe                 # all paper experiments
@@ -73,6 +79,7 @@ let experiments =
     ("E17", E17_resilience.run);
     ("E18", E18_optimizer.run);
     ("E19", E19_introspection.run);
+    ("E21", E21_cascade.run);
   ]
 
 (* ------------------------------------------------- bechamel micro-bench *)

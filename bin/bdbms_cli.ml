@@ -9,6 +9,7 @@ open Bdbms
 module Timer = Bdbms_util.Timer
 module Client = Bdbms_server.Client
 module P = Bdbms_server.Protocol
+module Session = Bdbms_server.Session
 
 let run_statement db ~user ~timing sql =
   let r, elapsed = Timer.timed (fun () -> Db.exec db ~user sql) in
@@ -193,23 +194,6 @@ let print_response = function
       Printf.printf "error: %s%s\n" message
         (if P.code_retryable code then " (retryable, safe to re-run)" else "")
 
-(* Is this statement transaction control?  Mirrors the server's session
-   layer: the client only needs it to know when auto-retry is safe. *)
-let txn_kind sql =
-  let s = String.trim sql in
-  let s =
-    if String.length s > 0 && s.[String.length s - 1] = ';' then
-      String.trim (String.sub s 0 (String.length s - 1))
-    else s
-  in
-  match String.uppercase_ascii s with
-  | "BEGIN" | "BEGIN TRANSACTION" | "BEGIN WORK" | "START TRANSACTION" ->
-      `Begin
-  | "COMMIT" | "COMMIT WORK" | "COMMIT TRANSACTION" | "END" | "ROLLBACK"
-  | "ROLLBACK WORK" | "ROLLBACK TRANSACTION" | "ABORT" ->
-      `End
-  | _ -> `Other
-
 (* Autocommit statements auto-retry on retryable error frames (Busy,
    Conflict, Degraded) — the server rolled the statement back, so
    resending is safe.  Inside an explicit transaction the whole
@@ -227,31 +211,40 @@ let remote_statement client ~timing ~in_txn sql =
                    attempt delay_ms)
                sql))
   in
-  (match (txn_kind sql, resp) with
-  | `Begin, P.Error_resp _ -> ()
-  | `Begin, _ -> in_txn := true
-  | `End, _ -> in_txn := false (* the server finishes the txn either way *)
-  | `Other, _ -> ());
+  (* the client tracks transaction control only to know when auto-retry
+     is safe *)
+  (match (Session.control_of sql, resp) with
+  | Some Session.Begin_txn, P.Error_resp _ -> ()
+  | Some Session.Begin_txn, _ -> in_txn := true
+  | Some (Session.Commit_txn | Session.Rollback_txn), _ ->
+      in_txn := false (* the server finishes the txn either way *)
+  | None, _ -> ());
   print_response resp;
   if timing then
     Printf.printf "Time: %s\n" (Format.asprintf "%a" Timer.pp_ns elapsed)
 
 (* Scripts over the wire reuse the shell's convention: statements are
-   ';'-separated. *)
+   ';'-separated, cut at the lexer's [;] tokens so a string literal keeps
+   its own.  The server parses each one; BEGIN and COMMIT pass through as
+   text to the session. *)
 let remote_script client path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let src = really_input_string ic n in
   close_in ic;
-  String.split_on_char ';' src
-  |> List.iter (fun chunk ->
-         let sql = String.trim chunk in
-         if sql <> "" then
-           match Client.query client sql with
-           | P.Error_resp { message; _ } ->
-               Printf.eprintf "error: %s\n" message;
-               exit 1
-           | resp -> print_response resp)
+  match Bdbms_asql.Parser.split_statements src with
+  | Error e ->
+      Printf.eprintf "parse error: %s\n" e;
+      exit 1
+  | Ok stmts ->
+      List.iter
+        (fun sql ->
+          match Client.query client sql with
+          | P.Error_resp { message; _ } ->
+              Printf.eprintf "error: %s\n" message;
+              exit 1
+          | resp -> print_response resp)
+        stmts
 
 let remote_repl client ~user ~session =
   Printf.printf

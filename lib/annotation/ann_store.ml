@@ -172,8 +172,6 @@ let ids_for_rect t query =
   | Some rt -> ids_via_index t rt query pred
   | None -> ids_matching t pred
 
-let ids_for_all t = ids_matching t (fun _ -> true)
-
 let record_count t = t.records
 let logical_bytes t = t.bytes
 let storage_pages t = Heap_file.page_count t.heap

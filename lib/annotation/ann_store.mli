@@ -35,8 +35,6 @@ val ids_for_cell : t -> row:int -> col:int -> string list
 val ids_for_rect : t -> Bdbms_util.Rect.t -> string list
 (** Annotation ids attached to anything intersecting the rectangle. *)
 
-val ids_for_all : t -> string list
-
 val record_count : t -> int
 (** Stored records: per-cell records for {!Cell}, rectangle records for
     {!Compact} — the paper's storage-overhead measure. *)

@@ -1065,6 +1065,18 @@ let selected_rows (ctx : Context.t) (item : Ast.from_item) table where =
 
 let write_target table = { Ast.table; table_alias = None; ann_tables = None }
 
+(* Run [f changed]: the (row, column) cells [f] passes to [changed] cascade
+   once, also when [f] raises (an in-memory database keeps what it wrote). *)
+let cascading (ctx : Context.t) table f =
+  let cells = ref [] in
+  let cascade () = Write.cascade ctx table (List.concat (List.rev !cells)) in
+  match f (fun c -> cells := c :: !cells) with
+  | () -> cascade ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      cascade ();
+      Printexc.raise_with_backtrace e bt
+
 (* Update; returns the (row, column-name) cells written. *)
 let do_update (ctx : Context.t) ~user ~table:table_name sets where =
   let table = find_table ctx table_name in
@@ -1081,17 +1093,19 @@ let do_update (ctx : Context.t) ~user ~table:table_name sets where =
   let rows = selected_rows ctx (write_target table_name) table where in
   let by = Some user in
   let touched = ref [] in
-  List.iter
-    (fun (row, tuple) ->
+  cascading ctx table (fun changed ->
       List.iter
-        (fun (cname, col, expr) ->
-          let value =
-            coerce (Expr.eval schema tuple expr) (Schema.column_at schema col).Schema.ty
-          in
-          ignore (ok_or_fail (Write.update_cell ctx ~user:by table ~row ~col value));
-          touched := (row, cname) :: !touched)
-        sets)
-    rows;
+        (fun (row, tuple) ->
+          List.iter
+            (fun (cname, col, expr) ->
+              let value =
+                coerce (Expr.eval schema tuple expr) (Schema.column_at schema col).Schema.ty
+              in
+              ignore (ok_or_fail (Write.update_cell ctx ~user:by table ~row ~col value));
+              touched := (row, cname) :: !touched;
+              changed [ (row, col) ])
+            sets)
+        rows);
   let touched = List.rev !touched in
   if touched <> [] then
     record_local_prov ctx ~table
@@ -1105,7 +1119,12 @@ let do_delete (ctx : Context.t) ~user ~table:table_name where =
   let table = find_table ctx table_name in
   let rows = selected_rows ctx (write_target table_name) table where in
   let by = Some user in
-  List.iter (fun (row, tuple) -> Write.delete ctx ~user:by table ~row tuple) rows;
+  cascading ctx table (fun changed ->
+      List.iter
+        (fun (row, tuple) ->
+          Write.delete ctx ~user:by table ~row tuple;
+          changed (Write.row_cells table [ row ]))
+        rows);
   rows
 
 (* -------------------------------------------------- annotation commands *)
@@ -1533,6 +1552,7 @@ let execute_exn (ctx : Context.t) ~user (stmt : Ast.statement) : outcome =
       ddl_hit ctx;
       if Catalog.drop_table ctx.catalog name then begin
         Stats_reg.remove ctx.Context.tstats name;
+        Acl.drop_table ctx.acl ~table:name;
         List.iter
           (fun (idx : Context.index_def) -> ignore (Context.drop_index ctx idx.Context.idx_name))
           (Context.indexes_on ctx ~table:name);

@@ -128,5 +128,3 @@ let token_text = function
   | String_lit s -> Printf.sprintf "'%s'" s
   | Symbol s -> s
   | Eof -> "<eof>"
-
-let pp_token fmt t = Format.pp_print_string fmt (token_text t)

@@ -806,37 +806,49 @@ let parse_one st =
   ignore (try_symbol st ";");
   stmt
 
-let parse src =
-  match Lexer.tokenize src with
-  | Error e -> Error e
-  | Ok tokens -> (
-      let st = { tokens = Array.of_list tokens; pos = 0 } in
-      match parse_one st with
-      | stmt ->
-          if peek st = Lexer.Eof then Ok stmt
-          else Error (Printf.sprintf "trailing input at %s" (Lexer.token_text (peek st)))
-      | exception Parse_failure msg -> Error msg)
+(* Parse one statement from its tokens, [Eof] last. *)
+let parse_tokens tokens =
+  let st = { tokens; pos = 0 } in
+  match parse_one st with
+  | stmt ->
+      if peek st = Lexer.Eof then Ok stmt
+      else Error (Printf.sprintf "trailing input at %s" (Lexer.token_text (peek st)))
+  | exception Parse_failure msg -> Error msg
+
+let parse src = Result.bind (Lexer.tokenize src) (fun tokens -> parse_tokens (Array.of_list tokens))
+
+(* A script cut at its [;] tokens: each statement's source text, from its
+   first token to its last, with its tokens. *)
+let statements src =
+  let out = ref [] and tokens = ref [] and first = ref (-1) and last = ref 0 in
+  let cut () =
+    if !first >= 0 then
+      out :=
+        (String.sub src !first (!last - !first), Array.of_list (List.rev (Lexer.Eof :: !tokens)))
+        :: !out;
+    first := -1;
+    tokens := []
+  in
+  match
+    Lexer.scan src (fun t start stop ->
+        match t with
+        | Lexer.Symbol ";" -> cut ()
+        | _ ->
+            if !first < 0 then first := start;
+            last := stop;
+            tokens := t :: !tokens)
+  with
+  | Error _ as e -> e
+  | Ok () ->
+      cut ();
+      Ok (List.rev !out)
+
+let split_statements src = Result.map (List.map fst) (statements src)
 
 let parse_script src =
-  let n = String.length src and located = ref [] in
-  match Lexer.scan src (fun t start stop -> located := (t, start, stop) :: !located) with
-  | Error e -> Error e
-  | Ok () -> (
-      let located = Array.of_list (List.rev ((Lexer.Eof, n, n) :: !located)) in
-      let st = { tokens = Array.map (fun (t, _, _) -> t) located; pos = 0 } in
-      let text first =
-        let _, start, _ = located.(first) and _, _, stop = located.(st.pos - 1) in
-        String.sub src start (stop - start)
-      in
-      let rec go acc =
-        if peek st = Lexer.Eof then Ok (List.rev acc)
-        else
-          let first = st.pos in
-          match parse_statement_inner st with
-          | stmt ->
-              let sql = text first in
-              ignore (try_symbol st ";");
-              go ((sql, stmt) :: acc)
-          | exception Parse_failure msg -> Error msg
-      in
-      go [])
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | (sql, tokens) :: rest ->
+        Result.bind (parse_tokens tokens) (fun stmt -> go ((sql, stmt) :: acc) rest)
+  in
+  Result.bind (statements src) (go [])

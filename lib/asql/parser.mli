@@ -19,6 +19,11 @@
 val parse : string -> (Ast.statement, string) result
 (** Parse one statement (a trailing [;] is allowed). *)
 
+val split_statements : string -> (string list, string) result
+(** Cut a script at its [;] tokens without parsing it: each statement's
+    source text, from its first token to its last.  A [;] inside a string
+    literal or a comment does not cut.  [Error] when the script does not
+    tokenize (an unterminated string literal). *)
+
 val parse_script : string -> ((string * Ast.statement) list, string) result
-(** Parse a [;]-separated script: each statement with its source text
-    (from its first token to its last, the [;] left out). *)
+(** Parse each statement {!split_statements} cuts, with its source text. *)

@@ -477,8 +477,3 @@ let build ctx frame ~where =
   in
   { base; steps = List.rev rev_steps; schema = frame.schema;
     prefixes = frame.prefixes; order; permuted; row_ids = frame.row_ids }
-
-let out_est plan =
-  match List.rev plan.steps with
-  | [] -> plan.base.est_rows
-  | last :: _ -> last.est_rows

@@ -173,6 +173,3 @@ val build : Context.t -> frame -> where:Bdbms_relation.Expr.t option -> t
     [frame.schema] (use {!Resolve}); unresolvable queries should not
     reach the planner.  Bumps the [plans_reordered] counter when the
     chosen order differs from FROM order. *)
-
-val out_est : t -> float
-(** Estimated output rows of the full join tree. *)

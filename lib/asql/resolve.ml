@@ -43,11 +43,6 @@ let column schema ~prefixes name =
         | _ -> Ambiguous)
   end
 
-let column_opt schema ~prefixes name =
-  match column schema ~prefixes name with
-  | Resolved n -> Some n
-  | Unknown | Ambiguous -> None
-
 let rec map_expr f = function
   | Expr.Col name -> Expr.Col (f name)
   | Expr.Lit _ as e -> e
@@ -60,17 +55,3 @@ let rec map_expr f = function
   | Expr.In_list (a, vs) -> Expr.In_list (map_expr f a, vs)
   | Expr.Is_null a -> Expr.Is_null (map_expr f a)
   | Expr.Concat (a, b) -> Expr.Concat (map_expr f a, map_expr f b)
-
-exception Unresolved of string
-
-let map_expr_opt schema ~prefixes e =
-  match
-    map_expr
-      (fun name ->
-        match column schema ~prefixes name with
-        | Resolved n -> n
-        | Unknown | Ambiguous -> raise (Unresolved name))
-      e
-  with
-  | e -> Some e
-  | exception Unresolved _ -> None

@@ -14,20 +14,6 @@ val column :
 (** Resolve one column reference.  [prefixes] are the acceptable
     qualifiers (table names and aliases in scope). *)
 
-val column_opt :
-  Bdbms_relation.Schema.t -> prefixes:string list -> string -> string option
-(** {!column}, collapsing [Unknown] and [Ambiguous] to [None] — for
-    callers (index matching, planning) that degrade gracefully rather
-    than report an error. *)
-
 val map_expr :
   (string -> string) -> Bdbms_relation.Expr.t -> Bdbms_relation.Expr.t
 (** Rewrite every column reference in an expression. *)
-
-val map_expr_opt :
-  Bdbms_relation.Schema.t ->
-  prefixes:string list ->
-  Bdbms_relation.Expr.t ->
-  Bdbms_relation.Expr.t option
-(** Resolve every column reference in an expression; [None] if any
-    reference is unknown or ambiguous. *)

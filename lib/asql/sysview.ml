@@ -208,8 +208,6 @@ let views =
     ("sys.traces", traces_schema);
   ]
 
-let view_names = List.map fst views
-
 let schema_of name = List.assoc_opt (String.lowercase_ascii name) views
 
 (* Views exposing other users' activity (session state, raw SQL text):

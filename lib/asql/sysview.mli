@@ -18,8 +18,6 @@ val is_privileged : string -> bool
     so they require an explicit SELECT grant (or the superuser) even
     outside strict-ACL mode. *)
 
-val view_names : string list
-(** Canonical (lowercase) names of every view. *)
 
 val schema_of : string -> Bdbms_relation.Schema.t option
 (** Schema of a view by (case-insensitive) name. *)

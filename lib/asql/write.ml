@@ -67,14 +67,15 @@ let derive (ctx : Context.t) (c : Bdbms_dependency.Dep_graph.cell) value =
   Result.map ignore
     (set_cell ctx (Catalog.find_exn ctx.catalog c.table) ~row:c.row ~col:c.col value)
 
-let cascade (ctx : Context.t) tbl ~row ~col =
+let cascade (ctx : Context.t) tbl cells =
+  let table = Table.name tbl in
   ignore
-    (Tracker.on_cell_update ctx.tracker ~write:(derive ctx) ~table:(Table.name tbl) ~row ~col)
+    (Tracker.propagate ctx.tracker ~write:(derive ctx)
+       (List.map (fun (row, col) -> Bdbms_dependency.Dep_graph.cell ~table ~row ~col) cells))
 
-let cascade_row ctx tbl ~row =
-  for col = 0 to Schema.arity (Table.schema tbl) - 1 do
-    cascade ctx tbl ~row ~col
-  done
+let row_cells tbl rows =
+  let arity = Schema.arity (Table.schema tbl) in
+  List.concat_map (fun row -> List.init arity (fun col -> (row, col))) rows
 
 let update_cell (ctx : Context.t) ~user tbl ~row ~col value =
   match set_cell ctx tbl ~row ~col value with
@@ -87,7 +88,6 @@ let update_cell (ctx : Context.t) ~user tbl ~row ~col value =
                ~column_name:(Schema.column_at (Table.schema tbl) col).Schema.name ~old_value
                ~user)
       | None -> ());
-      cascade ctx tbl ~row ~col;
       r
 
 let delete (ctx : Context.t) ~user tbl ~row tuple =
@@ -99,27 +99,32 @@ let delete (ctx : Context.t) ~user tbl ~row tuple =
     | Some user ->
         ignore
           (Approval.log_delete ctx.approval ~table:(Table.name tbl) ~row ~old_tuple:tuple ~user)
-    | None -> ());
-    (* dependents of a deleted row cannot be recomputed: they get marked *)
-    cascade_row ctx tbl ~row
+    | None -> ())
   end
 
+(* The inverse writes one row or cell; its cells then cascade, so the
+   dependents a delete marked derive from a resurrected row again. *)
 let undo (ctx : Context.t) (op : Approval.operation) =
-  match op with
-  | Approval.Op_insert { table; row } -> (
-      let tbl = Catalog.find_exn ctx.catalog table in
-      match Table.get tbl row with
-      | Some tuple -> Ok (delete ctx ~user:None tbl ~row tuple)
-      | None -> Error (Printf.sprintf "cannot undo insert: row %d of %s is gone" row table))
-  | Approval.Op_update { table; row; col; old_value } -> (
-      match update_cell ctx ~user:None (Catalog.find_exn ctx.catalog table) ~row ~col old_value with
-      | Ok _ -> Ok ()
-      | Error e -> Error ("cannot undo update: " ^ e))
-  | Approval.Op_delete { table; row; old_tuple } -> (
-      let tbl = Catalog.find_exn ctx.catalog table in
-      match Table.resurrect tbl row old_tuple with
-      | Ok () ->
-          added ctx tbl ~row old_tuple;
-          (* the dependents the delete marked derive from the row again *)
-          Ok (cascade_row ctx tbl ~row)
-      | Error e -> Error ("cannot undo delete: " ^ e))
+  let changed =
+    match op with
+    | Approval.Op_insert { table; row } -> (
+        let tbl = Catalog.find_exn ctx.catalog table in
+        match Table.get tbl row with
+        | Some tuple ->
+            delete ctx ~user:None tbl ~row tuple;
+            Ok (tbl, row_cells tbl [ row ])
+        | None -> Error (Printf.sprintf "cannot undo insert: row %d of %s is gone" row table))
+    | Approval.Op_update { table; row; col; old_value } -> (
+        let tbl = Catalog.find_exn ctx.catalog table in
+        match update_cell ctx ~user:None tbl ~row ~col old_value with
+        | Ok _ -> Ok (tbl, [ (row, col) ])
+        | Error e -> Error ("cannot undo update: " ^ e))
+    | Approval.Op_delete { table; row; old_tuple } -> (
+        let tbl = Catalog.find_exn ctx.catalog table in
+        match Table.resurrect tbl row old_tuple with
+        | Ok () ->
+            added ctx tbl ~row old_tuple;
+            Ok (tbl, row_cells tbl [ row ])
+        | Error e -> Error ("cannot undo delete: " ^ e))
+  in
+  Result.map (fun (tbl, cells) -> cascade ctx tbl cells) changed

@@ -84,10 +84,12 @@ let allowed t ~user privilege ~table ?column () =
           | Some cols, Some c -> List.mem (norm c) cols)
         entries
 
-let grants_for t ~table =
-  match Hashtbl.find_opt t.grants (norm table) with
-  | None -> []
-  | Some entries -> List.map (fun e -> (e.privilege, e.grantee, e.columns)) entries
+let drop_table t ~table =
+  let key = norm table in
+  if Hashtbl.mem t.grants key then begin
+    Hashtbl.remove t.grants key;
+    bump t
+  end
 
 (* Durable-catalog hooks: dump every grant list (sorted by table) and put
    one back verbatim, preserving entry order. *)

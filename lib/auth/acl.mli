@@ -32,7 +32,9 @@ val allowed :
 (** A user is allowed when granted directly or via any group; a grant with
     a column list covers only those columns. *)
 
-val grants_for : t -> table:string -> (privilege * grantee * string list option) list
+val drop_table : t -> table:string -> unit
+(** Forget every grant on a dropped table, so a later table of the same
+    name starts with none. *)
 
 val dump_grants : t -> (string * grant_entry list) list
 (** Every grant list, sorted by table — for the durable catalog. *)

@@ -7,8 +7,6 @@ type cell = { table : string; row : int; col : int }
 
 let cell ~table ~row ~col = { table = String.lowercase_ascii table; row; col }
 
-let cell_equal a b = a.table = b.table && a.row = b.row && a.col = b.col
-
 let pp_cell fmt c = Format.fprintf fmt "%s[%d,%d]" c.table c.row c.col
 
 type instance = { rule_id : string; sources : cell list; target : cell }
@@ -117,17 +115,38 @@ let add_instance t inst =
       Btree.insert g.back ~key:(rev_key ~pos ~src_row:c.row ~tgt_row:row) ~value:row)
     inst.sources
 
-let instances_from t src =
+(* Target rows of [g]'s instances having one of [rows] (ascending,
+   distinct) at source position [pos]: one range scan of the reverse tree
+   per run of consecutive rows, so a lone row is one prefix probe and a
+   statement over a block of rows sweeps it once. *)
+let targets_fed g ~pos rows =
+  let scan lo hi =
+    Btree.range g.back
+      ~lo:(rev_prefix ~pos ~src_row:lo, true)
+      ~hi:(rev_prefix ~pos ~src_row:(hi + 1), false)
+      ()
+  in
+  let rec runs acc lo hi = function
+    | r :: rest when r = hi + 1 -> runs acc lo r rest
+    | r :: rest -> runs (scan lo hi :: acc) r r rest
+    | [] -> List.concat_map (List.map snd) (List.rev (scan lo hi :: acc))
+  in
+  match rows with [] -> [] | r :: rest -> runs [] r r rest
+
+let instances_from t cells =
   List.concat_map
     (fun g ->
       List.concat
         (List.mapi
            (fun pos (table, col) ->
-             if table <> src.table || col <> src.col then []
-             else
+             let rows =
                List.filter_map
-                 (fun (_, row) -> Option.map (instance_of g ~row) (source_rows g row))
-                 (Btree.prefix_search g.back (rev_prefix ~pos ~src_row:src.row)))
+                 (fun c -> if c.table = table && c.col = col then Some c.row else None)
+                 cells
+             in
+             List.filter_map
+               (fun row -> Option.map (instance_of g ~row) (source_rows g row))
+               (targets_fed g ~pos (List.sort_uniq Int.compare rows)))
            (Array.to_list g.srcs)))
     (graphs t)
 
@@ -137,27 +156,6 @@ let instance_for_target t target =
       if g.tgt <> (target.table, target.col) then None
       else Option.map (instance_of g ~row:target.row) (source_rows g target.row))
     (graphs t)
-
-let dependents t src = List.map (fun i -> i.target) (instances_from t src)
-
-(* Breadth-first, each cell once; the source itself is never reported. *)
-let transitive_dependents t src =
-  let visited = Hashtbl.create 16 in
-  Hashtbl.add visited src ();
-  let queue = Queue.create () in
-  Queue.add src queue;
-  let out = ref [] in
-  while not (Queue.is_empty queue) do
-    List.iter
-      (fun d ->
-        if not (Hashtbl.mem visited d) then begin
-          Hashtbl.add visited d ();
-          out := d :: !out;
-          Queue.add d queue
-        end)
-      (dependents t (Queue.pop queue))
-  done;
-  List.rev !out
 
 (* Entries are copied out of each leaf before [f] runs, so [f] may touch
    pages itself. *)

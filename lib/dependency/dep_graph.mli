@@ -9,7 +9,6 @@
 type cell = { table : string; row : int; col : int }
 
 val cell : table:string -> row:int -> col:int -> cell
-val cell_equal : cell -> cell -> bool
 val pp_cell : Format.formatter -> cell -> unit
 
 type instance = {
@@ -33,16 +32,11 @@ val add_instance : t -> instance -> unit
     @raise Invalid_argument if the cells' tables or columns differ from
     the rule's earlier instances. *)
 
-val instances_from : t -> cell -> instance list
-(** Instances having the cell among their sources. *)
+val instances_from : t -> cell list -> instance list
+(** Instances having any of the cells among their sources; an instance
+    fed by several of them is listed once per such source. *)
 
 val instance_for_target : t -> cell -> instance option
-
-val dependents : t -> cell -> cell list
-(** Direct dependent cells. *)
-
-val transitive_dependents : t -> cell -> cell list
-(** Everything downstream (cycle-safe), in BFS order. *)
 
 val iter_instances : t -> (instance -> unit) -> unit
 (** Every registered instance, once each, by rule id then target row. *)

@@ -110,7 +110,8 @@ let flush t =
       in
       go 0;
       t.rows <- Bitmap.rows b;
-      t.bytes <- len
+      t.bytes <- len;
+      Bdbms_obs.Stats.record_dep_bitmap_flush (Pager.stats t.bp)
     end
   end
 

@@ -35,7 +35,8 @@ val attach : Bdbms_storage.Pager.t -> name:string -> head -> t
 (** Reattach a stored bitmap, reading no page. *)
 
 val flush : t -> unit
-(** Rewrite the stored RLE form if a mark changed since the last flush. *)
+(** Rewrite the stored RLE form if a mark changed since the last flush
+    (one [dep_bitmap_flushes] count). *)
 
 val table_name : t -> string
 

@@ -9,8 +9,6 @@ type report = {
   errors : (Dep_graph.cell * string) list;
 }
 
-let empty_report = { recomputed = []; marked = []; errors = [] }
-
 type write = Dep_graph.cell -> Bdbms_relation.Value.t -> (unit, string) result
 
 type t = {
@@ -119,108 +117,120 @@ let run_chain chain inputs =
           Procedure.run proc [ prev ])
         (Ok acc) rest
 
-let mark_cell t (c : Dep_graph.cell) =
-  Outdated.mark (bitmap_for t c.Dep_graph.table) ~row:c.Dep_graph.row ~col:c.Dep_graph.col
+(* A rule's rank: one more than the highest rank of the rules deriving
+   its sources.  [Rule_set.add] refuses cycles, so every rule has one. *)
+let rec rank t ranks (r : Rule.t) =
+  match Hashtbl.find_opt ranks r.id with
+  | Some k -> k
+  | None ->
+      let up k src =
+        match Rule_set.rule_for_target t.rules src with
+        | Some u -> max k (rank t ranks u + 1)
+        | None -> k
+      in
+      let k = List.fold_left up 0 r.sources in
+      Hashtbl.replace ranks r.id k;
+      k
 
-let clear_cell t (c : Dep_graph.cell) =
-  Outdated.clear (bitmap_for t c.Dep_graph.table) ~row:c.Dep_graph.row ~col:c.Dep_graph.col
+(* The cascade of one change: [changed] are the cells it wrote, [seeds]
+   instances whose targets it made stale.  Every target reachable from
+   either is visited once, in rule rank order, so each is derived from
+   final inputs: an executable target whose chain succeeds is written
+   through [write] and its mark cleared; any other target is marked, and
+   so is everything downstream of it, underived.  A changed cell keeps its
+   value and loses its mark.  Each bitmap touched is stored once, at the
+   end. *)
+let cascade t ~write ~changed seeds =
+  let touched = Hashtbl.create 4 and is_changed = Hashtbl.create 16 in
+  let set_mark (c : Dep_graph.cell) on =
+    (* a table without a bitmap has no mark to clear *)
+    if on || Hashtbl.mem t.bitmaps c.table then begin
+      let b = bitmap_for t c.table in
+      Hashtbl.replace touched c.table b;
+      (if on then Outdated.mark else Outdated.clear) b ~row:c.row ~col:c.col
+    end
+  in
+  List.iter (fun c -> Hashtbl.replace is_changed c (); set_mark c false) changed;
+  (* every reachable target, with the instance deriving it, wave by wave *)
+  let visited = Hashtbl.create 64 in
+  let enter insts =
+    List.fold_left
+      (fun wave (inst : Dep_graph.instance) ->
+        let c = inst.target in
+        if Hashtbl.mem is_changed c || Hashtbl.mem visited c then wave
+        else (Hashtbl.add visited c inst; c :: wave))
+      [] insts
+  in
+  let rec close = function
+    | [] -> ()
+    | wave -> close (enter (Dep_graph.instances_from t.graph wave))
+  in
+  close (changed @ enter seeds);
+  let ranks = Hashtbl.create 8 in
+  let order =
+    Hashtbl.fold
+      (fun (c : Dep_graph.cell) (inst : Dep_graph.instance) acc ->
+        let rule = Rule_set.find t.rules inst.rule_id in
+        let k = Option.fold ~none:max_int ~some:(rank t ranks) rule in
+        (k, inst.rule_id, c.row, rule, inst) :: acc)
+      visited []
+    |> List.sort (fun (k1, r1, row1, _, _) (k2, r2, row2, _, _) ->
+           compare (k1, r1, row1) (k2, r2, row2))
+  in
+  let stats = Bdbms_storage.Pager.stats (Catalog.pager t.catalog) in
+  let stale = Hashtbl.create 16 in
+  let recomputed = ref [] and marked = ref [] and errors = ref [] in
+  let mark ?error c =
+    Option.iter (fun e -> errors := (c, e) :: !errors) error;
+    set_mark c true;
+    Hashtbl.replace stale c ();
+    marked := c :: !marked
+  in
+  List.iter
+    (fun (_, id, _, rule, (inst : Dep_graph.instance)) ->
+      let target = inst.target in
+      match rule with
+      | _ when List.exists (Hashtbl.mem stale) inst.sources -> mark target
+      | None -> mark target ~error:("dangling rule " ^ id)
+      | Some rule when not (Rule.chain_executable rule) -> mark target
+      | Some rule -> (
+          let inputs =
+            List.fold_left
+              (fun acc src ->
+                Result.bind acc (fun vs -> Result.map (fun v -> v :: vs) (read_cell t src)))
+              (Ok []) inst.sources
+            |> Result.map List.rev
+          in
+          let derive vs =
+            Bdbms_obs.Stats.record_dep_derivation stats;
+            Result.bind (run_chain rule.chain vs) (write target)
+          in
+          match Result.bind inputs derive with
+          | Ok () ->
+              set_mark target false;
+              recomputed := target :: !recomputed
+          | Error e -> mark target ~error:e))
+    order;
+  Hashtbl.iter (fun _ b -> Outdated.flush b) touched;
+  { recomputed = List.rev !recomputed; marked = List.rev !marked; errors = List.rev !errors }
 
-(* Mark [cell] and everything downstream of it. *)
-let mark_subtree t cell acc =
-  mark_cell t cell;
-  let downstream = Dep_graph.transitive_dependents t.graph cell in
-  List.iter (mark_cell t) downstream;
-  acc @ (cell :: downstream)
-
-(* Cascade from a freshly-changed source cell; [write] stores each
-   re-derived value. *)
-let rec cascade t ~write (source : Dep_graph.cell) (report : report) visited =
-  let instances = Dep_graph.instances_from t.graph source in
-  List.fold_left
-    (fun report inst ->
-      let target = inst.Dep_graph.target in
-      if List.exists (Dep_graph.cell_equal target) !visited then report
-      else begin
-        visited := target :: !visited;
-        match Rule_set.find t.rules inst.Dep_graph.rule_id with
-        | None ->
-            { report with errors = (target, "dangling rule " ^ inst.Dep_graph.rule_id) :: report.errors }
-        | Some rule ->
-            if Rule.chain_executable rule then begin
-              (* re-derive the target automatically *)
-              let inputs =
-                List.fold_left
-                  (fun acc src ->
-                    match (acc, read_cell t src) with
-                    | Ok vs, Ok v -> Ok (vs @ [ v ])
-                    | (Error _ as e), _ -> e
-                    | Ok _, (Error _ as e) -> e)
-                  (Ok []) inst.Dep_graph.sources
-              in
-              match Result.bind inputs (run_chain rule.Rule.chain) with
-              | Ok value -> (
-                  match write target value with
-                  | Ok () ->
-                      clear_cell t target;
-                      let report =
-                        { report with recomputed = report.recomputed @ [ target ] }
-                      in
-                      cascade t ~write target report visited
-                  | Error e ->
-                      let report =
-                        { report with errors = report.errors @ [ (target, e) ] }
-                      in
-                      { report with marked = mark_subtree t target report.marked })
-              | Error e ->
-                  let report = { report with errors = report.errors @ [ (target, e) ] } in
-                  { report with marked = mark_subtree t target report.marked }
-            end
-            else
-              (* not executable: the target and all its dependents go stale *)
-              { report with marked = mark_subtree t target report.marked }
-      end)
-    report instances
-
-(* Store every bitmap whose marks changed: each public entry point that
-   can mark or clear ends here, so the pages are current between calls. *)
-let flush_marks t = Hashtbl.iter (fun _ b -> Outdated.flush b) t.bitmaps
+let propagate t ~write cells = cascade t ~write ~changed:cells []
 
 let on_cell_update t ~write ~table ~row ~col =
-  let cell = Dep_graph.cell ~table ~row ~col in
-  clear_cell t cell;
-  let report = cascade t ~write cell empty_report (ref [ cell ]) in
-  flush_marks t;
-  report
+  propagate t ~write [ Dep_graph.cell ~table ~row ~col ]
 
 let on_procedure_change t ~write proc_name =
-  (* every instance of every rule whose chain uses the procedure *)
   let rules = List.filter (fun r -> Rule.uses_procedure r proc_name) (Rule_set.rules t.rules) in
-  let report = ref empty_report in
-  List.iter
-    (fun rule ->
-      (* all registered instances of this rule *)
-      let instances = ref [] in
-      Dep_graph.iter_instances t.graph (fun inst ->
-          if inst.Dep_graph.rule_id = rule.Rule.id then instances := inst :: !instances);
-      List.iter
-        (fun inst ->
-          let target = inst.Dep_graph.target in
-          if Rule.chain_executable rule then begin
-            let visited = ref [] in
-            (* re-run by simulating an update of the first source *)
-            match inst.Dep_graph.sources with
-            | src :: _ -> report := cascade t ~write src !report visited
-            | [] -> ()
-          end
-          else report := { !report with marked = mark_subtree t target !report.marked })
-        !instances)
-    rules;
-  flush_marks t;
-  !report
+  let seeds = ref [] in
+  Dep_graph.iter_instances t.graph (fun inst ->
+      if List.exists (fun r -> r.Rule.id = inst.Dep_graph.rule_id) rules then
+        seeds := inst :: !seeds);
+  cascade t ~write ~changed:[] (List.rev !seeds)
 
 let revalidate t ~table ~row ~col =
-  Outdated.clear (bitmap_for t table) ~row ~col;
-  flush_marks t
+  let b = bitmap_for t table in
+  Outdated.clear b ~row ~col;
+  Outdated.flush b
 
 let is_outdated t ~table ~row ~col =
   match Hashtbl.find_opt t.bitmaps (norm table) with

@@ -15,8 +15,6 @@ type report = {
       (** cells whose re-derivation failed (kept marked) *)
 }
 
-val empty_report : report
-
 type t
 
 val create : Bdbms_relation.Catalog.t -> t
@@ -48,16 +46,25 @@ type write = Dep_graph.cell -> Bdbms_relation.Value.t -> (unit, string) result
     structures current (the engine's is [Bdbms_asql.Write.derive]); the
     tracker decides which cells to re-derive, and marks one whose write fails. *)
 
+val propagate : t -> write:write -> Dep_graph.cell list -> report
+(** React to the cells one statement changed, which keep their values
+    and lose their marks.  Every cell downstream is visited once, in rule
+    rank order, after all of its changed sources: an executable target
+    whose chain succeeds is written through [write] and its mark cleared;
+    any other target is marked with everything downstream of it, which is
+    not derived.  Each bitmap changed is stored once, at the end. *)
+
 val on_cell_update : t -> write:write -> table:string -> row:int -> col:int -> report
-(** React to an updated cell: cascade re-derivations (stored through [write])
-    and outdated marks.  The updated cell itself stays fresh (its mark clears). *)
+(** {!propagate} of one cell. *)
 
 val on_procedure_change : t -> write:write -> string -> report
 (** React to a procedure upgrade or replacement (e.g. a new BLAST version):
-    every instance derived through it re-executes (through [write]) or is marked. *)
+    the same cascade as {!propagate}, started from the targets of every
+    instance derived through the procedure, which re-derive or are marked. *)
 
 val revalidate : t -> table:string -> row:int -> col:int -> unit
-(** Clear a cell's outdated mark after out-of-band verification. *)
+(** Clear a cell's outdated mark after out-of-band verification, storing
+    that table's bitmap. *)
 
 val is_outdated : t -> table:string -> row:int -> col:int -> bool
 
@@ -70,8 +77,8 @@ val outdated_cells : t -> table:string -> (int * int) list
 
 val outdated_heads : t -> (string * Outdated.head) list
 (** The durable head of every stored bitmap, by lowercase table name.
-    Marks are stored by the entry point that changed them
-    ({!on_cell_update}, {!on_procedure_change}, {!revalidate}). *)
+    Marks are stored by the call that changed them ({!propagate} and
+    its two forms, {!revalidate}). *)
 
 val attach_outdated : t -> table:string -> Outdated.head -> unit
 (** Reattach a table's stored bitmap at bootstrap, reading no page. *)

@@ -99,7 +99,3 @@ let slow t =
     | None -> ()
   done;
   !out
-
-let clear_slow t =
-  Array.fill t.slow_ring 0 (Array.length t.slow_ring) None;
-  t.slow_next <- 0

@@ -57,7 +57,5 @@ val sampled : t -> int
 val slow : t -> entry list
 (** Slow-ring entries still retained, oldest first. *)
 
-val clear_slow : t -> unit
-
 val entry_json : entry -> string
 (** The JSONL rendering of one entry (no trailing newline). *)

@@ -46,6 +46,8 @@ type snapshot = {
   stats_analyzed : int;
   stats_stale : int;
   plans_reordered : int;
+  dep_derivations : int;
+  dep_bitmap_flushes : int;
   io_retries : int;
   io_gave_up : int;
   stmts_timed_out : int;
@@ -95,6 +97,8 @@ let slots =
     counter "stats_analyzed" "Tables (re)analyzed for optimizer statistics";
     counter "stats_stale" "Table statistics declared stale";
     counter "plans_reordered" "Query plans whose join order differs from FROM order";
+    counter "dep_derivations" "Dependent cells re-derived by running their procedure chain";
+    counter "dep_bitmap_flushes" "Outdated-mark bitmaps stored after their marks changed";
     counter "io_retries" "Transient I/O errors absorbed by retry";
     counter "io_gave_up" "I/O operations that exhausted their retry budget";
     counter "stmts_timed_out" "Statements aborted by their deadline";
@@ -140,12 +144,14 @@ let i_batch_fallbacks = 30
 let i_stats_analyzed = 31
 let i_stats_stale = 32
 let i_plans_reordered = 33
-let i_io_retries = 34
-let i_io_gave_up = 35
-let i_stmts_timed_out = 36
-let i_degraded_entries = 37
-let i_sessions_in_flight = 38
-let i_degraded = 39
+let i_dep_derivations = 34
+let i_dep_bitmap_flushes = 35
+let i_io_retries = 36
+let i_io_gave_up = 37
+let i_stmts_timed_out = 38
+let i_degraded_entries = 39
+let i_sessions_in_flight = 40
+let i_degraded = 41
 
 let to_array s =
   [|
@@ -156,7 +162,8 @@ let to_array s =
     s.catalog_encodes; s.page_ins; s.evictions; s.writebacks; s.wal_forced_flushes;
     s.peak_pinned; s.sessions_opened; s.commit_conflicts; s.frames_rx;
     s.frames_tx; s.group_commits; s.batches_decoded; s.batch_fallbacks;
-    s.stats_analyzed; s.stats_stale; s.plans_reordered; s.io_retries;
+    s.stats_analyzed; s.stats_stale; s.plans_reordered; s.dep_derivations;
+    s.dep_bitmap_flushes; s.io_retries;
     s.io_gave_up; s.stmts_timed_out; s.degraded_entries; s.sessions_in_flight;
     s.degraded;
   |]
@@ -197,6 +204,8 @@ let of_array a =
     stats_analyzed = a.(i_stats_analyzed);
     stats_stale = a.(i_stats_stale);
     plans_reordered = a.(i_plans_reordered);
+    dep_derivations = a.(i_dep_derivations);
+    dep_bitmap_flushes = a.(i_dep_bitmap_flushes);
     io_retries = a.(i_io_retries);
     io_gave_up = a.(i_io_gave_up);
     stmts_timed_out = a.(i_stmts_timed_out);
@@ -244,6 +253,8 @@ let record_batch_fallback t = bump t i_batch_fallbacks
 let record_stats_analyzed t = bump t i_stats_analyzed
 let record_stats_stale t = bump t i_stats_stale
 let record_plan_reordered t = bump t i_plans_reordered
+let record_dep_derivation t = bump t i_dep_derivations
+let record_dep_bitmap_flush t = bump t i_dep_bitmap_flushes
 let record_io_retry t = bump t i_io_retries
 let record_io_gave_up t = bump t i_io_gave_up
 let record_stmt_timed_out t = bump t i_stmts_timed_out

@@ -86,6 +86,11 @@ val record_stats_analyzed : t -> unit
 val record_stats_stale : t -> unit
 val record_plan_reordered : t -> unit
 
+(** {2 Dependency manager} *)
+
+val record_dep_derivation : t -> unit
+val record_dep_bitmap_flush : t -> unit
+
 (** {2 Recovery and pager} *)
 
 val record_catalog_replayed : t -> int -> unit
@@ -168,6 +173,8 @@ type snapshot = {
   stats_analyzed : int;
   stats_stale : int;
   plans_reordered : int;
+  dep_derivations : int;
+  dep_bitmap_flushes : int;
   io_retries : int;
   io_gave_up : int;
   stmts_timed_out : int;

@@ -71,7 +71,6 @@ let set_enabled t v =
 
 let mark t = t.seq
 
-let set_trace_id t tid = t.cur_tid <- tid
 let trace_id t = t.cur_tid
 
 let with_trace_id t tid f =

@@ -32,11 +32,6 @@ val mark : t -> int
 (** Current completion sequence number; pass to [?since] to read only
     spans recorded after this point (the slow-query log's window). *)
 
-val set_trace_id : t -> int -> unit
-(** Set the ambient trace id (0 = none): every span recorded while it is
-    set carries it, linking the span tree to the wire request / query-log
-    entry that produced it. *)
-
 val trace_id : t -> int
 
 val with_trace_id : t -> int -> (unit -> 'a) -> 'a

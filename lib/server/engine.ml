@@ -272,7 +272,6 @@ let begin_txn t ?(user = superuser) () =
           Version_store.release t.vs ~horizon;
           raise e)
 
-let txn_user txn = txn.tx_user
 let txn_active txn = not txn.tx_done
 
 (* session `\exec` override: a transaction runs on its own snapshot

@@ -130,7 +130,6 @@ val commit_txn : txn -> (int, error) result
 val rollback_txn : txn -> unit
 (** Discard the transaction: drop the overlay and release the horizon. *)
 
-val txn_user : txn -> string
 val txn_active : txn -> bool
 
 val txn_set_exec_mode : txn -> Bdbms_asql.Context.exec_mode -> unit

@@ -65,6 +65,12 @@ val execute :
     expiries ([Timeout]) fail the statement (and abort an open
     transaction) but never the session. *)
 
+type control = Begin_txn | Commit_txn | Rollback_txn
+
+val control_of : string -> control option
+(** [BEGIN], [COMMIT], [ROLLBACK] or a synonym, in any case, a trailing
+    [;] allowed: {!execute} runs these on the session, not the engine. *)
+
 val close : t -> unit
 (** Roll back any open transaction and release the session (drops the
     sessions gauge).  Idempotent. *)

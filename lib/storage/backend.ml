@@ -57,7 +57,6 @@ let trailer_magic = "PGCK"
 let trailer_len = 8 (* magic + u32 crc of the page image *)
 
 let page_size = function Mem m -> m.m_page_size | File f -> f.f_page_size
-let is_persistent = function Mem _ -> false | File _ -> true
 let path = function Mem _ -> None | File f -> Some f.path
 
 let mem ~page_size = Mem { m_page_size = page_size }

@@ -45,7 +45,6 @@ val file :
     page size disagrees with [page_size]. *)
 
 val page_size : t -> int
-val is_persistent : t -> bool
 val path : t -> string option
 
 type verdict = Crc_ok | Crc_zero | Crc_bad

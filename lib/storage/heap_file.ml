@@ -128,16 +128,6 @@ let get t rid =
         if off = dead_offset then None
         else Some (Page.get_bytes page ~pos:off ~len))
 
-let with_page_payloads t page_id f =
-  Pager.with_page t.bp page_id (fun page ->
-      let nslots = Page.get_u16 page 0 in
-      f (fun slot ->
-          if slot < 0 || slot >= nslots then None
-          else
-            let off, len = slot_entry page slot in
-            if off = dead_offset then None
-            else Some (Page.get_bytes page ~pos:off ~len)))
-
 let with_page_spans t page_id f =
   Pager.with_page t.bp page_id (fun page ->
       let nslots = Page.get_u16 page 0 in
@@ -255,6 +245,4 @@ let restore bp ~pages:ids =
 let attach bp ~last_page ~page_count ~live =
   { bp; pages = None; npages = page_count; last_page; live }
 
-let pp_rid fmt rid = Format.fprintf fmt "(%d,%d)" rid.page rid.slot
 let rid_equal a b = a.page = b.page && a.slot = b.slot
-let rid_compare a b = compare (a.page, a.slot) (b.page, b.slot)

@@ -26,16 +26,10 @@ val insert : t -> string -> rid
 val get : t -> rid -> string option
 (** [None] if the record was deleted. *)
 
-val with_page_payloads : t -> Page.id -> ((int -> string option) -> 'a) -> 'a
-(** [with_page_payloads t page f] pins [page] once and calls [f] with a
-    slot-indexed payload reader ([None] for out-of-range or dead slots).
-    The batch decoder uses this to amortize one pin/CRC-check over every
-    record on the page.  The reader must not escape [f]. *)
-
 val with_page_spans :
   t -> Page.id -> (Bytes.t -> (int -> (int * int) option) -> 'a) -> 'a
-(** Zero-copy variant of {!with_page_payloads}: [f] receives the pinned
-    page's raw buffer and a slot-indexed span reader returning
+(** [with_page_spans t page f] pins [page] once and calls [f] with the
+    pinned page's raw buffer and a slot-indexed span reader returning
     [Some (offset, length)] for live slots.  The batch decoder parses
     records straight out of the buffer, skipping the per-record string
     copy {!get} pays.  Neither the buffer nor the reader may escape [f],
@@ -82,6 +76,4 @@ val attach : Pager.t -> last_page:Page.id -> page_count:int -> live:int -> t
     reaches records by rid (a table through its row map), so the file
     keeps no page list: {!iter} and {!pages} raise on it. *)
 
-val pp_rid : Format.formatter -> rid -> unit
 val rid_equal : rid -> rid -> bool
-val rid_compare : rid -> rid -> int

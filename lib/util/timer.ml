@@ -26,7 +26,6 @@ let timed f =
   (result, now_ns () - start)
 
 let ns_to_ms ns = float_of_int ns /. 1e6
-let ns_to_us ns = float_of_int ns /. 1e3
 
 let pp_ns fmt ns =
   let f = float_of_int ns in

@@ -18,7 +18,6 @@ val timed : (unit -> 'a) -> 'a * ns
 (** Run a thunk, returning its result and elapsed nanoseconds. *)
 
 val ns_to_ms : ns -> float
-val ns_to_us : ns -> float
 
 val pp_ns : Format.formatter -> ns -> unit
 (** Human-scaled rendering: ["730ns"], ["12.4us"], ["3.08ms"], ["1.20s"]. *)

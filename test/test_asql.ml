@@ -153,6 +153,40 @@ let test_parse_errors () =
   ignore (exec_err ctx "INSERT INTO missing VALUES (1)");
   ignore (exec_err ctx "CREATE TABLE t (c NOTATYPE)")
 
+(* A script sent over the wire is cut at the lexer's [;] tokens: a [;]
+   inside a string literal or a comment stays, BEGIN and COMMIT are
+   statements of their own, and each statement parses as it would alone. *)
+let test_split_statements () =
+  let src =
+    "CREATE TABLE t (a INT, s TEXT);\nBEGIN;\nINSERT INTO t VALUES (1, 'x; y'); -- a; comment\n\
+     COMMIT;\n  SELECT * FROM t  ;;\n"
+  in
+  Alcotest.(check (result (list string) string))
+    "statements"
+    (Ok
+       [
+         "CREATE TABLE t (a INT, s TEXT)"; "BEGIN"; "INSERT INTO t VALUES (1, 'x; y')";
+         "COMMIT"; "SELECT * FROM t";
+       ])
+    (Parser.split_statements src);
+  let ctx = mk_ctx () in
+  (match Parser.split_statements src with
+  | Ok stmts ->
+      List.iter
+        (fun sql -> if Parser.split_statements sql <> Ok [ sql ] then Alcotest.failf "recut %s" sql)
+        stmts;
+      List.iter
+        (fun sql -> if sql <> "BEGIN" && sql <> "COMMIT" then ignore (exec ctx sql))
+        stmts
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (list string))
+    "the literal keeps its ;" [ "x; y" ]
+    (List.map
+       (fun (r : Propagate.atuple) -> Value.to_display r.Propagate.tuple.(1))
+       (rows_of ctx "SELECT * FROM t").Propagate.rows);
+  checkb "an unterminated literal is an error" true
+    (Result.is_error (Parser.split_statements "SELECT 'x; FROM t;"))
+
 (* Keywords match in any case, reserved words are refused as identifiers
    in any case with the word as written, and TRUE / FALSE / NULL are
    literals in any case. *)
@@ -724,6 +758,7 @@ let () =
           Alcotest.test_case "set operators" `Quick test_set_operators;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "keywords in any case" `Quick test_keywords_any_case;
+          Alcotest.test_case "script split at ; tokens" `Quick test_split_statements;
         ] );
       ( "a-sql-annotations",
         [

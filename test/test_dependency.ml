@@ -259,13 +259,20 @@ let test_dep_graph_vs_model () =
     let seen = ref [] in
     Dep_graph.iter_instances g (fun i -> seen := i :: !seen);
     checkb (what ^ ": iter") true (sorted !seen = sorted all);
-    let probe src =
-      let expect = List.filter (fun i -> List.mem src i.Dep_graph.sources) all in
+    (* a lone cell is one prefix probe, a block of rows one range scan *)
+    let probe srcs =
+      let expect =
+        List.filter (fun i -> List.exists (fun s -> List.mem s srcs) i.Dep_graph.sources) all
+      in
       checkb (what ^ ": instances_from") true
-        (sorted (List.sort_uniq compare (Dep_graph.instances_from g src)) = sorted expect)
+        (sorted (List.sort_uniq compare (Dep_graph.instances_from g srcs)) = sorted expect)
     in
-    for r = 0 to 49 do probe (cell "gene" r 1) done;
-    for r = 0 to 39 do probe (cell "pair" r 0); probe (cell "pair" r 1) done;
+    for r = 0 to 49 do probe [ cell "gene" r 1 ] done;
+    for r = 0 to 39 do probe [ cell "pair" r 0 ]; probe [ cell "pair" r 1 ] done;
+    probe (List.init 50 (fun r -> cell "gene" r 1));
+    probe
+      (List.init 20 (fun r -> cell "pair" (2 * r) 0)
+      @ [ cell "pair" 9 0; cell "pair" 11 0; cell "gene" 7 1; cell "pair" 3 1 ]);
     for r = 0 to 199 do
       checkb (what ^ ": instance_for_target") true
         (Dep_graph.instance_for_target g (cell "protein" r 2)
@@ -457,6 +464,188 @@ let test_tracker_bitmap_stats () =
       checkb "compressed positive" true (compressed > 0)
   | None -> Alcotest.fail "no bitmap for Protein"
 
+(* ------------------------------------------------------- cascade laws *)
+
+(* The dependency cascade runs once per statement.  Its laws, checked
+   through A-SQL on E8's chains: gene rows feed protein rows through rules
+   ending in the non-executable Lab — at depth 1 gene.gs --Lab--> pf, at
+   depth 2 gene.gs --P--> ps --Lab--> pf — and each protein picks its gene
+   at random, so a gene feeds none, one or several proteins. *)
+
+module Db = Bdbms.Db
+module Stats = Bdbms_obs.Stats
+module Context = Bdbms_asql.Context
+
+let law_genes = 8
+let law_proteins = 12
+let law_seeds = 20
+
+let chain_db ?(genes = law_genes) ~depth links =
+  let db = Db.create ~page_size:1024 ~pool_pages:64 () in
+  ignore
+    (Context.register_procedure (Db.context db)
+       (Procedure.non_executable ~name:"Lab" ~description:"wet-lab assay" ()));
+  let e sql = ignore (Db.exec_exn db sql) in
+  let rows n f = String.concat ", " (List.init n f) in
+  e "CREATE TABLE gene (gid INT, gs DNA)";
+  e "CREATE TABLE protein (pid INT, ps PROTEIN, pf TEXT)";
+  e ("INSERT INTO gene VALUES " ^ rows genes (Printf.sprintf "(%d, 'ATGGCCAAA')"));
+  e
+    ("INSERT INTO protein VALUES "
+    ^ rows (Array.length links) (Printf.sprintf "(%d, 'MAK', 'kinase')"));
+  if depth = 1 then e "CREATE DEPENDENCY r1 FROM gene.gs TO protein.pf USING Lab"
+  else begin
+    e "CREATE DEPENDENCY r1 FROM gene.gs TO protein.ps USING P";
+    e "CREATE DEPENDENCY r2 FROM protein.ps TO protein.pf USING Lab"
+  end;
+  Array.iteri
+    (fun p g ->
+      e (Printf.sprintf "LINK DEPENDENCY r1 FROM (%d) TO %d" g p);
+      if depth = 2 then e (Printf.sprintf "LINK DEPENDENCY r2 FROM (%d) TO %d" p p))
+    links;
+  db
+
+(* Run [sql], checking law (d): the statement stores each bitmap whose
+   marks it changed, once. *)
+let exec_law db sql =
+  let marks () =
+    List.map
+      (fun table -> Tracker.outdated_cells (Db.context db).Context.tracker ~table)
+      [ "gene"; "protein" ]
+  in
+  let before = marks () and s0 = Db.io_stats db in
+  ignore (Db.exec_exn db sql);
+  let touched =
+    List.fold_left2 (fun n a b -> if a = b then n else n + 1) 0 before (marks ())
+  in
+  let d = Stats.diff ~after:(Db.io_stats db) ~before:s0 in
+  checki (sql ^ ": one store per touched bitmap") touched d.Stats.dep_bitmap_flushes
+
+(* A random non-empty subset of [0, n), ascending. *)
+let subset rng n =
+  match List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id) with
+  | [] -> [ Random.State.int rng n ]
+  | s -> s
+
+(* One statement over a row set on [batch], one statement per row on
+   [single]: [stmt "gid IN (...)"] against [stmt "gid = i"]. *)
+let both batch single ~key rows stmt =
+  exec_law batch
+    (stmt (Printf.sprintf "%s IN (%s)" key (String.concat ", " (List.map string_of_int rows))));
+  List.iter (fun i -> exec_law single (stmt (Printf.sprintf "%s = %d" key i))) rows
+
+(* Random edit rounds: gene sequences P translates or cannot ('CCCGGG'
+   has no start codon, so its dependents are marked), and curators
+   storing fresh protein functions, which clears their marks. *)
+let edit_rounds rng batch single =
+  for _ = 1 to 5 do
+    if Random.State.int rng 3 = 0 then
+      both batch single ~key:"pid" (subset rng law_proteins)
+        (Printf.sprintf "UPDATE protein SET pf = 'assayed' WHERE %s")
+    else
+      let gs = [| "ATGAAATGG"; "ATGGCCAAA"; "CCCGGG" |].(Random.State.int rng 3) in
+      both batch single ~key:"gid" (subset rng law_genes)
+        (Printf.sprintf "UPDATE gene SET gs = '%s' WHERE %s" gs)
+  done
+
+let same_state what batch single =
+  Alcotest.(check string) what
+    (Fixtures.fingerprint ~except:[ "clock"; "approval" ] single)
+    (Fixtures.fingerprint ~except:[ "clock"; "approval" ] batch)
+
+let for_each_chain f =
+  List.iter
+    (fun depth ->
+      for seed = 1 to law_seeds do
+        let rng = Random.State.make [| seed; depth |] in
+        let links = Array.init law_proteins (fun _ -> Random.State.int rng law_genes) in
+        f (Printf.sprintf "depth %d, seed %d" depth seed) rng (chain_db ~depth links)
+          (chain_db ~depth links)
+      done)
+    [ 1; 2 ]
+
+(* (a) One N-row UPDATE leaves the state of N one-row UPDATEs. *)
+let test_law_update () =
+  for_each_chain (fun what rng batch single ->
+      edit_rounds rng batch single;
+      same_state what batch single)
+
+(* (b) So does one N-row DELETE against N one-row DELETEs, marks
+   included, and the edits after it. *)
+let test_law_delete () =
+  for_each_chain (fun what rng batch single ->
+      edit_rounds rng batch single;
+      both batch single ~key:"gid" (subset rng law_genes)
+        (Printf.sprintf "DELETE FROM gene WHERE %s");
+      both batch single ~key:"pid" (subset rng law_proteins)
+        (Printf.sprintf "DELETE FROM protein WHERE %s");
+      same_state (what ^ ", after the deletes") batch single;
+      edit_rounds rng batch single;
+      same_state (what ^ ", after the deletes and edits") batch single)
+
+let row_count db sql =
+  match Db.exec_exn db sql with
+  | Bdbms_asql.Executor.Rows rs -> Bdbms_annotation.Propagate.row_count rs
+  | _ -> Alcotest.failf "expected rows for: %s" sql
+
+(* (c) An UPDATE setting both sources of a two-source rule runs its
+   procedure once per target, on the row's final values. *)
+let test_law_two_sources () =
+  let n = 6 in
+  let db = Db.create () in
+  let seen = ref [] in
+  ignore
+    (Context.register_procedure (Db.context db)
+       (Procedure.executable ~name:"Pair" (fun inputs ->
+            seen := List.map Value.as_string inputs :: !seen;
+            Ok (v (String.concat "+" (List.map Value.as_string inputs))))));
+  let e sql = ignore (Db.exec_exn db sql) in
+  e "CREATE TABLE pair (a TEXT, b TEXT, s TEXT)";
+  e ("INSERT INTO pair VALUES " ^ String.concat ", " (List.init n (fun _ -> "('a', 'b', '')")));
+  e "CREATE DEPENDENCY j FROM pair.a, pair.b TO pair.s USING Pair";
+  for i = 0 to n - 1 do
+    e (Printf.sprintf "LINK DEPENDENCY j FROM (%d, %d) TO %d" i i i)
+  done;
+  seen := [];
+  let s0 = Db.io_stats db in
+  e "UPDATE pair SET a = 'x', b = 'y'";
+  let d = Stats.diff ~after:(Db.io_stats db) ~before:s0 in
+  checki "one derivation per target" n d.Stats.dep_derivations;
+  checki "one procedure run per target" n (List.length !seen);
+  checkb "every run saw the final row" true (List.for_all (( = ) [ "x"; "y" ]) !seen);
+  checki "every target derived" 0 (row_count db "SELECT s FROM pair WHERE s <> 'x+y'")
+
+(* (d) A statement stores each bitmap it touched once, however many cells
+   it marks: 500 linked genes, one UPDATE and one DELETE. *)
+let test_law_one_store () =
+  let n = 500 in
+  let db = chain_db ~genes:n ~depth:2 (Array.init n Fun.id) in
+  List.iter
+    (fun (sql, derivations) ->
+      let s0 = Db.io_stats db in
+      exec_law db sql;
+      let d = Stats.diff ~after:(Db.io_stats db) ~before:s0 in
+      checki (sql ^ ": derivations") derivations d.Stats.dep_derivations;
+      checki (sql ^ ": stores") 1 d.Stats.dep_bitmap_flushes)
+    [ ("UPDATE gene SET gs = 'ATGAAATGG'", n); ("DELETE FROM gene", 0) ];
+  checki "every ps and pf outdated" (2 * n)
+    (List.length (Tracker.outdated_cells (Db.context db).Context.tracker ~table:"protein"))
+
+(* An UPDATE failing partway on an in-memory database keeps the cells it
+   wrote, so their dependents still cascade: rows 0-3 get the new gs
+   before 10 / (gid - 3) divides by zero on row 3. *)
+let test_failed_update_cascades () =
+  let db = chain_db ~depth:2 (Array.init law_genes Fun.id) in
+  checkb "the UPDATE fails" true
+    (Result.is_error (Db.exec db "UPDATE gene SET gs = 'ATGAAATGG', gid = 10 / (gid - 3)"));
+  checki "rows 0-3 keep the new gs" 4 (row_count db "SELECT gid FROM gene WHERE gs = 'ATGAAATGG'");
+  checki "their proteins re-derived" 4 (row_count db "SELECT pid FROM protein WHERE ps = 'MKW'");
+  Alcotest.(check (list (pair int int)))
+    "their functions marked"
+    [ (0, 2); (1, 2); (2, 2); (3, 2) ]
+    (List.sort compare
+       (Tracker.outdated_cells (Db.context db).Context.tracker ~table:"protein"))
+
 let () =
   Alcotest.run "bdbms_dependency"
     [
@@ -491,5 +680,14 @@ let () =
             test_tracker_non_executable_procedure_change;
           Alcotest.test_case "link errors" `Quick test_tracker_multi_source_blast;
           Alcotest.test_case "bitmap stats" `Quick test_tracker_bitmap_stats;
+        ] );
+      ( "cascade-laws",
+        [
+          Alcotest.test_case "(a) N-row UPDATE = N one-row UPDATEs" `Quick test_law_update;
+          Alcotest.test_case "(b) N-row DELETE = N one-row DELETEs" `Quick test_law_delete;
+          Alcotest.test_case "(c) two sources derive once" `Quick test_law_two_sources;
+          Alcotest.test_case "(d) one store per touched bitmap" `Quick test_law_one_store;
+          Alcotest.test_case "a failed UPDATE cascades its writes" `Quick
+            test_failed_update_cascades;
         ] );
     ]

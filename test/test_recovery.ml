@@ -695,77 +695,6 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-(* A full logical fingerprint of the engine: schemas, data and attached
-   annotation envelopes (via rendered annotated SELECTs), outdated marks,
-   annotation tables, dependency rules and instances, principals, grants, the approval
-   log, provenance tools, index definitions, and the logical clock.  The
-   clock is deterministic (it only ticks on statements), so a bootstrapped
-   engine must fingerprint identically to an in-memory oracle that
-   replayed the same statement prefix. *)
-let fingerprint db =
-  let ctx = Db.context db in
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  List.iter
-    (fun name ->
-      let tbl = Catalog.find_exn ctx.Context.catalog name in
-      add "table %s" (Table.name tbl);
-      List.iter
-        (fun (c : Schema.column) -> add "  col %s:%s" c.Schema.name (Value.type_name c.ty))
-        (Schema.columns (Table.schema tbl));
-      add "%s" (Db.render_exn db (Printf.sprintf "SELECT * FROM %s ANNOTATION(*)" name));
-      List.iter
-        (fun (r, c) -> add "  outdated %d.%d" r c)
-        (List.sort compare (Tracker.outdated_cells ctx.Context.tracker ~table:name));
-      List.iter
-        (fun n -> add "  anntab %s" n)
-        (List.sort compare
-           (Manager.annotation_table_names ctx.Context.ann ~table_name:name)))
-    (List.sort compare (Catalog.table_names ctx.Context.catalog));
-  List.iter
-    (fun (r : Rule.t) -> add "rule %s" (Rule.describe r))
-    (Rule_set.rules (Tracker.rule_set ctx.Context.tracker));
-  Dep_graph.iter_instances (Tracker.graph ctx.Context.tracker) (fun i ->
-      add "instance %s: %s -> %s" i.Dep_graph.rule_id
-        (String.concat ","
-           (List.map (Format.asprintf "%a" Dep_graph.pp_cell) i.Dep_graph.sources))
-        (Format.asprintf "%a" Dep_graph.pp_cell i.Dep_graph.target));
-  add "users %s" (String.concat "," (Principal.users ctx.Context.principals));
-  add "groups %s" (String.concat "," (Principal.groups ctx.Context.principals));
-  List.iter
-    (fun (u, gs) -> add "member %s: %s" u (String.concat "," gs))
-    (Principal.memberships ctx.Context.principals);
-  List.iter
-    (fun (table, entries) ->
-      List.iter
-        (fun (e : Acl.grant_entry) ->
-          add "grant %s %s %s %s" table
-            (Acl.privilege_name e.privilege)
-            (match e.grantee with Acl.User u -> "u:" ^ u | Acl.Group g -> "g:" ^ g)
-            (match e.columns with None -> "*" | Some cs -> String.concat "," cs))
-        entries)
-    (Acl.dump_grants ctx.Context.acl);
-  List.iter
-    (fun (e : Approval.entry) ->
-      add "approval #%d by %s at t%d [%s] decided by %s: %s" e.Approval.id
-        e.Approval.user e.Approval.at
-        (match e.Approval.status with
-        | Approval.Pending -> "pending"
-        | Approval.Approved -> "approved"
-        | Approval.Disapproved -> "disapproved")
-        (match e.Approval.decided_by with None -> "-" | Some u -> u)
-        (Approval.inverse_description e.Approval.operation))
-    (Approval.entries ctx.Context.approval);
-  List.iter (fun t -> add "provtool %s" t) (Prov_store.tools ctx.Context.prov);
-  List.iter
-    (fun (idx : Context.index_def) ->
-      add "index %s on %s(%s)" idx.Context.idx_name idx.Context.idx_table
-        idx.Context.idx_column)
-    (List.sort compare
-       (Hashtbl.fold (fun _ i acc -> i :: acc) ctx.Context.indexes []));
-  add "clock t%d" (Clock.now ctx.Context.clock);
-  Buffer.contents b
-
 (* The mixed workload the crash harness sweeps over: DDL, DML (driving
    dependency recomputation), annotations with an archival, dependency
    rules and links, outdated marks through a non-executable rule (and a
@@ -854,7 +783,7 @@ let oracle_fps =
        (fun k ->
          let db = with_lab (Db.create ()) in
          List.iteri (fun i sql -> if i < k then ignore (Db.exec_exn db sql)) workload;
-         let fp = fingerprint db in
+         let fp = Fixtures.fingerprint db in
          Db.close db;
          fp))
 
@@ -935,7 +864,7 @@ let check_epoch_after_reopen ~what path =
 let check_bootstrap ~what path applied =
   let oracles = Lazy.force oracle_fps in
   let db = Db.create ~page_size ~path () in
-  let fp = fingerprint db in
+  let fp = Fixtures.fingerprint db in
   Db.close db;
   let matches k = k >= 0 && k < Array.length oracles && fp = oracles.(k) in
   if not (matches applied || matches (applied + 1)) then
@@ -1352,6 +1281,38 @@ let test_drop_table_drops_indexes () =
           | _ -> Alcotest.fail "expected rows");
           Fixtures.check_indexes ~what:"after the reopen" (Db.context db)))
 
+(* DROP TABLE takes its grants with it: a user granted SELECT on a
+   dropped table is refused a new table of the same name under strict
+   ACLs, live and after a durable reopen. *)
+let test_drop_table_drops_grants () =
+  let path = tmp_path () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      let bob_reads db =
+        Db.set_strict_acl db true;
+        match Db.exec db ~user:"bob" "SELECT * FROM t" with
+        | Ok _ -> None
+        | Error e -> Some e
+      in
+      let db = Db.create ~page_size ~path () in
+      let run =
+        List.iter (fun sql ->
+            ignore (Db.exec_exn db sql);
+            ignore (Fixtures.check_catalog_epoch ~what:sql (Db.context db)))
+      in
+      let check what expect db = Alcotest.(check (option string)) what expect (bob_reads db) in
+      run [ "CREATE USER bob"; "CREATE TABLE t (a INT)"; "GRANT SELECT ON t TO bob" ];
+      check "the grant lets bob read t" None db;
+      run [ "DROP TABLE t"; "CREATE TABLE t (secret TEXT)"; "INSERT INTO t VALUES ('s')" ];
+      let refused = Some "user bob lacks SELECT on t" in
+      check "bob is refused the new t" refused db;
+      Db.close db;
+      let db = Db.create ~page_size ~path () in
+      Fun.protect
+        ~finally:(fun () -> Db.close db)
+        (fun () -> check "and after a reopen" refused db))
+
 (* An INSERT changes only its table's fixed-size head in the catalog, so
    the rest of a long blob (here, a content-approval log, which the root
    still holds) stays at the same offsets and the root swap rewrites one
@@ -1613,6 +1574,8 @@ let () =
             test_insert_commit_writes_one_chain_page;
           Alcotest.test_case "DROP TABLE drops its indexes" `Quick
             test_drop_table_drops_indexes;
+          Alcotest.test_case "DROP TABLE drops its grants" `Quick
+            test_drop_table_drops_grants;
         ] );
       ( "facade",
         [
